@@ -65,9 +65,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -131,6 +128,15 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.data.shape})"
+
+
+def register(registry: dict, name: str, array: np.ndarray) -> Parameter:
+    """Create the parameter ``name`` and add it to ``registry``."""
+    if name in registry:
+        raise ValueError(f"duplicate parameter name {name}")
+    p = Parameter(array, name)
+    registry[name] = p
+    return p
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:

@@ -13,7 +13,7 @@ construction.  Generation is a pure function of the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -224,9 +224,3 @@ def build_samples(dialog: Dialog, k: int) -> list:
             tpp_words=tpp,
             text_turn_lengths=(prev.word_count, cur.word_count)))
     return samples
-
-
-def copy_sample(sample: Sample) -> Sample:
-    """Shallow-ish copy; waveforms are shared read-only arrays."""
-    return replace(sample, text_turns=[list(t) for t in sample.text_turns],
-                   tpp_words=list(sample.tpp_words))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import (Parameter, Tensor, add, concat, conv1d, dropout as
                        dropout_op, embedding, gelu, layer_norm, linear,
-                       matmul, reshape, softmax, transpose)
+                       matmul, register, reshape, softmax, transpose)
 
 NEG_INF = -1e9  # finite mask value so every op output stays finite
 
@@ -60,25 +60,19 @@ class TransformerLayerParams:
     ff2_b: Parameter
 
 
-def _register(registry: dict, name: str, array: np.ndarray) -> Parameter:
-    p = Parameter(array, name)
-    registry[name] = p
-    return p
-
-
 def init_transformer_layer(registry: dict, rng: np.random.Generator,
                            prefix: str, d_h: int, ffn_dim: int,
                            dtype=np.float32,
                            scale: float = 0.02) -> TransformerLayerParams:
     def w(name, shape):
-        return _register(registry, f"{prefix}.{name}",
-                         (scale * rng.standard_normal(shape)).astype(dtype))
+        return register(registry, f"{prefix}.{name}",
+                        (scale * rng.standard_normal(shape)).astype(dtype))
 
     def zeros(name, shape):
-        return _register(registry, f"{prefix}.{name}", np.zeros(shape, dtype))
+        return register(registry, f"{prefix}.{name}", np.zeros(shape, dtype))
 
     def ones(name, shape):
-        return _register(registry, f"{prefix}.{name}", np.ones(shape, dtype))
+        return register(registry, f"{prefix}.{name}", np.ones(shape, dtype))
 
     return TransformerLayerParams(
         ln1_gain=ones("ln1.gain", d_h), ln1_bias=zeros("ln1.bias", d_h),
@@ -103,9 +97,9 @@ def init_conv_positional(registry: dict, rng: np.random.Generator, prefix: str,
                          config: EncoderConfig, dtype=np.float32,
                          scale: float = 0.02) -> tuple:
     d_h, k, g = config.d_h, config.conv_pos_kernel, config.conv_pos_groups
-    w = _register(registry, f"{prefix}.conv_pos.w",
-                  (scale * rng.standard_normal((d_h, d_h // g, k))).astype(dtype))
-    b = _register(registry, f"{prefix}.conv_pos.b", np.zeros(d_h, dtype))
+    w = register(registry, f"{prefix}.conv_pos.w",
+                 (scale * rng.standard_normal((d_h, d_h // g, k))).astype(dtype))
+    b = register(registry, f"{prefix}.conv_pos.b", np.zeros(d_h, dtype))
     return w, b
 
 
@@ -205,9 +199,6 @@ class FusedRepresentation:
     @property
     def sep_speech_index(self) -> int:
         return self.n_text + self.m_prev + 1
-
-    def text_index(self, t: int) -> int:
-        return t
 
     def prev_frame_index(self, j: int) -> int:
         return self.n_text + 1 + j

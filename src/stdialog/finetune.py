@@ -21,7 +21,7 @@ import numpy as np
 
 from . import corpus as cp
 from .autodiff import (Parameter, Tensor, cross_entropy, gather_rows,
-                       gelu, linear, mse, reshape)
+                       gelu, linear, mse, register, reshape)
 from .corpus import Dialog, Sample
 from .encoders import FusedRepresentation
 
@@ -62,16 +62,13 @@ class PredictionHead:
 
 def init_prediction_head(registry: dict, rng: np.random.Generator, d_h: int,
                          d_o: int, dtype=np.float32) -> PredictionHead:
-    def mk(name, array):
-        p = Parameter(array, name)
-        registry[name] = p
-        return p
-
     return PredictionHead(
-        w1=mk("head.w1", (0.02 * rng.standard_normal((d_h, d_h))).astype(dtype)),
-        b1=mk("head.b1", np.zeros(d_h, dtype)),
-        w2=mk("head.w2", (0.02 * rng.standard_normal((d_h, d_o))).astype(dtype)),
-        b2=mk("head.b2", np.zeros(d_o, dtype)))
+        w1=register(registry, "head.w1",
+                    (0.02 * rng.standard_normal((d_h, d_h))).astype(dtype)),
+        b1=register(registry, "head.b1", np.zeros(d_h, dtype)),
+        w2=register(registry, "head.w2",
+                    (0.02 * rng.standard_normal((d_h, d_o))).astype(dtype)),
+        b2=register(registry, "head.b2", np.zeros(d_o, dtype)))
 
 
 def head_from_registry(registry: dict) -> PredictionHead:

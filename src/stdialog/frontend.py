@@ -62,10 +62,6 @@ class FrontendConfig:
             rf = (rf - 1) * spec.stride + spec.kernel
         return rf
 
-    @property
-    def min_input_length(self) -> int:
-        return self.receptive_field
-
     def output_length(self, n_samples: int) -> int:
         """Frame count for an input of ``n_samples`` (valid convolutions)."""
         if n_samples < self.receptive_field:

@@ -137,14 +137,6 @@ def mask_speech_frames(features: Tensor, rng: np.random.Generator,
     return apply_mask_plan(features, plan), plan
 
 
-def mask_speech_frames_baseline(features: Tensor, rng: np.random.Generator,
-                                config: AcousticMaskConfig | None = None):
-    """Short-span masker for rate comparison (~14% coverage at defaults)."""
-    cfg = config if config is not None else DEFAULT_BASELINE_CONFIG
-    plan = draw_mask_plan(features.shape[0], rng, cfg)
-    return apply_mask_plan(features, plan), plan
-
-
 def estimate_mask_rate(config: AcousticMaskConfig, length: int, trials: int,
                        seed: int = 0) -> tuple:
     """Monte Carlo mean masked fraction over ``trials`` plans, with stderr.

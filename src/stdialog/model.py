@@ -10,12 +10,12 @@ shape bookkeeping auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import frontend as fe
-from .autodiff import Parameter, Tensor
+from .autodiff import register
 from .encoders import (EncoderConfig, FusedRepresentation, encode_speech,
                        encode_text, fuse, init_conv_positional,
                        init_encoder_stack, init_transformer_layer)
@@ -58,31 +58,14 @@ class ModelConfig:
                              conv_pos_groups=self.conv_pos_groups)
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "d_h", "vocab_size", "max_text_len", "text_layers",
-            "speech_layers", "num_heads", "ffn_dim", "dropout",
-            "conv_pos_kernel", "conv_pos_groups", "fusion_ffn",
-            "tpp_max_seconds", "init_scale", "dtype")}
-        d["frontend"] = {
-            "layers": [[s.channels, s.kernel, s.stride]
-                       for s in self.frontend.layers],
-            "sample_rate": self.frontend.sample_rate,
-            "activation": self.frontend.activation,
-            "ln_eps": self.frontend.ln_eps,
-        }
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
-        front = d.pop("frontend")
-        frontend = fe.FrontendConfig(
-            layers=tuple(fe.ConvLayerSpec(c, k, s)
-                         for c, k, s in front["layers"]),
-            sample_rate=front["sample_rate"],
-            activation=front.get("activation", "gelu"),
-            ln_eps=front.get("ln_eps", 1e-5))
-        return cls(frontend=frontend, **d)
+        front = dict(d.pop("frontend"))
+        layers = tuple(fe.ConvLayerSpec(**s) for s in front.pop("layers"))
+        return cls(frontend=fe.FrontendConfig(layers=layers, **front), **d)
 
 
 @dataclass
@@ -120,14 +103,14 @@ class SpeechTextModel:
 
         def normal(name, shape, scale=None):
             scale = config.init_scale if scale is None else scale
-            return self._register(
-                name, (scale * rng.standard_normal(shape)).astype(dtype))
+            return register(self.params, name,
+                            (scale * rng.standard_normal(shape)).astype(dtype))
 
         def zeros(name, shape):
-            return self._register(name, np.zeros(shape, dtype))
+            return register(self.params, name, np.zeros(shape, dtype))
 
         def ones(name, shape):
-            return self._register(name, np.ones(shape, dtype))
+            return register(self.params, name, np.ones(shape, dtype))
 
         # text embeddings
         self.token_table = normal("text.token_table",
@@ -177,13 +160,6 @@ class SpeechTextModel:
         self.lm_b = zeros("lm.b", config.vocab_size)
         self.cmam_w = normal("cmam.w", (d_h, feat))
         self.cmam_b = zeros("cmam.b", feat)
-
-    def _register(self, name: str, array: np.ndarray) -> Parameter:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name {name}")
-        p = Parameter(array, name)
-        self.params[name] = p
-        return p
 
     def parameters(self) -> list:
         return list(self.params.values())

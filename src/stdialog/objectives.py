@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import (Parameter, Tensor, add, cross_entropy, gather_rows,
-                       linear, mae, matmul, mul, reshape, scale, sub,
-                       reduce_sum)
+                       linear, mae, matmul, mul, register, reshape, scale,
+                       sub, reduce_sum)
 from .corpus import Dialog, Sample
 from .encoders import FusedRepresentation
 from .masking import MaskPlan
@@ -36,8 +36,6 @@ CRS_POSITIVE = 0
 CRS_SPEECH_SUBSTITUTED = 1
 CRS_TEXT_SUBSTITUTED = 2
 CRS_BOTH_SUBSTITUTED = 3
-CRS_CLASS_NAMES = ("positive", "speech_substituted", "text_substituted",
-                   "both_substituted")
 
 
 @dataclass(frozen=True)
@@ -60,10 +58,8 @@ def init_tpp_head(registry: dict, rng: np.random.Generator, d_h: int,
                   max_seconds: float = 10.0, dtype=np.float32,
                   scale: float = 0.02) -> TppHead:
     def mk(name):
-        p = Parameter((scale * rng.standard_normal((d_h, 1))).astype(dtype),
-                      name)
-        registry[name] = p
-        return p
+        return register(registry, name,
+                        (scale * rng.standard_normal((d_h, 1))).astype(dtype))
 
     return TppHead(w_start=mk("tpp.w_start"), w_end=mk("tpp.w_end"),
                    max_seconds=max_seconds)

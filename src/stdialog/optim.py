@@ -30,10 +30,6 @@ class AdamW:
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
     def global_grad_norm(self) -> float:
         total = 0.0
         for p in self.params:

@@ -1,4 +1,4 @@
-"""Training loops, checkpointing, and metrics logging.
+"""The training loop, checkpointing, and metrics logging.
 
 Determinism contract: parameter init draws from stream (seed, 0) and every
 training step draws batch selection, corruption, and masking from its own
@@ -10,14 +10,15 @@ exact uninterrupted trajectory.
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import add, scale
+from .autodiff import add, register, scale
 from .finetune import (PredictionHead, TaskSpec, evaluate,
                        head_from_registry, init_prediction_head, predict,
                        replace_speech_with_noise, task_loss)
@@ -29,7 +30,7 @@ from .optim import AdamW, AdamWConfig, lr_schedule
 from .shards import Corpus
 from .text import Vocab, WhitespaceTokenizer
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -62,15 +63,7 @@ class TrainConfig:
                                   span_range=tuple(self.acoustic_span))
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "seed", "steps", "batch_size", "peak_lr", "warmup_frac",
-            "schedule", "weight_decay", "clip_norm", "adam_beta1",
-            "adam_beta2", "k", "alpha", "crs_enabled", "crs_class_probs",
-            "text_mask_prob", "text_corruption", "acoustic_trigger_prob",
-            "acoustic_span", "tpp_on_masked", "corpus_fraction",
-            "checkpoint_every")}
-        d["model"] = self.model.to_dict()
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -85,19 +78,25 @@ class TrainConfig:
     def from_json(cls, path) -> "TrainConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1))
-
 
 class MetricsLog:
-    """Append-only per-step records with monotone step numbers."""
+    """Append-only per-step records with monotone step numbers.
 
-    def __init__(self, path=None):
+    A log that starts after ``start_step`` (a resumed run) keeps the file's
+    rows up to that step and appends after them; ``rows`` holds only the
+    records appended through this log.
+    """
+
+    def __init__(self, path=None, start_step: int = 0):
         self.path = Path(path) if path else None
         self.rows: list = []
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("")
+            kept = []
+            if start_step and self.path.exists():
+                kept = [r for r in self.read(self.path)
+                        if r["step"] <= start_step]
+            self.path.write_text("".join(json.dumps(r) + "\n" for r in kept))
 
     def append(self, record: dict) -> None:
         if self.rows and record["step"] <= self.rows[-1]["step"]:
@@ -119,11 +118,6 @@ def build_vocab(corpus: Corpus, tokenizer=None) -> Vocab:
     tokenizer = tokenizer or WhitespaceTokenizer()
     return Vocab.from_tokens(tokenizer.vocabulary_tokens(
         corpus.vocabulary_words()))
-
-
-def _mean_batch_loss(tensors: list):
-    total = reduce(add, tensors)
-    return scale(total, 1.0 / len(tensors))
 
 
 def _batch_indices(rng: np.random.Generator, n_samples: int,
@@ -155,6 +149,43 @@ class TrainResult:
     task: TaskSpec | None = None
 
 
+def _train(cfg, model: SpeechTextModel, opt: AdamW, start_step: int,
+           stream: int, draw_batch, sample_loss, loss_key: str,
+           metrics_path, on_step=None) -> list:
+    """Steps ``start_step + 1`` to ``cfg.steps``; step t draws all its
+    randomness from (cfg.seed, stream, t).
+
+    ``draw_batch(rng)`` gives the sample indices of a batch and
+    ``sample_loss(i, rng)`` one sample's (loss, {component: value}).  The
+    step minimizes the batch mean of the losses and logs the batch mean of
+    each component.  Returns the metric rows of these steps.
+    """
+    metrics = MetricsLog(metrics_path, start_step)
+    for step in range(start_step + 1, cfg.steps + 1):
+        rng = np.random.default_rng((cfg.seed, stream, step))
+        idx = draw_batch(rng)
+        n = len(idx)
+        model.zero_grad()
+        losses, sums = [], {}
+        t0 = time.monotonic()
+        for i in idx:
+            loss, components = sample_loss(int(i), rng)
+            losses.append(loss)
+            for key, value in components.items():
+                sums[key] = sums.get(key, 0.0) + value
+        batch_loss = scale(reduce(add, losses), 1.0 / n)
+        batch_loss.backward()
+        lr = lr_schedule(step, cfg.steps, cfg.peak_lr, cfg.warmup_frac,
+                         cfg.schedule)
+        opt.step(lr)
+        metrics.append({"step": step, loss_key: float(batch_loss.data),
+                        **{key: total / n for key, total in sums.items()},
+                        "lr": lr, "wall_time": time.monotonic() - t0})
+        if on_step is not None:
+            on_step(step)
+    return metrics.rows
+
+
 def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
              resume_from=None, vocab: Vocab | None = None) -> TrainResult:
     """Joint pre-training over all samples of the corpus."""
@@ -172,6 +203,7 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
         state = load_checkpoint(resume_from)
         if state["vocab"].id_to_token != vocab.id_to_token:
             raise ValueError("checkpoint vocabulary does not match corpus")
+        _check_resume_config(cfg, state["train_config"])
         _restore_params(model, state)
         opt.load_state_dict(state["optimizer"])
         start_step = state["step"]
@@ -183,51 +215,54 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
         raise ValueError("corpus yields no samples (all dialogs too short?)")
     weights = LossWeights(alpha=cfg.alpha)
     acfg = cfg.acoustic_config()
-    metrics = MetricsLog(out_dir / "metrics.jsonl" if out_dir else None)
-    for step in range(start_step + 1, cfg.steps + 1):
-        rng = np.random.default_rng((cfg.seed, 1, step))
-        idx = _batch_indices(rng, len(samples), cfg.batch_size)
-        model.zero_grad()
-        sums = {"tpp": 0.0, "crs": 0.0, "cmlm": 0.0, "cmam": 0.0}
-        joints = []
-        t0 = time.monotonic()
-        for i in idx:
-            sample = samples[int(i)]
-            label = None
-            if cfg.crs_enabled:
-                sample, label = make_crs_sample(sample, corpus.dialogs, rng,
-                                                cfg.crs_class_probs)
-            prepared = prepare_sample(
-                sample, vocab, model.config, rng=rng, crs_label=label,
-                text_mask_prob=cfg.text_mask_prob,
-                text_corruption=cfg.text_corruption, acoustic_config=acfg)
-            losses = model.compute_losses(prepared, weights,
-                                          crs_enabled=cfg.crs_enabled,
-                                          tpp_on_masked=cfg.tpp_on_masked)
-            joints.append(losses["joint"])
-            for key in sums:
-                sums[key] += _component_value(losses[key])
-        batch_loss = _mean_batch_loss(joints)
-        batch_loss.backward()
-        lr = lr_schedule(step, cfg.steps, cfg.peak_lr, cfg.warmup_frac,
-                         cfg.schedule)
-        opt.step(lr)
-        n = len(idx)
-        metrics.append({
-            "step": step, "joint": float(batch_loss.data),
-            "tpp": sums["tpp"] / n, "crs": sums["crs"] / n,
-            "cmlm": sums["cmlm"] / n, "cmam": sums["cmam"] / n,
-            "lr": lr, "wall_time": time.monotonic() - t0})
+
+    def sample_loss(i, rng):
+        sample, label = samples[i], None
+        if cfg.crs_enabled:
+            sample, label = make_crs_sample(sample, corpus.dialogs, rng,
+                                            cfg.crs_class_probs)
+        prepared = prepare_sample(
+            sample, vocab, model.config, rng=rng, crs_label=label,
+            text_mask_prob=cfg.text_mask_prob,
+            text_corruption=cfg.text_corruption, acoustic_config=acfg)
+        losses = model.compute_losses(prepared, weights,
+                                      crs_enabled=cfg.crs_enabled,
+                                      tpp_on_masked=cfg.tpp_on_masked)
+        return losses["joint"], {key: _component_value(losses[key])
+                                 for key in ("tpp", "crs", "cmlm", "cmam")}
+
+    def save_periodic(step):
         if out_dir and cfg.checkpoint_every and \
                 step % cfg.checkpoint_every == 0 and step < cfg.steps:
             save_checkpoint(out_dir / f"checkpoint-{step:06d}.npz", model,
                             vocab, opt, step, cfg)
+
+    rows = _train(cfg, model, opt, start_step, 1,
+                  lambda rng: _batch_indices(rng, len(samples),
+                                             cfg.batch_size),
+                  sample_loss, "joint",
+                  out_dir / "metrics.jsonl" if out_dir else None,
+                  save_periodic)
     path = None
     if out_dir:
         path = out_dir / "checkpoint-final.npz"
         save_checkpoint(path, model, vocab, opt, cfg.steps, cfg)
-    return TrainResult(model=model, vocab=vocab, metrics=metrics.rows,
+    return TrainResult(model=model, vocab=vocab, metrics=rows,
                        checkpoint_path=path)
+
+
+def _check_resume_config(cfg: TrainConfig,
+                         saved: TrainConfig | None) -> None:
+    """Resuming continues the saved trajectory only under its own config;
+    ``checkpoint_every`` alone does not change the trajectory."""
+    if saved is None:
+        raise ValueError("checkpoint has no pre-training config to resume")
+    differ = [f.name for f in fields(TrainConfig)
+              if f.name != "checkpoint_every"
+              and getattr(saved, f.name) != getattr(cfg, f.name)]
+    if differ:
+        raise ValueError("resume config differs from the checkpoint's in: "
+                         + ", ".join(differ))
 
 
 @dataclass
@@ -260,35 +295,27 @@ def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
     opt = AdamW(model.parameters(),
                 AdamWConfig(weight_decay=cfg.weight_decay,
                             clip_norm=cfg.clip_norm))
-    metrics = MetricsLog(out_dir / "finetune-metrics.jsonl" if out_dir
-                         else None)
-    for step in range(1, cfg.steps + 1):
-        rng = np.random.default_rng((cfg.seed, 4, step))
-        idx = rng.choice(len(train_items),
-                         size=min(cfg.batch_size, len(train_items)),
-                         replace=False)
-        model.zero_grad()
-        losses = []
-        t0 = time.monotonic()
-        for i in idx:
-            sample, label = train_items[int(i)]
-            prepared = prepare_sample(sample, vocab, model.config, train=False)
-            fused = model.forward(prepared).fused
-            losses.append(task_loss(predict(fused, head), label, task))
-        batch_loss = _mean_batch_loss(losses)
-        batch_loss.backward()
-        lr = lr_schedule(step, cfg.steps, cfg.peak_lr, cfg.warmup_frac,
-                         cfg.schedule)
-        opt.step(lr)
-        metrics.append({"step": step, "loss": float(batch_loss.data),
-                        "lr": lr, "wall_time": time.monotonic() - t0})
+
+    def sample_loss(i, rng):
+        sample, label = train_items[i]
+        prepared = prepare_sample(sample, vocab, model.config, train=False)
+        fused = model.forward(prepared).fused
+        return task_loss(predict(fused, head), label, task), {}
+
+    rows = _train(cfg, model, opt, 0, 4,
+                  lambda rng: rng.choice(
+                      len(train_items),
+                      size=min(cfg.batch_size, len(train_items)),
+                      replace=False),
+                  sample_loss, "loss",
+                  out_dir / "finetune-metrics.jsonl" if out_dir else None)
     path = None
     if out_dir:
         path = out_dir / "checkpoint-finetuned.npz"
         save_checkpoint(path, model, vocab, opt, cfg.steps, None,
                         extra_meta={"task": {"kind": task.kind,
                                              "num_classes": task.num_classes}})
-    return TrainResult(model=model, vocab=vocab, metrics=metrics.rows,
+    return TrainResult(model=model, vocab=vocab, metrics=rows,
                        checkpoint_path=path, head=head, task=task)
 
 
@@ -331,7 +358,15 @@ def save_checkpoint(path, model: SpeechTextModel, vocab: Vocab, opt: AdamW,
     if extra_meta:
         meta.update(extra_meta)
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    # a crash mid-write leaves any earlier checkpoint at ``path`` intact
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> dict:
@@ -372,7 +407,7 @@ def _restore_params(model: SpeechTextModel, state: dict) -> None:
         p.data = saved[name].copy()
     for name in saved:
         if name not in model.params:
-            model._register(name, saved[name].copy())
+            register(model.params, name, saved[name].copy())
 
 
 def model_from_checkpoint(path) -> tuple:

@@ -94,6 +94,11 @@ class TestPredict:
         assert grad_check(loss, list(registry.values())).max_relative_error \
             < 1e-4
 
+    def test_second_head_on_one_registry_rejected(self):
+        _, registry = make_head()
+        with pytest.raises(ValueError, match="duplicate parameter name"):
+            ft.init_prediction_head(registry, np.random.default_rng(2), 8, 4)
+
 
 class TestEvaluate:
     def test_all_correct(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from stdialog.gradcheck import grad_check
 from stdialog.masking import AcousticMaskConfig
 from stdialog.objectives import LossWeights, make_crs_sample
 from stdialog.text import Vocab, WhitespaceTokenizer
+from stdialog.trainer import TrainConfig
 
 
 def tiny_setup(dtype="float64", seed=0):
@@ -141,3 +144,14 @@ class TestConfigRoundtrip:
                              frontend=fe.desk_config(channels=8))
         again = md.ModelConfig.from_dict(cfg.to_dict())
         assert again == cfg
+        # through JSON, as in a checkpoint: tuples come back as lists
+        frontend = fe.FrontendConfig(
+            layers=(fe.ConvLayerSpec(6, 4, 2), fe.ConvLayerSpec(5, 3, 3)),
+            sample_rate=50, activation="none", ln_eps=1e-6)
+        train = TrainConfig(
+            seed=3, crs_class_probs=(0.4, 0.2, 0.2, 0.2),
+            text_corruption=(0.7, 0.2, 0.1), acoustic_span=(3, 5),
+            checkpoint_every=2,
+            model=md.ModelConfig(d_h=16, vocab_size=20, frontend=frontend))
+        again = TrainConfig.from_dict(json.loads(json.dumps(train.to_dict())))
+        assert again == train

@@ -5,6 +5,7 @@ from stdialog import corpus as cp
 from stdialog import frontend as fe
 from stdialog import trainer as tr
 from stdialog.model import ModelConfig
+from stdialog.optim import AdamW
 from stdialog.shards import corpus_in_memory
 
 
@@ -123,6 +124,55 @@ class TestCheckpointing:
         for name, p in full.model.params.items():
             np.testing.assert_array_equal(p.data,
                                           resumed.model.params[name].data)
+
+    def test_resume_keeps_earlier_metrics_rows(self, tmp_path):
+        corpus = small_corpus()
+        tr.pretrain(small_config(steps=6, checkpoint_every=3), corpus,
+                    out_dir=tmp_path)
+        log = tmp_path / "metrics.jsonl"
+        uninterrupted = tr.MetricsLog.read(log)
+        resumed = tr.pretrain(small_config(steps=6), corpus, out_dir=tmp_path,
+                              resume_from=tmp_path / "checkpoint-000003.npz")
+        assert [r["step"] for r in resumed.metrics] == [4, 5, 6]
+        assert strip_wall(tr.MetricsLog.read(log)) == \
+            strip_wall(uninterrupted)
+
+    def test_resume_config_mismatch_rejected(self, tmp_path):
+        corpus = small_corpus()
+        result = tr.pretrain(small_config(steps=4, checkpoint_every=2),
+                             corpus, out_dir=tmp_path)
+        with pytest.raises(ValueError, match="seed, peak_lr"):
+            tr.pretrain(small_config(steps=4, seed=99, peak_lr=1.0), corpus,
+                        resume_from=tmp_path / "checkpoint-000002.npz")
+        bare = tmp_path / "no-train-config.npz"
+        tr.save_checkpoint(bare, result.model, result.vocab,
+                           AdamW(result.model.parameters()), 2, None)
+        with pytest.raises(ValueError, match="no pre-training config"):
+            tr.pretrain(small_config(steps=4), corpus, resume_from=bare)
+
+    def test_failed_write_keeps_earlier_checkpoint(self, tmp_path,
+                                                   monkeypatch):
+        corpus = small_corpus()
+        result = tr.pretrain(small_config(steps=2), corpus, out_dir=tmp_path)
+        path = result.checkpoint_path
+        calls = []
+
+        def fail_on_second_array(fid, array, **kwargs):
+            calls.append(array.shape)
+            if len(calls) > 1:
+                raise OSError("disk full")
+            real_write_array(fid, array, **kwargs)
+
+        real_write_array = np.lib.format.write_array
+        monkeypatch.setattr(np.lib.format, "write_array",
+                            fail_on_second_array)
+        with pytest.raises(OSError, match="disk full"):
+            tr.save_checkpoint(path, result.model, result.vocab,
+                               AdamW(result.model.parameters()), 9, None)
+        monkeypatch.undo()
+        assert tr.load_checkpoint(path)["step"] == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["checkpoint-final.npz", "metrics.jsonl"]
 
     def test_unknown_version_rejected(self, tmp_path):
         corpus = small_corpus()
