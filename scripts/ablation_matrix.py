@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stdialog import corpus as cp
 from stdialog import presets
-from stdialog.shards import corpus_in_memory
+from stdialog.shards import Corpus
 from stdialog.trainer import pretrain
 
 
@@ -25,7 +25,7 @@ def main():
     args = parser.parse_args()
 
     syn = replace(presets.overfit_corpus_config(), turns_per_dialog=(8, 8))
-    corpus = corpus_in_memory(cp.generate_synthetic(syn, seed=5))
+    corpus = Corpus(cp.generate_synthetic(syn, seed=5))
     base = replace(presets.overfit_train_config(steps=args.steps),
                    batch_size=16, k=7)
     axes = {

@@ -37,8 +37,9 @@ def main():
             print(f"step {r['step']:4d}: joint {r['joint']:.4f}  "
                   f"tpp {r['tpp']:.5f} crs {r['crs']:.4f} "
                   f"cmlm {r['cmlm']:.4f} cmam {r['cmam']:.4f}")
-    reduction = 1 - m[-1]["joint"] / m[9]["joint"]
-    print(f"joint-loss reduction from step 10: {reduction:.2%}")
+    ref = min(10, args.steps)
+    reduction = 1 - m[-1]["joint"] / m[ref - 1]["joint"]
+    print(f"joint-loss reduction from step {ref}: {reduction:.2%}")
 
     model, vocab = result.model, result.vocab
     samples = corpus.all_samples(k=cfg.k)

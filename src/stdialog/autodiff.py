@@ -522,19 +522,6 @@ def reduce_mean(a: Tensor) -> Tensor:
                    (a,), backward, "mean")
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate == 0."""
-    if rate == 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    keep = keep.astype(x.data.dtype)
-
-    def backward(g):
-        _accum(x, g * keep)
-
-    return _result(x.data * keep, (x,), backward, "dropout")
-
-
 def required_ops() -> frozenset:
     """Names of the differentiable ops this substrate guarantees."""
     return frozenset({

@@ -39,7 +39,7 @@ def _cmd_generate(args):
     Vocab.from_tokens(cfg.vocabulary()).save(out / "vocab.txt")
     n_turns = sum(len(d.turns) for d in dialogs)
     print(f"wrote {len(dialogs)} dialogs / {n_turns} turns to {out}")
-    print(f"shard checksum {manifest.shard_checksum[:16]}...")
+    print(f"shard checksum {manifest['shard_checksum'][:16]}...")
     return 0
 
 

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (Parameter, Tensor, add, concat, conv1d, dropout as
-                       dropout_op, embedding, gelu, layer_norm, linear,
-                       matmul, register, reshape, softmax, transpose)
+from .autodiff import (Parameter, Tensor, add, concat, conv1d, embedding,
+                       gelu, layer_norm, linear, matmul, register, reshape,
+                       softmax, transpose)
 
 NEG_INF = -1e9  # finite mask value so every op output stays finite
 
@@ -28,7 +28,6 @@ class EncoderConfig:
     d_h: int = 64
     num_heads: int = 4
     ffn_dim: int = 128
-    dropout: float = 0.0
     conv_pos_kernel: int = 7
     conv_pos_groups: int = 4
 
@@ -133,30 +132,24 @@ def multi_head_attention(x: Tensor, p: TransformerLayerParams, num_heads: int,
 
 def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
                       additive_mask=None, include_ffn: bool = True,
-                      drop_rate: float = 0.0, rng=None,
                       capture: list | None = None) -> Tensor:
     attn_out = multi_head_attention(layer_norm(x, p.ln1_gain, p.ln1_bias),
                                     p, num_heads, additive_mask, capture)
-    if drop_rate > 0.0:
-        attn_out = dropout_op(attn_out, drop_rate, rng)
     h = add(x, attn_out)
     if not include_ffn:
         return h
     ff = linear(gelu(linear(layer_norm(h, p.ln2_gain, p.ln2_bias),
                             p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
-    if drop_rate > 0.0:
-        ff = dropout_op(ff, drop_rate, rng)
     return add(h, ff)
 
 
 def encode_text(x: Tensor, layers: list, config: EncoderConfig,
-                key_padding_mask=None, rng=None) -> Tensor:
+                key_padding_mask=None) -> Tensor:
     """Pre-norm stack over [n, d_h] embeddings; zero layers = identity."""
     additive = key_padding_to_additive(key_padding_mask, x.dtype)
     h = x
     for p in layers:
-        h = transformer_layer(h, p, config.num_heads, additive,
-                              drop_rate=config.dropout, rng=rng)
+        h = transformer_layer(h, p, config.num_heads, additive)
     return h
 
 
@@ -167,14 +160,12 @@ def conv_position_embedding(x: Tensor, w: Parameter, b: Parameter,
 
 
 def encode_speech(x: Tensor, conv_pos: tuple, layers: list,
-                  config: EncoderConfig, key_padding_mask=None,
-                  rng=None) -> Tensor:
+                  config: EncoderConfig, key_padding_mask=None) -> Tensor:
     w, b = conv_pos
     h = add(x, conv_position_embedding(x, w, b, config.conv_pos_groups))
     additive = key_padding_to_additive(key_padding_mask, x.dtype)
     for p in layers:
-        h = transformer_layer(h, p, config.num_heads, additive,
-                              drop_rate=config.dropout, rng=rng)
+        h = transformer_layer(h, p, config.num_heads, additive)
     return h
 
 
@@ -200,10 +191,10 @@ class FusedRepresentation:
     def sep_speech_index(self) -> int:
         return self.n_text + self.m_prev + 1
 
-    def prev_frame_index(self, j: int) -> int:
+    def prev_frame_index(self, j: int | np.ndarray) -> int | np.ndarray:
         return self.n_text + 1 + j
 
-    def cur_frame_index(self, j: int) -> int:
+    def cur_frame_index(self, j: int | np.ndarray) -> int | np.ndarray:
         return self.n_text + self.m_prev + 2 + j
 
 
@@ -220,7 +211,7 @@ def fusion_input(h_text: Tensor, h_speech: Tensor,
 def fuse(h_text: Tensor, h_speech: Tensor, m_prev: int, m_cur: int,
          modality_table: Parameter, layer: TransformerLayerParams,
          config: EncoderConfig, key_padding_mask=None,
-         include_ffn: bool = True, rng=None,
+         include_ffn: bool = True,
          capture_attention: bool = False) -> FusedRepresentation:
     n = h_text.shape[0]
     if h_speech.shape[0] != m_prev + m_cur + 2:
@@ -231,8 +222,7 @@ def fuse(h_text: Tensor, h_speech: Tensor, m_prev: int, m_cur: int,
     additive = key_padding_to_additive(key_padding_mask, x.dtype)
     captured: list = []
     h = transformer_layer(x, layer, config.num_heads, additive,
-                          include_ffn=include_ffn, drop_rate=config.dropout,
-                          rng=rng,
+                          include_ffn=include_ffn,
                           capture=captured if capture_attention else None)
     return FusedRepresentation(
         hidden=h, n_text=n, m_prev=m_prev, m_cur=m_cur,

@@ -120,32 +120,10 @@ def project_features(features: Tensor, ln_gain, ln_bias, weight, bias,
     return linear(normed, weight, bias)
 
 
-@dataclass
-class SpeechSequence:
-    """[CLS] f_prev [SEP] f_cur, all rows at model width d_h."""
-    features: Tensor
-    m_prev: int
-    m_cur: int
-
-    cls_index = 0
-
-    @property
-    def sep_index(self) -> int:
-        return self.m_prev + 1
-
-    @property
-    def length(self) -> int:
-        return self.m_prev + self.m_cur + 2
-
-    def prev_frame_index(self, j: int) -> int:
-        return 1 + j
-
-    def cur_frame_index(self, j: int) -> int:
-        return self.m_prev + 2 + j
-
-
 def assemble_speech_sequence(f_prev: Tensor, f_cur: Tensor, cls_vec: Tensor,
-                             sep_vec: Tensor) -> SpeechSequence:
+                             sep_vec: Tensor) -> Tensor:
+    """[CLS] f_prev [SEP] f_cur as one [m_prev + m_cur + 2, d_h] tensor;
+    ``encoders.FusedRepresentation`` indexes this layout."""
     m_prev, d = f_prev.shape
     m_cur, d2 = f_cur.shape
     if m_prev == 0 or m_cur == 0:
@@ -156,5 +134,4 @@ def assemble_speech_sequence(f_prev: Tensor, f_cur: Tensor, cls_vec: Tensor,
         raise ShapeError(f"turn widths differ: {f_prev.shape} vs {f_cur.shape}")
     cls_row = reshape(cls_vec, (1, d))
     sep_row = reshape(sep_vec, (1, d))
-    seq = concat([cls_row, f_prev, sep_row, f_cur], axis=0)
-    return SpeechSequence(features=seq, m_prev=m_prev, m_cur=m_cur)
+    return concat([cls_row, f_prev, sep_row, f_cur], axis=0)

@@ -2,10 +2,10 @@
 
 One instance owns every learnable: text embedding tables, the conv
 frontend, projection, CLS/SEP rows, both transformer stacks, the fusion
-layer with modality embeddings, and the four objective heads.  Forward
-runs one sample at a time; batches are gradient-accumulated by the
-trainer, which is numerically identical to padded batching and keeps the
-shape bookkeeping auditable.
+layer with modality embeddings, and the four objective heads.
+``prepare_sample`` draws all of a sample's randomness; the forward pass is
+deterministic.  Forward runs one sample at a time, and the trainer sums a
+batch's per-sample losses into one graph.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .masking import AcousticMaskConfig, MaskPlan, apply_mask_plan, \
 from .objectives import (LossWeights, TppHead, cmam_loss, cmlm_loss,
                          crs_logits, crs_loss, init_tpp_head, joint_loss,
                          tpp_loss, tpp_predictions)
-from .text import (TextMaskPlan, TokenizedInput, Vocab, WhitespaceTokenizer,
-                   embed_text, mask_tokens, tokenize_sample)
+from .text import (TextMaskPlan, TokenizedInput, Vocab, embed_text,
+                   mask_tokens, tokenize_sample)
 
 
 @dataclass
@@ -37,7 +37,6 @@ class ModelConfig:
     speech_layers: int = 2
     num_heads: int = 4
     ffn_dim: int = 128
-    dropout: float = 0.0
     conv_pos_kernel: int = 7
     conv_pos_groups: int = 4
     fusion_ffn: bool = True
@@ -53,7 +52,6 @@ class ModelConfig:
     def encoder_config(self, num_layers: int) -> EncoderConfig:
         return EncoderConfig(num_layers=num_layers, d_h=self.d_h,
                              num_heads=self.num_heads, ffn_dim=self.ffn_dim,
-                             dropout=self.dropout,
                              conv_pos_kernel=self.conv_pos_kernel,
                              conv_pos_groups=self.conv_pos_groups)
 
@@ -184,12 +182,12 @@ class SpeechTextModel:
                                         self.proj_b)
         return projected, targets
 
-    def forward(self, prepared: PreparedSample, rng=None,
+    def forward(self, prepared: PreparedSample,
                 capture_attention: bool = False) -> ForwardResult:
         tok = replace(prepared.tokenized, token_ids=prepared.input_token_ids)
         x = embed_text(tok, self.token_table, self.position_table,
                        self.segment_table, self.config.max_text_len)
-        h_text = encode_text(x, self.text_layers, self.text_cfg, rng=rng)
+        h_text = encode_text(x, self.text_layers, self.text_cfg)
         want_prev, want_cur = prepared.cmam_turns
         proj_prev, targets_prev = self._speech_path(
             prepared.wave_prev, prepared.acoustic_plan_prev, want_prev)
@@ -197,11 +195,11 @@ class SpeechTextModel:
             prepared.wave_cur, prepared.acoustic_plan_cur, want_cur)
         seq = fe.assemble_speech_sequence(proj_prev, proj_cur,
                                           self.cls_vec, self.sep_vec)
-        h_speech = encode_speech(seq.features, self.conv_pos,
-                                 self.speech_layers, self.speech_cfg, rng=rng)
-        fused = fuse(h_text, h_speech, seq.m_prev, seq.m_cur,
+        h_speech = encode_speech(seq, self.conv_pos, self.speech_layers,
+                                 self.speech_cfg)
+        fused = fuse(h_text, h_speech, proj_prev.shape[0], proj_cur.shape[0],
                      self.modality_table, self.fusion_layer, self.fusion_cfg,
-                     include_ffn=self.config.fusion_ffn, rng=rng,
+                     include_ffn=self.config.fusion_ffn,
                      capture_attention=capture_attention)
         return ForwardResult(fused=fused, cmam_target_prev=targets_prev,
                              cmam_target_cur=targets_cur)
@@ -209,7 +207,6 @@ class SpeechTextModel:
     def compute_losses(self, prepared: PreparedSample,
                        weights: LossWeights = LossWeights(),
                        crs_enabled: bool = True, tpp_on_masked: bool = True,
-                       rng=None, capture_attention: bool = False,
                        frozen_cmam_targets: tuple | None = None) -> dict:
         """Losses for one prepared sample.
 
@@ -217,8 +214,7 @@ class SpeechTextModel:
         ``frozen_cmam_targets`` (from a prior forward) when re-evaluating the
         same step's objective, e.g. under finite differences.
         """
-        result = self.forward(prepared, rng=rng,
-                              capture_attention=capture_attention)
+        result = self.forward(prepared)
         if frozen_cmam_targets is not None:
             result.cmam_target_prev, result.cmam_target_cur = \
                 frozen_cmam_targets
@@ -247,11 +243,10 @@ class SpeechTextModel:
 
     # evaluation helpers --------------------------------------------------
 
-    def eval_fused(self, sample, vocab: Vocab, tokenizer=None,
+    def eval_fused(self, sample, vocab: Vocab,
                    capture_attention: bool = False) -> FusedRepresentation:
-        """Clean forward: no corruption, no masking, dropout ignored."""
-        prepared = prepare_sample(sample, vocab, self.config,
-                                  tokenizer=tokenizer, rng=None, train=False)
+        """Clean forward: no corruption, no masking."""
+        prepared = prepare_sample(sample, vocab, self.config, train=False)
         return self.forward(
             prepared, capture_attention=capture_attention).fused
 
@@ -265,7 +260,7 @@ class SpeechTextModel:
 
 
 def prepare_sample(sample, vocab: Vocab, config: ModelConfig, *,
-                   tokenizer=None, rng=None, train: bool = True,
+                   rng=None, train: bool = True,
                    crs_label: int | None = None,
                    text_mask_prob: float = 0.15,
                    text_corruption: tuple = (0.8, 0.1, 0.1),
@@ -273,9 +268,7 @@ def prepare_sample(sample, vocab: Vocab, config: ModelConfig, *,
                    ) -> PreparedSample:
     """Tokenize and draw all masking randomness for one (possibly
     corrupted) sample.  With train=False nothing is masked."""
-    tokenizer = tokenizer or WhitespaceTokenizer()
-    tokenized = tokenize_sample(sample, vocab, tokenizer,
-                                max_len=config.max_text_len)
+    tokenized = tokenize_sample(sample, vocab, max_len=config.max_text_len)
     text_plan = None
     input_ids = tokenized.token_ids
     plan_prev = plan_cur = None

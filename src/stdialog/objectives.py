@@ -225,11 +225,11 @@ def cmam_loss(fused: FusedRepresentation, plan_prev: MaskPlan | None,
             raise IndexError(
                 f"need {masked.size} target frames, got "
                 f"{0 if target is None else len(target)}")
-        indices.extend(to_fused(int(j)) for j in masked)
+        indices.append(to_fused(masked))
         targets.append(np.asarray(target, dtype=dtype))
     if not indices:
         return _zero(dtype)
-    states = gather_rows(fused.hidden, np.asarray(indices, dtype=np.intp))
+    states = gather_rows(fused.hidden, np.concatenate(indices))
     preds = linear(states, weight, bias)
     return mae(preds, np.concatenate(targets, axis=0))
 

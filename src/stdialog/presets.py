@@ -13,7 +13,7 @@ from . import corpus as cp
 from . import frontend as fe
 from .finetune import CrossModalTaskConfig
 from .model import ModelConfig
-from .shards import Corpus, corpus_in_memory
+from .shards import Corpus
 from .trainer import FinetuneConfig, TrainConfig
 
 OVERFIT_CORPUS_SEED = 42
@@ -32,7 +32,7 @@ def overfit_corpus_config() -> cp.SyntheticConfig:
 
 
 def overfit_corpus() -> Corpus:
-    return corpus_in_memory(
+    return Corpus(
         cp.generate_synthetic(overfit_corpus_config(), OVERFIT_CORPUS_SEED))
 
 
@@ -58,7 +58,7 @@ def finetune_pretrain_setup() -> tuple:
         num_dialogs=8, turns_per_dialog=(4, 5), vocab_size=12,
         words_per_turn=(2, 4), frame_rate=100, noise_std=0.01,
         word_duration=(0.25, 0.4))
-    corpus = corpus_in_memory(cp.generate_synthetic(syn, FINETUNE_CORPUS_SEED))
+    corpus = Corpus(cp.generate_synthetic(syn, FINETUNE_CORPUS_SEED))
     cfg = replace(overfit_train_config(steps=200), batch_size=32)
     return corpus, cfg
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dialog, Turn, WordAlignment
+from .corpus import Dialog, Turn, WordAlignment, build_samples
 
 MANIFEST_VERSION = 1
 SHARD_NAME = "shard-000.bin"
@@ -26,25 +26,9 @@ class CorpusFormatError(ValueError):
 
 
 @dataclass
-class CorpusManifest:
-    version: int
-    sample_rate: int
-    max_turn_seconds: float
-    shard_file: str
-    shard_checksum: str
-    shard_samples: int
-    dialogs: list   # records with turn offsets
-
-
-@dataclass
 class Corpus:
     """Loaded, read-only corpus handle."""
-    manifest: CorpusManifest
     dialogs: list
-
-    @property
-    def sample_rate(self) -> int:
-        return self.manifest.sample_rate
 
     def vocabulary_words(self) -> list:
         seen = {}
@@ -55,29 +39,14 @@ class Corpus:
         return sorted(seen)
 
     def all_samples(self, k: int) -> list:
-        from .corpus import build_samples
         out = []
         for d in self.dialogs:
             out.extend(build_samples(d, k))
         return out
 
 
-def corpus_in_memory(dialogs: list, sample_rate: int | None = None,
-                     max_turn_seconds: float = 10.0) -> Corpus:
-    """Wrap generated dialogs in a corpus handle without touching disk."""
-    if sample_rate is None:
-        if not dialogs or not dialogs[0].turns:
-            raise ValueError("cannot infer sample_rate from an empty corpus")
-        sample_rate = dialogs[0].turns[0].sample_rate
-    manifest = CorpusManifest(
-        version=MANIFEST_VERSION, sample_rate=int(sample_rate),
-        max_turn_seconds=float(max_turn_seconds), shard_file="",
-        shard_checksum="", shard_samples=0, dialogs=[])
-    return Corpus(manifest=manifest, dialogs=list(dialogs))
-
-
 def write_shards(dialogs: list, manifest_path, sample_rate: int | None = None,
-                 max_turn_seconds: float = 10.0) -> CorpusManifest:
+                 max_turn_seconds: float = 10.0) -> dict:
     """Write dialogs next to ``manifest_path``; returns the manifest."""
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
@@ -104,23 +73,16 @@ def write_shards(dialogs: list, manifest_path, sample_rate: int | None = None,
     blob = b"".join(chunks)
     shard_path = manifest_path.parent / SHARD_NAME
     shard_path.write_bytes(blob)
-    manifest = CorpusManifest(
-        version=MANIFEST_VERSION,
-        sample_rate=int(sample_rate),
-        max_turn_seconds=float(max_turn_seconds),
-        shard_file=SHARD_NAME,
-        shard_checksum=hashlib.sha256(blob).hexdigest(),
-        shard_samples=offset,
-        dialogs=records)
-    manifest_path.write_text(json.dumps({
-        "version": manifest.version,
-        "sample_rate": manifest.sample_rate,
-        "max_turn_seconds": manifest.max_turn_seconds,
-        "shard_file": manifest.shard_file,
-        "shard_checksum": manifest.shard_checksum,
-        "shard_samples": manifest.shard_samples,
-        "dialogs": manifest.dialogs,
-    }, indent=1))
+    manifest = {
+        "version": MANIFEST_VERSION,
+        "sample_rate": int(sample_rate),
+        "max_turn_seconds": float(max_turn_seconds),
+        "shard_file": SHARD_NAME,
+        "shard_checksum": hashlib.sha256(blob).hexdigest(),
+        "shard_samples": offset,
+        "dialogs": records,
+    }
+    manifest_path.write_text(json.dumps(manifest, indent=1))
     return manifest
 
 
@@ -167,9 +129,4 @@ def load_corpus(manifest_path) -> Corpus:
             turns.append(Turn(turn_index=int(tr["turn_index"]), waveform=wav,
                               words=words, sample_rate=sr))
         dialogs.append(Dialog(dialog_id=rec["dialog_id"], turns=turns))
-    manifest = CorpusManifest(
-        version=version, sample_rate=sr,
-        max_turn_seconds=float(raw["max_turn_seconds"]),
-        shard_file=raw["shard_file"], shard_checksum=raw["shard_checksum"],
-        shard_samples=int(raw["shard_samples"]), dialogs=raw["dialogs"])
-    return Corpus(manifest=manifest, dialogs=dialogs)
+    return Corpus(dialogs)

@@ -30,7 +30,7 @@ from .optim import AdamW, AdamWConfig, lr_schedule
 from .shards import Corpus
 from .text import Vocab, WhitespaceTokenizer
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -114,9 +114,8 @@ class MetricsLog:
                 for line in Path(path).read_text().splitlines() if line]
 
 
-def build_vocab(corpus: Corpus, tokenizer=None) -> Vocab:
-    tokenizer = tokenizer or WhitespaceTokenizer()
-    return Vocab.from_tokens(tokenizer.vocabulary_tokens(
+def build_vocab(corpus: Corpus) -> Vocab:
+    return Vocab.from_tokens(WhitespaceTokenizer().vocabulary_tokens(
         corpus.vocabulary_words()))
 
 

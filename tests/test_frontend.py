@@ -125,25 +125,17 @@ class TestAssembly:
     def test_length_and_layout(self):
         f_prev, f_cur, cls_vec, sep_vec = self.seq()
         s = fe.assemble_speech_sequence(f_prev, f_cur, cls_vec, sep_vec)
-        assert s.length == 14
-        assert s.features.shape == (14, 4)
-        assert s.cls_index == 0 and s.sep_index == 6
+        assert s.shape == (14, 4)
 
     def test_rows_preserved_bit_exactly(self):
         f_prev, f_cur, cls_vec, sep_vec = self.seq()
         s = fe.assemble_speech_sequence(f_prev, f_cur, cls_vec, sep_vec)
-        np.testing.assert_array_equal(s.features.data[1:6], f_prev.data)
-        np.testing.assert_array_equal(s.features.data[7:], f_cur.data)
-        np.testing.assert_array_equal(s.features.data[0], cls_vec.data)
-        np.testing.assert_array_equal(s.features.data[6], sep_vec.data)
+        np.testing.assert_array_equal(s.data[1:6], f_prev.data)
+        np.testing.assert_array_equal(s.data[7:], f_cur.data)
+        np.testing.assert_array_equal(s.data[0], cls_vec.data)
+        np.testing.assert_array_equal(s.data[6], sep_vec.data)
 
     def test_empty_turn_rejected(self):
         f_prev, f_cur, cls_vec, sep_vec = self.seq(m_prev=0)
         with pytest.raises(ValueError, match="non-empty"):
             fe.assemble_speech_sequence(f_prev, f_cur, cls_vec, sep_vec)
-
-    def test_frame_index_helpers(self):
-        f_prev, f_cur, cls_vec, sep_vec = self.seq(m_prev=3, m_cur=2)
-        s = fe.assemble_speech_sequence(f_prev, f_cur, cls_vec, sep_vec)
-        assert [s.prev_frame_index(j) for j in range(3)] == [1, 2, 3]
-        assert [s.cur_frame_index(j) for j in range(2)] == [5, 6]

@@ -6,7 +6,7 @@ from stdialog import frontend as fe
 from stdialog import trainer as tr
 from stdialog.model import ModelConfig
 from stdialog.optim import AdamW
-from stdialog.shards import corpus_in_memory
+from stdialog.shards import Corpus
 
 
 def small_corpus(seed=0, num_dialogs=4):
@@ -14,7 +14,7 @@ def small_corpus(seed=0, num_dialogs=4):
                              vocab_size=10, words_per_turn=(2, 4),
                              frame_rate=100, noise_std=0.05,
                              word_duration=(0.15, 0.3))
-    return corpus_in_memory(cp.generate_synthetic(cfg, seed=seed))
+    return Corpus(cp.generate_synthetic(cfg, seed=seed))
 
 
 def small_config(steps=10, **kw):
@@ -96,7 +96,7 @@ class TestPretrainLoop:
         for d in dialogs:
             d.turns = d.turns[:1]
         with pytest.raises(ValueError, match="no samples"):
-            tr.pretrain(small_config(steps=2), corpus_in_memory(dialogs))
+            tr.pretrain(small_config(steps=2), Corpus(dialogs))
 
 
 class TestCheckpointing:
@@ -173,6 +173,28 @@ class TestCheckpointing:
         assert tr.load_checkpoint(path)["step"] == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["checkpoint-final.npz", "metrics.jsonl"]
+
+    def test_corrupted_checkpoint_never_loads(self, tmp_path):
+        # the npz container is a zip: a flipped byte fails the member's
+        # CRC-32 and a truncated file loses its central directory
+        import zipfile
+        corpus = small_corpus()
+        result = tr.pretrain(small_config(steps=2), corpus, out_dir=tmp_path)
+        raw = result.checkpoint_path.read_bytes()
+        table = result.model.params["text.token_table"].data.tobytes()
+        assert raw.find(table) > 0
+        at = raw.find(table) + len(table) // 2
+        flipped = raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:]
+        not_zip = "File is not a zip file"
+        for name, data, message in (
+                ("flipped", flipped, "Bad CRC-32"),
+                ("cut100", raw[:100], not_zip),
+                ("half", raw[:len(raw) // 2], not_zip),
+                ("short10", raw[:-10], not_zip)):
+            bad = tmp_path / f"{name}.npz"
+            bad.write_bytes(data)
+            with pytest.raises(zipfile.BadZipFile, match=message):
+                tr.load_checkpoint(bad)
 
     def test_unknown_version_rejected(self, tmp_path):
         corpus = small_corpus()
