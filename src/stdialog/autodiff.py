@@ -509,22 +509,3 @@ def reduce_sum(a: Tensor) -> Tensor:
 
     return _result(np.asarray(a.data.sum(), dtype=a.data.dtype),
                    (a,), backward, "sum")
-
-
-def reduce_mean(a: Tensor) -> Tensor:
-    shape = a.data.shape
-    n = a.data.size
-
-    def backward(g):
-        _accum(a, np.broadcast_to(g / n, shape).copy())
-
-    return _result(np.asarray(a.data.mean(), dtype=a.data.dtype),
-                   (a,), backward, "mean")
-
-
-def required_ops() -> frozenset:
-    """Names of the differentiable ops this substrate guarantees."""
-    return frozenset({
-        "matmul", "add", "mul", "softmax", "layer_norm", "gelu", "conv1d",
-        "embedding", "cross_entropy", "mse", "mae", "gather_rows",
-    })

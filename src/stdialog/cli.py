@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 
 def _cmd_generate(args):
     from .corpus import SyntheticConfig, generate_synthetic
@@ -74,18 +72,11 @@ def _cmd_pretrain(args):
 
 
 def _load_task_items(corpus_path, labels_path):
-    from .finetune import read_labels_manifest
+    from .finetune import read_labels_manifest, task_samples
     from .shards import load_corpus
-    from .corpus import build_samples
 
-    corpus = load_corpus(corpus_path)
-    labels = read_labels_manifest(labels_path)
-    items = []
-    for d in corpus.dialogs:
-        for s in build_samples(d, k=1):
-            key = (s.dialog_id, s.target_turn_index)
-            if key in labels:
-                items.append((s, labels[key]))
+    items = task_samples(load_corpus(corpus_path).dialogs,
+                         read_labels_manifest(labels_path))
     if not items:
         raise SystemExit("no labeled samples found for this corpus")
     return items

@@ -22,23 +22,6 @@ from .autodiff import (Parameter, Tensor, add, concat, conv1d, embedding,
 NEG_INF = -1e9  # finite mask value so every op output stays finite
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
-    num_layers: int = 2
-    d_h: int = 64
-    num_heads: int = 4
-    ffn_dim: int = 128
-    conv_pos_kernel: int = 7
-    conv_pos_groups: int = 4
-
-    def __post_init__(self):
-        if self.d_h % self.num_heads:
-            raise ValueError(
-                f"d_h {self.d_h} not divisible by num_heads {self.num_heads}")
-        if self.conv_pos_kernel % 2 == 0:
-            raise ValueError("conv_pos_kernel must be odd for same padding")
-
-
 @dataclass
 class TransformerLayerParams:
     ln1_gain: Parameter
@@ -85,19 +68,19 @@ def init_transformer_layer(registry: dict, rng: np.random.Generator,
 
 
 def init_encoder_stack(registry: dict, rng: np.random.Generator, prefix: str,
-                       config: EncoderConfig, dtype=np.float32,
-                       scale: float = 0.02) -> list:
+                       num_layers: int, d_h: int, ffn_dim: int,
+                       dtype=np.float32, scale: float = 0.02) -> list:
     return [init_transformer_layer(registry, rng, f"{prefix}.layer{i}",
-                                   config.d_h, config.ffn_dim, dtype, scale)
-            for i in range(config.num_layers)]
+                                   d_h, ffn_dim, dtype, scale)
+            for i in range(num_layers)]
 
 
 def init_conv_positional(registry: dict, rng: np.random.Generator, prefix: str,
-                         config: EncoderConfig, dtype=np.float32,
+                         d_h: int, kernel: int, groups: int, dtype=np.float32,
                          scale: float = 0.02) -> tuple:
-    d_h, k, g = config.d_h, config.conv_pos_kernel, config.conv_pos_groups
+    shape = (d_h, d_h // groups, kernel)
     w = register(registry, f"{prefix}.conv_pos.w",
-                 (scale * rng.standard_normal((d_h, d_h // g, k))).astype(dtype))
+                 (scale * rng.standard_normal(shape)).astype(dtype))
     b = register(registry, f"{prefix}.conv_pos.b", np.zeros(d_h, dtype))
     return w, b
 
@@ -131,25 +114,23 @@ def multi_head_attention(x: Tensor, p: TransformerLayerParams, num_heads: int,
 
 
 def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
-                      additive_mask=None, include_ffn: bool = True,
+                      additive_mask=None,
                       capture: list | None = None) -> Tensor:
     attn_out = multi_head_attention(layer_norm(x, p.ln1_gain, p.ln1_bias),
                                     p, num_heads, additive_mask, capture)
     h = add(x, attn_out)
-    if not include_ffn:
-        return h
     ff = linear(gelu(linear(layer_norm(h, p.ln2_gain, p.ln2_bias),
                             p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
     return add(h, ff)
 
 
-def encode_text(x: Tensor, layers: list, config: EncoderConfig,
+def encode_text(x: Tensor, layers: list, num_heads: int,
                 key_padding_mask=None) -> Tensor:
     """Pre-norm stack over [n, d_h] embeddings; zero layers = identity."""
     additive = key_padding_to_additive(key_padding_mask, x.dtype)
     h = x
     for p in layers:
-        h = transformer_layer(h, p, config.num_heads, additive)
+        h = transformer_layer(h, p, num_heads, additive)
     return h
 
 
@@ -159,13 +140,13 @@ def conv_position_embedding(x: Tensor, w: Parameter, b: Parameter,
     return gelu(conv1d(x, w, b, stride=1, padding="same", groups=groups))
 
 
-def encode_speech(x: Tensor, conv_pos: tuple, layers: list,
-                  config: EncoderConfig, key_padding_mask=None) -> Tensor:
+def encode_speech(x: Tensor, conv_pos: tuple, layers: list, num_heads: int,
+                  conv_groups: int, key_padding_mask=None) -> Tensor:
     w, b = conv_pos
-    h = add(x, conv_position_embedding(x, w, b, config.conv_pos_groups))
+    h = add(x, conv_position_embedding(x, w, b, conv_groups))
     additive = key_padding_to_additive(key_padding_mask, x.dtype)
     for p in layers:
-        h = transformer_layer(h, p, config.num_heads, additive)
+        h = transformer_layer(h, p, num_heads, additive)
     return h
 
 
@@ -210,8 +191,7 @@ def fusion_input(h_text: Tensor, h_speech: Tensor,
 
 def fuse(h_text: Tensor, h_speech: Tensor, m_prev: int, m_cur: int,
          modality_table: Parameter, layer: TransformerLayerParams,
-         config: EncoderConfig, key_padding_mask=None,
-         include_ffn: bool = True,
+         num_heads: int, key_padding_mask=None,
          capture_attention: bool = False) -> FusedRepresentation:
     n = h_text.shape[0]
     if h_speech.shape[0] != m_prev + m_cur + 2:
@@ -221,8 +201,7 @@ def fuse(h_text: Tensor, h_speech: Tensor, m_prev: int, m_cur: int,
     x = fusion_input(h_text, h_speech, modality_table)
     additive = key_padding_to_additive(key_padding_mask, x.dtype)
     captured: list = []
-    h = transformer_layer(x, layer, config.num_heads, additive,
-                          include_ffn=include_ffn,
+    h = transformer_layer(x, layer, num_heads, additive,
                           capture=captured if capture_attention else None)
     return FusedRepresentation(
         hidden=h, n_text=n, m_prev=m_prev, m_cur=m_cur,

@@ -22,7 +22,6 @@ import numpy as np
 from . import corpus as cp
 from .autodiff import (Parameter, Tensor, cross_entropy, gather_rows,
                        gelu, linear, mse, register, reshape)
-from .corpus import Dialog, Sample
 from .encoders import FusedRepresentation
 
 REGRESSION = "regression"
@@ -46,10 +45,6 @@ class TaskSpec:
     def metric(self) -> str:
         return ("binary accuracy" if self.kind == REGRESSION
                 else "multiclass accuracy")
-
-    @property
-    def loss(self) -> str:
-        return "squared error" if self.kind == REGRESSION else "cross-entropy"
 
 
 @dataclass
@@ -134,7 +129,8 @@ class CrossModalTaskConfig:
 def make_cross_modal_task(cfg: CrossModalTaskConfig, seed: int) -> tuple:
     """Two-turn dialogs whose label joins a text bit and an audio-only bit.
 
-    Returns (dialogs, labels_by_dialog_id, TaskSpec).  label =
+    Returns (dialogs, labels, TaskSpec), labels keyed by (dialog_id,
+    target_turn_index) as in a labels manifest.  label =
     2*text_bit + speech_bit; text_bit is which marker word opens turn 2,
     speech_bit is whether a tone signature precedes the words in turn 2's
     waveform (never surfaced in the transcript).
@@ -186,17 +182,17 @@ def make_cross_modal_task(cfg: CrossModalTaskConfig, seed: int) -> tuple:
         dialog = cp.Dialog(dialog_id=f"task{seed:03d}_{i:04d}",
                            turns=[context, current])
         dialogs.append(dialog)
-        labels[dialog.dialog_id] = 2 * text_bit + speech_bit
+        labels[(dialog.dialog_id, current.turn_index)] = \
+            2 * text_bit + speech_bit
     return dialogs, labels, cfg.task_spec
 
 
 def task_samples(dialogs: list, labels: dict) -> list:
-    """(Sample, label) pairs: one per dialog via the standard constructor."""
-    out = []
-    for d in dialogs:
-        for s in cp.build_samples(d, k=1):
-            out.append((s, labels[d.dialog_id]))
-    return out
+    """(Sample, label) pairs for the k=1 samples whose (dialog_id,
+    target_turn_index) has a label."""
+    return [(s, labels[(s.dialog_id, s.target_turn_index)])
+            for d in dialogs for s in cp.build_samples(d, k=1)
+            if (s.dialog_id, s.target_turn_index) in labels]
 
 
 def replace_speech_with_noise(items: list, rng: np.random.Generator,
@@ -217,9 +213,9 @@ def replace_speech_with_noise(items: list, rng: np.random.Generator,
 def write_labels_manifest(path, labels: dict) -> None:
     """JSON lines of {dialog_id, target_turn_index, label}."""
     with open(path, "w") as fh:
-        for dialog_id, label in sorted(labels.items()):
+        for (dialog_id, turn), label in sorted(labels.items()):
             fh.write(json.dumps({"dialog_id": dialog_id,
-                                 "target_turn_index": 2,
+                                 "target_turn_index": turn,
                                  "label": int(label)}) + "\n")
 
 

@@ -1,17 +1,16 @@
 """Convolutional feature extractor, projection, and two-turn assembly.
 
-The extractor is a stack of strided 1-d convolutions (valid padding only,
-so frame counts follow the closed-form length arithmetic exposed here),
-followed by a single layer normalization over the feature dimension.
-Projection is layer norm plus an affine map to the model width.  The
-two-turn sequence is [CLS] f_prev [SEP] f_cur with learned CLS/SEP rows.
+The extractor is a stack of strided 1-d convolutions, each followed by a
+GELU (valid padding only, so frame counts follow the closed-form length
+arithmetic exposed here), then a single layer normalization over the
+feature dimension.  Projection is layer norm plus an affine map to the
+model width.  The two-turn sequence is [CLS] f_prev [SEP] f_cur with
+learned CLS/SEP rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .autodiff import (ShapeError, Tensor, concat, conv1d, gelu,
                        layer_norm, linear, reshape)
@@ -28,7 +27,6 @@ class ConvLayerSpec:
 class FrontendConfig:
     layers: tuple                  # tuple[ConvLayerSpec, ...]
     sample_rate: int
-    activation: str = "gelu"       # "gelu" or "none"
     ln_eps: float = 1e-5
 
     def __post_init__(self):
@@ -37,8 +35,6 @@ class FrontendConfig:
         for spec in self.layers:
             if spec.stride < 1 or spec.kernel < 1:
                 raise ValueError(f"bad conv layer {spec}")
-        if self.activation not in ("gelu", "none"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def feature_dim(self) -> int:
@@ -50,10 +46,6 @@ class FrontendConfig:
         for spec in self.layers:
             out *= spec.stride
         return out
-
-    @property
-    def frame_stride_seconds(self) -> float:
-        return self.stride_product / self.sample_rate
 
     @property
     def receptive_field(self) -> int:
@@ -107,9 +99,7 @@ def extract_features(waveform, config: FrontendConfig, conv_params: list,
     config.output_length(n)  # raises with the minimum length if too short
     x = reshape(wav, (n, 1))
     for spec, (w, b) in zip(config.layers, conv_params):
-        x = conv1d(x, w, b, stride=spec.stride, padding="valid")
-        if config.activation == "gelu":
-            x = gelu(x)
+        x = gelu(conv1d(x, w, b, stride=spec.stride, padding="valid"))
     return layer_norm(x, ln_gain, ln_bias, eps=config.ln_eps)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, gather_rows, mul
+from .autodiff import Tensor, gather_rows, mul
 
 ZERO, REPLACE, KEEP = 0, 1, 2
 UNMASKED = -1
@@ -128,13 +128,6 @@ def apply_mask_plan(features: Tensor, plan: MaskPlan) -> Tensor:
         sel = np.repeat(replace_rows.astype(features.dtype)[:, None], dim, axis=1)
         out = out + mul(donor, Tensor(sel))
     return out
-
-
-def mask_speech_frames(features: Tensor, rng: np.random.Generator,
-                       config: AcousticMaskConfig = DEFAULT_SPAN_CONFIG):
-    """Mask a [l, feature_dim] sequence; returns (masked features, plan)."""
-    plan = draw_mask_plan(features.shape[0], rng, config)
-    return apply_mask_plan(features, plan), plan
 
 
 def estimate_mask_rate(config: AcousticMaskConfig, length: int, trials: int,

@@ -16,12 +16,12 @@ import numpy as np
 
 from . import frontend as fe
 from .autodiff import register
-from .encoders import (EncoderConfig, FusedRepresentation, encode_speech,
-                       encode_text, fuse, init_conv_positional,
-                       init_encoder_stack, init_transformer_layer)
+from .encoders import (FusedRepresentation, encode_speech, encode_text, fuse,
+                       init_conv_positional, init_encoder_stack,
+                       init_transformer_layer)
 from .masking import AcousticMaskConfig, MaskPlan, apply_mask_plan, \
     draw_mask_plan
-from .objectives import (LossWeights, TppHead, cmam_loss, cmlm_loss,
+from .objectives import (LossWeights, cmam_loss, cmlm_loss,
                          crs_logits, crs_loss, init_tpp_head, joint_loss,
                          tpp_loss, tpp_predictions)
 from .text import (TextMaskPlan, TokenizedInput, Vocab, embed_text,
@@ -39,21 +39,21 @@ class ModelConfig:
     ffn_dim: int = 128
     conv_pos_kernel: int = 7
     conv_pos_groups: int = 4
-    fusion_ffn: bool = True
     tpp_max_seconds: float = 10.0
     init_scale: float = 0.02
     dtype: str = "float32"
     frontend: fe.FrontendConfig = field(default_factory=fe.desk_config)
 
+    def __post_init__(self):
+        if self.d_h % self.num_heads:
+            raise ValueError(
+                f"d_h {self.d_h} not divisible by num_heads {self.num_heads}")
+        if self.conv_pos_kernel % 2 == 0:
+            raise ValueError("conv_pos_kernel must be odd for same padding")
+
     @property
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
-
-    def encoder_config(self, num_layers: int) -> EncoderConfig:
-        return EncoderConfig(num_layers=num_layers, d_h=self.d_h,
-                             num_heads=self.num_heads, ffn_dim=self.ffn_dim,
-                             conv_pos_kernel=self.conv_pos_kernel,
-                             conv_pos_groups=self.conv_pos_groups)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -134,20 +134,18 @@ class SpeechTextModel:
         self.cls_vec = normal("speech.cls", (d_h,))
         self.sep_vec = normal("speech.sep", (d_h,))
         # encoders + fusion
-        self.text_cfg = config.encoder_config(config.text_layers)
-        self.speech_cfg = config.encoder_config(config.speech_layers)
-        self.fusion_cfg = config.encoder_config(1)
-        scale = config.init_scale
-        self.text_layers = init_encoder_stack(self.params, rng, "text.enc",
-                                              self.text_cfg, dtype, scale)
-        self.conv_pos = init_conv_positional(self.params, rng, "speech",
-                                             self.speech_cfg, dtype, scale)
-        self.speech_layers = init_encoder_stack(self.params, rng,
-                                                "speech.enc", self.speech_cfg,
-                                                dtype, scale)
-        self.fusion_layer = init_transformer_layer(
-            self.params, rng, "fusion.layer", d_h, config.ffn_dim, dtype,
+        scale, ffn = config.init_scale, config.ffn_dim
+        self.text_layers = init_encoder_stack(
+            self.params, rng, "text.enc", config.text_layers, d_h, ffn, dtype,
             scale)
+        self.conv_pos = init_conv_positional(
+            self.params, rng, "speech", d_h, config.conv_pos_kernel,
+            config.conv_pos_groups, dtype, scale)
+        self.speech_layers = init_encoder_stack(
+            self.params, rng, "speech.enc", config.speech_layers, d_h, ffn,
+            dtype, scale)
+        self.fusion_layer = init_transformer_layer(
+            self.params, rng, "fusion.layer", d_h, ffn, dtype, scale)
         self.modality_table = normal("fusion.modality_table", (2, d_h))
         # objective heads
         self.tpp_head = init_tpp_head(self.params, rng, d_h,
@@ -187,7 +185,8 @@ class SpeechTextModel:
         tok = replace(prepared.tokenized, token_ids=prepared.input_token_ids)
         x = embed_text(tok, self.token_table, self.position_table,
                        self.segment_table, self.config.max_text_len)
-        h_text = encode_text(x, self.text_layers, self.text_cfg)
+        heads = self.config.num_heads
+        h_text = encode_text(x, self.text_layers, heads)
         want_prev, want_cur = prepared.cmam_turns
         proj_prev, targets_prev = self._speech_path(
             prepared.wave_prev, prepared.acoustic_plan_prev, want_prev)
@@ -196,17 +195,16 @@ class SpeechTextModel:
         seq = fe.assemble_speech_sequence(proj_prev, proj_cur,
                                           self.cls_vec, self.sep_vec)
         h_speech = encode_speech(seq, self.conv_pos, self.speech_layers,
-                                 self.speech_cfg)
+                                 heads, self.config.conv_pos_groups)
         fused = fuse(h_text, h_speech, proj_prev.shape[0], proj_cur.shape[0],
-                     self.modality_table, self.fusion_layer, self.fusion_cfg,
-                     include_ffn=self.config.fusion_ffn,
+                     self.modality_table, self.fusion_layer, heads,
                      capture_attention=capture_attention)
         return ForwardResult(fused=fused, cmam_target_prev=targets_prev,
                              cmam_target_cur=targets_cur)
 
     def compute_losses(self, prepared: PreparedSample,
                        weights: LossWeights = LossWeights(),
-                       crs_enabled: bool = True, tpp_on_masked: bool = True,
+                       crs_enabled: bool = True,
                        frozen_cmam_targets: tuple | None = None) -> dict:
         """Losses for one prepared sample.
 
@@ -219,13 +217,8 @@ class SpeechTextModel:
             result.cmam_target_prev, result.cmam_target_cur = \
                 frozen_cmam_targets
         fused = result.fused
-        boundaries = prepared.tokenized.word_boundaries
-        if not tpp_on_masked and prepared.text_plan is not None:
-            masked = set(prepared.text_plan.positions.tolist())
-            boundaries = [b for b in boundaries
-                          if b.first_token_index not in masked
-                          and b.last_token_index not in masked]
-        tpp = tpp_loss(fused, boundaries, self.tpp_head)
+        tpp = tpp_loss(fused, prepared.tokenized.word_boundaries,
+                       self.tpp_head)
         crs = None
         if crs_enabled and prepared.crs_label is not None:
             crs = crs_loss(fused, prepared.crs_label, self.crs_w, self.crs_b)
@@ -239,24 +232,25 @@ class SpeechTextModel:
             self.cmam_w, self.cmam_b)
         total = joint_loss(tpp, crs, cmlm, cmam, weights)
         return {"tpp": tpp, "crs": crs, "cmlm": cmlm, "cmam": cmam,
-                "joint": total, "fused": fused}
+                "joint": total}
 
     # evaluation helpers --------------------------------------------------
 
     def eval_fused(self, sample, vocab: Vocab,
                    capture_attention: bool = False) -> FusedRepresentation:
-        """Clean forward: no corruption, no masking."""
+        """Clean forward (no corruption, no masking); fine-tuning trains
+        through it."""
         prepared = prepare_sample(sample, vocab, self.config, train=False)
         return self.forward(
             prepared, capture_attention=capture_attention).fused
 
     def crs_predict(self, fused: FusedRepresentation) -> int:
-        return int(np.argmax(crs_logits(fused, self.crs_w, self.crs_b)))
+        return int(np.argmax(crs_logits(fused, self.crs_w, self.crs_b).data))
 
     def tpp_absolute_errors(self, fused: FusedRepresentation,
                             boundaries: list) -> np.ndarray:
         ps, pe, ts, te = tpp_predictions(fused, boundaries, self.tpp_head)
-        return np.concatenate([np.abs(ps - ts), np.abs(pe - te)])
+        return np.concatenate([np.abs(ps.data - ts), np.abs(pe.data - te)])
 
 
 def prepare_sample(sample, vocab: Vocab, config: ModelConfig, *,

@@ -27,7 +27,7 @@ import numpy as np
 from .autodiff import (Parameter, Tensor, add, cross_entropy, gather_rows,
                        linear, mae, matmul, mul, register, reshape, scale,
                        sub, reduce_sum)
-from .corpus import Dialog, Sample
+from .corpus import Sample
 from .encoders import FusedRepresentation
 from .masking import MaskPlan
 from .text import TextMaskPlan
@@ -69,20 +69,14 @@ def _zero(dtype) -> Tensor:
     return Tensor(np.zeros((), dtype=dtype))
 
 
-def tpp_loss(fused: FusedRepresentation, boundaries: list, head: TppHead,
-             normalizer: int | None = None) -> Tensor:
-    """Mean over words of 0.5 * [(pred_start - s/L)^2 + (pred_end - e/L)^2].
-
-    ``normalizer`` defaults to the word count, which equals l_prev + l_cur
-    for an intact sample; corrupted samples pass the count of words that
-    still carry valid alignment.
-    """
+def tpp_predictions(fused: FusedRepresentation, boundaries: list,
+                    head: TppHead) -> tuple:
+    """(pred_start, pred_end) tensors [w] read at each word's first/last
+    token, and their targets (start, end over max_seconds) as arrays."""
     dtype = fused.hidden.dtype
-    if not boundaries:
-        return _zero(dtype)
     firsts = np.array([b.first_token_index for b in boundaries], dtype=np.intp)
     lasts = np.array([b.last_token_index for b in boundaries], dtype=np.intp)
-    if firsts.min() < 0 or lasts.max() >= fused.n_text:
+    if boundaries and (firsts.min() < 0 or lasts.max() >= fused.n_text):
         raise IndexError(
             f"word boundary outside text span [0, {fused.n_text}): "
             f"first={firsts.min()}, last={lasts.max()}")
@@ -94,25 +88,20 @@ def tpp_loss(fused: FusedRepresentation, boundaries: list, head: TppHead,
                                 head.w_start), (w,))
     pred_end = reshape(matmul(gather_rows(fused.hidden, lasts),
                               head.w_end), (w,))
+    return pred_start, pred_end, t_start, t_end
+
+
+def tpp_loss(fused: FusedRepresentation, boundaries: list,
+             head: TppHead) -> Tensor:
+    """Mean over words of 0.5 * [(pred_start - s/L)^2 + (pred_end - e/L)^2]."""
+    if not boundaries:
+        return _zero(fused.hidden.dtype)
+    pred_start, pred_end, t_start, t_end = tpp_predictions(fused, boundaries,
+                                                           head)
     ds = sub(pred_start, Tensor(t_start))
     de = sub(pred_end, Tensor(t_end))
     total = add(reduce_sum(mul(ds, ds)), reduce_sum(mul(de, de)))
-    norm = normalizer if normalizer is not None else w
-    return scale(total, 0.5 / norm)
-
-
-def tpp_predictions(fused: FusedRepresentation, boundaries: list,
-                    head: TppHead) -> tuple:
-    """Normalized (pred_start, pred_end, target_start, target_end) arrays."""
-    la = head.max_seconds
-    firsts = np.array([b.first_token_index for b in boundaries], dtype=np.intp)
-    lasts = np.array([b.last_token_index for b in boundaries], dtype=np.intp)
-    h = fused.hidden.data
-    ps = h[firsts] @ head.w_start.data[:, 0]
-    pe = h[lasts] @ head.w_end.data[:, 0]
-    ts = np.array([b.start_time / la for b in boundaries])
-    te = np.array([b.end_time / la for b in boundaries])
-    return ps, pe, ts, te
+    return scale(total, 0.5 / len(boundaries))
 
 
 def _random_turn(dialogs: list, exclude_dialog_id: str,
@@ -169,17 +158,16 @@ def make_crs_sample(sample: Sample, dialogs: list, rng: np.random.Generator,
     return corrupted, label
 
 
+def crs_logits(fused: FusedRepresentation, weight: Parameter,
+               bias: Parameter) -> Tensor:
+    """[1, 4] logits of a linear classifier on the fused <s> state."""
+    return linear(gather_rows(fused.hidden, np.array([0])), weight, bias)
+
+
 def crs_loss(fused: FusedRepresentation, label: int, weight: Parameter,
              bias: Parameter) -> Tensor:
-    """Cross-entropy of a linear 4-way classifier on the fused <s> state."""
-    h0 = gather_rows(fused.hidden, np.array([0]))
-    logits = linear(h0, weight, bias)
-    return cross_entropy(logits, np.array([label]))
-
-
-def crs_logits(fused: FusedRepresentation, weight: Parameter,
-               bias: Parameter) -> np.ndarray:
-    return (fused.hidden.data[0] @ weight.data + bias.data)
+    """Cross-entropy of the 4-way response-selection logits."""
+    return cross_entropy(crs_logits(fused, weight, bias), np.array([label]))
 
 
 def cmlm_loss(fused: FusedRepresentation, plan: TextMaskPlan,

@@ -23,14 +23,13 @@ from .finetune import (PredictionHead, TaskSpec, evaluate,
                        head_from_registry, init_prediction_head, predict,
                        replace_speech_with_noise, task_loss)
 from .masking import AcousticMaskConfig
-from .model import ModelConfig, PreparedSample, SpeechTextModel, \
-    prepare_sample
+from .model import ModelConfig, SpeechTextModel, prepare_sample
 from .objectives import LossWeights, make_crs_sample
 from .optim import AdamW, AdamWConfig, lr_schedule
 from .shards import Corpus
 from .text import Vocab, WhitespaceTokenizer
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -53,7 +52,6 @@ class TrainConfig:
     text_corruption: tuple = (0.8, 0.1, 0.1)
     acoustic_trigger_prob: float = 0.15
     acoustic_span: tuple = (2, 4)     # desk turns hold ~5-20 frames
-    tpp_on_masked: bool = True
     corpus_fraction: float = 1.0
     checkpoint_every: int = 0         # 0 = final checkpoint only
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -149,20 +147,23 @@ class TrainResult:
 
 
 def _train(cfg, model: SpeechTextModel, opt: AdamW, start_step: int,
-           stream: int, draw_batch, sample_loss, loss_key: str,
-           metrics_path, on_step=None) -> list:
+           stream: int, n_samples: int, batch_size: int, sample_loss,
+           loss_key: str, metrics_path, on_step=None) -> list:
     """Steps ``start_step + 1`` to ``cfg.steps``; step t draws all its
     randomness from (cfg.seed, stream, t).
 
-    ``draw_batch(rng)`` gives the sample indices of a batch and
-    ``sample_loss(i, rng)`` one sample's (loss, {component: value}).  The
-    step minimizes the batch mean of the losses and logs the batch mean of
-    each component.  Returns the metric rows of these steps.
+    Each step draws ``batch_size`` of the ``n_samples`` indices and
+    ``sample_loss(i, rng)`` gives one sample's (loss, {component: value}).
+    The step minimizes the batch mean of the losses and logs the batch
+    mean of each component.  Returns the metric rows of these steps.
     """
+    if cfg.steps <= start_step:
+        raise ValueError(f"nothing to train: steps {cfg.steps} <= start "
+                         f"step {start_step}")
     metrics = MetricsLog(metrics_path, start_step)
     for step in range(start_step + 1, cfg.steps + 1):
         rng = np.random.default_rng((cfg.seed, stream, step))
-        idx = draw_batch(rng)
+        idx = _batch_indices(rng, n_samples, batch_size)
         n = len(idx)
         model.zero_grad()
         losses, sums = [], {}
@@ -225,8 +226,7 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
             text_mask_prob=cfg.text_mask_prob,
             text_corruption=cfg.text_corruption, acoustic_config=acfg)
         losses = model.compute_losses(prepared, weights,
-                                      crs_enabled=cfg.crs_enabled,
-                                      tpp_on_masked=cfg.tpp_on_masked)
+                                      crs_enabled=cfg.crs_enabled)
         return losses["joint"], {key: _component_value(losses[key])
                                  for key in ("tpp", "crs", "cmlm", "cmam")}
 
@@ -236,10 +236,8 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
             save_checkpoint(out_dir / f"checkpoint-{step:06d}.npz", model,
                             vocab, opt, step, cfg)
 
-    rows = _train(cfg, model, opt, start_step, 1,
-                  lambda rng: _batch_indices(rng, len(samples),
-                                             cfg.batch_size),
-                  sample_loss, "joint",
+    rows = _train(cfg, model, opt, start_step, 1, len(samples),
+                  cfg.batch_size, sample_loss, "joint",
                   out_dir / "metrics.jsonl" if out_dir else None,
                   save_periodic)
     path = None
@@ -297,16 +295,11 @@ def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
 
     def sample_loss(i, rng):
         sample, label = train_items[i]
-        prepared = prepare_sample(sample, vocab, model.config, train=False)
-        fused = model.forward(prepared).fused
+        fused = model.eval_fused(sample, vocab)
         return task_loss(predict(fused, head), label, task), {}
 
-    rows = _train(cfg, model, opt, 0, 4,
-                  lambda rng: rng.choice(
-                      len(train_items),
-                      size=min(cfg.batch_size, len(train_items)),
-                      replace=False),
-                  sample_loss, "loss",
+    rows = _train(cfg, model, opt, 0, 4, len(train_items),
+                  min(cfg.batch_size, len(train_items)), sample_loss, "loss",
                   out_dir / "finetune-metrics.jsonl" if out_dir else None)
     path = None
     if out_dir:

@@ -93,7 +93,8 @@ def test_export_attention_writes_files(pretrained, corpus_dir, tmp_path):
     assert mean.shape == (meta["length"], meta["length"])
 
 
-def test_finetune_and_evaluate_cycle(pretrained, tmp_path):
+@pytest.fixture(scope="module")
+def task_dir(tmp_path_factory):
     from stdialog.finetune import (CrossModalTaskConfig,
                                    make_cross_modal_task,
                                    write_labels_manifest)
@@ -101,11 +102,14 @@ def test_finetune_and_evaluate_cycle(pretrained, tmp_path):
 
     cfg = CrossModalTaskConfig(num_dialogs=8, vocab_size=10)
     dialogs, labels, _ = make_cross_modal_task(cfg, seed=2)
-    task_dir = tmp_path / "task"
-    task_dir.mkdir()
+    task_dir = tmp_path_factory.mktemp("task")
     write_shards(dialogs, task_dir / "manifest.json",
                  sample_rate=cfg.frame_rate)
     write_labels_manifest(task_dir / "labels.jsonl", labels)
+    return task_dir
+
+
+def test_finetune_and_evaluate_cycle(pretrained, task_dir, tmp_path):
     out = tmp_path / "ft"
     run_cli("finetune", "--checkpoint", pretrained / "checkpoint-final.npz",
             "--task-corpus", task_dir / "manifest.json",
@@ -117,6 +121,46 @@ def test_finetune_and_evaluate_cycle(pretrained, tmp_path):
                      "--task-corpus", task_dir / "manifest.json",
                      "--labels", task_dir / "labels.jsonl")
     assert "accuracy" in result.stdout
+
+
+def snapshot(directory):
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in directory.iterdir()}
+
+
+def test_pretrain_without_steps_writes_nothing(corpus_dir, tmp_path):
+    out = tmp_path / "run"
+    result = run_cli("pretrain", "--corpus", corpus_dir / "manifest.json",
+                     "--out", out, "--steps", 0, check=False)
+    assert result.returncode != 0
+    assert "nothing to train: steps 0 <= start step 0" in result.stderr
+    assert not out.exists()
+
+
+def test_resume_from_final_checkpoint_writes_nothing(pretrained, corpus_dir):
+    before = snapshot(pretrained)
+    result = run_cli("pretrain", "--corpus", corpus_dir / "manifest.json",
+                     "--vocab", corpus_dir / "vocab.txt",
+                     "--out", pretrained, "--steps", 5, "--seed", 1,
+                     "--batch-size", 4, "--k", 2,
+                     "--resume", pretrained / "checkpoint-final.npz",
+                     check=False)
+    assert result.returncode != 0
+    assert "nothing to train: steps 5 <= start step 5" in result.stderr
+    assert snapshot(pretrained) == before
+
+
+def test_finetune_without_steps_writes_nothing(pretrained, task_dir,
+                                               tmp_path):
+    out = tmp_path / "ft"
+    result = run_cli("finetune", "--checkpoint",
+                     pretrained / "checkpoint-final.npz",
+                     "--task-corpus", task_dir / "manifest.json",
+                     "--labels", task_dir / "labels.jsonl",
+                     "--out", out, "--steps", 0, check=False)
+    assert result.returncode != 0
+    assert "nothing to train: steps 0 <= start step 0" in result.stderr
+    assert not out.exists()
 
 
 def test_bad_subcommand_fails():

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from stdialog.autodiff import Tensor
 
 
 def make_stack(num_layers=2, d_h=16, heads=4, ffn=32, seed=0, dtype=np.float64):
-    cfg = enc.EncoderConfig(num_layers=num_layers, d_h=d_h, num_heads=heads,
-                            ffn_dim=ffn, conv_pos_kernel=5, conv_pos_groups=2)
+    cfg = SimpleNamespace(d_h=d_h, num_heads=heads, conv_pos_kernel=5,
+                          conv_pos_groups=2)
     registry = {}
     rng = np.random.default_rng(seed)
-    layers = enc.init_encoder_stack(registry, rng, "enc", cfg, dtype)
-    conv_pos = enc.init_conv_positional(registry, rng, "enc", cfg, dtype)
+    layers = enc.init_encoder_stack(registry, rng, "enc", num_layers, d_h, ffn,
+                                    dtype)
+    conv_pos = enc.init_conv_positional(registry, rng, "enc", d_h,
+                                        cfg.conv_pos_kernel,
+                                        cfg.conv_pos_groups, dtype)
     fusion = enc.init_transformer_layer(registry, rng, "fuse", d_h, ffn, dtype)
     modality = enc.Parameter(
         (0.02 * rng.standard_normal((2, d_h))).astype(dtype), "fuse.modality")
@@ -31,30 +35,30 @@ class TestTextEncoder:
     def test_zero_layers_is_identity(self):
         cfg, _, _, _, _, _ = make_stack(num_layers=0)
         x = rand_x(7)
-        out = enc.encode_text(x, [], cfg)
+        out = enc.encode_text(x, [], cfg.num_heads)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_shape_preserved(self):
         cfg, _, layers, _, _, _ = make_stack()
         for n in (1, 3, 11):
-            out = enc.encode_text(rand_x(n, seed=n), layers, cfg)
+            out = enc.encode_text(rand_x(n, seed=n), layers, cfg.num_heads)
             assert out.shape == (n, cfg.d_h)
 
     def test_padding_invariance(self):
         cfg, _, layers, _, _, _ = make_stack()
         x = rand_x(6)
-        out_plain = enc.encode_text(x, layers, cfg).data
+        out_plain = enc.encode_text(x, layers, cfg.num_heads).data
         padded = Tensor(np.concatenate([x.data, np.zeros((3, cfg.d_h))]))
         mask = np.array([True] * 6 + [False] * 3)
-        out_padded = enc.encode_text(padded, layers, cfg,
+        out_padded = enc.encode_text(padded, layers, cfg.num_heads,
                                      key_padding_mask=mask).data
         np.testing.assert_allclose(out_padded[:6], out_plain, atol=1e-5)
 
     def test_deterministic_without_dropout(self):
         cfg, _, layers, _, _, _ = make_stack()
         x = rand_x(5)
-        a = enc.encode_text(x, layers, cfg).data
-        b = enc.encode_text(x, layers, cfg).data
+        a = enc.encode_text(x, layers, cfg.num_heads).data
+        b = enc.encode_text(x, layers, cfg.num_heads).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -62,7 +66,8 @@ class TestSpeechEncoder:
     def test_shape_preserved(self):
         cfg, _, layers, conv_pos, _, _ = make_stack()
         x = rand_x(12, seed=3)
-        out = enc.encode_speech(x, conv_pos, layers, cfg)
+        out = enc.encode_speech(x, conv_pos, layers, cfg.num_heads,
+                                cfg.conv_pos_groups)
         assert out.shape == (12, cfg.d_h)
 
     def test_zero_conv_pos_reduces_to_plain_stack(self):
@@ -71,8 +76,9 @@ class TestSpeechEncoder:
         w.data[...] = 0.0
         b.data[...] = 0.0
         x = rand_x(9, seed=4)
-        out_speech = enc.encode_speech(x, conv_pos, layers, cfg).data
-        out_text = enc.encode_text(x, layers, cfg).data
+        out_speech = enc.encode_speech(x, conv_pos, layers, cfg.num_heads,
+                                       cfg.conv_pos_groups).data
+        out_text = enc.encode_text(x, layers, cfg.num_heads).data
         np.testing.assert_allclose(out_speech, out_text, atol=1e-12)
 
     def test_conv_positional_shift_consistency(self):
@@ -94,10 +100,12 @@ class TestSpeechEncoder:
     def test_padding_invariance(self):
         cfg, _, layers, conv_pos, _, _ = make_stack()
         x = rand_x(8, seed=7)
-        out_plain = enc.encode_speech(x, conv_pos, layers, cfg).data
+        out_plain = enc.encode_speech(x, conv_pos, layers, cfg.num_heads,
+                                      cfg.conv_pos_groups).data
         padded = Tensor(np.concatenate([x.data, np.zeros((4, cfg.d_h))]))
         mask = np.array([True] * 8 + [False] * 4)
-        out_padded = enc.encode_speech(padded, conv_pos, layers, cfg,
+        out_padded = enc.encode_speech(padded, conv_pos, layers,
+                                       cfg.num_heads, cfg.conv_pos_groups,
                                        key_padding_mask=mask).data
         # conv positional embedding is local; trim its kernel halo too
         k = cfg.conv_pos_kernel // 2
@@ -110,9 +118,9 @@ class TestFusion:
         cfg, _, _, _, fusion, modality = make_stack()
         h_t = rand_x(n, seed=seed)
         h_s = rand_x(m_prev + m_cur + 2, seed=seed + 1)
-        return enc.fuse(h_t, h_s, m_prev, m_cur, modality, fusion, cfg,
-                        capture_attention=capture), (h_t, h_s, modality,
-                                                     fusion, cfg)
+        return enc.fuse(h_t, h_s, m_prev, m_cur, modality, fusion,
+                        cfg.num_heads, capture_attention=capture), \
+            (h_t, h_s, modality, fusion, cfg)
 
     def test_output_length_identity(self):
         fused, _ = self.fused()
@@ -148,21 +156,12 @@ class TestFusion:
         h_t = rand_x(4, seed=12)
         h_s = rand_x(9, seed=13)
         mask = np.array([True] * 10 + [False] * 3)
-        fused = enc.fuse(h_t, h_s, 3, 4, modality, fusion, cfg,
+        fused = enc.fuse(h_t, h_s, 3, 4, modality, fusion, cfg.num_heads,
                          key_padding_mask=mask, capture_attention=True)
         masked_cols = fused.attention[:, :, ~mask]
         assert masked_cols.max() < 1e-12
         np.testing.assert_allclose(fused.attention.sum(axis=-1),
                                    np.ones((4, 13)), atol=1e-5)
-
-    def test_ffn_flag_changes_output(self):
-        cfg, _, _, _, fusion, modality = make_stack()
-        h_t, h_s = rand_x(3, seed=14), rand_x(6, seed=15)
-        with_ffn = enc.fuse(h_t, h_s, 2, 2, modality, fusion, cfg,
-                            include_ffn=True).hidden.data
-        without = enc.fuse(h_t, h_s, 2, 2, modality, fusion, cfg,
-                           include_ffn=False).hidden.data
-        assert not np.allclose(with_ffn, without)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 12), m_prev=st.integers(1, 10),
@@ -172,7 +171,8 @@ class TestFusion:
                                                     seed=seed)
         h_t = rand_x(n, d=8, seed=seed)
         h_s = rand_x(m_prev + m_cur + 2, d=8, seed=seed + 1)
-        fused = enc.fuse(h_t, h_s, m_prev, m_cur, modality, fusion, cfg)
+        fused = enc.fuse(h_t, h_s, m_prev, m_cur, modality, fusion,
+                         cfg.num_heads)
         assert fused.hidden.shape == (n + m_prev + m_cur + 2, 8)
         assert fused.length == n + m_prev + m_cur + 2
 
@@ -181,14 +181,16 @@ class TestExportAttention:
     def test_requires_capture(self, tmp_path):
         cfg, _, _, _, fusion, modality = make_stack()
         fused = enc.fuse(rand_x(3, seed=16), rand_x(6, seed=17), 2, 2,
-                         modality, fusion, cfg, capture_attention=False)
+                         modality, fusion, cfg.num_heads,
+                         capture_attention=False)
         with pytest.raises(enc.AttentionNotCaptured):
             enc.export_attention(fused, tmp_path / "attn")
 
     def test_written_files_and_metadata(self, tmp_path):
         cfg, _, _, _, fusion, modality = make_stack()
         fused = enc.fuse(rand_x(5, seed=18), rand_x(9, seed=19), 4, 3,
-                         modality, fusion, cfg, capture_attention=True)
+                         modality, fusion, cfg.num_heads,
+                         capture_attention=True)
         paths = enc.export_attention(fused, tmp_path / "attn")
         mean = np.loadtxt(paths["mean"], delimiter=",")
         assert mean.shape == (fused.length, fused.length)

@@ -25,14 +25,13 @@ def make_head(d=8, d_o=4, seed=1, dtype=np.float64):
 class TestTaskSpec:
     def test_regression_single_output(self):
         spec = ft.TaskSpec(kind="regression")
-        assert spec.loss == "squared error"
         assert spec.metric == "binary accuracy"
         with pytest.raises(ValueError):
             ft.TaskSpec(kind="regression", num_classes=3)
 
     def test_classification_needs_classes(self):
         spec = ft.TaskSpec(kind="classification", num_classes=4)
-        assert spec.loss == "cross-entropy"
+        assert spec.metric == "multiclass accuracy"
         with pytest.raises(ValueError):
             ft.TaskSpec(kind="classification", num_classes=1)
 
@@ -149,7 +148,7 @@ class TestCrossModalTask:
         dialogs, labels, _ = ft.make_cross_modal_task(cfg, seed=4)
         tone = cp.word_signature(cfg.tone_id_offset, 10)
         for d in dialogs:
-            label = labels[d.dialog_id]
+            label = labels[(d.dialog_id, d.turns[-1].turn_index)]
             text_bit, speech_bit = label // 2, label % 2
             current = d.turns[-1]
             first_word = current.words[0].word
@@ -190,7 +189,18 @@ class TestCrossModalTask:
             assert not np.array_equal(orig.speech_cur, repl.speech_cur)
 
     def test_labels_manifest_roundtrip(self, tmp_path):
-        labels = {"d1": 3, "d2": 0}
+        labels = {("d1", 2): 3, ("d2", 5): 0}
         ft.write_labels_manifest(tmp_path / "labels.jsonl", labels)
         loaded = ft.read_labels_manifest(tmp_path / "labels.jsonl")
-        assert loaded == {("d1", 2): 3, ("d2", 2): 0}
+        assert loaded == labels
+
+    def test_task_samples_keep_only_labelled_turns(self):
+        cfg = cp.SyntheticConfig(num_dialogs=2, turns_per_dialog=(4, 4))
+        dialogs = cp.generate_synthetic(cfg, seed=8)
+        labels = {(dialogs[0].dialog_id, 3): 1, (dialogs[1].dialog_id, 4): 2,
+                  ("absent", 2): 0}
+        items = ft.task_samples(dialogs, labels)
+        assert [(s.dialog_id, s.target_turn_index, label)
+                for s, label in items] == [
+            (dialogs[0].dialog_id, 3, 1), (dialogs[1].dialog_id, 4, 2)]
+        assert all(len(s.text_turns) == 2 for s, _ in items)

@@ -37,7 +37,7 @@ class TestLengthArithmetic:
     def test_full_scale_timing(self):
         cfg = fe.full_scale_config()
         assert cfg.stride_product == 1600
-        assert cfg.frame_stride_seconds == pytest.approx(0.1)
+        assert cfg.stride_product / cfg.sample_rate == pytest.approx(0.1)
         # receptive field of the 16 kHz stack is 1680 samples (105 ms)
         assert cfg.receptive_field == 1680
 

@@ -15,7 +15,8 @@ class TestPlanDrawing:
     def test_zero_trigger_masks_nothing(self):
         cfg = mk.AcousticMaskConfig(trigger_prob=0.0)
         feats = rand_features(99)
-        masked, plan = mk.mask_speech_frames(feats, np.random.default_rng(0), cfg)
+        plan = mk.draw_mask_plan(99, np.random.default_rng(0), cfg)
+        masked = mk.apply_mask_plan(feats, plan)
         assert not plan.mask.any()
         np.testing.assert_array_equal(masked.data, feats.data)
 
@@ -90,8 +91,8 @@ class TestPlanDrawing:
 class TestApplication:
     def test_zero_keep_replace_semantics(self):
         feats = rand_features(80, seed=3)
-        rng = np.random.default_rng(5)
-        masked, plan = mk.mask_speech_frames(feats, rng)
+        plan = mk.draw_mask_plan(80, np.random.default_rng(5))
+        masked = mk.apply_mask_plan(feats, plan)
         out = masked.data
         src = feats.data
         for i in range(80):
@@ -107,8 +108,8 @@ class TestApplication:
     def test_gradient_flows_through_kept_and_replaced(self):
         feats = Tensor(np.random.default_rng(7).standard_normal((30, 4)),
                        requires_grad=True)
-        rng = np.random.default_rng(11)
-        masked, plan = mk.mask_speech_frames(feats, rng)
+        plan = mk.draw_mask_plan(30, np.random.default_rng(11))
+        masked = mk.apply_mask_plan(feats, plan)
         from stdialog.autodiff import reduce_sum
         reduce_sum(masked).backward()
         zero_rows = plan.actions == mk.ZERO

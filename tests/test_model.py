@@ -6,6 +6,7 @@ import pytest
 from stdialog import corpus as cp
 from stdialog import frontend as fe
 from stdialog import model as md
+from stdialog import objectives as ob
 from stdialog.gradcheck import grad_check
 from stdialog.masking import AcousticMaskConfig
 from stdialog.objectives import LossWeights, make_crs_sample
@@ -76,17 +77,19 @@ class TestForward:
             losses["cmam"].item()
         assert losses["joint"].item() == pytest.approx(total, abs=1e-9)
 
-    def test_tpp_on_masked_flag_filters_boundaries(self):
+    def test_readouts_match_losses(self):
         model, vocab, _, samples = tiny_setup()
-        # force every eligible token masked so all boundaries are filtered
-        rng = np.random.default_rng(2)
-        prepared = md.prepare_sample(
-            samples[0], vocab, model.config, rng=rng, text_mask_prob=1.0,
-            acoustic_config=AcousticMaskConfig(span_range=(2, 4)))
-        on = model.compute_losses(prepared, tpp_on_masked=True)
-        off = model.compute_losses(prepared, tpp_on_masked=False)
-        assert off["tpp"].item() == 0.0
-        assert on["tpp"].item() != 0.0
+        sample = samples[0]
+        fused = model.eval_fused(sample, vocab)
+        boundaries = md.tokenize_sample(sample, vocab).word_boundaries
+        errors = model.tpp_absolute_errors(fused, boundaries)
+        tpp = ob.tpp_loss(fused, boundaries, model.tpp_head).item()
+        assert tpp == pytest.approx(
+            0.5 * float((errors ** 2).sum()) / len(boundaries), rel=1e-12)
+        assert model.tpp_absolute_errors(fused, []).shape == (0,)
+        crs = [ob.crs_loss(fused, label, model.crs_w, model.crs_b).item()
+               for label in range(4)]
+        assert model.crs_predict(fused) == int(np.argmin(crs))
 
     def test_capture_attention_available(self):
         model, vocab, _, samples = tiny_setup()
@@ -139,6 +142,12 @@ class TestGradientIntegrity:
 
 
 class TestConfigRoundtrip:
+    def test_invalid_model_config_rejected(self):
+        with pytest.raises(ValueError, match="not divisible by num_heads 3"):
+            md.ModelConfig(d_h=16, num_heads=3)
+        with pytest.raises(ValueError, match="conv_pos_kernel must be odd"):
+            md.ModelConfig(conv_pos_kernel=4)
+
     def test_model_config_dict_roundtrip(self):
         cfg = md.ModelConfig(d_h=16, vocab_size=20, text_layers=3,
                              frontend=fe.desk_config(channels=8))
@@ -147,7 +156,7 @@ class TestConfigRoundtrip:
         # through JSON, as in a checkpoint: tuples come back as lists
         frontend = fe.FrontendConfig(
             layers=(fe.ConvLayerSpec(6, 4, 2), fe.ConvLayerSpec(5, 3, 3)),
-            sample_rate=50, activation="none", ln_eps=1e-6)
+            sample_rate=50, ln_eps=1e-6)
         train = TrainConfig(
             seed=3, crs_class_probs=(0.4, 0.2, 0.2, 0.2),
             text_corruption=(0.7, 0.2, 0.1), acoustic_span=(3, 5),

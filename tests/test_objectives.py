@@ -35,7 +35,8 @@ class TestTppLoss:
         head = make_head()
         ps, pe, _, _ = ob.tpp_predictions(
             fused, [TokenBoundary(1, 2, 0.0, 0.0, 1)], head)
-        boundary = TokenBoundary(1, 2, float(ps[0] * 10), float(pe[0] * 10), 1)
+        boundary = TokenBoundary(1, 2, float(ps.data[0] * 10),
+                                 float(pe.data[0] * 10), 1)
         loss = ob.tpp_loss(fused, [boundary], head)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -83,8 +84,8 @@ class TestTppLoss:
         head = make_head(seed=4)
         boundaries = [TokenBoundary(0, 1, 0.5, 1.0, 0),
                       TokenBoundary(2, 3, 1.0, 2.0, 1)]
-        single = ob.tpp_loss(fused, boundaries, head, normalizer=2).item()
-        doubled = ob.tpp_loss(fused, boundaries * 2, head, normalizer=4).item()
+        single = ob.tpp_loss(fused, boundaries, head).item()
+        doubled = ob.tpp_loss(fused, boundaries * 2, head).item()
         assert single == pytest.approx(doubled, abs=1e-12)
 
     def test_empty_boundaries_zero(self):

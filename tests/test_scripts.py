@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("crossmodal_finetune.py", ["--pretrain-steps", "1",
                                 "--finetune-steps", "1"]),
     ("overfit_sanity.py", ["--steps", "2"]),
+    ("fingerprint.py", []),
 ])
 def test_script_runs(script, args):
     result = subprocess.run(
