@@ -5,6 +5,10 @@ result eagerly, records a backward closure, and checks the output for
 NaN/Inf.  Shape rules are strict on purpose; the only implicit broadcast
 allowed is a trailing-suffix operand against leading batch axes
 (e.g. adding a [d] bias to an [n, d] activation).
+
+The layer-norm, GELU and softmax arithmetic lives in plain-array
+``*_forward``/``*_backward`` helpers, shared by those ops and by the
+single-node transformer layer in ``encoders``.
 """
 
 from __future__ import annotations
@@ -256,15 +260,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _result(out_data, parents, backward, "linear")
 
 
-def transpose(a: Tensor, axes: tuple) -> Tensor:
-    inv = tuple(int(i) for i in np.argsort(axes))
-
-    def backward(g):
-        _accum(a, g.transpose(inv))
-
-    return _result(a.data.transpose(axes), (a,), backward, "transpose")
-
-
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     old = a.data.shape
 
@@ -310,6 +305,18 @@ def embedding(table: Tensor, ids) -> Tensor:
     return gather_rows(table, ids)
 
 
+def softmax_forward(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a plain array."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Input gradient of softmax output ``y`` for output gradient ``g``."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax(x: Tensor, additive_mask=None) -> Tensor:
     """Softmax over the last axis, optionally after adding a mask.
 
@@ -324,15 +331,40 @@ def softmax(x: Tensor, additive_mask=None) -> Tensor:
             raise ShapeError(
                 f"softmax mask shape {m.shape} incompatible with {z.shape}")
         z = z + m
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = softmax_forward(z)
 
     def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - inner))
+        _accum(x, softmax_backward(g, y))
 
     return _result(y, (x,), backward, "softmax")
+
+
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       eps: float = 1e-5) -> tuple:
+    """Layer norm of a plain array over its last axis.
+
+    Returns the output and ``(xhat, inv)``, the normalized input and the
+    reciprocal standard deviation that ``layer_norm_backward`` needs.
+    """
+    d = x.shape[-1]   # sum / d: the same values as mean(), with less overhead
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, (xhat, inv)
+
+
+def layer_norm_backward(g: np.ndarray, gain: np.ndarray, saved: tuple) -> tuple:
+    """Gradients ``(dx, dgain, dbias)`` of layer norm for output gradient
+    ``g``; ``saved`` is what ``layer_norm_forward`` returned with its output."""
+    xhat, inv = saved
+    reduce_axes = tuple(range(g.ndim - 1))
+    d = g.shape[-1]
+    dxhat = g * gain
+    term = dxhat - dxhat.sum(axis=-1, keepdims=True) / d \
+        - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
+    return (inv * term, (g * xhat).sum(axis=reduce_axes),
+            g.sum(axis=reduce_axes))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
@@ -347,33 +379,34 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
         raise ShapeError(
             f"layer_norm: gain {gain.data.shape} / bias {bias.data.shape} "
             f"must be ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    out_data, saved = layer_norm_forward(x.data, gain.data, bias.data, eps)
 
     def backward(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=reduce_axes))
-        _accum(bias, g.sum(axis=reduce_axes))
-        dxhat = g * gain.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * term)
+        dx, dgain, dbias = layer_norm_backward(g, gain.data, saved)
+        _accum(gain, dgain)
+        _accum(bias, dbias)
+        _accum(x, dx)
 
     return _result(out_data, (x, gain, bias), backward, "layer_norm")
 
 
+def gelu_forward(x: np.ndarray) -> tuple:
+    """Exact GELU x * Phi(x) of a plain array; returns it and Phi(x)."""
+    phi = 0.5 * (1.0 + erf(x / SQRT2))
+    return x * phi, phi
+
+
+def gelu_backward(g: np.ndarray, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Input gradient of GELU at ``x`` (with ``phi`` = Phi(x))."""
+    return g * (phi + x * (INV_SQRT_2PI * np.exp(-0.5 * x * x)))
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU x * Phi(x) via erf; GELU(0) == 0 identically."""
-    phi = 0.5 * (1.0 + erf(x.data / SQRT2))
-    out_data = x.data * phi
+    out_data, phi = gelu_forward(x.data)
 
     def backward(g):
-        pdf = INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        _accum(x, g * (phi + x.data * pdf))
+        _accum(x, gelu_backward(g, x.data, phi))
 
     return _result(out_data, (x,), backward, "gelu")
 

@@ -15,6 +15,15 @@ import sys
 from pathlib import Path
 
 
+def _or_exit(fn, *args, **kwargs):
+    """Call ``fn``; a ValueError it raises (bad input, config or checkpoint)
+    ends the command with its message and exit status 1, not a traceback."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def _cmd_generate(args):
     from .corpus import SyntheticConfig, generate_synthetic
     from .shards import write_shards
@@ -61,7 +70,7 @@ def _cmd_pretrain(args):
     if args.vocab:
         from .text import Vocab
         vocab = Vocab.load(args.vocab)
-    result = pretrain(cfg, corpus, out_dir=args.out,
+    result = _or_exit(pretrain, cfg, corpus, out_dir=args.out,
                       resume_from=args.resume, vocab=vocab)
     last = result.metrics[-1]
     print(f"pretrained {cfg.steps} steps; final joint loss "
@@ -86,14 +95,15 @@ def _cmd_finetune(args):
     from .finetune import TaskSpec
     from .trainer import FinetuneConfig, finetune, model_from_checkpoint
 
-    model, vocab, _ = model_from_checkpoint(args.checkpoint)
+    model, vocab, _ = _or_exit(model_from_checkpoint, args.checkpoint)
     items = _load_task_items(args.task_corpus, args.labels)
     num_classes = max(label for _, label in items) + 1
     task = TaskSpec(kind="classification", num_classes=num_classes)
     cfg = FinetuneConfig(seed=args.seed, steps=args.steps,
                          batch_size=args.batch_size, peak_lr=args.peak_lr,
                          speech_noise_std=args.speech_noise_std)
-    result = finetune(cfg, model, vocab, task, items, out_dir=args.out)
+    result = _or_exit(finetune, cfg, model, vocab, task, items,
+                      out_dir=args.out)
     print(f"fine-tuned {cfg.steps} steps; final loss "
           f"{result.metrics[-1]['loss']:.4f}")
     print(f"checkpoint: {result.checkpoint_path}")
@@ -104,7 +114,7 @@ def _cmd_evaluate(args):
     from .finetune import TaskSpec, head_from_registry
     from .trainer import evaluate_task, model_from_checkpoint
 
-    model, vocab, state = model_from_checkpoint(args.checkpoint)
+    model, vocab, state = _or_exit(model_from_checkpoint, args.checkpoint)
     task_meta = state.get("task")
     if not task_meta:
         raise SystemExit("checkpoint carries no fine-tuned task head")
@@ -146,7 +156,7 @@ def _cmd_export_attention(args):
     from .shards import load_corpus
     from .trainer import model_from_checkpoint
 
-    model, vocab, _ = model_from_checkpoint(args.checkpoint)
+    model, vocab, _ = _or_exit(model_from_checkpoint, args.checkpoint)
     corpus = load_corpus(args.corpus)
     if not 0 <= args.dialog_index < len(corpus.dialogs):
         raise SystemExit(f"dialog index {args.dialog_index} out of range "

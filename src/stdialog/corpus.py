@@ -13,7 +13,7 @@ construction.  Generation is a pure function of the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (Parameter, Tensor, add, concat, conv1d, embedding,
-                       gelu, layer_norm, linear, matmul, register, reshape,
-                       softmax, transpose)
+from .autodiff import (Parameter, Tensor, _accum, _result, add, concat,
+                       conv1d, embedding, gelu, gelu_backward, gelu_forward,
+                       layer_norm_backward, layer_norm_forward, register,
+                       softmax_backward, softmax_forward)
 
 NEG_INF = -1e9  # finite mask value so every op output stays finite
 
@@ -93,35 +94,69 @@ def key_padding_to_additive(mask, dtype=np.float64) -> np.ndarray | None:
     return np.where(keep, 0.0, NEG_INF).astype(dtype)
 
 
-def multi_head_attention(x: Tensor, p: TransformerLayerParams, num_heads: int,
-                         additive_mask=None, capture: list | None = None) -> Tensor:
-    n, d = x.shape
-    dk = d // num_heads
-
-    def split_heads(t):
-        return transpose(reshape(t, (n, num_heads, dk)), (1, 0, 2))
-
-    q = split_heads(linear(x, p.wq, p.bq))
-    k = split_heads(linear(x, p.wk, p.bk))
-    v = split_heads(linear(x, p.wv, p.bv))
-    scores = matmul(q, transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(dk))
-    attn = softmax(scores, additive_mask)
-    if capture is not None:
-        capture.append(attn.data.copy())
-    ctx = matmul(attn, v)                              # [H, n, dk]
-    merged = reshape(transpose(ctx, (1, 0, 2)), (n, d))
-    return linear(merged, p.wo, p.bo)
-
-
 def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
                       additive_mask=None,
                       capture: list | None = None) -> Tensor:
-    attn_out = multi_head_attention(layer_norm(x, p.ln1_gain, p.ln1_bias),
-                                    p, num_heads, additive_mask, capture)
-    h = add(x, attn_out)
-    ff = linear(gelu(linear(layer_norm(h, p.ln2_gain, p.ln2_bias),
-                            p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
-    return add(h, ff)
+    """One pre-norm layer as a single autodiff node.
+
+    LN1, q/k/v, masked multi-head softmax attention, ``wo``, residual, LN2,
+    GELU FFN, residual, all in numpy; the backward is written out by hand.
+    ``additive_mask`` is added to the [H, n, n] attention scores (a [n]
+    key-padding row broadcasts over heads and queries).  When ``capture``
+    is a list, the [H, n, n] attention weights are appended to it.
+    """
+    n, d = x.shape
+    dk = d // num_heads
+    scale = float(1.0 / np.sqrt(dk))
+    w_qkv = np.concatenate([p.wq.data, p.wk.data, p.wv.data], axis=1)
+    b_qkv = np.concatenate([p.bq.data, p.bk.data, p.bv.data])
+
+    a, ln1 = layer_norm_forward(x.data, p.ln1_gain.data, p.ln1_bias.data)
+    # [n, 3d] -> [3, H, n, dk]: q, k, v split into heads
+    q, k, v = (a @ w_qkv + b_qkv).reshape(n, 3, num_heads, dk) \
+        .transpose(1, 2, 0, 3)
+    scores = (q @ k.transpose(0, 2, 1)) * scale
+    if additive_mask is not None:
+        scores += np.asarray(additive_mask, dtype=x.dtype)
+    attn = softmax_forward(scores)
+    if capture is not None:
+        capture.append(attn.copy())
+    merged = (attn @ v).transpose(1, 0, 2).reshape(n, d)
+    h = x.data + (merged @ p.wo.data + p.bo.data)
+    c, ln2 = layer_norm_forward(h, p.ln2_gain.data, p.ln2_bias.data)
+    f1 = c @ p.ff1_w.data + p.ff1_b.data
+    f, phi = gelu_forward(f1)
+    out = h + (f @ p.ff2_w.data + p.ff2_b.data)
+
+    def backward(g):
+        df1 = gelu_backward(g @ p.ff2_w.data.T, f1, phi)
+        dh_ln, dln2_gain, dln2_bias = layer_norm_backward(
+            df1 @ p.ff1_w.data.T, p.ln2_gain.data, ln2)
+        dh = g + dh_ln
+        dctx = (dh @ p.wo.data.T).reshape(n, num_heads, dk) \
+            .transpose(1, 0, 2)
+        dscores = softmax_backward(dctx @ v.transpose(0, 2, 1), attn) * scale
+        dqkv = np.stack([dscores @ k, dscores.transpose(0, 2, 1) @ q,
+                         attn.transpose(0, 2, 1) @ dctx]) \
+            .transpose(2, 0, 1, 3).reshape(n, 3 * d)
+        dx_ln, dln1_gain, dln1_bias = layer_norm_backward(
+            dqkv @ w_qkv.T, p.ln1_gain.data, ln1)
+        dw_qkv = a.T @ dqkv
+        db_qkv = dqkv.sum(axis=0)
+        _accum(x, dh + dx_ln)
+        for param, grad in (
+                (p.ln1_gain, dln1_gain), (p.ln1_bias, dln1_bias),
+                (p.wq, dw_qkv[:, :d]), (p.bq, db_qkv[:d]),
+                (p.wk, dw_qkv[:, d:2 * d]), (p.bk, db_qkv[d:2 * d]),
+                (p.wv, dw_qkv[:, 2 * d:]), (p.bv, db_qkv[2 * d:]),
+                (p.wo, merged.T @ dh), (p.bo, dh.sum(axis=0)),
+                (p.ln2_gain, dln2_gain), (p.ln2_bias, dln2_bias),
+                (p.ff1_w, c.T @ df1), (p.ff1_b, df1.sum(axis=0)),
+                (p.ff2_w, f.T @ g), (p.ff2_b, g.sum(axis=0))):
+            _accum(param, grad)
+
+    return _result(out, (x, *vars(p).values()), backward,
+                   "transformer_layer")
 
 
 def encode_text(x: Tensor, layers: list, num_heads: int,

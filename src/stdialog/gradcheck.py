@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Parameter
+from .autodiff import NonFiniteError
 
 # Relative error uses max(|analytic|, |numeric|, REL_FLOOR) as denominator,
 # so coordinates whose true gradient is ~0 are judged on absolute error.

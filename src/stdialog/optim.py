@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Parameter
+from .autodiff import NonFiniteError
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,41 @@
+"""A transformer layer composed from autodiff primitives.
+
+This is the reference that ``encoders.transformer_layer``, which runs the
+whole layer as one autodiff node with a hand-written backward, is checked
+against: same parameters, same arithmetic, but every step is its own op
+and every gradient comes from the primitives' backward rules.
+"""
+
+import numpy as np
+
+from stdialog import autodiff as ad
+
+
+def transpose(a, axes):
+    """Axis permutation as an autodiff op (the library itself needs none)."""
+    inv = tuple(int(i) for i in np.argsort(axes))
+
+    def backward(g):
+        ad._accum(a, g.transpose(inv))
+
+    return ad._result(a.data.transpose(axes), (a,), backward, "transpose")
+
+
+def composed_transformer_layer(x, p, num_heads, additive_mask=None):
+    n, d = x.shape
+    dk = d // num_heads
+
+    def split_heads(t):
+        return transpose(ad.reshape(t, (n, num_heads, dk)), (1, 0, 2))
+
+    a = ad.layer_norm(x, p.ln1_gain, p.ln1_bias)
+    q = split_heads(ad.linear(a, p.wq, p.bq))
+    k = split_heads(ad.linear(a, p.wk, p.bk))
+    v = split_heads(ad.linear(a, p.wv, p.bv))
+    scores = ad.matmul(q, transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(dk))
+    attn = ad.softmax(scores, additive_mask)
+    merged = ad.reshape(transpose(ad.matmul(attn, v), (1, 0, 2)), (n, d))
+    h = ad.add(x, ad.linear(merged, p.wo, p.bo))
+    ff = ad.linear(ad.gelu(ad.linear(ad.layer_norm(h, p.ln2_gain, p.ln2_bias),
+                                     p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
+    return ad.add(h, ff)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composed_layer import transpose
 from stdialog import autodiff as ad
 from stdialog.autodiff import NonFiniteError, Parameter, ShapeError, Tensor
 from stdialog.gradcheck import grad_check
@@ -252,7 +253,7 @@ class TestOpGradients:
 
         def build():
             out = ad.concat([a, b], axis=0)
-            out = ad.transpose(out, (1, 0))
+            out = transpose(out, (1, 0))
             out = ad.reshape(out, (2, 9))
             return scalarize(out, np.random.default_rng(9))
 

@@ -132,7 +132,8 @@ def test_pretrain_without_steps_writes_nothing(corpus_dir, tmp_path):
     out = tmp_path / "run"
     result = run_cli("pretrain", "--corpus", corpus_dir / "manifest.json",
                      "--out", out, "--steps", 0, check=False)
-    assert result.returncode != 0
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
     assert "nothing to train: steps 0 <= start step 0" in result.stderr
     assert not out.exists()
 
@@ -145,9 +146,26 @@ def test_resume_from_final_checkpoint_writes_nothing(pretrained, corpus_dir):
                      "--batch-size", 4, "--k", 2,
                      "--resume", pretrained / "checkpoint-final.npz",
                      check=False)
-    assert result.returncode != 0
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
     assert "nothing to train: steps 5 <= start step 5" in result.stderr
     assert snapshot(pretrained) == before
+
+
+def test_resume_with_different_config_fails_cleanly(pretrained, corpus_dir,
+                                                    tmp_path):
+    out = tmp_path / "run"
+    result = run_cli("pretrain", "--corpus", corpus_dir / "manifest.json",
+                     "--vocab", corpus_dir / "vocab.txt",
+                     "--out", out, "--steps", 8, "--seed", 2,
+                     "--batch-size", 4, "--k", 2,
+                     "--resume", pretrained / "checkpoint-final.npz",
+                     check=False)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.strip() == \
+        "resume config differs from the checkpoint's in: seed, steps"
+    assert not out.exists()
 
 
 def test_finetune_without_steps_writes_nothing(pretrained, task_dir,
@@ -158,7 +176,8 @@ def test_finetune_without_steps_writes_nothing(pretrained, task_dir,
                      "--task-corpus", task_dir / "manifest.json",
                      "--labels", task_dir / "labels.jsonl",
                      "--out", out, "--steps", 0, check=False)
-    assert result.returncode != 0
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
     assert "nothing to train: steps 0 <= start step 0" in result.stderr
     assert not out.exists()
 

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composed_layer import composed_transformer_layer
+from stdialog import autodiff as ad
 from stdialog import encoders as enc
-from stdialog.autodiff import Tensor
+from stdialog.autodiff import Parameter, Tensor
+from stdialog.gradcheck import grad_check
 
 
 def make_stack(num_layers=2, d_h=16, heads=4, ffn=32, seed=0, dtype=np.float64):
@@ -29,6 +32,76 @@ def make_stack(num_layers=2, d_h=16, heads=4, ffn=32, seed=0, dtype=np.float64):
 
 def rand_x(n, d=16, seed=1, dtype=np.float64):
     return Tensor(np.random.default_rng(seed).standard_normal((n, d)).astype(dtype))
+
+
+def layer_output_and_grads(layer_fn, seed=21, n=7, mask=None):
+    """Output, input gradient and all 16 parameter gradients of one layer
+    under a fixed random projection of its output."""
+    _, _, layers, _, _, _ = make_stack(num_layers=1, seed=seed)
+    p = layers[0]
+    rng = np.random.default_rng(seed + 1)
+    for param in vars(p).values():   # non-trivial norms and biases too
+        param.data += 0.1 * rng.standard_normal(param.shape)
+    x = Tensor(rng.standard_normal((n, 16)), requires_grad=True)
+    out = layer_fn(x, p, 4, enc.key_padding_to_additive(mask))
+    ad.reduce_sum(ad.mul(out, Tensor(rng.standard_normal(out.shape)))) \
+        .backward()
+    return out.data, x.grad, {name: param.grad
+                              for name, param in vars(p).items()}
+
+
+class TestTransformerLayer:
+    @pytest.mark.parametrize("mask", [None, [True] * 5 + [False] * 2])
+    def test_matches_composed_reference(self, mask):
+        out, dx, grads = layer_output_and_grads(enc.transformer_layer,
+                                                mask=mask)
+        ref_out, ref_dx, ref_grads = layer_output_and_grads(
+            composed_transformer_layer, mask=mask)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-10, atol=0)
+        assert len(grads) == 16
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-10,
+                                       atol=1e-14, err_msg=name)
+
+    def test_grad_check(self):
+        _, _, layers, _, _, _ = make_stack(num_layers=1, d_h=8, heads=2,
+                                           ffn=12, seed=23)
+        p = layers[0]
+        rng = np.random.default_rng(24)
+        for param in vars(p).values():
+            param.data += 0.3 * rng.standard_normal(param.shape)
+        x = Parameter(rng.standard_normal((5, 8)), "x")
+        proj = Tensor(rng.standard_normal((5, 8)))
+        mask = enc.key_padding_to_additive([True] * 4 + [False])
+
+        def loss():
+            out = enc.transformer_layer(x, p, 2, mask)
+            return ad.reduce_sum(ad.mul(out, proj))
+
+        report = grad_check(loss, [x, *vars(p).values()], coords_per_param=30)
+        assert report.max_relative_error < 1e-6, str(report)
+
+    def test_capture_leaves_outputs_and_gradients_unchanged(self):
+        def run(capture):
+            cfg, _, layers, _, fusion, modality = make_stack(seed=25)
+            h_t = Tensor(rand_x(4, seed=26).data, requires_grad=True)
+            h_s = rand_x(9, seed=27)
+            fused = enc.fuse(h_t, h_s, 3, 4, modality, fusion,
+                             cfg.num_heads, capture_attention=capture)
+            ad.reduce_sum(ad.mul(fused.hidden, rand_x(13, seed=28))) \
+                .backward()
+            grads = [param.grad for param in vars(fusion).values()]
+            return fused, h_t.grad, grads + [modality.grad]
+
+        fused_on, dx_on, grads_on = run(True)
+        fused_off, dx_off, grads_off = run(False)
+        assert fused_on.attention is not None and fused_off.attention is None
+        np.testing.assert_array_equal(fused_on.hidden.data,
+                                      fused_off.hidden.data)
+        np.testing.assert_array_equal(dx_on, dx_off)
+        for on, off in zip(grads_on, grads_off):
+            np.testing.assert_array_equal(on, off)
 
 
 class TestTextEncoder:

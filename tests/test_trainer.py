@@ -4,6 +4,7 @@ import pytest
 from stdialog import corpus as cp
 from stdialog import frontend as fe
 from stdialog import trainer as tr
+from stdialog.autodiff import NonFiniteError
 from stdialog.model import ModelConfig
 from stdialog.optim import AdamW
 from stdialog.shards import Corpus
@@ -97,6 +98,16 @@ class TestPretrainLoop:
             d.turns = d.turns[:1]
         with pytest.raises(ValueError, match="no samples"):
             tr.pretrain(small_config(steps=2), Corpus(dialogs))
+
+    def test_nan_in_layer_weight_names_transformer_layer(self, monkeypatch):
+        class PoisonedModel(tr.SpeechTextModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.speech_layers[0].ff1_w.data[3, 5] = np.nan
+
+        monkeypatch.setattr(tr, "SpeechTextModel", PoisonedModel)
+        with pytest.raises(NonFiniteError, match="transformer_layer"):
+            tr.pretrain(small_config(steps=2), small_corpus())
 
 
 class TestCheckpointing:
