@@ -6,7 +6,9 @@ order kept) and of its final parameters: pre-training with response
 selection on and off (overfit preset, 4 steps, batch 8), then fine-tuning
 a fresh model on the cross-modal task at batch 8 and at a batch larger
 than the item count, each followed by the fine-tuned model's eval
-accuracy.
+accuracy.  ``mask_plans`` digests the acoustic masker on its own: the
+mask, actions and replacement sources of ``draw_mask_plan`` for lengths
+1-120 and seeds 0-9 under the span and the baseline configs.
 Two checkouts that print the same object train bit for bit alike.
 
 Usage: python scripts/fingerprint.py
@@ -18,11 +20,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stdialog import presets
 from stdialog.corpus import SyntheticConfig
 from stdialog.finetune import make_cross_modal_task, task_samples
+from stdialog.masking import (DEFAULT_BASELINE_CONFIG, DEFAULT_SPAN_CONFIG,
+                              draw_mask_plan)
 from stdialog.model import SpeechTextModel
 from stdialog.text import Vocab
 from stdialog.trainer import evaluate_task, finetune, pretrain
@@ -52,8 +58,21 @@ def digests(result) -> dict:
             "params": params_digest(result.model.params)}
 
 
+def mask_plans_digest() -> str:
+    h = hashlib.sha256()
+    for config in (DEFAULT_SPAN_CONFIG, DEFAULT_BASELINE_CONFIG):
+        for length in range(1, 121):
+            for seed in range(10):
+                plan = draw_mask_plan(length, np.random.default_rng(seed),
+                                      config)
+                for data in (plan.mask, plan.actions,
+                             plan.replacement_sources):
+                    h.update(data.tobytes())
+    return h.hexdigest()
+
+
 def main():
-    out = {}
+    out = {"mask_plans": mask_plans_digest()}
     corpus = presets.overfit_corpus()
     for crs in (True, False):
         cfg = replace(presets.overfit_train_config(steps=STEPS),

@@ -65,7 +65,7 @@ def _cmd_pretrain(args):
             setattr(cfg, key, value)
     if args.no_crs:
         cfg.crs_enabled = False
-    corpus = load_corpus(args.corpus)
+    corpus = _or_exit(load_corpus, args.corpus)
     vocab = None
     if args.vocab:
         from .text import Vocab
@@ -84,7 +84,7 @@ def _load_task_items(corpus_path, labels_path):
     from .finetune import read_labels_manifest, task_samples
     from .shards import load_corpus
 
-    items = task_samples(load_corpus(corpus_path).dialogs,
+    items = task_samples(_or_exit(load_corpus, corpus_path).dialogs,
                          read_labels_manifest(labels_path))
     if not items:
         raise SystemExit("no labeled samples found for this corpus")
@@ -137,13 +137,14 @@ def _cmd_simulate_masking(args):
     else:
         cfg = DEFAULT_BASELINE_CONFIG
     if args.trigger_prob is not None or args.span is not None:
-        cfg = AcousticMaskConfig(
+        cfg = _or_exit(
+            AcousticMaskConfig,
             trigger_prob=(args.trigger_prob if args.trigger_prob is not None
                           else cfg.trigger_prob),
             span_range=(tuple(args.span) if args.span is not None
                         else cfg.span_range))
-    mean, stderr = estimate_mask_rate(cfg, args.length, args.trials,
-                                      seed=args.seed)
+    mean, stderr = _or_exit(estimate_mask_rate, cfg, args.length,
+                            args.trials, seed=args.seed)
     print(f"masker={args.masker} length={args.length} trials={args.trials}")
     print(f"mean masked fraction: {mean:.6f}")
     print(f"stderr: {stderr:.6f}")
@@ -157,7 +158,7 @@ def _cmd_export_attention(args):
     from .trainer import model_from_checkpoint
 
     model, vocab, _ = _or_exit(model_from_checkpoint, args.checkpoint)
-    corpus = load_corpus(args.corpus)
+    corpus = _or_exit(load_corpus, args.corpus)
     if not 0 <= args.dialog_index < len(corpus.dialogs):
         raise SystemExit(f"dialog index {args.dialog_index} out of range "
                          f"(0..{len(corpus.dialogs) - 1})")

@@ -1,18 +1,23 @@
 """Span masking of acoustic frames, a short-span baseline, and a rate simulator.
 
 The span masker scans frame indices left to right.  One span length n is
-drawn per call from ``span_range`` (inclusive).  At each index the scan
+drawn per plan from ``span_range`` (inclusive).  At each index the scan
 triggers with ``trigger_prob``; on a trigger, frames [i, i+n) are marked
 masked (clipped at the sequence end) and the scan jumps to i+n, so spans
 never re-trigger inside themselves.  Each masked frame is then zeroed with
 probability 0.8, replaced by a random frame of the same sequence with
 probability 0.1, and kept unchanged otherwise (split configurable).
 
+One kernel, ``span_masks``, runs the scan for a batch of sequences at once:
+``draw_mask_plan`` calls it with one row for a training plan, and
+``estimate_mask_rate`` with chunks of Monte Carlo trials.
+
 Masking is meant to run on extractor output, before feature projection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +26,8 @@ from .autodiff import Tensor, gather_rows, mul
 
 ZERO, REPLACE, KEEP = 0, 1, 2
 UNMASKED = -1
+# Monte Carlo trials per span_masks call: peak memory stays flat in trials
+_MC_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -62,40 +69,71 @@ class MaskPlan:
     replacement_sources: np.ndarray  # int [length]; source frame where REPLACE
     span_starts: list = field(default_factory=list)
 
-    @property
-    def masked_fraction(self) -> float:
-        return float(self.mask.mean()) if self.length else 0.0
-
     def masked_indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
+
+
+def span_masks(triggers: np.ndarray, n: np.ndarray, p: float) -> tuple:
+    """Run the span scan on each row of ``triggers`` [T, L] at once.
+
+    Row r fires at index i when ``triggers[r, i] < p``; the scan takes the
+    first firing index as a span start, masks ``n[r]`` frames from it
+    (clipped at L) and resumes after the span.  Returns (mask, starts),
+    both bool [T, L]; ``starts`` marks the span starts.
+
+    The firing indices of all rows, flattened with one always-firing
+    sentinel column per row, are sorted, so one ``searchsorted`` finds every
+    row's next firing index at or after its query, and the sentinel keeps
+    the answer inside the row.  The scan jumps from span start to span
+    start, all rows per step, until every row has reached its sentinel:
+    one step more than the most spans in any row, at most
+    ceil(L / min(n)) + 1 steps.  Spans are marked by a +1 at each start
+    and a -1 at each end summed along the row; an end can fall on the next
+    span's start, so the ends are subtracted after all starts are set.
+    """
+    # method calls and few temporaries: at T=1 (a training plan) the cost
+    # is per numpy call, not per element
+    t, length = triggers.shape
+    width = length + 1
+    fires = np.empty((t, width), dtype=bool)
+    fires[:, length] = True
+    np.less(triggers, p, out=fires[:, :length])
+    fired = fires.ravel().nonzero()[0]
+    row_end = np.arange(length, t * width, width)  # each row's sentinel
+    pos = fired[fired.searchsorted(row_end - length)]
+    found = [pos]
+    while (pos < row_end).any():
+        pos = fired[fired.searchsorted(np.minimum(pos + n, row_end))]
+        found.append(pos)
+    found = np.array(found)  # [jumps, T] flat indices; row_end once done
+    starts = np.zeros((t, width), dtype=bool)
+    starts.ravel()[found] = True
+    edges = starts.view(np.int8).copy()
+    edges.ravel()[np.minimum(found + n, row_end)] -= 1
+    mask = np.add.accumulate(edges, axis=1, dtype=np.int8)
+    return mask[:, :length].view(bool), starts[:, :length]
 
 
 def draw_mask_plan(length: int, rng: np.random.Generator,
                    config: AcousticMaskConfig = DEFAULT_SPAN_CONFIG) -> MaskPlan:
     """Draw a mask plan for ``length`` frames.
 
-    Trigger draws are batched into one uniform vector per call (the scan
-    consumes entries only at tested indices, so the induced plan
-    distribution is identical to drawing at each step), and corruption
-    draws into one vector over masked frames in scan order.
+    Draws, in this order: the span length, one uniform trigger per frame
+    (the scan reads entries only at tested indices, so the induced plan
+    distribution is identical to drawing at each step), then one uniform
+    per masked frame in scan order for its corruption, then one source
+    frame per replaced frame.  The scan is ``span_masks`` on one row.
     """
     if length < 1:
         raise ValueError(f"need at least one frame, got length {length}")
     lo, hi = config.span_range
     n = int(rng.integers(lo, hi + 1))
-    triggers = rng.random(length)
-    mask = np.zeros(length, dtype=bool)
+    masks, starts = span_masks(rng.random(length)[None], np.array([n]),
+                               config.trigger_prob)
+    mask = masks[0]
+    span_starts = starts[0].nonzero()[0].tolist()
     actions = np.full(length, UNMASKED, dtype=np.int64)
     sources = np.full(length, -1, dtype=np.int64)
-    span_starts = []
-    i = 0
-    while i < length:
-        if triggers[i] < config.trigger_prob:
-            span_starts.append(i)
-            mask[i:i + n] = True
-            i += n
-        else:
-            i += 1
     masked_idx = np.flatnonzero(mask)
     if masked_idx.size:
         p_zero, p_replace, _ = config.corruption
@@ -134,22 +172,32 @@ def estimate_mask_rate(config: AcousticMaskConfig, length: int, trials: int,
                        seed: int = 0) -> tuple:
     """Monte Carlo mean masked fraction over ``trials`` plans, with stderr.
 
-    Runs the actual plan kernel per trial, so the estimate measures the
-    masker as implemented; ``expected_mask_rate`` is the independent check.
+    Trials run in chunks of ``_MC_CHUNK`` (the last one shorter); each
+    chunk draws its span lengths ``n`` [T], then its triggers [T, length],
+    and runs ``span_masks``, the scan that training plans use, so the
+    estimate measures the masker as implemented.  Masked-frame counts are
+    summed as integers, so the result depends only on the draws.
+    ``expected_mask_rate`` is the independent check.
     """
     if trials < 10_000:
         raise ValueError(f"need at least 10^4 trials, got {trials}")
+    if length < 1:
+        raise ValueError(f"need at least one frame, got length {length}")
     rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(trials):
-        frac = draw_mask_plan(length, rng, config).masked_fraction
-        total += frac
-        total_sq += frac * frac
-    mean = total / trials
-    var = max(0.0, total_sq / trials - mean * mean)
-    stderr = float(np.sqrt(var / trials))
-    return mean, stderr
+    lo, hi = config.span_range
+    total = total_sq = 0
+    for done in range(0, trials, _MC_CHUNK):
+        t = min(_MC_CHUNK, trials - done)
+        n = rng.integers(lo, hi + 1, size=t)
+        mask, _ = span_masks(rng.random((t, length)), n,
+                             config.trigger_prob)
+        counts = np.count_nonzero(mask, axis=1)
+        total += int(counts.sum())
+        total_sq += int((counts * counts).sum())
+    mean = total / (trials * length)
+    # variance of the mean fraction, exact up to one rounding
+    var = (trials * total_sq - total * total) / (trials ** 3 * length ** 2)
+    return mean, math.sqrt(var)
 
 
 def expected_mask_rate(config: AcousticMaskConfig, length: int) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
 from pathlib import Path
@@ -362,18 +363,26 @@ def save_checkpoint(path, model: SpeechTextModel, vocab: Vocab, opt: AdamW,
 
 
 def load_checkpoint(path) -> dict:
+    """The checkpoint's state.  A file that cannot be read as one (missing,
+    not a zip archive, a single ``.npy`` array, truncated, failing a CRC,
+    or without ``meta``) raises ``ValueError`` naming the path, chained
+    from the cause."""
     path = Path(path)
-    with np.load(path) as blob:
-        meta = json.loads(bytes(blob["meta"].tobytes()).decode())
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"checkpoint version {meta['version']} not supported")
-        params = {k[len("param/"):]: blob[k] for k in blob.files
-                  if k.startswith("param/")}
-        opt_m = {k[len("opt_m/"):]: blob[k] for k in blob.files
-                 if k.startswith("opt_m/")}
-        opt_v = {k[len("opt_v/"):]: blob[k] for k in blob.files
-                 if k.startswith("opt_v/")}
+    try:
+        with np.load(path) as blob:
+            meta = json.loads(bytes(blob["meta"].tobytes()).decode())
+            params = {k[len("param/"):]: blob[k] for k in blob.files
+                      if k.startswith("param/")}
+            opt_m = {k[len("opt_m/"):]: blob[k] for k in blob.files
+                     if k.startswith("opt_m/")}
+            opt_v = {k[len("opt_v/"):]: blob[k] for k in blob.files
+                     if k.startswith("opt_v/")}
+    except (OSError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise ValueError(
+            f"not a readable stdialog checkpoint: {path}") from exc
+    if meta["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint version {meta['version']} not supported")
     return {
         "meta": meta,
         "step": meta["step"],

@@ -1,4 +1,5 @@
-"""Loop-based scalar recomputation of every loss, no numpy tensor ops.
+"""Loop-based scalar recomputation of every loss and of the span-mask scan,
+no numpy tensor ops.
 
 These are deliberately naive: python floats, explicit loops, math.* only.
 They exist so the tensor implementations can be checked against a fully
@@ -96,3 +97,22 @@ def schedule_oracle(step, total, warmup_steps, peak, kind):
     if kind == "cosine":
         return peak * 0.5 * (1.0 + math.cos(math.pi * progress))
     raise ValueError(kind)
+
+
+def span_scan_oracle(triggers, n, p):
+    """The span masker's scan, one index at a time: a trigger below ``p``
+    starts a span of ``n`` frames (clipped at the end) and the scan resumes
+    after it.  Returns (mask as a list of bools, span starts)."""
+    length = len(triggers)
+    mask = [False] * length
+    starts = []
+    i = 0
+    while i < length:
+        if triggers[i] < p:
+            starts.append(i)
+            for j in range(i, min(i + n, length)):
+                mask[j] = True
+            i += n
+        else:
+            i += 1
+    return mask, starts

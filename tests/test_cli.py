@@ -56,6 +56,16 @@ def test_simulate_masking_output_parses():
     assert stderr < 0.001
 
 
+def test_simulate_masking_bad_input_fails_cleanly():
+    result = run_cli("simulate-masking", "--trials", 100, check=False)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.strip() == "need at least 10^4 trials, got 100"
+    result = run_cli("simulate-masking", "--trigger-prob", 2, check=False)
+    assert result.returncode == 1
+    assert result.stderr.strip() == "trigger_prob 2.0 not in [0,1]"
+
+
 def test_simulate_masking_spectra_choice():
     result = run_cli("simulate-masking", "--length", 99, "--trials", 20000,
                      "--masker", "spectra", "--seed", 5)
@@ -185,3 +195,34 @@ def test_finetune_without_steps_writes_nothing(pretrained, task_dir,
 def test_bad_subcommand_fails():
     result = run_cli("frobnicate", check=False)
     assert result.returncode != 0
+
+
+def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
+    # evaluate reads its task corpus through the same path as finetune
+    missing = tmp_path / "missing.json"
+    commands = (
+        ("pretrain", "--corpus", missing, "--out", tmp_path / "run"),
+        ("finetune", "--checkpoint", pretrained / "checkpoint-final.npz",
+         "--task-corpus", missing, "--labels", task_dir / "labels.jsonl",
+         "--out", tmp_path / "ft"),
+        ("export-attention", "--checkpoint",
+         pretrained / "checkpoint-final.npz", "--corpus", missing,
+         "--out", tmp_path / "attn"))
+    for args in commands:
+        result = run_cli(*args, check=False)
+        assert result.returncode == 1, args[0]
+        assert "Traceback" not in result.stderr, args[0]
+        assert result.stderr.startswith(f"cannot read manifest {missing}:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unreadable_checkpoint_fails_cleanly(corpus_dir, tmp_path):
+    bad = tmp_path / "bad.npz"
+    bad.write_text("not a zip")
+    result = run_cli("export-attention", "--checkpoint", bad,
+                     "--corpus", corpus_dir / "manifest.json",
+                     "--out", tmp_path / "attn", check=False)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.strip() == \
+        f"not a readable stdialog checkpoint: {bad}"

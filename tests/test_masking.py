@@ -1,8 +1,12 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import span_scan_oracle
 from stdialog.autodiff import Tensor
 from stdialog import masking as mk
 
@@ -74,7 +78,7 @@ class TestPlanDrawing:
         cfg = mk.AcousticMaskConfig(trigger_prob=trig,
                                     span_range=(lo, lo + extra))
         plan = mk.draw_mask_plan(l, np.random.default_rng(seed), cfg)
-        assert 0.0 <= plan.masked_fraction <= 1.0
+        assert plan.mask.dtype == bool and plan.mask.shape == (l,)
         # actions defined exactly where masked
         assert np.all((plan.actions != mk.UNMASKED) == plan.mask)
         # spans never re-trigger inside themselves
@@ -86,6 +90,70 @@ class TestPlanDrawing:
         for s in starts:
             rebuilt[s:s + plan.span_length] = True
         np.testing.assert_array_equal(plan.mask, rebuilt)
+
+
+def oracle_plan(length, rng, cfg):
+    """draw_mask_plan's draws in its order, scanned by the scalar oracle."""
+    lo, hi = cfg.span_range
+    n = int(rng.integers(lo, hi + 1))
+    mask, starts = span_scan_oracle(rng.random(length).tolist(), n,
+                                    cfg.trigger_prob)
+    masked = [i for i in range(length) if mask[i]]
+    actions = [mk.UNMASKED] * length
+    sources = [-1] * length
+    if masked:
+        p_zero, p_replace, _ = cfg.corruption
+        for i, u in zip(masked, rng.random(len(masked)).tolist()):
+            actions[i] = (mk.ZERO if u < p_zero else
+                          mk.REPLACE if u < p_zero + p_replace else mk.KEEP)
+        replaced = [i for i in masked if actions[i] == mk.REPLACE]
+        if replaced:
+            drawn = rng.integers(0, length, size=len(replaced)).tolist()
+            for i, s in zip(replaced, drawn):
+                sources[i] = s
+    return mask, starts, actions, sources
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("cfg", [
+        mk.DEFAULT_SPAN_CONFIG,
+        mk.DEFAULT_BASELINE_CONFIG,
+        mk.AcousticMaskConfig(trigger_prob=0.0),
+        mk.AcousticMaskConfig(trigger_prob=1.0),
+        mk.AcousticMaskConfig(trigger_prob=0.5, span_range=(1, 4)),
+        mk.AcousticMaskConfig(trigger_prob=0.15, span_range=(120, 150)),
+    ], ids=["span", "baseline", "never", "always", "short", "longer"])
+    def test_plans_equal_scalar_scan(self, cfg):
+        for length in range(1, 121):
+            for seed in range(10):
+                plan = mk.draw_mask_plan(length, np.random.default_rng(seed),
+                                         cfg)
+                mask, starts, actions, sources = oracle_plan(
+                    length, np.random.default_rng(seed), cfg)
+                assert plan.mask.tolist() == mask, (length, seed)
+                assert plan.span_starts == starts, (length, seed)
+                assert plan.actions.tolist() == actions, (length, seed)
+                assert plan.replacement_sources.tolist() == sources, \
+                    (length, seed)
+
+    def test_estimate_equals_scalar_scan_over_same_draws(self):
+        # 10_001 trials: whole chunks plus a remainder chunk
+        cfg, length, trials, seed = mk.DEFAULT_SPAN_CONFIG, 99, 10_001, 4
+        rng = np.random.default_rng(seed)
+        lo, hi = cfg.span_range
+        counts = []
+        for done in range(0, trials, mk._MC_CHUNK):
+            t = min(mk._MC_CHUNK, trials - done)
+            spans = rng.integers(lo, hi + 1, size=t).tolist()
+            for row, n in zip(rng.random((t, length)).tolist(), spans):
+                mask, _ = span_scan_oracle(row, n, cfg.trigger_prob)
+                counts.append(sum(mask))
+        assert len(counts) == trials
+        mean = Fraction(sum(counts), trials * length)
+        var = Fraction(sum(c * c for c in counts),
+                       trials * length ** 2) - mean * mean
+        expect = (float(mean), math.sqrt(float(var / trials)))
+        assert mk.estimate_mask_rate(cfg, length, trials, seed) == expect
 
 
 class TestApplication:
@@ -134,6 +202,10 @@ class TestRates:
     def test_estimate_rejects_too_few_trials(self):
         with pytest.raises(ValueError):
             mk.estimate_mask_rate(mk.DEFAULT_SPAN_CONFIG, 99, 100)
+
+    def test_estimate_rejects_empty_sequence(self):
+        with pytest.raises(ValueError, match="at least one frame"):
+            mk.estimate_mask_rate(mk.DEFAULT_SPAN_CONFIG, 0, 10_000)
 
     def test_monte_carlo_matches_exact_recursion_span(self):
         mean, se = mk.estimate_mask_rate(mk.DEFAULT_SPAN_CONFIG, 99, 20_000,

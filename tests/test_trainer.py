@@ -187,7 +187,8 @@ class TestCheckpointing:
 
     def test_corrupted_checkpoint_never_loads(self, tmp_path):
         # the npz container is a zip: a flipped byte fails the member's
-        # CRC-32 and a truncated file loses its central directory
+        # CRC-32 and a truncated file loses its central directory; each
+        # failure is one named error that keeps the zip error as its cause
         import zipfile
         corpus = small_corpus()
         result = tr.pretrain(small_config(steps=2), corpus, out_dir=tmp_path)
@@ -204,8 +205,33 @@ class TestCheckpointing:
                 ("short10", raw[:-10], not_zip)):
             bad = tmp_path / f"{name}.npz"
             bad.write_bytes(data)
-            with pytest.raises(zipfile.BadZipFile, match=message):
+            with pytest.raises(ValueError) as info:
                 tr.load_checkpoint(bad)
+            assert str(info.value) == \
+                f"not a readable stdialog checkpoint: {bad}"
+            assert isinstance(info.value.__cause__, zipfile.BadZipFile)
+            assert message in str(info.value.__cause__)
+
+    def test_unreadable_checkpoint_is_named(self, tmp_path):
+        # a text file, a missing file, one .npy array and an archive
+        # without its metadata
+        text = tmp_path / "text.npz"
+        text.write_text("not a zip")
+        assert text.stat().st_size == 9
+        array = tmp_path / "array.npz"
+        with open(array, "wb") as fh:
+            np.save(fh, np.zeros(2))
+        no_meta = tmp_path / "no_meta.npz"
+        np.savez(no_meta, **{"param/w": np.zeros(2)})
+        for bad, cause in ((text, ValueError),
+                           (tmp_path / "missing.npz", FileNotFoundError),
+                           (array, TypeError),
+                           (no_meta, KeyError)):
+            with pytest.raises(ValueError) as info:
+                tr.load_checkpoint(bad)
+            assert str(info.value) == \
+                f"not a readable stdialog checkpoint: {bad}"
+            assert isinstance(info.value.__cause__, cause)
 
     def test_unknown_version_rejected(self, tmp_path):
         corpus = small_corpus()
