@@ -6,9 +6,10 @@ NaN/Inf.  Shape rules are strict on purpose; the only implicit broadcast
 allowed is a trailing-suffix operand against leading batch axes
 (e.g. adding a [d] bias to an [n, d] activation).
 
-The layer-norm, GELU and softmax arithmetic lives in plain-array
+The layer-norm and GELU arithmetic lives in plain-array
 ``*_forward``/``*_backward`` helpers, shared by those ops and by the
-single-node transformer layer in ``encoders``.
+single-node transformer layer in ``encoders``; the softmax helpers serve
+only that layer.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None,
-                 _parents=(), _backward=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False, _parents=(),
+                 _backward=None):
+        arr = np.asarray(data)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float32)
         self.data = arr
@@ -71,25 +72,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-    def __neg__(self):
-        return neg(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output."""
@@ -197,13 +179,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (a, b), backward, "sub")
 
 
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, -g)
-
-    return _result(-a.data, (a,), backward, "neg")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "mul")
     out_data = a.data * b.data
@@ -239,25 +214,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (a, b), backward, "matmul")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused x @ w + b for 2-d x [n, d] and w [d, k]; b broadcasts rowwise."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"linear: {x.data.shape} @ {w.data.shape}")
-    out_data = x.data @ w.data
-    if b is not None:
-        if b.data.shape != (w.data.shape[1],):
-            raise ShapeError(
-                f"linear bias {b.data.shape} != ({w.data.shape[1]},)")
-        out_data = out_data + b.data
+    if b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"linear bias {b.data.shape} != ({w.data.shape[1]},)")
+    out_data = x.data @ w.data + b.data
 
     def backward(g):
         _accum(x, g @ w.data.T)
         _accum(w, x.data.T @ g)
-        if b is not None:
-            _accum(b, g.sum(axis=0))
+        _accum(b, g.sum(axis=0))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _result(out_data, parents, backward, "linear")
+    return _result(out_data, (x, w, b), backward, "linear")
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -300,11 +270,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _result(out_data, (a,), backward, "gather_rows")
 
 
-def embedding(table: Tensor, ids) -> Tensor:
-    """Row lookup in an embedding table; gradient scatter-adds by id."""
-    return gather_rows(table, ids)
-
-
 def softmax_forward(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a plain array."""
     e = np.exp(z - z.max(axis=-1, keepdims=True))
@@ -315,28 +280,6 @@ def softmax_forward(z: np.ndarray) -> np.ndarray:
 def softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Input gradient of softmax output ``y`` for output gradient ``g``."""
     return y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-
-def softmax(x: Tensor, additive_mask=None) -> Tensor:
-    """Softmax over the last axis, optionally after adding a mask.
-
-    The mask is a plain array (not differentiated); use large negative
-    values such as -1e9 to suppress positions while keeping everything
-    finite.
-    """
-    z = x.data
-    if additive_mask is not None:
-        m = np.asarray(additive_mask, dtype=z.dtype)
-        if m.shape != z.shape and z.shape[z.ndim - m.ndim:] != m.shape:
-            raise ShapeError(
-                f"softmax mask shape {m.shape} incompatible with {z.shape}")
-        z = z + m
-    y = softmax_forward(z)
-
-    def backward(g):
-        _accum(x, softmax_backward(g, y))
-
-    return _result(y, (x,), backward, "softmax")
 
 
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -426,12 +369,13 @@ def _conv_geometry(length: int, kernel: int, stride: int, padding: str):
     raise ValueError(f"conv1d padding must be 'valid' or 'same', got {padding!r}")
 
 
-def conv1d(x: Tensor, weight: Tensor, bias=None, stride: int = 1,
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
            padding: str = "valid", groups: int = 1) -> Tensor:
     """1-d convolution over rows: x [T, C_in] -> [T_out, C_out].
 
-    weight is [C_out, C_in/groups, K].  Explicit 'valid'/'same' padding
-    only, so output-length arithmetic stays auditable.
+    weight is [C_out, C_in/groups, K] and bias [C_out].  Explicit
+    'valid'/'same' padding only, so output-length arithmetic stays
+    auditable.
     """
     if x.data.ndim != 2 or weight.data.ndim != 3:
         raise ShapeError(
@@ -456,9 +400,7 @@ def conv1d(x: Tensor, weight: Tensor, bias=None, stride: int = 1,
             .transpose(0, 2, 1).reshape(c_out_g, -1)
         flats.append((cg, wg))
         outs.append(cg @ wg.T)
-    out_data = np.concatenate(outs, axis=1)
-    if bias is not None:
-        out_data = out_data + bias.data
+    out_data = np.concatenate(outs, axis=1) + bias.data
 
     def backward(g):
         dxp = np.zeros_like(xp)
@@ -472,13 +414,11 @@ def conv1d(x: Tensor, weight: Tensor, bias=None, stride: int = 1,
             dcols = (gg @ wg).reshape(out_len, kernel, c_in_g)
             np.add.at(dxp[:, gi * c_in_g:(gi + 1) * c_in_g], idx, dcols)
         _accum(weight, dw)
-        if bias is not None:
-            _accum(bias, g.sum(axis=0))
+        _accum(bias, g.sum(axis=0))
         dx = dxp[pad_l:pad_l + length] if (pad_l or pad_r) else dxp
         _accum(x, dx)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(out_data, parents, backward, "conv1d")
+    return _result(out_data, (x, weight, bias), backward, "conv1d")
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

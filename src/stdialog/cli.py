@@ -16,11 +16,12 @@ from pathlib import Path
 
 
 def _or_exit(fn, *args, **kwargs):
-    """Call ``fn``; a ValueError it raises (bad input, config or checkpoint)
-    ends the command with its message and exit status 1, not a traceback."""
+    """Call ``fn``; a ValueError (bad input, config or checkpoint) or an
+    OSError (unreadable file) it raises ends the command with its message
+    and exit status 1, not a traceback."""
     try:
         return fn(*args, **kwargs)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
 
 
@@ -54,7 +55,8 @@ def _cmd_pretrain(args):
     from .shards import load_corpus
     from .trainer import TrainConfig, pretrain
 
-    cfg = TrainConfig.from_json(args.config) if args.config else TrainConfig()
+    cfg = (_or_exit(TrainConfig.from_json, args.config) if args.config
+           else TrainConfig())
     overrides = {
         "steps": args.steps, "seed": args.seed, "batch_size": args.batch_size,
         "peak_lr": args.peak_lr, "k": args.k, "alpha": args.alpha,
@@ -69,7 +71,7 @@ def _cmd_pretrain(args):
     vocab = None
     if args.vocab:
         from .text import Vocab
-        vocab = Vocab.load(args.vocab)
+        vocab = _or_exit(Vocab.load, args.vocab)
     result = _or_exit(pretrain, cfg, corpus, out_dir=args.out,
                       resume_from=args.resume, vocab=vocab)
     last = result.metrics[-1]
@@ -85,7 +87,7 @@ def _load_task_items(corpus_path, labels_path):
     from .shards import load_corpus
 
     items = task_samples(_or_exit(load_corpus, corpus_path).dialogs,
-                         read_labels_manifest(labels_path))
+                         _or_exit(read_labels_manifest, labels_path))
     if not items:
         raise SystemExit("no labeled samples found for this corpus")
     return items
@@ -98,7 +100,7 @@ def _cmd_finetune(args):
     model, vocab, _ = _or_exit(model_from_checkpoint, args.checkpoint)
     items = _load_task_items(args.task_corpus, args.labels)
     num_classes = max(label for _, label in items) + 1
-    task = TaskSpec(kind="classification", num_classes=num_classes)
+    task = _or_exit(TaskSpec, kind="classification", num_classes=num_classes)
     cfg = FinetuneConfig(seed=args.seed, steps=args.steps,
                          batch_size=args.batch_size, peak_lr=args.peak_lr,
                          speech_noise_std=args.speech_noise_std)

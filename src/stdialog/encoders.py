@@ -16,11 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import (Parameter, Tensor, _accum, _result, add, concat,
-                       conv1d, embedding, gelu, gelu_backward, gelu_forward,
+                       conv1d, gather_rows, gelu, gelu_backward, gelu_forward,
                        layer_norm_backward, layer_norm_forward, register,
                        softmax_backward, softmax_forward)
-
-NEG_INF = -1e9  # finite mask value so every op output stays finite
 
 
 @dataclass
@@ -86,24 +84,14 @@ def init_conv_positional(registry: dict, rng: np.random.Generator, prefix: str,
     return w, b
 
 
-def key_padding_to_additive(mask, dtype=np.float64) -> np.ndarray | None:
-    """bool keep-mask [n] -> additive [n] with NEG_INF on padded keys."""
-    if mask is None:
-        return None
-    keep = np.asarray(mask, dtype=bool)
-    return np.where(keep, 0.0, NEG_INF).astype(dtype)
-
-
 def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
-                      additive_mask=None,
                       capture: list | None = None) -> Tensor:
     """One pre-norm layer as a single autodiff node.
 
-    LN1, q/k/v, masked multi-head softmax attention, ``wo``, residual, LN2,
-    GELU FFN, residual, all in numpy; the backward is written out by hand.
-    ``additive_mask`` is added to the [H, n, n] attention scores (a [n]
-    key-padding row broadcasts over heads and queries).  When ``capture``
-    is a list, the [H, n, n] attention weights are appended to it.
+    LN1, q/k/v, multi-head softmax attention, ``wo``, residual, LN2, GELU
+    FFN, residual, all in numpy; the backward is written out by hand.
+    When ``capture`` is a list, the [H, n, n] attention weights are
+    appended to it.
     """
     n, d = x.shape
     dk = d // num_heads
@@ -115,10 +103,7 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
     # [n, 3d] -> [3, H, n, dk]: q, k, v split into heads
     q, k, v = (a @ w_qkv + b_qkv).reshape(n, 3, num_heads, dk) \
         .transpose(1, 2, 0, 3)
-    scores = (q @ k.transpose(0, 2, 1)) * scale
-    if additive_mask is not None:
-        scores += np.asarray(additive_mask, dtype=x.dtype)
-    attn = softmax_forward(scores)
+    attn = softmax_forward((q @ k.transpose(0, 2, 1)) * scale)
     if capture is not None:
         capture.append(attn.copy())
     merged = (attn @ v).transpose(1, 0, 2).reshape(n, d)
@@ -159,13 +144,11 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
                    "transformer_layer")
 
 
-def encode_text(x: Tensor, layers: list, num_heads: int,
-                key_padding_mask=None) -> Tensor:
+def encode_text(x: Tensor, layers: list, num_heads: int) -> Tensor:
     """Pre-norm stack over [n, d_h] embeddings; zero layers = identity."""
-    additive = key_padding_to_additive(key_padding_mask, x.dtype)
     h = x
     for p in layers:
-        h = transformer_layer(h, p, num_heads, additive)
+        h = transformer_layer(h, p, num_heads)
     return h
 
 
@@ -176,12 +159,11 @@ def conv_position_embedding(x: Tensor, w: Parameter, b: Parameter,
 
 
 def encode_speech(x: Tensor, conv_pos: tuple, layers: list, num_heads: int,
-                  conv_groups: int, key_padding_mask=None) -> Tensor:
+                  conv_groups: int) -> Tensor:
     w, b = conv_pos
     h = add(x, conv_position_embedding(x, w, b, conv_groups))
-    additive = key_padding_to_additive(key_padding_mask, x.dtype)
     for p in layers:
-        h = transformer_layer(h, p, num_heads, additive)
+        h = transformer_layer(h, p, num_heads)
     return h
 
 
@@ -221,12 +203,12 @@ def fusion_input(h_text: Tensor, h_speech: Tensor,
     m = h_speech.shape[0]
     ids = np.concatenate([np.zeros(n, np.int64), np.ones(m, np.int64)])
     joint = concat([h_text, h_speech], axis=0)
-    return add(joint, embedding(modality_table, ids))
+    return add(joint, gather_rows(modality_table, ids))
 
 
 def fuse(h_text: Tensor, h_speech: Tensor, m_prev: int, m_cur: int,
          modality_table: Parameter, layer: TransformerLayerParams,
-         num_heads: int, key_padding_mask=None,
+         num_heads: int,
          capture_attention: bool = False) -> FusedRepresentation:
     n = h_text.shape[0]
     if h_speech.shape[0] != m_prev + m_cur + 2:
@@ -234,9 +216,8 @@ def fuse(h_text: Tensor, h_speech: Tensor, m_prev: int, m_cur: int,
             f"speech length {h_speech.shape[0]} != m_prev+m_cur+2 = "
             f"{m_prev + m_cur + 2}")
     x = fusion_input(h_text, h_speech, modality_table)
-    additive = key_padding_to_additive(key_padding_mask, x.dtype)
     captured: list = []
-    h = transformer_layer(x, layer, num_heads, additive,
+    h = transformer_layer(x, layer, num_heads,
                           capture=captured if capture_attention else None)
     return FusedRepresentation(
         hidden=h, n_text=n, m_prev=m_prev, m_cur=m_cur,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows, mul
+from .autodiff import Tensor, add, gather_rows, mul
 
 ZERO, REPLACE, KEEP = 0, 1, 2
 UNMASKED = -1
@@ -164,7 +164,7 @@ def apply_mask_plan(features: Tensor, plan: MaskPlan) -> Tensor:
         src = np.where(replace_rows, plan.replacement_sources, 0)
         donor = gather_rows(features, src)
         sel = np.repeat(replace_rows.astype(features.dtype)[:, None], dim, axis=1)
-        out = out + mul(donor, Tensor(sel))
+        out = add(out, mul(donor, Tensor(sel)))
     return out
 
 

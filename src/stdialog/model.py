@@ -204,7 +204,6 @@ class SpeechTextModel:
 
     def compute_losses(self, prepared: PreparedSample,
                        weights: LossWeights = LossWeights(),
-                       crs_enabled: bool = True,
                        frozen_cmam_targets: tuple | None = None) -> dict:
         """Losses for one prepared sample.
 
@@ -220,7 +219,7 @@ class SpeechTextModel:
         tpp = tpp_loss(fused, prepared.tokenized.word_boundaries,
                        self.tpp_head)
         crs = None
-        if crs_enabled and prepared.crs_label is not None:
+        if prepared.crs_label is not None:
             crs = crs_loss(fused, prepared.crs_label, self.crs_w, self.crs_b)
         cmlm = cmlm_loss(fused, prepared.text_plan, self.lm_w, self.lm_b)
         want_prev, want_cur = prepared.cmam_turns

@@ -18,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, add, embedding
+from .autodiff import Tensor, add, gather_rows
 from .corpus import Sample
 
 BOS, EOS, MASK, PAD = "<s>", "</s>", "<mask>", "<pad>"
 SPECIALS = (BOS, EOS, MASK, PAD)
 
 
-class VocabError(KeyError):
+class VocabError(ValueError):
     pass
 
 
@@ -185,9 +185,9 @@ def embed_text(tokenized: TokenizedInput, token_table, position_table,
         raise ValueError(
             f"text length {n} exceeds maximum {max_len}; drop oldest history "
             f"turns before embedding")
-    tok = embedding(token_table, tokenized.token_ids)
-    pos = embedding(position_table, tokenized.position_ids)
-    seg = embedding(segment_table, tokenized.segment_ids)
+    tok = gather_rows(token_table, tokenized.token_ids)
+    pos = gather_rows(position_table, tokenized.position_ids)
+    seg = gather_rows(segment_table, tokenized.segment_ids)
     return add(add(tok, pos), seg)
 
 

@@ -226,8 +226,7 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
             sample, vocab, model.config, rng=rng, crs_label=label,
             text_mask_prob=cfg.text_mask_prob,
             text_corruption=cfg.text_corruption, acoustic_config=acfg)
-        losses = model.compute_losses(prepared, weights,
-                                      crs_enabled=cfg.crs_enabled)
+        losses = model.compute_losses(prepared, weights)
         return losses["joint"], {key: _component_value(losses[key])
                                  for key in ("tpp", "crs", "cmlm", "cmam")}
 

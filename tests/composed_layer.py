@@ -21,7 +21,18 @@ def transpose(a, axes):
     return ad._result(a.data.transpose(axes), (a,), backward, "transpose")
 
 
-def composed_transformer_layer(x, p, num_heads, additive_mask=None):
+def softmax(x):
+    """Softmax over the last axis as an autodiff op (the library runs it
+    only inside the fused layer)."""
+    y = ad.softmax_forward(x.data)
+
+    def backward(g):
+        ad._accum(x, ad.softmax_backward(g, y))
+
+    return ad._result(y, (x,), backward, "softmax")
+
+
+def composed_transformer_layer(x, p, num_heads):
     n, d = x.shape
     dk = d // num_heads
 
@@ -32,8 +43,9 @@ def composed_transformer_layer(x, p, num_heads, additive_mask=None):
     q = split_heads(ad.linear(a, p.wq, p.bq))
     k = split_heads(ad.linear(a, p.wk, p.bk))
     v = split_heads(ad.linear(a, p.wv, p.bv))
-    scores = ad.matmul(q, transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(dk))
-    attn = ad.softmax(scores, additive_mask)
+    scores = ad.scale(ad.matmul(q, transpose(k, (0, 2, 1))),
+                      float(1.0 / np.sqrt(dk)))
+    attn = softmax(scores)
     merged = ad.reshape(transpose(ad.matmul(attn, v), (1, 0, 2)), (n, d))
     h = ad.add(x, ad.linear(merged, p.wo, p.bo))
     ff = ad.linear(ad.gelu(ad.linear(ad.layer_norm(h, p.ln2_gain, p.ln2_bias),

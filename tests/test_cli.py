@@ -216,6 +216,41 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("case", ["missing-config", "missing-vocab",
+                                  "vocab-without-specials", "missing-labels",
+                                  "one-class-labels"])
+def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
+                                          task_dir, tmp_path):
+    missing = tmp_path / "missing"
+    no_specials = tmp_path / "vocab.txt"
+    no_specials.write_text("alpha\nbeta\n")
+    one_class = tmp_path / "labels.jsonl"
+    one_class.write_text("".join(
+        json.dumps({**json.loads(line), "label": 0}) + "\n"
+        for line in (task_dir / "labels.jsonl").read_text().splitlines()))
+    pretrain = ("pretrain", "--corpus", corpus_dir / "manifest.json",
+                "--out", tmp_path / "run")
+    finetune = ("finetune", "--checkpoint",
+                pretrained / "checkpoint-final.npz",
+                "--task-corpus", task_dir / "manifest.json",
+                "--out", tmp_path / "ft")
+    args, message = {
+        "missing-config": ((*pretrain, "--config", missing), str(missing)),
+        "missing-vocab": ((*pretrain, "--vocab", missing), str(missing)),
+        "vocab-without-specials": ((*pretrain, "--vocab", no_specials),
+                                   "vocabulary must start with specials"),
+        "missing-labels": ((*finetune, "--labels", missing), str(missing)),
+        "one-class-labels": ((*finetune, "--labels", one_class),
+                             "classification needs >= 2 classes"),
+    }[case]
+    result = run_cli(*args, check=False)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert message in result.stderr
+    assert not (tmp_path / "run").exists() and not (tmp_path / "ft").exists()
+
+
 def test_unreadable_checkpoint_fails_cleanly(corpus_dir, tmp_path):
     bad = tmp_path / "bad.npz"
     bad.write_text("not a zip")

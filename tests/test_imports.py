@@ -1,11 +1,23 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and every
+top-level function or class of the package has a caller outside tests
+unless ``USED_ONLY_IN_TESTS`` says why it is kept."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "stdialog"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "stdialog"
+
+# Definitions whose only callers are tests, each kept for a reason.
+USED_ONLY_IN_TESTS = {
+    "grad_check": "the finite-difference gradient verifier",
+    "CharChunkTokenizer": "tokenizes words into several tokens",
+    "full_scale_config": "the paper's 16 kHz, 99-frame frontend geometry",
+    "write_labels_manifest": "the writer paired with read_labels_manifest",
+}
 
 
 def names_in(tree) -> set:
@@ -37,6 +49,45 @@ def unused_imports(source: str) -> list:
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def references(tree) -> Counter:
+    """How often each name is used in ``tree``, as a name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_definitions(modules: dict, extra_sources=()) -> list:
+    """``module.name`` of each top-level function or class in ``modules``
+    (module name -> source) that neither those modules nor
+    ``extra_sources`` refer to outside the definition itself."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    used = Counter()
+    for tree in [*trees.values(), *map(ast.parse, extra_sources)]:
+        used += references(tree)
+    return sorted(
+        f"{module}.{node.name}" for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and used[node.name] == references(node)[node.name])
+
+
+def test_no_unreferenced_definitions():
+    modules = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    scripts = [path.read_text() for path in (ROOT / "scripts").glob("*.py")]
+    dead = unreferenced_definitions(modules, scripts)
+    assert {d.split(".")[1] for d in dead} == set(USED_ONLY_IN_TESTS), dead
+
+
+def test_checker_flags_an_unreferenced_function():
+    modules = {
+        "a": ("def used():\n    return 1\n\n"
+              "def unused(n):\n    return unused(n - 1) if n else 0\n\n"
+              "class Box:\n    pass\n"),
+        "b": "from a import used\n\nprint(used(), Box)\n",
+    }
+    assert unreferenced_definitions(modules) == ["a.unused"]
 
 
 def test_checker_flags_an_unused_import():

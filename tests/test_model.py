@@ -71,7 +71,7 @@ class TestForward:
     def test_crs_disabled_drops_term(self):
         model, vocab, _, samples = tiny_setup()
         prepared = prepare(model, vocab, samples[0], label=None)
-        losses = model.compute_losses(prepared, crs_enabled=False)
+        losses = model.compute_losses(prepared)
         assert losses["crs"] is None
         total = losses["tpp"].item() + losses["cmlm"].item() + \
             losses["cmam"].item()
