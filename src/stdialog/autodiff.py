@@ -6,10 +6,13 @@ NaN/Inf.  Shape rules are strict on purpose; the only implicit broadcast
 allowed is a trailing-suffix operand against leading batch axes
 (e.g. adding a [d] bias to an [n, d] activation).
 
-The layer-norm and GELU arithmetic lives in plain-array
-``*_forward``/``*_backward`` helpers, shared by those ops and by the
-single-node transformer layer in ``encoders``; the softmax helpers serve
-only that layer.
+Layers that run as one node keep their arithmetic in plain-array
+``*_forward``/``*_backward`` helpers: layer norm and softmax for the
+transformer layer in ``encoders``; the im2col convolution for the conv
+frontend in ``frontend`` and the convolutional position embedding in
+``encoders``; GELU for all of these and for the ``gelu`` op.  Layer
+norm, softmax and conv1d have no op here: the float64 references that
+the tests compose those layers from define them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
 SQRT2 = float(np.sqrt(2.0))
@@ -310,29 +314,6 @@ def layer_norm_backward(g: np.ndarray, gain: np.ndarray, saved: tuple) -> tuple:
             g.sum(axis=reduce_axes))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    eps=1e-5 is added to the variance before the square root, so a
-    constant row maps to exactly the bias (the normalized row is 0).
-    """
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: gain {gain.data.shape} / bias {bias.data.shape} "
-            f"must be ({d},)")
-    out_data, saved = layer_norm_forward(x.data, gain.data, bias.data, eps)
-
-    def backward(g):
-        dx, dgain, dbias = layer_norm_backward(g, gain.data, saved)
-        _accum(gain, dgain)
-        _accum(bias, dbias)
-        _accum(x, dx)
-
-    return _result(out_data, (x, gain, bias), backward, "layer_norm")
-
-
 def gelu_forward(x: np.ndarray) -> tuple:
     """Exact GELU x * Phi(x) of a plain array; returns it and Phi(x)."""
     phi = 0.5 * (1.0 + erf(x / SQRT2))
@@ -354,71 +335,61 @@ def gelu(x: Tensor) -> Tensor:
     return _result(out_data, (x,), backward, "gelu")
 
 
-def _conv_geometry(length: int, kernel: int, stride: int, padding: str):
-    if padding == "valid":
-        if length < kernel:
-            raise ShapeError(
-                f"conv1d input length {length} below kernel {kernel} "
-                f"(minimum length {kernel})")
-        return (length - kernel) // stride + 1, 0, 0
-    if padding == "same":
-        out_len = -(-length // stride)
-        total = max(0, (out_len - 1) * stride + kernel - length)
-        left = total // 2
-        return out_len, left, total - left
-    raise ValueError(f"conv1d padding must be 'valid' or 'same', got {padding!r}")
+def conv1d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                   stride: int = 1, groups: int = 1) -> tuple:
+    """Valid 1-d convolution over the rows of a plain [T, C_in] array.
 
-
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
-           padding: str = "valid", groups: int = 1) -> Tensor:
-    """1-d convolution over rows: x [T, C_in] -> [T_out, C_out].
-
-    weight is [C_out, C_in/groups, K] and bias [C_out].  Explicit
-    'valid'/'same' padding only, so output-length arithmetic stays
-    auditable.
+    ``weight`` is [C_out, C_in/groups, K] and ``bias`` [C_out]; the output
+    is [T_out, C_out] with T_out = (T - K) // stride + 1, for T >= K (pad
+    the input for 'same' geometry).  im2col: the K-tap windows of each group become
+    the rows of one [T_out, K * C_in/groups] column matrix, so each group
+    is one matmul.  Returns the output and what ``conv1d_backward`` needs.
     """
-    if x.data.ndim != 2 or weight.data.ndim != 3:
-        raise ShapeError(
-            f"conv1d: x must be [T, C_in] and weight [C_out, C_in/g, K], "
-            f"got {x.data.shape} and {weight.data.shape}")
-    length, c_in = x.data.shape
-    c_out, c_in_g, kernel = weight.data.shape
+    length, c_in = x.shape
+    c_out, c_in_g, kernel = weight.shape
     if c_in % groups or c_out % groups or c_in_g != c_in // groups:
         raise ShapeError(
-            f"conv1d groups={groups}: weight {weight.data.shape} does not "
+            f"conv1d groups={groups}: weight {weight.shape} does not "
             f"match input channels {c_in}")
-    out_len, pad_l, pad_r = _conv_geometry(length, kernel, stride, padding)
-    xp = np.pad(x.data, ((pad_l, pad_r), (0, 0))) if pad_l or pad_r else x.data
-    idx = np.arange(out_len)[:, None] * stride + np.arange(kernel)[None, :]
-    cols = xp[idx]                                # [T_out, K, C_in]
-    c_out_g = c_out // groups
-    outs = []
-    flats = []
-    for gi in range(groups):
-        cg = cols[:, :, gi * c_in_g:(gi + 1) * c_in_g].reshape(out_len, -1)
-        wg = weight.data[gi * c_out_g:(gi + 1) * c_out_g] \
-            .transpose(0, 2, 1).reshape(c_out_g, -1)
-        flats.append((cg, wg))
-        outs.append(cg @ wg.T)
-    out_data = np.concatenate(outs, axis=1) + bias.data
+    out_len = (length - kernel) // stride + 1
+    s_row, s_col = x.strides
+    cols = as_strided(x, (groups, out_len, kernel, c_in_g),
+                      (c_in_g * s_col, stride * s_row, s_row, s_col)) \
+        .reshape(groups, out_len, kernel * c_in_g)
+    # [G, K * C_in/G, C_out/G], tap-major like the columns
+    w_cols = weight.reshape(groups, c_out // groups, c_in_g, kernel) \
+        .transpose(0, 3, 2, 1).reshape(groups, kernel * c_in_g, -1)
+    out = (cols @ w_cols).transpose(1, 0, 2).reshape(out_len, c_out) + bias
+    return out, (cols, w_cols, weight.shape, length, stride)
 
-    def backward(g):
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(weight.data)
-        for gi in range(groups):
-            gg = g[:, gi * c_out_g:(gi + 1) * c_out_g]
-            cg, wg = flats[gi]
-            dwg = gg.T @ cg
-            dw[gi * c_out_g:(gi + 1) * c_out_g] = \
-                dwg.reshape(c_out_g, kernel, c_in_g).transpose(0, 2, 1)
-            dcols = (gg @ wg).reshape(out_len, kernel, c_in_g)
-            np.add.at(dxp[:, gi * c_in_g:(gi + 1) * c_in_g], idx, dcols)
-        _accum(weight, dw)
-        _accum(bias, g.sum(axis=0))
-        dx = dxp[pad_l:pad_l + length] if (pad_l or pad_r) else dxp
-        _accum(x, dx)
 
-    return _result(out_data, (x, weight, bias), backward, "conv1d")
+def conv1d_backward(g: np.ndarray, saved: tuple,
+                    input_grad: bool = True) -> tuple:
+    """Gradients ``(dx, dweight, dbias)`` of ``conv1d_forward`` for output
+    gradient ``g``; ``dx`` is None unless ``input_grad``.
+
+    The input gradient is col2im: one strided slice-add per kernel tap,
+    taps in reverse, which adds each input row's terms in the same order
+    as ``np.add.at`` over the window index would.
+    """
+    cols, w_cols, w_shape, length, stride = saved
+    c_out, c_in_g, kernel = w_shape
+    groups, out_len, _ = cols.shape
+    gg = g.reshape(out_len, groups, c_out // groups).transpose(1, 0, 2)
+    dw = (cols.transpose(0, 2, 1) @ gg) \
+        .reshape(groups, kernel, c_in_g, -1).transpose(0, 3, 2, 1) \
+        .reshape(w_shape)
+    db = g.sum(axis=0)
+    if not input_grad:
+        return None, dw, db
+    # [K, T_out, G, C_in/G]: tap k's share of every window
+    dcols = (gg @ w_cols.transpose(0, 2, 1)) \
+        .reshape(groups, out_len, kernel, c_in_g).transpose(2, 1, 0, 3)
+    dx = np.zeros((length, groups, c_in_g), dtype=dcols.dtype)
+    span = stride * (out_len - 1) + 1
+    for k in reversed(range(kernel)):
+        dx[k:k + span:stride] += dcols[k]
+    return dx.reshape(length, groups * c_in_g), dw, db
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

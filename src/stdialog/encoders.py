@@ -1,8 +1,9 @@
 """Text/speech transformer encoders and the single-layer modality fusion.
 
-Both encoders are pre-norm transformer stacks (zero layers = identity).
-The speech encoder first adds a convolutional relative position embedding:
-a grouped same-padding 1-d conv over the sequence, GELU, residual add.
+Both encoders are pre-norm transformer stacks (zero layers = identity)
+whose layers each run as one autodiff node.  The speech encoder first
+adds a convolutional relative position embedding: a grouped same-padding
+1-d conv over the sequence, GELU, residual add, also as one node.
 Fusion concatenates text then speech, adds learnable modality embeddings,
 and applies one transformer layer attending across both modalities.
 """
@@ -16,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import (Parameter, Tensor, _accum, _result, add, concat,
-                       conv1d, gather_rows, gelu, gelu_backward, gelu_forward,
-                       layer_norm_backward, layer_norm_forward, register,
-                       softmax_backward, softmax_forward)
+                       conv1d_backward, conv1d_forward, gather_rows,
+                       gelu_backward, gelu_forward, layer_norm_backward,
+                       layer_norm_forward, register, softmax_backward,
+                       softmax_forward)
 
 
 @dataclass
@@ -154,14 +156,28 @@ def encode_text(x: Tensor, layers: list, num_heads: int) -> Tensor:
 
 def conv_position_embedding(x: Tensor, w: Parameter, b: Parameter,
                             groups: int) -> Tensor:
-    """Grouped same-padding conv over the sequence followed by GELU."""
-    return gelu(conv1d(x, w, b, stride=1, padding="same", groups=groups))
+    """x + GELU(grouped same-padding conv over the sequence), one node."""
+    n = x.shape[0]
+    kernel = w.shape[2]
+    left = (kernel - 1) // 2
+    xp = np.pad(x.data, ((left, kernel - 1 - left), (0, 0)))
+    z, conv = conv1d_forward(xp, w.data, b.data, groups=groups)
+    act, phi = gelu_forward(z)
+
+    def backward(g):
+        dxp, dw, db = conv1d_backward(gelu_backward(g, z, phi), conv)
+        _accum(x, g + dxp[left:left + n])
+        _accum(w, dw)
+        _accum(b, db)
+
+    return _result(x.data + act, (x, w, b), backward,
+                   "conv_position_embedding")
 
 
 def encode_speech(x: Tensor, conv_pos: tuple, layers: list, num_heads: int,
                   conv_groups: int) -> Tensor:
     w, b = conv_pos
-    h = add(x, conv_position_embedding(x, w, b, conv_groups))
+    h = conv_position_embedding(x, w, b, conv_groups)
     for p in layers:
         h = transformer_layer(h, p, num_heads)
     return h

@@ -1,19 +1,25 @@
-"""Convolutional feature extractor, projection, and two-turn assembly.
+"""Convolutional feature extractor, masked projection, and two-turn assembly.
 
 The extractor is a stack of strided 1-d convolutions, each followed by a
 GELU (valid padding only, so frame counts follow the closed-form length
 arithmetic exposed here), then a single layer normalization over the
-feature dimension.  Projection is layer norm plus an affine map to the
-model width.  The two-turn sequence is [CLS] f_prev [SEP] f_cur with
-learned CLS/SEP rows.
+feature dimension.  Projection applies an acoustic mask plan's
+corruption, then layer norm and an affine map to the model width.  Each
+of the two runs as one autodiff node with a hand-written backward.  The
+two-turn sequence is [CLS] f_prev [SEP] f_cur with learned CLS/SEP rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autodiff import (ShapeError, Tensor, concat, conv1d, gelu,
-                       layer_norm, linear, reshape)
+import numpy as np
+
+from .autodiff import (ShapeError, Tensor, _accum, _result, concat,
+                       conv1d_backward, conv1d_forward, gelu_backward,
+                       gelu_forward, layer_norm_backward, layer_norm_forward,
+                       reshape)
+from .masking import REPLACE, ZERO, MaskPlan
 
 
 @dataclass(frozen=True)
@@ -88,26 +94,83 @@ def extract_features(waveform, config: FrontendConfig, conv_params: list,
                      ln_gain, ln_bias) -> Tensor:
     """Run the conv stack over a 1-d waveform -> [m, feature_dim].
 
-    ``conv_params`` is one (weight, bias) pair per configured layer.
+    ``conv_params`` is one (weight, bias) pair per configured layer.  One
+    autodiff node: each conv is an im2col matmul, and the backward builds
+    no gradient for the waveform, which is input data, not a parent.
     """
     if len(conv_params) != len(config.layers):
         raise ShapeError(
             f"{len(conv_params)} conv parameter pairs for "
             f"{len(config.layers)} configured layers")
-    wav = waveform if isinstance(waveform, Tensor) else Tensor(waveform)
-    n = wav.shape[0]
-    config.output_length(n)  # raises with the minimum length if too short
-    x = reshape(wav, (n, 1))
+    wav = np.asarray(waveform)
+    config.output_length(wav.shape[0])  # raises with the minimum length
+    x = wav[:, None]
+    saved = []
     for spec, (w, b) in zip(config.layers, conv_params):
-        x = gelu(conv1d(x, w, b, stride=spec.stride, padding="valid"))
-    return layer_norm(x, ln_gain, ln_bias, eps=config.ln_eps)
+        z, conv = conv1d_forward(x, w.data, b.data, spec.stride)
+        x, phi = gelu_forward(z)
+        saved.append((z, phi, conv))
+    out, ln = layer_norm_forward(x, ln_gain.data, ln_bias.data,
+                                 config.ln_eps)
+
+    def backward(g):
+        dx, dgain, dbias = layer_norm_backward(g, ln_gain.data, ln)
+        _accum(ln_gain, dgain)
+        _accum(ln_bias, dbias)
+        for i in reversed(range(len(saved))):
+            z, phi, conv = saved[i]
+            dx, dw, db = conv1d_backward(gelu_backward(dx, z, phi), conv,
+                                         input_grad=i > 0)
+            w, b = conv_params[i]
+            _accum(w, dw)
+            _accum(b, db)
+
+    parents = (ln_gain, ln_bias, *(p for pair in conv_params for p in pair))
+    return _result(out, parents, backward, "extract_features")
 
 
 def project_features(features: Tensor, ln_gain, ln_bias, weight, bias,
-                     eps: float = 1e-5) -> Tensor:
-    """Layer norm then rowwise affine map feature_dim -> d_h."""
-    normed = layer_norm(features, ln_gain, ln_bias, eps=eps)
-    return linear(normed, weight, bias)
+                     plan: MaskPlan | None = None) -> Tensor:
+    """Mask corruption, layer norm, then rowwise affine feature_dim -> d_h.
+
+    With a ``plan``, each masked frame is zeroed (ZERO), swapped for the
+    plan's source frame of the uncorrupted features (REPLACE) or kept
+    (KEEP) before the layer norm.  One autodiff node.
+    """
+    f = features.data
+    corrupted = f
+    if plan is not None:
+        if f.shape[0] != plan.length:
+            raise ValueError(
+                f"plan length {plan.length} != features rows {f.shape[0]}")
+        replaced = plan.actions == REPLACE
+        dropped = replaced | (plan.actions == ZERO)
+        sources = plan.replacement_sources[replaced]
+        if dropped.any():
+            corrupted = f.copy()
+            corrupted[dropped] = 0.0
+            corrupted[replaced] = f[sources]
+    normed, ln = layer_norm_forward(corrupted, ln_gain.data, ln_bias.data)
+    out = normed @ weight.data + bias.data
+
+    def backward(g):
+        dnormed = g @ weight.data.T
+        _accum(weight, normed.T @ g)
+        _accum(bias, g.sum(axis=0))
+        dx, dgain, dbias = layer_norm_backward(dnormed, ln_gain.data, ln)
+        _accum(ln_gain, dgain)
+        _accum(ln_bias, dbias)
+        if corrupted is not f:
+            # donor gradients summed apart first: the same float32 sums as
+            # the former mul/gather ops, so training stays bit-identical
+            donors = np.zeros_like(dx)
+            np.add.at(donors, sources, dx[replaced])
+            dx[dropped] = 0.0
+            dx += donors
+        _accum(features, dx)
+
+    return _result(out, (features, ln_gain, ln_bias, weight, bias), backward,
+                   "project_features")
 
 
 def assemble_speech_sequence(f_prev: Tensor, f_cur: Tensor, cls_vec: Tensor,

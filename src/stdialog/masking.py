@@ -12,7 +12,8 @@ One kernel, ``span_masks``, runs the scan for a batch of sequences at once:
 ``draw_mask_plan`` calls it with one row for a training plan, and
 ``estimate_mask_rate`` with chunks of Monte Carlo trials.
 
-Masking is meant to run on extractor output, before feature projection.
+``frontend.project_features`` applies a plan's corruption to extractor
+output, before the projection.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .autodiff import Tensor, add, gather_rows, mul
 
 ZERO, REPLACE, KEEP = 0, 1, 2
 UNMASKED = -1
@@ -122,16 +121,21 @@ def draw_mask_plan(length: int, rng: np.random.Generator,
     (the scan reads entries only at tested indices, so the induced plan
     distribution is identical to drawing at each step), then one uniform
     per masked frame in scan order for its corruption, then one source
-    frame per replaced frame.  The scan is ``span_masks`` on one row.
+    frame per replaced frame.  The scan is ``span_masks`` on one row; it
+    is skipped when no trigger fires, as in most plans of a few frames.
     """
     if length < 1:
         raise ValueError(f"need at least one frame, got length {length}")
     lo, hi = config.span_range
     n = int(rng.integers(lo, hi + 1))
-    masks, starts = span_masks(rng.random(length)[None], np.array([n]),
-                               config.trigger_prob)
-    mask = masks[0]
-    span_starts = starts[0].nonzero()[0].tolist()
+    triggers = rng.random(length)
+    mask = np.zeros(length, dtype=bool)
+    span_starts = []
+    if (triggers < config.trigger_prob).any():
+        masks, starts = span_masks(triggers[None], np.array([n]),
+                                   config.trigger_prob)
+        mask = masks[0]
+        span_starts = starts[0].nonzero()[0].tolist()
     actions = np.full(length, UNMASKED, dtype=np.int64)
     sources = np.full(length, -1, dtype=np.int64)
     masked_idx = np.flatnonzero(mask)
@@ -146,26 +150,6 @@ def draw_mask_plan(length: int, rng: np.random.Generator,
             sources[replace_at] = rng.integers(0, length, size=replace_at.size)
     return MaskPlan(length=length, span_length=n, mask=mask, actions=actions,
                     replacement_sources=sources, span_starts=span_starts)
-
-
-def apply_mask_plan(features: Tensor, plan: MaskPlan) -> Tensor:
-    """Differentiable corruption: zero / swap-in-random-frame / keep."""
-    if features.shape[0] != plan.length:
-        raise ValueError(
-            f"plan length {plan.length} != features rows {features.shape[0]}")
-    if not plan.mask.any():
-        return features
-    dim = features.shape[1]
-    keep_rows = (plan.actions != ZERO) & (plan.actions != REPLACE)
-    keep_mask = np.repeat(keep_rows.astype(features.dtype)[:, None], dim, axis=1)
-    out = mul(features, Tensor(keep_mask))
-    replace_rows = plan.actions == REPLACE
-    if replace_rows.any():
-        src = np.where(replace_rows, plan.replacement_sources, 0)
-        donor = gather_rows(features, src)
-        sel = np.repeat(replace_rows.astype(features.dtype)[:, None], dim, axis=1)
-        out = add(out, mul(donor, Tensor(sel)))
-    return out
 
 
 def estimate_mask_rate(config: AcousticMaskConfig, length: int, trials: int,

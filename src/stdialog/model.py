@@ -10,7 +10,7 @@ batch's per-sample losses into one graph.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .autodiff import register
 from .encoders import (FusedRepresentation, encode_speech, encode_text, fuse,
                        init_conv_positional, init_encoder_stack,
                        init_transformer_layer)
-from .masking import AcousticMaskConfig, MaskPlan, apply_mask_plan, \
-    draw_mask_plan
+from .masking import AcousticMaskConfig, MaskPlan, draw_mask_plan
 from .objectives import (LossWeights, cmam_loss, cmlm_loss,
                          crs_logits, crs_loss, init_tpp_head, joint_loss,
                          tpp_loss, tpp_predictions)
@@ -60,10 +59,31 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        front = dict(d.pop("frontend"))
-        layers = tuple(fe.ConvLayerSpec(**s) for s in front.pop("layers"))
-        return cls(frontend=fe.FrontendConfig(layers=layers, **front), **d)
+        """The config ``to_dict`` wrote, or a part of it over the defaults
+        (the frontend dict, too, over the default frontend)."""
+        d = config_kwargs(cls, d, "model")
+        if "frontend" in d:
+            front = config_kwargs(fe.FrontendConfig, d["frontend"], "frontend")
+            if "layers" in front:
+                front["layers"] = tuple(
+                    fe.ConvLayerSpec(**config_kwargs(fe.ConvLayerSpec, spec,
+                                                     "frontend layer"))
+                    for spec in front["layers"])
+            d["frontend"] = replace(cls().frontend, **front)
+        return cls(**d)
+
+
+def config_kwargs(cls, d, what: str) -> dict:
+    """A copy of ``d`` as keyword arguments for dataclass ``cls``, whose
+    defaults fill the fields ``d`` leaves out; a key that is not a field
+    of ``cls`` raises ``ValueError`` naming it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} config must be an object, got {d!r}")
+    names = {f.name for f in fields(cls)}
+    unknown = [key for key in d if key not in names]
+    if unknown:
+        raise ValueError(f"unknown {what} config key(s): {', '.join(unknown)}")
+    return dict(d)
 
 
 @dataclass
@@ -174,10 +194,8 @@ class SpeechTextModel:
         targets = None
         if want_targets and plan is not None and plan.mask.any():
             targets = feats.data[plan.masked_indices()].copy()
-        if plan is not None:
-            feats = apply_mask_plan(feats, plan)
         projected = fe.project_features(feats, *self.proj_ln, self.proj_w,
-                                        self.proj_b)
+                                        self.proj_b, plan)
         return projected, targets
 
     def forward(self, prepared: PreparedSample,

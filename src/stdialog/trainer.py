@@ -24,7 +24,8 @@ from .finetune import (PredictionHead, TaskSpec, evaluate,
                        head_from_registry, init_prediction_head, predict,
                        replace_speech_with_noise, task_loss)
 from .masking import AcousticMaskConfig
-from .model import ModelConfig, SpeechTextModel, prepare_sample
+from .model import (ModelConfig, SpeechTextModel, config_kwargs,
+                    prepare_sample)
 from .objectives import LossWeights, make_crs_sample
 from .optim import AdamW, AdamWConfig, lr_schedule
 from .shards import Corpus
@@ -66,12 +67,15 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        model = ModelConfig.from_dict(d.pop("model"))
+        """The config ``to_dict`` wrote, or a part of it over the defaults
+        at each level; an unknown key raises ``ValueError``."""
+        d = config_kwargs(cls, d, "train")
+        if "model" in d:
+            d["model"] = ModelConfig.from_dict(d["model"])
         for key in ("crs_class_probs", "text_corruption", "acoustic_span"):
             if key in d:
                 d[key] = tuple(d[key])
-        return cls(model=model, **d)
+        return cls(**d)
 
     @classmethod
     def from_json(cls, path) -> "TrainConfig":

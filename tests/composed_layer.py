@@ -3,7 +3,9 @@
 This is the reference that ``encoders.transformer_layer``, which runs the
 whole layer as one autodiff node with a hand-written backward, is checked
 against: same parameters, same arithmetic, but every step is its own op
-and every gradient comes from the primitives' backward rules.
+and every gradient comes from the primitives' backward rules.  The ops
+that the library runs only inside such nodes (``transpose``, ``softmax``,
+``layer_norm``) are defined here as standalone autodiff ops.
 """
 
 import numpy as np
@@ -32,6 +34,29 @@ def softmax(x):
     return ad._result(y, (x,), backward, "softmax")
 
 
+def layer_norm(x, gain, bias, eps=1e-5):
+    """Normalize the last axis to zero mean / unit variance, then affine,
+    as an autodiff op (the library runs it only inside fused nodes).
+
+    eps=1e-5 is added to the variance before the square root, so a
+    constant row maps to exactly the bias (the normalized row is 0).
+    """
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ad.ShapeError(
+            f"layer_norm: gain {gain.data.shape} / bias {bias.data.shape} "
+            f"must be ({d},)")
+    out_data, saved = ad.layer_norm_forward(x.data, gain.data, bias.data, eps)
+
+    def backward(g):
+        dx, dgain, dbias = ad.layer_norm_backward(g, gain.data, saved)
+        ad._accum(gain, dgain)
+        ad._accum(bias, dbias)
+        ad._accum(x, dx)
+
+    return ad._result(out_data, (x, gain, bias), backward, "layer_norm")
+
+
 def composed_transformer_layer(x, p, num_heads):
     n, d = x.shape
     dk = d // num_heads
@@ -39,7 +64,7 @@ def composed_transformer_layer(x, p, num_heads):
     def split_heads(t):
         return transpose(ad.reshape(t, (n, num_heads, dk)), (1, 0, 2))
 
-    a = ad.layer_norm(x, p.ln1_gain, p.ln1_bias)
+    a = layer_norm(x, p.ln1_gain, p.ln1_bias)
     q = split_heads(ad.linear(a, p.wq, p.bq))
     k = split_heads(ad.linear(a, p.wk, p.bk))
     v = split_heads(ad.linear(a, p.wv, p.bv))
@@ -48,6 +73,6 @@ def composed_transformer_layer(x, p, num_heads):
     attn = softmax(scores)
     merged = ad.reshape(transpose(ad.matmul(attn, v), (1, 0, 2)), (n, d))
     h = ad.add(x, ad.linear(merged, p.wo, p.bo))
-    ff = ad.linear(ad.gelu(ad.linear(ad.layer_norm(h, p.ln2_gain, p.ln2_bias),
+    ff = ad.linear(ad.gelu(ad.linear(layer_norm(h, p.ln2_gain, p.ln2_bias),
                                      p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
     return ad.add(h, ff)

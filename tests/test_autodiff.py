@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composed_layer import softmax, transpose
+from composed_layer import layer_norm, softmax, transpose
+from composed_speech import conv1d
 from stdialog import autodiff as ad
 from stdialog.autodiff import NonFiniteError, Parameter, ShapeError, Tensor
 from stdialog.gradcheck import grad_check
@@ -72,7 +73,7 @@ class TestForwardValues:
         x = Tensor(np.full((3, 8), 2.5))
         gain = Tensor(np.ones(8))
         bias = Tensor(np.arange(8, dtype=np.float64))
-        out = ad.layer_norm(x, gain, bias)
+        out = layer_norm(x, gain, bias)
         np.testing.assert_allclose(out.data, np.tile(np.arange(8.0), (3, 1)),
                                    atol=1e-10)
 
@@ -181,7 +182,7 @@ class TestOpGradients:
         bias = t64(self.rng.standard_normal(6))
 
         def build():
-            return scalarize(ad.layer_norm(x, gain, bias),
+            return scalarize(layer_norm(x, gain, bias),
                              np.random.default_rng(4))
 
         fd_check_scalar(build, [x, gain, bias], tol=1e-5)
@@ -197,7 +198,7 @@ class TestOpGradients:
         b = t64(self.rng.standard_normal(4))
 
         def build():
-            return scalarize(ad.conv1d(x, w, b, stride=2, padding="valid"),
+            return scalarize(conv1d(x, w, b, stride=2, padding="valid"),
                              np.random.default_rng(6))
 
         fd_check_scalar(build, [x, w, b])
@@ -209,10 +210,10 @@ class TestOpGradients:
 
         def build():
             return scalarize(
-                ad.conv1d(x, w, b, stride=1, padding="same", groups=2),
+                conv1d(x, w, b, stride=1, padding="same", groups=2),
                 np.random.default_rng(7))
 
-        out = ad.conv1d(x, w, b, stride=1, padding="same", groups=2)
+        out = conv1d(x, w, b, stride=1, padding="same", groups=2)
         assert out.shape == (9, 4)
         fd_check_scalar(build, [x, w, b])
 
@@ -284,7 +285,7 @@ def test_random_small_tensor_fd_property(n, m, seed):
 
     def loss():
         h = ad.gelu(ad.matmul(a, b))
-        h = ad.layer_norm(ad.matmul(h, a), g, bb)
+        h = layer_norm(ad.matmul(h, a), g, bb)
         s = softmax(h)
         return ad.reduce_sum(ad.mul(s, s))
 

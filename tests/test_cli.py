@@ -216,12 +216,15 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("case", ["missing-config", "missing-vocab",
+@pytest.mark.parametrize("case", ["missing-config", "unknown-config-key",
+                                  "missing-vocab",
                                   "vocab-without-specials", "missing-labels",
                                   "one-class-labels"])
 def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
                                           task_dir, tmp_path):
     missing = tmp_path / "missing"
+    unknown_key = tmp_path / "config.json"
+    unknown_key.write_text(json.dumps({"steps": 1, "stepz": 2}))
     no_specials = tmp_path / "vocab.txt"
     no_specials.write_text("alpha\nbeta\n")
     one_class = tmp_path / "labels.jsonl"
@@ -236,6 +239,8 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
                 "--out", tmp_path / "ft")
     args, message = {
         "missing-config": ((*pretrain, "--config", missing), str(missing)),
+        "unknown-config-key": ((*pretrain, "--config", unknown_key),
+                               "unknown train config key(s): stepz"),
         "missing-vocab": ((*pretrain, "--vocab", missing), str(missing)),
         "vocab-without-specials": ((*pretrain, "--vocab", no_specials),
                                    "vocabulary must start with specials"),

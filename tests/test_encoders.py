@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composed_layer import composed_transformer_layer
+from composed_speech import (assert_node_matches_reference,
+                             composed_conv_position_embedding)
 from stdialog import autodiff as ad
 from stdialog import encoders as enc
 from stdialog.autodiff import Parameter, Tensor
@@ -157,6 +159,37 @@ class TestSpeechEncoder:
         # away from boundaries the embedding must follow the content
         np.testing.assert_allclose(pos_shifted[shift + k: 20],
                                    pos[k: 20 - shift], atol=1e-10)
+
+
+def conv_position_case(n, groups, seed, d_h=8, kernel=5):
+    registry = {}
+    rng = np.random.default_rng(seed)
+    w, b = enc.init_conv_positional(registry, rng, "enc", d_h, kernel, groups,
+                                    np.float64, scale=0.3)
+    b.data += 0.3 * rng.standard_normal(d_h)
+    x = Parameter(rng.standard_normal((n, d_h)), "x")
+    return x, w, b
+
+
+class TestConvPositionEmbedding:
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_matches_composed_reference(self, n, groups):
+        params = conv_position_case(n, groups, seed=30 + n)
+        assert_node_matches_reference(
+            lambda: enc.conv_position_embedding(*params, groups),
+            lambda: composed_conv_position_embedding(*params, groups), params)
+
+    def test_grad_check(self):
+        params = conv_position_case(6, 4, seed=40)
+        proj = rand_x(6, d=8, seed=41)
+
+        def loss():
+            return ad.reduce_sum(ad.mul(
+                enc.conv_position_embedding(*params, 4), proj))
+
+        report = grad_check(loss, params, coords_per_param=40)
+        assert report.max_relative_error < 1e-6, str(report)
 
 
 class TestFusion:

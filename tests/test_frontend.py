@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from composed_speech import (assert_node_matches_reference,
+                             composed_extract_features,
+                             composed_project_features)
+from stdialog import autodiff as ad
 from stdialog import frontend as fe
-from stdialog.autodiff import ShapeError, Tensor
+from stdialog import masking as mk
+from stdialog.autodiff import Parameter, ShapeError, Tensor
+from stdialog.gradcheck import grad_check
+
+# (kernel, stride) per conv layer
+CONV_STACKS = st.lists(st.tuples(st.integers(1, 8), st.integers(1, 4)),
+                       min_size=1, max_size=4)
 
 
 def stepped_length(layers, n):
@@ -19,13 +29,14 @@ def stepped_length(layers, n):
 def make_params(config, rng, scale=0.3):
     params = []
     c_in = 1
-    for spec in config.layers:
-        w = Tensor(scale * rng.standard_normal((spec.channels, c_in, spec.kernel)))
-        b = Tensor(scale * rng.standard_normal(spec.channels))
+    for i, spec in enumerate(config.layers):
+        w = Parameter(scale * rng.standard_normal(
+            (spec.channels, c_in, spec.kernel)), f"conv{i}.w")
+        b = Parameter(scale * rng.standard_normal(spec.channels), f"conv{i}.b")
         params.append((w, b))
         c_in = spec.channels
-    gain = Tensor(np.ones(config.feature_dim))
-    bias = Tensor(np.zeros(config.feature_dim))
+    gain = Parameter(np.ones(config.feature_dim), "ln.gain")
+    bias = Parameter(np.zeros(config.feature_dim), "ln.bias")
     return params, gain, bias
 
 
@@ -58,9 +69,7 @@ class TestLengthArithmetic:
             cfg.output_length(cfg.receptive_field - 1)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 4)),
-                    min_size=1, max_size=4),
-           st.integers(0, 400))
+    @given(CONV_STACKS, st.integers(0, 400))
     def test_random_configs_match_stepped_oracle(self, kernel_strides, extra):
         layers = tuple(fe.ConvLayerSpec(4, k, s) for k, s in kernel_strides)
         cfg = fe.FrontendConfig(layers=layers, sample_rate=100)
@@ -74,6 +83,64 @@ class TestLengthArithmetic:
         wav = rng.standard_normal(237).astype(np.float32)
         out = fe.extract_features(wav, cfg, params, gain, bias)
         assert out.shape == (cfg.output_length(237), cfg.feature_dim)
+
+
+def extraction_case(kernel_strides, channels, extra, seed):
+    """A random float64 conv stack, its parameters (the layer-norm gain
+    and bias perturbed too) and a waveform ``extra`` samples longer than
+    its receptive field."""
+    layers = tuple(fe.ConvLayerSpec(channels, k, s) for k, s in kernel_strides)
+    cfg = fe.FrontendConfig(layers=layers, sample_rate=100)
+    rng = np.random.default_rng(seed)
+    conv_params, gain, bias = make_params(cfg, rng)
+    gain.data += 0.2 * rng.standard_normal(gain.shape)
+    bias.data += 0.2 * rng.standard_normal(bias.shape)
+    wav = rng.standard_normal(cfg.receptive_field + extra)
+    params = [gain, bias, *(p for pair in conv_params for p in pair)]
+    return cfg, wav, conv_params, gain, bias, params
+
+
+class TestExtractionNode:
+    @settings(max_examples=40, deadline=None)
+    @given(CONV_STACKS, st.integers(1, 4), st.integers(0, 60),
+           st.integers(0, 1000))
+    @example([(5, 2), (3, 1), (4, 2)], 3, 9, 0)   # overlapping windows
+    @example([(2, 4), (1, 3)], 2, 11, 1)          # gaps between windows
+    @example([(5, 2), (5, 5)], 3, 0, 2)           # exactly one frame
+    def test_matches_composed_reference(self, kernel_strides, channels, extra,
+                                        seed):
+        cfg, wav, conv_params, gain, bias, params = extraction_case(
+            kernel_strides, channels, extra, seed)
+        assert_node_matches_reference(
+            lambda: fe.extract_features(wav, cfg, conv_params, gain, bias),
+            lambda: composed_extract_features(wav, cfg, conv_params, gain,
+                                              bias),
+            params)
+
+    def test_grad_check(self):
+        cfg, wav, conv_params, gain, bias, params = extraction_case(
+            [(4, 2), (3, 1), (2, 2)], 3, 5, 3)
+        proj = Tensor(np.random.default_rng(4).standard_normal(
+            (cfg.output_length(len(wav)), 3)))
+
+        def loss():
+            out = fe.extract_features(wav, cfg, conv_params, gain, bias)
+            return ad.reduce_sum(ad.mul(out, proj))
+
+        report = grad_check(loss, params, coords_per_param=30)
+        assert report.max_relative_error < 1e-6, str(report)
+
+    def test_waveform_is_not_a_parent(self):
+        cfg, wav, conv_params, gain, bias, params = extraction_case(
+            [(5, 2), (5, 5)], 3, 4, 5)
+        out = fe.extract_features(wav, cfg, conv_params, gain, bias)
+        assert set(map(id, out._parents)) == set(map(id, params))
+
+    def test_short_waveform_rejected_with_minimum(self):
+        cfg, wav, conv_params, gain, bias, _ = extraction_case(
+            [(5, 2), (5, 5)], 3, 0, 6)
+        with pytest.raises(ShapeError, match=str(cfg.receptive_field)):
+            fe.extract_features(wav[:-1], cfg, conv_params, gain, bias)
 
 
 class TestProjection:
@@ -111,6 +178,61 @@ class TestProjection:
         normed = (feats - mu) / np.sqrt(var + 1e-5) * gain + ln_bias
         expected = normed @ w + b
         np.testing.assert_allclose(out, expected, atol=1e-10)
+
+
+def hand_plan(actions, sources):
+    """A mask plan with the given per-frame actions and replacement
+    sources (-1 where a frame is not replaced)."""
+    actions = np.array(actions)
+    return mk.MaskPlan(length=len(actions), span_length=1,
+                       mask=actions != mk.UNMASKED, actions=actions,
+                       replacement_sources=np.array(sources))
+
+
+U, Z, R, K = mk.UNMASKED, mk.ZERO, mk.REPLACE, mk.KEEP
+PLANS = {
+    "none": None,
+    "unmasked": hand_plan([U] * 8, [-1] * 8),
+    "keep-only": hand_plan([U, K, K, U, U, K, U, U], [-1] * 8),
+    # row 4 is replaced and is the donor of rows 2 and 7; row 5 is its own
+    # donor; row 1 is zeroed and donates to row 6
+    "all-actions": hand_plan([U, Z, R, K, R, R, R, R],
+                             [-1, -1, 4, -1, 0, 5, 1, 4]),
+}
+
+
+class TestProjectionNode:
+    def case(self, seed=7):
+        rng = np.random.default_rng(seed)
+        feats = Parameter(rng.standard_normal((8, 5)), "features")
+        gain = Parameter(1 + 0.2 * rng.standard_normal(5), "ln.gain")
+        ln_bias = Parameter(0.2 * rng.standard_normal(5), "ln.bias")
+        w = Parameter(rng.standard_normal((5, 6)), "w")
+        b = Parameter(rng.standard_normal(6), "b")
+        return feats, gain, ln_bias, w, b
+
+    @pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
+    def test_matches_composed_reference(self, plan):
+        params = self.case()
+        assert_node_matches_reference(
+            lambda: fe.project_features(*params, plan),
+            lambda: composed_project_features(*params, plan), params)
+
+    def test_grad_check(self):
+        params = self.case(seed=8)
+        proj = Tensor(np.random.default_rng(9).standard_normal((8, 6)))
+
+        def loss():
+            out = fe.project_features(*params, PLANS["all-actions"])
+            return ad.reduce_sum(ad.mul(out, proj))
+
+        report = grad_check(loss, params)
+        assert report.max_relative_error < 1e-6, str(report)
+
+    def test_plan_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="plan length 8"):
+            fe.project_features(Tensor(np.zeros((9, 5))),
+                                *self.case()[1:], PLANS["unmasked"])
 
 
 class TestAssembly:

@@ -1,8 +1,11 @@
-"""No module of the package imports a name it never uses, and every
+"""No module of the package imports a name it never uses, every
 top-level function or class of the package has a caller outside tests
-unless ``USED_ONLY_IN_TESTS`` says why it is kept."""
+unless ``USED_ONLY_IN_TESTS`` says why it is kept, and every function the
+benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -95,3 +98,20 @@ def test_checker_flags_an_unused_import():
               "import os\nfrom math import pi, tau\nfrom io import BytesIO\n"
               "def f(x) -> \"BytesIO\":\n    return pi\n")
     assert unused_imports(source) == ["os (line 2)", "tau (line 3)"]
+
+
+def test_bench_tracer_layers_resolve():
+    """``bench/run.py --trace 1`` wraps each (module, attribute path) in
+    ``bench/tracer.py``'s ``LAYERS``; a renamed function would break it."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = []
+    for layer, (module, path) in tracer.LAYERS.items():
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not (module.startswith("stdialog") and callable(owner)):
+            unresolved.append(f"{layer}: {module}.{path}")
+    assert tracer.LAYERS and unresolved == []

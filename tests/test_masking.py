@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composed_speech import apply_mask_plan
 from oracles import span_scan_oracle
 from stdialog.autodiff import Tensor
 from stdialog import masking as mk
@@ -20,7 +21,7 @@ class TestPlanDrawing:
         cfg = mk.AcousticMaskConfig(trigger_prob=0.0)
         feats = rand_features(99)
         plan = mk.draw_mask_plan(99, np.random.default_rng(0), cfg)
-        masked = mk.apply_mask_plan(feats, plan)
+        masked = apply_mask_plan(feats, plan)
         assert not plan.mask.any()
         np.testing.assert_array_equal(masked.data, feats.data)
 
@@ -49,6 +50,24 @@ class TestPlanDrawing:
         expected = np.zeros(99, dtype=bool)
         expected[90:] = True
         np.testing.assert_array_equal(plan.mask, expected)
+
+    def test_plan_without_trigger_skips_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("span_masks ran for a plan with no trigger")
+
+        monkeypatch.setattr(mk, "span_masks", no_scan)
+        cfg = mk.AcousticMaskConfig(trigger_prob=0.0, span_range=(2, 4))
+        rng = np.random.default_rng(3)
+        plan = mk.draw_mask_plan(9, rng, cfg)
+        assert not plan.mask.any() and plan.span_starts == []
+        np.testing.assert_array_equal(plan.actions, np.full(9, mk.UNMASKED))
+        np.testing.assert_array_equal(plan.replacement_sources,
+                                      np.full(9, -1))
+        # it drew the span length and the triggers, and nothing more
+        ref = np.random.default_rng(3)
+        assert plan.span_length == ref.integers(2, 5)
+        ref.random(9)
+        assert rng.random() == ref.random()
 
     def test_saturation_full_coverage(self):
         cfg = mk.AcousticMaskConfig(trigger_prob=1.0, span_range=(99, 99))
@@ -160,7 +179,7 @@ class TestApplication:
     def test_zero_keep_replace_semantics(self):
         feats = rand_features(80, seed=3)
         plan = mk.draw_mask_plan(80, np.random.default_rng(5))
-        masked = mk.apply_mask_plan(feats, plan)
+        masked = apply_mask_plan(feats, plan)
         out = masked.data
         src = feats.data
         for i in range(80):
@@ -177,7 +196,7 @@ class TestApplication:
         feats = Tensor(np.random.default_rng(7).standard_normal((30, 4)),
                        requires_grad=True)
         plan = mk.draw_mask_plan(30, np.random.default_rng(11))
-        masked = mk.apply_mask_plan(feats, plan)
+        masked = apply_mask_plan(feats, plan)
         from stdialog.autodiff import reduce_sum
         reduce_sum(masked).backward()
         zero_rows = plan.actions == mk.ZERO
@@ -190,7 +209,7 @@ class TestApplication:
     def test_length_mismatch_error(self):
         plan = mk.draw_mask_plan(10, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            mk.apply_mask_plan(rand_features(12), plan)
+            apply_mask_plan(rand_features(12), plan)
 
 
 class TestRates:

@@ -1,8 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from composed_speech import (assert_node_matches_reference,
+                             composed_extract_features,
+                             composed_project_features)
 from stdialog import corpus as cp
 from stdialog import frontend as fe
 from stdialog import model as md
@@ -91,6 +95,31 @@ class TestForward:
                for label in range(4)]
         assert model.crs_predict(fused) == int(np.argmin(crs))
 
+    def test_speech_path_matches_composed_reference(self):
+        model, vocab, _, samples = tiny_setup()
+        prepared = prepare(model, vocab, samples[0], seed=4, trigger=0.6)
+        wave, plan = prepared.wave_cur, prepared.acoustic_plan_cur
+        assert plan.mask.any()
+        params = [*model.extract_ln, *model.proj_ln, model.proj_w,
+                  model.proj_b, *(p for pair in model.conv_params for p in pair)]
+        targets = {}
+
+        def node():
+            projected, targets["node"] = model._speech_path(wave, plan, True)
+            return projected
+
+        def composed():
+            feats = composed_extract_features(
+                wave.astype(np.float64), model.config.frontend,
+                model.conv_params, *model.extract_ln)
+            targets["composed"] = feats.data[plan.masked_indices()]
+            return composed_project_features(
+                feats, *model.proj_ln, model.proj_w, model.proj_b, plan)
+
+        assert_node_matches_reference(node, composed, params)
+        np.testing.assert_allclose(targets["node"], targets["composed"],
+                                   rtol=1e-10, atol=1e-14)
+
     def test_capture_attention_available(self):
         model, vocab, _, samples = tiny_setup()
         fused = model.eval_fused(samples[0], vocab, capture_attention=True)
@@ -164,3 +193,24 @@ class TestConfigRoundtrip:
             model=md.ModelConfig(d_h=16, vocab_size=20, frontend=frontend))
         again = TrainConfig.from_dict(json.loads(json.dumps(train.to_dict())))
         assert again == train
+
+    def test_partial_train_config_merges_over_defaults(self):
+        assert TrainConfig.from_dict({"steps": 2}) == TrainConfig(steps=2)
+        partial = TrainConfig.from_dict(
+            {"acoustic_span": [3, 5],
+             "model": {"d_h": 32, "frontend": {"sample_rate": 200}}})
+        assert partial == TrainConfig(
+            acoustic_span=(3, 5),
+            model=md.ModelConfig(
+                d_h=32, frontend=replace(fe.desk_config(), sample_rate=200)))
+
+    @pytest.mark.parametrize("config, key", [
+        ({"steps": 2, "stepz": 3}, "unknown train config key(s): stepz"),
+        ({"model": {"d_h": 32, "dh": 16}}, "unknown model config key(s): dh"),
+        ({"model": {"frontend": {"rate": 1}}},
+         "unknown frontend config key(s): rate"),
+    ], ids=["train", "model", "frontend"])
+    def test_unknown_config_key_rejected(self, config, key):
+        with pytest.raises(ValueError) as err:
+            TrainConfig.from_dict(config)
+        assert str(err.value) == key
