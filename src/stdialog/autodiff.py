@@ -1,10 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy.
 
 Sized for small transformer training on a CPU: every op materializes its
-result eagerly, records a backward closure, and checks the output for
-NaN/Inf.  Shape rules are strict on purpose; the only implicit broadcast
-allowed is a trailing-suffix operand against leading batch axes
-(e.g. adding a [d] bias to an [n, d] activation).
+result eagerly, checks it for NaN/Inf and makes a graph node with
+``record``.  A node's backward rule maps the output gradient to one
+gradient per parent, in parent order, and touches no parent;
+``Tensor.backward`` alone adds those gradients into the parents that
+require one.  Shape rules are strict on purpose: ``add``, ``sub`` and
+``mul`` take operands of equal shape only, with no implicit broadcast.
 
 Layers that run as one node keep their arithmetic in plain-array
 ``*_forward``/``*_backward`` helpers: layer norm and softmax for the
@@ -99,8 +101,12 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            if node._backward is None:
+                continue
+            for parent, g in zip(node._parents, node._backward(node.grad),
+                                 strict=True):
+                if parent.requires_grad:
+                    parent.grad = g if parent.grad is None else parent.grad + g
 
 
 class Parameter(Tensor):
@@ -129,13 +135,14 @@ def register(registry: dict, name: str, array: np.ndarray) -> Parameter:
     return p
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    t.grad = g if t.grad is None else t.grad + g
+def record(data, parents, backward, op: str) -> Tensor:
+    """The node for ``data``, the output of ``op`` on ``parents``.
 
-
-def _result(data, parents, backward, op):
+    ``backward(g)`` takes the gradient of the output and returns one
+    gradient per parent, in ``parents`` order, each of that parent's
+    shape; ``Tensor.backward`` raises if the count differs.  Raises
+    ``NonFiniteError`` if ``data`` holds NaN or Inf.
+    """
     _check_finite(data, op)
     requires = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=requires,
@@ -143,62 +150,30 @@ def _result(data, parents, backward, op):
                   _backward=backward if requires else None)
 
 
-def _suffix_reduce(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Collapse leading broadcast axes of ``g`` down to ``shape``."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    return g.sum(axis=tuple(range(extra)))
-
-
 def _check_elementwise(a: Tensor, b: Tensor, op: str) -> None:
-    sa, sb = a.data.shape, b.data.shape
-    if sa == sb:
-        return
-    if len(sb) < len(sa) and sa[len(sa) - len(sb):] == sb:
-        return
-    raise ShapeError(f"{op}: shape {sa} does not accept operand {sb} "
-                     "(only trailing-suffix broadcast is allowed)")
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} "
+                         "differ")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "add")
-    out_data = a.data + b.data
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, _suffix_reduce(g, b.data.shape))
-
-    return _result(out_data, (a, b), backward, "add")
+    return record(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "sub")
-    out_data = a.data - b.data
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, -_suffix_reduce(g, b.data.shape))
-
-    return _result(out_data, (a, b), backward, "sub")
+    return record(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "mul")
-    out_data = a.data * b.data
-
-    def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, _suffix_reduce(g * a.data, b.data.shape))
-
-    return _result(out_data, (a, b), backward, "mul")
+    return record(a.data * b.data, (a, b),
+                  lambda g: (g * b.data, g * a.data), "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    def backward(g):
-        _accum(a, g * c)
-
-    return _result(a.data * c, (a,), backward, "scale")
+    return record(a.data * c, (a,), lambda g: (g * c,), "scale")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -209,13 +184,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul leading dims differ: {sa} @ {sb}")
     if sa[-1] != sb[-2]:
         raise ShapeError(f"matmul inner dims differ: {sa} @ {sb}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
-
-    return _result(out_data, (a, b), backward, "matmul")
+    return record(a.data @ b.data, (a, b),
+                  lambda g: (g @ np.swapaxes(b.data, -1, -2),
+                             np.swapaxes(a.data, -1, -2) @ g), "matmul")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -224,37 +195,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: {x.data.shape} @ {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear bias {b.data.shape} != ({w.data.shape[1]},)")
-    out_data = x.data @ w.data + b.data
-
-    def backward(g):
-        _accum(x, g @ w.data.T)
-        _accum(w, x.data.T @ g)
-        _accum(b, g.sum(axis=0))
-
-    return _result(out_data, (x, w, b), backward, "linear")
+    return record(x.data @ w.data + b.data, (x, w, b),
+                  lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)),
+                  "linear")
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     old = a.data.shape
-
-    def backward(g):
-        _accum(a, g.reshape(old))
-
-    return _result(a.data.reshape(shape), (a,), backward, "reshape")
+    return record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),),
+                  "reshape")
 
 
 def concat(tensors: list, axis: int = 0) -> Tensor:
-    sizes = [t.data.shape[axis] for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
-
-    return _result(out_data, tuple(tensors), backward, "concat")
+    cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return record(np.concatenate([t.data for t in tensors], axis=axis),
+                  tuple(tensors), lambda g: np.split(g, cuts, axis=axis),
+                  "concat")
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -269,9 +225,9 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     def backward(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf, idx, g)
-        _accum(a, buf)
+        return (buf,)
 
-    return _result(out_data, (a,), backward, "gather_rows")
+    return record(out_data, (a,), backward, "gather_rows")
 
 
 def softmax_forward(z: np.ndarray) -> np.ndarray:
@@ -328,11 +284,8 @@ def gelu_backward(g: np.ndarray, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU x * Phi(x) via erf; GELU(0) == 0 identically."""
     out_data, phi = gelu_forward(x.data)
-
-    def backward(g):
-        _accum(x, gelu_backward(g, x.data, phi))
-
-    return _result(out_data, (x,), backward, "gelu")
+    return record(out_data, (x,), lambda g: (gelu_backward(g, x.data, phi),),
+                  "gelu")
 
 
 def conv1d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -407,9 +360,9 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     def backward(g):
         p = np.exp(z - lse[:, None])
         p[np.arange(n), t] -= 1.0
-        _accum(logits, p * (g / n))
+        return (p * (g / n),)
 
-    return _result(out_data, (logits,), backward, "cross_entropy")
+    return record(out_data, (logits,), backward, "cross_entropy")
 
 
 def _as_const_array(target, like: np.ndarray) -> np.ndarray:
@@ -425,11 +378,7 @@ def mse(pred: Tensor, target) -> Tensor:
     diff = pred.data - t
     out_data = np.asarray((diff * diff).mean(), dtype=pred.data.dtype)
     n = diff.size
-
-    def backward(g):
-        _accum(pred, (2.0 / n) * diff * g)
-
-    return _result(out_data, (pred,), backward, "mse")
+    return record(out_data, (pred,), lambda g: ((2.0 / n) * diff * g,), "mse")
 
 
 def mae(pred: Tensor, target) -> Tensor:
@@ -438,18 +387,11 @@ def mae(pred: Tensor, target) -> Tensor:
     diff = pred.data - t
     out_data = np.asarray(np.abs(diff).mean(), dtype=pred.data.dtype)
     n = diff.size
-
-    def backward(g):
-        _accum(pred, np.sign(diff) * (g / n))
-
-    return _result(out_data, (pred,), backward, "mae")
+    return record(out_data, (pred,), lambda g: (np.sign(diff) * (g / n),),
+                  "mae")
 
 
 def reduce_sum(a: Tensor) -> Tensor:
     shape = a.data.shape
-
-    def backward(g):
-        _accum(a, np.broadcast_to(g, shape).copy())
-
-    return _result(np.asarray(a.data.sum(), dtype=a.data.dtype),
-                   (a,), backward, "sum")
+    return record(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,),
+                  lambda g: (np.broadcast_to(g, shape).copy(),), "sum")

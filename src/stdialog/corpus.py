@@ -39,10 +39,6 @@ class Turn:
         return len(self.waveform) / self.sample_rate
 
     @property
-    def word_count(self) -> int:
-        return len(self.words)
-
-    @property
     def transcript(self) -> list:
         return [w.word for w in self.words]
 
@@ -71,7 +67,6 @@ class Sample:
     speech_prev: np.ndarray
     speech_cur: np.ndarray
     tpp_words: list               # list[TppWord]
-    text_turn_lengths: tuple      # word counts (l_prev, l_cur)
     cmam_turns: tuple = (True, True)   # which speech turns feed reconstruction
 
 
@@ -221,6 +216,5 @@ def build_samples(dialog: Dialog, k: int) -> list:
             text_turns=text_turns,
             speech_prev=prev.waveform,
             speech_cur=cur.waveform,
-            tpp_words=tpp,
-            text_turn_lengths=(prev.word_count, cur.word_count)))
+            tpp_words=tpp))
     return samples

@@ -16,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (Parameter, Tensor, _accum, _result, add, concat,
-                       conv1d_backward, conv1d_forward, gather_rows,
-                       gelu_backward, gelu_forward, layer_norm_backward,
-                       layer_norm_forward, register, softmax_backward,
-                       softmax_forward)
+from .autodiff import (Parameter, Tensor, add, concat, conv1d_backward,
+                       conv1d_forward, gather_rows, gelu_backward,
+                       gelu_forward, layer_norm_backward, layer_norm_forward,
+                       record, register, softmax_backward, softmax_forward)
 
 
 @dataclass
@@ -130,20 +129,14 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
             dqkv @ w_qkv.T, p.ln1_gain.data, ln1)
         dw_qkv = a.T @ dqkv
         db_qkv = dqkv.sum(axis=0)
-        _accum(x, dh + dx_ln)
-        for param, grad in (
-                (p.ln1_gain, dln1_gain), (p.ln1_bias, dln1_bias),
-                (p.wq, dw_qkv[:, :d]), (p.bq, db_qkv[:d]),
-                (p.wk, dw_qkv[:, d:2 * d]), (p.bk, db_qkv[d:2 * d]),
-                (p.wv, dw_qkv[:, 2 * d:]), (p.bv, db_qkv[2 * d:]),
-                (p.wo, merged.T @ dh), (p.bo, dh.sum(axis=0)),
-                (p.ln2_gain, dln2_gain), (p.ln2_bias, dln2_bias),
-                (p.ff1_w, c.T @ df1), (p.ff1_b, df1.sum(axis=0)),
-                (p.ff2_w, f.T @ g), (p.ff2_b, g.sum(axis=0))):
-            _accum(param, grad)
+        # x, then the parameters in TransformerLayerParams field order
+        return (dh + dx_ln, dln1_gain, dln1_bias,
+                dw_qkv[:, :d], db_qkv[:d], dw_qkv[:, d:2 * d],
+                db_qkv[d:2 * d], dw_qkv[:, 2 * d:], db_qkv[2 * d:],
+                merged.T @ dh, dh.sum(axis=0), dln2_gain, dln2_bias,
+                c.T @ df1, df1.sum(axis=0), f.T @ g, g.sum(axis=0))
 
-    return _result(out, (x, *vars(p).values()), backward,
-                   "transformer_layer")
+    return record(out, (x, *vars(p).values()), backward, "transformer_layer")
 
 
 def encode_text(x: Tensor, layers: list, num_heads: int) -> Tensor:
@@ -166,12 +159,9 @@ def conv_position_embedding(x: Tensor, w: Parameter, b: Parameter,
 
     def backward(g):
         dxp, dw, db = conv1d_backward(gelu_backward(g, z, phi), conv)
-        _accum(x, g + dxp[left:left + n])
-        _accum(w, dw)
-        _accum(b, db)
+        return g + dxp[left:left + n], dw, db
 
-    return _result(x.data + act, (x, w, b), backward,
-                   "conv_position_embedding")
+    return record(x.data + act, (x, w, b), backward, "conv_position_embedding")
 
 
 def encode_speech(x: Tensor, conv_pos: tuple, layers: list, num_heads: int,

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, _accum, _result, concat,
-                       conv1d_backward, conv1d_forward, gelu_backward,
-                       gelu_forward, layer_norm_backward, layer_norm_forward,
+from .autodiff import (ShapeError, Tensor, concat, conv1d_backward,
+                       conv1d_forward, gelu_backward, gelu_forward,
+                       layer_norm_backward, layer_norm_forward, record,
                        reshape)
 from .masking import REPLACE, ZERO, MaskPlan
 
@@ -115,18 +115,17 @@ def extract_features(waveform, config: FrontendConfig, conv_params: list,
 
     def backward(g):
         dx, dgain, dbias = layer_norm_backward(g, ln_gain.data, ln)
-        _accum(ln_gain, dgain)
-        _accum(ln_bias, dbias)
+        conv_grads = []
         for i in reversed(range(len(saved))):
             z, phi, conv = saved[i]
             dx, dw, db = conv1d_backward(gelu_backward(dx, z, phi), conv,
                                          input_grad=i > 0)
-            w, b = conv_params[i]
-            _accum(w, dw)
-            _accum(b, db)
+            conv_grads.append((dw, db))
+        return (dgain, dbias,
+                *(d for pair in reversed(conv_grads) for d in pair))
 
     parents = (ln_gain, ln_bias, *(p for pair in conv_params for p in pair))
-    return _result(out, parents, backward, "extract_features")
+    return record(out, parents, backward, "extract_features")
 
 
 def project_features(features: Tensor, ln_gain, ln_bias, weight, bias,
@@ -154,12 +153,8 @@ def project_features(features: Tensor, ln_gain, ln_bias, weight, bias,
     out = normed @ weight.data + bias.data
 
     def backward(g):
-        dnormed = g @ weight.data.T
-        _accum(weight, normed.T @ g)
-        _accum(bias, g.sum(axis=0))
-        dx, dgain, dbias = layer_norm_backward(dnormed, ln_gain.data, ln)
-        _accum(ln_gain, dgain)
-        _accum(ln_bias, dbias)
+        dx, dgain, dbias = layer_norm_backward(g @ weight.data.T,
+                                               ln_gain.data, ln)
         if corrupted is not f:
             # donor gradients summed apart first: the same float32 sums as
             # the former mul/gather ops, so training stays bit-identical
@@ -167,10 +162,10 @@ def project_features(features: Tensor, ln_gain, ln_bias, weight, bias,
             np.add.at(donors, sources, dx[replaced])
             dx[dropped] = 0.0
             dx += donors
-        _accum(features, dx)
+        return dx, dgain, dbias, normed.T @ g, g.sum(axis=0)
 
-    return _result(out, (features, ln_gain, ln_bias, weight, bias), backward,
-                   "project_features")
+    return record(out, (features, ln_gain, ln_bias, weight, bias), backward,
+                  "project_features")
 
 
 def assemble_speech_sequence(f_prev: Tensor, f_cur: Tensor, cls_vec: Tensor,

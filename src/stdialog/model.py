@@ -49,6 +49,10 @@ class ModelConfig:
                 f"d_h {self.d_h} not divisible by num_heads {self.num_heads}")
         if self.conv_pos_kernel % 2 == 0:
             raise ValueError("conv_pos_kernel must be odd for same padding")
+        if self.conv_pos_groups < 1 or self.d_h % self.conv_pos_groups:
+            raise ValueError(
+                f"conv_pos_groups {self.conv_pos_groups} must be >= 1 and "
+                f"divide d_h {self.d_h}")
 
     @property
     def np_dtype(self):
@@ -60,29 +64,35 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """The config ``to_dict`` wrote, or a part of it over the defaults
-        (the frontend dict, too, over the default frontend)."""
+        (the frontend dict, too, over the default frontend; each frontend
+        layer dict must be complete)."""
         d = config_kwargs(cls, d, "model")
         if "frontend" in d:
             front = config_kwargs(fe.FrontendConfig, d["frontend"], "frontend")
             if "layers" in front:
                 front["layers"] = tuple(
-                    fe.ConvLayerSpec(**config_kwargs(fe.ConvLayerSpec, spec,
-                                                     "frontend layer"))
+                    fe.ConvLayerSpec(**config_kwargs(
+                        fe.ConvLayerSpec, spec, "frontend layer",
+                        complete=True))
                     for spec in front["layers"])
             d["frontend"] = replace(cls().frontend, **front)
         return cls(**d)
 
 
-def config_kwargs(cls, d, what: str) -> dict:
+def config_kwargs(cls, d, what: str, complete: bool = False) -> dict:
     """A copy of ``d`` as keyword arguments for dataclass ``cls``, whose
     defaults fill the fields ``d`` leaves out; a key that is not a field
-    of ``cls`` raises ``ValueError`` naming it."""
+    of ``cls``, or with ``complete`` a field that ``d`` lacks, raises
+    ``ValueError`` naming it."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} config must be an object, got {d!r}")
-    names = {f.name for f in fields(cls)}
+    names = [f.name for f in fields(cls)]
     unknown = [key for key in d if key not in names]
     if unknown:
         raise ValueError(f"unknown {what} config key(s): {', '.join(unknown)}")
+    missing = [name for name in names if complete and name not in d]
+    if missing:
+        raise ValueError(f"missing {what} config key(s): {', '.join(missing)}")
     return dict(d)
 
 

@@ -143,7 +143,6 @@ def make_crs_sample(sample: Sample, dialogs: list, rng: np.random.Generator,
         text_turns[-1] = turn.transcript
         corrupted = replace(
             sample, text_turns=text_turns, tpp_words=prev_tpp,
-            text_turn_lengths=(sample.text_turn_lengths[0], turn.word_count),
             cmam_turns=(True, True))
     else:  # both substituted; both-substituted samples carry no alignment
         _, text_turn = _random_turn(dialogs, sample.dialog_id, rng)
@@ -152,9 +151,7 @@ def make_crs_sample(sample: Sample, dialogs: list, rng: np.random.Generator,
         text_turns[-1] = text_turn.transcript
         corrupted = replace(
             sample, text_turns=text_turns, speech_cur=speech_turn.waveform,
-            tpp_words=[], cmam_turns=(False, False),
-            text_turn_lengths=(sample.text_turn_lengths[0],
-                               text_turn.word_count))
+            tpp_words=[], cmam_turns=(False, False))
     return corrupted, label
 
 

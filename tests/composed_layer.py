@@ -16,22 +16,16 @@ from stdialog import autodiff as ad
 def transpose(a, axes):
     """Axis permutation as an autodiff op (the library itself needs none)."""
     inv = tuple(int(i) for i in np.argsort(axes))
-
-    def backward(g):
-        ad._accum(a, g.transpose(inv))
-
-    return ad._result(a.data.transpose(axes), (a,), backward, "transpose")
+    return ad.record(a.data.transpose(axes), (a,),
+                     lambda g: (g.transpose(inv),), "transpose")
 
 
 def softmax(x):
     """Softmax over the last axis as an autodiff op (the library runs it
     only inside the fused layer)."""
     y = ad.softmax_forward(x.data)
-
-    def backward(g):
-        ad._accum(x, ad.softmax_backward(g, y))
-
-    return ad._result(y, (x,), backward, "softmax")
+    return ad.record(y, (x,), lambda g: (ad.softmax_backward(g, y),),
+                     "softmax")
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -47,14 +41,9 @@ def layer_norm(x, gain, bias, eps=1e-5):
             f"layer_norm: gain {gain.data.shape} / bias {bias.data.shape} "
             f"must be ({d},)")
     out_data, saved = ad.layer_norm_forward(x.data, gain.data, bias.data, eps)
-
-    def backward(g):
-        dx, dgain, dbias = ad.layer_norm_backward(g, gain.data, saved)
-        ad._accum(gain, dgain)
-        ad._accum(bias, dbias)
-        ad._accum(x, dx)
-
-    return ad._result(out_data, (x, gain, bias), backward, "layer_norm")
+    return ad.record(out_data, (x, gain, bias),
+                     lambda g: ad.layer_norm_backward(g, gain.data, saved),
+                     "layer_norm")
 
 
 def composed_transformer_layer(x, p, num_heads):

@@ -75,12 +75,10 @@ def conv1d(x, weight, bias, stride=1, padding="valid", groups=1):
                 dwg.reshape(c_out_g, kernel, c_in_g).transpose(0, 2, 1)
             dcols = (gg @ wg).reshape(out_len, kernel, c_in_g)
             np.add.at(dxp[:, gi * c_in_g:(gi + 1) * c_in_g], idx, dcols)
-        ad._accum(weight, dw)
-        ad._accum(bias, g.sum(axis=0))
         dx = dxp[pad_l:pad_l + length] if (pad_l or pad_r) else dxp
-        ad._accum(x, dx)
+        return dx, dw, g.sum(axis=0)
 
-    return ad._result(out_data, (x, weight, bias), backward, "conv1d")
+    return ad.record(out_data, (x, weight, bias), backward, "conv1d")
 
 
 def apply_mask_plan(features, plan):

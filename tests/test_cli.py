@@ -217,7 +217,8 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing-config", "unknown-config-key",
-                                  "missing-vocab",
+                                  "incomplete-frontend-layer",
+                                  "bad-conv-pos-groups", "missing-vocab",
                                   "vocab-without-specials", "missing-labels",
                                   "one-class-labels"])
 def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
@@ -225,6 +226,11 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     missing = tmp_path / "missing"
     unknown_key = tmp_path / "config.json"
     unknown_key.write_text(json.dumps({"steps": 1, "stepz": 2}))
+    incomplete_layer = tmp_path / "layer.json"
+    incomplete_layer.write_text(json.dumps(
+        {"model": {"frontend": {"layers": [{"channels": 4, "kernel": 5}]}}}))
+    bad_groups = tmp_path / "groups.json"
+    bad_groups.write_text(json.dumps({"model": {"conv_pos_groups": 3}}))
     no_specials = tmp_path / "vocab.txt"
     no_specials.write_text("alpha\nbeta\n")
     one_class = tmp_path / "labels.jsonl"
@@ -241,6 +247,11 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
         "missing-config": ((*pretrain, "--config", missing), str(missing)),
         "unknown-config-key": ((*pretrain, "--config", unknown_key),
                                "unknown train config key(s): stepz"),
+        "incomplete-frontend-layer": (
+            (*pretrain, "--config", incomplete_layer),
+            "missing frontend layer config key(s): stride"),
+        "bad-conv-pos-groups": ((*pretrain, "--config", bad_groups),
+                                "conv_pos_groups 3 must be >= 1 and divide"),
         "missing-vocab": ((*pretrain, "--vocab", missing), str(missing)),
         "vocab-without-specials": ((*pretrain, "--vocab", no_specials),
                                    "vocabulary must start with specials"),

@@ -177,4 +177,3 @@ class TestBuildSamples:
             for w, align in zip(prev_tpp, prev.words):
                 assert w.start_time == align.start_time
                 assert w.end_time == align.end_time
-            assert s.text_turn_lengths == (prev.word_count, cur.word_count)

@@ -1,7 +1,7 @@
-"""No module of the package imports a name it never uses, every
-top-level function or class of the package has a caller outside tests
-unless ``USED_ONLY_IN_TESTS`` says why it is kept, and every function the
-benchmark's tracer wraps exists."""
+"""No module of the package imports a name it never uses or a private
+name of another package module, every top-level function or class of the
+package has a caller outside tests unless ``USED_ONLY_IN_TESTS`` says why
+it is kept, and every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -52,6 +52,32 @@ def unused_imports(source: str) -> list:
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list:
+    """Underscore-prefixed names that ``source`` imports from a module of
+    the package (a relative import or one from ``stdialog``)."""
+    return [f"{alias.name} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "stdialog")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_checker_flags_a_private_import():
+    source = ("from .autodiff import _hidden, record\n"
+              "from stdialog.model import _helper\n"
+              "from os import _exit\n"
+              "from . import _private\n"
+              "print(_hidden, record, _helper, _exit, _private)\n")
+    assert private_imports(source) == [
+        "_hidden (line 1)", "_helper (line 2)", "_private (line 4)"]
 
 
 def references(tree) -> Counter:

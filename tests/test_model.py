@@ -176,6 +176,11 @@ class TestConfigRoundtrip:
             md.ModelConfig(d_h=16, num_heads=3)
         with pytest.raises(ValueError, match="conv_pos_kernel must be odd"):
             md.ModelConfig(conv_pos_kernel=4)
+        for groups in (0, 3):
+            with pytest.raises(ValueError, match=(
+                    f"conv_pos_groups {groups} must be >= 1 and divide "
+                    f"d_h 64")):
+                md.ModelConfig(d_h=64, conv_pos_groups=groups)
 
     def test_model_config_dict_roundtrip(self):
         cfg = md.ModelConfig(d_h=16, vocab_size=20, text_layers=3,
@@ -209,7 +214,9 @@ class TestConfigRoundtrip:
         ({"model": {"d_h": 32, "dh": 16}}, "unknown model config key(s): dh"),
         ({"model": {"frontend": {"rate": 1}}},
          "unknown frontend config key(s): rate"),
-    ], ids=["train", "model", "frontend"])
+        ({"model": {"frontend": {"layers": [{"channels": 4, "kernel": 5}]}}},
+         "missing frontend layer config key(s): stride"),
+    ], ids=["train", "model", "frontend", "frontend-layer-missing"])
     def test_unknown_config_key_rejected(self, config, key):
         with pytest.raises(ValueError) as err:
             TrainConfig.from_dict(config)

@@ -162,7 +162,6 @@ class TestMakeCrsSample:
                                         np.random.default_rng(3),
                                         class_probs=(0.0, 0.0, 1.0, 0.0))
         assert label == ob.CRS_TEXT_SUBSTITUTED
-        assert out.text_turn_lengths[1] == len(out.text_turns[-1])
         assert out.cmam_turns == (True, True)
         np.testing.assert_array_equal(out.speech_cur, sample.speech_cur)
 

@@ -21,8 +21,7 @@ def make_sample(turn_words, tpp_turn_words=None):
                      text_turns=turns,
                      speech_prev=np.zeros(50, np.float32),
                      speech_cur=np.zeros(50, np.float32),
-                     tpp_words=tpp,
-                     text_turn_lengths=(len(prev), len(cur)))
+                     tpp_words=tpp)
 
 
 def vocab_for(words, tokenizer=None):
