@@ -213,6 +213,16 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
                   "concat")
 
 
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of a tensor."""
+    def backward(g):
+        buf = np.zeros_like(a.data)
+        buf[start:stop] = g
+        return (buf,)
+
+    return record(a.data[start:stop], (a,), backward, "slice_rows")
+
+
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows of a 2-d tensor by integer index list (with repeats)."""
     idx = np.asarray(indices, dtype=np.intp)

@@ -1,25 +1,32 @@
 """Text/speech transformer encoders and the single-layer modality fusion.
 
-Both encoders are pre-norm transformer stacks (zero layers = identity)
-whose layers each run as one autodiff node.  The speech encoder first
-adds a convolutional relative position embedding: a grouped same-padding
-1-d conv over the sequence, GELU, residual add, also as one node.
-Fusion concatenates text then speech, adds learnable modality embeddings,
-and applies one transformer layer attending across both modalities.
+Each encoder and the fusion run over a batch at once.  A batch's
+sequences are packed: their rows are stacked back to back, with a tuple
+of sequence lengths saying where each ends.  Both encoders are pre-norm
+transformer stacks (zero layers = identity) whose layers each run as one
+autodiff node over all packed rows; attention inside a layer runs per
+sequence, so no sequence attends to another.  The speech encoder first
+adds a convolutional relative position embedding to each sequence on its
+own: a grouped same-padding 1-d conv over the sequence, GELU, residual
+add, also as one node.  Fusion interleaves each sample's text rows and
+speech rows, adds learnable modality embeddings, and applies one
+transformer layer attending across both modalities of a sample.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (Parameter, Tensor, add, concat, conv1d_backward,
-                       conv1d_forward, gather_rows, gelu_backward,
-                       gelu_forward, layer_norm_backward, layer_norm_forward,
-                       record, register, softmax_backward, softmax_forward)
+from .autodiff import (Parameter, ShapeError, Tensor, concat, conv1d_backward,
+                       conv1d_forward, gelu_backward, gelu_forward,
+                       layer_norm_backward, layer_norm_forward, record,
+                       register, slice_rows, softmax_backward,
+                       softmax_forward)
 
 
 @dataclass
@@ -86,17 +93,24 @@ def init_conv_positional(registry: dict, rng: np.random.Generator, prefix: str,
 
 
 def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
-                      capture: list | None = None) -> Tensor:
-    """One pre-norm layer as a single autodiff node.
+                      lengths: tuple, capture: list | None = None) -> Tensor:
+    """One pre-norm layer over packed sequences, as a single autodiff node.
 
-    LN1, q/k/v, multi-head softmax attention, ``wo``, residual, LN2, GELU
-    FFN, residual, all in numpy; the backward is written out by hand.
-    When ``capture`` is a list, the [H, n, n] attention weights are
-    appended to it.
+    ``x`` holds the rows of ``len(lengths)`` sequences back to back, the
+    i-th of ``lengths[i]`` rows.  LN1, q/k/v, ``wo``, the residuals, LN2
+    and the GELU FFN run once over all rows; multi-head softmax attention
+    runs per sequence, on its own rows only, so no sequence sees another.
+    The backward is written out by hand.  When ``capture`` is a list, each
+    sequence's [H, n, n] attention weights are appended to it.
     """
     n, d = x.shape
+    if sum(lengths) != n:
+        raise ShapeError(f"sequence lengths {tuple(lengths)} do not sum to "
+                         f"the {n} packed rows")
     dk = d // num_heads
     scale = float(1.0 / np.sqrt(dk))
+    segments = [slice(end - length, end)
+                for end, length in zip(accumulate(lengths), lengths)]
     w_qkv = np.concatenate([p.wq.data, p.wk.data, p.wv.data], axis=1)
     b_qkv = np.concatenate([p.bq.data, p.bk.data, p.bv.data])
 
@@ -104,10 +118,17 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
     # [n, 3d] -> [3, H, n, dk]: q, k, v split into heads
     q, k, v = (a @ w_qkv + b_qkv).reshape(n, 3, num_heads, dk) \
         .transpose(1, 2, 0, 3)
-    attn = softmax_forward((q @ k.transpose(0, 2, 1)) * scale)
+    attns = []
+    merged = np.empty((n, num_heads, dk), dtype=a.dtype)
+    ctx = merged.transpose(1, 0, 2)   # [H, n, dk] view of the heads' rows
+    for rows in segments:
+        attn = softmax_forward((q[:, rows] @ k[:, rows].transpose(0, 2, 1))
+                               * scale)
+        np.matmul(attn, v[:, rows], out=ctx[:, rows])
+        attns.append(attn)
     if capture is not None:
-        capture.append(attn.copy())
-    merged = (attn @ v).transpose(1, 0, 2).reshape(n, d)
+        capture.extend(attn.copy() for attn in attns)
+    merged = merged.reshape(n, d)
     h = x.data + (merged @ p.wo.data + p.bo.data)
     c, ln2 = layer_norm_forward(h, p.ln2_gain.data, p.ln2_bias.data)
     f1 = c @ p.ff1_w.data + p.ff1_b.data
@@ -121,10 +142,16 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
         dh = g + dh_ln
         dctx = (dh @ p.wo.data.T).reshape(n, num_heads, dk) \
             .transpose(1, 0, 2)
-        dscores = softmax_backward(dctx @ v.transpose(0, 2, 1), attn) * scale
-        dqkv = np.stack([dscores @ k, dscores.transpose(0, 2, 1) @ q,
-                         attn.transpose(0, 2, 1) @ dctx]) \
-            .transpose(2, 0, 1, 3).reshape(n, 3 * d)
+        dqkv = np.empty((n, 3, num_heads, dk), dtype=dctx.dtype)
+        dq, dkey, dv = dqkv.transpose(1, 2, 0, 3)
+        for rows, attn in zip(segments, attns):
+            dctx_s, q_s, k_s = dctx[:, rows], q[:, rows], k[:, rows]
+            dscores = softmax_backward(
+                dctx_s @ v[:, rows].transpose(0, 2, 1), attn) * scale
+            dq[:, rows] = dscores @ k_s
+            dkey[:, rows] = dscores.transpose(0, 2, 1) @ q_s
+            dv[:, rows] = attn.transpose(0, 2, 1) @ dctx_s
+        dqkv = dqkv.reshape(n, 3 * d)
         dx_ln, dln1_gain, dln1_bias = layer_norm_backward(
             dqkv @ w_qkv.T, p.ln1_gain.data, ln1)
         dw_qkv = a.T @ dqkv
@@ -139,11 +166,18 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
     return record(out, (x, *vars(p).values()), backward, "transformer_layer")
 
 
-def encode_text(x: Tensor, layers: list, num_heads: int) -> Tensor:
-    """Pre-norm stack over [n, d_h] embeddings; zero layers = identity."""
+def pack(sequences: list) -> Tensor:
+    """The rows of ``sequences`` back to back; one sequence is itself."""
+    return sequences[0] if len(sequences) == 1 else concat(sequences, axis=0)
+
+
+def encode_text(x: Tensor, layers: list, num_heads: int,
+                lengths: tuple) -> Tensor:
+    """Pre-norm stack over packed [sum(lengths), d_h] embeddings; zero
+    layers = identity."""
     h = x
     for p in layers:
-        h = transformer_layer(h, p, num_heads)
+        h = transformer_layer(h, p, num_heads, lengths)
     return h
 
 
@@ -164,12 +198,17 @@ def conv_position_embedding(x: Tensor, w: Parameter, b: Parameter,
     return record(x.data + act, (x, w, b), backward, "conv_position_embedding")
 
 
-def encode_speech(x: Tensor, conv_pos: tuple, layers: list, num_heads: int,
-                  conv_groups: int) -> Tensor:
+def encode_speech(sequences: list, conv_pos: tuple, layers: list,
+                  num_heads: int, conv_groups: int) -> Tensor:
+    """The conv position embedding of each [m, d_h] sequence on its own
+    (the conv must not cross sequences), then the pre-norm stack over
+    their packed rows."""
     w, b = conv_pos
-    h = conv_position_embedding(x, w, b, conv_groups)
+    h = pack([conv_position_embedding(x, w, b, conv_groups)
+              for x in sequences])
+    lengths = tuple(x.shape[0] for x in sequences)
     for p in layers:
-        h = transformer_layer(h, p, num_heads)
+        h = transformer_layer(h, p, num_heads, lengths)
     return h
 
 
@@ -202,32 +241,64 @@ class FusedRepresentation:
         return self.n_text + self.m_prev + 2 + j
 
 
-def fusion_input(h_text: Tensor, h_speech: Tensor,
-                 modality_table: Parameter) -> Tensor:
-    """Concatenate text then speech and add per-modality embeddings."""
+def fusion_input(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
+                 speech_lengths: tuple, modality_table: Parameter) -> Tensor:
+    """Each sample's rows as [text_i; speech_i], from packed text and packed
+    speech rows, each row plus its modality's embedding; one node."""
     n = h_text.shape[0]
-    m = h_speech.shape[0]
-    ids = np.concatenate([np.zeros(n, np.int64), np.ones(m, np.int64)])
-    joint = concat([h_text, h_speech], axis=0)
-    return add(joint, gather_rows(modality_table, ids))
+    if len(text_lengths) == 1:
+        text_rows, speech_rows = slice(0, n), slice(n, None)
+    else:
+        modality = np.repeat([0, 1] * len(text_lengths),
+                             [m for pair in zip(text_lengths, speech_lengths)
+                              for m in pair])
+        # text rows, then speech rows, go to these rows of the output
+        dest = np.argsort(modality, kind="stable")
+        text_rows, speech_rows = dest[:n], dest[n:]
+    text_emb, speech_emb = modality_table.data
+    data = np.empty((n + h_speech.shape[0], h_text.shape[1]), h_text.dtype)
+    data[text_rows] = h_text.data + text_emb
+    data[speech_rows] = h_speech.data + speech_emb
+
+    def backward(g):
+        g_text, g_speech = g[text_rows], g[speech_rows]
+        return g_text, g_speech, np.stack([g_text.sum(axis=0),
+                                           g_speech.sum(axis=0)])
+
+    return record(data, (h_text, h_speech, modality_table), backward,
+                  "fusion_input")
 
 
-def fuse(h_text: Tensor, h_speech: Tensor, m_prev: int, m_cur: int,
-         modality_table: Parameter, layer: TransformerLayerParams,
-         num_heads: int,
-         capture_attention: bool = False) -> FusedRepresentation:
-    n = h_text.shape[0]
-    if h_speech.shape[0] != m_prev + m_cur + 2:
-        raise ValueError(
-            f"speech length {h_speech.shape[0]} != m_prev+m_cur+2 = "
-            f"{m_prev + m_cur + 2}")
-    x = fusion_input(h_text, h_speech, modality_table)
-    captured: list = []
-    h = transformer_layer(x, layer, num_heads,
-                          capture=captured if capture_attention else None)
-    return FusedRepresentation(
-        hidden=h, n_text=n, m_prev=m_prev, m_cur=m_cur,
-        attention=captured[0] if captured else None)
+def fuse(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
+         speech_frames: list, modality_table: Parameter,
+         layer: TransformerLayerParams, num_heads: int,
+         capture_attention: bool = False) -> list:
+    """The fused representation of each sample, from packed text rows of
+    ``text_lengths`` and packed speech rows of the (m_prev, m_cur) turns
+    in ``speech_frames``: one layer attending across both modalities of
+    a sample.  Each ``hidden`` is its sample's rows of the packed output."""
+    speech_lengths = tuple(m_prev + m_cur + 2
+                           for m_prev, m_cur in speech_frames)
+    for what, x, lengths in (("text", h_text, text_lengths),
+                             ("speech", h_speech, speech_lengths)):
+        if x.shape[0] != sum(lengths):
+            raise ValueError(f"{x.shape[0]} packed {what} rows for sample "
+                             f"lengths summing to {sum(lengths)}")
+    x = fusion_input(h_text, h_speech, text_lengths, speech_lengths,
+                     modality_table)
+    lengths = tuple(n + m for n, m in zip(text_lengths, speech_lengths))
+    captured: list | None = [] if capture_attention else None
+    h = transformer_layer(x, layer, num_heads, lengths, capture=captured)
+    fused, start = [], 0
+    for i, (n, (m_prev, m_cur), length) in enumerate(
+            zip(text_lengths, speech_frames, lengths)):
+        stop = start + length
+        fused.append(FusedRepresentation(
+            hidden=h if len(lengths) == 1 else slice_rows(h, start, stop),
+            n_text=n, m_prev=m_prev, m_cur=m_cur,
+            attention=captured[i] if captured else None))
+        start = stop
+    return fused
 
 
 class AttentionNotCaptured(RuntimeError):

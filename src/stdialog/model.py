@@ -4,13 +4,19 @@ One instance owns every learnable: text embedding tables, the conv
 frontend, projection, CLS/SEP rows, both transformer stacks, the fusion
 layer with modality embeddings, and the four objective heads.
 ``prepare_sample`` draws all of a sample's randomness; the forward pass is
-deterministic.  Forward runs one sample at a time, and the trainer sums a
-batch's per-sample losses into one graph.
+deterministic.  Forward takes a batch of prepared samples: the speech
+frontend and text embedding run per sample, then each encoder layer and
+the fusion layer run once over the packed rows of the whole batch, with
+attention kept within each sample.  Each sample's fused representation
+is its rows of the packed output, and its losses are computed from it on
+their own; the trainer sums them into one graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
+                         replace)
+from typing import get_type_hints
 
 import numpy as np
 
@@ -18,7 +24,7 @@ from . import frontend as fe
 from .autodiff import register
 from .encoders import (FusedRepresentation, encode_speech, encode_text, fuse,
                        init_conv_positional, init_encoder_stack,
-                       init_transformer_layer)
+                       init_transformer_layer, pack)
 from .masking import AcousticMaskConfig, MaskPlan, draw_mask_plan
 from .objectives import (LossWeights, cmam_loss, cmlm_loss,
                          crs_logits, crs_loss, init_tpp_head, joint_loss,
@@ -79,11 +85,19 @@ class ModelConfig:
         return cls(**d)
 
 
+# the JSON values that a config field of each type accepts; a nested
+# config takes an object
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), bool: ((bool,), "true or false"),
+               tuple: ((list, tuple), "a list")}
+
+
 def config_kwargs(cls, d, what: str, complete: bool = False) -> dict:
     """A copy of ``d`` as keyword arguments for dataclass ``cls``, whose
     defaults fill the fields ``d`` leaves out; a key that is not a field
-    of ``cls``, or with ``complete`` a field that ``d`` lacks, raises
-    ``ValueError`` naming it."""
+    of ``cls``, a value of the wrong JSON type for its field (an object
+    for a nested config), or with ``complete`` a field that ``d`` lacks,
+    raises ``ValueError`` naming it."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} config must be an object, got {d!r}")
     names = [f.name for f in fields(cls)]
@@ -93,6 +107,16 @@ def config_kwargs(cls, d, what: str, complete: bool = False) -> dict:
     missing = [name for name in names if complete and name not in d]
     if missing:
         raise ValueError(f"missing {what} config key(s): {', '.join(missing)}")
+    hints = get_type_hints(cls)
+    for key, value in d.items():
+        kind = hints[key]
+        allowed, name = (((dict,), "an object") if is_dataclass(kind)
+                         else _JSON_TYPES[kind])
+        # bool is an int subclass, but true is no integer
+        if not isinstance(value, allowed) or \
+                (isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"{what} config key {key} must be {name}, got "
+                             f"{value!r}")
     return dict(d)
 
 
@@ -208,41 +232,56 @@ class SpeechTextModel:
                                         self.proj_b, plan)
         return projected, targets
 
-    def forward(self, prepared: PreparedSample,
-                capture_attention: bool = False) -> ForwardResult:
-        tok = replace(prepared.tokenized, token_ids=prepared.input_token_ids)
-        x = embed_text(tok, self.token_table, self.position_table,
-                       self.segment_table, self.config.max_text_len)
+    def forward(self, prepared: list,
+                capture_attention: bool = False) -> list:
+        """One ``ForwardResult`` per prepared sample, in order, from one
+        pass of each encoder layer over the packed rows of all samples."""
         heads = self.config.num_heads
-        h_text = encode_text(x, self.text_layers, heads)
-        want_prev, want_cur = prepared.cmam_turns
-        proj_prev, targets_prev = self._speech_path(
-            prepared.wave_prev, prepared.acoustic_plan_prev, want_prev)
-        proj_cur, targets_cur = self._speech_path(
-            prepared.wave_cur, prepared.acoustic_plan_cur, want_cur)
-        seq = fe.assemble_speech_sequence(proj_prev, proj_cur,
-                                          self.cls_vec, self.sep_vec)
-        h_speech = encode_speech(seq, self.conv_pos, self.speech_layers,
+        texts = [embed_text(replace(p.tokenized, token_ids=p.input_token_ids),
+                            self.token_table, self.position_table,
+                            self.segment_table, self.config.max_text_len)
+                 for p in prepared]
+        text_lengths = tuple(x.shape[0] for x in texts)
+        h_text = encode_text(pack(texts), self.text_layers, heads,
+                             text_lengths)
+        speech, frames, targets = [], [], []
+        for p in prepared:
+            want_prev, want_cur = p.cmam_turns
+            proj_prev, target_prev = self._speech_path(
+                p.wave_prev, p.acoustic_plan_prev, want_prev)
+            proj_cur, target_cur = self._speech_path(
+                p.wave_cur, p.acoustic_plan_cur, want_cur)
+            speech.append(fe.assemble_speech_sequence(
+                proj_prev, proj_cur, self.cls_vec, self.sep_vec))
+            frames.append((proj_prev.shape[0], proj_cur.shape[0]))
+            targets.append((target_prev, target_cur))
+        h_speech = encode_speech(speech, self.conv_pos, self.speech_layers,
                                  heads, self.config.conv_pos_groups)
-        fused = fuse(h_text, h_speech, proj_prev.shape[0], proj_cur.shape[0],
+        fused = fuse(h_text, h_speech, text_lengths, frames,
                      self.modality_table, self.fusion_layer, heads,
                      capture_attention=capture_attention)
-        return ForwardResult(fused=fused, cmam_target_prev=targets_prev,
-                             cmam_target_cur=targets_cur)
+        return [ForwardResult(f, *t) for f, t in zip(fused, targets)]
 
-    def compute_losses(self, prepared: PreparedSample,
+    def compute_losses(self, prepared: list,
                        weights: LossWeights = LossWeights(),
-                       frozen_cmam_targets: tuple | None = None) -> dict:
-        """Losses for one prepared sample.
+                       frozen_cmam_targets: list | None = None) -> list:
+        """The losses of each prepared sample, as one dict per sample.
 
         Reconstruction targets are stop-gradient constants of the step; pass
-        ``frozen_cmam_targets`` (from a prior forward) when re-evaluating the
-        same step's objective, e.g. under finite differences.
+        ``frozen_cmam_targets`` (one (prev, cur) pair per sample, from a
+        prior forward) when re-evaluating the same step's objective, e.g.
+        under finite differences.
         """
-        result = self.forward(prepared)
+        results = self.forward(prepared)
         if frozen_cmam_targets is not None:
-            result.cmam_target_prev, result.cmam_target_cur = \
-                frozen_cmam_targets
+            for result, (prev, cur) in zip(results, frozen_cmam_targets,
+                                           strict=True):
+                result.cmam_target_prev, result.cmam_target_cur = prev, cur
+        return [self._losses(p, r, weights)
+                for p, r in zip(prepared, results)]
+
+    def _losses(self, prepared: PreparedSample, result: ForwardResult,
+                weights: LossWeights) -> dict:
         fused = result.fused
         tpp = tpp_loss(fused, prepared.tokenized.word_boundaries,
                        self.tpp_head)
@@ -265,11 +304,10 @@ class SpeechTextModel:
 
     def eval_fused(self, sample, vocab: Vocab,
                    capture_attention: bool = False) -> FusedRepresentation:
-        """Clean forward (no corruption, no masking); fine-tuning trains
-        through it."""
+        """Clean forward of one sample (no corruption, no masking)."""
         prepared = prepare_sample(sample, vocab, self.config, train=False)
         return self.forward(
-            prepared, capture_attention=capture_attention).fused
+            [prepared], capture_attention=capture_attention)[0].fused
 
     def crs_predict(self, fused: FusedRepresentation) -> int:
         return int(np.argmax(crs_logits(fused, self.crs_w, self.crs_b).data))

@@ -87,7 +87,10 @@ class MetricsLog:
 
     A log that starts after ``start_step`` (a resumed run) keeps the file's
     rows up to that step and appends after them; ``rows`` holds only the
-    records appended through this log.
+    records appended through this log.  The file's rows after that step
+    are dropped unread, so a row torn by a crash after the checkpoint does
+    no harm, but a bad row up to it raises ``ValueError`` naming the file
+    and line.
     """
 
     def __init__(self, path=None, start_step: int = 0):
@@ -97,9 +100,23 @@ class MetricsLog:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             kept = []
             if start_step and self.path.exists():
-                kept = [r for r in self.read(self.path)
-                        if r["step"] <= start_step]
+                kept = self._rows_through(start_step)
             self.path.write_text("".join(json.dumps(r) + "\n" for r in kept))
+
+    def _rows_through(self, step: int) -> list:
+        kept = []
+        for number, line in enumerate(self.path.read_text().splitlines(), 1):
+            if kept and kept[-1]["step"] >= step:
+                break
+            try:
+                row = json.loads(line)
+                if row["step"] > step:
+                    break
+            except (ValueError, TypeError, KeyError):
+                raise ValueError(f"{self.path} line {number}: not a metrics "
+                                 f"row: {line[:60]}") from None
+            kept.append(row)
+        return kept
 
     def append(self, record: dict) -> None:
         if self.rows and record["step"] <= self.rows[-1]["step"]:
@@ -152,15 +169,16 @@ class TrainResult:
 
 
 def _train(cfg, model: SpeechTextModel, opt: AdamW, start_step: int,
-           stream: int, n_samples: int, batch_size: int, sample_loss,
+           stream: int, n_samples: int, batch_size: int, batch_losses,
            loss_key: str, metrics_path, on_step=None) -> list:
     """Steps ``start_step + 1`` to ``cfg.steps``; step t draws all its
     randomness from (cfg.seed, stream, t).
 
-    Each step draws ``batch_size`` of the ``n_samples`` indices and
-    ``sample_loss(i, rng)`` gives one sample's (loss, {component: value}).
-    The step minimizes the batch mean of the losses and logs the batch
-    mean of each component.  Returns the metric rows of these steps.
+    Each step draws ``batch_size`` of the ``n_samples`` indices, and
+    ``batch_losses(indices, rng)`` gives each sample's (loss, {component:
+    value}), in index order.  The step minimizes the batch mean of the
+    losses and logs the batch mean of each component.  Returns the metric
+    rows of these steps.
     """
     if cfg.steps <= start_step:
         raise ValueError(f"nothing to train: steps {cfg.steps} <= start "
@@ -173,8 +191,7 @@ def _train(cfg, model: SpeechTextModel, opt: AdamW, start_step: int,
         model.zero_grad()
         losses, sums = [], {}
         t0 = time.monotonic()
-        for i in idx:
-            loss, components = sample_loss(int(i), rng)
+        for loss, components in batch_losses(idx.tolist(), rng):
             losses.append(loss)
             for key, value in components.items():
                 sums[key] = sums.get(key, 0.0) + value
@@ -221,18 +238,22 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
     weights = LossWeights(alpha=cfg.alpha)
     acfg = cfg.acoustic_config()
 
-    def sample_loss(i, rng):
+    def prepare(i, rng):
         sample, label = samples[i], None
         if cfg.crs_enabled:
             sample, label = make_crs_sample(sample, corpus.dialogs, rng,
                                             cfg.crs_class_probs)
-        prepared = prepare_sample(
+        return prepare_sample(
             sample, vocab, model.config, rng=rng, crs_label=label,
             text_mask_prob=cfg.text_mask_prob,
             text_corruption=cfg.text_corruption, acoustic_config=acfg)
-        losses = model.compute_losses(prepared, weights)
-        return losses["joint"], {key: _component_value(losses[key])
-                                 for key in ("tpp", "crs", "cmlm", "cmam")}
+
+    def batch_losses(idx, rng):
+        prepared = [prepare(i, rng) for i in idx]
+        return [(losses["joint"],
+                 {key: _component_value(losses[key])
+                  for key in ("tpp", "crs", "cmlm", "cmam")})
+                for losses in model.compute_losses(prepared, weights)]
 
     def save_periodic(step):
         if out_dir and cfg.checkpoint_every and \
@@ -241,7 +262,7 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
                             vocab, opt, step, cfg)
 
     rows = _train(cfg, model, opt, start_step, 1, len(samples),
-                  cfg.batch_size, sample_loss, "joint",
+                  cfg.batch_size, batch_losses, "joint",
                   out_dir / "metrics.jsonl" if out_dir else None,
                   save_periodic)
     path = None
@@ -297,13 +318,16 @@ def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
                 AdamWConfig(weight_decay=cfg.weight_decay,
                             clip_norm=cfg.clip_norm))
 
-    def sample_loss(i, rng):
-        sample, label = train_items[i]
-        fused = model.eval_fused(sample, vocab)
-        return task_loss(predict(fused, head), label, task), {}
+    def batch_losses(idx, rng):
+        items = [train_items[i] for i in idx]
+        results = model.forward([prepare_sample(sample, vocab, model.config,
+                                                train=False)
+                                 for sample, _ in items])
+        return [(task_loss(predict(result.fused, head), label, task), {})
+                for result, (_, label) in zip(results, items)]
 
     rows = _train(cfg, model, opt, 0, 4, len(train_items),
-                  min(cfg.batch_size, len(train_items)), sample_loss, "loss",
+                  min(cfg.batch_size, len(train_items)), batch_losses, "loss",
                   out_dir / "finetune-metrics.jsonl" if out_dir else None)
     path = None
     if out_dir:

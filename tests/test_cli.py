@@ -178,6 +178,27 @@ def test_resume_with_different_config_fails_cleanly(pretrained, corpus_dir,
     assert not out.exists()
 
 
+def test_resume_over_bad_metrics_row_fails_cleanly(corpus_dir, tmp_path):
+    out = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"checkpoint_every": 1}))
+    args = ("pretrain", "--corpus", corpus_dir / "manifest.json",
+            "--config", config, "--out", out, "--steps", 3,
+            "--batch-size", 2, "--k", 2)
+    run_cli(*args)
+    log = out / "metrics.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text('{"step": 1, "joint": 1.\n' + "".join(lines[1:]))
+    before = snapshot(out)
+    result = run_cli(*args, "--resume", out / "checkpoint-000002.npz",
+                     check=False)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.strip() == \
+        f'{log} line 1: not a metrics row: {{"step": 1, "joint": 1.'
+    assert snapshot(out) == before
+
+
 def test_finetune_without_steps_writes_nothing(pretrained, task_dir,
                                                tmp_path):
     out = tmp_path / "ft"
@@ -218,6 +239,7 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
 
 @pytest.mark.parametrize("case", ["missing-config", "unknown-config-key",
                                   "incomplete-frontend-layer",
+                                  "wrong-type-config-value",
                                   "bad-conv-pos-groups", "missing-vocab",
                                   "vocab-without-specials", "missing-labels",
                                   "one-class-labels"])
@@ -229,6 +251,8 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     incomplete_layer = tmp_path / "layer.json"
     incomplete_layer.write_text(json.dumps(
         {"model": {"frontend": {"layers": [{"channels": 4, "kernel": 5}]}}}))
+    wrong_type = tmp_path / "type.json"
+    wrong_type.write_text(json.dumps({"model": {"d_h": "64"}}))
     bad_groups = tmp_path / "groups.json"
     bad_groups.write_text(json.dumps({"model": {"conv_pos_groups": 3}}))
     no_specials = tmp_path / "vocab.txt"
@@ -250,6 +274,9 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
         "incomplete-frontend-layer": (
             (*pretrain, "--config", incomplete_layer),
             "missing frontend layer config key(s): stride"),
+        "wrong-type-config-value": (
+            (*pretrain, "--config", wrong_type),
+            "model config key d_h must be an integer, got '64'"),
         "bad-conv-pos-groups": ((*pretrain, "--config", bad_groups),
                                 "conv_pos_groups 3 must be >= 1 and divide"),
         "missing-vocab": ((*pretrain, "--vocab", missing), str(missing)),

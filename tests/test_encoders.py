@@ -55,7 +55,9 @@ def layer_output_and_grads(layer_fn, n, seed=21):
 class TestTransformerLayer:
     @pytest.mark.parametrize("n", [1, 7, 20])
     def test_matches_composed_reference(self, n):
-        out, dx, grads = layer_output_and_grads(enc.transformer_layer, n)
+        out, dx, grads = layer_output_and_grads(
+            lambda x, p, heads: enc.transformer_layer(x, p, heads,
+                                                      lengths=(n,)), n)
         ref_out, ref_dx, ref_grads = layer_output_and_grads(
             composed_transformer_layer, n)
         np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=0)
@@ -76,7 +78,7 @@ class TestTransformerLayer:
         proj = Tensor(rng.standard_normal((5, 8)))
 
         def loss():
-            out = enc.transformer_layer(x, p, 2)
+            out = enc.transformer_layer(x, p, 2, lengths=(5,))
             return ad.reduce_sum(ad.mul(out, proj))
 
         report = grad_check(loss, [x, *vars(p).values()], coords_per_param=30)
@@ -87,8 +89,8 @@ class TestTransformerLayer:
             cfg, _, layers, _, fusion, modality = make_stack(seed=25)
             h_t = Tensor(rand_x(4, seed=26).data, requires_grad=True)
             h_s = rand_x(9, seed=27)
-            fused = enc.fuse(h_t, h_s, 3, 4, modality, fusion,
-                             cfg.num_heads, capture_attention=capture)
+            fused, = enc.fuse(h_t, h_s, (4,), [(3, 4)], modality, fusion,
+                              cfg.num_heads, capture_attention=capture)
             ad.reduce_sum(ad.mul(fused.hidden, rand_x(13, seed=28))) \
                 .backward()
             grads = [param.grad for param in vars(fusion).values()]
@@ -104,24 +106,102 @@ class TestTransformerLayer:
             np.testing.assert_array_equal(on, off)
 
 
+class TestPackedLayer:
+    """One call over packed sequences against one reference call each."""
+
+    LENGTHS = (1, 7, 20)
+
+    def setup_method(self):
+        _, _, layers, _, _, _ = make_stack(num_layers=1, seed=31)
+        self.p = layers[0]
+        rng = np.random.default_rng(32)
+        for param in vars(self.p).values():
+            param.data += 0.1 * rng.standard_normal(param.shape)
+        n = sum(self.LENGTHS)
+        self.x = rng.standard_normal((n, 16))
+        self.proj = rng.standard_normal((n, 16))
+        self.cuts = np.cumsum(self.LENGTHS)[:-1]
+
+    def run(self, layer_fn, rows):
+        """Output, input gradient and the 16 parameter gradients, summed
+        over the calls of ``layer_fn`` on each row range in ``rows``."""
+        for param in vars(self.p).values():
+            param.zero_grad()
+        outs, dxs = [], []
+        for part in rows:
+            x = Tensor(self.x[part], requires_grad=True)
+            out = layer_fn(x)
+            ad.reduce_sum(ad.mul(out, Tensor(self.proj[part]))).backward()
+            outs.append(out.data)
+            dxs.append(x.grad)
+        return np.concatenate(outs), np.concatenate(dxs), \
+            {name: param.grad.copy() for name, param in vars(self.p).items()}
+
+    def test_one_call_equals_one_reference_call_per_sequence(self):
+        out, dx, grads = self.run(
+            lambda x: enc.transformer_layer(x, self.p, 4, self.LENGTHS),
+            [slice(None)])
+        ends = np.cumsum(self.LENGTHS)
+        ref_out, ref_dx, ref_grads = self.run(
+            lambda x: composed_transformer_layer(x, self.p, 4),
+            [slice(end - n, end) for n, end in zip(self.LENGTHS, ends)])
+        np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-10, atol=0)
+        assert len(grads) == 16
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-10,
+                                       atol=1e-14, err_msg=name)
+
+    def test_capture_gives_each_sequence_its_weights(self):
+        captured = []
+        enc.transformer_layer(Tensor(self.x), self.p, 4, self.LENGTHS,
+                              capture=captured)
+        assert [w.shape for w in captured] == [(4, n, n) for n in self.LENGTHS]
+        for weights in captured:
+            np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-12)
+
+    def test_grad_check(self):
+        _, _, layers, _, _, _ = make_stack(num_layers=1, d_h=8, heads=2,
+                                           ffn=12, seed=33)
+        p = layers[0]
+        rng = np.random.default_rng(34)
+        for param in vars(p).values():
+            param.data += 0.3 * rng.standard_normal(param.shape)
+        x = Parameter(rng.standard_normal((6, 8)), "x")
+        proj = Tensor(rng.standard_normal((6, 8)))
+
+        def loss():
+            out = enc.transformer_layer(x, p, 2, lengths=(2, 1, 3))
+            return ad.reduce_sum(ad.mul(out, proj))
+
+        report = grad_check(loss, [x, *vars(p).values()], coords_per_param=30)
+        assert report.max_relative_error < 1e-6, str(report)
+
+    def test_lengths_must_cover_the_rows(self):
+        with pytest.raises(ad.ShapeError, match=r"\(1, 7\) do not sum to "
+                                                r"the 28 packed rows"):
+            enc.transformer_layer(Tensor(self.x), self.p, 4, lengths=(1, 7))
+
+
 class TestTextEncoder:
     def test_zero_layers_is_identity(self):
         cfg, _, _, _, _, _ = make_stack(num_layers=0)
         x = rand_x(7)
-        out = enc.encode_text(x, [], cfg.num_heads)
+        out = enc.encode_text(x, [], cfg.num_heads, lengths=(7,))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_shape_preserved(self):
         cfg, _, layers, _, _, _ = make_stack()
         for n in (1, 3, 11):
-            out = enc.encode_text(rand_x(n, seed=n), layers, cfg.num_heads)
+            out = enc.encode_text(rand_x(n, seed=n), layers, cfg.num_heads,
+                                  lengths=(n,))
             assert out.shape == (n, cfg.d_h)
 
     def test_deterministic_without_dropout(self):
         cfg, _, layers, _, _, _ = make_stack()
         x = rand_x(5)
-        a = enc.encode_text(x, layers, cfg.num_heads).data
-        b = enc.encode_text(x, layers, cfg.num_heads).data
+        a = enc.encode_text(x, layers, cfg.num_heads, lengths=(5,)).data
+        b = enc.encode_text(x, layers, cfg.num_heads, lengths=(5,)).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -129,7 +209,7 @@ class TestSpeechEncoder:
     def test_shape_preserved(self):
         cfg, _, layers, conv_pos, _, _ = make_stack()
         x = rand_x(12, seed=3)
-        out = enc.encode_speech(x, conv_pos, layers, cfg.num_heads,
+        out = enc.encode_speech([x], conv_pos, layers, cfg.num_heads,
                                 cfg.conv_pos_groups)
         assert out.shape == (12, cfg.d_h)
 
@@ -139,9 +219,10 @@ class TestSpeechEncoder:
         w.data[...] = 0.0
         b.data[...] = 0.0
         x = rand_x(9, seed=4)
-        out_speech = enc.encode_speech(x, conv_pos, layers, cfg.num_heads,
+        out_speech = enc.encode_speech([x], conv_pos, layers, cfg.num_heads,
                                        cfg.conv_pos_groups).data
-        out_text = enc.encode_text(x, layers, cfg.num_heads).data
+        out_text = enc.encode_text(x, layers, cfg.num_heads,
+                                   lengths=(9,)).data
         np.testing.assert_allclose(out_speech, out_text, atol=1e-12)
 
     def test_conv_positional_shift_consistency(self):
@@ -197,8 +278,8 @@ class TestFusion:
         cfg, _, _, _, fusion, modality = make_stack()
         h_t = rand_x(n, seed=seed)
         h_s = rand_x(m_prev + m_cur + 2, seed=seed + 1)
-        return enc.fuse(h_t, h_s, m_prev, m_cur, modality, fusion,
-                        cfg.num_heads, capture_attention=capture), \
+        return enc.fuse(h_t, h_s, (n,), [(m_prev, m_cur)], modality, fusion,
+                        cfg.num_heads, capture_attention=capture)[0], \
             (h_t, h_s, modality, fusion, cfg)
 
     def test_output_length_identity(self):
@@ -218,10 +299,39 @@ class TestFusion:
         row = np.random.default_rng(11).standard_normal(16)
         h_t = Tensor(np.stack([row]))
         h_s = Tensor(np.stack([row, row, row]))
-        x = enc.fusion_input(h_t, h_s, modality).data
+        x = enc.fusion_input(h_t, h_s, (1,), (3,), modality).data
         diff = x[1] - x[0]  # identical content, speech vs text modality
         expected = modality.data[1] - modality.data[0]
         np.testing.assert_allclose(diff, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("text_lengths, speech_lengths",
+                             [((4,), (6,)), ((2, 5, 1), (5, 6, 6))])
+    def test_fusion_input_matches_composed_ops(self, text_lengths,
+                                               speech_lengths):
+        _, _, _, _, _, modality = make_stack(seed=14)
+        rng = np.random.default_rng(15)
+        text = Parameter(rng.standard_normal((sum(text_lengths), 16)), "t")
+        speech = Parameter(rng.standard_normal((sum(speech_lengths), 16)),
+                           "s")
+        proj = Tensor(rng.standard_normal(
+            (sum(text_lengths) + sum(speech_lengths), 16)))
+        params = [text, speech, modality]
+
+        def composed():
+            parts, ids = [], []
+            t_end, s_end = np.cumsum(text_lengths), np.cumsum(speech_lengths)
+            for n, te, m, se in zip(text_lengths, t_end, speech_lengths,
+                                    s_end):
+                parts += [ad.gather_rows(text, np.arange(te - n, te)),
+                          ad.gather_rows(speech, np.arange(se - m, se))]
+                ids += [0] * n + [1] * m
+            return ad.add(ad.concat(parts),
+                          ad.gather_rows(modality, np.array(ids)))
+
+        assert_node_matches_reference(
+            lambda: enc.fusion_input(text, speech, text_lengths,
+                                     speech_lengths, modality),
+            composed, params)
 
     def test_attention_rows_sum_to_one(self):
         fused, _ = self.fused(capture=True)
@@ -229,6 +339,57 @@ class TestFusion:
         assert fused.attention.shape == (4, 14, 14)
         np.testing.assert_allclose(fused.attention.sum(axis=-1),
                                    np.ones((4, 14)), atol=1e-5)
+
+    def test_batch_equals_one_call_per_sample(self):
+        cfg, _, _, _, fusion, modality = make_stack(seed=12)
+        text_lengths, frames = (2, 5, 1), [(1, 2), (3, 1), (2, 2)]
+        speech_lengths = [m_prev + m_cur + 2 for m_prev, m_cur in frames]
+        rng = np.random.default_rng(13)
+        text = rng.standard_normal((sum(text_lengths), 16))
+        speech = rng.standard_normal((sum(speech_lengths), 16))
+        proj = [rng.standard_normal((n + m, 16))
+                for n, m in zip(text_lengths, speech_lengths)]
+
+        def run(parts):
+            """Hidden states and gradients over calls on ``parts``, each a
+            (text rows, speech rows, text lengths, frames) tuple."""
+            modality.zero_grad()
+            hidden, d_text, d_speech = [], [], []
+            i = 0
+            for t_rows, s_rows, lengths, turns in parts:
+                h_t = Tensor(text[t_rows], requires_grad=True)
+                h_s = Tensor(speech[s_rows], requires_grad=True)
+                fused = enc.fuse(h_t, h_s, lengths, turns, modality, fusion,
+                                 cfg.num_heads)
+                loss = Tensor(np.zeros(()))
+                for f in fused:
+                    loss = ad.add(loss, ad.reduce_sum(
+                        ad.mul(f.hidden, Tensor(proj[i]))))
+                    hidden.append(f.hidden.data)
+                    i += 1
+                loss.backward()
+                d_text.append(h_t.grad)
+                d_speech.append(h_s.grad)
+            return hidden, np.concatenate(d_text), \
+                np.concatenate(d_speech), modality.grad.copy()
+
+        t_ends, s_ends = np.cumsum(text_lengths), np.cumsum(speech_lengths)
+        batch = run([(slice(None), slice(None), text_lengths, frames)])
+        single = run([(slice(te - n, te), slice(se - m, se), (n,), [turns])
+                      for n, te, m, se, turns in zip(
+                          text_lengths, t_ends, speech_lengths, s_ends,
+                          frames)])
+        for got, want in zip(batch[0], single[0], strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        for got, want in zip(batch[1:], single[1:]):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+
+    def test_packed_row_counts_checked(self):
+        cfg, _, _, _, fusion, modality = make_stack()
+        with pytest.raises(ValueError, match="9 packed speech rows for "
+                                             "sample lengths summing to 12"):
+            enc.fuse(rand_x(3), rand_x(9), (1, 2), [(3, 4), (1, 0)],
+                     modality, fusion, cfg.num_heads)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 12), m_prev=st.integers(1, 10),
@@ -238,8 +399,8 @@ class TestFusion:
                                                     seed=seed)
         h_t = rand_x(n, d=8, seed=seed)
         h_s = rand_x(m_prev + m_cur + 2, d=8, seed=seed + 1)
-        fused = enc.fuse(h_t, h_s, m_prev, m_cur, modality, fusion,
-                         cfg.num_heads)
+        fused, = enc.fuse(h_t, h_s, (n,), [(m_prev, m_cur)], modality,
+                          fusion, cfg.num_heads)
         assert fused.hidden.shape == (n + m_prev + m_cur + 2, 8)
         assert fused.length == n + m_prev + m_cur + 2
 
@@ -247,17 +408,17 @@ class TestFusion:
 class TestExportAttention:
     def test_requires_capture(self, tmp_path):
         cfg, _, _, _, fusion, modality = make_stack()
-        fused = enc.fuse(rand_x(3, seed=16), rand_x(6, seed=17), 2, 2,
-                         modality, fusion, cfg.num_heads,
-                         capture_attention=False)
+        fused, = enc.fuse(rand_x(3, seed=16), rand_x(6, seed=17), (3,),
+                          [(2, 2)], modality, fusion, cfg.num_heads,
+                          capture_attention=False)
         with pytest.raises(enc.AttentionNotCaptured):
             enc.export_attention(fused, tmp_path / "attn")
 
     def test_written_files_and_metadata(self, tmp_path):
         cfg, _, _, _, fusion, modality = make_stack()
-        fused = enc.fuse(rand_x(5, seed=18), rand_x(9, seed=19), 4, 3,
-                         modality, fusion, cfg.num_heads,
-                         capture_attention=True)
+        fused, = enc.fuse(rand_x(5, seed=18), rand_x(9, seed=19), (5,),
+                          [(4, 3)], modality, fusion, cfg.num_heads,
+                          capture_attention=True)
         paths = enc.export_attention(fused, tmp_path / "attn")
         mean = np.loadtxt(paths["mean"], delimiter=",")
         assert mean.shape == (fused.length, fused.length)

@@ -7,6 +7,7 @@ import pytest
 from composed_speech import (assert_node_matches_reference,
                              composed_extract_features,
                              composed_project_features)
+from stdialog import autodiff as ad
 from stdialog import corpus as cp
 from stdialog import frontend as fe
 from stdialog import model as md
@@ -18,7 +19,7 @@ from stdialog.text import Vocab, WhitespaceTokenizer
 from stdialog.trainer import TrainConfig
 
 
-def tiny_setup(dtype="float64", seed=0):
+def tiny_setup(dtype="float64", seed=0, layers=1):
     syn = cp.SyntheticConfig(num_dialogs=2, turns_per_dialog=(2, 3),
                              vocab_size=8, words_per_turn=(2, 3),
                              frame_rate=100, noise_std=0.02,
@@ -26,8 +27,8 @@ def tiny_setup(dtype="float64", seed=0):
     dialogs = cp.generate_synthetic(syn, seed=seed)
     vocab = Vocab.from_tokens(syn.vocabulary())
     config = md.ModelConfig(
-        d_h=8, vocab_size=vocab.size, max_text_len=24, text_layers=1,
-        speech_layers=1, num_heads=2, ffn_dim=8, dtype=dtype,
+        d_h=8, vocab_size=vocab.size, max_text_len=24, text_layers=layers,
+        speech_layers=layers, num_heads=2, ffn_dim=8, dtype=dtype,
         conv_pos_kernel=3, conv_pos_groups=2,
         frontend=fe.desk_config(channels=4))
     model = md.SpeechTextModel(config, seed=seed)
@@ -67,7 +68,7 @@ class TestForward:
         sample, label = make_crs_sample(samples[0], dialogs,
                                         np.random.default_rng(1))
         prepared = prepare(model, vocab, sample, label)
-        losses = model.compute_losses(prepared)
+        losses, = model.compute_losses([prepared])
         for key in ("tpp", "cmlm", "cmam", "joint"):
             assert np.isfinite(losses[key].data)
         assert losses["crs"] is not None
@@ -75,7 +76,7 @@ class TestForward:
     def test_crs_disabled_drops_term(self):
         model, vocab, _, samples = tiny_setup()
         prepared = prepare(model, vocab, samples[0], label=None)
-        losses = model.compute_losses(prepared)
+        losses, = model.compute_losses([prepared])
         assert losses["crs"] is None
         total = losses["tpp"].item() + losses["cmlm"].item() + \
             losses["cmam"].item()
@@ -127,6 +128,78 @@ class TestForward:
         assert fused.attention.shape[1] == fused.length
 
 
+def graph_nodes(root) -> list:
+    """Every tensor reachable from ``root`` through ``_parents``."""
+    nodes, seen = [root], {id(root)}
+    for node in nodes:
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                nodes.append(parent)
+    return nodes
+
+
+def transformer_layer_nodes(root) -> int:
+    return sum(node._backward is not None and node._backward.__qualname__
+               == "transformer_layer.<locals>.backward"
+               for node in graph_nodes(root))
+
+
+class TestBatch:
+    """A batch runs each encoder layer once over the packed rows of all
+    its samples; attention stays within a sample."""
+
+    # graph nodes of a one-sample ``eval_fused`` on the tiny model when
+    # each sample ran the encoders on its own
+    PER_SAMPLE_EVAL_NODES = 85
+
+    def prepared(self, model, vocab, samples):
+        return [prepare(model, vocab, sample, label=i % 4, seed=10 + i,
+                        mask_prob=0.4, trigger=0.5)
+                for i, sample in enumerate(samples)]
+
+    def test_no_cross_sample_leak(self):
+        model, vocab, _, samples = tiny_setup()
+        a, b, c = self.prepared(model, vocab, samples[:3])
+        rng = np.random.default_rng(5)
+        other_b = replace(
+            b, input_token_ids=(b.input_token_ids + 1) % vocab.size,
+            wave_prev=rng.standard_normal(len(b.wave_prev)),
+            wave_cur=rng.standard_normal(len(b.wave_cur)))
+        before = model.compute_losses([a, b, c])
+        after = model.compute_losses([a, other_b, c])
+        for i in (0, 2):
+            for key, loss in before[i].items():
+                assert loss.data.tobytes() == after[i][key].data.tobytes(), \
+                    (i, key)
+        assert before[1]["joint"].item() != after[1]["joint"].item()
+
+    def test_batch_losses_equal_one_sample_calls(self):
+        model, vocab, _, samples = tiny_setup(dtype="float32")
+        prepared = self.prepared(model, vocab, samples[:4])
+        batch = model.compute_losses(prepared)
+        for p, losses in zip(prepared, batch, strict=True):
+            single, = model.compute_losses([p])
+            for key in ("tpp", "crs", "cmlm", "cmam", "joint"):
+                np.testing.assert_allclose(losses[key].item(),
+                                           single[key].item(), rtol=1e-5,
+                                           err_msg=key)
+
+    def test_one_sample_eval_builds_no_extra_nodes(self):
+        model, vocab, _, samples = tiny_setup()
+        fused = model.eval_fused(samples[0], vocab)
+        assert len(graph_nodes(fused.hidden)) <= self.PER_SAMPLE_EVAL_NODES
+
+    def test_batch_runs_each_layer_once(self):
+        model, vocab, _, samples = tiny_setup(layers=2)
+        losses = model.compute_losses(self.prepared(model, vocab,
+                                                    samples[:4]))
+        total = losses[0]["joint"]
+        for sample_losses in losses[1:]:
+            total = ad.add(total, sample_losses["joint"])
+        assert transformer_layer_nodes(total) == 2 + 2 + 1
+
+
 class TestGradientIntegrity:
     """Finite-difference checks of every loss on the tiny fused model."""
 
@@ -142,12 +215,12 @@ class TestGradientIntegrity:
             self.prepared.acoustic_plan_cur.mask.any()
 
     def check(self, key, weights=LossWeights()):
-        base = self.model.forward(self.prepared)
-        frozen = (base.cmam_target_prev, base.cmam_target_cur)
+        base, = self.model.forward([self.prepared])
+        frozen = [(base.cmam_target_prev, base.cmam_target_cur)]
 
         def loss():
-            losses = self.model.compute_losses(self.prepared, weights,
-                                               frozen_cmam_targets=frozen)
+            losses, = self.model.compute_losses([self.prepared], weights,
+                                                frozen_cmam_targets=frozen)
             return losses[key]
 
         report = grad_check(loss, self.model.parameters(), epsilon=1e-5,
@@ -221,3 +294,32 @@ class TestConfigRoundtrip:
         with pytest.raises(ValueError) as err:
             TrainConfig.from_dict(config)
         assert str(err.value) == key
+
+    @pytest.mark.parametrize("config, message", [
+        ({"model": {"d_h": "64"}},
+         "model config key d_h must be an integer, got '64'"),
+        ({"steps": True},
+         "train config key steps must be an integer, got True"),
+        ({"peak_lr": "1e-3"},
+         "train config key peak_lr must be a number, got '1e-3'"),
+        ({"crs_enabled": 1},
+         "train config key crs_enabled must be true or false, got 1"),
+        ({"schedule": 2}, "train config key schedule must be a string, got 2"),
+        ({"acoustic_span": 3},
+         "train config key acoustic_span must be a list, got 3"),
+        ({"model": [64]},
+         "train config key model must be an object, got [64]"),
+        ({"model": {"frontend": {"layers": 5}}},
+         "frontend config key layers must be a list, got 5"),
+        ({"model": {"frontend": {"layers": [
+            {"channels": 4, "kernel": 5, "stride": 2.0}]}}},
+         "frontend layer config key stride must be an integer, got 2.0"),
+    ], ids=["int", "bool-for-int", "float", "bool", "str", "tuple", "nested",
+            "frontend-layers", "frontend-layer"])
+    def test_wrong_type_config_value_rejected(self, config, message):
+        with pytest.raises(ValueError) as err:
+            TrainConfig.from_dict(config)
+        assert str(err.value) == message
+
+    def test_int_for_float_config_value_accepted(self):
+        assert TrainConfig.from_dict({"peak_lr": 1}).peak_lr == 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,25 @@ class TestCheckpointing:
         resumed = tr.pretrain(small_config(steps=6), corpus, out_dir=tmp_path,
                               resume_from=tmp_path / "checkpoint-000003.npz")
         assert [r["step"] for r in resumed.metrics] == [4, 5, 6]
+        assert strip_wall(tr.MetricsLog.read(log)) == \
+            strip_wall(uninterrupted)
+
+    @pytest.mark.parametrize("whole_rows", [2, 4])
+    def test_resume_drops_row_torn_after_checkpoint(self, tmp_path,
+                                                    whole_rows):
+        # a kill while a row after step 2's checkpoint is written leaves
+        # the rows before it and a prefix of it; checkpoint 2 resumes the
+        # uninterrupted run
+        corpus = small_corpus()
+        tr.pretrain(small_config(steps=4, checkpoint_every=2), corpus,
+                    out_dir=tmp_path)
+        log = tmp_path / "metrics.jsonl"
+        uninterrupted = tr.MetricsLog.read(log)
+        lines = log.read_text().splitlines(keepends=True)
+        torn = json.dumps({"step": whole_rows + 1, "joint": 1.5})[:20]
+        log.write_text("".join(lines[:whole_rows]) + torn)
+        tr.pretrain(small_config(steps=4), corpus, out_dir=tmp_path,
+                    resume_from=tmp_path / "checkpoint-000002.npz")
         assert strip_wall(tr.MetricsLog.read(log)) == \
             strip_wall(uninterrupted)
 
