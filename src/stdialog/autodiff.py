@@ -5,8 +5,9 @@ result eagerly, checks it for NaN/Inf and makes a graph node with
 ``record``.  A node's backward rule maps the output gradient to one
 gradient per parent, in parent order, and touches no parent;
 ``Tensor.backward`` alone adds those gradients into the parents that
-require one.  Shape rules are strict on purpose: ``add``, ``sub`` and
-``mul`` take operands of equal shape only, with no implicit broadcast.
+require one.  Shape rules are strict on purpose: ``add`` takes operands
+of equal shape only, with no implicit broadcast.  The loss ops take the
+rows of a whole batch and give each sample's mean loss over its own rows.
 
 Layers that run as one node keep their arithmetic in plain-array
 ``*_forward``/``*_backward`` helpers: layer norm and softmax for the
@@ -74,7 +75,8 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor."""
+        return self.data.item()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -150,26 +152,11 @@ def record(data, parents, backward, op: str) -> Tensor:
                   _backward=backward if requires else None)
 
 
-def _check_elementwise(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} "
-                         "differ")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise(a, b, "add")
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} "
+                         "differ")
     return record(a.data + b.data, (a, b), lambda g: (g, g), "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise(a, b, "sub")
-    return record(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise(a, b, "mul")
-    return record(a.data * b.data, (a, b),
-                  lambda g: (g * b.data, g * a.data), "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -211,16 +198,6 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
     return record(np.concatenate([t.data for t in tensors], axis=axis),
                   tuple(tensors), lambda g: np.split(g, cuts, axis=axis),
                   "concat")
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``start:stop`` of a tensor."""
-    def backward(g):
-        buf = np.zeros_like(a.data)
-        buf[start:stop] = g
-        return (buf,)
-
-    return record(a.data[start:stop], (a,), backward, "slice_rows")
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -355,50 +332,63 @@ def conv1d_backward(g: np.ndarray, saved: tuple,
     return dx.reshape(length, groups * c_in_g), dw, db
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean cross-entropy of [n, C] logits against integer targets [n]."""
+def _sample_means(pred: Tensor, row_loss: np.ndarray, row_grad: np.ndarray,
+                  sample, b: int, op: str) -> Tensor:
+    """The [b] node of each sample's mean of ``row_loss``, one loss per row
+    of ``pred``, over the rows that ``sample`` gives it; a sample with no
+    rows gets 0.  ``row_grad`` is each row loss's gradient in its row."""
+    sample = np.asarray(sample, dtype=np.intp)
+    n = pred.data.shape[0]
+    if sample.shape != (n,) or np.any((sample < 0) | (sample >= b)):
+        raise ShapeError(f"{op}: sample indices {sample.shape} for {n} rows "
+                         f"of {b} samples")
+    count = np.maximum(np.bincount(sample, minlength=b), 1)
+    out = np.bincount(sample, weights=row_loss, minlength=b) / count
+    weight = (1.0 / count)[sample, None].astype(pred.dtype)
+    return record(out.astype(pred.dtype), (pred,),
+                  lambda g: (g[sample, None] * weight * row_grad,), op)
+
+
+def cross_entropy(logits: Tensor, targets, sample, b: int) -> Tensor:
+    """Each of ``b`` samples' mean cross-entropy over its rows of [n, C]
+    logits against integer targets [n]; row i belongs to ``sample[i]``."""
     t = np.asarray(targets, dtype=np.intp)
     if logits.data.ndim != 2 or t.ndim != 1 or t.shape[0] != logits.data.shape[0]:
         raise ShapeError(
             f"cross_entropy: logits {logits.data.shape} vs targets {t.shape}")
-    n = logits.data.shape[0]
+    rows = np.arange(t.shape[0])
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1))
-    picked = z[np.arange(n), t]
-    out_data = np.asarray((lse - picked).mean(), dtype=logits.data.dtype)
-
-    def backward(g):
-        p = np.exp(z - lse[:, None])
-        p[np.arange(n), t] -= 1.0
-        return (p * (g / n),)
-
-    return record(out_data, (logits,), backward, "cross_entropy")
+    p = np.exp(z - lse[:, None])
+    p[rows, t] -= 1.0
+    return _sample_means(logits, lse - z[rows, t], p, sample, b,
+                         "cross_entropy")
 
 
 def _as_const_array(target, like: np.ndarray) -> np.ndarray:
-    arr = target.data if isinstance(target, Tensor) else np.asarray(target)
+    arr = np.asarray(target)
     if arr.shape != like.shape:
         raise ShapeError(f"target shape {arr.shape} != prediction {like.shape}")
     return arr.astype(like.dtype, copy=False)
 
 
-def mse(pred: Tensor, target) -> Tensor:
-    """Mean squared error against a constant target."""
-    t = _as_const_array(target, pred.data)
-    diff = pred.data - t
-    out_data = np.asarray((diff * diff).mean(), dtype=pred.data.dtype)
-    n = diff.size
-    return record(out_data, (pred,), lambda g: ((2.0 / n) * diff * g,), "mse")
+def mse(pred: Tensor, target, sample, b: int) -> Tensor:
+    """Each of ``b`` samples' mean squared error over its rows of [n, k]
+    ``pred`` against a constant target; row i belongs to ``sample[i]``."""
+    diff = pred.data - _as_const_array(target, pred.data)
+    k = diff.shape[1]
+    return _sample_means(pred, (diff * diff).mean(axis=1), (2.0 / k) * diff,
+                         sample, b, "mse")
 
 
-def mae(pred: Tensor, target) -> Tensor:
-    """Mean absolute error against a constant target (sign subgradient)."""
-    t = _as_const_array(target, pred.data)
-    diff = pred.data - t
-    out_data = np.asarray(np.abs(diff).mean(), dtype=pred.data.dtype)
-    n = diff.size
-    return record(out_data, (pred,), lambda g: (np.sign(diff) * (g / n),),
-                  "mae")
+def mae(pred: Tensor, target, sample, b: int) -> Tensor:
+    """Each of ``b`` samples' mean absolute error over its rows of [n, k]
+    ``pred`` against a constant target (sign subgradient); row i belongs to
+    ``sample[i]``."""
+    diff = pred.data - _as_const_array(target, pred.data)
+    k = diff.shape[1]
+    return _sample_means(pred, np.abs(diff).mean(axis=1), np.sign(diff) / k,
+                         sample, b, "mae")
 
 
 def reduce_sum(a: Tensor) -> Tensor:

@@ -12,16 +12,22 @@ if _threads:
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 
 def _or_exit(fn, *args, **kwargs):
-    """Call ``fn``; a ValueError (bad input, config or checkpoint) or an
-    OSError (unreadable file) it raises ends the command with its message
-    and exit status 1, not a traceback."""
+    """Call ``fn``; a ValueError (bad input, config or checkpoint), an
+    OSError (unreadable file) or a FloatingPointError (training diverged
+    to non-finite values) it raises ends the command with its message and
+    exit status 1, not a traceback."""
     try:
-        return fn(*args, **kwargs)
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            # every op checks its result, so numpy's overflow warnings
+            # would only repeat that error
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return fn(*args, **kwargs)
+    except (OSError, ValueError, FloatingPointError) as exc:
         raise SystemExit(str(exc)) from None
 
 

@@ -25,8 +25,7 @@ import numpy as np
 from .autodiff import (Parameter, ShapeError, Tensor, concat, conv1d_backward,
                        conv1d_forward, gelu_backward, gelu_forward,
                        layer_norm_backward, layer_norm_forward, record,
-                       register, slice_rows, softmax_backward,
-                       softmax_forward)
+                       register, softmax_backward, softmax_forward)
 
 
 @dataclass
@@ -214,12 +213,14 @@ def encode_speech(sequences: list, conv_pos: tuple, layers: list,
 
 @dataclass
 class FusedRepresentation:
-    """Joint hidden states: text span [0, n_text), then CLS, prev frames,
-    SEP, cur frames."""
+    """One sample's layout in the joint hidden states: from row ``start``
+    of ``hidden``, its text span [0, n_text), then CLS, prev frames, SEP,
+    cur frames.  The index helpers count from the sample's first row."""
     hidden: Tensor
     n_text: int
     m_prev: int
     m_cur: int
+    start: int
     attention: np.ndarray | None = None   # [num_heads, L, L] when captured
 
     @property
@@ -276,7 +277,7 @@ def fuse(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
     """The fused representation of each sample, from packed text rows of
     ``text_lengths`` and packed speech rows of the (m_prev, m_cur) turns
     in ``speech_frames``: one layer attending across both modalities of
-    a sample.  Each ``hidden`` is its sample's rows of the packed output."""
+    a sample.  Each ``hidden`` is the whole packed output."""
     speech_lengths = tuple(m_prev + m_cur + 2
                            for m_prev, m_cur in speech_frames)
     for what, x, lengths in (("text", h_text, text_lengths),
@@ -289,16 +290,11 @@ def fuse(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
     lengths = tuple(n + m for n, m in zip(text_lengths, speech_lengths))
     captured: list | None = [] if capture_attention else None
     h = transformer_layer(x, layer, num_heads, lengths, capture=captured)
-    fused, start = [], 0
-    for i, (n, (m_prev, m_cur), length) in enumerate(
-            zip(text_lengths, speech_frames, lengths)):
-        stop = start + length
-        fused.append(FusedRepresentation(
-            hidden=h if len(lengths) == 1 else slice_rows(h, start, stop),
-            n_text=n, m_prev=m_prev, m_cur=m_cur,
-            attention=captured[i] if captured else None))
-        start = stop
-    return fused
+    starts = accumulate(lengths[:-1], initial=0)
+    return [FusedRepresentation(h, n, m_prev, m_cur, start,
+                                captured[i] if captured else None)
+            for i, (n, (m_prev, m_cur), start) in enumerate(
+                zip(text_lengths, speech_frames, starts))]
 
 
 class AttentionNotCaptured(RuntimeError):

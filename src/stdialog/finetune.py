@@ -21,8 +21,7 @@ import numpy as np
 
 from . import corpus as cp
 from .autodiff import (Parameter, Tensor, cross_entropy, gather_rows,
-                       gelu, linear, mse, register, reshape)
-from .encoders import FusedRepresentation
+                       gelu, linear, mse, register)
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
@@ -74,20 +73,20 @@ def head_from_registry(registry: dict) -> PredictionHead:
         raise KeyError("checkpoint has no fine-tuning head parameters")
 
 
-def predict(fused: FusedRepresentation, head: PredictionHead) -> Tensor:
-    """W2 gelu(W1 h + b1) + b2 on the fused <s> state; output [d_o]."""
-    h0 = gather_rows(fused.hidden, np.array([0]))
-    hidden = gelu(linear(h0, head.w1, head.b1))
-    out = linear(hidden, head.w2, head.b2)
-    return reshape(out, (head.b2.data.shape[0],))
+def predict(fused: list, head: PredictionHead) -> Tensor:
+    """W2 gelu(W1 h + b1) + b2 on each sample's fused <s> state; output
+    [b, d_o]."""
+    h0 = gather_rows(fused[0].hidden, [f.start for f in fused])
+    return linear(gelu(linear(h0, head.w1, head.b1)), head.w2, head.b2)
 
 
-def task_loss(output: Tensor, label, task: TaskSpec) -> Tensor:
+def task_loss(output: Tensor, labels: list, task: TaskSpec) -> Tensor:
+    """Each sample's loss of its [b, d_o] output row against its label."""
+    sample = np.arange(len(labels))
     if task.kind == REGRESSION:
-        target = np.asarray([float(label)], dtype=output.dtype)
-        return mse(output, target)
-    logits = reshape(output, (1, task.num_classes))
-    return cross_entropy(logits, np.asarray([int(label)]))
+        target = np.asarray(labels, dtype=output.dtype).reshape(-1, 1)
+        return mse(output, target, sample, len(labels))
+    return cross_entropy(output, labels, sample, len(labels))
 
 
 def evaluate(task: TaskSpec, forward_fn, dataset: list) -> float:

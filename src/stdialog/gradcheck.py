@@ -63,9 +63,9 @@ def grad_check(loss_fn, params, epsilon: float = 1e-5,
         for c in coords:
             orig = flat[c]
             flat[c] = orig + epsilon
-            f_plus = float(loss_fn().data)
+            f_plus = loss_fn().item()
             flat[c] = orig - epsilon
-            f_minus = float(loss_fn().data)
+            f_minus = loss_fn().item()
             flat[c] = orig
             fd = (f_plus - f_minus) / (2.0 * epsilon)
             a = float(a_flat[c])

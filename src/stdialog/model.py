@@ -5,11 +5,12 @@ frontend, projection, CLS/SEP rows, both transformer stacks, the fusion
 layer with modality embeddings, and the four objective heads.
 ``prepare_sample`` draws all of a sample's randomness; the forward pass is
 deterministic.  Forward takes a batch of prepared samples: the speech
-frontend and text embedding run per sample, then each encoder layer and
+frontend runs per sample, then the text embedding, each encoder layer and
 the fusion layer run once over the packed rows of the whole batch, with
 attention kept within each sample.  Each sample's fused representation
-is its rows of the packed output, and its losses are computed from it on
-their own; the trainer sums them into one graph.
+is its layout over the one packed output.  Each objective reads the rows
+of all samples from it at once and gives a [b] tensor of per-sample
+losses; the trainer minimizes the batch mean of the joint one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import frontend as fe
 from .autodiff import register
 from .encoders import (FusedRepresentation, encode_speech, encode_text, fuse,
                        init_conv_positional, init_encoder_stack,
-                       init_transformer_layer, pack)
+                       init_transformer_layer)
 from .masking import AcousticMaskConfig, MaskPlan, draw_mask_plan
 from .objectives import (LossWeights, cmam_loss, cmlm_loss,
                          crs_logits, crs_loss, init_tpp_head, joint_loss,
@@ -134,13 +135,6 @@ class PreparedSample:
     cmam_turns: tuple = (True, True)
 
 
-@dataclass
-class ForwardResult:
-    fused: FusedRepresentation
-    cmam_target_prev: np.ndarray | None
-    cmam_target_cur: np.ndarray | None
-
-
 class SpeechTextModel:
     def __init__(self, config: ModelConfig, seed: int = 0):
         if config.vocab_size < 5:
@@ -220,37 +214,35 @@ class SpeechTextModel:
 
     # forward -----------------------------------------------------------
 
-    def _speech_path(self, wave: np.ndarray, plan: MaskPlan | None,
-                     want_targets: bool):
+    def _speech_path(self, wave: np.ndarray, plan: MaskPlan | None):
         feats = fe.extract_features(
             np.asarray(wave, dtype=self.config.np_dtype),
             self.config.frontend, self.conv_params, *self.extract_ln)
         targets = None
-        if want_targets and plan is not None and plan.mask.any():
+        if plan is not None and plan.mask.any():
             targets = feats.data[plan.masked_indices()].copy()
         projected = fe.project_features(feats, *self.proj_ln, self.proj_w,
                                         self.proj_b, plan)
         return projected, targets
 
     def forward(self, prepared: list,
-                capture_attention: bool = False) -> list:
-        """One ``ForwardResult`` per prepared sample, in order, from one
-        pass of each encoder layer over the packed rows of all samples."""
+                capture_attention: bool = False) -> tuple:
+        """The fused representation of each prepared sample, in order, from
+        one pass of each encoder layer over the packed rows of all samples,
+        and each sample's (prev, cur) pair of reconstruction targets."""
         heads = self.config.num_heads
-        texts = [embed_text(replace(p.tokenized, token_ids=p.input_token_ids),
-                            self.token_table, self.position_table,
-                            self.segment_table, self.config.max_text_len)
-                 for p in prepared]
-        text_lengths = tuple(x.shape[0] for x in texts)
-        h_text = encode_text(pack(texts), self.text_layers, heads,
-                             text_lengths)
+        text_lengths = tuple(p.tokenized.length for p in prepared)
+        h_text = encode_text(embed_text(
+            [replace(p.tokenized, token_ids=p.input_token_ids)
+             for p in prepared], self.token_table, self.position_table,
+            self.segment_table, self.config.max_text_len),
+            self.text_layers, heads, text_lengths)
         speech, frames, targets = [], [], []
         for p in prepared:
-            want_prev, want_cur = p.cmam_turns
-            proj_prev, target_prev = self._speech_path(
-                p.wave_prev, p.acoustic_plan_prev, want_prev)
-            proj_cur, target_cur = self._speech_path(
-                p.wave_cur, p.acoustic_plan_cur, want_cur)
+            proj_prev, target_prev = self._speech_path(p.wave_prev,
+                                                       p.acoustic_plan_prev)
+            proj_cur, target_cur = self._speech_path(p.wave_cur,
+                                                     p.acoustic_plan_cur)
             speech.append(fe.assemble_speech_sequence(
                 proj_prev, proj_cur, self.cls_vec, self.sep_vec))
             frames.append((proj_prev.shape[0], proj_cur.shape[0]))
@@ -260,45 +252,36 @@ class SpeechTextModel:
         fused = fuse(h_text, h_speech, text_lengths, frames,
                      self.modality_table, self.fusion_layer, heads,
                      capture_attention=capture_attention)
-        return [ForwardResult(f, *t) for f, t in zip(fused, targets)]
+        return fused, targets
 
     def compute_losses(self, prepared: list,
                        weights: LossWeights = LossWeights(),
-                       frozen_cmam_targets: list | None = None) -> list:
-        """The losses of each prepared sample, as one dict per sample.
+                       frozen_cmam_targets: list | None = None) -> dict:
+        """Each loss of the batch, by name, as a [b] tensor of per-sample
+        losses; ``crs`` is None when no sample has a selection label.
 
         Reconstruction targets are stop-gradient constants of the step; pass
         ``frozen_cmam_targets`` (one (prev, cur) pair per sample, from a
         prior forward) when re-evaluating the same step's objective, e.g.
         under finite differences.
         """
-        results = self.forward(prepared)
+        fused, targets = self.forward(prepared)
         if frozen_cmam_targets is not None:
-            for result, (prev, cur) in zip(results, frozen_cmam_targets,
-                                           strict=True):
-                result.cmam_target_prev, result.cmam_target_cur = prev, cur
-        return [self._losses(p, r, weights)
-                for p, r in zip(prepared, results)]
-
-    def _losses(self, prepared: PreparedSample, result: ForwardResult,
-                weights: LossWeights) -> dict:
-        fused = result.fused
-        tpp = tpp_loss(fused, prepared.tokenized.word_boundaries,
+            targets = frozen_cmam_targets
+        tpp = tpp_loss(fused, [p.tokenized.word_boundaries for p in prepared],
                        self.tpp_head)
+        labels = [p.crs_label for p in prepared]
         crs = None
-        if prepared.crs_label is not None:
-            crs = crs_loss(fused, prepared.crs_label, self.crs_w, self.crs_b)
-        cmlm = cmlm_loss(fused, prepared.text_plan, self.lm_w, self.lm_b)
-        want_prev, want_cur = prepared.cmam_turns
-        cmam = cmam_loss(
-            fused,
-            prepared.acoustic_plan_prev if want_prev else None,
-            prepared.acoustic_plan_cur if want_cur else None,
-            result.cmam_target_prev, result.cmam_target_cur,
-            self.cmam_w, self.cmam_b)
-        total = joint_loss(tpp, crs, cmlm, cmam, weights)
+        if any(label is not None for label in labels):
+            crs = crs_loss(fused, labels, self.crs_w, self.crs_b)
+        cmlm = cmlm_loss(fused, [p.text_plan for p in prepared], self.lm_w,
+                         self.lm_b)
+        plans = [(p.acoustic_plan_prev if p.cmam_turns[0] else None,
+                  p.acoustic_plan_cur if p.cmam_turns[1] else None)
+                 for p in prepared]
+        cmam = cmam_loss(fused, plans, targets, self.cmam_w, self.cmam_b)
         return {"tpp": tpp, "crs": crs, "cmlm": cmlm, "cmam": cmam,
-                "joint": total}
+                "joint": joint_loss(tpp, crs, cmlm, cmam, weights)}
 
     # evaluation helpers --------------------------------------------------
 
@@ -307,15 +290,18 @@ class SpeechTextModel:
         """Clean forward of one sample (no corruption, no masking)."""
         prepared = prepare_sample(sample, vocab, self.config, train=False)
         return self.forward(
-            [prepared], capture_attention=capture_attention)[0].fused
+            [prepared], capture_attention=capture_attention)[0][0]
 
     def crs_predict(self, fused: FusedRepresentation) -> int:
-        return int(np.argmax(crs_logits(fused, self.crs_w, self.crs_b).data))
+        return int(np.argmax(crs_logits([fused], self.crs_w,
+                                        self.crs_b).data))
 
     def tpp_absolute_errors(self, fused: FusedRepresentation,
                             boundaries: list) -> np.ndarray:
-        ps, pe, ts, te = tpp_predictions(fused, boundaries, self.tpp_head)
-        return np.concatenate([np.abs(ps.data - ts), np.abs(pe.data - te)])
+        """|prediction - target| of each word's start, then of each end."""
+        pred, target, _ = tpp_predictions([fused], [boundaries],
+                                          self.tpp_head)
+        return np.abs(pred.data - target).ravel()
 
 
 def prepare_sample(sample, vocab: Vocab, config: ModelConfig, *,

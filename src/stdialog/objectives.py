@@ -16,6 +16,12 @@ Substituted content breaks word-time alignment, so corrupted samples keep
 alignment supervision only on turns whose text AND speech are both
 original; both-substituted samples contribute response selection and MLM
 only.
+
+Each objective takes a batch's fused representations, each a sample's
+layout over the one packed ``hidden``, gathers the rows it needs from all
+samples at once, runs its head once and ends in one loss node: a [b]
+tensor of each sample's mean loss over its own rows, 0 for a sample with
+none.
 """
 
 from __future__ import annotations
@@ -24,13 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import (Parameter, Tensor, add, cross_entropy, gather_rows,
-                       linear, mae, matmul, mul, register, reshape, scale,
-                       sub, reduce_sum)
+from .autodiff import (Parameter, Tensor, add, concat, cross_entropy,
+                       gather_rows, linear, mae, matmul, mse, register, scale)
 from .corpus import Sample
-from .encoders import FusedRepresentation
-from .masking import MaskPlan
-from .text import TextMaskPlan
 
 CRS_POSITIVE = 0
 CRS_SPEECH_SUBSTITUTED = 1
@@ -65,43 +67,52 @@ def init_tpp_head(registry: dict, rng: np.random.Generator, d_h: int,
                    max_seconds=max_seconds)
 
 
-def _zero(dtype) -> Tensor:
-    return Tensor(np.zeros((), dtype=dtype))
+def _packed_rows(fused: list, rows: list) -> tuple:
+    """The rows of the packed hidden states at each sample's rows
+    ``rows[i]``, counted from its own first row, and each one's sample."""
+    rows = [np.asarray(r, dtype=np.intp) for r in rows]
+    return (np.concatenate([f.start + r
+                            for f, r in zip(fused, rows, strict=True)]),
+            np.repeat(np.arange(len(rows)), [r.size for r in rows]))
 
 
-def tpp_predictions(fused: FusedRepresentation, boundaries: list,
-                    head: TppHead) -> tuple:
-    """(pred_start, pred_end) tensors [w] read at each word's first/last
-    token, and their targets (start, end over max_seconds) as arrays."""
-    dtype = fused.hidden.dtype
-    firsts = np.array([b.first_token_index for b in boundaries], dtype=np.intp)
-    lasts = np.array([b.last_token_index for b in boundaries], dtype=np.intp)
-    if boundaries and (firsts.min() < 0 or lasts.max() >= fused.n_text):
-        raise IndexError(
-            f"word boundary outside text span [0, {fused.n_text}): "
-            f"first={firsts.min()}, last={lasts.max()}")
+def _text_rows(fused: list, rows: list, what: str) -> tuple:
+    """``_packed_rows`` of text positions; a position outside its sample's
+    text span raises ``IndexError`` naming ``what``."""
+    for f, r in zip(fused, rows, strict=True):
+        if len(r) and (min(r) < 0 or max(r) >= f.n_text):
+            raise IndexError(f"{what} outside text span [0, {f.n_text}): "
+                             f"{min(r)}..{max(r)}")
+    return _packed_rows(fused, rows)
+
+
+def tpp_predictions(fused: list, boundaries: list, head: TppHead) -> tuple:
+    """Over the words of the batch (``boundaries[i]`` are sample i's), the
+    [2w, 1] predictions read at each word's first token, then at each
+    word's last token; their targets (start, then end, over max_seconds);
+    and each row's sample."""
+    first_rows, sample = _text_rows(
+        fused, [[b.first_token_index for b in words] for words in boundaries],
+        "word boundary")
+    last_rows, _ = _text_rows(
+        fused, [[b.last_token_index for b in words] for words in boundaries],
+        "word boundary")
+    words = [b for sample_words in boundaries for b in sample_words]
     la = head.max_seconds
-    t_start = np.array([b.start_time / la for b in boundaries], dtype=dtype)
-    t_end = np.array([b.end_time / la for b in boundaries], dtype=dtype)
-    w = len(boundaries)
-    pred_start = reshape(matmul(gather_rows(fused.hidden, firsts),
-                                head.w_start), (w,))
-    pred_end = reshape(matmul(gather_rows(fused.hidden, lasts),
-                              head.w_end), (w,))
-    return pred_start, pred_end, t_start, t_end
+    hidden = fused[0].hidden
+    target = np.array([b.start_time / la for b in words]
+                      + [b.end_time / la for b in words],
+                      dtype=hidden.dtype).reshape(-1, 1)
+    pred = concat([matmul(gather_rows(hidden, first_rows), head.w_start),
+                   matmul(gather_rows(hidden, last_rows), head.w_end)])
+    return pred, target, np.concatenate([sample, sample])
 
 
-def tpp_loss(fused: FusedRepresentation, boundaries: list,
-             head: TppHead) -> Tensor:
-    """Mean over words of 0.5 * [(pred_start - s/L)^2 + (pred_end - e/L)^2]."""
-    if not boundaries:
-        return _zero(fused.hidden.dtype)
-    pred_start, pred_end, t_start, t_end = tpp_predictions(fused, boundaries,
-                                                           head)
-    ds = sub(pred_start, Tensor(t_start))
-    de = sub(pred_end, Tensor(t_end))
-    total = add(reduce_sum(mul(ds, ds)), reduce_sum(mul(de, de)))
-    return scale(total, 0.5 / len(boundaries))
+def tpp_loss(fused: list, boundaries: list, head: TppHead) -> Tensor:
+    """Each sample's mean over its words of 0.5 * [(pred_start - s/L)^2 +
+    (pred_end - e/L)^2]; 0 for a sample without words."""
+    pred, target, sample = tpp_predictions(fused, boundaries, head)
+    return mse(pred, target, sample, len(fused))
 
 
 def _random_turn(dialogs: list, exclude_dialog_id: str,
@@ -155,73 +166,80 @@ def make_crs_sample(sample: Sample, dialogs: list, rng: np.random.Generator,
     return corrupted, label
 
 
-def crs_logits(fused: FusedRepresentation, weight: Parameter,
-               bias: Parameter) -> Tensor:
-    """[1, 4] logits of a linear classifier on the fused <s> state."""
-    return linear(gather_rows(fused.hidden, np.array([0])), weight, bias)
+def crs_logits(fused: list, weight: Parameter, bias: Parameter) -> Tensor:
+    """[b, 4] logits of a linear classifier on each fused <s> state."""
+    return linear(gather_rows(fused[0].hidden, [f.start for f in fused]),
+                  weight, bias)
 
 
-def crs_loss(fused: FusedRepresentation, label: int, weight: Parameter,
+def crs_loss(fused: list, labels: list, weight: Parameter,
              bias: Parameter) -> Tensor:
-    """Cross-entropy of the 4-way response-selection logits."""
-    return cross_entropy(crs_logits(fused, weight, bias), np.array([label]))
+    """Each sample's cross-entropy of the 4-way response-selection logits
+    against its label; 0 for a sample whose label is None."""
+    sample = [i for i, label in enumerate(labels) if label is not None]
+    states = gather_rows(fused[0].hidden, [fused[i].start for i in sample])
+    return cross_entropy(linear(states, weight, bias),
+                         [labels[i] for i in sample], sample, len(fused))
 
 
-def cmlm_loss(fused: FusedRepresentation, plan: TextMaskPlan,
-              weight: Parameter, bias: Parameter) -> Tensor:
-    """Mean cross-entropy of the vocabulary head on masked text positions."""
-    if plan is None or plan.is_empty:
-        return _zero(fused.hidden.dtype)
-    if plan.positions.max() >= fused.n_text:
-        raise IndexError(
-            f"masked position {plan.positions.max()} outside text span "
-            f"[0, {fused.n_text})")
-    states = gather_rows(fused.hidden, plan.positions)
-    logits = linear(states, weight, bias)
-    return cross_entropy(logits, plan.labels)
+def cmlm_loss(fused: list, plans: list, weight: Parameter,
+              bias: Parameter) -> Tensor:
+    """Each sample's mean cross-entropy of the vocabulary head on the
+    masked text positions of its plan; 0 for a sample whose plan is None
+    or empty."""
+    rows, sample = _text_rows(
+        fused, [[] if p is None else p.positions for p in plans],
+        "masked position")
+    logits = linear(gather_rows(fused[0].hidden, rows), weight, bias)
+    labels = [label for p in plans if p is not None for label in p.labels]
+    return cross_entropy(logits, labels, sample, len(fused))
 
 
-def cmam_loss(fused: FusedRepresentation, plan_prev: MaskPlan | None,
-              plan_cur: MaskPlan | None, target_prev, target_cur,
-              weight: Parameter, bias: Parameter) -> Tensor:
-    """Mean absolute error reconstructing masked extractor frames.
+def cmam_loss(fused: list, plans: list, targets: list, weight: Parameter,
+              bias: Parameter) -> Tensor:
+    """Each sample's mean absolute error reconstructing its masked
+    extractor frames; 0 for a sample without masked frames.
 
-    Targets are the pre-mask extractor outputs at masked positions, passed
-    as plain arrays (constants).  Plans map frame indices to fused
-    positions through the sequence layout; a plan whose length disagrees
-    with the fused layout is an error.
+    ``plans[i]`` is sample i's (prev, cur) pair of mask plans, None for a
+    turn left out, and ``targets[i]`` the pair of pre-mask extractor
+    outputs at the masked frames, passed as plain arrays (constants).
+    Plans map frame indices to fused positions through the sequence
+    layout; a plan whose length disagrees with the fused layout is an
+    error.
     """
-    dtype = fused.hidden.dtype
-    indices = []
-    targets = []
-    for plan, target, m, to_fused in (
-            (plan_prev, target_prev, fused.m_prev, fused.prev_frame_index),
-            (plan_cur, target_cur, fused.m_cur, fused.cur_frame_index)):
-        if plan is None:
-            continue
-        if plan.length != m:
-            raise IndexError(
-                f"mask plan covers {plan.length} frames but the fused "
-                f"sequence holds {m}")
-        masked = plan.masked_indices()
-        if masked.size == 0:
-            continue
-        if target is None or len(target) != masked.size:
-            raise IndexError(
-                f"need {masked.size} target frames, got "
-                f"{0 if target is None else len(target)}")
-        indices.append(to_fused(masked))
-        targets.append(np.asarray(target, dtype=dtype))
-    if not indices:
-        return _zero(dtype)
-    states = gather_rows(fused.hidden, np.concatenate(indices))
-    preds = linear(states, weight, bias)
-    return mae(preds, np.concatenate(targets, axis=0))
+    dtype = fused[0].hidden.dtype
+    rows, target_rows = [], [np.zeros((0, weight.shape[1]), dtype)]
+    for f, turn_plans, turn_targets in zip(fused, plans, targets,
+                                           strict=True):
+        own = []
+        for plan, target, m, to_fused in zip(
+                turn_plans, turn_targets, (f.m_prev, f.m_cur),
+                (f.prev_frame_index, f.cur_frame_index)):
+            if plan is None:
+                continue
+            if plan.length != m:
+                raise IndexError(
+                    f"mask plan covers {plan.length} frames but the fused "
+                    f"sequence holds {m}")
+            masked = plan.masked_indices()
+            if masked.size == 0:
+                continue
+            if target is None or len(target) != masked.size:
+                raise IndexError(
+                    f"need {masked.size} target frames, got "
+                    f"{0 if target is None else len(target)}")
+            own.extend(to_fused(masked))
+            target_rows.append(np.asarray(target, dtype=dtype))
+        rows.append(own)
+    packed, sample = _packed_rows(fused, rows)
+    preds = linear(gather_rows(fused[0].hidden, packed), weight, bias)
+    return mae(preds, np.concatenate(target_rows), sample, len(fused))
 
 
 def joint_loss(tpp: Tensor, crs: Tensor | None, cmlm: Tensor, cmam: Tensor,
                weights: LossWeights) -> Tensor:
-    """alpha * alignment + selection + mlm + mam (selection optional)."""
+    """alpha * alignment + selection + mlm + mam (selection optional), per
+    sample."""
     total = scale(tpp, weights.alpha)
     if crs is not None:
         total = add(total, crs)

@@ -177,17 +177,20 @@ def _layout(turns, sample, vocab, tokenizer):
     return ids, segments, boundaries
 
 
-def embed_text(tokenized: TokenizedInput, token_table, position_table,
-               segment_table, max_len: int = 512) -> Tensor:
-    """Rowwise token + absolute-position + segment embedding sum."""
-    n = tokenized.length
-    if n > max_len:
-        raise ValueError(
-            f"text length {n} exceeds maximum {max_len}; drop oldest history "
-            f"turns before embedding")
-    tok = gather_rows(token_table, tokenized.token_ids)
-    pos = gather_rows(position_table, tokenized.position_ids)
-    seg = gather_rows(segment_table, tokenized.segment_ids)
+def embed_text(inputs: list, token_table, position_table, segment_table,
+               max_len: int = 512) -> Tensor:
+    """Rowwise token + absolute-position + segment embedding sum of the
+    rows of each ``TokenizedInput`` in ``inputs``, packed back to back."""
+    for t in inputs:
+        if t.length > max_len:
+            raise ValueError(
+                f"text length {t.length} exceeds maximum {max_len}; drop "
+                f"oldest history turns before embedding")
+    token_ids, position_ids, segment_ids = (np.concatenate(ids) for ids in zip(
+        *[(t.token_ids, t.position_ids, t.segment_ids) for t in inputs]))
+    tok = gather_rows(token_table, token_ids)
+    pos = gather_rows(position_table, position_ids)
+    seg = gather_rows(segment_table, segment_ids)
     return add(add(tok, pos), seg)
 
 

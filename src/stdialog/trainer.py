@@ -14,12 +14,11 @@ import os
 import time
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import add, register, scale
+from .autodiff import NonFiniteError, reduce_sum, register, scale
 from .finetune import (PredictionHead, TaskSpec, evaluate,
                        head_from_registry, init_prediction_head, predict,
                        replace_speech_with_noise, task_loss)
@@ -154,10 +153,6 @@ def _batch_indices(rng: np.random.Generator, n_samples: int,
     return np.concatenate(parts)
 
 
-def _component_value(loss) -> float:
-    return float(loss.data) if loss is not None else 0.0
-
-
 @dataclass
 class TrainResult:
     model: SpeechTextModel
@@ -175,10 +170,12 @@ def _train(cfg, model: SpeechTextModel, opt: AdamW, start_step: int,
     randomness from (cfg.seed, stream, t).
 
     Each step draws ``batch_size`` of the ``n_samples`` indices, and
-    ``batch_losses(indices, rng)`` gives each sample's (loss, {component:
-    value}), in index order.  The step minimizes the batch mean of the
-    losses and logs the batch mean of each component.  Returns the metric
-    rows of these steps.
+    ``batch_losses(indices, rng)`` gives the batch's [b] tensor of
+    per-sample losses, in index order, and {component: batch mean}.  The
+    step minimizes the mean of the losses and logs it with the components.
+    A ``NonFiniteError`` is raised again naming the step; the checkpoints
+    of earlier steps are left as they were.  Returns the metric rows of
+    these steps.
     """
     if cfg.steps <= start_step:
         raise ValueError(f"nothing to train: steps {cfg.steps} <= start "
@@ -187,22 +184,20 @@ def _train(cfg, model: SpeechTextModel, opt: AdamW, start_step: int,
     for step in range(start_step + 1, cfg.steps + 1):
         rng = np.random.default_rng((cfg.seed, stream, step))
         idx = _batch_indices(rng, n_samples, batch_size)
-        n = len(idx)
         model.zero_grad()
-        losses, sums = [], {}
         t0 = time.monotonic()
-        for loss, components in batch_losses(idx.tolist(), rng):
-            losses.append(loss)
-            for key, value in components.items():
-                sums[key] = sums.get(key, 0.0) + value
-        batch_loss = scale(reduce(add, losses), 1.0 / n)
-        batch_loss.backward()
         lr = lr_schedule(step, cfg.steps, cfg.peak_lr, cfg.warmup_frac,
                          cfg.schedule)
-        opt.step(lr)
+        try:
+            losses, components = batch_losses(idx.tolist(), rng)
+            batch_loss = scale(reduce_sum(losses), 1.0 / len(idx))
+            batch_loss.backward()
+            opt.step(lr)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"step {step}: {exc}") from exc
         metrics.append({"step": step, loss_key: float(batch_loss.data),
-                        **{key: total / n for key, total in sums.items()},
-                        "lr": lr, "wall_time": time.monotonic() - t0})
+                        **components, "lr": lr,
+                        "wall_time": time.monotonic() - t0})
         if on_step is not None:
             on_step(step)
     return metrics.rows
@@ -249,11 +244,12 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
             text_corruption=cfg.text_corruption, acoustic_config=acfg)
 
     def batch_losses(idx, rng):
-        prepared = [prepare(i, rng) for i in idx]
-        return [(losses["joint"],
-                 {key: _component_value(losses[key])
-                  for key in ("tpp", "crs", "cmlm", "cmam")})
-                for losses in model.compute_losses(prepared, weights)]
+        losses = model.compute_losses([prepare(i, rng) for i in idx],
+                                      weights)
+        return losses["joint"], {
+            key: 0.0 if losses[key] is None
+            else float(losses[key].data.mean(dtype=np.float64))
+            for key in ("tpp", "crs", "cmlm", "cmam")}
 
     def save_periodic(step):
         if out_dir and cfg.checkpoint_every and \
@@ -320,11 +316,11 @@ def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
 
     def batch_losses(idx, rng):
         items = [train_items[i] for i in idx]
-        results = model.forward([prepare_sample(sample, vocab, model.config,
-                                                train=False)
-                                 for sample, _ in items])
-        return [(task_loss(predict(result.fused, head), label, task), {})
-                for result, (_, label) in zip(results, items)]
+        fused, _ = model.forward([prepare_sample(sample, vocab, model.config,
+                                                 train=False)
+                                  for sample, _ in items])
+        return task_loss(predict(fused, head),
+                         [label for _, label in items], task), {}
 
     rows = _train(cfg, model, opt, 0, 4, len(train_items),
                   min(cfg.batch_size, len(train_items)), batch_losses, "loss",
@@ -347,8 +343,7 @@ def evaluate_task(model: SpeechTextModel, vocab: Vocab, head: PredictionHead,
             items, np.random.default_rng((noise_seed, 5)), speech_noise_std)
 
     def forward_fn(sample):
-        fused = model.eval_fused(sample, vocab)
-        return predict(fused, head).data
+        return predict([model.eval_fused(sample, vocab)], head).data[0]
 
     return evaluate(task, forward_fn, items)
 

@@ -7,7 +7,8 @@ linear) and ``encoders.conv_position_embedding`` (grouped same-padding
 conv, GELU, residual).  ``conv1d`` builds its columns by fancy indexing
 and its input gradient with ``np.add.at``, and ``apply_mask_plan``
 corrupts with masks and a row gather, so neither shares code with the
-im2col helpers or the corruption inside the nodes.
+im2col helpers or the corruption inside the nodes.  ``mul``, which only
+these references and the tests use, is defined here as an autodiff op.
 """
 
 import numpy as np
@@ -15,6 +16,15 @@ import numpy as np
 from composed_layer import layer_norm
 from stdialog import autodiff as ad
 from stdialog import masking as mk
+
+
+def mul(a, b):
+    """Elementwise product of equal shapes as an autodiff op (the library
+    itself needs none)."""
+    if a.shape != b.shape:
+        raise ad.ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
+    return ad.record(a.data * b.data, (a, b),
+                     lambda g: (g * b.data, g * a.data), "mul")
 
 
 def _conv_geometry(length: int, kernel: int, stride: int, padding: str):
@@ -91,13 +101,13 @@ def apply_mask_plan(features, plan):
     dim = features.shape[1]
     keep_rows = (plan.actions != mk.ZERO) & (plan.actions != mk.REPLACE)
     keep_mask = np.repeat(keep_rows.astype(features.dtype)[:, None], dim, axis=1)
-    out = ad.mul(features, ad.Tensor(keep_mask))
+    out = mul(features, ad.Tensor(keep_mask))
     replace_rows = plan.actions == mk.REPLACE
     if replace_rows.any():
         src = np.where(replace_rows, plan.replacement_sources, 0)
         donor = ad.gather_rows(features, src)
         sel = np.repeat(replace_rows.astype(features.dtype)[:, None], dim, axis=1)
-        out = ad.add(out, ad.mul(donor, ad.Tensor(sel)))
+        out = ad.add(out, mul(donor, ad.Tensor(sel)))
     return out
 
 
@@ -128,7 +138,7 @@ def output_and_grads(build, params, seed=0):
         p.zero_grad()
     out = build()
     proj = ad.Tensor(np.random.default_rng(seed).standard_normal(out.shape))
-    ad.reduce_sum(ad.mul(out, proj)).backward()
+    ad.reduce_sum(mul(out, proj)).backward()
     return out.data, [p.grad.copy() for p in params]
 
 

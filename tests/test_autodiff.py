@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composed_layer import layer_norm, softmax, transpose
-from composed_speech import conv1d
+from composed_speech import conv1d, mul
 from stdialog import autodiff as ad
 from stdialog.autodiff import NonFiniteError, Parameter, ShapeError, Tensor
 from stdialog.gradcheck import grad_check
@@ -41,7 +41,7 @@ def fd_check_scalar(build, leaves, eps=1e-6, tol=1e-6):
 def scalarize(t, rng):
     """Random fixed projection to a scalar so all outputs get exercised."""
     proj = Tensor(rng.standard_normal(t.shape).astype(np.float64))
-    return ad.reduce_sum(ad.mul(t, proj))
+    return ad.reduce_sum(mul(t, proj))
 
 
 class TestForwardValues:
@@ -66,7 +66,7 @@ class TestForwardValues:
 
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((1, 4)))
-        loss = ad.cross_entropy(logits, [2])
+        loss = ad.cross_entropy(logits, [2], [0], 1)
         assert abs(loss.item() - math.log(4)) < 1e-12
 
     def test_layer_norm_constant_row_is_bias(self):
@@ -101,12 +101,12 @@ class TestShapeAndFiniteErrors:
     def test_non_finite_surfaces(self):
         big = Tensor(np.array([1e300]))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            ad.mul(big, big)
+            mul(big, big)
 
     def test_backward_requires_scalar(self):
         x = t64(np.ones(3))
         with pytest.raises(ShapeError):
-            ad.mul(x, x).backward()
+            mul(x, x).backward()
 
 
 class TestGradCheckHarness:
@@ -114,7 +114,7 @@ class TestGradCheckHarness:
         v = Parameter(np.array([1.0, -2.0, 3.0]), "v")
 
         def loss():
-            t = ad.mul(v, v)
+            t = mul(v, v)
             return ad.reduce_sum(t)
 
         report = grad_check(loss, [v], epsilon=1e-5)
@@ -129,11 +129,11 @@ class TestGradCheckHarness:
     def test_non_finite_loss_rejected(self):
         p = Parameter(np.array([1e308]), "p")
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            grad_check(lambda: ad.reduce_sum(ad.mul(p, p)), [p])
+            grad_check(lambda: ad.reduce_sum(mul(p, p)), [p])
 
     def test_samples_at_most_requested_coords(self):
         p = Parameter(np.random.default_rng(0).standard_normal(500), "p")
-        report = grad_check(lambda: ad.reduce_sum(ad.mul(p, p)), [p],
+        report = grad_check(lambda: ad.reduce_sum(mul(p, p)), [p],
                             coords_per_param=100)
         assert report.per_param["p"] < 1e-4
 
@@ -143,14 +143,13 @@ class TestOpGradients:
 
     rng = np.random.default_rng(123)
 
-    def test_add_mul_sub_scale(self):
+    def test_add_mul_scale(self):
         a = t64(self.rng.standard_normal((3, 4)))
         b = t64(self.rng.standard_normal((3, 4)))
         c = t64(self.rng.standard_normal((3, 4)))
 
         def build():
-            out = ad.add(ad.mul(a, b), c)
-            out = ad.sub(out, ad.scale(a, 0.7))
+            out = ad.add(mul(a, b), ad.scale(c, 0.7))
             return scalarize(out, np.random.default_rng(0))
 
         fd_check_scalar(build, [a, b, c])
@@ -223,20 +222,47 @@ class TestOpGradients:
 
         fd_check_scalar(build, [table])
 
+    # rows of samples 0 and 2 of 3, interleaved; sample 1 has none
+    SAMPLE = np.array([2, 0, 2, 2, 0])
+
+    def check_sample_means(self, loss, pred, target, tol=1e-6):
+        """``loss(pred, target, sample, b)`` gives each sample the one-sample
+        loss of its rows, 0 for sample 1, and passes finite differences."""
+        out = loss(pred, target, self.SAMPLE, 3).data
+        assert out.shape == (3,) and out[1] == 0.0
+        for i in (0, 2):
+            rows = self.SAMPLE == i
+            alone = loss(Tensor(pred.data[rows]), target[rows],
+                         np.zeros(rows.sum(), int), 1)
+            np.testing.assert_allclose(out[i], alone.item(), rtol=1e-12)
+        fd_check_scalar(
+            lambda: scalarize(loss(pred, target, self.SAMPLE, 3),
+                              np.random.default_rng(11)), [pred], tol=tol)
+
     def test_cross_entropy(self):
-        logits = t64(self.rng.standard_normal((5, 4)))
-        targets = np.array([0, 1, 3, 2, 1])
-
-        def build():
-            return ad.cross_entropy(logits, targets)
-
-        fd_check_scalar(build, [logits])
+        self.check_sample_means(ad.cross_entropy,
+                                t64(self.rng.standard_normal((5, 4))),
+                                np.array([0, 1, 3, 2, 1]))
 
     def test_mse_mae(self):
-        pred = t64(self.rng.standard_normal((4, 3)))
-        target = self.rng.standard_normal((4, 3))
-        fd_check_scalar(lambda: ad.mse(pred, target), [pred])
-        fd_check_scalar(lambda: ad.mae(pred, target), [pred], tol=1e-5)
+        pred = t64(self.rng.standard_normal((5, 3)))
+        target = self.rng.standard_normal((5, 3))
+        self.check_sample_means(ad.mse, pred, target)
+        self.check_sample_means(ad.mae, pred, target, tol=1e-5)
+
+    @pytest.mark.parametrize("loss, pred, target", [
+        (ad.cross_entropy, np.zeros((0, 4)), np.zeros(0, int)),
+        (ad.mse, np.zeros((0, 1)), np.zeros((0, 1))),
+        (ad.mae, np.zeros((0, 5)), np.zeros((0, 5)))],
+        ids=["cross_entropy", "mse", "mae"])
+    def test_no_rows_gives_zeros(self, loss, pred, target):
+        out = loss(t64(pred), target, np.zeros(0, int), 3)
+        np.testing.assert_array_equal(out.data, np.zeros(3))
+        ad.reduce_sum(out).backward()
+
+    def test_sample_index_out_of_range_raises(self):
+        with pytest.raises(ShapeError, match="sample indices"):
+            ad.mse(t64(np.zeros((2, 1))), np.zeros((2, 1)), [0, 3], 3)
 
     def test_concat_transpose_reshape(self):
         a = t64(self.rng.standard_normal((2, 3)))
@@ -283,7 +309,7 @@ def test_random_small_tensor_fd_property(n, m, seed):
         h = ad.gelu(ad.matmul(a, b))
         h = layer_norm(ad.matmul(h, a), g, bb)
         s = softmax(h)
-        return ad.reduce_sum(ad.mul(s, s))
+        return ad.reduce_sum(mul(s, s))
 
     report = grad_check(loss, [a, b, g, bb], epsilon=1e-5, coords_per_param=20,
                         seed=seed)
@@ -305,16 +331,16 @@ class TestBackwardProtocol:
     def test_constant_parent_gets_no_gradient(self):
         x = t64([1.0, 2.0])
         const = Tensor(np.array([3.0, 4.0]))
-        ad.reduce_sum(ad.mul(x, const)).backward()
+        ad.reduce_sum(mul(x, const)).backward()
         assert const.grad is None
         np.testing.assert_array_equal(x.grad, [3.0, 4.0])
 
 
 def test_parameter_accumulates_and_resets():
     p = Parameter(np.ones(3), "p")
-    loss1 = ad.reduce_sum(ad.mul(p, p))
+    loss1 = ad.reduce_sum(mul(p, p))
     loss1.backward()
-    loss2 = ad.reduce_sum(ad.mul(p, p))
+    loss2 = ad.reduce_sum(mul(p, p))
     loss2.backward()
     np.testing.assert_allclose(p.grad, 4 * np.ones(3))
     p.zero_grad()

@@ -199,6 +199,29 @@ def test_resume_over_bad_metrics_row_fails_cleanly(corpus_dir, tmp_path):
     assert snapshot(out) == before
 
 
+def test_diverged_pretrain_fails_in_one_line(corpus_dir, tmp_path):
+    """Non-finite values end the command with one line naming the step;
+    the checkpoints of earlier steps stay loadable."""
+    from stdialog.trainer import load_checkpoint
+    out = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"checkpoint_every": 1}))
+    result = run_cli("pretrain", "--corpus", corpus_dir / "manifest.json",
+                     "--config", config, "--out", out, "--steps", 6,
+                     "--batch-size", 2, "--k", 2, "--peak-lr", 1e30,
+                     check=False)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    message = result.stderr.strip()
+    assert "\n" not in message and "non-finite" in message
+    step = int(message.split(":")[0].removeprefix("step "))
+    assert 1 < step <= 6
+    for done in range(1, step):
+        state = load_checkpoint(out / f"checkpoint-{done:06d}.npz")
+        assert state["step"] == done
+    assert not (out / f"checkpoint-{step:06d}.npz").exists()
+
+
 def test_finetune_without_steps_writes_nothing(pretrained, task_dir,
                                                tmp_path):
     out = tmp_path / "ft"

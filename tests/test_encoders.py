@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from composed_layer import composed_transformer_layer
 from composed_speech import (assert_node_matches_reference,
-                             composed_conv_position_embedding)
+                             composed_conv_position_embedding, mul)
 from stdialog import autodiff as ad
 from stdialog import encoders as enc
 from stdialog.autodiff import Parameter, Tensor
@@ -46,7 +46,7 @@ def layer_output_and_grads(layer_fn, n, seed=21):
         param.data += 0.1 * rng.standard_normal(param.shape)
     x = Tensor(rng.standard_normal((n, 16)), requires_grad=True)
     out = layer_fn(x, p, 4)
-    ad.reduce_sum(ad.mul(out, Tensor(rng.standard_normal(out.shape)))) \
+    ad.reduce_sum(mul(out, Tensor(rng.standard_normal(out.shape)))) \
         .backward()
     return out.data, x.grad, {name: param.grad
                               for name, param in vars(p).items()}
@@ -79,7 +79,7 @@ class TestTransformerLayer:
 
         def loss():
             out = enc.transformer_layer(x, p, 2, lengths=(5,))
-            return ad.reduce_sum(ad.mul(out, proj))
+            return ad.reduce_sum(mul(out, proj))
 
         report = grad_check(loss, [x, *vars(p).values()], coords_per_param=30)
         assert report.max_relative_error < 1e-6, str(report)
@@ -91,7 +91,7 @@ class TestTransformerLayer:
             h_s = rand_x(9, seed=27)
             fused, = enc.fuse(h_t, h_s, (4,), [(3, 4)], modality, fusion,
                               cfg.num_heads, capture_attention=capture)
-            ad.reduce_sum(ad.mul(fused.hidden, rand_x(13, seed=28))) \
+            ad.reduce_sum(mul(fused.hidden, rand_x(13, seed=28))) \
                 .backward()
             grads = [param.grad for param in vars(fusion).values()]
             return fused, h_t.grad, grads + [modality.grad]
@@ -131,7 +131,7 @@ class TestPackedLayer:
         for part in rows:
             x = Tensor(self.x[part], requires_grad=True)
             out = layer_fn(x)
-            ad.reduce_sum(ad.mul(out, Tensor(self.proj[part]))).backward()
+            ad.reduce_sum(mul(out, Tensor(self.proj[part]))).backward()
             outs.append(out.data)
             dxs.append(x.grad)
         return np.concatenate(outs), np.concatenate(dxs), \
@@ -172,7 +172,7 @@ class TestPackedLayer:
 
         def loss():
             out = enc.transformer_layer(x, p, 2, lengths=(2, 1, 3))
-            return ad.reduce_sum(ad.mul(out, proj))
+            return ad.reduce_sum(mul(out, proj))
 
         report = grad_check(loss, [x, *vars(p).values()], coords_per_param=30)
         assert report.max_relative_error < 1e-6, str(report)
@@ -266,7 +266,7 @@ class TestConvPositionEmbedding:
         proj = rand_x(6, d=8, seed=41)
 
         def loss():
-            return ad.reduce_sum(ad.mul(
+            return ad.reduce_sum(mul(
                 enc.conv_position_embedding(*params, 4), proj))
 
         report = grad_check(loss, params, coords_per_param=40)
@@ -361,13 +361,12 @@ class TestFusion:
                 h_s = Tensor(speech[s_rows], requires_grad=True)
                 fused = enc.fuse(h_t, h_s, lengths, turns, modality, fusion,
                                  cfg.num_heads)
-                loss = Tensor(np.zeros(()))
-                for f in fused:
-                    loss = ad.add(loss, ad.reduce_sum(
-                        ad.mul(f.hidden, Tensor(proj[i]))))
-                    hidden.append(f.hidden.data)
-                    i += 1
-                loss.backward()
+                h = fused[0].hidden
+                assert all(f.hidden is h for f in fused)
+                hidden += [h.data[f.start:f.start + f.length] for f in fused]
+                ad.reduce_sum(mul(h, Tensor(np.concatenate(
+                    proj[i:i + len(fused)])))).backward()
+                i += len(fused)
                 d_text.append(h_t.grad)
                 d_speech.append(h_s.grad)
             return hidden, np.concatenate(d_text), \

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from composed_speech import (assert_node_matches_reference,
                              composed_extract_features,
-                             composed_project_features)
+                             composed_project_features, mul)
 from stdialog import autodiff as ad
 from stdialog import frontend as fe
 from stdialog import masking as mk
@@ -125,7 +125,7 @@ class TestExtractionNode:
 
         def loss():
             out = fe.extract_features(wav, cfg, conv_params, gain, bias)
-            return ad.reduce_sum(ad.mul(out, proj))
+            return ad.reduce_sum(mul(out, proj))
 
         report = grad_check(loss, params, coords_per_param=30)
         assert report.max_relative_error < 1e-6, str(report)
@@ -224,7 +224,7 @@ class TestProjectionNode:
 
         def loss():
             out = fe.project_features(*params, PLANS["all-actions"])
-            return ad.reduce_sum(ad.mul(out, proj))
+            return ad.reduce_sum(mul(out, proj))
 
         report = grad_check(loss, params)
         assert report.max_relative_error < 1e-6, str(report)

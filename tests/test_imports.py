@@ -80,26 +80,41 @@ def test_checker_flags_a_private_import():
         "_hidden (line 1)", "_helper (line 2)", "_private (line 4)"]
 
 
-def references(tree) -> Counter:
-    """How often each name is used in ``tree``, as a name or an attribute."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree)
-                   if isinstance(node, (ast.Name, ast.Attribute)))
+def references(tree) -> tuple:
+    """How often each name is used in ``tree`` as a bare name and as an
+    attribute, and the names it imports with ``from ... import``."""
+    nodes = list(ast.walk(tree))
+    return (Counter(n.id for n in nodes if isinstance(n, ast.Name)),
+            Counter(n.attr for n in nodes if isinstance(n, ast.Attribute)),
+            {alias.name for n in nodes if isinstance(n, ast.ImportFrom)
+             for alias in n.names})
 
 
 def unreferenced_definitions(modules: dict, extra_sources=()) -> list:
     """``module.name`` of each top-level function or class in ``modules``
     (module name -> source) that neither those modules nor
-    ``extra_sources`` refer to outside the definition itself."""
+    ``extra_sources`` refer to outside the definition itself.  An
+    attribute ``x.name`` anywhere counts; a bare ``name`` counts only in
+    the defining module or in one that imports ``name``, so a local
+    variable of the same name elsewhere does not."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    used = Counter()
-    for tree in [*trees.values(), *map(ast.parse, extra_sources)]:
-        used += references(tree)
+    refs = [(name, references(tree)) for name, tree in trees.items()]
+    refs += [(None, references(ast.parse(source))) for source in extra_sources]
+
+    def uses(module, name):
+        return sum(attrs[name] + (bare[name] if other == module
+                                  or name in imported else 0)
+                   for other, (bare, attrs, imported) in refs)
+
+    def self_uses(node):
+        bare, attrs, _ = references(node)
+        return bare[node.name] + attrs[node.name]
+
     return sorted(
         f"{module}.{node.name}" for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and used[node.name] == references(node)[node.name])
+        and uses(module, node.name) == self_uses(node))
 
 
 def test_no_unreferenced_definitions():
@@ -114,9 +129,13 @@ def test_checker_flags_an_unreferenced_function():
         "a": ("def used():\n    return 1\n\n"
               "def unused(n):\n    return unused(n - 1) if n else 0\n\n"
               "class Box:\n    pass\n"),
-        "b": "from a import used\n\nprint(used(), Box)\n",
+        "b": "from a import Box, used\n\nprint(used(), Box)\n",
     }
     assert unreferenced_definitions(modules) == ["a.unused"]
+    # a bare name in a module that does not import it is another variable
+    shadowed = {"a": "def sub(x):\n    return x\n",
+                "b": "sub = 1\nprint(sub)\n"}
+    assert unreferenced_definitions(shadowed) == ["a.sub"]
 
 
 def test_checker_flags_an_unused_import():

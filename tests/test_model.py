@@ -7,7 +7,6 @@ import pytest
 from composed_speech import (assert_node_matches_reference,
                              composed_extract_features,
                              composed_project_features)
-from stdialog import autodiff as ad
 from stdialog import corpus as cp
 from stdialog import frontend as fe
 from stdialog import model as md
@@ -68,7 +67,7 @@ class TestForward:
         sample, label = make_crs_sample(samples[0], dialogs,
                                         np.random.default_rng(1))
         prepared = prepare(model, vocab, sample, label)
-        losses, = model.compute_losses([prepared])
+        losses = model.compute_losses([prepared])
         for key in ("tpp", "cmlm", "cmam", "joint"):
             assert np.isfinite(losses[key].data)
         assert losses["crs"] is not None
@@ -76,7 +75,7 @@ class TestForward:
     def test_crs_disabled_drops_term(self):
         model, vocab, _, samples = tiny_setup()
         prepared = prepare(model, vocab, samples[0], label=None)
-        losses, = model.compute_losses([prepared])
+        losses = model.compute_losses([prepared])
         assert losses["crs"] is None
         total = losses["tpp"].item() + losses["cmlm"].item() + \
             losses["cmam"].item()
@@ -88,11 +87,11 @@ class TestForward:
         fused = model.eval_fused(sample, vocab)
         boundaries = md.tokenize_sample(sample, vocab).word_boundaries
         errors = model.tpp_absolute_errors(fused, boundaries)
-        tpp = ob.tpp_loss(fused, boundaries, model.tpp_head).item()
+        tpp = ob.tpp_loss([fused], [boundaries], model.tpp_head).item()
         assert tpp == pytest.approx(
             0.5 * float((errors ** 2).sum()) / len(boundaries), rel=1e-12)
         assert model.tpp_absolute_errors(fused, []).shape == (0,)
-        crs = [ob.crs_loss(fused, label, model.crs_w, model.crs_b).item()
+        crs = [ob.crs_loss([fused], [label], model.crs_w, model.crs_b).item()
                for label in range(4)]
         assert model.crs_predict(fused) == int(np.argmin(crs))
 
@@ -106,7 +105,7 @@ class TestForward:
         targets = {}
 
         def node():
-            projected, targets["node"] = model._speech_path(wave, plan, True)
+            projected, targets["node"] = model._speech_path(wave, plan)
             return projected
 
         def composed():
@@ -168,20 +167,21 @@ class TestBatch:
             wave_cur=rng.standard_normal(len(b.wave_cur)))
         before = model.compute_losses([a, b, c])
         after = model.compute_losses([a, other_b, c])
-        for i in (0, 2):
-            for key, loss in before[i].items():
-                assert loss.data.tobytes() == after[i][key].data.tobytes(), \
-                    (i, key)
-        assert before[1]["joint"].item() != after[1]["joint"].item()
+        for key, loss in before.items():
+            for i in (0, 2):
+                assert loss.data[i].tobytes() == \
+                    after[key].data[i].tobytes(), (i, key)
+        assert before["joint"].data[1] != after["joint"].data[1]
 
     def test_batch_losses_equal_one_sample_calls(self):
         model, vocab, _, samples = tiny_setup(dtype="float32")
         prepared = self.prepared(model, vocab, samples[:4])
         batch = model.compute_losses(prepared)
-        for p, losses in zip(prepared, batch, strict=True):
-            single, = model.compute_losses([p])
+        for i, p in enumerate(prepared):
+            single = model.compute_losses([p])
             for key in ("tpp", "crs", "cmlm", "cmam", "joint"):
-                np.testing.assert_allclose(losses[key].item(),
+                assert batch[key].shape == (len(prepared),)
+                np.testing.assert_allclose(batch[key].data[i],
                                            single[key].item(), rtol=1e-5,
                                            err_msg=key)
 
@@ -194,10 +194,36 @@ class TestBatch:
         model, vocab, _, samples = tiny_setup(layers=2)
         losses = model.compute_losses(self.prepared(model, vocab,
                                                     samples[:4]))
-        total = losses[0]["joint"]
-        for sample_losses in losses[1:]:
-            total = ad.add(total, sample_losses["joint"])
-        assert transformer_layer_nodes(total) == 2 + 2 + 1
+        assert transformer_layer_nodes(losses["joint"]) == 2 + 2 + 1
+
+    def test_objective_nodes_do_not_grow_with_batch(self):
+        model, vocab, _, samples = tiny_setup()
+        forward, hidden = model.forward, []
+
+        def spy(prepared):
+            fused, targets = forward(prepared)
+            hidden.append(fused[0].hidden)
+            return fused, targets
+
+        model.forward = spy
+        counts = []
+        for b in (2, 4):
+            joint = model.compute_losses(self.prepared(model, vocab,
+                                                       samples[:b]))["joint"]
+            counts.append(len(graph_nodes(joint))
+                          - len(graph_nodes(hidden[-1])))
+        assert counts[0] == counts[1]
+
+    def test_unmasked_batch_gives_zero_masking_losses(self):
+        model, vocab, _, samples = tiny_setup()
+        prepared = [md.prepare_sample(s, vocab, model.config, train=False)
+                    for s in samples[:3]]
+        losses = model.compute_losses(prepared)
+        assert losses["crs"] is None
+        for key in ("cmlm", "cmam"):
+            np.testing.assert_array_equal(losses[key].data, np.zeros(3))
+        np.testing.assert_allclose(losses["joint"].data, losses["tpp"].data,
+                                   rtol=1e-12)
 
 
 class TestGradientIntegrity:
@@ -215,13 +241,11 @@ class TestGradientIntegrity:
             self.prepared.acoustic_plan_cur.mask.any()
 
     def check(self, key, weights=LossWeights()):
-        base, = self.model.forward([self.prepared])
-        frozen = [(base.cmam_target_prev, base.cmam_target_cur)]
+        _, frozen = self.model.forward([self.prepared])
 
         def loss():
-            losses, = self.model.compute_losses([self.prepared], weights,
-                                                frozen_cmam_targets=frozen)
-            return losses[key]
+            return self.model.compute_losses([self.prepared], weights,
+                                             frozen_cmam_targets=frozen)[key]
 
         report = grad_check(loss, self.model.parameters(), epsilon=1e-5,
                             coords_per_param=8, seed=0)

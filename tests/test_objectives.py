@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stdialog import corpus as cp
 from stdialog import objectives as ob
-from stdialog.autodiff import Parameter, Tensor
+from stdialog.autodiff import Parameter, Tensor, reduce_sum
 from stdialog.encoders import FusedRepresentation
 from stdialog.gradcheck import grad_check
 from stdialog.masking import MaskPlan, AcousticMaskConfig, draw_mask_plan
@@ -19,7 +20,7 @@ def make_fused(n_text=6, m_prev=3, m_cur=4, d=8, seed=0):
     length = n_text + m_prev + m_cur + 2
     hidden = Tensor(rng.standard_normal((length, d)))
     return FusedRepresentation(hidden=hidden, n_text=n_text, m_prev=m_prev,
-                               m_cur=m_cur)
+                               m_cur=m_cur, start=0)
 
 
 def make_head(d=8, seed=1, max_seconds=10.0):
@@ -33,11 +34,11 @@ class TestTppLoss:
     def test_exact_predictions_zero_loss(self):
         fused = make_fused()
         head = make_head()
-        ps, pe, _, _ = ob.tpp_predictions(
-            fused, [TokenBoundary(1, 2, 0.0, 0.0, 1)], head)
-        boundary = TokenBoundary(1, 2, float(ps.data[0] * 10),
-                                 float(pe.data[0] * 10), 1)
-        loss = ob.tpp_loss(fused, [boundary], head)
+        pred, _, _ = ob.tpp_predictions(
+            [fused], [[TokenBoundary(1, 2, 0.0, 0.0, 1)]], head)
+        boundary = TokenBoundary(1, 2, float(pred.data[0, 0] * 10),
+                                 float(pred.data[1, 0] * 10), 1)
+        loss = ob.tpp_loss([fused], [[boundary]], head)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_single_word(self):
@@ -47,12 +48,12 @@ class TestTppLoss:
         hidden[1] = [1.0, 0, 0, 0]
         hidden[2] = [0, 1.0, 0, 0]
         fused = FusedRepresentation(Tensor(hidden), n_text=4, m_prev=0,
-                                    m_cur=0)
+                                    m_cur=0, start=0)
         w_start = Parameter(np.array([[0.30], [0], [0], [0]]), "ws")
         w_end = Parameter(np.array([[0], [0.50], [0], [0]]), "we")
         head = ob.TppHead(w_start, w_end, max_seconds=10.0)
         boundary = TokenBoundary(1, 2, 2.5, 5.0, 1)
-        loss = ob.tpp_loss(fused, [boundary], head)
+        loss = ob.tpp_loss([fused], [[boundary]], head)
         assert loss.item() == pytest.approx(0.00125, abs=1e-12)
 
     def test_scalar_oracle_random_cases(self):
@@ -70,7 +71,7 @@ class TestTppLoss:
                 boundaries.append(TokenBoundary(first, last, s,
                                                 s + float(rng.uniform(0, 3)),
                                                 int(rng.integers(0, 2))))
-            loss = ob.tpp_loss(fused, boundaries, head).item()
+            loss = ob.tpp_loss([fused], [boundaries], head).item()
             oracle = tpp_oracle(
                 fused.hidden.data.tolist(),
                 [(b.first_token_index, b.last_token_index, b.start_time,
@@ -84,18 +85,18 @@ class TestTppLoss:
         head = make_head(seed=4)
         boundaries = [TokenBoundary(0, 1, 0.5, 1.0, 0),
                       TokenBoundary(2, 3, 1.0, 2.0, 1)]
-        single = ob.tpp_loss(fused, boundaries, head).item()
-        doubled = ob.tpp_loss(fused, boundaries * 2, head).item()
+        single = ob.tpp_loss([fused], [boundaries], head).item()
+        doubled = ob.tpp_loss([fused], [boundaries * 2], head).item()
         assert single == pytest.approx(doubled, abs=1e-12)
 
     def test_empty_boundaries_zero(self):
-        assert ob.tpp_loss(make_fused(), [], make_head()).item() == 0.0
+        assert ob.tpp_loss([make_fused()], [[]], make_head()).item() == 0.0
 
     def test_boundary_outside_text_span_raises(self):
         fused = make_fused(n_text=4)
         head = make_head()
         with pytest.raises(IndexError, match="text span"):
-            ob.tpp_loss(fused, [TokenBoundary(2, 5, 0.1, 0.2, 1)], head)
+            ob.tpp_loss([fused], [[TokenBoundary(2, 5, 0.1, 0.2, 1)]], head)
 
     def test_gradients_match_finite_differences(self):
         fused_hidden = np.random.default_rng(5).standard_normal((10, 8))
@@ -106,8 +107,8 @@ class TestTppLoss:
                       TokenBoundary(3, 3, 1.5, 2.0, 1)]
 
         def loss():
-            fused = FusedRepresentation(Tensor(fused_hidden), 6, 1, 1)
-            return ob.tpp_loss(fused, boundaries, head)
+            fused = FusedRepresentation(Tensor(fused_hidden), 6, 1, 1, 0)
+            return ob.tpp_loss([fused], [boundaries], head)
 
         report = grad_check(loss, list(registry.values()))
         assert report.max_relative_error < 1e-4
@@ -201,15 +202,15 @@ class TestCrsLoss:
         fused = make_fused()
         w = Parameter(np.zeros((8, 4)), "w")
         b = Parameter(np.zeros(4), "b")
-        loss = ob.crs_loss(fused, 2, w, b)
+        loss = ob.crs_loss([fused], [2], w, b)
         assert loss.item() == pytest.approx(math.log(4), abs=1e-12)
 
     def test_confident_correct_logit_lowers_loss(self):
         fused = make_fused()
         w = Parameter(np.zeros((8, 4)), "w")
-        lo = ob.crs_loss(fused, 1, w, Parameter(
+        lo = ob.crs_loss([fused], [1], w, Parameter(
             np.array([0.0, 1.0, 0, 0]), "b1")).item()
-        hi = ob.crs_loss(fused, 1, w, Parameter(
+        hi = ob.crs_loss([fused], [1], w, Parameter(
             np.array([0.0, 10.0, 0, 0]), "b2")).item()
         assert hi < lo < math.log(4)
         assert hi < 1e-3
@@ -221,7 +222,7 @@ class TestCrsLoss:
             w = Parameter(rng.standard_normal((8, 4)), "w")
             b = Parameter(rng.standard_normal(4), "b")
             label = int(rng.integers(0, 4))
-            loss = ob.crs_loss(fused, label, w, b).item()
+            loss = ob.crs_loss([fused], [label], w, b).item()
             oracle = crs_oracle(fused.hidden.data[0].tolist(),
                                 w.data.tolist(), b.data.tolist(), label)
             assert abs(loss - oracle) < 1e-10
@@ -232,8 +233,8 @@ class TestCrsLoss:
         b = Parameter(np.zeros(4), "b")
 
         def loss():
-            fused = FusedRepresentation(Tensor(hidden), 6, 1, 1)
-            return ob.crs_loss(fused, 3, w, b)
+            fused = FusedRepresentation(Tensor(hidden), 6, 1, 1, 0)
+            return ob.crs_loss([fused], [3], w, b)
 
         assert grad_check(loss, [w, b]).max_relative_error < 1e-4
 
@@ -251,14 +252,14 @@ class TestCmlmLoss:
         w = Parameter(np.zeros((8, 16)), "w")
         b = Parameter(np.zeros(16), "b")
         plan = self.make_plan([], [])
-        assert ob.cmlm_loss(fused, plan, w, b).item() == 0.0
+        assert ob.cmlm_loss([fused], [plan], w, b).item() == 0.0
 
     def test_uniform_logits_ln16(self):
         fused = make_fused()
         w = Parameter(np.zeros((8, 16)), "w")
         b = Parameter(np.zeros(16), "b")
         plan = self.make_plan([1, 2], [5, 6])
-        assert ob.cmlm_loss(fused, plan, w, b).item() == \
+        assert ob.cmlm_loss([fused], [plan], w, b).item() == \
             pytest.approx(math.log(16), abs=1e-12)
 
     def test_scalar_oracle_five_tokens(self):
@@ -269,7 +270,7 @@ class TestCmlmLoss:
             b = Parameter(rng.standard_normal(16), "b")
             plan = self.make_plan([0, 1, 2, 3, 4],
                                   rng.integers(0, 16, 5))
-            loss = ob.cmlm_loss(fused, plan, w, b).item()
+            loss = ob.cmlm_loss([fused], [plan], w, b).item()
             states = fused.hidden.data[plan.positions].tolist()
             oracle = cmlm_oracle(states, w.data.tolist(), b.data.tolist(),
                                  plan.labels.tolist())
@@ -280,7 +281,7 @@ class TestCmlmLoss:
         w = Parameter(np.zeros((8, 16)), "w")
         b = Parameter(np.zeros(16), "b")
         with pytest.raises(IndexError):
-            ob.cmlm_loss(fused, self.make_plan([5], [0]), w, b)
+            ob.cmlm_loss([fused], [self.make_plan([5], [0])], w, b)
 
 
 def plan_with_masked(length, masked_idx):
@@ -300,7 +301,8 @@ class TestCmamLoss:
         b = Parameter(np.full(4, 0.7), "b")
         plan = plan_with_masked(fused.m_prev, [0, 2])
         targets = np.full((2, 4), 0.7)
-        loss = ob.cmam_loss(fused, plan, None, targets, None, w, b)
+        loss = ob.cmam_loss([fused], [(plan, None)], [(targets, None)], w,
+                            b)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_offset_mae(self):
@@ -309,7 +311,8 @@ class TestCmamLoss:
         b = Parameter(np.zeros(4), "b")
         plan = plan_with_masked(fused.m_cur, [1])
         targets = np.full((1, 4), 0.5)
-        loss = ob.cmam_loss(fused, None, plan, None, targets, w, b)
+        loss = ob.cmam_loss([fused], [(None, plan)], [(None, targets)], w,
+                            b)
         assert loss.item() == pytest.approx(0.5, abs=1e-12)
 
     def test_scalar_oracle(self):
@@ -325,7 +328,8 @@ class TestCmamLoss:
             plan_c = plan_with_masked(fused.m_cur, cur_masked)
             t_p = rng.standard_normal((len(prev_masked), 5))
             t_c = rng.standard_normal((len(cur_masked), 5))
-            loss = ob.cmam_loss(fused, plan_p, plan_c, t_p, t_c, w, b).item()
+            loss = ob.cmam_loss([fused], [(plan_p, plan_c)], [(t_p, t_c)],
+                                w, b).item()
             states = [fused.hidden.data[fused.prev_frame_index(j)].tolist()
                       for j in prev_masked]
             states += [fused.hidden.data[fused.cur_frame_index(j)].tolist()
@@ -341,15 +345,85 @@ class TestCmamLoss:
         b = Parameter(np.zeros(4), "b")
         plan = plan_with_masked(7, [0])
         with pytest.raises(IndexError, match="fused"):
-            ob.cmam_loss(fused, plan, None, np.zeros((1, 4)), None, w, b)
+            ob.cmam_loss([fused], [(plan, None)], [(np.zeros((1, 4)), None)],
+                         w, b)
 
     def test_no_masked_frames_zero(self):
         fused = make_fused()
         w = Parameter(np.zeros((8, 4)), "w")
         b = Parameter(np.zeros(4), "b")
         plan = plan_with_masked(fused.m_prev, [])
-        loss = ob.cmam_loss(fused, plan, None, np.zeros((0, 4)), None, w, b)
+        loss = ob.cmam_loss([fused], [(plan, None)],
+                            [(np.zeros((0, 4)), None)], w, b)
         assert loss.item() == 0.0
+
+
+def packed(fused: list) -> list:
+    """The same samples as one batch, laid over one packed ``hidden``."""
+    hidden = Tensor(np.concatenate([f.hidden.data for f in fused]))
+    starts = np.cumsum([0] + [f.length for f in fused[:-1]])
+    return [replace(f, hidden=hidden, start=int(start))
+            for f, start in zip(fused, starts)]
+
+
+class TestBatchLosses:
+    """Each objective gives a [b] tensor of per-sample losses from one
+    head over the packed rows of the batch."""
+
+    fused = [make_fused(6, 3, 4, seed=20), make_fused(4, 2, 5, seed=21),
+             make_fused(5, 4, 3, seed=22)]
+
+    def params(self, k, seed):
+        rng = np.random.default_rng(seed)
+        return (Parameter(rng.standard_normal((8, k)), f"w{k}"),
+                Parameter(rng.standard_normal(k), f"b{k}"))
+
+    def test_entries_equal_one_sample_calls(self):
+        rng = np.random.default_rng(23)
+        head = make_head()
+        boundaries = [[TokenBoundary(1, 2, 0.4, 1.1, 0)], [],
+                      [TokenBoundary(0, 0, 0.1, 0.3, 1),
+                       TokenBoundary(2, 4, 0.5, 0.9, 1)]]
+        labels = [1, None, 3]
+        make_plan = TestCmlmLoss().make_plan
+        text_plans = [make_plan([0, 5], [3, 7]), None, make_plan([4], [2])]
+        acoustic = [(plan_with_masked(3, [0, 2]), plan_with_masked(4, [1])),
+                    (None, plan_with_masked(5, [])),
+                    (None, plan_with_masked(3, [2]))]
+        targets = [(rng.standard_normal((2, 5)), rng.standard_normal((1, 5))),
+                   (None, None), (None, rng.standard_normal((1, 5)))]
+        crs, lm, cmam = (self.params(4, 24), self.params(16, 25),
+                         self.params(5, 26))
+        losses = {
+            "tpp": lambda f, i: ob.tpp_loss(
+                f, [boundaries[j] for j in i], head),
+            "crs": lambda f, i: ob.crs_loss(f, [labels[j] for j in i], *crs),
+            "cmlm": lambda f, i: ob.cmlm_loss(
+                f, [text_plans[j] for j in i], *lm),
+            "cmam": lambda f, i: ob.cmam_loss(
+                f, [acoustic[j] for j in i], [targets[j] for j in i], *cmam)}
+        for name, loss in losses.items():
+            batch = loss(packed(self.fused), [0, 1, 2]).data
+            assert batch.shape == (3,) and batch[1] == 0.0, name
+            for i, fused in enumerate(self.fused):
+                np.testing.assert_allclose(batch[i], loss([fused], [i]).item(),
+                                           rtol=1e-12, err_msg=name)
+
+    def test_nothing_to_score_gives_zeros(self):
+        batch = packed(self.fused)
+        w16, b16 = self.params(16, 27)
+        w4, b4 = self.params(4, 28)
+        empty = TestCmlmLoss().make_plan([], [])
+        losses = [
+            ob.tpp_loss(batch, [[], [], []], make_head()),
+            ob.crs_loss(batch, [None] * 3, w4, b4),
+            ob.cmlm_loss(batch, [None, empty, None], w16, b16),
+            ob.cmam_loss(batch, [(None, None), (plan_with_masked(2, []),
+                                                plan_with_masked(5, [])),
+                                 (None, None)], [(None, None)] * 3, w4, b4)]
+        for loss in losses:
+            np.testing.assert_array_equal(loss.data, np.zeros(3))
+            reduce_sum(loss).backward()
 
 
 class TestJointLoss:

@@ -156,11 +156,11 @@ class TestEmbedText:
         z = Tensor(np.zeros((self.vocab.size, self.d)))
         zp = Tensor(np.zeros((32, self.d)))
         zs = Tensor(np.zeros((2, self.d)))
-        out = tx.embed_text(self.tok, z, zp, zs)
+        out = tx.embed_text([self.tok], z, zp, zs)
         np.testing.assert_array_equal(out.data, np.zeros((self.tok.length, self.d)))
 
     def test_segment_difference_is_embedding_difference(self):
-        out = tx.embed_text(self.tok, self.token_table, self.pos_table,
+        out = tx.embed_text([self.tok], self.token_table, self.pos_table,
                             self.seg_table).data
         ids = self.tok.token_ids
         # rebuild a twin where one current-turn token is flipped to segment 0
@@ -169,7 +169,7 @@ class TestEmbedText:
         twin_seg[pos] = 0
         twin = tx.TokenizedInput(ids, twin_seg, self.tok.position_ids,
                                  self.tok.word_boundaries)
-        out2 = tx.embed_text(twin, self.token_table, self.pos_table,
+        out2 = tx.embed_text([twin], self.token_table, self.pos_table,
                              self.seg_table).data
         diff = out[pos] - out2[pos]
         expected = self.seg_table.data[1] - self.seg_table.data[0]
@@ -181,18 +181,31 @@ class TestEmbedText:
         swapped[[1, 2]] = swapped[[2, 1]]
         twin = tx.TokenizedInput(swapped, self.tok.segment_ids,
                                  self.tok.position_ids, self.tok.word_boundaries)
-        out = tx.embed_text(self.tok, self.token_table, self.pos_table,
+        out = tx.embed_text([self.tok], self.token_table, self.pos_table,
                             self.seg_table).data
-        out2 = tx.embed_text(twin, self.token_table, self.pos_table,
+        out2 = tx.embed_text([twin], self.token_table, self.pos_table,
                              self.seg_table).data
         tok_contrib = self.token_table.data[ids]
         tok_contrib2 = self.token_table.data[swapped]
         np.testing.assert_allclose(out - tok_contrib, out2 - tok_contrib2,
                                    atol=1e-12)
 
+    def test_packed_inputs_equal_one_call_each(self):
+        other = tx.tokenize_sample(make_sample([["c"], ["a", "b", "a"]]),
+                                   self.vocab)
+        assert other.length > self.tok.length
+        tables = (self.token_table, self.pos_table, self.seg_table)
+        out = tx.embed_text([self.tok, other], *tables).data
+        np.testing.assert_array_equal(out, np.concatenate(
+            [tx.embed_text([t], *tables).data for t in (self.tok, other)]))
+        with pytest.raises(ValueError,
+                           match=f"text length {other.length} exceeds"):
+            tx.embed_text([self.tok, other], *tables,
+                          max_len=self.tok.length)
+
     def test_over_limit_raises(self):
         with pytest.raises(ValueError, match="exceeds maximum"):
-            tx.embed_text(self.tok, self.token_table, self.pos_table,
+            tx.embed_text([self.tok], self.token_table, self.pos_table,
                           self.seg_table, max_len=3)
 
 
