@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
 SQRT2 = float(np.sqrt(2.0))
@@ -187,12 +186,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                   "linear")
 
 
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    old = a.data.shape
-    return record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),),
-                  "reshape")
-
-
 def concat(tensors: list, axis: int = 0) -> Tensor:
     cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
     return record(np.concatenate([t.data for t in tensors], axis=axis),
@@ -276,14 +269,17 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def conv1d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                   stride: int = 1, groups: int = 1) -> tuple:
-    """Valid 1-d convolution over the rows of a plain [T, C_in] array.
+                   starts: np.ndarray, groups: int = 1) -> tuple:
+    """1-d convolution over the rows of a plain [T, C_in] array, one output
+    row per window start.
 
-    ``weight`` is [C_out, C_in/groups, K] and ``bias`` [C_out]; the output
-    is [T_out, C_out] with T_out = (T - K) // stride + 1, for T >= K (pad
-    the input for 'same' geometry).  im2col: the K-tap windows of each group become
-    the rows of one [T_out, K * C_in/groups] column matrix, so each group
-    is one matmul.  Returns the output and what ``conv1d_backward`` needs.
+    ``weight`` is [C_out, C_in/groups, K] and ``bias`` [C_out]; output row i
+    is the window of the K input rows from ``starts[i]``, so one call runs
+    over several sequences packed in ``x`` when no window crosses from one
+    into the next (pad with zero rows for 'same' geometry).  im2col: the
+    windows of each group become the rows of one [T_out, K * C_in/groups]
+    column matrix, so each group is one matmul.  Returns the [T_out, C_out]
+    output and what ``conv1d_backward`` needs.
     """
     length, c_in = x.shape
     c_out, c_in_g, kernel = weight.shape
@@ -291,16 +287,16 @@ def conv1d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
         raise ShapeError(
             f"conv1d groups={groups}: weight {weight.shape} does not "
             f"match input channels {c_in}")
-    out_len = (length - kernel) // stride + 1
-    s_row, s_col = x.strides
-    cols = as_strided(x, (groups, out_len, kernel, c_in_g),
-                      (c_in_g * s_col, stride * s_row, s_row, s_col)) \
+    out_len = len(starts)
+    # [G, T, C_in/G] view, gathered to [G, T_out, K, C_in/G] windows
+    cols = x.reshape(length, groups, c_in_g).transpose(1, 0, 2)[
+        :, starts[:, None] + np.arange(kernel)] \
         .reshape(groups, out_len, kernel * c_in_g)
     # [G, K * C_in/G, C_out/G], tap-major like the columns
     w_cols = weight.reshape(groups, c_out // groups, c_in_g, kernel) \
         .transpose(0, 3, 2, 1).reshape(groups, kernel * c_in_g, -1)
     out = (cols @ w_cols).transpose(1, 0, 2).reshape(out_len, c_out) + bias
-    return out, (cols, w_cols, weight.shape, length, stride)
+    return out, (cols, w_cols, weight.shape, length, starts)
 
 
 def conv1d_backward(g: np.ndarray, saved: tuple,
@@ -308,11 +304,12 @@ def conv1d_backward(g: np.ndarray, saved: tuple,
     """Gradients ``(dx, dweight, dbias)`` of ``conv1d_forward`` for output
     gradient ``g``; ``dx`` is None unless ``input_grad``.
 
-    The input gradient is col2im: one strided slice-add per kernel tap,
-    taps in reverse, which adds each input row's terms in the same order
-    as ``np.add.at`` over the window index would.
+    The input gradient is col2im: one row scatter-add per kernel tap, taps
+    in reverse, which adds each input row's terms in the same order as
+    ``np.add.at`` over the window index would.  The windows of one tap
+    start at distinct rows, so each scatter-add is a plain ``+=``.
     """
-    cols, w_cols, w_shape, length, stride = saved
+    cols, w_cols, w_shape, length, starts = saved
     c_out, c_in_g, kernel = w_shape
     groups, out_len, _ = cols.shape
     gg = g.reshape(out_len, groups, c_out // groups).transpose(1, 0, 2)
@@ -326,9 +323,8 @@ def conv1d_backward(g: np.ndarray, saved: tuple,
     dcols = (gg @ w_cols.transpose(0, 2, 1)) \
         .reshape(groups, out_len, kernel, c_in_g).transpose(2, 1, 0, 3)
     dx = np.zeros((length, groups, c_in_g), dtype=dcols.dtype)
-    span = stride * (out_len - 1) + 1
     for k in reversed(range(kernel)):
-        dx[k:k + span:stride] += dcols[k]
+        dx[starts + k] += dcols[k]
     return dx.reshape(length, groups * c_in_g), dw, db
 
 

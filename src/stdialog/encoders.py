@@ -8,7 +8,7 @@ autodiff node over all packed rows; attention inside a layer runs per
 sequence, so no sequence attends to another.  The speech encoder first
 adds a convolutional relative position embedding to each sequence on its
 own: a grouped same-padding 1-d conv over the sequence, GELU, residual
-add, also as one node.  Fusion interleaves each sample's text rows and
+add, also as one node over all sequences.  Fusion interleaves each sample's text rows and
 speech rows, adds learnable modality embeddings, and applies one
 transformer layer attending across both modalities of a sample.
 """
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (Parameter, ShapeError, Tensor, concat, conv1d_backward,
+from .autodiff import (Parameter, ShapeError, Tensor, conv1d_backward,
                        conv1d_forward, gelu_backward, gelu_forward,
                        layer_norm_backward, layer_norm_forward, record,
                        register, softmax_backward, softmax_forward)
@@ -165,11 +165,6 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
     return record(out, (x, *vars(p).values()), backward, "transformer_layer")
 
 
-def pack(sequences: list) -> Tensor:
-    """The rows of ``sequences`` back to back; one sequence is itself."""
-    return sequences[0] if len(sequences) == 1 else concat(sequences, axis=0)
-
-
 def encode_text(x: Tensor, layers: list, num_heads: int,
                 lengths: tuple) -> Tensor:
     """Pre-norm stack over packed [sum(lengths), d_h] embeddings; zero
@@ -181,31 +176,38 @@ def encode_text(x: Tensor, layers: list, num_heads: int,
 
 
 def conv_position_embedding(x: Tensor, w: Parameter, b: Parameter,
-                            groups: int) -> Tensor:
-    """x + GELU(grouped same-padding conv over the sequence), one node."""
+                            groups: int, lengths: tuple) -> Tensor:
+    """x + GELU(grouped same-padding conv over each sequence), over packed
+    sequences of ``lengths`` rows, one node.  In the conv's input, K - 1
+    zero rows pad each sequence (K the kernel), so no window crosses from
+    one sequence into the next."""
     n = x.shape[0]
+    if sum(lengths) != n:
+        raise ShapeError(f"sequence lengths {tuple(lengths)} do not sum to "
+                         f"the {n} packed rows")
     kernel = w.shape[2]
     left = (kernel - 1) // 2
-    xp = np.pad(x.data, ((left, kernel - 1 - left), (0, 0)))
-    z, conv = conv1d_forward(xp, w.data, b.data, groups=groups)
+    # row r of sequence i sits at row r + i * (K - 1) + left of the input
+    rows = np.arange(n) + (kernel - 1) * np.repeat(np.arange(len(lengths)),
+                                                   lengths) + left
+    xp = np.zeros((n + (kernel - 1) * len(lengths), x.shape[1]), x.dtype)
+    xp[rows] = x.data
+    z, conv = conv1d_forward(xp, w.data, b.data, rows - left, groups=groups)
     act, phi = gelu_forward(z)
 
     def backward(g):
         dxp, dw, db = conv1d_backward(gelu_backward(g, z, phi), conv)
-        return g + dxp[left:left + n], dw, db
+        return g + dxp[rows], dw, db
 
     return record(x.data + act, (x, w, b), backward, "conv_position_embedding")
 
 
-def encode_speech(sequences: list, conv_pos: tuple, layers: list,
+def encode_speech(x: Tensor, lengths: tuple, conv_pos: tuple, layers: list,
                   num_heads: int, conv_groups: int) -> Tensor:
-    """The conv position embedding of each [m, d_h] sequence on its own
-    (the conv must not cross sequences), then the pre-norm stack over
-    their packed rows."""
-    w, b = conv_pos
-    h = pack([conv_position_embedding(x, w, b, conv_groups)
-              for x in sequences])
-    lengths = tuple(x.shape[0] for x in sequences)
+    """The conv position embedding of each of the packed sequences of
+    ``lengths`` rows in ``x`` (the conv does not cross sequences), then
+    the pre-norm stack over the packed rows."""
+    h = conv_position_embedding(x, *conv_pos, conv_groups, lengths)
     for p in layers:
         h = transformer_layer(h, p, num_heads, lengths)
     return h

@@ -3,10 +3,12 @@
 The extractor is a stack of strided 1-d convolutions, each followed by a
 GELU (valid padding only, so frame counts follow the closed-form length
 arithmetic exposed here), then a single layer normalization over the
-feature dimension.  Projection applies an acoustic mask plan's
-corruption, then layer norm and an affine map to the model width.  Each
-of the two runs as one autodiff node with a hand-written backward.  The
-two-turn sequence is [CLS] f_prev [SEP] f_cur with learned CLS/SEP rows.
+feature dimension.  Projection applies each turn's acoustic mask plan
+corruption, then layer norm and an affine map to the model width.  The
+two-turn sequence of a sample is [CLS] f_prev [SEP] f_cur with learned
+CLS/SEP rows.  Each of the three runs once per batch, as one autodiff
+node with a hand-written backward over the packed frames of all turns:
+the frames of the turns back to back, prev then cur of each sample.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, concat, conv1d_backward,
-                       conv1d_forward, gelu_backward, gelu_forward,
-                       layer_norm_backward, layer_norm_forward, record,
-                       reshape)
-from .masking import REPLACE, ZERO, MaskPlan
+from .autodiff import (ShapeError, Tensor, conv1d_backward, conv1d_forward,
+                       gelu_backward, gelu_forward, layer_norm_backward,
+                       layer_norm_forward, record)
+from .masking import REPLACE, UNMASKED, ZERO
 
 
 @dataclass(frozen=True)
@@ -90,24 +91,42 @@ def desk_config(sample_rate: int = 100, channels: int = 16) -> FrontendConfig:
         sample_rate=sample_rate)
 
 
-def extract_features(waveform, config: FrontendConfig, conv_params: list,
-                     ln_gain, ln_bias) -> Tensor:
-    """Run the conv stack over a 1-d waveform -> [m, feature_dim].
+def window_starts(lengths, kernel: int, stride: int) -> tuple:
+    """The first row of each valid ``kernel``-row window, ``stride`` apart,
+    of sequences of ``lengths`` rows packed back to back, and each
+    sequence's window count; no window crosses into the next sequence."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    counts = (lengths - kernel) // stride + 1
+    firsts = np.cumsum(counts) - counts
+    starts = np.repeat(np.cumsum(lengths) - lengths - stride * firsts,
+                       counts) + stride * np.arange(counts.sum())
+    return starts, counts
 
-    ``conv_params`` is one (weight, bias) pair per configured layer.  One
-    autodiff node: each conv is an im2col matmul, and the backward builds
-    no gradient for the waveform, which is input data, not a parent.
+
+def extract_features(waveforms: list, config: FrontendConfig,
+                     conv_params: list, ln_gain, ln_bias) -> Tensor:
+    """Run the conv stack over each 1-d waveform -> their frames packed
+    back to back, [sum of output_length(len(w)), feature_dim].
+
+    ``conv_params`` is one (weight, bias) pair per configured layer; the
+    waveforms are cast to the weights' dtype.  One autodiff node: each
+    conv is one im2col matmul over the windows of all waveforms, none
+    crossing into the next waveform, and the backward builds no gradient
+    for the waveforms, which are input data, not parents.
     """
     if len(conv_params) != len(config.layers):
         raise ShapeError(
             f"{len(conv_params)} conv parameter pairs for "
             f"{len(config.layers)} configured layers")
-    wav = np.asarray(waveform)
-    config.output_length(wav.shape[0])  # raises with the minimum length
-    x = wav[:, None]
+    lengths = [len(w) for w in waveforms]
+    for n in lengths:
+        config.output_length(n)  # raises with the minimum length
+    x = np.concatenate(waveforms).astype(conv_params[0][0].dtype,
+                                         copy=False)[:, None]
     saved = []
     for spec, (w, b) in zip(config.layers, conv_params):
-        z, conv = conv1d_forward(x, w.data, b.data, spec.stride)
+        starts, lengths = window_starts(lengths, spec.kernel, spec.stride)
+        z, conv = conv1d_forward(x, w.data, b.data, starts)
         x, phi = gelu_forward(z)
         saved.append((z, phi, conv))
     out, ln = layer_norm_forward(x, ln_gain.data, ln_bias.data,
@@ -129,26 +148,39 @@ def extract_features(waveform, config: FrontendConfig, conv_params: list,
 
 
 def project_features(features: Tensor, ln_gain, ln_bias, weight, bias,
-                     plan: MaskPlan | None = None) -> Tensor:
-    """Mask corruption, layer norm, then rowwise affine feature_dim -> d_h.
+                     lengths: list, plans: list | None = None) -> Tensor:
+    """Mask corruption, layer norm, then rowwise affine feature_dim -> d_h,
+    over the packed frames of turns of ``lengths`` frames each.
 
-    With a ``plan``, each masked frame is zeroed (ZERO), swapped for the
-    plan's source frame of the uncorrupted features (REPLACE) or kept
-    (KEEP) before the layer norm.  One autodiff node.
+    ``plans`` holds each turn's mask plan, None for a turn left clean (all
+    None when ``plans`` is None).  Each masked frame is zeroed (ZERO),
+    swapped for the plan's source frame of the same turn's uncorrupted
+    features (REPLACE) or kept (KEEP) before the layer norm.  One autodiff
+    node; a plan whose length differs from its turn's frame count raises
+    ``ValueError``.
     """
     f = features.data
+    if sum(lengths) != f.shape[0]:
+        raise ShapeError(f"turn lengths summing to {sum(lengths)} for "
+                         f"{f.shape[0]} feature rows")
+    actions = np.full(f.shape[0], UNMASKED)
+    sources = np.zeros(f.shape[0], dtype=np.intp)
+    for plan, m, offset in zip(plans or [None] * len(lengths), lengths,
+                               np.cumsum(lengths) - lengths, strict=True):
+        if plan is not None:
+            if m != plan.length:
+                raise ValueError(
+                    f"plan length {plan.length} != features rows {m}")
+            actions[offset:offset + m] = plan.actions
+            sources[offset:offset + m] = offset + plan.replacement_sources
+    replaced = actions == REPLACE
+    dropped = replaced | (actions == ZERO)
+    sources = sources[replaced]
     corrupted = f
-    if plan is not None:
-        if f.shape[0] != plan.length:
-            raise ValueError(
-                f"plan length {plan.length} != features rows {f.shape[0]}")
-        replaced = plan.actions == REPLACE
-        dropped = replaced | (plan.actions == ZERO)
-        sources = plan.replacement_sources[replaced]
-        if dropped.any():
-            corrupted = f.copy()
-            corrupted[dropped] = 0.0
-            corrupted[replaced] = f[sources]
+    if dropped.any():
+        corrupted = f.copy()
+        corrupted[dropped] = 0.0
+        corrupted[replaced] = f[sources]
     normed, ln = layer_norm_forward(corrupted, ln_gain.data, ln_bias.data)
     out = normed @ weight.data + bias.data
 
@@ -156,8 +188,8 @@ def project_features(features: Tensor, ln_gain, ln_bias, weight, bias,
         dx, dgain, dbias = layer_norm_backward(g @ weight.data.T,
                                                ln_gain.data, ln)
         if corrupted is not f:
-            # donor gradients summed apart first: the same float32 sums as
-            # the former mul/gather ops, so training stays bit-identical
+            # donor gradients summed apart first: each row gets the same
+            # float32 sum as from the composed mul/gather ops
             donors = np.zeros_like(dx)
             np.add.at(donors, sources, dx[replaced])
             dx[dropped] = 0.0
@@ -168,18 +200,30 @@ def project_features(features: Tensor, ln_gain, ln_bias, weight, bias,
                   "project_features")
 
 
-def assemble_speech_sequence(f_prev: Tensor, f_cur: Tensor, cls_vec: Tensor,
-                             sep_vec: Tensor) -> Tensor:
-    """[CLS] f_prev [SEP] f_cur as one [m_prev + m_cur + 2, d_h] tensor;
-    ``encoders.FusedRepresentation`` indexes this layout."""
-    m_prev, d = f_prev.shape
-    m_cur, d2 = f_cur.shape
-    if m_prev == 0 or m_cur == 0:
+def assemble_speech_sequences(projected: Tensor, speech_frames: list,
+                              cls_vec: Tensor, sep_vec: Tensor) -> Tensor:
+    """Each sample's [CLS] f_prev [SEP] f_cur, packed back to back, from
+    the packed frames of its turns, as (m_prev, m_cur) in ``speech_frames``;
+    one node.  ``encoders.FusedRepresentation`` indexes this layout."""
+    turns = np.asarray(speech_frames, dtype=np.intp).ravel()
+    if turns.min() == 0:
         raise ValueError(
-            f"both speech turns must be non-empty, got {m_prev} and {m_cur} "
-            f"frames")
-    if d != d2:
-        raise ShapeError(f"turn widths differ: {f_prev.shape} vs {f_cur.shape}")
-    cls_row = reshape(cls_vec, (1, d))
-    sep_row = reshape(sep_vec, (1, d))
-    return concat([cls_row, f_prev, sep_row, f_cur], axis=0)
+            f"both speech turns must be non-empty, got frame counts "
+            f"{[tuple(pair) for pair in speech_frames]}")
+    n, d = projected.shape
+    # the row before each turn: CLS before a prev turn, SEP before a cur
+    marks = np.cumsum(turns) - turns + np.arange(turns.size)
+    cls_rows, sep_rows = marks[0::2], marks[1::2]
+    frame_rows = np.ones(n + turns.size, dtype=bool)
+    frame_rows[marks] = False
+    data = np.empty((n + turns.size, d), projected.dtype)
+    data[frame_rows] = projected.data
+    data[cls_rows] = cls_vec.data
+    data[sep_rows] = sep_vec.data
+
+    def backward(g):
+        return (g[frame_rows], g[cls_rows].sum(axis=0),
+                g[sep_rows].sum(axis=0))
+
+    return record(data, (projected, cls_vec, sep_vec), backward,
+                  "assemble_speech_sequences")

@@ -4,10 +4,12 @@ One instance owns every learnable: text embedding tables, the conv
 frontend, projection, CLS/SEP rows, both transformer stacks, the fusion
 layer with modality embeddings, and the four objective heads.
 ``prepare_sample`` draws all of a sample's randomness; the forward pass is
-deterministic.  Forward takes a batch of prepared samples: the speech
-frontend runs per sample, then the text embedding, each encoder layer and
-the fusion layer run once over the packed rows of the whole batch, with
-attention kept within each sample.  Each sample's fused representation
+deterministic.  Forward takes a batch of prepared samples: the text
+embedding, each stage of the speech input path (feature extraction,
+masked projection, the [CLS] prev [SEP] cur layout and the conv position
+embedding), each encoder layer and the fusion layer run once over the
+packed rows of the whole batch, with convolutions kept within each speech
+turn or sequence and attention within each sample.  Each sample's fused representation
 is its layout over the one packed output.  Each objective reads the rows
 of all samples from it at once and gives a [b] tensor of per-sample
 losses; the trainer minimizes the batch mean of the joint one.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
                          replace)
+from itertools import accumulate
 from typing import get_type_hints
 
 import numpy as np
@@ -214,22 +217,12 @@ class SpeechTextModel:
 
     # forward -----------------------------------------------------------
 
-    def _speech_path(self, wave: np.ndarray, plan: MaskPlan | None):
-        feats = fe.extract_features(
-            np.asarray(wave, dtype=self.config.np_dtype),
-            self.config.frontend, self.conv_params, *self.extract_ln)
-        targets = None
-        if plan is not None and plan.mask.any():
-            targets = feats.data[plan.masked_indices()].copy()
-        projected = fe.project_features(feats, *self.proj_ln, self.proj_w,
-                                        self.proj_b, plan)
-        return projected, targets
-
     def forward(self, prepared: list,
                 capture_attention: bool = False) -> tuple:
         """The fused representation of each prepared sample, in order, from
-        one pass of each encoder layer over the packed rows of all samples,
-        and each sample's (prev, cur) pair of reconstruction targets."""
+        one pass of each speech input stage, encoder layer and the fusion
+        layer over the packed rows of all samples, and each sample's
+        (prev, cur) pair of reconstruction targets."""
         heads = self.config.num_heads
         text_lengths = tuple(p.tokenized.length for p in prepared)
         h_text = encode_text(embed_text(
@@ -237,22 +230,32 @@ class SpeechTextModel:
              for p in prepared], self.token_table, self.position_table,
             self.segment_table, self.config.max_text_len),
             self.text_layers, heads, text_lengths)
-        speech, frames, targets = [], [], []
-        for p in prepared:
-            proj_prev, target_prev = self._speech_path(p.wave_prev,
-                                                       p.acoustic_plan_prev)
-            proj_cur, target_cur = self._speech_path(p.wave_cur,
-                                                     p.acoustic_plan_cur)
-            speech.append(fe.assemble_speech_sequence(
-                proj_prev, proj_cur, self.cls_vec, self.sep_vec))
-            frames.append((proj_prev.shape[0], proj_cur.shape[0]))
-            targets.append((target_prev, target_cur))
-        h_speech = encode_speech(speech, self.conv_pos, self.speech_layers,
-                                 heads, self.config.conv_pos_groups)
+        # the speech turns of the batch: prev, then cur, of each sample
+        waves = [w for p in prepared for w in (p.wave_prev, p.wave_cur)]
+        plans = [plan for p in prepared
+                 for plan in (p.acoustic_plan_prev, p.acoustic_plan_cur)]
+        frontend = self.config.frontend
+        turn_frames = [frontend.output_length(len(w)) for w in waves]
+        feats = fe.extract_features(waves, frontend, self.conv_params,
+                                    *self.extract_ln)
+        projected = fe.project_features(feats, *self.proj_ln, self.proj_w,
+                                        self.proj_b, turn_frames, plans)
+        # pre-mask frames at each turn's masked rows, as plain arrays
+        targets = [None if plan is None or not plan.mask.any()
+                   else feats.data[offset + plan.masked_indices()]
+                   for plan, offset in zip(plans, accumulate(
+                       turn_frames, initial=0))]
+        frames = list(zip(turn_frames[0::2], turn_frames[1::2]))
+        h_speech = encode_speech(
+            fe.assemble_speech_sequences(projected, frames, self.cls_vec,
+                                         self.sep_vec),
+            tuple(m_prev + m_cur + 2 for m_prev, m_cur in frames),
+            self.conv_pos, self.speech_layers, heads,
+            self.config.conv_pos_groups)
         fused = fuse(h_text, h_speech, text_lengths, frames,
                      self.modality_table, self.fusion_layer, heads,
                      capture_attention=capture_attention)
-        return fused, targets
+        return fused, list(zip(targets[0::2], targets[1::2]))
 
     def compute_losses(self, prepared: list,
                        weights: LossWeights = LossWeights(),

@@ -4,13 +4,20 @@ This is the reference that ``encoders.transformer_layer``, which runs the
 whole layer as one autodiff node with a hand-written backward, is checked
 against: same parameters, same arithmetic, but every step is its own op
 and every gradient comes from the primitives' backward rules.  The ops
-that the library runs only inside such nodes (``transpose``, ``softmax``,
-``layer_norm``) are defined here as standalone autodiff ops.
+that the library runs only inside such nodes (``reshape``, ``transpose``,
+``softmax``, ``layer_norm``) are defined here as standalone autodiff ops.
 """
 
 import numpy as np
 
 from stdialog import autodiff as ad
+
+
+def reshape(a, shape):
+    """Reshape as an autodiff op (the library itself needs none)."""
+    old = a.shape
+    return ad.record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),),
+                     "reshape")
 
 
 def transpose(a, axes):
@@ -51,7 +58,7 @@ def composed_transformer_layer(x, p, num_heads):
     dk = d // num_heads
 
     def split_heads(t):
-        return transpose(ad.reshape(t, (n, num_heads, dk)), (1, 0, 2))
+        return transpose(reshape(t, (n, num_heads, dk)), (1, 0, 2))
 
     a = layer_norm(x, p.ln1_gain, p.ln1_bias)
     q = split_heads(ad.linear(a, p.wq, p.bq))
@@ -60,7 +67,7 @@ def composed_transformer_layer(x, p, num_heads):
     scores = ad.scale(ad.matmul(q, transpose(k, (0, 2, 1))),
                       float(1.0 / np.sqrt(dk)))
     attn = softmax(scores)
-    merged = ad.reshape(transpose(ad.matmul(attn, v), (1, 0, 2)), (n, d))
+    merged = reshape(transpose(ad.matmul(attn, v), (1, 0, 2)), (n, d))
     h = ad.add(x, ad.linear(merged, p.wo, p.bo))
     ff = ad.linear(ad.gelu(ad.linear(layer_norm(h, p.ln2_gain, p.ln2_bias),
                                      p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)

@@ -1,19 +1,23 @@
 """The speech input path composed from autodiff primitives.
 
-The references that the three single-node layers of the speech path are
-checked against (``assert_node_matches_reference``): ``frontend.extract_features`` (strided convs, GELU,
-layer norm), ``frontend.project_features`` (mask corruption, layer norm,
-linear) and ``encoders.conv_position_embedding`` (grouped same-padding
-conv, GELU, residual).  ``conv1d`` builds its columns by fancy indexing
-and its input gradient with ``np.add.at``, and ``apply_mask_plan``
-corrupts with masks and a row gather, so neither shares code with the
-im2col helpers or the corruption inside the nodes.  ``mul``, which only
-these references and the tests use, is defined here as an autodiff op.
+The references that the four single-node stages of the speech path are
+checked against (``assert_node_matches_reference``):
+``frontend.extract_features`` (strided convs, GELU, layer norm),
+``frontend.project_features`` (mask corruption, layer norm, linear),
+``frontend.assemble_speech_sequences`` ([CLS] prev [SEP] cur) and
+``encoders.conv_position_embedding`` (grouped same-padding conv, GELU,
+residual).  The nodes run once over the packed rows of a whole batch;
+each reference runs per waveform, turn or sequence and concatenates the
+results.  ``conv1d`` builds its columns by fancy indexing and its input
+gradient with ``np.add.at``, and ``apply_mask_plan`` corrupts with masks
+and a row gather, so neither shares code with the im2col helpers or the
+corruption inside the nodes.  ``mul``, which only these references and
+the tests use, is defined here as an autodiff op.
 """
 
 import numpy as np
 
-from composed_layer import layer_norm
+from composed_layer import layer_norm, reshape
 from stdialog import autodiff as ad
 from stdialog import masking as mk
 
@@ -25,6 +29,14 @@ def mul(a, b):
         raise ad.ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
     return ad.record(a.data * b.data, (a, b),
                      lambda g: (g * b.data, g * a.data), "mul")
+
+
+def split_rows(x, lengths):
+    """The consecutive row blocks of ``lengths`` rows of ``x``, as
+    autodiff row gathers."""
+    ends = np.cumsum(lengths)
+    return [ad.gather_rows(x, np.arange(end - n, end))
+            for end, n in zip(ends, lengths)]
 
 
 def _conv_geometry(length: int, kernel: int, stride: int, padding: str):
@@ -111,24 +123,48 @@ def apply_mask_plan(features, plan):
     return out
 
 
-def composed_extract_features(waveform, config, conv_params, ln_gain,
+def composed_extract_features(waveforms, config, conv_params, ln_gain,
                               ln_bias):
-    x = ad.reshape(ad.Tensor(waveform), (len(waveform), 1))
-    for spec, (w, b) in zip(config.layers, conv_params):
-        x = ad.gelu(conv1d(x, w, b, stride=spec.stride, padding="valid"))
-    return layer_norm(x, ln_gain, ln_bias, eps=config.ln_eps)
+    """Each waveform's frames on its own, concatenated."""
+    feats = []
+    for waveform in waveforms:
+        x = ad.Tensor(np.asarray(waveform)[:, None])
+        for spec, (w, b) in zip(config.layers, conv_params):
+            x = ad.gelu(conv1d(x, w, b, stride=spec.stride, padding="valid"))
+        feats.append(layer_norm(x, ln_gain, ln_bias, eps=config.ln_eps))
+    return ad.concat(feats)
 
 
 def composed_project_features(features, ln_gain, ln_bias, weight, bias,
-                              plan=None):
-    if plan is not None:
-        features = apply_mask_plan(features, plan)
-    return ad.linear(layer_norm(features, ln_gain, ln_bias), weight, bias)
+                              lengths, plans=None):
+    """Each turn's rows corrupted by its own plan, then layer norm and the
+    affine map."""
+    turns = split_rows(features, lengths)
+    if plans is not None:
+        turns = [t if plan is None else apply_mask_plan(t, plan)
+                 for t, plan in zip(turns, plans, strict=True)]
+    return ad.linear(layer_norm(ad.concat(turns), ln_gain, ln_bias), weight,
+                     bias)
 
 
-def composed_conv_position_embedding(x, w, b, groups):
-    return ad.add(x, ad.gelu(conv1d(x, w, b, stride=1, padding="same",
-                                    groups=groups)))
+def composed_assemble_speech_sequences(projected, speech_frames, cls_vec,
+                                       sep_vec):
+    """Each sample's [CLS] f_prev [SEP] f_cur by reshapes and a concat."""
+    d = projected.shape[1]
+    turns = split_rows(projected, [m for pair in speech_frames for m in pair])
+    rows = []
+    for f_prev, f_cur in zip(turns[0::2], turns[1::2]):
+        rows += [reshape(cls_vec, (1, d)), f_prev, reshape(sep_vec, (1, d)),
+                 f_cur]
+    return ad.concat(rows)
+
+
+def composed_conv_position_embedding(x, w, b, groups, lengths):
+    """Each sequence's embedding on its own, concatenated."""
+    return ad.concat([
+        ad.add(s, ad.gelu(conv1d(s, w, b, stride=1, padding="same",
+                                 groups=groups)))
+        for s in split_rows(x, lengths)])
 
 
 def output_and_grads(build, params, seed=0):

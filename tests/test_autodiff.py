@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composed_layer import layer_norm, softmax, transpose
+from composed_layer import layer_norm, reshape, softmax, transpose
 from composed_speech import conv1d, mul
 from stdialog import autodiff as ad
 from stdialog.autodiff import NonFiniteError, Parameter, ShapeError, Tensor
@@ -271,7 +271,7 @@ class TestOpGradients:
         def build():
             out = ad.concat([a, b], axis=0)
             out = transpose(out, (1, 0))
-            out = ad.reshape(out, (2, 9))
+            out = reshape(out, (2, 9))
             return scalarize(out, np.random.default_rng(9))
 
         fd_check_scalar(build, [a, b])

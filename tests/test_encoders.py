@@ -209,7 +209,7 @@ class TestSpeechEncoder:
     def test_shape_preserved(self):
         cfg, _, layers, conv_pos, _, _ = make_stack()
         x = rand_x(12, seed=3)
-        out = enc.encode_speech([x], conv_pos, layers, cfg.num_heads,
+        out = enc.encode_speech(x, (12,), conv_pos, layers, cfg.num_heads,
                                 cfg.conv_pos_groups)
         assert out.shape == (12, cfg.d_h)
 
@@ -219,8 +219,8 @@ class TestSpeechEncoder:
         w.data[...] = 0.0
         b.data[...] = 0.0
         x = rand_x(9, seed=4)
-        out_speech = enc.encode_speech([x], conv_pos, layers, cfg.num_heads,
-                                       cfg.conv_pos_groups).data
+        out_speech = enc.encode_speech(x, (9,), conv_pos, layers,
+                                       cfg.num_heads, cfg.conv_pos_groups).data
         out_text = enc.encode_text(x, layers, cfg.num_heads,
                                    lengths=(9,)).data
         np.testing.assert_allclose(out_speech, out_text, atol=1e-12)
@@ -233,44 +233,67 @@ class TestSpeechEncoder:
         shifted = Tensor(np.concatenate(
             [np.random.default_rng(6).standard_normal((shift, cfg.d_h)),
              x.data]))
-        pos = enc.conv_position_embedding(x, w, b, cfg.conv_pos_groups).data
+        pos = enc.conv_position_embedding(x, w, b, cfg.conv_pos_groups,
+                                          (20,)).data
         pos_shifted = enc.conv_position_embedding(
-            shifted, w, b, cfg.conv_pos_groups).data
+            shifted, w, b, cfg.conv_pos_groups, (20 + shift,)).data
         k = cfg.conv_pos_kernel
         # away from boundaries the embedding must follow the content
         np.testing.assert_allclose(pos_shifted[shift + k: 20],
                                    pos[k: 20 - shift], atol=1e-10)
 
 
-def conv_position_case(n, groups, seed, d_h=8, kernel=5):
+def conv_position_case(lengths, groups, seed, d_h=8, kernel=5):
     registry = {}
     rng = np.random.default_rng(seed)
     w, b = enc.init_conv_positional(registry, rng, "enc", d_h, kernel, groups,
                                     np.float64, scale=0.3)
     b.data += 0.3 * rng.standard_normal(d_h)
-    x = Parameter(rng.standard_normal((n, d_h)), "x")
+    x = Parameter(rng.standard_normal((sum(lengths), d_h)), "x")
     return x, w, b
 
 
 class TestConvPositionEmbedding:
+    """Packed sequences of n, 4 and n + 1 rows: each row's embedding sees
+    only its own sequence."""
+
     @pytest.mark.parametrize("groups", [1, 4])
     @pytest.mark.parametrize("n", [1, 2, 9])
     def test_matches_composed_reference(self, n, groups):
-        params = conv_position_case(n, groups, seed=30 + n)
+        lengths = (n, 4, n + 1)
+        params = conv_position_case(lengths, groups, seed=30 + n)
         assert_node_matches_reference(
-            lambda: enc.conv_position_embedding(*params, groups),
-            lambda: composed_conv_position_embedding(*params, groups), params)
+            lambda: enc.conv_position_embedding(*params, groups, lengths),
+            lambda: composed_conv_position_embedding(*params, groups,
+                                                     lengths), params)
 
     def test_grad_check(self):
-        params = conv_position_case(6, 4, seed=40)
-        proj = rand_x(6, d=8, seed=41)
+        lengths = (6, 1, 3)
+        params = conv_position_case(lengths, 4, seed=40)
+        proj = rand_x(10, d=8, seed=41)
 
         def loss():
             return ad.reduce_sum(mul(
-                enc.conv_position_embedding(*params, 4), proj))
+                enc.conv_position_embedding(*params, 4, lengths), proj))
 
         report = grad_check(loss, params, coords_per_param=40)
         assert report.max_relative_error < 1e-6, str(report)
+
+    def test_no_window_crosses_a_sequence_boundary(self):
+        lengths = (6, 3, 7)
+        x, w, b = conv_position_case(lengths, 2, seed=42)
+        before = enc.conv_position_embedding(x, w, b, 2, lengths).data
+        x.data[6:9] += 1.0   # the middle sequence only
+        after = enc.conv_position_embedding(x, w, b, 2, lengths).data
+        # the rows beside each boundary of the middle sequence included
+        np.testing.assert_array_equal(after[:6], before[:6])
+        np.testing.assert_array_equal(after[9:], before[9:])
+        assert not np.array_equal(after[6:9], before[6:9])
+
+    def test_lengths_must_cover_the_rows(self):
+        x, w, b = conv_position_case((5,), 2, seed=43)
+        with pytest.raises(ad.ShapeError, match="do not sum to the 5"):
+            enc.conv_position_embedding(x, w, b, 2, (2, 2))
 
 
 class TestFusion:

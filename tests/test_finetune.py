@@ -3,7 +3,7 @@ import pytest
 
 from stdialog import corpus as cp
 from stdialog import finetune as ft
-from stdialog.autodiff import Parameter, Tensor
+from stdialog.autodiff import Tensor
 from stdialog.encoders import FusedRepresentation
 from stdialog.gradcheck import grad_check
 

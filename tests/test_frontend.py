@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from composed_speech import (assert_node_matches_reference,
+                             composed_assemble_speech_sequences,
                              composed_extract_features,
                              composed_project_features, mul)
 from stdialog import autodiff as ad
@@ -81,23 +82,39 @@ class TestLengthArithmetic:
         rng = np.random.default_rng(0)
         params, gain, bias = make_params(cfg, rng)
         wav = rng.standard_normal(237).astype(np.float32)
-        out = fe.extract_features(wav, cfg, params, gain, bias)
+        out = fe.extract_features([wav], cfg, params, gain, bias)
         assert out.shape == (cfg.output_length(237), cfg.feature_dim)
+
+    @pytest.mark.parametrize("kernel,stride", [(5, 2), (3, 3), (2, 4), (1, 1)])
+    def test_window_starts_stay_inside_each_sequence(self, kernel, stride):
+        lengths = [kernel, 11, kernel + 1, 7]
+        starts, counts = fe.window_starts(lengths, kernel, stride)
+        assert counts.tolist() == [stepped_length(
+            (fe.ConvLayerSpec(1, kernel, stride),), n) for n in lengths]
+        offset, first = 0, 0
+        for n, count in zip(lengths, counts):
+            own = starts[first:first + count]
+            np.testing.assert_array_equal(
+                own, offset + stride * np.arange(count))
+            assert own[-1] + kernel <= offset + n
+            offset, first = offset + n, first + count
 
 
 def extraction_case(kernel_strides, channels, extra, seed):
     """A random float64 conv stack, its parameters (the layer-norm gain
-    and bias perturbed too) and a waveform ``extra`` samples longer than
-    its receptive field."""
+    and bias perturbed too) and a batch of three waveforms: ``extra``
+    samples longer than its receptive field, exactly the receptive field,
+    and ``2 * extra + 3`` samples longer."""
     layers = tuple(fe.ConvLayerSpec(channels, k, s) for k, s in kernel_strides)
     cfg = fe.FrontendConfig(layers=layers, sample_rate=100)
     rng = np.random.default_rng(seed)
     conv_params, gain, bias = make_params(cfg, rng)
     gain.data += 0.2 * rng.standard_normal(gain.shape)
     bias.data += 0.2 * rng.standard_normal(bias.shape)
-    wav = rng.standard_normal(cfg.receptive_field + extra)
+    waves = [rng.standard_normal(cfg.receptive_field + n)
+             for n in (extra, 0, 2 * extra + 3)]
     params = [gain, bias, *(p for pair in conv_params for p in pair)]
-    return cfg, wav, conv_params, gain, bias, params
+    return cfg, waves, conv_params, gain, bias, params
 
 
 class TestExtractionNode:
@@ -109,38 +126,39 @@ class TestExtractionNode:
     @example([(5, 2), (5, 5)], 3, 0, 2)           # exactly one frame
     def test_matches_composed_reference(self, kernel_strides, channels, extra,
                                         seed):
-        cfg, wav, conv_params, gain, bias, params = extraction_case(
+        cfg, waves, conv_params, gain, bias, params = extraction_case(
             kernel_strides, channels, extra, seed)
         assert_node_matches_reference(
-            lambda: fe.extract_features(wav, cfg, conv_params, gain, bias),
-            lambda: composed_extract_features(wav, cfg, conv_params, gain,
+            lambda: fe.extract_features(waves, cfg, conv_params, gain, bias),
+            lambda: composed_extract_features(waves, cfg, conv_params, gain,
                                               bias),
             params)
 
     def test_grad_check(self):
-        cfg, wav, conv_params, gain, bias, params = extraction_case(
+        cfg, waves, conv_params, gain, bias, params = extraction_case(
             [(4, 2), (3, 1), (2, 2)], 3, 5, 3)
-        proj = Tensor(np.random.default_rng(4).standard_normal(
-            (cfg.output_length(len(wav)), 3)))
+        frames = sum(cfg.output_length(len(w)) for w in waves)
+        proj = Tensor(np.random.default_rng(4).standard_normal((frames, 3)))
 
         def loss():
-            out = fe.extract_features(wav, cfg, conv_params, gain, bias)
+            out = fe.extract_features(waves, cfg, conv_params, gain, bias)
             return ad.reduce_sum(mul(out, proj))
 
         report = grad_check(loss, params, coords_per_param=30)
         assert report.max_relative_error < 1e-6, str(report)
 
     def test_waveform_is_not_a_parent(self):
-        cfg, wav, conv_params, gain, bias, params = extraction_case(
+        cfg, waves, conv_params, gain, bias, params = extraction_case(
             [(5, 2), (5, 5)], 3, 4, 5)
-        out = fe.extract_features(wav, cfg, conv_params, gain, bias)
+        out = fe.extract_features(waves, cfg, conv_params, gain, bias)
         assert set(map(id, out._parents)) == set(map(id, params))
 
     def test_short_waveform_rejected_with_minimum(self):
-        cfg, wav, conv_params, gain, bias, _ = extraction_case(
-            [(5, 2), (5, 5)], 3, 0, 6)
+        cfg, waves, conv_params, gain, bias, _ = extraction_case(
+            [(5, 2), (5, 5)], 3, 2, 6)
+        waves[1] = waves[1][:-1]
         with pytest.raises(ShapeError, match=str(cfg.receptive_field)):
-            fe.extract_features(wav[:-1], cfg, conv_params, gain, bias)
+            fe.extract_features(waves, cfg, conv_params, gain, bias)
 
 
 class TestProjection:
@@ -150,7 +168,7 @@ class TestProjection:
         ln_bias = Tensor(np.zeros(8))
         w = Tensor(np.zeros((8, 5)))
         b = Tensor(np.arange(5.0))
-        out = fe.project_features(feats, gain, ln_bias, w, b)
+        out = fe.project_features(feats, gain, ln_bias, w, b, [7])
         np.testing.assert_allclose(out.data, np.tile(np.arange(5.0), (7, 1)),
                                    atol=1e-12)
 
@@ -160,7 +178,7 @@ class TestProjection:
         ln_bias = Tensor(np.linspace(0, 1, 8))
         w = Tensor(np.eye(8))
         b = Tensor(np.zeros(8))
-        out = fe.project_features(feats, gain, ln_bias, w, b)
+        out = fe.project_features(feats, gain, ln_bias, w, b, [3])
         np.testing.assert_allclose(out.data, np.tile(np.linspace(0, 1, 8), (3, 1)),
                                    atol=1e-10)
 
@@ -172,7 +190,7 @@ class TestProjection:
         w = rng.standard_normal((8, 8))
         b = rng.standard_normal(8)
         out = fe.project_features(Tensor(feats), Tensor(gain), Tensor(ln_bias),
-                                  Tensor(w), Tensor(b)).data
+                                  Tensor(w), Tensor(b), [4, 2]).data
         mu = feats.mean(axis=1, keepdims=True)
         var = feats.var(axis=1, keepdims=True)
         normed = (feats - mu) / np.sqrt(var + 1e-5) * gain + ln_bias
@@ -202,9 +220,15 @@ PLANS = {
 
 
 class TestProjectionNode:
+    """Three turns of 8, 5 and 8 frames: the parametrized plan on the
+    first, none on the second, ``all-actions`` on the third."""
+
+    LENGTHS = [8, 5, 8]
+
     def case(self, seed=7):
         rng = np.random.default_rng(seed)
-        feats = Parameter(rng.standard_normal((8, 5)), "features")
+        feats = Parameter(rng.standard_normal((sum(self.LENGTHS), 5)),
+                          "features")
         gain = Parameter(1 + 0.2 * rng.standard_normal(5), "ln.gain")
         ln_bias = Parameter(0.2 * rng.standard_normal(5), "ln.bias")
         w = Parameter(rng.standard_normal((5, 6)), "w")
@@ -214,50 +238,93 @@ class TestProjectionNode:
     @pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
     def test_matches_composed_reference(self, plan):
         params = self.case()
+        plans = [plan, None, PLANS["all-actions"]]
         assert_node_matches_reference(
-            lambda: fe.project_features(*params, plan),
-            lambda: composed_project_features(*params, plan), params)
+            lambda: fe.project_features(*params, self.LENGTHS, plans),
+            lambda: composed_project_features(*params, self.LENGTHS, plans),
+            params)
+
+    def test_matches_composed_reference_without_plans(self):
+        params = self.case(seed=10)
+        assert_node_matches_reference(
+            lambda: fe.project_features(*params, self.LENGTHS),
+            lambda: composed_project_features(*params, self.LENGTHS),
+            params)
 
     def test_grad_check(self):
         params = self.case(seed=8)
-        proj = Tensor(np.random.default_rng(9).standard_normal((8, 6)))
+        proj = Tensor(np.random.default_rng(9).standard_normal((21, 6)))
+        plans = [PLANS["all-actions"], None, PLANS["all-actions"]]
 
         def loss():
-            out = fe.project_features(*params, PLANS["all-actions"])
+            out = fe.project_features(*params, self.LENGTHS, plans)
             return ad.reduce_sum(mul(out, proj))
 
         report = grad_check(loss, params)
         assert report.max_relative_error < 1e-6, str(report)
 
+    def test_replacement_sources_stay_in_their_turn(self):
+        params = self.case(seed=11)
+        feats = params[0].data
+        plan = PLANS["all-actions"]
+        out = fe.project_features(*params, self.LENGTHS, [None, None, plan])
+        alone = fe.project_features(Tensor(feats[13:]), *params[1:], [8],
+                                    [plan])
+        np.testing.assert_array_equal(out.data[13:], alone.data)
+
     def test_plan_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="plan length 8"):
-            fe.project_features(Tensor(np.zeros((9, 5))),
-                                *self.case()[1:], PLANS["unmasked"])
+        with pytest.raises(ValueError, match="plan length 8 != features "
+                                             "rows 9"):
+            fe.project_features(Tensor(np.zeros((22, 5))), *self.case()[1:],
+                                [8, 9, 5], [PLANS["unmasked"]] * 2 + [None])
+
+    def test_lengths_must_cover_the_rows(self):
+        with pytest.raises(ShapeError, match="summing to 20 for 21"):
+            fe.project_features(*self.case(), [8, 5, 7])
 
 
 class TestAssembly:
-    def seq(self, m_prev=5, m_cur=7, d=4, seed=3):
+    """Three samples' [CLS] prev [SEP] cur layouts from one node."""
+
+    FRAMES = [(5, 7), (1, 3), (4, 1)]
+
+    def seq(self, frames=FRAMES, d=4, seed=3):
         rng = np.random.default_rng(seed)
-        f_prev = Tensor(rng.standard_normal((m_prev, d)))
-        f_cur = Tensor(rng.standard_normal((m_cur, d)))
-        cls_vec = Tensor(rng.standard_normal(d))
-        sep_vec = Tensor(rng.standard_normal(d))
-        return f_prev, f_cur, cls_vec, sep_vec
+        projected = Parameter(rng.standard_normal(
+            (sum(m for pair in frames for m in pair), d)), "projected")
+        cls_vec = Parameter(rng.standard_normal(d), "cls")
+        sep_vec = Parameter(rng.standard_normal(d), "sep")
+        return projected, frames, cls_vec, sep_vec
 
     def test_length_and_layout(self):
-        f_prev, f_cur, cls_vec, sep_vec = self.seq()
-        s = fe.assemble_speech_sequence(f_prev, f_cur, cls_vec, sep_vec)
-        assert s.shape == (14, 4)
+        s = fe.assemble_speech_sequences(*self.seq())
+        assert s.shape == (14 + 6 + 7, 4)
 
     def test_rows_preserved_bit_exactly(self):
-        f_prev, f_cur, cls_vec, sep_vec = self.seq()
-        s = fe.assemble_speech_sequence(f_prev, f_cur, cls_vec, sep_vec)
-        np.testing.assert_array_equal(s.data[1:6], f_prev.data)
-        np.testing.assert_array_equal(s.data[7:], f_cur.data)
-        np.testing.assert_array_equal(s.data[0], cls_vec.data)
-        np.testing.assert_array_equal(s.data[6], sep_vec.data)
+        projected, frames, cls_vec, sep_vec = self.seq()
+        s = fe.assemble_speech_sequences(projected, frames, cls_vec, sep_vec)
+        start, row = 0, 0
+        for m_prev, m_cur in frames:
+            f_prev = projected.data[row:row + m_prev]
+            f_cur = projected.data[row + m_prev:row + m_prev + m_cur]
+            seq = s.data[start:start + m_prev + m_cur + 2]
+            np.testing.assert_array_equal(seq[1:m_prev + 1], f_prev)
+            np.testing.assert_array_equal(seq[m_prev + 2:], f_cur)
+            np.testing.assert_array_equal(seq[0], cls_vec.data)
+            np.testing.assert_array_equal(seq[m_prev + 1], sep_vec.data)
+            start += m_prev + m_cur + 2
+            row += m_prev + m_cur
+        assert start == s.shape[0]
+
+    def test_matches_composed_reference(self):
+        params = self.seq(seed=5)
+        projected, frames, cls_vec, sep_vec = params
+        assert_node_matches_reference(
+            lambda: fe.assemble_speech_sequences(*params),
+            lambda: composed_assemble_speech_sequences(*params),
+            [projected, cls_vec, sep_vec])
 
     def test_empty_turn_rejected(self):
-        f_prev, f_cur, cls_vec, sep_vec = self.seq(m_prev=0)
         with pytest.raises(ValueError, match="non-empty"):
-            fe.assemble_speech_sequence(f_prev, f_cur, cls_vec, sep_vec)
+            fe.assemble_speech_sequences(*self.seq(
+                frames=[(5, 7), (0, 3), (4, 1)]))

@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses or a private
-name of another package module, every top-level function or class of the
-package has a caller outside tests unless ``USED_ONLY_IN_TESTS`` says why
-it is kept, and every function the benchmark's tracer wraps exists."""
+"""No module of the package, test or script imports a name it never
+uses, no package module imports a private name of another, every
+top-level function or class of the package has a caller outside tests
+unless ``USED_ONLY_IN_TESTS`` says why it is kept, and every function the
+benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -48,8 +49,10 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

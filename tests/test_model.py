@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 
 from composed_speech import (assert_node_matches_reference,
+                             composed_assemble_speech_sequences,
+                             composed_conv_position_embedding,
                              composed_extract_features,
                              composed_project_features)
 from stdialog import corpus as cp
+from stdialog import encoders as enc
 from stdialog import frontend as fe
+from stdialog import masking as mk
 from stdialog import model as md
 from stdialog import objectives as ob
+from stdialog.autodiff import ShapeError
 from stdialog.gradcheck import grad_check
 from stdialog.masking import AcousticMaskConfig
 from stdialog.objectives import LossWeights, make_crs_sample
-from stdialog.text import Vocab, WhitespaceTokenizer
+from stdialog.text import Vocab
 from stdialog.trainer import TrainConfig
 
 
@@ -97,34 +102,107 @@ class TestForward:
 
     def test_speech_path_matches_composed_reference(self):
         model, vocab, _, samples = tiny_setup()
-        prepared = prepare(model, vocab, samples[0], seed=4, trigger=0.6)
-        wave, plan = prepared.wave_cur, prepared.acoustic_plan_cur
-        assert plan.mask.any()
+        prepared = speech_batch(model, vocab, samples)
+        plans = [plan for p in prepared
+                 for plan in (p.acoustic_plan_prev, p.acoustic_plan_cur)]
+        assert sum(plan.mask.any() for plan in plans) >= 2
+        frontend = model.config.frontend
+        turn_frames = [frontend.output_length(len(w)) for p in prepared
+                       for w in (p.wave_prev, p.wave_cur)]
+        frames = list(zip(turn_frames[0::2], turn_frames[1::2]))
         params = [*model.extract_ln, *model.proj_ln, model.proj_w,
-                  model.proj_b, *(p for pair in model.conv_params for p in pair)]
+                  model.proj_b, *(p for pair in model.conv_params for p in pair),
+                  model.cls_vec, model.sep_vec, *model.conv_pos]
         targets = {}
 
         def node():
-            projected, targets["node"] = model._speech_path(wave, plan)
-            return projected
+            _, targets["node"], stages = speech_stages(model, prepared)
+            return stages["conv_position_embedding"]
 
         def composed():
             feats = composed_extract_features(
-                wave.astype(np.float64), model.config.frontend,
-                model.conv_params, *model.extract_ln)
-            targets["composed"] = feats.data[plan.masked_indices()]
-            return composed_project_features(
-                feats, *model.proj_ln, model.proj_w, model.proj_b, plan)
+                [w.astype(np.float64) for p in prepared
+                 for w in (p.wave_prev, p.wave_cur)],
+                frontend, model.conv_params, *model.extract_ln)
+            offsets = np.cumsum(turn_frames) - turn_frames
+            turn_targets = [feats.data[offset + plan.masked_indices()]
+                            for plan, offset in zip(plans, offsets)]
+            targets["composed"] = list(zip(turn_targets[0::2],
+                                           turn_targets[1::2]))
+            projected = composed_project_features(
+                feats, *model.proj_ln, model.proj_w, model.proj_b,
+                turn_frames, plans)
+            return composed_conv_position_embedding(
+                composed_assemble_speech_sequences(
+                    projected, frames, model.cls_vec, model.sep_vec),
+                *model.conv_pos, model.config.conv_pos_groups,
+                [m_prev + m_cur + 2 for m_prev, m_cur in frames])
 
         assert_node_matches_reference(node, composed, params)
-        np.testing.assert_allclose(targets["node"], targets["composed"],
-                                   rtol=1e-10, atol=1e-14)
+        for pair, ref_pair in zip(targets["node"], targets["composed"]):
+            for target, ref in zip(pair, ref_pair):
+                if ref.size:
+                    np.testing.assert_allclose(target, ref, rtol=1e-10,
+                                               atol=1e-14)
+                else:
+                    assert target is None
 
     def test_capture_attention_available(self):
         model, vocab, _, samples = tiny_setup()
         fused = model.eval_fused(samples[0], vocab, capture_attention=True)
         assert fused.attention is not None
         assert fused.attention.shape[1] == fused.length
+
+
+def speech_batch(model, vocab, samples, seed=4):
+    """Three prepared samples whose waveforms differ in length: the second
+    one's prev turn is cut to exactly the receptive field (one frame,
+    zeroed by its plan), and every turn has a mask plan."""
+    a, b, c = [prepare(model, vocab, sample, seed=seed + i, trigger=0.6)
+               for i, sample in enumerate(samples[:3])]
+    one_frame = mk.MaskPlan(length=1, span_length=1, mask=np.array([True]),
+                            actions=np.array([mk.ZERO]),
+                            replacement_sources=np.array([-1]))
+    rf = model.config.frontend.receptive_field
+    b = replace(b, wave_prev=b.wave_prev[:rf], acoustic_plan_prev=one_frame)
+    return [a, b, c]
+
+
+STAGES = ((fe, "extract_features"), (fe, "project_features"),
+          (fe, "assemble_speech_sequences"), (enc, "conv_position_embedding"))
+
+
+def speech_stages(model, prepared) -> tuple:
+    """``model.forward(prepared)``'s fused representations and targets,
+    and the output of each speech input stage of that forward, by name."""
+    stages = {}
+
+    def spy(name, original):
+        def stage(*args):
+            stages[name] = original(*args)
+            return stages[name]
+        return stage
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in STAGES:
+            patch.setattr(module, name, spy(name, getattr(module, name)))
+        fused, targets = model.forward(prepared)
+    return fused, targets, stages
+
+
+def stage_rows(model, prepared) -> dict:
+    """For each speech input stage, the row slice of each sample's rows in
+    its output: its prev and cur frames (extraction, projection), or its
+    [CLS] prev [SEP] cur sequence (layout, conv position embedding)."""
+    frames = [sum(model.config.frontend.output_length(len(w))
+                  for w in (p.wave_prev, p.wave_cur)) for p in prepared]
+    ends = np.cumsum(frames)
+    turn_rows = [slice(end - m, end) for end, m in zip(ends, frames)]
+    seq_rows = [slice(end - m + 2 * i, end + 2 * (i + 1))
+                for i, (end, m) in enumerate(zip(ends, frames))]
+    return {"extract_features": turn_rows, "project_features": turn_rows,
+            "assemble_speech_sequences": seq_rows,
+            "conv_position_embedding": seq_rows}
 
 
 def graph_nodes(root) -> list:
@@ -224,6 +302,100 @@ class TestBatch:
             np.testing.assert_array_equal(losses[key].data, np.zeros(3))
         np.testing.assert_allclose(losses["joint"].data, losses["tpp"].data,
                                    rtol=1e-12)
+
+
+    def test_batch_speech_rows_equal_one_sample_calls(self):
+        model, vocab, _, samples = tiny_setup()
+        prepared = speech_batch(model, vocab, samples)
+        lengths = [(len(p.wave_prev), len(p.wave_cur)) for p in prepared]
+        assert len(set(lengths)) == 3
+        assert lengths[1][0] == model.config.frontend.receptive_field
+        _, targets, batch = speech_stages(model, prepared)
+        rows = stage_rows(model, prepared)
+        for i, p in enumerate(prepared):
+            _, single_targets, single = speech_stages(model, [p])
+            for _, name in STAGES:
+                np.testing.assert_allclose(
+                    batch[name].data[rows[name][i]], single[name].data,
+                    rtol=1e-12, atol=1e-14, err_msg=name)
+            m_prev = model.config.frontend.output_length(len(p.wave_prev))
+            frames = batch["project_features"].data[rows["project_features"][i]]
+            seq = batch["assemble_speech_sequences"].data[
+                rows["assemble_speech_sequences"][i]]
+            # the layout is row-wise: bit for bit
+            np.testing.assert_array_equal(seq[0], model.cls_vec.data)
+            np.testing.assert_array_equal(seq[m_prev + 1], model.sep_vec.data)
+            np.testing.assert_array_equal(seq[1:m_prev + 1], frames[:m_prev])
+            np.testing.assert_array_equal(seq[m_prev + 2:], frames[m_prev:])
+            # targets are the batch's pre-mask frames at the masked rows
+            feats = batch["extract_features"].data[rows["extract_features"][i]]
+            for target, single_target, plan, first in zip(
+                    targets[i], single_targets[0],
+                    (p.acoustic_plan_prev, p.acoustic_plan_cur), (0, m_prev)):
+                np.testing.assert_array_equal(
+                    target, feats[first + plan.masked_indices()])
+                np.testing.assert_allclose(target, single_target, rtol=1e-12,
+                                           atol=1e-14)
+
+    def test_perturbed_waveform_leaves_other_samples_bit_identical(self):
+        model, vocab, _, samples = tiny_setup(dtype="float32")
+        prepared = speech_batch(model, vocab, samples)
+        rng = np.random.default_rng(6)
+        b = prepared[1]
+        other = [prepared[0], replace(
+            b, wave_prev=rng.standard_normal(len(b.wave_prev)),
+            wave_cur=rng.standard_normal(len(b.wave_cur))), prepared[2]]
+        fused, _, before = speech_stages(model, prepared)
+        other_fused, _, after = speech_stages(model, other)
+        for name, rows in stage_rows(model, prepared).items():
+            for i in (0, 2):
+                assert before[name].data[rows[i]].tobytes() == \
+                    after[name].data[rows[i]].tobytes(), (name, i)
+            assert not np.array_equal(before[name].data[rows[1]],
+                                      after[name].data[rows[1]]), name
+        # the conv position rows beside the perturbed sequence's boundaries
+        pos_rows = stage_rows(model, prepared)["conv_position_embedding"]
+        for row in (pos_rows[0].stop - 1, pos_rows[2].start):
+            np.testing.assert_array_equal(
+                before["conv_position_embedding"].data[row],
+                after["conv_position_embedding"].data[row])
+        for i in (0, 2):
+            f, g = fused[i], other_fused[i]
+            assert f.hidden.data[f.start:f.start + f.length].tobytes() == \
+                g.hidden.data[g.start:g.start + g.length].tobytes(), i
+
+    def test_speech_path_nodes_do_not_grow_with_batch(self):
+        model, vocab, _, samples = tiny_setup()
+        counts = []
+        for b in (2, 4):
+            _, _, stages = speech_stages(
+                model, self.prepared(model, vocab, samples[:b]))
+            nodes = graph_nodes(stages["conv_position_embedding"])
+            assert sum(n._backward is not None for n in nodes) == 4
+            counts.append(len(nodes))
+        assert counts[0] == counts[1]
+
+    def test_short_waveform_in_batch_names_minimum(self):
+        model, vocab, _, samples = tiny_setup()
+        prepared = [md.prepare_sample(s, vocab, model.config, train=False)
+                    for s in samples[:3]]
+        rf = model.config.frontend.receptive_field
+        prepared[2] = replace(prepared[2],
+                              wave_cur=prepared[2].wave_cur[:rf - 1])
+        with pytest.raises(ShapeError, match=f"minimum length is {rf}"):
+            model.forward(prepared)
+
+    def test_plan_length_mismatch_in_batch_rejected(self):
+        model, vocab, _, samples = tiny_setup()
+        prepared = self.prepared(model, vocab, samples[:3])
+        plan = prepared[1].acoustic_plan_cur
+        wrong = mk.draw_mask_plan(plan.length + 1, np.random.default_rng(0),
+                                  AcousticMaskConfig(span_range=(2, 4)))
+        prepared[1] = replace(prepared[1], acoustic_plan_cur=wrong)
+        with pytest.raises(ValueError, match=f"plan length {wrong.length} "
+                                             f"!= features rows "
+                                             f"{plan.length}"):
+            model.compute_losses(prepared)
 
 
 class TestGradientIntegrity:

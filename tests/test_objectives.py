@@ -9,7 +9,7 @@ from stdialog import objectives as ob
 from stdialog.autodiff import Parameter, Tensor, reduce_sum
 from stdialog.encoders import FusedRepresentation
 from stdialog.gradcheck import grad_check
-from stdialog.masking import MaskPlan, AcousticMaskConfig, draw_mask_plan
+from stdialog.masking import MaskPlan
 from stdialog.text import TextMaskPlan, TokenBoundary
 
 from oracles import cmam_oracle, cmlm_oracle, crs_oracle, tpp_oracle
