@@ -13,22 +13,17 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 
-def _or_exit(fn, *args, **kwargs):
-    """Call ``fn``; a ValueError (bad input, config or checkpoint), an
-    OSError (unreadable file) or a FloatingPointError (training diverged
-    to non-finite values) it raises ends the command with its message and
-    exit status 1, not a traceback."""
-    try:
-        with warnings.catch_warnings():
-            # every op checks its result, so numpy's overflow warnings
-            # would only repeat that error
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return fn(*args, **kwargs)
-    except (OSError, ValueError, FloatingPointError) as exc:
-        raise SystemExit(str(exc)) from None
+def _with_flags(cfg, args):
+    """``cfg`` with each field that the user gave as a flag of the same
+    name replaced; an unset flag (None) keeps the config's default."""
+    given = {f.name: tuple(v) if isinstance(v, list) else v
+             for f in fields(cfg)
+             if (v := getattr(args, f.name, None)) is not None}
+    return replace(cfg, **given)
 
 
 def _cmd_generate(args):
@@ -36,14 +31,7 @@ def _cmd_generate(args):
     from .shards import write_shards
     from .text import Vocab
 
-    cfg = SyntheticConfig(
-        num_dialogs=args.num_dialogs,
-        turns_per_dialog=tuple(args.turns_per_dialog),
-        vocab_size=args.vocab_size,
-        words_per_turn=tuple(args.words_per_turn),
-        frame_rate=args.frame_rate,
-        noise_std=args.noise_std,
-        word_duration=tuple(args.word_duration))
+    cfg = _with_flags(SyntheticConfig(), args)
     dialogs = generate_synthetic(cfg, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -61,25 +49,15 @@ def _cmd_pretrain(args):
     from .shards import load_corpus
     from .trainer import TrainConfig, pretrain
 
-    cfg = (_or_exit(TrainConfig.from_json, args.config) if args.config
-           else TrainConfig())
-    overrides = {
-        "steps": args.steps, "seed": args.seed, "batch_size": args.batch_size,
-        "peak_lr": args.peak_lr, "k": args.k, "alpha": args.alpha,
-        "corpus_fraction": args.corpus_fraction,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    if args.no_crs:
-        cfg.crs_enabled = False
-    corpus = _or_exit(load_corpus, args.corpus)
+    cfg = _with_flags(TrainConfig.from_json(args.config) if args.config
+                      else TrainConfig(), args)
+    corpus = load_corpus(args.corpus)
     vocab = None
     if args.vocab:
         from .text import Vocab
-        vocab = _or_exit(Vocab.load, args.vocab)
-    result = _or_exit(pretrain, cfg, corpus, out_dir=args.out,
-                      resume_from=args.resume, vocab=vocab)
+        vocab = Vocab.load(args.vocab)
+    result = pretrain(cfg, corpus, out_dir=args.out, resume_from=args.resume,
+                      vocab=vocab)
     last = result.metrics[-1]
     print(f"pretrained {cfg.steps} steps; final joint loss "
           f"{last['joint']:.4f} (tpp {last['tpp']:.4f} crs {last['crs']:.4f} "
@@ -92,8 +70,8 @@ def _load_task_items(corpus_path, labels_path):
     from .finetune import read_labels_manifest, task_samples
     from .shards import load_corpus
 
-    items = task_samples(_or_exit(load_corpus, corpus_path).dialogs,
-                         _or_exit(read_labels_manifest, labels_path))
+    items = task_samples(load_corpus(corpus_path).dialogs,
+                         read_labels_manifest(labels_path))
     if not items:
         raise SystemExit("no labeled samples found for this corpus")
     return items
@@ -103,15 +81,12 @@ def _cmd_finetune(args):
     from .finetune import TaskSpec
     from .trainer import FinetuneConfig, finetune, model_from_checkpoint
 
-    model, vocab, _ = _or_exit(model_from_checkpoint, args.checkpoint)
+    model, vocab, _ = model_from_checkpoint(args.checkpoint)
     items = _load_task_items(args.task_corpus, args.labels)
     num_classes = max(label for _, label in items) + 1
-    task = _or_exit(TaskSpec, kind="classification", num_classes=num_classes)
-    cfg = FinetuneConfig(seed=args.seed, steps=args.steps,
-                         batch_size=args.batch_size, peak_lr=args.peak_lr,
-                         speech_noise_std=args.speech_noise_std)
-    result = _or_exit(finetune, cfg, model, vocab, task, items,
-                      out_dir=args.out)
+    task = TaskSpec(kind="classification", num_classes=num_classes)
+    cfg = _with_flags(FinetuneConfig(), args)
+    result = finetune(cfg, model, vocab, task, items, out_dir=args.out)
     print(f"fine-tuned {cfg.steps} steps; final loss "
           f"{result.metrics[-1]['loss']:.4f}")
     print(f"checkpoint: {result.checkpoint_path}")
@@ -122,7 +97,7 @@ def _cmd_evaluate(args):
     from .finetune import TaskSpec, head_from_registry
     from .trainer import evaluate_task, model_from_checkpoint
 
-    model, vocab, state = _or_exit(model_from_checkpoint, args.checkpoint)
+    model, vocab, state = model_from_checkpoint(args.checkpoint)
     task_meta = state.get("task")
     if not task_meta:
         raise SystemExit("checkpoint carries no fine-tuned task head")
@@ -137,22 +112,13 @@ def _cmd_evaluate(args):
 
 
 def _cmd_simulate_masking(args):
-    from .masking import (AcousticMaskConfig, DEFAULT_BASELINE_CONFIG,
-                          DEFAULT_SPAN_CONFIG, estimate_mask_rate)
+    from .masking import (DEFAULT_BASELINE_CONFIG, DEFAULT_SPAN_CONFIG,
+                          estimate_mask_rate)
 
-    if args.masker == "spectra":
-        cfg = DEFAULT_SPAN_CONFIG
-    else:
-        cfg = DEFAULT_BASELINE_CONFIG
-    if args.trigger_prob is not None or args.span is not None:
-        cfg = _or_exit(
-            AcousticMaskConfig,
-            trigger_prob=(args.trigger_prob if args.trigger_prob is not None
-                          else cfg.trigger_prob),
-            span_range=(tuple(args.span) if args.span is not None
-                        else cfg.span_range))
-    mean, stderr = _or_exit(estimate_mask_rate, cfg, args.length,
-                            args.trials, seed=args.seed)
+    cfg = _with_flags(DEFAULT_SPAN_CONFIG if args.masker == "spectra"
+                      else DEFAULT_BASELINE_CONFIG, args)
+    mean, stderr = estimate_mask_rate(cfg, args.length, args.trials,
+                                      seed=args.seed)
     print(f"masker={args.masker} length={args.length} trials={args.trials}")
     print(f"mean masked fraction: {mean:.6f}")
     print(f"stderr: {stderr:.6f}")
@@ -165,8 +131,8 @@ def _cmd_export_attention(args):
     from .shards import load_corpus
     from .trainer import model_from_checkpoint
 
-    model, vocab, _ = _or_exit(model_from_checkpoint, args.checkpoint)
-    corpus = _or_exit(load_corpus, args.corpus)
+    model, vocab, _ = model_from_checkpoint(args.checkpoint)
+    corpus = load_corpus(args.corpus)
     if not 0 <= args.dialog_index < len(corpus.dialogs):
         raise SystemExit(f"dialog index {args.dialog_index} out of range "
                          f"(0..{len(corpus.dialogs) - 1})")
@@ -195,14 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic aligned corpus")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-dialogs", type=int, default=8)
+    p.add_argument("--num-dialogs", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--turns-per-dialog", type=int, nargs=2, default=(3, 6))
-    p.add_argument("--vocab-size", type=int, default=24)
-    p.add_argument("--words-per-turn", type=int, nargs=2, default=(3, 6))
-    p.add_argument("--word-duration", type=float, nargs=2, default=(0.15, 0.4))
-    p.add_argument("--frame-rate", type=int, default=100)
-    p.add_argument("--noise-std", type=float, default=0.05)
+    p.add_argument("--turns-per-dialog", type=int, nargs=2)
+    p.add_argument("--vocab-size", type=int)
+    p.add_argument("--words-per-turn", type=int, nargs=2)
+    p.add_argument("--word-duration", type=float, nargs=2)
+    p.add_argument("--frame-rate", type=int)
+    p.add_argument("--noise-std", type=float)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("pretrain", help="run joint pre-training")
@@ -216,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peak-lr", type=float)
     p.add_argument("--k", type=int)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--no-crs", action="store_true")
+    p.add_argument("--no-crs", action="store_false", dest="crs_enabled",
+                   default=None)
     p.add_argument("--corpus-fraction", type=float)
     p.add_argument("--resume", help="checkpoint to resume from")
     p.set_defaults(func=_cmd_pretrain)
@@ -226,11 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-corpus", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--peak-lr", type=float, default=5e-4)
-    p.add_argument("--speech-noise-std", type=float, default=0.0)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--peak-lr", type=float)
+    p.add_argument("--speech-noise-std", type=float)
     p.set_defaults(func=_cmd_finetune)
 
     p = sub.add_parser("evaluate", help="accuracy of a fine-tuned checkpoint")
@@ -248,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="spectra")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trigger-prob", type=float)
-    p.add_argument("--span", type=int, nargs=2)
+    p.add_argument("--span", type=int, nargs=2, dest="span_range")
     p.set_defaults(func=_cmd_simulate_masking)
 
     p = sub.add_parser("export-attention",
@@ -264,8 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A ValueError (bad input, config or checkpoint), an
+    OSError (unreadable or unwritable file) or a FloatingPointError
+    (training diverged to non-finite values) ends it with its message on
+    stderr and exit status 1, not a traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        with warnings.catch_warnings():
+            # every op checks its result, so numpy's overflow warnings
+            # would only repeat that error
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
+    except (OSError, ValueError, FloatingPointError) as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

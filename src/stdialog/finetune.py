@@ -70,7 +70,8 @@ def head_from_registry(registry: dict) -> PredictionHead:
         return PredictionHead(registry["head.w1"], registry["head.b1"],
                               registry["head.w2"], registry["head.b2"])
     except KeyError:
-        raise KeyError("checkpoint has no fine-tuning head parameters")
+        raise ValueError(
+            "checkpoint has no fine-tuning head parameters") from None
 
 
 def predict(fused: list, head: PredictionHead) -> Tensor:
@@ -219,10 +220,17 @@ def write_labels_manifest(path, labels: dict) -> None:
 
 
 def read_labels_manifest(path) -> dict:
+    """{(dialog_id, target_turn_index): label} from the rows
+    ``write_labels_manifest`` writes; a row that is not one raises
+    ``ValueError`` naming the file and line."""
     labels = {}
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        labels[(rec["dialog_id"], rec["target_turn_index"])] = rec["label"]
+        try:
+            rec = json.loads(line)
+            labels[(rec["dialog_id"], rec["target_turn_index"])] = rec["label"]
+        except (ValueError, TypeError, KeyError):
+            raise ValueError(f"{path} line {number}: not a labels row: "
+                             f"{line[:60]}") from None
     return labels

@@ -82,7 +82,7 @@ def lr_schedule(step: int, total_steps: int, peak_lr: float,
     """Linear ramp 0 -> peak over the warmup, then decay to 0.
 
     ``kind`` selects the decay: "linear" (pre-training) or "cosine"
-    (fine-tuning).  ``step`` counts from 0 (first update) to total_steps.
+    (fine-tuning).  ``step`` counts from 1 (first update) to total_steps.
     """
     if not 0.0 <= warmup_frac <= 1.0:
         raise ValueError(f"warmup_frac {warmup_frac} not in [0,1]")

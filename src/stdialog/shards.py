@@ -93,40 +93,60 @@ def load_corpus(manifest_path) -> Corpus:
         raw = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise CorpusFormatError(f"cannot read manifest {manifest_path}: {e}")
-    version = raw.get("version")
+    version = raw.get("version") if isinstance(raw, dict) else None
     if version != MANIFEST_VERSION:
         raise CorpusFormatError(
             f"manifest version {version!r} not supported "
             f"(expected {MANIFEST_VERSION})")
-    shard_path = manifest_path.parent / raw["shard_file"]
+
+    def field(record, key: str, kind):
+        """``record[key]``; a missing key or a value that is not a ``kind``
+        raises ``CorpusFormatError`` naming the manifest and the key."""
+        value = record.get(key) if isinstance(record, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise CorpusFormatError(f"manifest {manifest_path}: key {key!r} "
+                                    f"missing or not a {kind.__name__}")
+        return value
+
+    shard_path = manifest_path.parent / field(raw, "shard_file", str)
     try:
         blob = shard_path.read_bytes()
     except OSError as e:
         raise CorpusFormatError(f"cannot read shard {shard_path}: {e}")
-    if len(blob) != raw["shard_samples"] * 4:
+    expected = field(raw, "shard_samples", int) * 4
+    if len(blob) != expected:
         raise CorpusFormatError(
             f"shard {shard_path.name} is {len(blob)} bytes, expected "
-            f"{raw['shard_samples'] * 4} (truncated or padded)")
+            f"{expected} (truncated or padded)")
     checksum = hashlib.sha256(blob).hexdigest()
-    if checksum != raw["shard_checksum"]:
+    if checksum != field(raw, "shard_checksum", str):
         raise CorpusFormatError(
             f"shard {shard_path.name} checksum mismatch: {checksum} != "
             f"{raw['shard_checksum']}")
     flat = np.frombuffer(blob, dtype="<f4")
-    sr = int(raw["sample_rate"])
+    sr = field(raw, "sample_rate", int)
     dialogs = []
-    for rec in raw["dialogs"]:
+    for rec in field(raw, "dialogs", list):
+        dialog_id = field(rec, "dialog_id", str)
         turns = []
-        for tr in rec["turns"]:
-            lo, n = tr["offset"], tr["length"]
+        for tr in field(rec, "turns", list):
+            index = field(tr, "turn_index", int)
+            lo, n = field(tr, "offset", int), field(tr, "length", int)
             if lo + n > flat.size:
                 raise CorpusFormatError(
-                    f"dialog {rec['dialog_id']} turn {tr['turn_index']}: "
+                    f"dialog {dialog_id} turn {index}: "
                     f"offset {lo}+{n} outside shard of {flat.size} samples")
             wav = flat[lo:lo + n].copy()
-            words = [WordAlignment(w, float(s), float(e))
-                     for w, s, e in tr["words"]]
-            turns.append(Turn(turn_index=int(tr["turn_index"]), waveform=wav,
-                              words=words, sample_rate=sr))
-        dialogs.append(Dialog(dialog_id=rec["dialog_id"], turns=turns))
+            entries = field(tr, "words", list)
+            try:
+                words = [WordAlignment(w, float(s), float(e))
+                         for w, s, e in entries]
+            except (TypeError, ValueError):
+                raise CorpusFormatError(
+                    f"manifest {manifest_path}: key 'words' of dialog "
+                    f"{dialog_id} turn {index} is not [word, start, end] "
+                    f"rows") from None
+            turns.append(Turn(turn_index=index, waveform=wav, words=words,
+                              sample_rate=sr))
+        dialogs.append(Dialog(dialog_id=dialog_id, turns=turns))
     return Corpus(dialogs)

@@ -160,7 +160,6 @@ class TrainResult:
     metrics: list
     checkpoint_path: Path | None = None
     head: PredictionHead | None = None
-    task: TaskSpec | None = None
 
 
 def _train(cfg, model: SpeechTextModel, opt: AdamW, start_step: int,
@@ -332,15 +331,20 @@ def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
                         extra_meta={"task": {"kind": task.kind,
                                              "num_classes": task.num_classes}})
     return TrainResult(model=model, vocab=vocab, metrics=rows,
-                       checkpoint_path=path, head=head, task=task)
+                       checkpoint_path=path, head=head)
+
+
+# the noise that replaces eval speech is the same for every checkpoint
+EVAL_NOISE_SEED = 99
 
 
 def evaluate_task(model: SpeechTextModel, vocab: Vocab, head: PredictionHead,
                   task: TaskSpec, items: list,
-                  speech_noise_std: float = 0.0, noise_seed: int = 99) -> float:
+                  speech_noise_std: float = 0.0) -> float:
     if speech_noise_std > 0:
         items = replace_speech_with_noise(
-            items, np.random.default_rng((noise_seed, 5)), speech_noise_std)
+            items, np.random.default_rng((EVAL_NOISE_SEED, 5)),
+            speech_noise_std)
 
     def forward_fn(sample):
         return predict([model.eval_fused(sample, vocab)], head).data[0]
@@ -349,6 +353,11 @@ def evaluate_task(model: SpeechTextModel, vocab: Vocab, head: PredictionHead,
 
 
 # checkpointing ------------------------------------------------------------
+
+# the meta keys ``load_checkpoint`` reads; ``task`` is optional
+_META_KEYS = {"version", "step", "opt_t", "model_config", "train_config",
+              "vocab"}
+
 
 def save_checkpoint(path, model: SpeechTextModel, vocab: Vocab, opt: AdamW,
                     step: int, train_cfg: TrainConfig | None,
@@ -387,12 +396,14 @@ def save_checkpoint(path, model: SpeechTextModel, vocab: Vocab, opt: AdamW,
 def load_checkpoint(path) -> dict:
     """The checkpoint's state.  A file that cannot be read as one (missing,
     not a zip archive, a single ``.npy`` array, truncated, failing a CRC,
-    or without ``meta``) raises ``ValueError`` naming the path, chained
-    from the cause."""
+    or without ``meta`` or one of its keys) raises ``ValueError`` naming
+    the path, chained from the cause."""
     path = Path(path)
     try:
         with np.load(path) as blob:
             meta = json.loads(bytes(blob["meta"].tobytes()).decode())
+            if not (isinstance(meta, dict) and _META_KEYS <= meta.keys()):
+                raise ValueError("checkpoint meta lacks a key")
             params = {k[len("param/"):]: blob[k] for k in blob.files
                       if k.startswith("param/")}
             opt_m = {k[len("opt_m/"):]: blob[k] for k in blob.files

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +119,57 @@ def task_dir(tmp_path_factory):
                  sample_rate=cfg.frame_rate)
     write_labels_manifest(task_dir / "labels.jsonl", labels)
     return task_dir
+
+
+@pytest.fixture(scope="module")
+def finetuned(tmp_path_factory, pretrained, task_dir):
+    out = tmp_path_factory.mktemp("ft")
+    run_cli("finetune", "--checkpoint", pretrained / "checkpoint-final.npz",
+            "--task-corpus", task_dir / "manifest.json",
+            "--labels", task_dir / "labels.jsonl",
+            "--out", out, "--steps", 1, "--batch-size", 4)
+    return out / "checkpoint-finetuned.npz"
+
+
+@pytest.fixture(scope="module")
+def unknown_words_dir(tmp_path_factory, task_dir):
+    """The task corpus with every word renamed out of the vocabulary."""
+    from stdialog.corpus import WordAlignment
+    from stdialog.shards import load_corpus, write_shards
+
+    corpus = load_corpus(task_dir / "manifest.json")
+    for dialog in corpus.dialogs:
+        for turn in dialog.turns:
+            turn.words = [WordAlignment(f"x{w.word}", w.start_time,
+                                        w.end_time) for w in turn.words]
+    out = tmp_path_factory.mktemp("unknown")
+    write_shards(corpus.dialogs, out / "manifest.json")
+    return out
+
+
+def rewrite_checkpoint(src, dst, drop_meta=None, drop_prefix=None):
+    """``src`` saved as ``dst`` without the meta key ``drop_meta`` and the
+    arrays whose names start with ``drop_prefix``."""
+    with np.load(src) as blob:
+        arrays = {k: blob[k] for k in blob.files
+                  if not (drop_prefix and k.startswith(drop_prefix))}
+    meta = json.loads(arrays["meta"].tobytes())
+    meta.pop(drop_meta, None)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    np.savez(dst, **arrays)
+    return dst
+
+
+@pytest.fixture(scope="module")
+def broken_checkpoints(tmp_path_factory, pretrained, finetuned):
+    out = tmp_path_factory.mktemp("broken")
+    return {
+        "no-version": rewrite_checkpoint(pretrained / "checkpoint-final.npz",
+                                         out / "no-version.npz",
+                                         drop_meta="version"),
+        "no-head": rewrite_checkpoint(finetuned, out / "no-head.npz",
+                                      drop_prefix="param/head."),
+    }
 
 
 def test_finetune_and_evaluate_cycle(pretrained, task_dir, tmp_path):
@@ -265,9 +318,19 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
                                   "wrong-type-config-value",
                                   "bad-conv-pos-groups", "missing-vocab",
                                   "vocab-without-specials", "missing-labels",
-                                  "one-class-labels"])
+                                  "one-class-labels", "small-vocab-size",
+                                  "evaluate-unknown-word",
+                                  "export-unknown-word",
+                                  "export-out-under-a-file",
+                                  "manifest-without-shard-file",
+                                  "labels-row-without-label",
+                                  "labels-row-not-json",
+                                  "meta-without-version",
+                                  "checkpoint-without-head"])
 def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
-                                          task_dir, tmp_path):
+                                          task_dir, finetuned,
+                                          unknown_words_dir,
+                                          broken_checkpoints, tmp_path):
     missing = tmp_path / "missing"
     unknown_key = tmp_path / "config.json"
     unknown_key.write_text(json.dumps({"steps": 1, "stepz": 2}))
@@ -284,12 +347,22 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     one_class.write_text("".join(
         json.dumps({**json.loads(line), "label": 0}) + "\n"
         for line in (task_dir / "labels.jsonl").read_text().splitlines()))
+    no_shard_file = tmp_path / "manifest.json"
+    no_shard_file.write_text(json.dumps({"version": 1}))
+    no_label = tmp_path / "no-label.jsonl"
+    no_label.write_text('{"dialog_id": "d", "target_turn_index": 2}\n')
+    not_json = tmp_path / "not-json.jsonl"
+    not_json.write_text("dialog d turn 2 label 1\n")
     pretrain = ("pretrain", "--corpus", corpus_dir / "manifest.json",
                 "--out", tmp_path / "run")
     finetune = ("finetune", "--checkpoint",
                 pretrained / "checkpoint-final.npz",
                 "--task-corpus", task_dir / "manifest.json",
                 "--out", tmp_path / "ft")
+    evaluate = ("evaluate", "--checkpoint", finetuned,
+                "--task-corpus", task_dir / "manifest.json")
+    export = ("export-attention", "--checkpoint",
+              pretrained / "checkpoint-final.npz")
     args, message = {
         "missing-config": ((*pretrain, "--config", missing), str(missing)),
         "unknown-config-key": ((*pretrain, "--config", unknown_key),
@@ -308,6 +381,42 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
         "missing-labels": ((*finetune, "--labels", missing), str(missing)),
         "one-class-labels": ((*finetune, "--labels", one_class),
                              "classification needs >= 2 classes"),
+        "small-vocab-size": (("generate", "--vocab-size", 3,
+                              "--out", tmp_path / "run"),
+                             "vocab_size must be >= 8, got 3"),
+        "evaluate-unknown-word": (
+            ("evaluate", "--checkpoint", finetuned, "--task-corpus",
+             unknown_words_dir / "manifest.json",
+             "--labels", task_dir / "labels.jsonl"),
+            "not in vocabulary"),
+        "export-unknown-word": (
+            (*export, "--corpus", unknown_words_dir / "manifest.json",
+             "--out", tmp_path / "attn"),
+            "not in vocabulary"),
+        "export-out-under-a-file": (
+            (*export, "--corpus", corpus_dir / "manifest.json",
+             "--out", no_specials / "sub" / "attn"),
+            f"Not a directory: '{no_specials / 'sub'}'"),
+        "manifest-without-shard-file": (
+            ("pretrain", "--corpus", no_shard_file, "--out", tmp_path / "run"),
+            f"manifest {no_shard_file}: key 'shard_file' missing"),
+        "labels-row-without-label": (
+            (*evaluate, "--labels", no_label),
+            f"{no_label} line 1: not a labels row: {{\"dialog_id\""),
+        "labels-row-not-json": (
+            (*finetune, "--labels", not_json),
+            f"{not_json} line 1: not a labels row: dialog d turn 2"),
+        "meta-without-version": (
+            ("export-attention", "--checkpoint",
+             broken_checkpoints["no-version"], "--corpus",
+             corpus_dir / "manifest.json", "--out", tmp_path / "attn"),
+            "not a readable stdialog checkpoint: "
+            f"{broken_checkpoints['no-version']}"),
+        "checkpoint-without-head": (
+            ("evaluate", "--checkpoint", broken_checkpoints["no-head"],
+             "--task-corpus", task_dir / "manifest.json",
+             "--labels", task_dir / "labels.jsonl"),
+            "checkpoint has no fine-tuning head parameters"),
     }[case]
     result = run_cli(*args, check=False)
     assert result.returncode == 1
@@ -315,6 +424,7 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     assert len(result.stderr.strip().splitlines()) == 1
     assert message in result.stderr
     assert not (tmp_path / "run").exists() and not (tmp_path / "ft").exists()
+    assert not missing.exists() and not list(tmp_path.glob("attn*"))
 
 
 def test_unreadable_checkpoint_fails_cleanly(corpus_dir, tmp_path):
@@ -327,3 +437,83 @@ def test_unreadable_checkpoint_fails_cleanly(corpus_dir, tmp_path):
     assert "Traceback" not in result.stderr
     assert result.stderr.strip() == \
         f"not a readable stdialog checkpoint: {bad}"
+
+
+# Runs ``stdialog`` with its first argument naming where to SIGKILL itself:
+# "after-row" once step 3's metrics row is written (before its checkpoint),
+# "in-write" once step 3's checkpoint is written to its ``.tmp`` (before the
+# rename), "none" never.
+KILL_LAUNCHER = """
+import os, signal, sys
+from stdialog import cli, trainer
+
+point = sys.argv[1]
+append, rename = trainer.MetricsLog.append, trainer.os.replace
+
+def append_then_kill(self, record):
+    append(self, record)
+    if point == "after-row" and record["step"] == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+def kill_or_rename(src, dst):
+    if point == "in-write" and str(dst).endswith("checkpoint-000003.npz"):
+        os.kill(os.getpid(), signal.SIGKILL)
+    rename(src, dst)
+
+trainer.MetricsLog.append = append_then_kill
+trainer.os.replace = kill_or_rename
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_pretrain_resumes_after_kill(corpus_dir, tmp_path):
+    """A run SIGKILLed between a step's metrics row and its checkpoint, or
+    inside the checkpoint write, resumed from its newest checkpoint, ends
+    with the uninterrupted run's metric rows and parameters."""
+    from stdialog.trainer import load_checkpoint
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"checkpoint_every": 1}))
+
+    def launch(point, out, *extra):
+        args = ("pretrain", "--corpus", corpus_dir / "manifest.json",
+                "--config", config, "--out", out, "--steps", 5,
+                "--batch-size", 2, "--k", 2, *extra)
+        return subprocess.Popen(
+            [sys.executable, "-c", KILL_LAUNCHER, point, *map(str, args)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+
+    def rows(out):
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        return [{k: v for k, v in json.loads(line).items()
+                 if k != "wall_time"} for line in lines]
+
+    def digest(out):
+        params = load_checkpoint(out / "checkpoint-final.npz")["params"]
+        return hashlib.sha256(b"".join(
+            name.encode() + params[name].tobytes()
+            for name in sorted(params))).hexdigest()
+
+    points = ("after-row", "in-write")
+    runs = {point: launch(point, tmp_path / point)
+            for point in ("none", *points)}
+    for point, proc in runs.items():
+        assert proc.wait() == (0 if point == "none" else -signal.SIGKILL), \
+            proc.stderr.read()
+    assert (tmp_path / "in-write" / "checkpoint-000003.npz.tmp").exists()
+    resumed = []
+    for point in points:
+        out = tmp_path / point
+        assert not (out / "checkpoint-final.npz").exists()
+        newest = sorted(out.glob("checkpoint-*.npz"))[-1]
+        assert newest.name == "checkpoint-000002.npz"
+        resumed.append(launch("none", out, "--resume", newest))
+    for proc in resumed:
+        assert proc.wait() == 0, proc.stderr.read()
+    expected = rows(tmp_path / "none")
+    assert [row["step"] for row in expected] == [1, 2, 3, 4, 5]
+    for point in points:
+        out = tmp_path / point
+        assert rows(out) == expected
+        assert digest(out) == digest(tmp_path / "none")
+        assert not list(out.glob("*.tmp"))

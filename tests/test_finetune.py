@@ -213,6 +213,17 @@ class TestCrossModalTask:
         loaded = ft.read_labels_manifest(tmp_path / "labels.jsonl")
         assert loaded == labels
 
+    def test_bad_labels_row_is_named(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        good = '{"dialog_id": "d1", "target_turn_index": 2, "label": 3}'
+        for bad in ('{"dialog_id": "d1", "target_turn_index": 3}',
+                    "d1 3 label 1", "[1, 2]"):
+            path.write_text(f"{good}\n\n{bad}\n")
+            with pytest.raises(ValueError) as info:
+                ft.read_labels_manifest(path)
+            assert str(info.value) == \
+                f"{path} line 3: not a labels row: {bad}"
+
     def test_task_samples_keep_only_labelled_turns(self):
         cfg = cp.SyntheticConfig(num_dialogs=2, turns_per_dialog=(4, 4))
         dialogs = cp.generate_synthetic(cfg, seed=8)

@@ -1,8 +1,8 @@
 """No module of the package, test or script imports a name it never
 uses, no package module imports a private name of another, every
 top-level function or class of the package has a caller outside tests
-unless ``USED_ONLY_IN_TESTS`` says why it is kept, and every function the
-benchmark's tracer wraps exists."""
+unless ``USED_ONLY_IN_TESTS`` says why it is kept, every function the
+benchmark's tracer wraps exists, and the CLI catches errors in one place."""
 
 import ast
 import importlib
@@ -163,3 +163,15 @@ def test_bench_tracer_layers_resolve():
         if not (module.startswith("stdialog") and callable(owner)):
             unresolved.append(f"{layer}: {module}.{path}")
     assert tracer.LAYERS and unresolved == []
+
+
+def test_cli_has_one_error_boundary():
+    """``cli.main`` alone turns a library error into one line; a command
+    that caught errors around its own calls would start the per-call
+    wrapping over again and leave the calls nobody wrapped uncaught."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [node for node in ast.walk(tree)
+                if isinstance(node, ast.ExceptHandler)]
+    assert len(handlers) == 1 and handlers[0] in list(ast.walk(main))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,22 @@ def test_vocabulary_and_samples_from_handle(tmp_path, dialogs):
     assert words == sorted(set(words))
     n_turns = sum(len(d.turns) for d in corpus.dialogs)
     assert len(corpus.all_samples(k=3)) == n_turns - len(corpus.dialogs)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda m: m.pop("shard_file"), "shard_file"),
+    (lambda m: m.update(shard_samples="12"), "shard_samples"),
+    (lambda m: m.update(dialogs=5), "dialogs"),
+    (lambda m: m["dialogs"][1]["turns"][0].pop("offset"), "offset"),
+    (lambda m: m["dialogs"][0]["turns"][1].update(turn_index=2.0),
+     "turn_index"),
+    (lambda m: m["dialogs"][2]["turns"][0]["words"].append(["w"]), "words"),
+])
+def test_malformed_manifest_key_is_named(tmp_path, dialogs, edit, key):
+    manifest_path = tmp_path / "manifest.json"
+    manifest = sh.write_shards(dialogs, manifest_path)
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(sh.CorpusFormatError) as info:
+        sh.load_corpus(manifest_path)
+    assert str(info.value).startswith(f"manifest {manifest_path}: key '{key}'")

@@ -234,8 +234,8 @@ class TestCheckpointing:
             assert message in str(info.value.__cause__)
 
     def test_unreadable_checkpoint_is_named(self, tmp_path):
-        # a text file, a missing file, one .npy array and an archive
-        # without its metadata
+        # a text file, a missing file, one .npy array, an archive without
+        # its metadata and one whose metadata lacks a key
         text = tmp_path / "text.npz"
         text.write_text("not a zip")
         assert text.stat().st_size == 9
@@ -244,10 +244,13 @@ class TestCheckpointing:
             np.save(fh, np.zeros(2))
         no_meta = tmp_path / "no_meta.npz"
         np.savez(no_meta, **{"param/w": np.zeros(2)})
+        no_version = tmp_path / "no_version.npz"
+        np.savez(no_version, meta=np.frombuffer(b'{"step": 1}', np.uint8))
         for bad, cause in ((text, ValueError),
                            (tmp_path / "missing.npz", FileNotFoundError),
                            (array, TypeError),
-                           (no_meta, KeyError)):
+                           (no_meta, KeyError),
+                           (no_version, ValueError)):
             with pytest.raises(ValueError) as info:
                 tr.load_checkpoint(bad)
             assert str(info.value) == \
