@@ -16,6 +16,12 @@ frontend in ``frontend`` and the convolutional position embedding in
 ``encoders``; GELU for all of these and for the ``gelu`` op.  Layer
 norm, softmax and conv1d have no op here: the float64 references that
 the tests compose those layers from define them.
+
+GELU's forward returns its derivative with its output, so its backward
+is one multiply.  A float32 input runs a float32 kernel built from
+numpy's SIMD ufuncs (a tanh form of Phi, evaluated in L2-sized chunks);
+a float64 input keeps scipy's ``erf``, which the gradient checks and the
+float64 reference tests rely on.
 """
 
 from __future__ import annotations
@@ -250,21 +256,76 @@ def layer_norm_backward(g: np.ndarray, gain: np.ndarray, saved: tuple) -> tuple:
             g.sum(axis=reduce_axes))
 
 
+# float32 Phi(x) = 0.5 + 0.5 tanh(x P(min(x^2, 5.6^2))): P's coefficients,
+# highest power first, fitted by reweighted least squares to
+# atanh(erf(x / sqrt 2)) / x on [0, 5.6] (beyond 5.6, Phi rounds to 0 or 1)
+_PHI_POLY = (1.7561730958348676e-09, -1.3226342332472996e-07,
+             3.964745246776147e-06, -5.5306198191829026e-05,
+             -3.259496588725597e-05, 0.03633308410644531,
+             0.7978849411010742)
+_PHI_CLAMP_SQ = 5.6 * 5.6
+# elements per pass: a chunk's float32 buffers stay in L2
+_CHUNK = 1 << 15
+
+
+def _normal_cdf_f32(x: np.ndarray, x2: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """Phi(x) of a float32 array into ``out``, given ``x2`` = x * x, which
+    it clamps in place."""
+    np.minimum(x2, _PHI_CLAMP_SQ, out=x2)
+    np.multiply(x2, _PHI_POLY[0], out=out)
+    for c in _PHI_POLY[1:-1]:
+        out += c
+        out *= x2
+    out += _PHI_POLY[-1]
+    out *= x
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
+
+
+def _gelu_f32(x: np.ndarray) -> tuple:
+    """GELU and its derivative of a float32 array from numpy's float32
+    ufuncs, chunk by chunk; each element's result depends on that element
+    alone, so it does not depend on the chunking or the input's layout."""
+    flat = np.ravel(x)
+    out, deriv = np.empty_like(flat), np.empty_like(flat)
+    x2_buf = np.empty(min(flat.size, _CHUNK), np.float32)
+    for lo in range(0, flat.size, _CHUNK):
+        xc = flat[lo:lo + _CHUNK]
+        x2 = np.multiply(xc, xc, out=x2_buf[:xc.size])
+        d = np.multiply(x2, -0.5, out=deriv[lo:lo + xc.size])
+        np.exp(d, out=d)
+        d *= xc
+        d *= INV_SQRT_2PI
+        phi = _normal_cdf_f32(xc, x2, out[lo:lo + xc.size])
+        d += phi
+        phi *= xc
+    return out.reshape(x.shape), deriv.reshape(x.shape)
+
+
 def gelu_forward(x: np.ndarray) -> tuple:
-    """Exact GELU x * Phi(x) of a plain array; returns it and Phi(x)."""
+    """GELU x * Phi(x) of a plain array; returns it and its derivative
+    Phi(x) + x * pdf(x).  float32 runs the chunked float32 kernel (Phi
+    within 1.2e-7); other dtypes, float64 for the gradient checks among
+    them, keep scipy's double-precision erf."""
+    if x.dtype == np.float32:
+        return _gelu_f32(x)
     phi = 0.5 * (1.0 + erf(x / SQRT2))
-    return x * phi, phi
+    return x * phi, phi + x * (INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
-def gelu_backward(g: np.ndarray, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Input gradient of GELU at ``x`` (with ``phi`` = Phi(x))."""
-    return g * (phi + x * (INV_SQRT_2PI * np.exp(-0.5 * x * x)))
+def gelu_backward(g: np.ndarray, deriv: np.ndarray) -> np.ndarray:
+    """Input gradient of GELU, given the derivative ``gelu_forward``
+    returned."""
+    return g * deriv
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact GELU x * Phi(x) via erf; GELU(0) == 0 identically."""
-    out_data, phi = gelu_forward(x.data)
-    return record(out_data, (x,), lambda g: (gelu_backward(g, x.data, phi),),
+    """GELU x * Phi(x); GELU(0) == 0 identically."""
+    out_data, deriv = gelu_forward(x.data)
+    return record(out_data, (x,), lambda g: (gelu_backward(g, deriv),),
                   "gelu")
 
 

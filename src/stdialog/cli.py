@@ -94,15 +94,13 @@ def _cmd_finetune(args):
 
 
 def _cmd_evaluate(args):
-    from .finetune import TaskSpec, head_from_registry
+    from .finetune import head_from_registry
     from .trainer import evaluate_task, model_from_checkpoint
 
     model, vocab, state = model_from_checkpoint(args.checkpoint)
-    task_meta = state.get("task")
-    if not task_meta:
+    task = state["task"]
+    if task is None:
         raise SystemExit("checkpoint carries no fine-tuned task head")
-    task = TaskSpec(kind=task_meta["kind"],
-                    num_classes=task_meta["num_classes"])
     head = head_from_registry(model.params)
     items = _load_task_items(args.task_corpus, args.labels)
     acc = evaluate_task(model, vocab, head, task, items,

@@ -131,11 +131,11 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
     h = x.data + (merged @ p.wo.data + p.bo.data)
     c, ln2 = layer_norm_forward(h, p.ln2_gain.data, p.ln2_bias.data)
     f1 = c @ p.ff1_w.data + p.ff1_b.data
-    f, phi = gelu_forward(f1)
+    f, dact = gelu_forward(f1)
     out = h + (f @ p.ff2_w.data + p.ff2_b.data)
 
     def backward(g):
-        df1 = gelu_backward(g @ p.ff2_w.data.T, f1, phi)
+        df1 = gelu_backward(g @ p.ff2_w.data.T, dact)
         dh_ln, dln2_gain, dln2_bias = layer_norm_backward(
             df1 @ p.ff1_w.data.T, p.ln2_gain.data, ln2)
         dh = g + dh_ln
@@ -193,10 +193,10 @@ def conv_position_embedding(x: Tensor, w: Parameter, b: Parameter,
     xp = np.zeros((n + (kernel - 1) * len(lengths), x.shape[1]), x.dtype)
     xp[rows] = x.data
     z, conv = conv1d_forward(xp, w.data, b.data, rows - left, groups=groups)
-    act, phi = gelu_forward(z)
+    act, dact = gelu_forward(z)
 
     def backward(g):
-        dxp, dw, db = conv1d_backward(gelu_backward(g, z, phi), conv)
+        dxp, dw, db = conv1d_backward(gelu_backward(g, dact), conv)
         return g + dxp[rows], dw, db
 
     return record(x.data + act, (x, w, b), backward, "conv_position_embedding")

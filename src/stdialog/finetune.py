@@ -221,16 +221,20 @@ def write_labels_manifest(path, labels: dict) -> None:
 
 def read_labels_manifest(path) -> dict:
     """{(dialog_id, target_turn_index): label} from the rows
-    ``write_labels_manifest`` writes; a row that is not one raises
-    ``ValueError`` naming the file and line."""
+    ``write_labels_manifest`` writes; a row that is not one, or whose label
+    is not an integer, raises ``ValueError`` naming the file and line."""
     labels = {}
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            labels[(rec["dialog_id"], rec["target_turn_index"])] = rec["label"]
+            label = rec["label"]
+            labels[(rec["dialog_id"], rec["target_turn_index"])] = label
         except (ValueError, TypeError, KeyError):
             raise ValueError(f"{path} line {number}: not a labels row: "
                              f"{line[:60]}") from None
+        if isinstance(label, bool) or not isinstance(label, int):
+            raise ValueError(f"{path} line {number}: label {label!r} is not "
+                             "an integer")
     return labels

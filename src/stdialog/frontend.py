@@ -127,8 +127,8 @@ def extract_features(waveforms: list, config: FrontendConfig,
     for spec, (w, b) in zip(config.layers, conv_params):
         starts, lengths = window_starts(lengths, spec.kernel, spec.stride)
         z, conv = conv1d_forward(x, w.data, b.data, starts)
-        x, phi = gelu_forward(z)
-        saved.append((z, phi, conv))
+        x, dact = gelu_forward(z)
+        saved.append((dact, conv))
     out, ln = layer_norm_forward(x, ln_gain.data, ln_bias.data,
                                  config.ln_eps)
 
@@ -136,8 +136,8 @@ def extract_features(waveforms: list, config: FrontendConfig,
         dx, dgain, dbias = layer_norm_backward(g, ln_gain.data, ln)
         conv_grads = []
         for i in reversed(range(len(saved))):
-            z, phi, conv = saved[i]
-            dx, dw, db = conv1d_backward(gelu_backward(dx, z, phi), conv,
+            dact, conv = saved[i]
+            dx, dw, db = conv1d_backward(gelu_backward(dx, dact), conv,
                                          input_grad=i > 0)
             conv_grads.append((dw, db))
         return (dgain, dbias,

@@ -132,7 +132,7 @@ def load_corpus(manifest_path) -> Corpus:
         for tr in field(rec, "turns", list):
             index = field(tr, "turn_index", int)
             lo, n = field(tr, "offset", int), field(tr, "length", int)
-            if lo + n > flat.size:
+            if lo < 0 or n < 0 or lo + n > flat.size:
                 raise CorpusFormatError(
                     f"dialog {dialog_id} turn {index}: "
                     f"offset {lo}+{n} outside shard of {flat.size} samples")

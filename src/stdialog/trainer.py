@@ -397,7 +397,9 @@ def load_checkpoint(path) -> dict:
     """The checkpoint's state.  A file that cannot be read as one (missing,
     not a zip archive, a single ``.npy`` array, truncated, failing a CRC,
     or without ``meta`` or one of its keys) raises ``ValueError`` naming
-    the path, chained from the cause."""
+    the path, chained from the cause.  ``task`` is the fine-tuned
+    ``TaskSpec``, or None; a ``task`` meta without a str ``kind`` and an
+    int ``num_classes`` raises ``ValueError`` naming the key."""
     path = Path(path)
     try:
         with np.load(path) as blob:
@@ -416,6 +418,14 @@ def load_checkpoint(path) -> dict:
             f"not a readable stdialog checkpoint: {path}") from exc
     if meta["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {meta['version']} not supported")
+    task = meta.get("task")
+    if task is not None:
+        for key, kind in (("kind", str), ("num_classes", int)):
+            value = task.get(key) if isinstance(task, dict) else None
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"checkpoint {path}: task meta key {key!r} "
+                                 f"missing or not of type {kind.__name__}")
+        task = TaskSpec(kind=task["kind"], num_classes=task["num_classes"])
     return {
         "meta": meta,
         "step": meta["step"],
@@ -425,7 +435,7 @@ def load_checkpoint(path) -> dict:
         "vocab": Vocab(meta["vocab"]),
         "params": params,
         "optimizer": {"t": meta["opt_t"], "m": opt_m, "v": opt_v},
-        "task": meta.get("task"),
+        "task": task,
     }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from composed_layer import layer_norm, reshape, softmax, transpose
 from composed_speech import conv1d, mul
@@ -86,6 +87,52 @@ class TestForwardValues:
             return ad.gelu(ad.matmul(Tensor(x), Tensor(w))).data
 
         np.testing.assert_array_equal(run(), run())
+
+
+class TestFloat32Gelu:
+    """The float32 kernel against float64, and its independence of the
+    chunking and of the input's memory layout."""
+
+    def test_error_against_float64_normal_cdf(self):
+        x = np.linspace(-12, 12, 1_000_001, dtype=np.float32)
+        out, deriv = ad.gelu_forward(x)
+        x64 = x.astype(np.float64)
+        phi = ndtr(x64)
+        pdf = np.exp(-0.5 * x64 * x64) / math.sqrt(2 * math.pi)
+        kernel_phi = ad._normal_cdf_f32(x, x * x, np.empty_like(x))
+        assert out.dtype == deriv.dtype == np.float32
+        assert np.abs(kernel_phi - phi).max() <= 1.2e-7
+        assert np.abs(out - x64 * phi).max() <= 1e-6
+        assert np.abs(deriv - (phi + x64 * pdf)).max() <= 3e-7
+
+    def test_element_does_not_depend_on_chunk(self):
+        rng = np.random.default_rng(3)
+        x = (rng.standard_normal(3 * ad._CHUNK + 77) * 4).astype(np.float32)
+        out, deriv = ad.gelu_forward(x)
+        edges = np.arange(1, 4) * ad._CHUNK
+        picks = np.concatenate([(edges[:, None] + np.arange(-2, 2)).ravel(),
+                                rng.integers(0, x.size, 200), [x.size - 1]])
+        for i in picks:
+            one_out, one_deriv = ad.gelu_forward(x[i:i + 1])
+            assert one_out[0] == out[i] and one_deriv[0] == deriv[i], i
+
+    def test_non_contiguous_input_matches_contiguous_copy(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((300, 257)).astype(np.float32).T
+        assert not x.flags.c_contiguous
+        for got, want in zip(ad.gelu_forward(x),
+                             ad.gelu_forward(np.ascontiguousarray(x))):
+            assert got.shape == x.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_empty_array(self):
+        out, deriv = ad.gelu_forward(np.zeros((0, 8), dtype=np.float32))
+        assert out.shape == deriv.shape == (0, 8)
+
+    def test_zero_is_zero(self):
+        out, deriv = ad.gelu_forward(np.zeros(3, dtype=np.float32))
+        np.testing.assert_array_equal(out, np.zeros(3, dtype=np.float32))
+        np.testing.assert_allclose(deriv, 0.5, atol=1e-7)
 
 
 class TestShapeAndFiniteErrors:

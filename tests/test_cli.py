@@ -147,14 +147,17 @@ def unknown_words_dir(tmp_path_factory, task_dir):
     return out
 
 
-def rewrite_checkpoint(src, dst, drop_meta=None, drop_prefix=None):
+def rewrite_checkpoint(src, dst, drop_meta=None, drop_prefix=None,
+                       set_meta=None):
     """``src`` saved as ``dst`` without the meta key ``drop_meta`` and the
-    arrays whose names start with ``drop_prefix``."""
+    arrays whose names start with ``drop_prefix``, with the meta entries of
+    ``set_meta`` set."""
     with np.load(src) as blob:
         arrays = {k: blob[k] for k in blob.files
                   if not (drop_prefix and k.startswith(drop_prefix))}
     meta = json.loads(arrays["meta"].tobytes())
     meta.pop(drop_meta, None)
+    meta.update(set_meta or {})
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
     np.savez(dst, **arrays)
     return dst
@@ -169,6 +172,12 @@ def broken_checkpoints(tmp_path_factory, pretrained, finetuned):
                                          drop_meta="version"),
         "no-head": rewrite_checkpoint(finetuned, out / "no-head.npz",
                                       drop_prefix="param/head."),
+        "task-without-classes": rewrite_checkpoint(
+            finetuned, out / "task-without-classes.npz",
+            set_meta={"task": {"kind": "classification"}}),
+        "task-kind-not-str": rewrite_checkpoint(
+            finetuned, out / "task-kind-not-str.npz",
+            set_meta={"task": {"kind": 1, "num_classes": 4}}),
     }
 
 
@@ -325,8 +334,11 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
                                   "manifest-without-shard-file",
                                   "labels-row-without-label",
                                   "labels-row-not-json",
+                                  "label-not-an-integer",
                                   "meta-without-version",
-                                  "checkpoint-without-head"])
+                                  "checkpoint-without-head",
+                                  "task-meta-without-num-classes",
+                                  "task-meta-kind-not-a-string"])
 def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
                                           task_dir, finetuned,
                                           unknown_words_dir,
@@ -353,6 +365,9 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     no_label.write_text('{"dialog_id": "d", "target_turn_index": 2}\n')
     not_json = tmp_path / "not-json.jsonl"
     not_json.write_text("dialog d turn 2 label 1\n")
+    str_label = tmp_path / "str-label.jsonl"
+    str_label.write_text(
+        '{"dialog_id": "d", "target_turn_index": 2, "label": "x"}\n')
     pretrain = ("pretrain", "--corpus", corpus_dir / "manifest.json",
                 "--out", tmp_path / "run")
     finetune = ("finetune", "--checkpoint",
@@ -406,6 +421,9 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
         "labels-row-not-json": (
             (*finetune, "--labels", not_json),
             f"{not_json} line 1: not a labels row: dialog d turn 2"),
+        "label-not-an-integer": (
+            (*finetune, "--labels", str_label),
+            f"{str_label} line 1: label 'x' is not an integer"),
         "meta-without-version": (
             ("export-attention", "--checkpoint",
              broken_checkpoints["no-version"], "--corpus",
@@ -417,6 +435,18 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
              "--task-corpus", task_dir / "manifest.json",
              "--labels", task_dir / "labels.jsonl"),
             "checkpoint has no fine-tuning head parameters"),
+        "task-meta-without-num-classes": (
+            ("evaluate", "--checkpoint",
+             broken_checkpoints["task-without-classes"],
+             "--task-corpus", task_dir / "manifest.json",
+             "--labels", task_dir / "labels.jsonl"),
+            "task meta key 'num_classes' missing or not of type int"),
+        "task-meta-kind-not-a-string": (
+            ("evaluate", "--checkpoint",
+             broken_checkpoints["task-kind-not-str"],
+             "--task-corpus", task_dir / "manifest.json",
+             "--labels", task_dir / "labels.jsonl"),
+            "task meta key 'kind' missing or not of type str"),
     }[case]
     result = run_cli(*args, check=False)
     assert result.returncode == 1

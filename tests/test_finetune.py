@@ -224,6 +224,16 @@ class TestCrossModalTask:
             assert str(info.value) == \
                 f"{path} line 3: not a labels row: {bad}"
 
+    def test_non_integer_label_is_named(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        for label in ('"x"', "true", "1.0", "null"):
+            path.write_text('{"dialog_id": "d1", "target_turn_index": 2, '
+                            f'"label": {label}}}\n')
+            with pytest.raises(ValueError) as info:
+                ft.read_labels_manifest(path)
+            assert str(info.value).startswith(f"{path} line 1: label ")
+            assert str(info.value).endswith(" is not an integer")
+
     def test_task_samples_keep_only_labelled_turns(self):
         cfg = cp.SyntheticConfig(num_dialogs=2, turns_per_dialog=(4, 4))
         dialogs = cp.generate_synthetic(cfg, seed=8)

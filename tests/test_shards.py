@@ -85,3 +85,18 @@ def test_malformed_manifest_key_is_named(tmp_path, dialogs, edit, key):
     with pytest.raises(sh.CorpusFormatError) as info:
         sh.load_corpus(manifest_path)
     assert str(info.value).startswith(f"manifest {manifest_path}: key '{key}'")
+
+
+@pytest.mark.parametrize("key, value", [("offset", -5), ("length", -1),
+                                        ("length", 10**9)])
+def test_turn_outside_shard_is_rejected(tmp_path, dialogs, key, value):
+    manifest_path = tmp_path / "manifest.json"
+    manifest = sh.write_shards(dialogs, manifest_path)
+    record = manifest["dialogs"][1]
+    record["turns"][0][key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(sh.CorpusFormatError) as info:
+        sh.load_corpus(manifest_path)
+    turn = record["turns"][0]["turn_index"]
+    assert str(info.value).startswith(
+        f"dialog {record['dialog_id']} turn {turn}: offset ")
