@@ -47,7 +47,7 @@ def main():
     for s in samples:
         fused = model.eval_fused(s, vocab)
         tok = tokenize_sample(s, vocab)
-        errs.append(model.tpp_absolute_errors(fused, tok.word_boundaries))
+        errs.append(model.tpp_absolute_errors(fused, [tok.word_boundaries]))
     print(f"alignment MAE (normalized times): "
           f"{float(np.concatenate(errs).mean()):.4f}")
 
@@ -57,7 +57,7 @@ def main():
     for _ in range(trials):
         s = samples[int(rng.integers(len(samples)))]
         corrupted, label = make_crs_sample(s, corpus.dialogs, rng)
-        hits += int(model.crs_predict(model.eval_fused(corrupted, vocab))
+        hits += int(model.crs_predict(model.eval_fused(corrupted, vocab))[0]
                     == label)
     print(f"response-selection accuracy: {hits / trials:.3f}")
     print(f"wall time: {elapsed:.0f}s")

@@ -408,11 +408,17 @@ def _sample_means(pred: Tensor, row_loss: np.ndarray, row_grad: np.ndarray,
 
 def cross_entropy(logits: Tensor, targets, sample, b: int) -> Tensor:
     """Each of ``b`` samples' mean cross-entropy over its rows of [n, C]
-    logits against integer targets [n]; row i belongs to ``sample[i]``."""
+    logits against integer targets [n] in [0, C); row i belongs to
+    ``sample[i]``.  A target outside [0, C) raises ``ValueError``."""
     t = np.asarray(targets, dtype=np.intp)
     if logits.data.ndim != 2 or t.ndim != 1 or t.shape[0] != logits.data.shape[0]:
         raise ShapeError(
             f"cross_entropy: logits {logits.data.shape} vs targets {t.shape}")
+    classes = logits.data.shape[1]
+    outside = (t < 0) | (t >= classes)
+    if outside.any():
+        raise ValueError(f"cross_entropy: target {t[outside][0]} outside "
+                         f"[0, {classes})")
     rows = np.arange(t.shape[0])
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1))

@@ -8,9 +8,12 @@ autodiff node over all packed rows; attention inside a layer runs per
 sequence, so no sequence attends to another.  The speech encoder first
 adds a convolutional relative position embedding to each sequence on its
 own: a grouped same-padding 1-d conv over the sequence, GELU, residual
-add, also as one node over all sequences.  Fusion interleaves each sample's text rows and
-speech rows, adds learnable modality embeddings, and applies one
-transformer layer attending across both modalities of a sample.
+add, also as one node over all sequences.  Fusion interleaves each
+sample's text rows and speech rows, adds learnable modality embeddings,
+and applies one transformer layer attending across both modalities of a
+sample.  Its output is one ``FusedBatch``: the packed hidden states and
+their layout, [text, CLS, prev, SEP, cur] per sample, which maps the text
+positions and speech frames of all samples to their rows at once.
 """
 
 from __future__ import annotations
@@ -214,34 +217,51 @@ def encode_speech(x: Tensor, lengths: tuple, conv_pos: tuple, layers: list,
 
 
 @dataclass
-class FusedRepresentation:
-    """One sample's layout in the joint hidden states: from row ``start``
-    of ``hidden``, its text span [0, n_text), then CLS, prev frames, SEP,
-    cur frames.  The index helpers count from the sample's first row."""
+class FusedBatch:
+    """A batch's fused hidden states and their packed layout.
+
+    Sample i's rows start at row ``start[i]`` of ``hidden``: its text span
+    [0, n_text[i]), then CLS, its m_prev[i] prev frames, SEP and its
+    m_cur[i] cur frames.  The int arrays are [b]; ``attention`` holds each
+    sample's [num_heads, L, L] fusion attention when captured.
+    """
     hidden: Tensor
-    n_text: int
-    m_prev: int
-    m_cur: int
-    start: int
-    attention: np.ndarray | None = None   # [num_heads, L, L] when captured
+    n_text: np.ndarray
+    m_prev: np.ndarray
+    m_cur: np.ndarray
+    start: np.ndarray
+    attention: list | None = None
 
-    @property
-    def length(self) -> int:
-        return self.n_text + self.m_prev + self.m_cur + 2
+    def __len__(self) -> int:
+        return len(self.start)
 
-    @property
-    def cls_speech_index(self) -> int:
-        return self.n_text
+    def text_rows(self, positions: list, what: str) -> tuple:
+        """The rows of ``hidden`` at each sample i's text positions
+        ``positions[i]``, counted from its own first row, and each row's
+        sample; a position outside its sample's text span raises
+        ``IndexError`` naming ``what``."""
+        if len(positions) != len(self):
+            raise ValueError(f"{len(positions)} position lists for "
+                             f"{len(self)} samples")
+        sample = np.repeat(np.arange(len(self)), [len(p) for p in positions])
+        pos = np.concatenate(positions).astype(np.intp)
+        outside = (pos < 0) | (pos >= self.n_text[sample])
+        if outside.any():
+            i = sample[outside][0]
+            raise IndexError(f"{what} outside text span [0, {self.n_text[i]})"
+                             f": {min(positions[i])}..{max(positions[i])}")
+        return self.start[sample] + pos, sample
 
-    @property
-    def sep_speech_index(self) -> int:
-        return self.n_text + self.m_prev + 1
-
-    def prev_frame_index(self, j: int | np.ndarray) -> int | np.ndarray:
-        return self.n_text + 1 + j
-
-    def cur_frame_index(self, j: int | np.ndarray) -> int | np.ndarray:
-        return self.n_text + self.m_prev + 2 + j
+    def frame_rows(self) -> np.ndarray:
+        """The row of ``hidden`` of every speech frame, in the order
+        ``frontend.extract_features`` packs them: each sample's prev
+        frames, then its cur frames."""
+        turns = np.stack([self.m_prev, self.m_cur], axis=1).ravel()
+        first = np.stack([self.start + self.n_text + 1,
+                          self.start + self.n_text + self.m_prev + 2],
+                         axis=1).ravel()
+        return np.repeat(first - (np.cumsum(turns) - turns), turns) \
+            + np.arange(turns.sum())
 
 
 def fusion_input(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
@@ -275,13 +295,14 @@ def fusion_input(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
 def fuse(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
          speech_frames: list, modality_table: Parameter,
          layer: TransformerLayerParams, num_heads: int,
-         capture_attention: bool = False) -> list:
-    """The fused representation of each sample, from packed text rows of
+         capture_attention: bool = False) -> FusedBatch:
+    """The batch's fused representation, from packed text rows of
     ``text_lengths`` and packed speech rows of the (m_prev, m_cur) turns
     in ``speech_frames``: one layer attending across both modalities of
-    a sample.  Each ``hidden`` is the whole packed output."""
-    speech_lengths = tuple(m_prev + m_cur + 2
-                           for m_prev, m_cur in speech_frames)
+    a sample."""
+    n_text = np.asarray(text_lengths, dtype=np.intp)
+    m_prev, m_cur = np.asarray(speech_frames, dtype=np.intp).reshape(-1, 2).T
+    speech_lengths = tuple(m_prev + m_cur + 2)
     for what, x, lengths in (("text", h_text, text_lengths),
                              ("speech", h_speech, speech_lengths)):
         if x.shape[0] != sum(lengths):
@@ -289,14 +310,12 @@ def fuse(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
                              f"lengths summing to {sum(lengths)}")
     x = fusion_input(h_text, h_speech, text_lengths, speech_lengths,
                      modality_table)
-    lengths = tuple(n + m for n, m in zip(text_lengths, speech_lengths))
+    lengths = n_text + m_prev + m_cur + 2
     captured: list | None = [] if capture_attention else None
-    h = transformer_layer(x, layer, num_heads, lengths, capture=captured)
-    starts = accumulate(lengths[:-1], initial=0)
-    return [FusedRepresentation(h, n, m_prev, m_cur, start,
-                                captured[i] if captured else None)
-            for i, (n, (m_prev, m_cur), start) in enumerate(
-                zip(text_lengths, speech_frames, starts))]
+    h = transformer_layer(x, layer, num_heads, tuple(lengths.tolist()),
+                          capture=captured)
+    return FusedBatch(h, n_text, m_prev, m_cur, np.cumsum(lengths) - lengths,
+                      captured)
 
 
 class AttentionNotCaptured(RuntimeError):
@@ -311,33 +330,35 @@ def cross_modal_mass(attention: np.ndarray, n_text: int) -> dict:
     return {"text_to_speech": text_to_speech, "speech_to_text": speech_to_text}
 
 
-def export_attention(fused: FusedRepresentation, out_prefix) -> dict:
-    """Write fusion attention: one CSV per head, the head mean, and JSON
-    metadata with modality spans and cross-modal mass."""
+def export_attention(fused: FusedBatch, out_prefix) -> dict:
+    """Write the fusion attention of the batch's first sample: one CSV per
+    head, the head mean, and JSON metadata with modality spans and
+    cross-modal mass."""
     if fused.attention is None:
         raise AttentionNotCaptured(
             "forward pass was not run with capture_attention=True")
+    attention = fused.attention[0]
+    n, m_prev, m_cur = (int(fused.n_text[0]), int(fused.m_prev[0]),
+                        int(fused.m_cur[0]))
     out_prefix = Path(out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     paths = {}
-    for h in range(fused.attention.shape[0]):
+    for h in range(attention.shape[0]):
         path = out_prefix.with_name(out_prefix.name + f"_head{h}.csv")
-        np.savetxt(path, fused.attention[h], delimiter=",")
+        np.savetxt(path, attention[h], delimiter=",")
         paths[f"head{h}"] = str(path)
     mean_path = out_prefix.with_name(out_prefix.name + "_mean.csv")
-    np.savetxt(mean_path, fused.attention.mean(axis=0), delimiter=",")
+    np.savetxt(mean_path, attention.mean(axis=0), delimiter=",")
     paths["mean"] = str(mean_path)
     meta = {
-        "length": fused.length,
-        "num_heads": int(fused.attention.shape[0]),
-        "text_span": [0, fused.n_text],
-        "cls_index": fused.cls_speech_index,
-        "prev_frame_span": [fused.prev_frame_index(0),
-                            fused.prev_frame_index(0) + fused.m_prev],
-        "sep_index": fused.sep_speech_index,
-        "cur_frame_span": [fused.cur_frame_index(0),
-                           fused.cur_frame_index(0) + fused.m_cur],
-        "cross_modal_mass": cross_modal_mass(fused.attention, fused.n_text),
+        "length": n + m_prev + m_cur + 2,
+        "num_heads": int(attention.shape[0]),
+        "text_span": [0, n],
+        "cls_index": n,
+        "prev_frame_span": [n + 1, n + 1 + m_prev],
+        "sep_index": n + m_prev + 1,
+        "cur_frame_span": [n + m_prev + 2, n + m_prev + 2 + m_cur],
+        "cross_modal_mass": cross_modal_mass(attention, n),
     }
     meta_path = out_prefix.with_name(out_prefix.name + "_meta.json")
     meta_path.write_text(json.dumps(meta, indent=1))

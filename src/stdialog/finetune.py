@@ -22,6 +22,7 @@ import numpy as np
 from . import corpus as cp
 from .autodiff import (Parameter, Tensor, cross_entropy, gather_rows,
                        gelu, linear, mse, register)
+from .encoders import FusedBatch
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
@@ -74,10 +75,10 @@ def head_from_registry(registry: dict) -> PredictionHead:
             "checkpoint has no fine-tuning head parameters") from None
 
 
-def predict(fused: list, head: PredictionHead) -> Tensor:
+def predict(fused: FusedBatch, head: PredictionHead) -> Tensor:
     """W2 gelu(W1 h + b1) + b2 on each sample's fused <s> state; output
     [b, d_o]."""
-    h0 = gather_rows(fused[0].hidden, [f.start for f in fused])
+    h0 = gather_rows(fused.hidden, fused.start)
     return linear(gelu(linear(h0, head.w1, head.b1)), head.w2, head.b2)
 
 
@@ -222,7 +223,8 @@ def write_labels_manifest(path, labels: dict) -> None:
 def read_labels_manifest(path) -> dict:
     """{(dialog_id, target_turn_index): label} from the rows
     ``write_labels_manifest`` writes; a row that is not one, or whose label
-    is not an integer, raises ``ValueError`` naming the file and line."""
+    is not an integer or is negative, raises ``ValueError`` naming the
+    file and line."""
     labels = {}
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
@@ -237,4 +239,7 @@ def read_labels_manifest(path) -> dict:
         if isinstance(label, bool) or not isinstance(label, int):
             raise ValueError(f"{path} line {number}: label {label!r} is not "
                              "an integer")
+        if label < 0:
+            raise ValueError(f"{path} line {number}: label {label} is "
+                             "negative")
     return labels

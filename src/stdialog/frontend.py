@@ -48,13 +48,6 @@ class FrontendConfig:
         return self.layers[-1].channels
 
     @property
-    def stride_product(self) -> int:
-        out = 1
-        for spec in self.layers:
-            out *= spec.stride
-        return out
-
-    @property
     def receptive_field(self) -> int:
         rf = 1
         for spec in reversed(self.layers):
@@ -71,6 +64,18 @@ class FrontendConfig:
         for spec in self.layers:
             n = (n - spec.kernel) // spec.stride + 1
         return n
+
+
+def check_sample_rate(dialogs: list, config: FrontendConfig) -> None:
+    """Raise ``ValueError`` naming both rates if a turn of ``dialogs`` is
+    sampled at another rate than the frontend ``config`` was built for,
+    which would change the time each frame spans."""
+    for dialog in dialogs:
+        for turn in dialog.turns:
+            if turn.sample_rate != config.sample_rate:
+                raise ValueError(
+                    f"corpus sample rate {turn.sample_rate} Hz differs from "
+                    f"the model frontend's {config.sample_rate} Hz")
 
 
 def full_scale_config(sample_rate: int = 16_000) -> FrontendConfig:
@@ -204,7 +209,7 @@ def assemble_speech_sequences(projected: Tensor, speech_frames: list,
                               cls_vec: Tensor, sep_vec: Tensor) -> Tensor:
     """Each sample's [CLS] f_prev [SEP] f_cur, packed back to back, from
     the packed frames of its turns, as (m_prev, m_cur) in ``speech_frames``;
-    one node.  ``encoders.FusedRepresentation`` indexes this layout."""
+    one node.  ``encoders.FusedBatch`` maps rows through this layout."""
     turns = np.asarray(speech_frames, dtype=np.intp).ravel()
     if turns.min() == 0:
         raise ValueError(

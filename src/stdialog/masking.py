@@ -19,7 +19,7 @@ output, before the projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,14 +62,9 @@ class MaskPlan:
     """Per-frame mask decisions for one feature sequence."""
 
     length: int
-    span_length: int
     mask: np.ndarray                 # bool [length]
     actions: np.ndarray              # int [length]; UNMASKED where mask is False
     replacement_sources: np.ndarray  # int [length]; source frame where REPLACE
-    span_starts: list = field(default_factory=list)
-
-    def masked_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
 
 
 def span_masks(triggers: np.ndarray, n: np.ndarray, p: float) -> tuple:
@@ -130,12 +125,10 @@ def draw_mask_plan(length: int, rng: np.random.Generator,
     n = int(rng.integers(lo, hi + 1))
     triggers = rng.random(length)
     mask = np.zeros(length, dtype=bool)
-    span_starts = []
     if (triggers < config.trigger_prob).any():
-        masks, starts = span_masks(triggers[None], np.array([n]),
-                                   config.trigger_prob)
+        masks, _ = span_masks(triggers[None], np.array([n]),
+                              config.trigger_prob)
         mask = masks[0]
-        span_starts = starts[0].nonzero()[0].tolist()
     actions = np.full(length, UNMASKED, dtype=np.int64)
     sources = np.full(length, -1, dtype=np.int64)
     masked_idx = np.flatnonzero(mask)
@@ -148,8 +141,8 @@ def draw_mask_plan(length: int, rng: np.random.Generator,
         replace_at = masked_idx[act == REPLACE]
         if replace_at.size:
             sources[replace_at] = rng.integers(0, length, size=replace_at.size)
-    return MaskPlan(length=length, span_length=n, mask=mask, actions=actions,
-                    replacement_sources=sources, span_starts=span_starts)
+    return MaskPlan(length=length, mask=mask, actions=actions,
+                    replacement_sources=sources)
 
 
 def estimate_mask_rate(config: AcousticMaskConfig, length: int, trials: int,

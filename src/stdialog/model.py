@@ -9,24 +9,23 @@ embedding, each stage of the speech input path (feature extraction,
 masked projection, the [CLS] prev [SEP] cur layout and the conv position
 embedding), each encoder layer and the fusion layer run once over the
 packed rows of the whole batch, with convolutions kept within each speech
-turn or sequence and attention within each sample.  Each sample's fused representation
-is its layout over the one packed output.  Each objective reads the rows
-of all samples from it at once and gives a [b] tensor of per-sample
-losses; the trainer minimizes the batch mean of the joint one.
+turn or sequence and attention within each sample.  The fused output is
+one ``encoders.FusedBatch``, which owns the packed layout; each objective
+maps the rows of all samples through it at once and gives a [b] tensor of
+per-sample losses; the trainer minimizes the batch mean of the joint one.
 """
 
 from __future__ import annotations
 
 from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
                          replace)
-from itertools import accumulate
 from typing import get_type_hints
 
 import numpy as np
 
 from . import frontend as fe
 from .autodiff import register
-from .encoders import (FusedRepresentation, encode_speech, encode_text, fuse,
+from .encoders import (FusedBatch, encode_speech, encode_text, fuse,
                        init_conv_positional, init_encoder_stack,
                        init_transformer_layer)
 from .masking import AcousticMaskConfig, MaskPlan, draw_mask_plan
@@ -219,10 +218,11 @@ class SpeechTextModel:
 
     def forward(self, prepared: list,
                 capture_attention: bool = False) -> tuple:
-        """The fused representation of each prepared sample, in order, from
-        one pass of each speech input stage, encoder layer and the fusion
-        layer over the packed rows of all samples, and each sample's
-        (prev, cur) pair of reconstruction targets."""
+        """The batch's fused representation, from one pass of each speech
+        input stage, encoder layer and the fusion layer over the packed
+        rows of all prepared samples, and the pre-mask extractor output
+        of their packed frames as a plain array: the reconstruction
+        targets."""
         heads = self.config.num_heads
         text_lengths = tuple(p.tokenized.length for p in prepared)
         h_text = encode_text(embed_text(
@@ -240,11 +240,6 @@ class SpeechTextModel:
                                     *self.extract_ln)
         projected = fe.project_features(feats, *self.proj_ln, self.proj_w,
                                         self.proj_b, turn_frames, plans)
-        # pre-mask frames at each turn's masked rows, as plain arrays
-        targets = [None if plan is None or not plan.mask.any()
-                   else feats.data[offset + plan.masked_indices()]
-                   for plan, offset in zip(plans, accumulate(
-                       turn_frames, initial=0))]
         frames = list(zip(turn_frames[0::2], turn_frames[1::2]))
         h_speech = encode_speech(
             fe.assemble_speech_sequences(projected, frames, self.cls_vec,
@@ -255,22 +250,22 @@ class SpeechTextModel:
         fused = fuse(h_text, h_speech, text_lengths, frames,
                      self.modality_table, self.fusion_layer, heads,
                      capture_attention=capture_attention)
-        return fused, list(zip(targets[0::2], targets[1::2]))
+        return fused, feats.data
 
     def compute_losses(self, prepared: list,
                        weights: LossWeights = LossWeights(),
-                       frozen_cmam_targets: list | None = None) -> dict:
+                       frozen_cmam_targets: np.ndarray | None = None) -> dict:
         """Each loss of the batch, by name, as a [b] tensor of per-sample
         losses; ``crs`` is None when no sample has a selection label.
 
         Reconstruction targets are stop-gradient constants of the step; pass
-        ``frozen_cmam_targets`` (one (prev, cur) pair per sample, from a
-        prior forward) when re-evaluating the same step's objective, e.g.
-        under finite differences.
+        ``frozen_cmam_targets`` (the extractor output a prior ``forward``
+        of the same batch returned) when re-evaluating the same step's
+        objective, e.g. under finite differences.
         """
-        fused, targets = self.forward(prepared)
+        fused, features = self.forward(prepared)
         if frozen_cmam_targets is not None:
-            targets = frozen_cmam_targets
+            features = frozen_cmam_targets
         tpp = tpp_loss(fused, [p.tokenized.word_boundaries for p in prepared],
                        self.tpp_head)
         labels = [p.crs_label for p in prepared]
@@ -279,31 +274,37 @@ class SpeechTextModel:
             crs = crs_loss(fused, labels, self.crs_w, self.crs_b)
         cmlm = cmlm_loss(fused, [p.text_plan for p in prepared], self.lm_w,
                          self.lm_b)
-        plans = [(p.acoustic_plan_prev if p.cmam_turns[0] else None,
-                  p.acoustic_plan_cur if p.cmam_turns[1] else None)
-                 for p in prepared]
-        cmam = cmam_loss(fused, plans, targets, self.cmam_w, self.cmam_b)
+        # the masked frames of each turn that reconstruction scores
+        keep = np.concatenate([
+            plan.mask if plan is not None and scored else np.zeros(m, bool)
+            for p, m_prev, m_cur in zip(prepared, fused.m_prev, fused.m_cur)
+            for plan, scored, m in zip(
+                (p.acoustic_plan_prev, p.acoustic_plan_cur), p.cmam_turns,
+                (m_prev, m_cur))])
+        cmam = cmam_loss(fused, keep, features[keep], self.cmam_w,
+                         self.cmam_b)
         return {"tpp": tpp, "crs": crs, "cmlm": cmlm, "cmam": cmam,
                 "joint": joint_loss(tpp, crs, cmlm, cmam, weights)}
 
     # evaluation helpers --------------------------------------------------
 
     def eval_fused(self, sample, vocab: Vocab,
-                   capture_attention: bool = False) -> FusedRepresentation:
-        """Clean forward of one sample (no corruption, no masking)."""
+                   capture_attention: bool = False) -> FusedBatch:
+        """Clean forward of one sample (no corruption, no masking), as a
+        batch of one."""
         prepared = prepare_sample(sample, vocab, self.config, train=False)
-        return self.forward(
-            [prepared], capture_attention=capture_attention)[0][0]
+        return self.forward([prepared],
+                            capture_attention=capture_attention)[0]
 
-    def crs_predict(self, fused: FusedRepresentation) -> int:
-        return int(np.argmax(crs_logits([fused], self.crs_w,
-                                        self.crs_b).data))
+    def crs_predict(self, fused: FusedBatch) -> np.ndarray:
+        """Each sample's response-selection class, [b]."""
+        return crs_logits(fused, self.crs_w, self.crs_b).data.argmax(axis=1)
 
-    def tpp_absolute_errors(self, fused: FusedRepresentation,
+    def tpp_absolute_errors(self, fused: FusedBatch,
                             boundaries: list) -> np.ndarray:
-        """|prediction - target| of each word's start, then of each end."""
-        pred, target, _ = tpp_predictions([fused], [boundaries],
-                                          self.tpp_head)
+        """|prediction - target| of each word's start, then of each end,
+        over the words of the batch (``boundaries[i]`` are sample i's)."""
+        pred, target, _ = tpp_predictions(fused, boundaries, self.tpp_head)
         return np.abs(pred.data - target).ravel()
 
 

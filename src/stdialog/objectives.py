@@ -17,11 +17,11 @@ alignment supervision only on turns whose text AND speech are both
 original; both-substituted samples contribute response selection and MLM
 only.
 
-Each objective takes a batch's fused representations, each a sample's
-layout over the one packed ``hidden``, gathers the rows it needs from all
-samples at once, runs its head once and ends in one loss node: a [b]
-tensor of each sample's mean loss over its own rows, 0 for a sample with
-none.
+Each objective takes the batch's ``encoders.FusedBatch``, maps the rows
+it needs from all samples through the batch's packed layout at once
+(``text_rows`` or ``frame_rows``), runs its head once and ends in one loss
+node: a [b] tensor of each sample's mean loss over its own rows, 0 for a
+sample with none.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 from .autodiff import (Parameter, Tensor, add, concat, cross_entropy,
                        gather_rows, linear, mae, matmul, mse, register, scale)
 from .corpus import Sample
+from .encoders import FusedBatch
 
 CRS_POSITIVE = 0
 CRS_SPEECH_SUBSTITUTED = 1
@@ -67,48 +68,29 @@ def init_tpp_head(registry: dict, rng: np.random.Generator, d_h: int,
                    max_seconds=max_seconds)
 
 
-def _packed_rows(fused: list, rows: list) -> tuple:
-    """The rows of the packed hidden states at each sample's rows
-    ``rows[i]``, counted from its own first row, and each one's sample."""
-    rows = [np.asarray(r, dtype=np.intp) for r in rows]
-    return (np.concatenate([f.start + r
-                            for f, r in zip(fused, rows, strict=True)]),
-            np.repeat(np.arange(len(rows)), [r.size for r in rows]))
-
-
-def _text_rows(fused: list, rows: list, what: str) -> tuple:
-    """``_packed_rows`` of text positions; a position outside its sample's
-    text span raises ``IndexError`` naming ``what``."""
-    for f, r in zip(fused, rows, strict=True):
-        if len(r) and (min(r) < 0 or max(r) >= f.n_text):
-            raise IndexError(f"{what} outside text span [0, {f.n_text}): "
-                             f"{min(r)}..{max(r)}")
-    return _packed_rows(fused, rows)
-
-
-def tpp_predictions(fused: list, boundaries: list, head: TppHead) -> tuple:
+def tpp_predictions(fused: FusedBatch, boundaries: list,
+                    head: TppHead) -> tuple:
     """Over the words of the batch (``boundaries[i]`` are sample i's), the
     [2w, 1] predictions read at each word's first token, then at each
     word's last token; their targets (start, then end, over max_seconds);
     and each row's sample."""
-    first_rows, sample = _text_rows(
-        fused, [[b.first_token_index for b in words] for words in boundaries],
+    first_rows, sample = fused.text_rows(
+        [[b.first_token_index for b in words] for words in boundaries],
         "word boundary")
-    last_rows, _ = _text_rows(
-        fused, [[b.last_token_index for b in words] for words in boundaries],
+    last_rows, _ = fused.text_rows(
+        [[b.last_token_index for b in words] for words in boundaries],
         "word boundary")
     words = [b for sample_words in boundaries for b in sample_words]
     la = head.max_seconds
-    hidden = fused[0].hidden
     target = np.array([b.start_time / la for b in words]
                       + [b.end_time / la for b in words],
-                      dtype=hidden.dtype).reshape(-1, 1)
-    pred = concat([matmul(gather_rows(hidden, first_rows), head.w_start),
-                   matmul(gather_rows(hidden, last_rows), head.w_end)])
+                      dtype=fused.hidden.dtype).reshape(-1, 1)
+    pred = concat([matmul(gather_rows(fused.hidden, first_rows), head.w_start),
+                   matmul(gather_rows(fused.hidden, last_rows), head.w_end)])
     return pred, target, np.concatenate([sample, sample])
 
 
-def tpp_loss(fused: list, boundaries: list, head: TppHead) -> Tensor:
+def tpp_loss(fused: FusedBatch, boundaries: list, head: TppHead) -> Tensor:
     """Each sample's mean over its words of 0.5 * [(pred_start - s/L)^2 +
     (pred_end - e/L)^2]; 0 for a sample without words."""
     pred, target, sample = tpp_predictions(fused, boundaries, head)
@@ -166,74 +148,52 @@ def make_crs_sample(sample: Sample, dialogs: list, rng: np.random.Generator,
     return corrupted, label
 
 
-def crs_logits(fused: list, weight: Parameter, bias: Parameter) -> Tensor:
+def crs_logits(fused: FusedBatch, weight: Parameter,
+               bias: Parameter) -> Tensor:
     """[b, 4] logits of a linear classifier on each fused <s> state."""
-    return linear(gather_rows(fused[0].hidden, [f.start for f in fused]),
-                  weight, bias)
+    return linear(gather_rows(fused.hidden, fused.start), weight, bias)
 
 
-def crs_loss(fused: list, labels: list, weight: Parameter,
+def crs_loss(fused: FusedBatch, labels: list, weight: Parameter,
              bias: Parameter) -> Tensor:
     """Each sample's cross-entropy of the 4-way response-selection logits
     against its label; 0 for a sample whose label is None."""
     sample = [i for i, label in enumerate(labels) if label is not None]
-    states = gather_rows(fused[0].hidden, [fused[i].start for i in sample])
+    states = gather_rows(fused.hidden, fused.start[sample])
     return cross_entropy(linear(states, weight, bias),
                          [labels[i] for i in sample], sample, len(fused))
 
 
-def cmlm_loss(fused: list, plans: list, weight: Parameter,
+def cmlm_loss(fused: FusedBatch, plans: list, weight: Parameter,
               bias: Parameter) -> Tensor:
     """Each sample's mean cross-entropy of the vocabulary head on the
     masked text positions of its plan; 0 for a sample whose plan is None
     or empty."""
-    rows, sample = _text_rows(
-        fused, [[] if p is None else p.positions for p in plans],
-        "masked position")
-    logits = linear(gather_rows(fused[0].hidden, rows), weight, bias)
+    rows, sample = fused.text_rows(
+        [[] if p is None else p.positions for p in plans], "masked position")
+    logits = linear(gather_rows(fused.hidden, rows), weight, bias)
     labels = [label for p in plans if p is not None for label in p.labels]
     return cross_entropy(logits, labels, sample, len(fused))
 
 
-def cmam_loss(fused: list, plans: list, targets: list, weight: Parameter,
-              bias: Parameter) -> Tensor:
-    """Each sample's mean absolute error reconstructing its masked
-    extractor frames; 0 for a sample without masked frames.
+def cmam_loss(fused: FusedBatch, keep: np.ndarray, targets: np.ndarray,
+              weight: Parameter, bias: Parameter) -> Tensor:
+    """Each sample's mean absolute error reconstructing its scored
+    extractor frames; 0 for a sample without any.
 
-    ``plans[i]`` is sample i's (prev, cur) pair of mask plans, None for a
-    turn left out, and ``targets[i]`` the pair of pre-mask extractor
-    outputs at the masked frames, passed as plain arrays (constants).
-    Plans map frame indices to fused positions through the sequence
-    layout; a plan whose length disagrees with the fused layout is an
-    error.
+    ``keep`` is a bool over the batch's speech frames in
+    ``FusedBatch.frame_rows`` order, true at each frame scored, and
+    ``targets`` the pre-mask extractor outputs at those frames, in order,
+    as a plain array (constants).  A ``keep`` of another length than the
+    batch's frames raises ``IndexError``.
     """
-    dtype = fused[0].hidden.dtype
-    rows, target_rows = [], [np.zeros((0, weight.shape[1]), dtype)]
-    for f, turn_plans, turn_targets in zip(fused, plans, targets,
-                                           strict=True):
-        own = []
-        for plan, target, m, to_fused in zip(
-                turn_plans, turn_targets, (f.m_prev, f.m_cur),
-                (f.prev_frame_index, f.cur_frame_index)):
-            if plan is None:
-                continue
-            if plan.length != m:
-                raise IndexError(
-                    f"mask plan covers {plan.length} frames but the fused "
-                    f"sequence holds {m}")
-            masked = plan.masked_indices()
-            if masked.size == 0:
-                continue
-            if target is None or len(target) != masked.size:
-                raise IndexError(
-                    f"need {masked.size} target frames, got "
-                    f"{0 if target is None else len(target)}")
-            own.extend(to_fused(masked))
-            target_rows.append(np.asarray(target, dtype=dtype))
-        rows.append(own)
-    packed, sample = _packed_rows(fused, rows)
-    preds = linear(gather_rows(fused[0].hidden, packed), weight, bias)
-    return mae(preds, np.concatenate(target_rows), sample, len(fused))
+    rows = fused.frame_rows()
+    if keep.shape != rows.shape:
+        raise IndexError(f"keep covers {keep.size} frames but the fused "
+                         f"batch holds {rows.size}")
+    sample = np.repeat(np.arange(len(fused)), fused.m_prev + fused.m_cur)
+    preds = linear(gather_rows(fused.hidden, rows[keep]), weight, bias)
+    return mae(preds, targets, sample[keep], len(fused))
 
 
 def joint_loss(tpp: Tensor, crs: Tensor | None, cmlm: Tensor, cmam: Tensor,

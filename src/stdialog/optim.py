@@ -65,11 +65,6 @@ class AdamW:
                 + cfg.weight_decay * p.data
             p.data = p.data - (lr * update).astype(p.data.dtype)
 
-    def state_dict(self) -> dict:
-        return {"t": self.t,
-                "m": {k: val.copy() for k, val in self.m.items()},
-                "v": {k: val.copy() for k, val in self.v.items()}}
-
     def load_state_dict(self, state: dict) -> None:
         self.t = int(state["t"])
         for p in self.params:

@@ -112,7 +112,6 @@ class TokenizedInput:
     segment_ids: np.ndarray      # int64 [n], 1 on current turn + final </s>
     position_ids: np.ndarray     # int64 [n]
     word_boundaries: list        # list[TokenBoundary] over the last two turns
-    dropped_history_turns: int = 0
 
     @property
     def length(self) -> int:
@@ -129,7 +128,6 @@ def tokenize_sample(sample: Sample, vocab: Vocab, tokenizer=None,
     """
     tokenizer = tokenizer or WhitespaceTokenizer()
     turns = sample.text_turns
-    dropped = 0
     while True:
         ids, segments, boundaries = _layout(turns, sample, vocab, tokenizer)
         if max_len is None or len(ids) <= max_len:
@@ -139,14 +137,12 @@ def tokenize_sample(sample: Sample, vocab: Vocab, tokenizer=None,
                 f"sample {sample.dialog_id}/{sample.target_turn_index}: last "
                 f"two turns alone need {len(ids)} tokens > max {max_len}")
         turns = turns[1:]
-        dropped += 1
     n = len(ids)
     return TokenizedInput(
         token_ids=np.asarray(ids, dtype=np.int64),
         segment_ids=np.asarray(segments, dtype=np.int64),
         position_ids=np.arange(n, dtype=np.int64),
-        word_boundaries=boundaries,
-        dropped_history_turns=dropped)
+        word_boundaries=boundaries)
 
 
 def _layout(turns, sample, vocab, tokenizer):
@@ -202,10 +198,6 @@ class TextMaskPlan:
     labels: np.ndarray          # original ids at masked positions
 
     MASK_TOKEN, RANDOM_TOKEN, KEEP = 0, 1, 2
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.positions) == 0
 
     def apply(self, token_ids: np.ndarray, vocab: Vocab) -> np.ndarray:
         out = token_ids.copy()

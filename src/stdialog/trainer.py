@@ -22,6 +22,7 @@ from .autodiff import NonFiniteError, reduce_sum, register, scale
 from .finetune import (PredictionHead, TaskSpec, evaluate,
                        head_from_registry, init_prediction_head, predict,
                        replace_speech_with_noise, task_loss)
+from .frontend import check_sample_rate
 from .masking import AcousticMaskConfig
 from .model import (ModelConfig, SpeechTextModel, config_kwargs,
                     prepare_sample)
@@ -205,6 +206,7 @@ def _train(cfg, model: SpeechTextModel, opt: AdamW, start_step: int,
 def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
              resume_from=None, vocab: Vocab | None = None) -> TrainResult:
     """Joint pre-training over all samples of the corpus."""
+    check_sample_rate(corpus.dialogs, cfg.model.frontend)
     out_dir = Path(out_dir) if out_dir else None
     if vocab is None:
         vocab = build_vocab(corpus)
@@ -347,7 +349,7 @@ def evaluate_task(model: SpeechTextModel, vocab: Vocab, head: PredictionHead,
             speech_noise_std)
 
     def forward_fn(sample):
-        return predict([model.eval_fused(sample, vocab)], head).data[0]
+        return predict(model.eval_fused(sample, vocab), head).data[0]
 
     return evaluate(task, forward_fn, items)
 

@@ -307,6 +307,12 @@ class TestOpGradients:
         np.testing.assert_array_equal(out.data, np.zeros(3))
         ad.reduce_sum(out).backward()
 
+    @pytest.mark.parametrize("target", [-1, 4])
+    def test_cross_entropy_target_outside_classes_raises(self, target):
+        with pytest.raises(ValueError, match="cross_entropy: target "
+                                             rf"{target} outside \[0, 4\)"):
+            ad.cross_entropy(t64(np.zeros((2, 4))), [1, target], [0, 0], 1)
+
     def test_sample_index_out_of_range_raises(self):
         with pytest.raises(ShapeError, match="sample indices"):
             ad.mse(t64(np.zeros((2, 1))), np.zeros((2, 1)), [0, 3], 3)

@@ -132,6 +132,27 @@ def finetuned(tmp_path_factory, pretrained, task_dir):
 
 
 @pytest.fixture(scope="module")
+def rate_200hz_dirs(tmp_path_factory):
+    """A corpus and a labelled task corpus sampled at 200 Hz, twice the
+    rate of the default model frontend."""
+    from stdialog.finetune import (CrossModalTaskConfig,
+                                   make_cross_modal_task,
+                                   write_labels_manifest)
+    from stdialog.shards import write_shards
+
+    corpus = tmp_path_factory.mktemp("corpus-200hz")
+    run_cli("generate", "--seed", 3, "--num-dialogs", 2, "--out", corpus,
+            "--vocab-size", 10, "--turns-per-dialog", 2, 2,
+            "--frame-rate", 200)
+    cfg = CrossModalTaskConfig(num_dialogs=2, vocab_size=10, frame_rate=200)
+    dialogs, labels, _ = make_cross_modal_task(cfg, seed=2)
+    task = tmp_path_factory.mktemp("task-200hz")
+    write_shards(dialogs, task / "manifest.json", sample_rate=cfg.frame_rate)
+    write_labels_manifest(task / "labels.jsonl", labels)
+    return corpus, task
+
+
+@pytest.fixture(scope="module")
 def unknown_words_dir(tmp_path_factory, task_dir):
     """The task corpus with every word renamed out of the vocabulary."""
     from stdialog.corpus import WordAlignment
@@ -334,15 +355,20 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
                                   "manifest-without-shard-file",
                                   "labels-row-without-label",
                                   "labels-row-not-json",
-                                  "label-not-an-integer",
+                                  "label-not-an-integer", "label-negative",
                                   "meta-without-version",
                                   "checkpoint-without-head",
                                   "task-meta-without-num-classes",
-                                  "task-meta-kind-not-a-string"])
+                                  "task-meta-kind-not-a-string",
+                                  "pretrain-corpus-at-200hz",
+                                  "finetune-corpus-at-200hz",
+                                  "evaluate-corpus-at-200hz",
+                                  "export-corpus-at-200hz"])
 def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
                                           task_dir, finetuned,
                                           unknown_words_dir,
-                                          broken_checkpoints, tmp_path):
+                                          broken_checkpoints,
+                                          rate_200hz_dirs, tmp_path):
     missing = tmp_path / "missing"
     unknown_key = tmp_path / "config.json"
     unknown_key.write_text(json.dumps({"steps": 1, "stepz": 2}))
@@ -368,6 +394,9 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     str_label = tmp_path / "str-label.jsonl"
     str_label.write_text(
         '{"dialog_id": "d", "target_turn_index": 2, "label": "x"}\n')
+    negative_label = tmp_path / "negative-label.jsonl"
+    negative_label.write_text(
+        '{"dialog_id": "d", "target_turn_index": 2, "label": -1}\n')
     pretrain = ("pretrain", "--corpus", corpus_dir / "manifest.json",
                 "--out", tmp_path / "run")
     finetune = ("finetune", "--checkpoint",
@@ -378,6 +407,11 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
                 "--task-corpus", task_dir / "manifest.json")
     export = ("export-attention", "--checkpoint",
               pretrained / "checkpoint-final.npz")
+    corpus_200hz, task_200hz = rate_200hz_dirs
+    task_200hz_args = ("--task-corpus", task_200hz / "manifest.json",
+                       "--labels", task_200hz / "labels.jsonl")
+    rates = "corpus sample rate 200 Hz differs from the model frontend's " \
+        "100 Hz"
     args, message = {
         "missing-config": ((*pretrain, "--config", missing), str(missing)),
         "unknown-config-key": ((*pretrain, "--config", unknown_key),
@@ -424,6 +458,9 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
         "label-not-an-integer": (
             (*finetune, "--labels", str_label),
             f"{str_label} line 1: label 'x' is not an integer"),
+        "label-negative": (
+            (*finetune, "--labels", negative_label),
+            f"{negative_label} line 1: label -1 is negative"),
         "meta-without-version": (
             ("export-attention", "--checkpoint",
              broken_checkpoints["no-version"], "--corpus",
@@ -447,6 +484,18 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
              "--task-corpus", task_dir / "manifest.json",
              "--labels", task_dir / "labels.jsonl"),
             "task meta key 'kind' missing or not of type str"),
+        "pretrain-corpus-at-200hz": (
+            ("pretrain", "--corpus", corpus_200hz / "manifest.json",
+             "--out", tmp_path / "run"), rates),
+        "finetune-corpus-at-200hz": (
+            (*finetune[:3], *task_200hz_args, "--out", tmp_path / "ft"),
+            rates),
+        "evaluate-corpus-at-200hz": (
+            ("evaluate", "--checkpoint", finetuned, *task_200hz_args),
+            rates),
+        "export-corpus-at-200hz": (
+            (*export, "--corpus", corpus_200hz / "manifest.json",
+             "--out", tmp_path / "attn"), rates),
     }[case]
     result = run_cli(*args, check=False)
     assert result.returncode == 1

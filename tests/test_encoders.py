@@ -89,8 +89,8 @@ class TestTransformerLayer:
             cfg, _, layers, _, fusion, modality = make_stack(seed=25)
             h_t = Tensor(rand_x(4, seed=26).data, requires_grad=True)
             h_s = rand_x(9, seed=27)
-            fused, = enc.fuse(h_t, h_s, (4,), [(3, 4)], modality, fusion,
-                              cfg.num_heads, capture_attention=capture)
+            fused = enc.fuse(h_t, h_s, (4,), [(3, 4)], modality, fusion,
+                             cfg.num_heads, capture_attention=capture)
             ad.reduce_sum(mul(fused.hidden, rand_x(13, seed=28))) \
                 .backward()
             grads = [param.grad for param in vars(fusion).values()]
@@ -302,20 +302,57 @@ class TestFusion:
         h_t = rand_x(n, seed=seed)
         h_s = rand_x(m_prev + m_cur + 2, seed=seed + 1)
         return enc.fuse(h_t, h_s, (n,), [(m_prev, m_cur)], modality, fusion,
-                        cfg.num_heads, capture_attention=capture)[0], \
+                        cfg.num_heads, capture_attention=capture), \
             (h_t, h_s, modality, fusion, cfg)
 
     def test_output_length_identity(self):
         fused, _ = self.fused()
-        assert fused.length == 5 + 3 + 4 + 2
-        assert fused.hidden.shape == (14, 16)
+        assert len(fused) == 1
+        assert fused.hidden.shape == (5 + 3 + 4 + 2, 16)
 
-    def test_index_map(self):
-        fused, _ = self.fused()
-        assert fused.cls_speech_index == 5
-        assert fused.prev_frame_index(0) == 6
-        assert fused.sep_speech_index == 9
-        assert fused.cur_frame_index(0) == 10
+    @settings(max_examples=40, deadline=None)
+    @given(samples=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 10),
+                                      st.integers(1, 10)),
+                            min_size=1, max_size=4),
+           seed=st.integers(0, 1000), data=st.data())
+    def test_row_maps_match_layout_oracle(self, samples, seed, data):
+        cfg, _, _, _, fusion, modality = make_stack(d_h=8, heads=2, ffn=16,
+                                                    seed=seed)
+        text_lengths = tuple(n for n, _, _ in samples)
+        frames = [(m_prev, m_cur) for _, m_prev, m_cur in samples]
+        h_t = rand_x(sum(text_lengths), d=8, seed=seed)
+        h_s = rand_x(sum(m_prev + m_cur + 2 for m_prev, m_cur in frames),
+                     d=8, seed=seed + 1)
+        fused = enc.fuse(h_t, h_s, text_lengths, frames, modality, fusion,
+                         cfg.num_heads)
+        # each row of the batch by name, sample by sample, in the
+        # documented layout [text, CLS, prev, SEP, cur]
+        layout = []
+        for i, (n, m_prev, m_cur) in enumerate(samples):
+            layout += ([("text", i, j) for j in range(n)] + [("cls", i)]
+                       + [("prev", i, j) for j in range(m_prev)]
+                       + [("sep", i)] + [("cur", i, j) for j in range(m_cur)])
+        assert fused.hidden.shape == (len(layout), 8)
+        positions = [data.draw(st.lists(st.integers(0, n - 1), max_size=5))
+                     for n in text_lengths]
+        rows, sample = fused.text_rows(positions, "position")
+        assert rows.tolist() == [layout.index(("text", i, j))
+                                 for i, own in enumerate(positions)
+                                 for j in own]
+        assert sample.tolist() == [i for i, own in enumerate(positions)
+                                   for _ in own]
+        # extraction packs each sample's prev frames, then its cur frames
+        assert fused.frame_rows().tolist() == [
+            layout.index((turn, i, j)) for i, (_, m_prev, m_cur)
+            in enumerate(samples)
+            for turn, m in (("prev", m_prev), ("cur", m_cur))
+            for j in range(m)]
+        k = data.draw(st.integers(0, len(samples) - 1))
+        outside = [[] for _ in samples]
+        outside[k] = [data.draw(st.sampled_from([-1, text_lengths[k]]))]
+        with pytest.raises(IndexError, match=r"position outside text span "
+                                             rf"\[0, {text_lengths[k]}\)"):
+            fused.text_rows(outside, "position")
 
     def test_modality_embedding_difference_before_attention(self):
         cfg, _, _, _, fusion, modality = make_stack()
@@ -359,8 +396,8 @@ class TestFusion:
     def test_attention_rows_sum_to_one(self):
         fused, _ = self.fused(capture=True)
         assert fused.attention is not None
-        assert fused.attention.shape == (4, 14, 14)
-        np.testing.assert_allclose(fused.attention.sum(axis=-1),
+        assert fused.attention[0].shape == (4, 14, 14)
+        np.testing.assert_allclose(fused.attention[0].sum(axis=-1),
                                    np.ones((4, 14)), atol=1e-5)
 
     def test_batch_equals_one_call_per_sample(self):
@@ -384,9 +421,9 @@ class TestFusion:
                 h_s = Tensor(speech[s_rows], requires_grad=True)
                 fused = enc.fuse(h_t, h_s, lengths, turns, modality, fusion,
                                  cfg.num_heads)
-                h = fused[0].hidden
-                assert all(f.hidden is h for f in fused)
-                hidden += [h.data[f.start:f.start + f.length] for f in fused]
+                h = fused.hidden
+                ends = np.cumsum(fused.n_text + fused.m_prev + fused.m_cur + 2)
+                hidden += np.split(h.data, ends[:-1])
                 ad.reduce_sum(mul(h, Tensor(np.concatenate(
                     proj[i:i + len(fused)])))).backward()
                 i += len(fused)
@@ -413,24 +450,11 @@ class TestFusion:
             enc.fuse(rand_x(3), rand_x(9), (1, 2), [(3, 4), (1, 0)],
                      modality, fusion, cfg.num_heads)
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 12), m_prev=st.integers(1, 10),
-           m_cur=st.integers(1, 10), seed=st.integers(0, 1000))
-    def test_fused_length_property(self, n, m_prev, m_cur, seed):
-        cfg, _, _, _, fusion, modality = make_stack(d_h=8, heads=2, ffn=16,
-                                                    seed=seed)
-        h_t = rand_x(n, d=8, seed=seed)
-        h_s = rand_x(m_prev + m_cur + 2, d=8, seed=seed + 1)
-        fused, = enc.fuse(h_t, h_s, (n,), [(m_prev, m_cur)], modality,
-                          fusion, cfg.num_heads)
-        assert fused.hidden.shape == (n + m_prev + m_cur + 2, 8)
-        assert fused.length == n + m_prev + m_cur + 2
-
 
 class TestExportAttention:
     def test_requires_capture(self, tmp_path):
         cfg, _, _, _, fusion, modality = make_stack()
-        fused, = enc.fuse(rand_x(3, seed=16), rand_x(6, seed=17), (3,),
+        fused = enc.fuse(rand_x(3, seed=16), rand_x(6, seed=17), (3,),
                           [(2, 2)], modality, fusion, cfg.num_heads,
                           capture_attention=False)
         with pytest.raises(enc.AttentionNotCaptured):
@@ -438,13 +462,13 @@ class TestExportAttention:
 
     def test_written_files_and_metadata(self, tmp_path):
         cfg, _, _, _, fusion, modality = make_stack()
-        fused, = enc.fuse(rand_x(5, seed=18), rand_x(9, seed=19), (5,),
+        fused = enc.fuse(rand_x(5, seed=18), rand_x(9, seed=19), (5,),
                           [(4, 3)], modality, fusion, cfg.num_heads,
                           capture_attention=True)
         paths = enc.export_attention(fused, tmp_path / "attn")
         mean = np.loadtxt(paths["mean"], delimiter=",")
-        assert mean.shape == (fused.length, fused.length)
-        np.testing.assert_allclose(mean.sum(axis=1), np.ones(fused.length),
+        assert mean.shape == (14, 14)
+        np.testing.assert_allclose(mean.sum(axis=1), np.ones(14),
                                    atol=1e-5)
         meta = json.loads((tmp_path / "attn_meta.json").read_text())
         assert meta["text_span"] == [0, 5]

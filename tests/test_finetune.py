@@ -4,16 +4,23 @@ import pytest
 from stdialog import corpus as cp
 from stdialog import finetune as ft
 from stdialog.autodiff import Tensor
-from stdialog.encoders import FusedRepresentation
+from stdialog.encoders import FusedBatch
 from stdialog.gradcheck import grad_check
 
 from oracles import dot
 
 
+def fused_batch(hidden, starts=(0,)) -> FusedBatch:
+    """Samples of 6 text rows and one prev and one cur frame, from rows
+    ``starts`` of ``hidden``."""
+    b = len(starts)
+    return FusedBatch(Tensor(hidden), np.full(b, 6), np.ones(b, int),
+                      np.ones(b, int), np.array(starts))
+
+
 def make_fused(d=8, seed=0):
     rng = np.random.default_rng(seed)
-    return FusedRepresentation(Tensor(rng.standard_normal((10, d))),
-                               n_text=6, m_prev=1, m_cur=1, start=0)
+    return fused_batch(rng.standard_normal((10, d)))
 
 
 def make_head(d=8, d_o=4, seed=1, dtype=np.float64):
@@ -42,7 +49,7 @@ class TestPredict:
         head, _ = make_head()
         head.w2.data[...] = 0.0
         head.b2.data[...] = [1.0, -2.0, 0.5, 3.0]
-        out = ft.predict([fused], head)
+        out = ft.predict(fused, head)
         np.testing.assert_allclose(out.data[0], [1.0, -2.0, 0.5, 3.0],
                                    atol=1e-12)
 
@@ -52,7 +59,7 @@ class TestPredict:
         head.w1.data[...] = 0.0
         head.b1.data[...] = 0.0
         head.b2.data[...] = [0.1, 0.2, 0.3, 0.4]
-        out = ft.predict([fused], head)
+        out = ft.predict(fused, head)
         np.testing.assert_allclose(out.data[0], [0.1, 0.2, 0.3, 0.4],
                                    atol=1e-12)
 
@@ -62,7 +69,7 @@ class TestPredict:
         for _ in range(100):
             fused = make_fused(seed=int(rng.integers(1e6)))
             head, _ = make_head(seed=int(rng.integers(1e6)))
-            out = ft.predict([fused], head).data[0]
+            out = ft.predict(fused, head).data[0]
             h0 = fused.hidden.data[0].tolist()
             hidden = []
             for j in range(8):
@@ -76,10 +83,10 @@ class TestPredict:
     def test_w2_scaling_scales_output(self):
         fused = make_fused()
         head, _ = make_head()
-        base = ft.predict([fused], head).data
+        base = ft.predict(fused, head).data
         head.w2.data[...] *= 3.0
         head.b2.data[...] *= 3.0
-        np.testing.assert_allclose(ft.predict([fused], head).data, 3 * base,
+        np.testing.assert_allclose(ft.predict(fused, head).data, 3 * base,
                                    rtol=1e-10)
 
     def test_gradients(self):
@@ -87,30 +94,28 @@ class TestPredict:
         head, registry = make_head(seed=4)
 
         def loss():
-            fused = FusedRepresentation(Tensor(fused_hidden), 6, 1, 1, 0)
-            return ft.task_loss(ft.predict([fused], head), [2],
-                                ft.TaskSpec("classification", 4))
+            return ft.task_loss(ft.predict(fused_batch(fused_hidden), head),
+                                [2], ft.TaskSpec("classification", 4))
 
         assert grad_check(loss, list(registry.values())).max_relative_error \
             < 1e-4
 
     def test_batch_rows_equal_one_sample_calls(self):
         a, b = make_fused(seed=5), make_fused(seed=6)
-        packed = Tensor(np.concatenate([a.hidden.data, b.hidden.data]))
-        batch = [FusedRepresentation(packed, 6, 1, 1, start)
-                 for start in (0, 10)]
+        batch = fused_batch(np.concatenate([a.hidden.data, b.hidden.data]),
+                            (0, 10))
         head, _ = make_head()
         out = ft.predict(batch, head).data
         assert out.shape == (2, 4)
         for row, fused in zip(out, (a, b)):
-            np.testing.assert_allclose(row, ft.predict([fused], head).data[0],
+            np.testing.assert_allclose(row, ft.predict(fused, head).data[0],
                                        rtol=1e-12)
         labels = [3, 1]
         task = ft.TaskSpec("classification", 4)
         losses = ft.task_loss(ft.predict(batch, head), labels, task).data
         for loss, fused, label in zip(losses, (a, b), labels):
             assert loss == pytest.approx(ft.task_loss(
-                ft.predict([fused], head), [label], task).item(), rel=1e-12)
+                ft.predict(fused, head), [label], task).item(), rel=1e-12)
 
     def test_second_head_on_one_registry_rejected(self):
         _, registry = make_head()
@@ -233,6 +238,15 @@ class TestCrossModalTask:
                 ft.read_labels_manifest(path)
             assert str(info.value).startswith(f"{path} line 1: label ")
             assert str(info.value).endswith(" is not an integer")
+
+    def test_negative_label_is_named(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"dialog_id": "a", "target_turn_index": 2, '
+                        '"label": 1}\n{"dialog_id": "a", '
+                        '"target_turn_index": 3, "label": -1}\n')
+        with pytest.raises(ValueError) as info:
+            ft.read_labels_manifest(path)
+        assert str(info.value) == f"{path} line 2: label -1 is negative"
 
     def test_task_samples_keep_only_labelled_turns(self):
         cfg = cp.SyntheticConfig(num_dialogs=2, turns_per_dialog=(4, 4))

@@ -48,8 +48,9 @@ class TestLengthArithmetic:
 
     def test_full_scale_timing(self):
         cfg = fe.full_scale_config()
-        assert cfg.stride_product == 1600
-        assert cfg.stride_product / cfg.sample_rate == pytest.approx(0.1)
+        hop = np.prod([spec.stride for spec in cfg.layers])
+        assert hop == 1600
+        assert hop / cfg.sample_rate == pytest.approx(0.1)
         # receptive field of the 16 kHz stack is 1680 samples (105 ms)
         assert cfg.receptive_field == 1680
 
@@ -62,7 +63,7 @@ class TestLengthArithmetic:
         cfg = fe.desk_config()
         n = cfg.output_length(300)
         assert n == stepped_length(cfg.layers, 300)
-        assert cfg.stride_product == 10
+        assert np.prod([spec.stride for spec in cfg.layers]) == 10
 
     def test_below_receptive_field_errors_with_minimum(self):
         cfg = fe.desk_config()
@@ -202,9 +203,8 @@ def hand_plan(actions, sources):
     """A mask plan with the given per-frame actions and replacement
     sources (-1 where a frame is not replaced)."""
     actions = np.array(actions)
-    return mk.MaskPlan(length=len(actions), span_length=1,
-                       mask=actions != mk.UNMASKED, actions=actions,
-                       replacement_sources=np.array(sources))
+    return mk.MaskPlan(length=len(actions), mask=actions != mk.UNMASKED,
+                       actions=actions, replacement_sources=np.array(sources))
 
 
 U, Z, R, K = mk.UNMASKED, mk.ZERO, mk.REPLACE, mk.KEEP

@@ -1,7 +1,9 @@
 """No module of the package, test or script imports a name it never
 uses, no package module imports a private name of another, every
 top-level function or class of the package has a caller outside tests
-unless ``USED_ONLY_IN_TESTS`` says why it is kept, every function the
+unless ``USED_ONLY_IN_TESTS`` says why it is kept, every method, property
+and dataclass field of the package is read outside tests unless
+``MEMBERS_USED_ONLY_IN_TESTS`` says why it is kept, every function the
 benchmark's tracer wraps exists, and the CLI catches errors in one place."""
 
 import ast
@@ -21,6 +23,11 @@ USED_ONLY_IN_TESTS = {
     "CharChunkTokenizer": "tokenizes words into several tokens",
     "full_scale_config": "the paper's 16 kHz, 99-frame frontend geometry",
     "write_labels_manifest": "the writer paired with read_labels_manifest",
+}
+
+# Class members whose only readers are tests, each kept for a reason.
+MEMBERS_USED_ONLY_IN_TESTS = {
+    "MetricsLog.read": "reads back the metric rows the resume tests compare",
 }
 
 
@@ -139,6 +146,70 @@ def test_checker_flags_an_unreferenced_function():
     shadowed = {"a": "def sub(x):\n    return x\n",
                 "b": "sub = 1\nprint(sub)\n"}
     assert unreferenced_definitions(shadowed) == ["a.sub"]
+
+
+def class_members(tree) -> list:
+    """``Class.member`` of each method, property and dataclass field of the
+    top-level classes in ``tree``; special methods such as ``__init__``
+    are left out."""
+    members = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        dataclass = any(isinstance(d, ast.Name) and d.id == "dataclass"
+                        for d in decorators)
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and \
+                    not item.name.startswith("__"):
+                members.append(f"{node.name}.{item.name}")
+            elif dataclass and isinstance(item, ast.AnnAssign) and \
+                    isinstance(item.target, ast.Name):
+                members.append(f"{node.name}.{item.target.id}")
+    return members
+
+
+def unread_members(modules: dict, extra_sources=()) -> list:
+    """``module.Class.member`` of each class member of ``modules`` (module
+    name -> source) whose name no attribute read ``x.name`` in those
+    modules or in ``extra_sources`` takes; a keyword argument or an
+    assignment sets a field but does not read it."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    reads = {node.attr
+             for tree in [*trees.values(), *map(ast.parse, extra_sources)]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}.{member}" for module, tree in trees.items()
+                  for member in class_members(tree)
+                  if member.split(".")[1] not in reads)
+
+
+def test_no_unread_class_members():
+    modules = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    others = [path.read_text() for folder in ("scripts", "bench")
+              for path in (ROOT / folder).glob("*.py")]
+    unread = unread_members(modules, others)
+    assert {u.split(".", 1)[1] for u in unread} == \
+        set(MEMBERS_USED_ONLY_IN_TESTS), unread
+
+
+def test_checker_flags_an_unread_member():
+    modules = {
+        "a": ("from dataclasses import dataclass\n\n"
+              "@dataclass\nclass Box:\n    used: int\n    unused: int\n\n"
+              "    def __post_init__(self):\n        pass\n\n"
+              "    @property\n    def size(self):\n        return self.used\n\n"
+              "    def dead(self):\n        return 1\n\n"
+              "    def alive(self):\n        return self.size\n\n"
+              "class Plain:\n    count: int = 0\n\n"
+              "    def run(self):\n        return 0\n"),
+        "b": ("from a import Box\n\nbox = Box(used=1, unused=2)\n"
+              "box.unused = 3\nprint(box.alive())\n"),
+    }
+    assert unread_members(modules) == ["a.Box.dead", "a.Box.unused",
+                                       "a.Plain.run"]
 
 
 def test_checker_flags_an_unused_import():

@@ -46,7 +46,6 @@ class TestPlanDrawing:
                 return self.inner.random(size)
 
         plan = mk.draw_mask_plan(99, ForcedRng(), cfg)
-        assert plan.span_starts == [90]
         expected = np.zeros(99, dtype=bool)
         expected[90:] = True
         np.testing.assert_array_equal(plan.mask, expected)
@@ -59,13 +58,13 @@ class TestPlanDrawing:
         cfg = mk.AcousticMaskConfig(trigger_prob=0.0, span_range=(2, 4))
         rng = np.random.default_rng(3)
         plan = mk.draw_mask_plan(9, rng, cfg)
-        assert not plan.mask.any() and plan.span_starts == []
+        assert not plan.mask.any()
         np.testing.assert_array_equal(plan.actions, np.full(9, mk.UNMASKED))
         np.testing.assert_array_equal(plan.replacement_sources,
                                       np.full(9, -1))
         # it drew the span length and the triggers, and nothing more
         ref = np.random.default_rng(3)
-        assert plan.span_length == ref.integers(2, 5)
+        ref.integers(2, 5)
         ref.random(9)
         assert rng.random() == ref.random()
 
@@ -73,7 +72,6 @@ class TestPlanDrawing:
         cfg = mk.AcousticMaskConfig(trigger_prob=1.0, span_range=(99, 99))
         plan = mk.draw_mask_plan(99, np.random.default_rng(1), cfg)
         assert plan.mask.all()
-        assert plan.span_starts == [0]
 
     def test_determinism(self):
         rng_a = np.random.default_rng(42)
@@ -100,15 +98,12 @@ class TestPlanDrawing:
         assert plan.mask.dtype == bool and plan.mask.shape == (l,)
         # actions defined exactly where masked
         assert np.all((plan.actions != mk.UNMASKED) == plan.mask)
-        # spans never re-trigger inside themselves
-        starts = plan.span_starts
-        for a, b in zip(starts, starts[1:]):
-            assert b - a >= plan.span_length
-        # masked region is the clipped union of the recorded spans
-        rebuilt = np.zeros(l, dtype=bool)
-        for s in starts:
-            rebuilt[s:s + plan.span_length] = True
-        np.testing.assert_array_equal(plan.mask, rebuilt)
+        # masked region is the clipped union of the spans that the scalar
+        # scan, which never re-triggers inside a span, finds in the draws
+        ref = np.random.default_rng(seed)
+        n = int(ref.integers(lo, lo + extra + 1))
+        mask, _ = span_scan_oracle(ref.random(l).tolist(), n, trig)
+        assert plan.mask.tolist() == mask
 
 
 def oracle_plan(length, rng, cfg):
@@ -150,7 +145,14 @@ class TestScanKernel:
                 mask, starts, actions, sources = oracle_plan(
                     length, np.random.default_rng(seed), cfg)
                 assert plan.mask.tolist() == mask, (length, seed)
-                assert plan.span_starts == starts, (length, seed)
+                # the kernel's span starts over the plan's own draws
+                rng = np.random.default_rng(seed)
+                n = rng.integers(cfg.span_range[0], cfg.span_range[1] + 1)
+                _, kernel_starts = mk.span_masks(rng.random((1, length)),
+                                                 np.array([n]),
+                                                 cfg.trigger_prob)
+                assert kernel_starts[0].nonzero()[0].tolist() == starts, \
+                    (length, seed)
                 assert plan.actions.tolist() == actions, (length, seed)
                 assert plan.replacement_sources.tolist() == sources, \
                     (length, seed)

@@ -58,8 +58,7 @@ class TestForward:
             n = len(md.tokenize_sample(sample, vocab).token_ids)
             m_prev = model.config.frontend.output_length(len(sample.speech_prev))
             m_cur = model.config.frontend.output_length(len(sample.speech_cur))
-            assert fused.length == n + m_prev + m_cur + 2
-            assert fused.hidden.shape == (fused.length, 8)
+            assert fused.hidden.shape == (n + m_prev + m_cur + 2, 8)
 
     def test_eval_forward_deterministic(self):
         model, vocab, _, samples = tiny_setup()
@@ -91,14 +90,14 @@ class TestForward:
         sample = samples[0]
         fused = model.eval_fused(sample, vocab)
         boundaries = md.tokenize_sample(sample, vocab).word_boundaries
-        errors = model.tpp_absolute_errors(fused, boundaries)
-        tpp = ob.tpp_loss([fused], [boundaries], model.tpp_head).item()
+        errors = model.tpp_absolute_errors(fused, [boundaries])
+        tpp = ob.tpp_loss(fused, [boundaries], model.tpp_head).item()
         assert tpp == pytest.approx(
             0.5 * float((errors ** 2).sum()) / len(boundaries), rel=1e-12)
-        assert model.tpp_absolute_errors(fused, []).shape == (0,)
-        crs = [ob.crs_loss([fused], [label], model.crs_w, model.crs_b).item()
+        assert model.tpp_absolute_errors(fused, [[]]).shape == (0,)
+        crs = [ob.crs_loss(fused, [label], model.crs_w, model.crs_b).item()
                for label in range(4)]
-        assert model.crs_predict(fused) == int(np.argmin(crs))
+        assert model.crs_predict(fused).tolist() == [int(np.argmin(crs))]
 
     def test_speech_path_matches_composed_reference(self):
         model, vocab, _, samples = tiny_setup()
@@ -124,11 +123,7 @@ class TestForward:
                 [w.astype(np.float64) for p in prepared
                  for w in (p.wave_prev, p.wave_cur)],
                 frontend, model.conv_params, *model.extract_ln)
-            offsets = np.cumsum(turn_frames) - turn_frames
-            turn_targets = [feats.data[offset + plan.masked_indices()]
-                            for plan, offset in zip(plans, offsets)]
-            targets["composed"] = list(zip(turn_targets[0::2],
-                                           turn_targets[1::2]))
+            targets["composed"] = feats.data
             projected = composed_project_features(
                 feats, *model.proj_ln, model.proj_w, model.proj_b,
                 turn_frames, plans)
@@ -139,19 +134,14 @@ class TestForward:
                 [m_prev + m_cur + 2 for m_prev, m_cur in frames])
 
         assert_node_matches_reference(node, composed, params)
-        for pair, ref_pair in zip(targets["node"], targets["composed"]):
-            for target, ref in zip(pair, ref_pair):
-                if ref.size:
-                    np.testing.assert_allclose(target, ref, rtol=1e-10,
-                                               atol=1e-14)
-                else:
-                    assert target is None
+        np.testing.assert_allclose(targets["node"], targets["composed"],
+                                   rtol=1e-10, atol=1e-14)
 
     def test_capture_attention_available(self):
         model, vocab, _, samples = tiny_setup()
         fused = model.eval_fused(samples[0], vocab, capture_attention=True)
         assert fused.attention is not None
-        assert fused.attention.shape[1] == fused.length
+        assert fused.attention[0].shape[1] == fused.hidden.shape[0]
 
 
 def speech_batch(model, vocab, samples, seed=4):
@@ -160,7 +150,7 @@ def speech_batch(model, vocab, samples, seed=4):
     zeroed by its plan), and every turn has a mask plan."""
     a, b, c = [prepare(model, vocab, sample, seed=seed + i, trigger=0.6)
                for i, sample in enumerate(samples[:3])]
-    one_frame = mk.MaskPlan(length=1, span_length=1, mask=np.array([True]),
+    one_frame = mk.MaskPlan(length=1, mask=np.array([True]),
                             actions=np.array([mk.ZERO]),
                             replacement_sources=np.array([-1]))
     rf = model.config.frontend.receptive_field
@@ -173,8 +163,8 @@ STAGES = ((fe, "extract_features"), (fe, "project_features"),
 
 
 def speech_stages(model, prepared) -> tuple:
-    """``model.forward(prepared)``'s fused representations and targets,
-    and the output of each speech input stage of that forward, by name."""
+    """``model.forward(prepared)``'s fused batch and targets, and the
+    output of each speech input stage of that forward, by name."""
     stages = {}
 
     def spy(name, original):
@@ -280,7 +270,7 @@ class TestBatch:
 
         def spy(prepared):
             fused, targets = forward(prepared)
-            hidden.append(fused[0].hidden)
+            hidden.append(fused.hidden)
             return fused, targets
 
         model.forward = spy
@@ -311,9 +301,11 @@ class TestBatch:
         assert len(set(lengths)) == 3
         assert lengths[1][0] == model.config.frontend.receptive_field
         _, targets, batch = speech_stages(model, prepared)
+        # the targets are the pre-mask extractor output
+        np.testing.assert_array_equal(targets, batch["extract_features"].data)
         rows = stage_rows(model, prepared)
         for i, p in enumerate(prepared):
-            _, single_targets, single = speech_stages(model, [p])
+            _, _, single = speech_stages(model, [p])
             for _, name in STAGES:
                 np.testing.assert_allclose(
                     batch[name].data[rows[name][i]], single[name].data,
@@ -327,15 +319,6 @@ class TestBatch:
             np.testing.assert_array_equal(seq[m_prev + 1], model.sep_vec.data)
             np.testing.assert_array_equal(seq[1:m_prev + 1], frames[:m_prev])
             np.testing.assert_array_equal(seq[m_prev + 2:], frames[m_prev:])
-            # targets are the batch's pre-mask frames at the masked rows
-            feats = batch["extract_features"].data[rows["extract_features"][i]]
-            for target, single_target, plan, first in zip(
-                    targets[i], single_targets[0],
-                    (p.acoustic_plan_prev, p.acoustic_plan_cur), (0, m_prev)):
-                np.testing.assert_array_equal(
-                    target, feats[first + plan.masked_indices()])
-                np.testing.assert_allclose(target, single_target, rtol=1e-12,
-                                           atol=1e-14)
 
     def test_perturbed_waveform_leaves_other_samples_bit_identical(self):
         model, vocab, _, samples = tiny_setup(dtype="float32")
@@ -359,10 +342,11 @@ class TestBatch:
             np.testing.assert_array_equal(
                 before["conv_position_embedding"].data[row],
                 after["conv_position_embedding"].data[row])
+        ends = np.cumsum(fused.n_text + fused.m_prev + fused.m_cur + 2)
         for i in (0, 2):
-            f, g = fused[i], other_fused[i]
-            assert f.hidden.data[f.start:f.start + f.length].tobytes() == \
-                g.hidden.data[g.start:g.start + g.length].tobytes(), i
+            rows = slice(ends[i - 1] if i else 0, ends[i])
+            assert fused.hidden.data[rows].tobytes() == \
+                other_fused.hidden.data[rows].tobytes(), i
 
     def test_speech_path_nodes_do_not_grow_with_batch(self):
         model, vocab, _, samples = tiny_setup()
@@ -374,6 +358,33 @@ class TestBatch:
             assert sum(n._backward is not None for n in nodes) == 4
             counts.append(len(nodes))
         assert counts[0] == counts[1]
+
+    def test_cmam_scores_masked_frames_at_their_layout_rows(self):
+        model, vocab, _, samples = tiny_setup()
+        prepared = speech_batch(model, vocab, samples)
+        prepared[2] = replace(prepared[2], cmam_turns=(False, True))
+        fused, feats = model.forward(prepared)
+        cmam = model.compute_losses(prepared)["cmam"].data
+        first_frame = 0   # of the sample, in the packed extractor output
+        for i, p in enumerate(prepared):
+            n, m_prev = fused.n_text[i], fused.m_prev[i]
+            rows, targets = [], []
+            # the prev turn's frames follow CLS, the cur turn's SEP, in
+            # the layout [text, CLS, prev, SEP, cur]
+            for plan, scored, first_row, frame in (
+                    (p.acoustic_plan_prev, p.cmam_turns[0], n + 1,
+                     first_frame),
+                    (p.acoustic_plan_cur, p.cmam_turns[1], n + m_prev + 2,
+                     first_frame + m_prev)):
+                masked = np.flatnonzero(plan.mask) if scored else []
+                rows += [fused.start[i] + first_row + j for j in masked]
+                targets += [feats[frame + j] for j in masked]
+            first_frame += m_prev + fused.m_cur[i]
+            assert rows, i
+            pred = fused.hidden.data[rows] @ model.cmam_w.data \
+                + model.cmam_b.data
+            assert cmam[i] == pytest.approx(
+                np.abs(pred - np.array(targets)).mean(), rel=1e-12)
 
     def test_short_waveform_in_batch_names_minimum(self):
         model, vocab, _, samples = tiny_setup()

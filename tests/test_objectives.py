@@ -1,26 +1,28 @@
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from stdialog import corpus as cp
 from stdialog import objectives as ob
 from stdialog.autodiff import Parameter, Tensor, reduce_sum
-from stdialog.encoders import FusedRepresentation
+from stdialog.encoders import FusedBatch
 from stdialog.gradcheck import grad_check
-from stdialog.masking import MaskPlan
 from stdialog.text import TextMaskPlan, TokenBoundary
 
 from oracles import cmam_oracle, cmlm_oracle, crs_oracle, tpp_oracle
 
 
+def one_sample(hidden, n_text, m_prev, m_cur) -> FusedBatch:
+    """A batch of one sample over the rows of array ``hidden``."""
+    return FusedBatch(Tensor(hidden), np.array([n_text]), np.array([m_prev]),
+                      np.array([m_cur]), np.array([0]))
+
+
 def make_fused(n_text=6, m_prev=3, m_cur=4, d=8, seed=0):
     rng = np.random.default_rng(seed)
     length = n_text + m_prev + m_cur + 2
-    hidden = Tensor(rng.standard_normal((length, d)))
-    return FusedRepresentation(hidden=hidden, n_text=n_text, m_prev=m_prev,
-                               m_cur=m_cur, start=0)
+    return one_sample(rng.standard_normal((length, d)), n_text, m_prev,
+                      m_cur)
 
 
 def make_head(d=8, seed=1, max_seconds=10.0):
@@ -35,10 +37,10 @@ class TestTppLoss:
         fused = make_fused()
         head = make_head()
         pred, _, _ = ob.tpp_predictions(
-            [fused], [[TokenBoundary(1, 2, 0.0, 0.0, 1)]], head)
+            fused, [[TokenBoundary(1, 2, 0.0, 0.0, 1)]], head)
         boundary = TokenBoundary(1, 2, float(pred.data[0, 0] * 10),
                                  float(pred.data[1, 0] * 10), 1)
-        loss = ob.tpp_loss([fused], [[boundary]], head)
+        loss = ob.tpp_loss(fused, [[boundary]], head)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_single_word(self):
@@ -47,13 +49,12 @@ class TestTppLoss:
         hidden = np.zeros((6, d))
         hidden[1] = [1.0, 0, 0, 0]
         hidden[2] = [0, 1.0, 0, 0]
-        fused = FusedRepresentation(Tensor(hidden), n_text=4, m_prev=0,
-                                    m_cur=0, start=0)
+        fused = one_sample(hidden, n_text=4, m_prev=0, m_cur=0)
         w_start = Parameter(np.array([[0.30], [0], [0], [0]]), "ws")
         w_end = Parameter(np.array([[0], [0.50], [0], [0]]), "we")
         head = ob.TppHead(w_start, w_end, max_seconds=10.0)
         boundary = TokenBoundary(1, 2, 2.5, 5.0, 1)
-        loss = ob.tpp_loss([fused], [[boundary]], head)
+        loss = ob.tpp_loss(fused, [[boundary]], head)
         assert loss.item() == pytest.approx(0.00125, abs=1e-12)
 
     def test_scalar_oracle_random_cases(self):
@@ -71,7 +72,7 @@ class TestTppLoss:
                 boundaries.append(TokenBoundary(first, last, s,
                                                 s + float(rng.uniform(0, 3)),
                                                 int(rng.integers(0, 2))))
-            loss = ob.tpp_loss([fused], [boundaries], head).item()
+            loss = ob.tpp_loss(fused, [boundaries], head).item()
             oracle = tpp_oracle(
                 fused.hidden.data.tolist(),
                 [(b.first_token_index, b.last_token_index, b.start_time,
@@ -85,18 +86,18 @@ class TestTppLoss:
         head = make_head(seed=4)
         boundaries = [TokenBoundary(0, 1, 0.5, 1.0, 0),
                       TokenBoundary(2, 3, 1.0, 2.0, 1)]
-        single = ob.tpp_loss([fused], [boundaries], head).item()
-        doubled = ob.tpp_loss([fused], [boundaries * 2], head).item()
+        single = ob.tpp_loss(fused, [boundaries], head).item()
+        doubled = ob.tpp_loss(fused, [boundaries * 2], head).item()
         assert single == pytest.approx(doubled, abs=1e-12)
 
     def test_empty_boundaries_zero(self):
-        assert ob.tpp_loss([make_fused()], [[]], make_head()).item() == 0.0
+        assert ob.tpp_loss(make_fused(), [[]], make_head()).item() == 0.0
 
     def test_boundary_outside_text_span_raises(self):
         fused = make_fused(n_text=4)
         head = make_head()
         with pytest.raises(IndexError, match="text span"):
-            ob.tpp_loss([fused], [[TokenBoundary(2, 5, 0.1, 0.2, 1)]], head)
+            ob.tpp_loss(fused, [[TokenBoundary(2, 5, 0.1, 0.2, 1)]], head)
 
     def test_gradients_match_finite_differences(self):
         fused_hidden = np.random.default_rng(5).standard_normal((10, 8))
@@ -107,8 +108,8 @@ class TestTppLoss:
                       TokenBoundary(3, 3, 1.5, 2.0, 1)]
 
         def loss():
-            fused = FusedRepresentation(Tensor(fused_hidden), 6, 1, 1, 0)
-            return ob.tpp_loss([fused], [boundaries], head)
+            fused = one_sample(fused_hidden, 6, 1, 1)
+            return ob.tpp_loss(fused, [boundaries], head)
 
         report = grad_check(loss, list(registry.values()))
         assert report.max_relative_error < 1e-4
@@ -202,15 +203,15 @@ class TestCrsLoss:
         fused = make_fused()
         w = Parameter(np.zeros((8, 4)), "w")
         b = Parameter(np.zeros(4), "b")
-        loss = ob.crs_loss([fused], [2], w, b)
+        loss = ob.crs_loss(fused, [2], w, b)
         assert loss.item() == pytest.approx(math.log(4), abs=1e-12)
 
     def test_confident_correct_logit_lowers_loss(self):
         fused = make_fused()
         w = Parameter(np.zeros((8, 4)), "w")
-        lo = ob.crs_loss([fused], [1], w, Parameter(
+        lo = ob.crs_loss(fused, [1], w, Parameter(
             np.array([0.0, 1.0, 0, 0]), "b1")).item()
-        hi = ob.crs_loss([fused], [1], w, Parameter(
+        hi = ob.crs_loss(fused, [1], w, Parameter(
             np.array([0.0, 10.0, 0, 0]), "b2")).item()
         assert hi < lo < math.log(4)
         assert hi < 1e-3
@@ -222,7 +223,7 @@ class TestCrsLoss:
             w = Parameter(rng.standard_normal((8, 4)), "w")
             b = Parameter(rng.standard_normal(4), "b")
             label = int(rng.integers(0, 4))
-            loss = ob.crs_loss([fused], [label], w, b).item()
+            loss = ob.crs_loss(fused, [label], w, b).item()
             oracle = crs_oracle(fused.hidden.data[0].tolist(),
                                 w.data.tolist(), b.data.tolist(), label)
             assert abs(loss - oracle) < 1e-10
@@ -233,8 +234,8 @@ class TestCrsLoss:
         b = Parameter(np.zeros(4), "b")
 
         def loss():
-            fused = FusedRepresentation(Tensor(hidden), 6, 1, 1, 0)
-            return ob.crs_loss([fused], [3], w, b)
+            fused = one_sample(hidden, 6, 1, 1)
+            return ob.crs_loss(fused, [3], w, b)
 
         assert grad_check(loss, [w, b]).max_relative_error < 1e-4
 
@@ -252,14 +253,14 @@ class TestCmlmLoss:
         w = Parameter(np.zeros((8, 16)), "w")
         b = Parameter(np.zeros(16), "b")
         plan = self.make_plan([], [])
-        assert ob.cmlm_loss([fused], [plan], w, b).item() == 0.0
+        assert ob.cmlm_loss(fused, [plan], w, b).item() == 0.0
 
     def test_uniform_logits_ln16(self):
         fused = make_fused()
         w = Parameter(np.zeros((8, 16)), "w")
         b = Parameter(np.zeros(16), "b")
         plan = self.make_plan([1, 2], [5, 6])
-        assert ob.cmlm_loss([fused], [plan], w, b).item() == \
+        assert ob.cmlm_loss(fused, [plan], w, b).item() == \
             pytest.approx(math.log(16), abs=1e-12)
 
     def test_scalar_oracle_five_tokens(self):
@@ -270,7 +271,7 @@ class TestCmlmLoss:
             b = Parameter(rng.standard_normal(16), "b")
             plan = self.make_plan([0, 1, 2, 3, 4],
                                   rng.integers(0, 16, 5))
-            loss = ob.cmlm_loss([fused], [plan], w, b).item()
+            loss = ob.cmlm_loss(fused, [plan], w, b).item()
             states = fused.hidden.data[plan.positions].tolist()
             oracle = cmlm_oracle(states, w.data.tolist(), b.data.tolist(),
                                  plan.labels.tolist())
@@ -281,17 +282,17 @@ class TestCmlmLoss:
         w = Parameter(np.zeros((8, 16)), "w")
         b = Parameter(np.zeros(16), "b")
         with pytest.raises(IndexError):
-            ob.cmlm_loss([fused], [self.make_plan([5], [0])], w, b)
+            ob.cmlm_loss(fused, [self.make_plan([5], [0])], w, b)
 
 
-def plan_with_masked(length, masked_idx):
-    mask = np.zeros(length, dtype=bool)
-    mask[masked_idx] = True
-    actions = np.where(mask, 0, -1)
-    return MaskPlan(length=length, span_length=1, mask=mask,
-                    actions=actions.astype(np.int64),
-                    replacement_sources=np.full(length, -1, dtype=np.int64),
-                    span_starts=list(masked_idx))
+def keep_frames(fused, prev=(), cur=()):
+    """``cmam_loss``'s keep over a one-sample batch's frames: true at its
+    prev frames ``prev`` and its cur frames ``cur``."""
+    m_prev = int(fused.m_prev[0])
+    keep = np.zeros(m_prev + int(fused.m_cur[0]), dtype=bool)
+    keep[list(prev)] = True
+    keep[[m_prev + j for j in cur]] = True
+    return keep
 
 
 class TestCmamLoss:
@@ -299,19 +300,17 @@ class TestCmamLoss:
         fused = make_fused()
         w = Parameter(np.zeros((8, 4)), "w")
         b = Parameter(np.full(4, 0.7), "b")
-        plan = plan_with_masked(fused.m_prev, [0, 2])
         targets = np.full((2, 4), 0.7)
-        loss = ob.cmam_loss([fused], [(plan, None)], [(targets, None)], w,
-                            b)
+        loss = ob.cmam_loss(fused, keep_frames(fused, prev=[0, 2]), targets,
+                            w, b)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_offset_mae(self):
         fused = make_fused()
         w = Parameter(np.zeros((8, 4)), "w")
         b = Parameter(np.zeros(4), "b")
-        plan = plan_with_masked(fused.m_cur, [1])
         targets = np.full((1, 4), 0.5)
-        loss = ob.cmam_loss([fused], [(None, plan)], [(None, targets)], w,
+        loss = ob.cmam_loss(fused, keep_frames(fused, cur=[1]), targets, w,
                             b)
         assert loss.item() == pytest.approx(0.5, abs=1e-12)
 
@@ -319,20 +318,20 @@ class TestCmamLoss:
         rng = np.random.default_rng(11)
         for _ in range(100):
             fused = make_fused(seed=int(rng.integers(1e6)))
+            n_text, m_prev, m_cur = 6, 3, 4
             w = Parameter(rng.standard_normal((8, 5)), "w")
             b = Parameter(rng.standard_normal(5), "b")
-            prev_masked = sorted(set(rng.integers(0, fused.m_prev,
-                                                  2).tolist()))
-            cur_masked = sorted(set(rng.integers(0, fused.m_cur, 2).tolist()))
-            plan_p = plan_with_masked(fused.m_prev, prev_masked)
-            plan_c = plan_with_masked(fused.m_cur, cur_masked)
+            prev_masked = sorted(set(rng.integers(0, m_prev, 2).tolist()))
+            cur_masked = sorted(set(rng.integers(0, m_cur, 2).tolist()))
             t_p = rng.standard_normal((len(prev_masked), 5))
             t_c = rng.standard_normal((len(cur_masked), 5))
-            loss = ob.cmam_loss([fused], [(plan_p, plan_c)], [(t_p, t_c)],
-                                w, b).item()
-            states = [fused.hidden.data[fused.prev_frame_index(j)].tolist()
+            loss = ob.cmam_loss(
+                fused, keep_frames(fused, prev_masked, cur_masked),
+                np.concatenate([t_p, t_c]), w, b).item()
+            # rows of the layout [text, CLS, prev, SEP, cur]
+            states = [fused.hidden.data[n_text + 1 + j].tolist()
                       for j in prev_masked]
-            states += [fused.hidden.data[fused.cur_frame_index(j)].tolist()
+            states += [fused.hidden.data[n_text + m_prev + 2 + j].tolist()
                        for j in cur_masked]
             targets = t_p.tolist() + t_c.tolist()
             oracle = cmam_oracle(states, w.data.tolist(), b.data.tolist(),
@@ -340,30 +339,31 @@ class TestCmamLoss:
             assert abs(loss - oracle) < 1e-10
 
     def test_plan_length_mismatch_raises(self):
-        fused = make_fused(m_prev=3)
+        fused = make_fused(m_prev=3, m_cur=4)
         w = Parameter(np.zeros((8, 4)), "w")
         b = Parameter(np.zeros(4), "b")
-        plan = plan_with_masked(7, [0])
-        with pytest.raises(IndexError, match="fused"):
-            ob.cmam_loss([fused], [(plan, None)], [(np.zeros((1, 4)), None)],
-                         w, b)
+        keep = np.zeros(5, dtype=bool)   # a plan's mask, not the 7 frames
+        keep[0] = True
+        with pytest.raises(IndexError, match="fused batch holds 7"):
+            ob.cmam_loss(fused, keep, np.zeros((1, 4)), w, b)
 
     def test_no_masked_frames_zero(self):
         fused = make_fused()
         w = Parameter(np.zeros((8, 4)), "w")
         b = Parameter(np.zeros(4), "b")
-        plan = plan_with_masked(fused.m_prev, [])
-        loss = ob.cmam_loss([fused], [(plan, None)],
-                            [(np.zeros((0, 4)), None)], w, b)
+        loss = ob.cmam_loss(fused, keep_frames(fused), np.zeros((0, 4)), w, b)
         assert loss.item() == 0.0
 
 
-def packed(fused: list) -> list:
-    """The same samples as one batch, laid over one packed ``hidden``."""
+def packed(fused: list) -> FusedBatch:
+    """The one-sample batches ``fused`` as one batch over one packed
+    ``hidden``."""
     hidden = Tensor(np.concatenate([f.hidden.data for f in fused]))
-    starts = np.cumsum([0] + [f.length for f in fused[:-1]])
-    return [replace(f, hidden=hidden, start=int(start))
-            for f, start in zip(fused, starts)]
+    n_text, m_prev, m_cur = (np.concatenate([getattr(f, key) for f in fused])
+                             for key in ("n_text", "m_prev", "m_cur"))
+    lengths = n_text + m_prev + m_cur + 2
+    return FusedBatch(hidden, n_text, m_prev, m_cur,
+                      np.cumsum(lengths) - lengths)
 
 
 class TestBatchLosses:
@@ -387,11 +387,11 @@ class TestBatchLosses:
         labels = [1, None, 3]
         make_plan = TestCmlmLoss().make_plan
         text_plans = [make_plan([0, 5], [3, 7]), None, make_plan([4], [2])]
-        acoustic = [(plan_with_masked(3, [0, 2]), plan_with_masked(4, [1])),
-                    (None, plan_with_masked(5, [])),
-                    (None, plan_with_masked(3, [2]))]
-        targets = [(rng.standard_normal((2, 5)), rng.standard_normal((1, 5))),
-                   (None, None), (None, rng.standard_normal((1, 5)))]
+        f0, f1, f2 = self.fused
+        keeps = [keep_frames(f0, [0, 2], [1]), keep_frames(f1),
+                 keep_frames(f2, cur=[2])]
+        targets = [rng.standard_normal((3, 5)), np.zeros((0, 5)),
+                   rng.standard_normal((1, 5))]
         crs, lm, cmam = (self.params(4, 24), self.params(16, 25),
                          self.params(5, 26))
         losses = {
@@ -401,12 +401,13 @@ class TestBatchLosses:
             "cmlm": lambda f, i: ob.cmlm_loss(
                 f, [text_plans[j] for j in i], *lm),
             "cmam": lambda f, i: ob.cmam_loss(
-                f, [acoustic[j] for j in i], [targets[j] for j in i], *cmam)}
+                f, np.concatenate([keeps[j] for j in i]),
+                np.concatenate([targets[j] for j in i]), *cmam)}
         for name, loss in losses.items():
             batch = loss(packed(self.fused), [0, 1, 2]).data
             assert batch.shape == (3,) and batch[1] == 0.0, name
             for i, fused in enumerate(self.fused):
-                np.testing.assert_allclose(batch[i], loss([fused], [i]).item(),
+                np.testing.assert_allclose(batch[i], loss(fused, [i]).item(),
                                            rtol=1e-12, err_msg=name)
 
     def test_nothing_to_score_gives_zeros(self):
@@ -418,9 +419,8 @@ class TestBatchLosses:
             ob.tpp_loss(batch, [[], [], []], make_head()),
             ob.crs_loss(batch, [None] * 3, w4, b4),
             ob.cmlm_loss(batch, [None, empty, None], w16, b16),
-            ob.cmam_loss(batch, [(None, None), (plan_with_masked(2, []),
-                                                plan_with_masked(5, [])),
-                                 (None, None)], [(None, None)] * 3, w4, b4)]
+            ob.cmam_loss(batch, np.zeros(21, dtype=bool), np.zeros((0, 4)),
+                         w4, b4)]
         for loss in losses:
             np.testing.assert_array_equal(loss.data, np.zeros(3))
             reduce_sum(loss).backward()

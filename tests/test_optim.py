@@ -73,7 +73,8 @@ class TestAdamW:
         opt = AdamW([p])
         p.grad = np.array([0.1, -0.2])
         opt.step(0.01)
-        state = opt.state_dict()
+        # the optimizer state as ``trainer.load_checkpoint`` returns it
+        state = {"t": opt.t, "m": dict(opt.m), "v": dict(opt.v)}
         p2 = Parameter(np.array([1.0, 2.0]), "p")
         opt2 = AdamW([p2])
         opt2.load_state_dict(state)

@@ -115,8 +115,11 @@ class TestTokenizeSample:
         v = vocab_for(words)
         full = tx.tokenize_sample(sample, v)
         capped = tx.tokenize_sample(sample, v, max_len=full.length - 1)
-        assert capped.dropped_history_turns >= 1
         assert capped.length < full.length
+        # the oldest turn went whole, the next one stayed
+        assert v.lookup("h0a") not in capped.token_ids
+        assert v.lookup("h0b") not in capped.token_ids
+        assert v.lookup("h1a") in capped.token_ids
         # last two turns intact
         assert capped.token_ids[-2] == v.lookup("q")
 
@@ -225,7 +228,7 @@ class TestMaskTokens:
     def test_p_zero_empty_plan(self):
         tok, v = self.big_tokenized(1000)
         plan = tx.mask_tokens(tok, v, np.random.default_rng(0), p=0.0)
-        assert plan.is_empty
+        assert plan.positions.size == 0
 
     def test_masking_fraction_monte_carlo(self):
         tok, v = self.big_tokenized()
