@@ -310,6 +310,31 @@ class TestFusion:
         assert len(fused) == 1
         assert fused.hidden.shape == (5 + 3 + 4 + 2, 16)
 
+    def test_index_map(self):
+        # n=5, m_prev=3, m_cur=4: text 0..4, CLS 5, prev 6..8, SEP 9,
+        # cur 10..13
+        fused, _ = self.fused()
+        rows, sample = fused.text_rows([[0, 4]], "position")
+        assert rows.tolist() == [0, 4]
+        assert sample.tolist() == [0, 0]
+        assert fused.frame_rows().tolist() == [6, 7, 8, 10, 11, 12, 13]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), m_prev=st.integers(1, 10),
+           m_cur=st.integers(1, 10), seed=st.integers(0, 1000))
+    def test_fused_length_property(self, n, m_prev, m_cur, seed):
+        cfg, _, _, _, fusion, modality = make_stack(d_h=8, heads=2, ffn=16,
+                                                    seed=seed)
+        h_t = rand_x(n, d=8, seed=seed)
+        h_s = rand_x(m_prev + m_cur + 2, d=8, seed=seed + 1)
+        fused = enc.fuse(h_t, h_s, (n,), [(m_prev, m_cur)], modality,
+                         fusion, cfg.num_heads)
+        assert len(fused) == 1
+        assert fused.hidden.shape == (n + m_prev + m_cur + 2, 8)
+        assert fused.start.tolist() == [0]
+        assert (fused.n_text + fused.m_prev + fused.m_cur + 2).tolist() \
+            == [n + m_prev + m_cur + 2]
+
     @settings(max_examples=40, deadline=None)
     @given(samples=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 10),
                                       st.integers(1, 10)),
