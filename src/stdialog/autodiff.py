@@ -55,7 +55,7 @@ class Tensor:
     """Immutable-by-convention dense array plus autodiff bookkeeping.
 
     ``data`` must never be mutated after the tensor is produced by an op;
-    optimizers may rewrite leaf (Parameter) data between graphs.
+    optimizers may rewrite leaf (Parameter) data in place between graphs.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -112,12 +112,17 @@ class Tensor:
                 continue
             for parent, g in zip(node._parents, node._backward(node.grad),
                                  strict=True):
-                if parent.requires_grad:
+                if isinstance(parent, Parameter):
+                    parent.grad += g
+                elif parent.requires_grad:
                     parent.grad = g if parent.grad is None else parent.grad + g
 
 
 class Parameter(Tensor):
-    """Learnable leaf tensor with a persistent gradient buffer."""
+    """Learnable leaf tensor with a persistent gradient buffer.
+
+    ``Tensor.backward`` adds into ``grad`` in place and ``zero_grad``
+    fills it, so an optimizer may own both arrays (see ``optim.AdamW``)."""
 
     __slots__ = ("name",)
 
@@ -127,7 +132,7 @@ class Parameter(Tensor):
         self.grad = np.zeros_like(self.data)
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        self.grad.fill(0)
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.data.shape})"

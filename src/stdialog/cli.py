@@ -66,14 +66,12 @@ def _cmd_pretrain(args):
     return 0
 
 
-def _load_task_items(corpus_path, labels_path, model):
+def _load_task_items(corpus_path, labels_path):
     from .finetune import read_labels_manifest, task_samples
-    from .frontend import check_sample_rate
     from .shards import load_corpus
 
-    dialogs = load_corpus(corpus_path).dialogs
-    check_sample_rate(dialogs, model.config.frontend)
-    items = task_samples(dialogs, read_labels_manifest(labels_path))
+    items = task_samples(load_corpus(corpus_path).dialogs,
+                         read_labels_manifest(labels_path))
     if not items:
         raise SystemExit("no labeled samples found for this corpus")
     return items
@@ -84,7 +82,7 @@ def _cmd_finetune(args):
     from .trainer import FinetuneConfig, finetune, model_from_checkpoint
 
     model, vocab, _ = model_from_checkpoint(args.checkpoint)
-    items = _load_task_items(args.task_corpus, args.labels, model)
+    items = _load_task_items(args.task_corpus, args.labels)
     num_classes = max(label for _, label in items) + 1
     task = TaskSpec(kind="classification", num_classes=num_classes)
     cfg = _with_flags(FinetuneConfig(), args)
@@ -104,7 +102,7 @@ def _cmd_evaluate(args):
     if task is None:
         raise SystemExit("checkpoint carries no fine-tuned task head")
     head = head_from_registry(model.params)
-    items = _load_task_items(args.task_corpus, args.labels, model)
+    items = _load_task_items(args.task_corpus, args.labels)
     acc = evaluate_task(model, vocab, head, task, items,
                         speech_noise_std=args.speech_noise_std)
     print(f"{task.metric}: {acc:.4f} over {len(items)} samples")
@@ -134,12 +132,12 @@ def _cmd_export_attention(args):
 
     model, vocab, _ = model_from_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus)
-    check_sample_rate(corpus.dialogs, model.config.frontend)
     if not 0 <= args.dialog_index < len(corpus.dialogs):
         raise SystemExit(f"dialog index {args.dialog_index} out of range "
                          f"(0..{len(corpus.dialogs) - 1})")
     dialog = corpus.dialogs[args.dialog_index]
     samples = build_samples(dialog, k=args.k)
+    check_sample_rate(samples, model.config.frontend)
     wanted = [s for s in samples if s.target_turn_index == args.turn_index]
     if not wanted:
         raise SystemExit(

@@ -68,6 +68,7 @@ class Sample:
     speech_cur: np.ndarray
     tpp_words: list               # list[TppWord]
     cmam_turns: tuple = (True, True)   # which speech turns feed reconstruction
+    sample_rate: int | None = None     # Hz of both speech turns, if known
 
 
 @dataclass
@@ -183,6 +184,10 @@ def validate_dialog(dialog: Dialog, max_turn_seconds: float = 10.0) -> list:
                 f"{t.duration:.3f}s exceeds cap {max_turn_seconds}s")
         for v in validate_alignment(t):
             violations.append(f"{dialog.dialog_id} turn {t.turn_index}: {v}")
+    rates = sorted({t.sample_rate for t in dialog.turns})
+    if len(rates) > 1:
+        violations.append(f"{dialog.dialog_id}: turns sampled at different "
+                          f"rates {rates} Hz")
     return violations
 
 
@@ -216,5 +221,6 @@ def build_samples(dialog: Dialog, k: int) -> list:
             text_turns=text_turns,
             speech_prev=prev.waveform,
             speech_cur=cur.waveform,
-            tpp_words=tpp))
+            tpp_words=tpp,
+            sample_rate=cur.sample_rate))
     return samples

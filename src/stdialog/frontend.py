@@ -66,16 +66,16 @@ class FrontendConfig:
         return n
 
 
-def check_sample_rate(dialogs: list, config: FrontendConfig) -> None:
-    """Raise ``ValueError`` naming both rates if a turn of ``dialogs`` is
-    sampled at another rate than the frontend ``config`` was built for,
-    which would change the time each frame spans."""
-    for dialog in dialogs:
-        for turn in dialog.turns:
-            if turn.sample_rate != config.sample_rate:
-                raise ValueError(
-                    f"corpus sample rate {turn.sample_rate} Hz differs from "
-                    f"the model frontend's {config.sample_rate} Hz")
+def check_sample_rate(samples, config: FrontendConfig) -> None:
+    """Raise ``ValueError`` naming both rates if the speech of one of
+    ``samples`` is sampled at another rate than the frontend ``config`` was
+    built for, which would change the time each frame spans.  A sample
+    built by hand, whose ``sample_rate`` is None, is not checked."""
+    for sample in samples:
+        if sample.sample_rate not in (None, config.sample_rate):
+            raise ValueError(
+                f"corpus sample rate {sample.sample_rate} Hz differs from "
+                f"the model frontend's {config.sample_rate} Hz")
 
 
 def full_scale_config(sample_rate: int = 16_000) -> FrontendConfig:

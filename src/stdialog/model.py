@@ -210,10 +210,6 @@ class SpeechTextModel:
     def parameters(self) -> list:
         return list(self.params.values())
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
     # forward -----------------------------------------------------------
 
     def forward(self, prepared: list,

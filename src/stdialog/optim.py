@@ -1,4 +1,13 @@
-"""Decoupled-weight-decay Adam, global-norm clipping, LR schedules."""
+"""Decoupled-weight-decay Adam, global-norm clipping, LR schedules.
+
+``AdamW`` owns its parameters' storage: it copies them into one flat data
+buffer and one flat gradient buffer, and rebinds each ``Parameter.data``
+and ``Parameter.grad`` to a view of its slice.  From then on every writer
+of parameters or gradients writes in place (``p.data[...] = x``,
+``p.grad += g``); ``step`` raises ``ValueError`` naming a parameter whose
+``data`` or ``grad`` was rebound.  The moments are flat too, and the
+update runs over all parameters at once in L2-sized chunks.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NonFiniteError
+
+# elements per chunk of the update: the chunk's slices of the five flat
+# arrays and three scratch arrays stay in a 2 MB L2 at float32
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -21,55 +34,133 @@ class AdamWConfig:
 
 class AdamW:
     """First/second-moment update with bias correction; weight decay is
-    applied directly to parameters, not through the gradient."""
+    applied directly to parameters, not through the gradient.
+
+    ``m`` and ``v`` map each parameter's name to its view of the flat
+    moment buffers.  All parameters must share one dtype."""
 
     def __init__(self, params: list, config: AdamWConfig = AdamWConfig()):
         self.params = list(params)
         self.config = config
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+        first = {}
+        for p in self.params:
+            first.setdefault(p.data.dtype, p)
+        if len(first) > 1:
+            raise ValueError("AdamW: parameters of mixed dtypes: " + ", "
+                             .join(f"{p.name} is {dtype}"
+                                   for dtype, p in first.items()))
+        dtype = next(iter(first), np.dtype(np.float32))
+        sizes = [p.data.size for p in self.params]
+        self._offsets = np.cumsum([0] + sizes)
+        n = int(self._offsets[-1])
+        self._data = np.empty(n, dtype)
+        self._grad = np.empty(n, dtype)
+        self._m = np.zeros(n, dtype)
+        self._v = np.zeros(n, dtype)
+        self.m, self.v, self._views = {}, {}, []
+        for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:]):
+            shape = p.data.shape
+            data = self._data[lo:hi].reshape(shape)
+            grad = self._grad[lo:hi].reshape(shape)
+            data[...] = p.data
+            grad[...] = p.grad
+            p.data, p.grad = data, grad
+            self.m[p.name] = self._m[lo:hi].reshape(shape)
+            self.v[p.name] = self._v[lo:hi].reshape(shape)
+            self._views.append((p, data, grad))
+        chunk = min(n, _CHUNK)
+        self._scaled = np.empty(chunk, dtype)
+        self._a = np.empty(chunk, dtype)
+        self._b = np.empty(chunk, dtype)
+        self._squares = np.empty(chunk, np.float64)
+
+    def zero_grad(self) -> None:
+        self._grad.fill(0)
 
     def global_grad_norm(self) -> float:
+        """The L2 norm of all gradients, summed in float64 chunk by chunk;
+        inf or nan if a gradient is not finite."""
         total = 0.0
-        for p in self.params:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
+        with np.errstate(over="ignore"):
+            for lo in range(0, self._grad.size, _CHUNK):
+                g = self._grad[lo:lo + _CHUNK]
+                sq = np.square(g, out=self._squares[:g.size],
+                               dtype=np.float64)
+                total += float(sq.sum())
         return math.sqrt(total)
 
+    def _non_finite_error(self) -> NonFiniteError:
+        bad = np.flatnonzero(~np.isfinite(self._grad))
+        if bad.size == 0:
+            # a float64 gradient can be finite and still overflow the sum
+            return NonFiniteError("gradient norm overflows float64; "
+                                  "aborting optimizer step")
+        owner = self.params[int(np.searchsorted(self._offsets, bad[0],
+                                                side="right")) - 1]
+        return NonFiniteError(f"non-finite gradient in parameter "
+                              f"{owner.name}; aborting optimizer step")
+
+    def check_views(self) -> None:
+        """Raise ``ValueError`` naming the first parameter whose ``data`` or
+        ``grad`` is no longer this optimizer's view, since the update
+        would not reach it."""
+        for p, data, grad in self._views:
+            if p.data is not data or p.grad is not grad:
+                raise ValueError(
+                    f"parameter {p.name}: data or grad was rebound after the "
+                    "optimizer was built; write parameters and gradients "
+                    "in place")
+
     def step(self, lr: float) -> None:
+        self.check_views()
         cfg = self.config
-        for p in self.params:
-            if not np.all(np.isfinite(p.grad)):
-                raise NonFiniteError(
-                    f"non-finite gradient in parameter {p.name}; aborting "
-                    f"optimizer step")
+        norm = self.global_grad_norm()
+        if not math.isfinite(norm):
+            raise self._non_finite_error()
         grad_scale = 1.0
-        if cfg.clip_norm > 0:
-            norm = self.global_grad_norm()
-            if norm > cfg.clip_norm:
-                grad_scale = cfg.clip_norm / norm
+        if cfg.clip_norm > 0 and norm > cfg.clip_norm:
+            grad_scale = cfg.clip_norm / norm
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
-        for p in self.params:
-            g = p.grad * grad_scale
-            m = self.m[p.name]
-            v = self.v[p.name]
+        # each element takes the ops, in the order and dtype, of
+        #   g = grad * scale; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g
+        #   x -= lr * (m/bc1 / (sqrt(v/bc2) + eps) + wd*x)
+        for lo in range(0, self._data.size, _CHUNK):
+            x = self._data[lo:lo + _CHUNK]
+            g = self._grad[lo:lo + _CHUNK]
+            m = self._m[lo:lo + _CHUNK]
+            v = self._v[lo:lo + _CHUNK]
+            a, b = self._a[:x.size], self._b[:x.size]
+            if grad_scale != 1.0:
+                g = np.multiply(g, grad_scale, out=self._scaled[:x.size])
             m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
+            m += np.multiply(g, 1.0 - cfg.beta1, out=a)
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            m_hat = m / bc1
-            v_hat = v / bc2
-            update = m_hat / (np.sqrt(v_hat) + cfg.eps) \
-                + cfg.weight_decay * p.data
-            p.data = p.data - (lr * update).astype(p.data.dtype)
+            np.multiply(g, 1.0 - cfg.beta2, out=a)
+            a *= g
+            v += a
+            np.divide(m, bc1, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += cfg.eps
+            a /= b
+            a += np.multiply(x, cfg.weight_decay, out=b)
+            a *= lr
+            x -= a
 
     def load_state_dict(self, state: dict) -> None:
+        """Write the saved step count and moments into this optimizer; a
+        moment whose shape is not its parameter's raises ``ValueError``."""
         self.t = int(state["t"])
         for p in self.params:
-            self.m[p.name] = np.asarray(state["m"][p.name]).copy()
-            self.v[p.name] = np.asarray(state["v"][p.name]).copy()
+            for moments, saved in ((self.m, state["m"]), (self.v, state["v"])):
+                if np.shape(saved[p.name]) != p.data.shape:
+                    raise ValueError(
+                        f"optimizer state of {p.name} has shape "
+                        f"{np.shape(saved[p.name])}, parameter {p.data.shape}")
+                moments[p.name][...] = saved[p.name]
 
 
 def lr_schedule(step: int, total_steps: int, peak_lr: float,

@@ -163,11 +163,11 @@ class TrainResult:
     head: PredictionHead | None = None
 
 
-def _train(cfg, model: SpeechTextModel, opt: AdamW, start_step: int,
-           stream: int, n_samples: int, batch_size: int, batch_losses,
-           loss_key: str, metrics_path, on_step=None) -> list:
-    """Steps ``start_step + 1`` to ``cfg.steps``; step t draws all its
-    randomness from (cfg.seed, stream, t).
+def _train(cfg, opt: AdamW, start_step: int, stream: int, n_samples: int,
+           batch_size: int, batch_losses, loss_key: str, metrics_path,
+           on_step=None) -> list:
+    """Steps ``start_step + 1`` to ``cfg.steps`` of ``opt``'s parameters;
+    step t draws all its randomness from (cfg.seed, stream, t).
 
     Each step draws ``batch_size`` of the ``n_samples`` indices, and
     ``batch_losses(indices, rng)`` gives the batch's [b] tensor of
@@ -184,7 +184,7 @@ def _train(cfg, model: SpeechTextModel, opt: AdamW, start_step: int,
     for step in range(start_step + 1, cfg.steps + 1):
         rng = np.random.default_rng((cfg.seed, stream, step))
         idx = _batch_indices(rng, n_samples, batch_size)
-        model.zero_grad()
+        opt.zero_grad()
         t0 = time.monotonic()
         lr = lr_schedule(step, cfg.steps, cfg.peak_lr, cfg.warmup_frac,
                          cfg.schedule)
@@ -206,7 +206,13 @@ def _train(cfg, model: SpeechTextModel, opt: AdamW, start_step: int,
 def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
              resume_from=None, vocab: Vocab | None = None) -> TrainResult:
     """Joint pre-training over all samples of the corpus."""
-    check_sample_rate(corpus.dialogs, cfg.model.frontend)
+    samples = corpus.all_samples(k=cfg.k)
+    check_sample_rate(samples, cfg.model.frontend)
+    if cfg.corpus_fraction < 1.0:
+        keep = max(1, int(len(samples) * cfg.corpus_fraction))
+        samples = samples[:keep]
+    if not samples:
+        raise ValueError("corpus yields no samples (all dialogs too short?)")
     out_dir = Path(out_dir) if out_dir else None
     if vocab is None:
         vocab = build_vocab(corpus)
@@ -225,12 +231,6 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
         _restore_params(model, state)
         opt.load_state_dict(state["optimizer"])
         start_step = state["step"]
-    samples = corpus.all_samples(k=cfg.k)
-    if cfg.corpus_fraction < 1.0:
-        keep = max(1, int(len(samples) * cfg.corpus_fraction))
-        samples = samples[:keep]
-    if not samples:
-        raise ValueError("corpus yields no samples (all dialogs too short?)")
     weights = LossWeights(alpha=cfg.alpha)
     acfg = cfg.acoustic_config()
 
@@ -258,7 +258,7 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
             save_checkpoint(out_dir / f"checkpoint-{step:06d}.npz", model,
                             vocab, opt, step, cfg)
 
-    rows = _train(cfg, model, opt, start_step, 1, len(samples),
+    rows = _train(cfg, opt, start_step, 1, len(samples),
                   cfg.batch_size, batch_losses, "joint",
                   out_dir / "metrics.jsonl" if out_dir else None,
                   save_periodic)
@@ -300,6 +300,8 @@ class FinetuneConfig:
 def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
              task: TaskSpec, train_items: list, out_dir=None) -> TrainResult:
     """Supervised fine-tuning of the whole model plus a fresh head."""
+    check_sample_rate((sample for sample, _ in train_items),
+                      model.config.frontend)
     out_dir = Path(out_dir) if out_dir else None
     rng_init = np.random.default_rng((cfg.seed, 2))
     if "head.w1" in model.params:
@@ -323,7 +325,7 @@ def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
         return task_loss(predict(fused, head),
                          [label for _, label in items], task), {}
 
-    rows = _train(cfg, model, opt, 0, 4, len(train_items),
+    rows = _train(cfg, opt, 0, 4, len(train_items),
                   min(cfg.batch_size, len(train_items)), batch_losses, "loss",
                   out_dir / "finetune-metrics.jsonl" if out_dir else None)
     path = None
@@ -343,6 +345,7 @@ EVAL_NOISE_SEED = 99
 def evaluate_task(model: SpeechTextModel, vocab: Vocab, head: PredictionHead,
                   task: TaskSpec, items: list,
                   speech_noise_std: float = 0.0) -> float:
+    check_sample_rate((sample for sample, _ in items), model.config.frontend)
     if speech_noise_std > 0:
         items = replace_speech_with_noise(
             items, np.random.default_rng((EVAL_NOISE_SEED, 5)),
@@ -450,7 +453,7 @@ def _restore_params(model: SpeechTextModel, state: dict) -> None:
             raise ValueError(
                 f"checkpoint parameter {name} has shape {saved[name].shape}, "
                 f"model expects {p.data.shape}")
-        p.data = saved[name].copy()
+        p.data[...] = saved[name]
     for name in saved:
         if name not in model.params:
             register(model.params, name, saved[name].copy())

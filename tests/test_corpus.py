@@ -147,6 +147,17 @@ class TestBuildSamples:
             cp.build_samples(d, k=2)
         assert d.dialog_id in str(exc.value)
 
+    @pytest.mark.parametrize("rate", [100, 200])
+    def test_samples_carry_the_turns_rate(self, rate):
+        d = self.dialogs(frame_rate=rate)[0]
+        assert {s.sample_rate for s in cp.build_samples(d, k=2)} == {rate}
+
+    def test_mixed_rate_dialog_raises_naming_rates(self):
+        d = self.dialogs()[0]
+        d.turns[1].sample_rate = 200
+        with pytest.raises(cp.AlignmentError, match=r"rates \[100, 200\] Hz"):
+            cp.build_samples(d, k=2)
+
     def test_k_must_be_positive(self):
         d = self.dialogs()[0]
         with pytest.raises(ValueError):

@@ -1,15 +1,19 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stdialog import corpus as cp
+from stdialog import finetune as ft
 from stdialog import frontend as fe
+from stdialog import presets
 from stdialog import trainer as tr
 from stdialog.autodiff import NonFiniteError
-from stdialog.model import ModelConfig
+from stdialog.model import ModelConfig, SpeechTextModel
 from stdialog.optim import AdamW
 from stdialog.shards import Corpus
+from stdialog.text import Vocab
 
 
 def small_corpus(seed=0, num_dialogs=4):
@@ -288,3 +292,93 @@ class TestCheckpointing:
         assert (tmp_path / "checkpoint-000002.npz").exists()
         assert (tmp_path / "checkpoint-000004.npz").exists()
         assert (tmp_path / "checkpoint-final.npz").exists()
+
+
+@pytest.fixture
+def built_optimizers(monkeypatch):
+    """Every ``AdamW`` that the trainer builds, in order."""
+    built = []
+
+    class Recorded(AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(tr, "AdamW", Recorded)
+    return built
+
+
+def assert_owns_every_parameter(opt, model):
+    """Each parameter of ``model`` is ``opt``'s, and its ``data`` and
+    ``grad`` are still ``opt``'s views of its flat buffers."""
+    assert [p.name for p in opt.params] == list(model.params)
+    opt.check_views()
+
+
+def task_items(task_config, seed=0):
+    """A cross-modal task's (sample, label) items, its spec and a vocab of
+    its words."""
+    dialogs, labels, task = ft.make_cross_modal_task(task_config, seed)
+    vocab = Vocab.from_tokens(cp.SyntheticConfig(
+        vocab_size=task_config.vocab_size).vocabulary())
+    return ft.task_samples(dialogs, labels), task, vocab
+
+
+class TestFlatBufferViews:
+    def test_after_steps(self, built_optimizers):
+        result = tr.pretrain(small_config(steps=2), small_corpus())
+        assert_owns_every_parameter(built_optimizers[-1], result.model)
+
+    def test_after_restore_params(self, tmp_path, built_optimizers):
+        corpus = small_corpus()
+        saved = tr.pretrain(small_config(steps=2, seed=3), corpus,
+                            out_dir=tmp_path)
+        result = tr.pretrain(small_config(steps=2), corpus)
+        tr._restore_params(result.model,
+                           tr.load_checkpoint(saved.checkpoint_path))
+        assert_owns_every_parameter(built_optimizers[-1], result.model)
+        for name, p in saved.model.params.items():
+            assert result.model.params[name].data.tobytes() == \
+                p.data.tobytes(), name
+
+    def test_after_resume(self, tmp_path, built_optimizers):
+        corpus = small_corpus()
+        tr.pretrain(small_config(steps=4, checkpoint_every=2), corpus,
+                    out_dir=tmp_path)
+        resumed = tr.pretrain(small_config(steps=4), corpus,
+                              resume_from=tmp_path / "checkpoint-000002.npz")
+        assert_owns_every_parameter(built_optimizers[-1], resumed.model)
+
+    def test_finetune_of_loaded_model_owns_its_head(self, tmp_path,
+                                                    built_optimizers):
+        items, task, vocab = task_items(ft.CrossModalTaskConfig(
+            num_dialogs=4, vocab_size=10))
+        model = SpeechTextModel(
+            replace(small_config().model, vocab_size=vocab.size), seed=0)
+        path = tmp_path / "checkpoint.npz"
+        tr.save_checkpoint(path, model, vocab, AdamW(model.parameters()), 0,
+                           None)
+        model, vocab, _ = tr.model_from_checkpoint(path)
+        result = tr.finetune(tr.FinetuneConfig(steps=2, batch_size=2), model,
+                             vocab, task, items)
+        opt = built_optimizers[-1]
+        assert_owns_every_parameter(opt, model)
+        assert {"head.w1", "head.b1", "head.w2", "head.b2"} <= \
+            {p.name for p in opt.params}
+        assert result.head.w1 is model.params["head.w1"]
+
+
+def test_library_finetune_and_evaluate_check_the_sample_rate():
+    items, task, vocab = task_items(replace(
+        presets.cross_modal_task_config(num_dialogs=4), frame_rate=200))
+    model = SpeechTextModel(presets.desk_model_config(vocab_size=vocab.size),
+                            seed=0)
+    rates = "corpus sample rate 200 Hz differs from the model frontend's " \
+        "100 Hz"
+    with pytest.raises(ValueError, match=rates):
+        tr.finetune(presets.finetune_config(steps=2), model, vocab, task,
+                    items)
+    head = ft.init_prediction_head(model.params, np.random.default_rng(0),
+                                   model.config.d_h, task.num_classes)
+    with pytest.raises(ValueError, match=rates):
+        tr.evaluate_task(model, vocab, head, task, items)
