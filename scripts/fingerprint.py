@@ -7,8 +7,8 @@ selection on and off (overfit preset, 4 steps, batch 8), then fine-tuning
 a fresh model on the cross-modal task at batch 8 and at a batch larger
 than the item count, each followed by the fine-tuned model's eval
 accuracy.  ``mask_plans`` digests the acoustic masker on its own: the
-mask, actions and replacement sources of ``draw_mask_plan`` for lengths
-1-120 and seeds 0-9 under the span and the baseline configs.
+mask, actions and replacement sources of a one-turn ``draw_mask_plan``
+for lengths 1-120 and seeds 0-9 under the span and the baseline configs.
 Two checkouts that print the same object train bit for bit alike.
 
 Usage: python scripts/fingerprint.py
@@ -63,7 +63,7 @@ def mask_plans_digest() -> str:
     for config in (DEFAULT_SPAN_CONFIG, DEFAULT_BASELINE_CONFIG):
         for length in range(1, 121):
             for seed in range(10):
-                plan = draw_mask_plan(length, np.random.default_rng(seed),
+                plan = draw_mask_plan([length], np.random.default_rng(seed),
                                       config)
                 for data in (plan.mask, plan.actions,
                              plan.replacement_sources):

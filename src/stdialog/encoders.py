@@ -252,6 +252,17 @@ class FusedBatch:
                              f": {min(positions[i])}..{max(positions[i])}")
         return self.start[sample] + pos, sample
 
+    def packed_text_rows(self, positions: np.ndarray, what: str) -> tuple:
+        """``text_rows`` of positions counted over the batch's packed text
+        (its samples' texts back to back) instead of per sample."""
+        ends = np.cumsum(self.n_text)
+        pos = np.asarray(positions, dtype=np.intp)
+        sample = ends.searchsorted(pos, side="right")
+        if pos.size and (pos.min() < 0 or sample.max() == len(self)):
+            raise IndexError(f"{what} outside packed text [0, {ends[-1]}): "
+                             f"{pos.min()}..{pos.max()}")
+        return self.start[sample] + pos - (ends - self.n_text)[sample], sample
+
     def frame_rows(self) -> np.ndarray:
         """The row of ``hidden`` of every speech frame, in the order
         ``frontend.extract_features`` packs them: each sample's prev
@@ -269,15 +280,12 @@ def fusion_input(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
     """Each sample's rows as [text_i; speech_i], from packed text and packed
     speech rows, each row plus its modality's embedding; one node."""
     n = h_text.shape[0]
-    if len(text_lengths) == 1:
-        text_rows, speech_rows = slice(0, n), slice(n, None)
-    else:
-        modality = np.repeat([0, 1] * len(text_lengths),
-                             [m for pair in zip(text_lengths, speech_lengths)
-                              for m in pair])
-        # text rows, then speech rows, go to these rows of the output
-        dest = np.argsort(modality, kind="stable")
-        text_rows, speech_rows = dest[:n], dest[n:]
+    modality = np.repeat([0, 1] * len(text_lengths),
+                         [m for pair in zip(text_lengths, speech_lengths)
+                          for m in pair])
+    # text rows, then speech rows, go to these rows of the output
+    dest = np.argsort(modality, kind="stable")
+    text_rows, speech_rows = dest[:n], dest[n:]
     text_emb, speech_emb = modality_table.data
     data = np.empty((n + h_speech.shape[0], h_text.shape[1]), h_text.dtype)
     data[text_rows] = h_text.data + text_emb

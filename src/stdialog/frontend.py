@@ -3,7 +3,7 @@
 The extractor is a stack of strided 1-d convolutions, each followed by a
 GELU (valid padding only, so frame counts follow the closed-form length
 arithmetic exposed here), then a single layer normalization over the
-feature dimension.  Projection applies each turn's acoustic mask plan
+feature dimension.  Projection applies the batch's acoustic mask plan
 corruption, then layer norm and an affine map to the model width.  The
 two-turn sequence of a sample is [CLS] f_prev [SEP] f_cur with learned
 CLS/SEP rows.  Each of the three runs once per batch, as one autodiff
@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import (ShapeError, Tensor, conv1d_backward, conv1d_forward,
                        gelu_backward, gelu_forward, layer_norm_backward,
                        layer_norm_forward, record)
-from .masking import REPLACE, UNMASKED, ZERO
+from .masking import REPLACE, ZERO, MaskPlan
 
 
 @dataclass(frozen=True)
@@ -153,39 +153,30 @@ def extract_features(waveforms: list, config: FrontendConfig,
 
 
 def project_features(features: Tensor, ln_gain, ln_bias, weight, bias,
-                     lengths: list, plans: list | None = None) -> Tensor:
+                     plan: MaskPlan | None = None) -> Tensor:
     """Mask corruption, layer norm, then rowwise affine feature_dim -> d_h,
-    over the packed frames of turns of ``lengths`` frames each.
+    over the packed frames of a batch's turns.
 
-    ``plans`` holds each turn's mask plan, None for a turn left clean (all
-    None when ``plans`` is None).  Each masked frame is zeroed (ZERO),
-    swapped for the plan's source frame of the same turn's uncorrupted
-    features (REPLACE) or kept (KEEP) before the layer norm.  One autodiff
-    node; a plan whose length differs from its turn's frame count raises
-    ``ValueError``.
+    ``plan`` is the batch's mask plan over those frames, None to leave them
+    clean.  Each masked frame is zeroed (ZERO), swapped for the plan's
+    source frame (of the same turn) of the uncorrupted features (REPLACE)
+    or kept (KEEP) before the layer norm.  One autodiff node; a plan over
+    another number of frames than ``features`` has rows raises
+    ``ShapeError``.
     """
     f = features.data
-    if sum(lengths) != f.shape[0]:
-        raise ShapeError(f"turn lengths summing to {sum(lengths)} for "
-                         f"{f.shape[0]} feature rows")
-    actions = np.full(f.shape[0], UNMASKED)
-    sources = np.zeros(f.shape[0], dtype=np.intp)
-    for plan, m, offset in zip(plans or [None] * len(lengths), lengths,
-                               np.cumsum(lengths) - lengths, strict=True):
-        if plan is not None:
-            if m != plan.length:
-                raise ValueError(
-                    f"plan length {plan.length} != features rows {m}")
-            actions[offset:offset + m] = plan.actions
-            sources[offset:offset + m] = offset + plan.replacement_sources
-    replaced = actions == REPLACE
-    dropped = replaced | (actions == ZERO)
-    sources = sources[replaced]
     corrupted = f
-    if dropped.any():
-        corrupted = f.copy()
-        corrupted[dropped] = 0.0
-        corrupted[replaced] = f[sources]
+    if plan is not None:
+        if plan.actions.shape != f.shape[:1]:
+            raise ShapeError(f"mask plan over {plan.actions.size} frames for "
+                             f"{f.shape[0]} feature rows")
+        replaced = plan.actions == REPLACE
+        dropped = replaced | (plan.actions == ZERO)
+        sources = plan.replacement_sources[replaced]
+        if dropped.any():
+            corrupted = f.copy()
+            corrupted[dropped] = 0.0
+            corrupted[replaced] = f[sources]
     normed, ln = layer_norm_forward(corrupted, ln_gain.data, ln_bias.data)
     out = normed @ weight.data + bias.data
 

@@ -1,16 +1,16 @@
 """Span masking of acoustic frames, a short-span baseline, and a rate simulator.
 
 The span masker scans frame indices left to right.  One span length n is
-drawn per plan from ``span_range`` (inclusive).  At each index the scan
+drawn per turn from ``span_range`` (inclusive).  At each index the scan
 triggers with ``trigger_prob``; on a trigger, frames [i, i+n) are marked
-masked (clipped at the sequence end) and the scan jumps to i+n, so spans
+masked (clipped at the turn's end) and the scan jumps to i+n, so spans
 never re-trigger inside themselves.  Each masked frame is then zeroed with
-probability 0.8, replaced by a random frame of the same sequence with
+probability 0.8, replaced by a random frame of the same turn with
 probability 0.1, and kept unchanged otherwise (split configurable).
 
 One kernel, ``span_masks``, runs the scan for a batch of sequences at once:
-``draw_mask_plan`` calls it with one row for a training plan, and
-``estimate_mask_rate`` with chunks of Monte Carlo trials.
+``draw_mask_plan`` calls it once for all the speech turns of a training
+batch, and ``estimate_mask_rate`` once per chunk of Monte Carlo trials.
 
 ``frontend.project_features`` applies a plan's corruption to extractor
 output, before the projection.
@@ -45,26 +45,20 @@ class AcousticMaskConfig:
             raise ValueError(f"corruption split {self.corruption} must sum to 1")
 
 
-def baseline_config(span_len: int = 3, trigger_prob: float = 0.05,
-                    corruption: tuple = (0.8, 0.1, 0.1)) -> AcousticMaskConfig:
-    """Short fixed spans tuned to ~14% coverage (3 masked per 19-frame gap)."""
-    return AcousticMaskConfig(trigger_prob=trigger_prob,
-                              span_range=(span_len, span_len),
-                              corruption=corruption)
-
-
 DEFAULT_SPAN_CONFIG = AcousticMaskConfig()
-DEFAULT_BASELINE_CONFIG = baseline_config()
+# short fixed spans tuned to ~14% coverage (3 masked per 19-frame gap)
+DEFAULT_BASELINE_CONFIG = AcousticMaskConfig(trigger_prob=0.05,
+                                             span_range=(3, 3))
 
 
 @dataclass
 class MaskPlan:
-    """Per-frame mask decisions for one feature sequence."""
+    """Per-frame mask decisions over the frames of a batch's turns, packed
+    back to back."""
 
-    length: int
-    mask: np.ndarray                 # bool [length]
-    actions: np.ndarray              # int [length]; UNMASKED where mask is False
-    replacement_sources: np.ndarray  # int [length]; source frame where REPLACE
+    mask: np.ndarray                 # bool [frames]
+    actions: np.ndarray              # int [frames]; UNMASKED where not masked
+    replacement_sources: np.ndarray  # int [frames]; source frame, else -1
 
 
 def span_masks(triggers: np.ndarray, n: np.ndarray, p: float) -> tuple:
@@ -85,8 +79,8 @@ def span_masks(triggers: np.ndarray, n: np.ndarray, p: float) -> tuple:
     and a -1 at each end summed along the row; an end can fall on the next
     span's start, so the ends are subtracted after all starts are set.
     """
-    # method calls and few temporaries: at T=1 (a training plan) the cost
-    # is per numpy call, not per element
+    # method calls and few temporaries: at a training batch's few short
+    # turns the cost is per numpy call, not per element
     t, length = triggers.shape
     width = length + 1
     fires = np.empty((t, width), dtype=bool)
@@ -108,41 +102,42 @@ def span_masks(triggers: np.ndarray, n: np.ndarray, p: float) -> tuple:
     return mask[:, :length].view(bool), starts[:, :length]
 
 
-def draw_mask_plan(length: int, rng: np.random.Generator,
+def draw_mask_plan(lengths, rng: np.random.Generator,
                    config: AcousticMaskConfig = DEFAULT_SPAN_CONFIG) -> MaskPlan:
-    """Draw a mask plan for ``length`` frames.
+    """One mask plan over the packed frames of turns of ``lengths`` frames.
 
-    Draws, in this order: the span length, one uniform trigger per frame
-    (the scan reads entries only at tested indices, so the induced plan
-    distribution is identical to drawing at each step), then one uniform
-    per masked frame in scan order for its corruption, then one source
-    frame per replaced frame.  The scan is ``span_masks`` on one row; it
-    is skipped when no trigger fires, as in most plans of a few frames.
+    Draws, in this order: one span length per turn; the triggers [turns,
+    longest turn], one uniform per frame (the scan reads entries only at
+    tested indices, so the induced plan distribution is identical to
+    drawing at each step), set to 1.0 past a turn's end so they never
+    fire; one uniform per masked frame, in packed order, for its
+    corruption; one source frame per replaced frame, within its own turn.
+    One ``span_masks`` call scans all turns; spans are cut at turn ends.
     """
-    if length < 1:
-        raise ValueError(f"need at least one frame, got length {length}")
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
+        raise ValueError(f"need at least one frame per turn, got lengths "
+                         f"{lengths.tolist()}")
     lo, hi = config.span_range
-    n = int(rng.integers(lo, hi + 1))
-    triggers = rng.random(length)
-    mask = np.zeros(length, dtype=bool)
-    if (triggers < config.trigger_prob).any():
-        masks, _ = span_masks(triggers[None], np.array([n]),
-                              config.trigger_prob)
-        mask = masks[0]
-    actions = np.full(length, UNMASKED, dtype=np.int64)
-    sources = np.full(length, -1, dtype=np.int64)
-    masked_idx = np.flatnonzero(mask)
-    if masked_idx.size:
-        p_zero, p_replace, _ = config.corruption
-        t = rng.random(masked_idx.size)
-        act = np.where(t < p_zero, ZERO,
-                       np.where(t < p_zero + p_replace, REPLACE, KEEP))
-        actions[masked_idx] = act
-        replace_at = masked_idx[act == REPLACE]
-        if replace_at.size:
-            sources[replace_at] = rng.integers(0, length, size=replace_at.size)
-    return MaskPlan(length=length, mask=mask, actions=actions,
-                    replacement_sources=sources)
+    n = rng.integers(lo, hi + 1, size=lengths.size)
+    inside = np.arange(lengths.max()) < lengths[:, None]
+    triggers = rng.random(inside.shape)
+    triggers[~inside] = 1.0
+    masks, _ = span_masks(triggers, n, config.trigger_prob)
+    mask = masks[inside]
+    masked = np.flatnonzero(mask)
+    p_zero, p_replace, _ = config.corruption
+    t = rng.random(masked.size)
+    act = np.where(t < p_zero, ZERO,
+                   np.where(t < p_zero + p_replace, REPLACE, KEEP))
+    actions = np.full(mask.size, UNMASKED, dtype=np.int64)
+    actions[masked] = act
+    replaced = masked[act == REPLACE]
+    turn = np.repeat(np.arange(lengths.size), lengths)[replaced]
+    sources = np.full(mask.size, -1, dtype=np.int64)
+    sources[replaced] = (np.cumsum(lengths) - lengths)[turn] \
+        + rng.integers(0, lengths[turn])
+    return MaskPlan(mask=mask, actions=actions, replacement_sources=sources)
 
 
 def estimate_mask_rate(config: AcousticMaskConfig, length: int, trials: int,
@@ -152,8 +147,10 @@ def estimate_mask_rate(config: AcousticMaskConfig, length: int, trials: int,
     Trials run in chunks of ``_MC_CHUNK`` (the last one shorter); each
     chunk draws its span lengths ``n`` [T], then its triggers [T, length],
     and runs ``span_masks``, the scan that training plans use, so the
-    estimate measures the masker as implemented.  Masked-frame counts are
-    summed as integers, so the result depends only on the draws.
+    estimate measures the masker as implemented.  It keeps its own draws
+    rather than ``draw_mask_plan``'s: its trials share one length and need
+    no corruption draws.  Masked-frame counts are summed as integers, so
+    the result depends only on the draws.
     ``expected_mask_rate`` is the independent check.
     """
     if trials < 10_000:

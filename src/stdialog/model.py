@@ -3,14 +3,15 @@
 One instance owns every learnable: text embedding tables, the conv
 frontend, projection, CLS/SEP rows, both transformer stacks, the fusion
 layer with modality embeddings, and the four objective heads.
-``prepare_sample`` draws all of a sample's randomness; the forward pass is
-deterministic.  Forward takes a batch of prepared samples: the text
-embedding, each stage of the speech input path (feature extraction,
-masked projection, the [CLS] prev [SEP] cur layout and the conv position
-embedding), each encoder layer and the fusion layer run once over the
-packed rows of the whole batch, with convolutions kept within each speech
-turn or sequence and attention within each sample.  The fused output is
-one ``encoders.FusedBatch``, which owns the packed layout; each objective
+``prepare_sample`` lays out a batch as one ``PreparedBatch``: the packed
+text and speech of all its samples, with one text and one acoustic mask
+drawn over them; the forward pass is deterministic.  Forward runs the
+text embedding, each speech input stage (feature extraction, masked
+projection, the [CLS] prev [SEP] cur layout and the conv position
+embedding), each encoder layer and the fusion layer once over the packed
+rows of the whole batch, with convolutions kept within each speech turn
+or sequence and attention within each sample.  The fused output is one
+``encoders.FusedBatch``, which owns the packed layout; each objective
 maps the rows of all samples through it at once and gives a [b] tensor of
 per-sample losses; the trainer minimizes the batch mean of the joint one.
 """
@@ -32,8 +33,8 @@ from .masking import AcousticMaskConfig, MaskPlan, draw_mask_plan
 from .objectives import (LossWeights, cmam_loss, cmlm_loss,
                          crs_logits, crs_loss, init_tpp_head, joint_loss,
                          tpp_loss, tpp_predictions)
-from .text import (TextMaskPlan, TokenizedInput, Vocab, embed_text,
-                   mask_tokens, tokenize_sample)
+from .text import (TextMaskPlan, Vocab, embed_text, mask_tokens,
+                   tokenize_sample)
 
 
 @dataclass
@@ -124,17 +125,23 @@ def config_kwargs(cls, d, what: str, complete: bool = False) -> dict:
 
 
 @dataclass
-class PreparedSample:
-    """Everything one training forward needs, with randomness resolved."""
-    tokenized: TokenizedInput
-    input_token_ids: np.ndarray
-    text_plan: TextMaskPlan | None
-    crs_label: int | None
-    wave_prev: np.ndarray
-    wave_cur: np.ndarray
-    acoustic_plan_prev: MaskPlan | None
-    acoustic_plan_cur: MaskPlan | None
-    cmam_turns: tuple = (True, True)
+class PreparedBatch:
+    """A batch's inputs, packed, with all their randomness drawn: the
+    samples' texts back to back (``token_ids`` corrupted by ``text_plan``),
+    and their speech turns, prev then cur of each sample, whose frames,
+    packed in that order, ``acoustic_plan`` masks.  Reconstruction scores
+    the masked frames of the turns ``scored``."""
+    token_ids: np.ndarray
+    position_ids: np.ndarray
+    segment_ids: np.ndarray
+    text_lengths: tuple
+    word_boundaries: list        # each sample's list of TokenBoundary
+    crs_labels: list             # each sample's label, or None
+    waves: list
+    turn_frames: np.ndarray      # int [2b]
+    scored: np.ndarray           # bool [2b]
+    text_plan: TextMaskPlan | None = None
+    acoustic_plan: MaskPlan | None = None
 
 
 class SpeechTextModel:
@@ -212,43 +219,35 @@ class SpeechTextModel:
 
     # forward -----------------------------------------------------------
 
-    def forward(self, prepared: list,
+    def forward(self, batch: PreparedBatch,
                 capture_attention: bool = False) -> tuple:
         """The batch's fused representation, from one pass of each speech
         input stage, encoder layer and the fusion layer over the packed
-        rows of all prepared samples, and the pre-mask extractor output
-        of their packed frames as a plain array: the reconstruction
+        rows of all its samples, and the pre-mask extractor output of
+        their packed frames as a plain array: the reconstruction
         targets."""
         heads = self.config.num_heads
-        text_lengths = tuple(p.tokenized.length for p in prepared)
         h_text = encode_text(embed_text(
-            [replace(p.tokenized, token_ids=p.input_token_ids)
-             for p in prepared], self.token_table, self.position_table,
-            self.segment_table, self.config.max_text_len),
-            self.text_layers, heads, text_lengths)
-        # the speech turns of the batch: prev, then cur, of each sample
-        waves = [w for p in prepared for w in (p.wave_prev, p.wave_cur)]
-        plans = [plan for p in prepared
-                 for plan in (p.acoustic_plan_prev, p.acoustic_plan_cur)]
-        frontend = self.config.frontend
-        turn_frames = [frontend.output_length(len(w)) for w in waves]
-        feats = fe.extract_features(waves, frontend, self.conv_params,
-                                    *self.extract_ln)
+            batch.token_ids, batch.position_ids, batch.segment_ids,
+            self.token_table, self.position_table, self.segment_table,
+            self.config.max_text_len), self.text_layers, heads,
+            batch.text_lengths)
+        feats = fe.extract_features(batch.waves, self.config.frontend,
+                                    self.conv_params, *self.extract_ln)
         projected = fe.project_features(feats, *self.proj_ln, self.proj_w,
-                                        self.proj_b, turn_frames, plans)
-        frames = list(zip(turn_frames[0::2], turn_frames[1::2]))
+                                        self.proj_b, batch.acoustic_plan)
+        frames = batch.turn_frames.reshape(-1, 2)
         h_speech = encode_speech(
             fe.assemble_speech_sequences(projected, frames, self.cls_vec,
                                          self.sep_vec),
-            tuple(m_prev + m_cur + 2 for m_prev, m_cur in frames),
-            self.conv_pos, self.speech_layers, heads,
-            self.config.conv_pos_groups)
-        fused = fuse(h_text, h_speech, text_lengths, frames,
+            tuple(frames.sum(axis=1) + 2), self.conv_pos,
+            self.speech_layers, heads, self.config.conv_pos_groups)
+        fused = fuse(h_text, h_speech, batch.text_lengths, frames,
                      self.modality_table, self.fusion_layer, heads,
                      capture_attention=capture_attention)
         return fused, feats.data
 
-    def compute_losses(self, prepared: list,
+    def compute_losses(self, batch: PreparedBatch,
                        weights: LossWeights = LossWeights(),
                        frozen_cmam_targets: np.ndarray | None = None) -> dict:
         """Each loss of the batch, by name, as a [b] tensor of per-sample
@@ -259,24 +258,17 @@ class SpeechTextModel:
         of the same batch returned) when re-evaluating the same step's
         objective, e.g. under finite differences.
         """
-        fused, features = self.forward(prepared)
+        fused, features = self.forward(batch)
         if frozen_cmam_targets is not None:
             features = frozen_cmam_targets
-        tpp = tpp_loss(fused, [p.tokenized.word_boundaries for p in prepared],
-                       self.tpp_head)
-        labels = [p.crs_label for p in prepared]
+        tpp = tpp_loss(fused, batch.word_boundaries, self.tpp_head)
         crs = None
-        if any(label is not None for label in labels):
-            crs = crs_loss(fused, labels, self.crs_w, self.crs_b)
-        cmlm = cmlm_loss(fused, [p.text_plan for p in prepared], self.lm_w,
-                         self.lm_b)
-        # the masked frames of each turn that reconstruction scores
-        keep = np.concatenate([
-            plan.mask if plan is not None and scored else np.zeros(m, bool)
-            for p, m_prev, m_cur in zip(prepared, fused.m_prev, fused.m_cur)
-            for plan, scored, m in zip(
-                (p.acoustic_plan_prev, p.acoustic_plan_cur), p.cmam_turns,
-                (m_prev, m_cur))])
+        if any(label is not None for label in batch.crs_labels):
+            crs = crs_loss(fused, batch.crs_labels, self.crs_w, self.crs_b)
+        cmlm = cmlm_loss(fused, batch.text_plan, self.lm_w, self.lm_b)
+        # the masked frames of the scored turns
+        keep = np.repeat(batch.scored, batch.turn_frames) & (
+            batch.acoustic_plan is not None and batch.acoustic_plan.mask)
         cmam = cmam_loss(fused, keep, features[keep], self.cmam_w,
                          self.cmam_b)
         return {"tpp": tpp, "crs": crs, "cmlm": cmlm, "cmam": cmam,
@@ -288,9 +280,8 @@ class SpeechTextModel:
                    capture_attention: bool = False) -> FusedBatch:
         """Clean forward of one sample (no corruption, no masking), as a
         batch of one."""
-        prepared = prepare_sample(sample, vocab, self.config, train=False)
-        return self.forward([prepared],
-                            capture_attention=capture_attention)[0]
+        batch = prepare_sample([sample], vocab, self.config, train=False)
+        return self.forward(batch, capture_attention=capture_attention)[0]
 
     def crs_predict(self, fused: FusedBatch) -> np.ndarray:
         """Each sample's response-selection class, [b]."""
@@ -304,37 +295,42 @@ class SpeechTextModel:
         return np.abs(pred.data - target).ravel()
 
 
-def prepare_sample(sample, vocab: Vocab, config: ModelConfig, *,
+def prepare_sample(samples: list, vocab: Vocab, config: ModelConfig, *,
                    rng=None, train: bool = True,
-                   crs_label: int | None = None,
+                   crs_labels: list | None = None,
                    text_mask_prob: float = 0.15,
                    text_corruption: tuple = (0.8, 0.1, 0.1),
                    acoustic_config: AcousticMaskConfig | None = None
-                   ) -> PreparedSample:
-    """Tokenize and draw all masking randomness for one (possibly
-    corrupted) sample.  With train=False nothing is masked."""
-    tokenized = tokenize_sample(sample, vocab, max_len=config.max_text_len)
-    text_plan = None
-    input_ids = tokenized.token_ids
-    plan_prev = plan_cur = None
+                   ) -> PreparedBatch:
+    """Tokenize the (possibly corrupted) ``samples`` of a batch and lay
+    them out packed; with train=True, draw the batch's text mask over all
+    its tokens, then its acoustic mask over all its speech turns, from
+    ``rng``.  With train=False nothing is masked.  ``crs_labels`` are the
+    samples' selection labels (None: no sample has one)."""
+    if not samples:
+        raise ValueError("cannot prepare an empty batch")
+    tokenized = [tokenize_sample(s, vocab, max_len=config.max_text_len)
+                 for s in samples]
+    token_ids, position_ids, segment_ids = (np.concatenate(ids) for ids in zip(
+        *[(t.token_ids, t.position_ids, t.segment_ids) for t in tokenized]))
+    waves = [w for s in samples for w in (s.speech_prev, s.speech_cur)]
+    turn_frames = np.array([config.frontend.output_length(len(w))
+                            for w in waves])
+    text_plan = acoustic_plan = None
     if train:
         if rng is None:
             raise ValueError("training preparation needs an rng")
-        text_plan = mask_tokens(tokenized, vocab, rng, p=text_mask_prob,
+        text_plan = mask_tokens(token_ids, vocab, rng, p=text_mask_prob,
                                 corruption=text_corruption)
-        input_ids = text_plan.apply(tokenized.token_ids, vocab)
-        acfg = acoustic_config or AcousticMaskConfig()
-        m_prev = config.frontend.output_length(len(sample.speech_prev))
-        m_cur = config.frontend.output_length(len(sample.speech_cur))
-        plan_prev = draw_mask_plan(m_prev, rng, acfg)
-        plan_cur = draw_mask_plan(m_cur, rng, acfg)
-    return PreparedSample(
-        tokenized=tokenized,
-        input_token_ids=input_ids,
-        text_plan=text_plan,
-        crs_label=crs_label,
-        wave_prev=sample.speech_prev,
-        wave_cur=sample.speech_cur,
-        acoustic_plan_prev=plan_prev,
-        acoustic_plan_cur=plan_cur,
-        cmam_turns=sample.cmam_turns)
+        token_ids = text_plan.apply(token_ids, vocab)
+        acoustic_plan = draw_mask_plan(turn_frames, rng, acoustic_config
+                                       or AcousticMaskConfig())
+    return PreparedBatch(
+        token_ids=token_ids, position_ids=position_ids,
+        segment_ids=segment_ids,
+        text_lengths=tuple(t.length for t in tokenized),
+        word_boundaries=[t.word_boundaries for t in tokenized],
+        crs_labels=list(crs_labels or [None] * len(samples)),
+        waves=waves, turn_frames=turn_frames,
+        scored=np.array([s.cmam_turns for s in samples], bool).ravel(),
+        text_plan=text_plan, acoustic_plan=acoustic_plan)

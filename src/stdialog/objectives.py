@@ -34,6 +34,7 @@ from .autodiff import (Parameter, Tensor, add, concat, cross_entropy,
                        gather_rows, linear, mae, matmul, mse, register, scale)
 from .corpus import Sample
 from .encoders import FusedBatch
+from .text import TextMaskPlan
 
 CRS_POSITIVE = 0
 CRS_SPEECH_SUBSTITUTED = 1
@@ -164,15 +165,15 @@ def crs_loss(fused: FusedBatch, labels: list, weight: Parameter,
                          [labels[i] for i in sample], sample, len(fused))
 
 
-def cmlm_loss(fused: FusedBatch, plans: list, weight: Parameter,
-              bias: Parameter) -> Tensor:
-    """Each sample's mean cross-entropy of the vocabulary head on the
-    masked text positions of its plan; 0 for a sample whose plan is None
-    or empty."""
-    rows, sample = fused.text_rows(
-        [[] if p is None else p.positions for p in plans], "masked position")
+def cmlm_loss(fused: FusedBatch, plan: TextMaskPlan | None,
+              weight: Parameter, bias: Parameter) -> Tensor:
+    """Each sample's mean cross-entropy of the vocabulary head on its
+    masked text positions, of the batch's ``plan`` over its packed text;
+    0 for a sample without any, or for all when ``plan`` is None."""
+    positions, labels = ((np.zeros(0, np.intp), []) if plan is None
+                         else (plan.positions, plan.labels))
+    rows, sample = fused.packed_text_rows(positions, "masked position")
     logits = linear(gather_rows(fused.hidden, rows), weight, bias)
-    labels = [label for p in plans if p is not None for label in p.labels]
     return cross_entropy(logits, labels, sample, len(fused))
 
 

@@ -173,17 +173,15 @@ def _layout(turns, sample, vocab, tokenizer):
     return ids, segments, boundaries
 
 
-def embed_text(inputs: list, token_table, position_table, segment_table,
-               max_len: int = 512) -> Tensor:
-    """Rowwise token + absolute-position + segment embedding sum of the
-    rows of each ``TokenizedInput`` in ``inputs``, packed back to back."""
-    for t in inputs:
-        if t.length > max_len:
-            raise ValueError(
-                f"text length {t.length} exceeds maximum {max_len}; drop "
-                f"oldest history turns before embedding")
-    token_ids, position_ids, segment_ids = (np.concatenate(ids) for ids in zip(
-        *[(t.token_ids, t.position_ids, t.segment_ids) for t in inputs]))
+def embed_text(token_ids: np.ndarray, position_ids: np.ndarray,
+               segment_ids: np.ndarray, token_table, position_table,
+               segment_table, max_len: int = 512) -> Tensor:
+    """Rowwise token + absolute-position + segment embedding sum of a
+    batch's packed text: its samples' ids back to back."""
+    if position_ids.size and position_ids.max() >= max_len:
+        raise ValueError(
+            f"text length {position_ids.max() + 1} exceeds maximum "
+            f"{max_len}; drop oldest history turns before embedding")
     tok = gather_rows(token_table, token_ids)
     pos = gather_rows(position_table, position_ids)
     seg = gather_rows(segment_table, segment_ids)
@@ -192,6 +190,7 @@ def embed_text(inputs: list, token_table, position_table, segment_table,
 
 @dataclass
 class TextMaskPlan:
+    """Masking of a batch's packed text: positions index its packed ids."""
     positions: np.ndarray       # int64, indices into token_ids
     actions: np.ndarray         # 0 = <mask>, 1 = random token, 2 = keep
     replacement_ids: np.ndarray  # vocab ids where action == 1
@@ -201,25 +200,23 @@ class TextMaskPlan:
 
     def apply(self, token_ids: np.ndarray, vocab: Vocab) -> np.ndarray:
         out = token_ids.copy()
-        for pos, act, rep in zip(self.positions, self.actions,
-                                 self.replacement_ids):
-            if act == self.MASK_TOKEN:
-                out[pos] = vocab.mask_id
-            elif act == self.RANDOM_TOKEN:
-                out[pos] = rep
+        out[self.positions[self.actions == self.MASK_TOKEN]] = vocab.mask_id
+        random = self.actions == self.RANDOM_TOKEN
+        out[self.positions[random]] = self.replacement_ids[random]
         return out
 
 
-def mask_tokens(tokenized: TokenizedInput, vocab: Vocab,
+def mask_tokens(token_ids: np.ndarray, vocab: Vocab,
                 rng: np.random.Generator, p: float = 0.15,
                 corruption: tuple = (0.8, 0.1, 0.1)) -> TextMaskPlan:
-    """Bernoulli(p) selection of non-special tokens with 80/10/10 corruption.
+    """Bernoulli(p) selection of non-special tokens of ``token_ids`` (a
+    batch's packed ids) with 80/10/10 corruption.
 
-    Random replacements are drawn uniformly over regular (non-special)
-    vocabulary entries.
-    """
-    special = np.isin(tokenized.token_ids, vocab.special_ids)
-    draws = rng.random(tokenized.length)
+    Draws one selection uniform per token, then one corruption uniform per
+    selected token, then one replacement id per selected token, uniform
+    over regular (non-special) vocabulary entries."""
+    special = np.isin(token_ids, vocab.special_ids)
+    draws = rng.random(token_ids.size)
     selected = np.flatnonzero((draws < p) & ~special)
     p_mask, p_rand, _ = corruption
     t = rng.random(selected.size)
@@ -234,4 +231,4 @@ def mask_tokens(tokenized: TokenizedInput, vocab: Vocab,
         positions=selected.astype(np.int64),
         actions=actions.astype(np.int64),
         replacement_ids=replacements.astype(np.int64),
-        labels=tokenized.token_ids[selected].copy())
+        labels=token_ids[selected].copy())

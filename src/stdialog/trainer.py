@@ -234,19 +234,17 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
     weights = LossWeights(alpha=cfg.alpha)
     acfg = cfg.acoustic_config()
 
-    def prepare(i, rng):
-        sample, label = samples[i], None
-        if cfg.crs_enabled:
-            sample, label = make_crs_sample(sample, corpus.dialogs, rng,
-                                            cfg.crs_class_probs)
-        return prepare_sample(
-            sample, vocab, model.config, rng=rng, crs_label=label,
-            text_mask_prob=cfg.text_mask_prob,
-            text_corruption=cfg.text_corruption, acoustic_config=acfg)
-
     def batch_losses(idx, rng):
-        losses = model.compute_losses([prepare(i, rng) for i in idx],
-                                      weights)
+        batch, labels = [samples[i] for i in idx], None
+        if cfg.crs_enabled:
+            batch, labels = zip(*[make_crs_sample(
+                sample, corpus.dialogs, rng, cfg.crs_class_probs)
+                for sample in batch])
+        losses = model.compute_losses(prepare_sample(
+            batch, vocab, model.config, rng=rng, crs_labels=labels,
+            text_mask_prob=cfg.text_mask_prob,
+            text_corruption=cfg.text_corruption, acoustic_config=acfg),
+            weights)
         return losses["joint"], {
             key: 0.0 if losses[key] is None
             else float(losses[key].data.mean(dtype=np.float64))
@@ -300,6 +298,8 @@ class FinetuneConfig:
 def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
              task: TaskSpec, train_items: list, out_dir=None) -> TrainResult:
     """Supervised fine-tuning of the whole model plus a fresh head."""
+    if not train_items:
+        raise ValueError("cannot fine-tune on an empty dataset")
     check_sample_rate((sample for sample, _ in train_items),
                       model.config.frontend)
     out_dir = Path(out_dir) if out_dir else None
@@ -319,9 +319,9 @@ def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
 
     def batch_losses(idx, rng):
         items = [train_items[i] for i in idx]
-        fused, _ = model.forward([prepare_sample(sample, vocab, model.config,
-                                                 train=False)
-                                  for sample, _ in items])
+        fused, _ = model.forward(prepare_sample(
+            [sample for sample, _ in items], vocab, model.config,
+            train=False))
         return task_loss(predict(fused, head),
                          [label for _, label in items], task), {}
 
@@ -402,9 +402,10 @@ def load_checkpoint(path) -> dict:
     """The checkpoint's state.  A file that cannot be read as one (missing,
     not a zip archive, a single ``.npy`` array, truncated, failing a CRC,
     or without ``meta`` or one of its keys) raises ``ValueError`` naming
-    the path, chained from the cause.  ``task`` is the fine-tuned
-    ``TaskSpec``, or None; a ``task`` meta without a str ``kind`` and an
-    int ``num_classes`` raises ``ValueError`` naming the key."""
+    the path, chained from the cause.  So does, naming the key too, a
+    ``step`` or ``opt_t`` that is not a non-negative int, a ``vocab`` that
+    is not a list of str, or a ``task`` meta without a str ``kind`` and an
+    int ``num_classes``.  ``task`` is the fine-tuned ``TaskSpec``, or None."""
     path = Path(path)
     try:
         with np.load(path) as blob:
@@ -423,6 +424,14 @@ def load_checkpoint(path) -> dict:
             f"not a readable stdialog checkpoint: {path}") from exc
     if meta["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {meta['version']} not supported")
+    for key in ("step", "opt_t"):   # a bool is no count
+        if type(meta[key]) is not int or meta[key] < 0:
+            raise ValueError(f"checkpoint {path}: meta key {key!r} is not a "
+                             f"non-negative integer")
+    if not (isinstance(meta["vocab"], list)
+            and all(isinstance(token, str) for token in meta["vocab"])):
+        raise ValueError(f"checkpoint {path}: meta key 'vocab' is not a list "
+                         f"of strings")
     task = meta.get("task")
     if task is not None:
         for key, kind in (("kind", str), ("num_classes", int)):

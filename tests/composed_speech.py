@@ -105,9 +105,9 @@ def conv1d(x, weight, bias, stride=1, padding="valid", groups=1):
 
 def apply_mask_plan(features, plan):
     """Differentiable corruption: zero / swap-in-random-frame / keep."""
-    if features.shape[0] != plan.length:
+    if features.shape[0] != plan.mask.size:
         raise ValueError(
-            f"plan length {plan.length} != features rows {features.shape[0]}")
+            f"plan of {plan.mask.size} frames for {features.shape[0]} rows")
     if not plan.mask.any():
         return features
     dim = features.shape[1]
@@ -135,14 +135,24 @@ def composed_extract_features(waveforms, config, conv_params, ln_gain,
     return ad.concat(feats)
 
 
+def turn_plan(plan, first, m):
+    """Rows [first, first + m) of a packed mask plan as a plan of their
+    own, its replacement sources counted from ``first``."""
+    rows = slice(first, first + m)
+    sources = plan.replacement_sources[rows]
+    return mk.MaskPlan(plan.mask[rows], plan.actions[rows],
+                       np.where(sources >= 0, sources - first, -1))
+
+
 def composed_project_features(features, ln_gain, ln_bias, weight, bias,
-                              lengths, plans=None):
-    """Each turn's rows corrupted by its own plan, then layer norm and the
-    affine map."""
+                              lengths, plan=None):
+    """Each turn's rows corrupted by its own rows of the packed ``plan``,
+    then layer norm and the affine map."""
     turns = split_rows(features, lengths)
-    if plans is not None:
-        turns = [t if plan is None else apply_mask_plan(t, plan)
-                 for t, plan in zip(turns, plans, strict=True)]
+    if plan is not None:
+        turns = [apply_mask_plan(t, turn_plan(plan, first, m))
+                 for t, first, m in zip(turns, np.cumsum(lengths) - lengths,
+                                        lengths)]
     return ad.linear(layer_norm(ad.concat(turns), ln_gain, ln_bias), weight,
                      bias)
 

@@ -199,6 +199,13 @@ def broken_checkpoints(tmp_path_factory, pretrained, finetuned):
         "task-kind-not-str": rewrite_checkpoint(
             finetuned, out / "task-kind-not-str.npz",
             set_meta={"task": {"kind": 1, "num_classes": 4}}),
+        **{f"{key}-{name}": rewrite_checkpoint(
+            pretrained / "checkpoint-final.npz", out / f"{key}-{name}.npz",
+            set_meta={key: value})
+           for key, name, value in (
+               ("step", "str", "2"), ("step", "float", 2.5),
+               ("step", "negative", -3), ("opt_t", "list", [1]),
+               ("opt_t", "negative", -5), ("vocab", "int", 5))},
     }
 
 
@@ -360,6 +367,12 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
                                   "checkpoint-without-head",
                                   "task-meta-without-num-classes",
                                   "task-meta-kind-not-a-string",
+                                  "resume-step-not-an-integer",
+                                  "resume-step-a-float",
+                                  "resume-step-negative",
+                                  "resume-opt-t-a-list",
+                                  "resume-opt-t-negative",
+                                  "export-vocab-not-a-list",
                                   "pretrain-corpus-at-200hz",
                                   "finetune-corpus-at-200hz",
                                   "evaluate-corpus-at-200hz",
@@ -484,6 +497,22 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
              "--task-corpus", task_dir / "manifest.json",
              "--labels", task_dir / "labels.jsonl"),
             "task meta key 'kind' missing or not of type str"),
+        **{f"resume-{what}": (
+            (*pretrain, "--resume", broken_checkpoints[name]),
+            f"checkpoint {broken_checkpoints[name]}: meta key {key!r} is "
+            f"not a non-negative integer")
+           for what, name, key in (
+               ("step-not-an-integer", "step-str", "step"),
+               ("step-a-float", "step-float", "step"),
+               ("step-negative", "step-negative", "step"),
+               ("opt-t-a-list", "opt_t-list", "opt_t"),
+               ("opt-t-negative", "opt_t-negative", "opt_t"))},
+        "export-vocab-not-a-list": (
+            ("export-attention", "--checkpoint",
+             broken_checkpoints["vocab-int"], "--corpus",
+             corpus_dir / "manifest.json", "--out", tmp_path / "attn"),
+            f"checkpoint {broken_checkpoints['vocab-int']}: meta key 'vocab' "
+            f"is not a list of strings"),
         "pretrain-corpus-at-200hz": (
             ("pretrain", "--corpus", corpus_200hz / "manifest.json",
              "--out", tmp_path / "run"), rates),

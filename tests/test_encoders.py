@@ -366,6 +366,13 @@ class TestFusion:
                                  for j in own]
         assert sample.tolist() == [i for i, own in enumerate(positions)
                                    for _ in own]
+        # the same positions counted over the batch's packed text
+        firsts = np.cumsum(text_lengths) - text_lengths
+        packed_rows, packed_sample = fused.packed_text_rows(
+            [first + j for first, own in zip(firsts, positions) for j in own],
+            "position")
+        assert packed_rows.tolist() == rows.tolist()
+        assert packed_sample.tolist() == sample.tolist()
         # extraction packs each sample's prev frames, then its cur frames
         assert fused.frame_rows().tolist() == [
             layout.index((turn, i, j)) for i, (_, m_prev, m_cur)
@@ -378,6 +385,11 @@ class TestFusion:
         with pytest.raises(IndexError, match=r"position outside text span "
                                              rf"\[0, {text_lengths[k]}\)"):
             fused.text_rows(outside, "position")
+        end = sum(text_lengths)
+        for pos in (-1, end):
+            with pytest.raises(IndexError, match=r"position outside packed "
+                                                 rf"text \[0, {end}\)"):
+                fused.packed_text_rows([pos], "position")
 
     def test_modality_embedding_difference_before_attention(self):
         cfg, _, _, _, fusion, modality = make_stack()

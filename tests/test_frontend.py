@@ -169,7 +169,7 @@ class TestProjection:
         ln_bias = Tensor(np.zeros(8))
         w = Tensor(np.zeros((8, 5)))
         b = Tensor(np.arange(5.0))
-        out = fe.project_features(feats, gain, ln_bias, w, b, [7])
+        out = fe.project_features(feats, gain, ln_bias, w, b)
         np.testing.assert_allclose(out.data, np.tile(np.arange(5.0), (7, 1)),
                                    atol=1e-12)
 
@@ -179,7 +179,7 @@ class TestProjection:
         ln_bias = Tensor(np.linspace(0, 1, 8))
         w = Tensor(np.eye(8))
         b = Tensor(np.zeros(8))
-        out = fe.project_features(feats, gain, ln_bias, w, b, [3])
+        out = fe.project_features(feats, gain, ln_bias, w, b)
         np.testing.assert_allclose(out.data, np.tile(np.linspace(0, 1, 8), (3, 1)),
                                    atol=1e-10)
 
@@ -191,7 +191,7 @@ class TestProjection:
         w = rng.standard_normal((8, 8))
         b = rng.standard_normal(8)
         out = fe.project_features(Tensor(feats), Tensor(gain), Tensor(ln_bias),
-                                  Tensor(w), Tensor(b), [4, 2]).data
+                                  Tensor(w), Tensor(b)).data
         mu = feats.mean(axis=1, keepdims=True)
         var = feats.var(axis=1, keepdims=True)
         normed = (feats - mu) / np.sqrt(var + 1e-5) * gain + ln_bias
@@ -200,11 +200,25 @@ class TestProjection:
 
 
 def hand_plan(actions, sources):
-    """A mask plan with the given per-frame actions and replacement
-    sources (-1 where a frame is not replaced)."""
+    """A one-turn mask plan with the given per-frame actions and
+    replacement sources (-1 where a frame is not replaced)."""
     actions = np.array(actions)
-    return mk.MaskPlan(length=len(actions), mask=actions != mk.UNMASKED,
-                       actions=actions, replacement_sources=np.array(sources))
+    return mk.MaskPlan(mask=actions != mk.UNMASKED, actions=actions,
+                       replacement_sources=np.array(sources))
+
+
+def packed_plan(plans, lengths):
+    """One plan over turns of ``lengths`` frames packed back to back: each
+    turn's one-turn plan at its row offset, a None turn left unmasked."""
+    plans = [hand_plan([U] * m, [-1] * m) if plan is None else plan
+             for plan, m in zip(plans, lengths, strict=True)]
+    firsts = np.cumsum(lengths) - lengths
+    sources = [np.where(p.replacement_sources >= 0,
+                        p.replacement_sources + first, -1)
+               for p, first in zip(plans, firsts)]
+    return mk.MaskPlan(np.concatenate([p.mask for p in plans]),
+                       np.concatenate([p.actions for p in plans]),
+                       np.concatenate(sources))
 
 
 U, Z, R, K = mk.UNMASKED, mk.ZERO, mk.REPLACE, mk.KEEP
@@ -220,8 +234,9 @@ PLANS = {
 
 
 class TestProjectionNode:
-    """Three turns of 8, 5 and 8 frames: the parametrized plan on the
-    first, none on the second, ``all-actions`` on the third."""
+    """Three turns of 8, 5 and 8 frames, masked by one packed plan: the
+    parametrized turn plan on the first, none on the second,
+    ``all-actions`` on the third."""
 
     LENGTHS = [8, 5, 8]
 
@@ -238,26 +253,27 @@ class TestProjectionNode:
     @pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
     def test_matches_composed_reference(self, plan):
         params = self.case()
-        plans = [plan, None, PLANS["all-actions"]]
+        plan = packed_plan([plan, None, PLANS["all-actions"]], self.LENGTHS)
         assert_node_matches_reference(
-            lambda: fe.project_features(*params, self.LENGTHS, plans),
-            lambda: composed_project_features(*params, self.LENGTHS, plans),
+            lambda: fe.project_features(*params, plan),
+            lambda: composed_project_features(*params, self.LENGTHS, plan),
             params)
 
     def test_matches_composed_reference_without_plans(self):
         params = self.case(seed=10)
         assert_node_matches_reference(
-            lambda: fe.project_features(*params, self.LENGTHS),
+            lambda: fe.project_features(*params),
             lambda: composed_project_features(*params, self.LENGTHS),
             params)
 
     def test_grad_check(self):
         params = self.case(seed=8)
         proj = Tensor(np.random.default_rng(9).standard_normal((21, 6)))
-        plans = [PLANS["all-actions"], None, PLANS["all-actions"]]
+        plan = packed_plan([PLANS["all-actions"], None, PLANS["all-actions"]],
+                           self.LENGTHS)
 
         def loss():
-            out = fe.project_features(*params, self.LENGTHS, plans)
+            out = fe.project_features(*params, plan)
             return ad.reduce_sum(mul(out, proj))
 
         report = grad_check(loss, params)
@@ -267,20 +283,23 @@ class TestProjectionNode:
         params = self.case(seed=11)
         feats = params[0].data
         plan = PLANS["all-actions"]
-        out = fe.project_features(*params, self.LENGTHS, [None, None, plan])
-        alone = fe.project_features(Tensor(feats[13:]), *params[1:], [8],
-                                    [plan])
+        out = fe.project_features(*params, packed_plan([None, None, plan],
+                                                       self.LENGTHS))
+        alone = fe.project_features(Tensor(feats[13:]), *params[1:], plan)
         np.testing.assert_array_equal(out.data[13:], alone.data)
 
     def test_plan_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="plan length 8 != features "
-                                             "rows 9"):
+        # turns of 8, 9 and 5 frames; the second turn's plan a frame short
+        plan = packed_plan([PLANS["unmasked"]] * 2 + [None], [8, 8, 5])
+        with pytest.raises(ShapeError, match="mask plan over 21 frames for "
+                                             "22 feature rows"):
             fe.project_features(Tensor(np.zeros((22, 5))), *self.case()[1:],
-                                [8, 9, 5], [PLANS["unmasked"]] * 2 + [None])
+                                plan)
 
     def test_lengths_must_cover_the_rows(self):
-        with pytest.raises(ShapeError, match="summing to 20 for 21"):
-            fe.project_features(*self.case(), [8, 5, 7])
+        plan = packed_plan([None, None, None], [8, 5, 9])
+        with pytest.raises(ShapeError, match="over 22 frames for 21"):
+            fe.project_features(*self.case(), plan)
 
 
 class TestAssembly:

@@ -8,7 +8,7 @@ from composed_speech import (assert_node_matches_reference,
                              composed_assemble_speech_sequences,
                              composed_conv_position_embedding,
                              composed_extract_features,
-                             composed_project_features)
+                             composed_project_features, turn_plan)
 from stdialog import corpus as cp
 from stdialog import encoders as enc
 from stdialog import frontend as fe
@@ -19,7 +19,7 @@ from stdialog.autodiff import ShapeError
 from stdialog.gradcheck import grad_check
 from stdialog.masking import AcousticMaskConfig
 from stdialog.objectives import LossWeights, make_crs_sample
-from stdialog.text import Vocab
+from stdialog.text import TextMaskPlan, Vocab
 from stdialog.trainer import TrainConfig
 
 
@@ -40,14 +40,49 @@ def tiny_setup(dtype="float64", seed=0, layers=1):
     return model, vocab, dialogs, samples
 
 
-def prepare(model, vocab, sample, label=None, seed=0, span=(2, 4),
+def prepare(model, vocab, samples, labels=None, seed=0, span=(2, 4),
             mask_prob=0.15, trigger=0.15):
-    rng = np.random.default_rng(seed)
+    """A training batch of ``samples``, its masks drawn from ``seed``."""
     return md.prepare_sample(
-        sample, vocab, model.config, rng=rng, crs_label=label,
-        text_mask_prob=mask_prob,
+        samples, vocab, model.config, rng=np.random.default_rng(seed),
+        crs_labels=labels, text_mask_prob=mask_prob,
         acoustic_config=AcousticMaskConfig(trigger_prob=trigger,
                                            span_range=span))
+
+
+def sample_of(batch, i):
+    """Sample i of ``batch`` as a batch of its own, masked as the batch
+    drew it."""
+    text_end = np.cumsum(batch.text_lengths)[i]
+    text_first = text_end - batch.text_lengths[i]
+    text = slice(text_first, text_end)
+    turns = slice(2 * i, 2 * i + 2)
+    frame_end = np.cumsum(batch.turn_frames)[2 * i + 1]
+    frame_first = frame_end - batch.turn_frames[turns].sum()
+    text_plan = acoustic_plan = None
+    if batch.text_plan is not None:
+        plan = batch.text_plan
+        own = (text_first <= plan.positions) & (plan.positions < text_end)
+        text_plan = TextMaskPlan(plan.positions[own] - text_first,
+                                 plan.actions[own],
+                                 plan.replacement_ids[own], plan.labels[own])
+    if batch.acoustic_plan is not None:
+        acoustic_plan = turn_plan(batch.acoustic_plan, frame_first,
+                                  frame_end - frame_first)
+    return replace(
+        batch, token_ids=batch.token_ids[text],
+        position_ids=batch.position_ids[text],
+        segment_ids=batch.segment_ids[text],
+        text_lengths=batch.text_lengths[i:i + 1],
+        word_boundaries=batch.word_boundaries[i:i + 1],
+        crs_labels=batch.crs_labels[i:i + 1], waves=batch.waves[turns],
+        turn_frames=batch.turn_frames[turns], scored=batch.scored[turns],
+        text_plan=text_plan, acoustic_plan=acoustic_plan)
+
+
+def turn_firsts(batch):
+    """The first packed frame of each speech turn of ``batch``."""
+    return np.cumsum(batch.turn_frames) - batch.turn_frames
 
 
 class TestForward:
@@ -70,16 +105,15 @@ class TestForward:
         model, vocab, dialogs, samples = tiny_setup()
         sample, label = make_crs_sample(samples[0], dialogs,
                                         np.random.default_rng(1))
-        prepared = prepare(model, vocab, sample, label)
-        losses = model.compute_losses([prepared])
+        losses = model.compute_losses(prepare(model, vocab, [sample],
+                                              [label]))
         for key in ("tpp", "cmlm", "cmam", "joint"):
             assert np.isfinite(losses[key].data)
         assert losses["crs"] is not None
 
     def test_crs_disabled_drops_term(self):
         model, vocab, _, samples = tiny_setup()
-        prepared = prepare(model, vocab, samples[0], label=None)
-        losses = model.compute_losses([prepared])
+        losses = model.compute_losses(prepare(model, vocab, samples[:1]))
         assert losses["crs"] is None
         total = losses["tpp"].item() + losses["cmlm"].item() + \
             losses["cmam"].item()
@@ -101,13 +135,12 @@ class TestForward:
 
     def test_speech_path_matches_composed_reference(self):
         model, vocab, _, samples = tiny_setup()
-        prepared = speech_batch(model, vocab, samples)
-        plans = [plan for p in prepared
-                 for plan in (p.acoustic_plan_prev, p.acoustic_plan_cur)]
-        assert sum(plan.mask.any() for plan in plans) >= 2
+        batch = speech_batch(model, vocab, samples)
+        plan = batch.acoustic_plan
+        assert (np.add.reduceat(plan.mask, turn_firsts(batch)) > 0).sum() \
+            >= 2
         frontend = model.config.frontend
-        turn_frames = [frontend.output_length(len(w)) for p in prepared
-                       for w in (p.wave_prev, p.wave_cur)]
+        turn_frames = batch.turn_frames.tolist()
         frames = list(zip(turn_frames[0::2], turn_frames[1::2]))
         params = [*model.extract_ln, *model.proj_ln, model.proj_w,
                   model.proj_b, *(p for pair in model.conv_params for p in pair),
@@ -115,18 +148,17 @@ class TestForward:
         targets = {}
 
         def node():
-            _, targets["node"], stages = speech_stages(model, prepared)
+            _, targets["node"], stages = speech_stages(model, batch)
             return stages["conv_position_embedding"]
 
         def composed():
             feats = composed_extract_features(
-                [w.astype(np.float64) for p in prepared
-                 for w in (p.wave_prev, p.wave_cur)],
+                [w.astype(np.float64) for w in batch.waves],
                 frontend, model.conv_params, *model.extract_ln)
             targets["composed"] = feats.data
             projected = composed_project_features(
                 feats, *model.proj_ln, model.proj_w, model.proj_b,
-                turn_frames, plans)
+                turn_frames, plan)
             return composed_conv_position_embedding(
                 composed_assemble_speech_sequences(
                     projected, frames, model.cls_vec, model.sep_vec),
@@ -145,26 +177,28 @@ class TestForward:
 
 
 def speech_batch(model, vocab, samples, seed=4):
-    """Three prepared samples whose waveforms differ in length: the second
-    one's prev turn is cut to exactly the receptive field (one frame,
-    zeroed by its plan), and every turn has a mask plan."""
-    a, b, c = [prepare(model, vocab, sample, seed=seed + i, trigger=0.6)
-               for i, sample in enumerate(samples[:3])]
-    one_frame = mk.MaskPlan(length=1, mask=np.array([True]),
-                            actions=np.array([mk.ZERO]),
-                            replacement_sources=np.array([-1]))
+    """A training batch of three samples whose waveforms differ in length:
+    the second one's prev turn is cut to exactly the receptive field (one
+    frame, zeroed by the plan)."""
+    a, b, c = samples[:3]
     rf = model.config.frontend.receptive_field
-    b = replace(b, wave_prev=b.wave_prev[:rf], acoustic_plan_prev=one_frame)
-    return [a, b, c]
+    short_b = replace(b, speech_prev=b.speech_prev[:rf])
+    batch = prepare(model, vocab, [a, short_b, c], seed=seed, trigger=0.6)
+    one_frame = turn_firsts(batch)[2]
+    plan = batch.acoustic_plan
+    plan.mask[one_frame] = True
+    plan.actions[one_frame] = mk.ZERO
+    plan.replacement_sources[one_frame] = -1
+    return batch
 
 
 STAGES = ((fe, "extract_features"), (fe, "project_features"),
           (fe, "assemble_speech_sequences"), (enc, "conv_position_embedding"))
 
 
-def speech_stages(model, prepared) -> tuple:
-    """``model.forward(prepared)``'s fused batch and targets, and the
-    output of each speech input stage of that forward, by name."""
+def speech_stages(model, batch) -> tuple:
+    """``model.forward(batch)``'s fused batch and targets, and the output
+    of each speech input stage of that forward, by name."""
     stages = {}
 
     def spy(name, original):
@@ -176,16 +210,15 @@ def speech_stages(model, prepared) -> tuple:
     with pytest.MonkeyPatch.context() as patch:
         for module, name in STAGES:
             patch.setattr(module, name, spy(name, getattr(module, name)))
-        fused, targets = model.forward(prepared)
+        fused, targets = model.forward(batch)
     return fused, targets, stages
 
 
-def stage_rows(model, prepared) -> dict:
+def stage_rows(batch) -> dict:
     """For each speech input stage, the row slice of each sample's rows in
     its output: its prev and cur frames (extraction, projection), or its
     [CLS] prev [SEP] cur sequence (layout, conv position embedding)."""
-    frames = [sum(model.config.frontend.output_length(len(w))
-                  for w in (p.wave_prev, p.wave_cur)) for p in prepared]
+    frames = batch.turn_frames.reshape(-1, 2).sum(axis=1)
     ends = np.cumsum(frames)
     turn_rows = [slice(end - m, end) for end, m in zip(ends, frames)]
     seq_rows = [slice(end - m + 2 * i, end + 2 * (i + 1))
@@ -221,20 +254,22 @@ class TestBatch:
     PER_SAMPLE_EVAL_NODES = 85
 
     def prepared(self, model, vocab, samples):
-        return [prepare(model, vocab, sample, label=i % 4, seed=10 + i,
-                        mask_prob=0.4, trigger=0.5)
-                for i, sample in enumerate(samples)]
+        return prepare(model, vocab, samples,
+                       [i % 4 for i in range(len(samples))], seed=10,
+                       mask_prob=0.4, trigger=0.5)
 
     def test_no_cross_sample_leak(self):
         model, vocab, _, samples = tiny_setup()
-        a, b, c = self.prepared(model, vocab, samples[:3])
+        batch = self.prepared(model, vocab, samples[:3])
         rng = np.random.default_rng(5)
-        other_b = replace(
-            b, input_token_ids=(b.input_token_ids + 1) % vocab.size,
-            wave_prev=rng.standard_normal(len(b.wave_prev)),
-            wave_cur=rng.standard_normal(len(b.wave_cur)))
-        before = model.compute_losses([a, b, c])
-        after = model.compute_losses([a, other_b, c])
+        text = slice(batch.text_lengths[0], sum(batch.text_lengths[:2]))
+        token_ids = batch.token_ids.copy()
+        token_ids[text] = (token_ids[text] + 1) % vocab.size
+        waves = list(batch.waves)
+        waves[2:4] = [rng.standard_normal(len(w)) for w in waves[2:4]]
+        other_b = replace(batch, token_ids=token_ids, waves=waves)
+        before = model.compute_losses(batch)
+        after = model.compute_losses(other_b)
         for key, loss in before.items():
             for i in (0, 2):
                 assert loss.data[i].tobytes() == \
@@ -243,13 +278,15 @@ class TestBatch:
 
     def test_batch_losses_equal_one_sample_calls(self):
         model, vocab, _, samples = tiny_setup(dtype="float32")
-        prepared = self.prepared(model, vocab, samples[:4])
-        batch = model.compute_losses(prepared)
-        for i, p in enumerate(prepared):
-            single = model.compute_losses([p])
+        batch = self.prepared(model, vocab, samples[:4])
+        assert batch.text_plan.positions.size
+        assert batch.acoustic_plan.mask.any()
+        losses = model.compute_losses(batch)
+        for i in range(4):
+            single = model.compute_losses(sample_of(batch, i))
             for key in ("tpp", "crs", "cmlm", "cmam", "joint"):
-                assert batch[key].shape == (len(prepared),)
-                np.testing.assert_allclose(batch[key].data[i],
+                assert losses[key].shape == (4,)
+                np.testing.assert_allclose(losses[key].data[i],
                                            single[key].item(), rtol=1e-5,
                                            err_msg=key)
 
@@ -268,8 +305,8 @@ class TestBatch:
         model, vocab, _, samples = tiny_setup()
         forward, hidden = model.forward, []
 
-        def spy(prepared):
-            fused, targets = forward(prepared)
+        def spy(batch):
+            fused, targets = forward(batch)
             hidden.append(fused.hidden)
             return fused, targets
 
@@ -284,35 +321,42 @@ class TestBatch:
 
     def test_unmasked_batch_gives_zero_masking_losses(self):
         model, vocab, _, samples = tiny_setup()
-        prepared = [md.prepare_sample(s, vocab, model.config, train=False)
-                    for s in samples[:3]]
-        losses = model.compute_losses(prepared)
+        losses = model.compute_losses(md.prepare_sample(
+            samples[:3], vocab, model.config, train=False))
         assert losses["crs"] is None
         for key in ("cmlm", "cmam"):
             np.testing.assert_array_equal(losses[key].data, np.zeros(3))
         np.testing.assert_allclose(losses["joint"].data, losses["tpp"].data,
                                    rtol=1e-12)
 
+    def test_empty_batch_rejected(self):
+        model, vocab, _, _ = tiny_setup()
+        for train in (True, False):
+            with pytest.raises(ValueError, match="cannot prepare an empty "
+                                                 "batch"):
+                md.prepare_sample([], vocab, model.config, train=train,
+                                  rng=np.random.default_rng(0))
 
     def test_batch_speech_rows_equal_one_sample_calls(self):
         model, vocab, _, samples = tiny_setup()
-        prepared = speech_batch(model, vocab, samples)
-        lengths = [(len(p.wave_prev), len(p.wave_cur)) for p in prepared]
-        assert len(set(lengths)) == 3
-        assert lengths[1][0] == model.config.frontend.receptive_field
-        _, targets, batch = speech_stages(model, prepared)
+        batch = speech_batch(model, vocab, samples)
+        lengths = [len(w) for w in batch.waves]
+        assert len(set(zip(lengths[0::2], lengths[1::2]))) == 3
+        assert lengths[2] == model.config.frontend.receptive_field
+        _, targets, stages = speech_stages(model, batch)
         # the targets are the pre-mask extractor output
-        np.testing.assert_array_equal(targets, batch["extract_features"].data)
-        rows = stage_rows(model, prepared)
-        for i, p in enumerate(prepared):
-            _, _, single = speech_stages(model, [p])
+        np.testing.assert_array_equal(targets, stages["extract_features"].data)
+        rows = stage_rows(batch)
+        for i in range(3):
+            _, _, single = speech_stages(model, sample_of(batch, i))
             for _, name in STAGES:
                 np.testing.assert_allclose(
-                    batch[name].data[rows[name][i]], single[name].data,
+                    stages[name].data[rows[name][i]], single[name].data,
                     rtol=1e-12, atol=1e-14, err_msg=name)
-            m_prev = model.config.frontend.output_length(len(p.wave_prev))
-            frames = batch["project_features"].data[rows["project_features"][i]]
-            seq = batch["assemble_speech_sequences"].data[
+            m_prev = batch.turn_frames[2 * i]
+            frames = stages["project_features"].data[
+                rows["project_features"][i]]
+            seq = stages["assemble_speech_sequences"].data[
                 rows["assemble_speech_sequences"][i]]
             # the layout is row-wise: bit for bit
             np.testing.assert_array_equal(seq[0], model.cls_vec.data)
@@ -322,22 +366,21 @@ class TestBatch:
 
     def test_perturbed_waveform_leaves_other_samples_bit_identical(self):
         model, vocab, _, samples = tiny_setup(dtype="float32")
-        prepared = speech_batch(model, vocab, samples)
+        batch = speech_batch(model, vocab, samples)
         rng = np.random.default_rng(6)
-        b = prepared[1]
-        other = [prepared[0], replace(
-            b, wave_prev=rng.standard_normal(len(b.wave_prev)),
-            wave_cur=rng.standard_normal(len(b.wave_cur))), prepared[2]]
-        fused, _, before = speech_stages(model, prepared)
-        other_fused, _, after = speech_stages(model, other)
-        for name, rows in stage_rows(model, prepared).items():
+        waves = list(batch.waves)
+        waves[2:4] = [rng.standard_normal(len(w)) for w in waves[2:4]]
+        fused, _, before = speech_stages(model, batch)
+        other_fused, _, after = speech_stages(model,
+                                              replace(batch, waves=waves))
+        for name, rows in stage_rows(batch).items():
             for i in (0, 2):
                 assert before[name].data[rows[i]].tobytes() == \
                     after[name].data[rows[i]].tobytes(), (name, i)
             assert not np.array_equal(before[name].data[rows[1]],
                                       after[name].data[rows[1]]), name
         # the conv position rows beside the perturbed sequence's boundaries
-        pos_rows = stage_rows(model, prepared)["conv_position_embedding"]
+        pos_rows = stage_rows(batch)["conv_position_embedding"]
         for row in (pos_rows[0].stop - 1, pos_rows[2].start):
             np.testing.assert_array_equal(
                 before["conv_position_embedding"].data[row],
@@ -361,25 +404,23 @@ class TestBatch:
 
     def test_cmam_scores_masked_frames_at_their_layout_rows(self):
         model, vocab, _, samples = tiny_setup()
-        prepared = speech_batch(model, vocab, samples)
-        prepared[2] = replace(prepared[2], cmam_turns=(False, True))
-        fused, feats = model.forward(prepared)
-        cmam = model.compute_losses(prepared)["cmam"].data
-        first_frame = 0   # of the sample, in the packed extractor output
-        for i, p in enumerate(prepared):
+        batch = speech_batch(model, vocab, samples)
+        batch.scored[4] = False   # the third sample's prev turn
+        fused, feats = model.forward(batch)
+        cmam = model.compute_losses(batch)["cmam"].data
+        mask = batch.acoustic_plan.mask
+        for i in range(3):
             n, m_prev = fused.n_text[i], fused.m_prev[i]
             rows, targets = [], []
             # the prev turn's frames follow CLS, the cur turn's SEP, in
             # the layout [text, CLS, prev, SEP, cur]
-            for plan, scored, first_row, frame in (
-                    (p.acoustic_plan_prev, p.cmam_turns[0], n + 1,
-                     first_frame),
-                    (p.acoustic_plan_cur, p.cmam_turns[1], n + m_prev + 2,
-                     first_frame + m_prev)):
-                masked = np.flatnonzero(plan.mask) if scored else []
+            for turn, first_row in ((2 * i, n + 1),
+                                    (2 * i + 1, n + m_prev + 2)):
+                first = turn_firsts(batch)[turn]
+                own = mask[first:first + batch.turn_frames[turn]]
+                masked = np.flatnonzero(own) if batch.scored[turn] else []
                 rows += [fused.start[i] + first_row + j for j in masked]
-                targets += [feats[frame + j] for j in masked]
-            first_frame += m_prev + fused.m_cur[i]
+                targets += [feats[first + j] for j in masked]
             assert rows, i
             pred = fused.hidden.data[rows] @ model.cmam_w.data \
                 + model.cmam_b.data
@@ -388,25 +429,23 @@ class TestBatch:
 
     def test_short_waveform_in_batch_names_minimum(self):
         model, vocab, _, samples = tiny_setup()
-        prepared = [md.prepare_sample(s, vocab, model.config, train=False)
-                    for s in samples[:3]]
         rf = model.config.frontend.receptive_field
-        prepared[2] = replace(prepared[2],
-                              wave_cur=prepared[2].wave_cur[:rf - 1])
+        chosen = samples[:3]
+        chosen[2] = replace(chosen[2], speech_cur=chosen[2].speech_cur[:rf - 1])
         with pytest.raises(ShapeError, match=f"minimum length is {rf}"):
-            model.forward(prepared)
+            md.prepare_sample(chosen, vocab, model.config, train=False)
 
     def test_plan_length_mismatch_in_batch_rejected(self):
         model, vocab, _, samples = tiny_setup()
-        prepared = self.prepared(model, vocab, samples[:3])
-        plan = prepared[1].acoustic_plan_cur
-        wrong = mk.draw_mask_plan(plan.length + 1, np.random.default_rng(0),
+        batch = self.prepared(model, vocab, samples[:3])
+        frames = batch.turn_frames.copy()
+        frames[3] += 1
+        wrong = mk.draw_mask_plan(frames, np.random.default_rng(0),
                                   AcousticMaskConfig(span_range=(2, 4)))
-        prepared[1] = replace(prepared[1], acoustic_plan_cur=wrong)
-        with pytest.raises(ValueError, match=f"plan length {wrong.length} "
-                                             f"!= features rows "
-                                             f"{plan.length}"):
-            model.compute_losses(prepared)
+        with pytest.raises(ShapeError, match=f"mask plan over {frames.sum()} "
+                                             f"frames for {frames.sum() - 1} "
+                                             f"feature rows"):
+            model.compute_losses(replace(batch, acoustic_plan=wrong))
 
 
 class TestGradientIntegrity:
@@ -417,17 +456,17 @@ class TestGradientIntegrity:
         sample, label = make_crs_sample(
             samples[0], dialogs, np.random.default_rng(3),
             class_probs=(0.0, 1.0, 0.0, 0.0))
-        self.prepared = prepare(self.model, self.vocab, sample, label, seed=4,
-                                mask_prob=0.5, trigger=0.6)
-        assert self.prepared.text_plan.positions.size > 0
-        assert self.prepared.acoustic_plan_prev.mask.any() or \
-            self.prepared.acoustic_plan_cur.mask.any()
+        self.batch = prepare(self.model, self.vocab, [sample], [label],
+                             seed=4, mask_prob=0.5, trigger=0.6)
+        assert self.batch.text_plan.positions.size > 0
+        assert (self.batch.acoustic_plan.mask & np.repeat(
+            self.batch.scored, self.batch.turn_frames)).any()
 
     def check(self, key, weights=LossWeights()):
-        _, frozen = self.model.forward([self.prepared])
+        _, frozen = self.model.forward(self.batch)
 
         def loss():
-            return self.model.compute_losses([self.prepared], weights,
+            return self.model.compute_losses(self.batch, weights,
                                              frozen_cmam_targets=frozen)[key]
 
         report = grad_check(loss, self.model.parameters(), epsilon=1e-5,

@@ -253,14 +253,14 @@ class TestCmlmLoss:
         w = Parameter(np.zeros((8, 16)), "w")
         b = Parameter(np.zeros(16), "b")
         plan = self.make_plan([], [])
-        assert ob.cmlm_loss(fused, [plan], w, b).item() == 0.0
+        assert ob.cmlm_loss(fused, plan, w, b).item() == 0.0
 
     def test_uniform_logits_ln16(self):
         fused = make_fused()
         w = Parameter(np.zeros((8, 16)), "w")
         b = Parameter(np.zeros(16), "b")
         plan = self.make_plan([1, 2], [5, 6])
-        assert ob.cmlm_loss(fused, [plan], w, b).item() == \
+        assert ob.cmlm_loss(fused, plan, w, b).item() == \
             pytest.approx(math.log(16), abs=1e-12)
 
     def test_scalar_oracle_five_tokens(self):
@@ -271,7 +271,7 @@ class TestCmlmLoss:
             b = Parameter(rng.standard_normal(16), "b")
             plan = self.make_plan([0, 1, 2, 3, 4],
                                   rng.integers(0, 16, 5))
-            loss = ob.cmlm_loss(fused, [plan], w, b).item()
+            loss = ob.cmlm_loss(fused, plan, w, b).item()
             states = fused.hidden.data[plan.positions].tolist()
             oracle = cmlm_oracle(states, w.data.tolist(), b.data.tolist(),
                                  plan.labels.tolist())
@@ -282,7 +282,7 @@ class TestCmlmLoss:
         w = Parameter(np.zeros((8, 16)), "w")
         b = Parameter(np.zeros(16), "b")
         with pytest.raises(IndexError):
-            ob.cmlm_loss(fused, [self.make_plan([5], [0])], w, b)
+            ob.cmlm_loss(fused, self.make_plan([5], [0]), w, b)
 
 
 def keep_frames(fused, prev=(), cur=()):
@@ -366,6 +366,19 @@ def packed(fused: list) -> FusedBatch:
                       np.cumsum(lengths) - lengths)
 
 
+def packed_text_plan(plans, n_text):
+    """One text mask plan over a batch's packed text, from each sample's
+    plan over its own text (None: nothing masked)."""
+    plans = [TestCmlmLoss().make_plan([], []) if p is None else p
+             for p in plans]
+    firsts = np.cumsum(n_text) - n_text
+    return TextMaskPlan(
+        positions=np.concatenate([p.positions + first
+                                  for p, first in zip(plans, firsts)]),
+        **{key: np.concatenate([getattr(p, key) for p in plans])
+           for key in ("actions", "replacement_ids", "labels")})
+
+
 class TestBatchLosses:
     """Each objective gives a [b] tensor of per-sample losses from one
     head over the packed rows of the batch."""
@@ -399,7 +412,8 @@ class TestBatchLosses:
                 f, [boundaries[j] for j in i], head),
             "crs": lambda f, i: ob.crs_loss(f, [labels[j] for j in i], *crs),
             "cmlm": lambda f, i: ob.cmlm_loss(
-                f, [text_plans[j] for j in i], *lm),
+                f, packed_text_plan([text_plans[j] for j in i], f.n_text),
+                *lm),
             "cmam": lambda f, i: ob.cmam_loss(
                 f, np.concatenate([keeps[j] for j in i]),
                 np.concatenate([targets[j] for j in i]), *cmam)}
@@ -418,7 +432,8 @@ class TestBatchLosses:
         losses = [
             ob.tpp_loss(batch, [[], [], []], make_head()),
             ob.crs_loss(batch, [None] * 3, w4, b4),
-            ob.cmlm_loss(batch, [None, empty, None], w16, b16),
+            ob.cmlm_loss(batch, None, w16, b16),
+            ob.cmlm_loss(batch, empty, w16, b16),
             ob.cmam_loss(batch, np.zeros(21, dtype=bool), np.zeros((0, 4)),
                          w4, b4)]
         for loss in losses:

@@ -24,6 +24,14 @@ def make_sample(turn_words, tpp_turn_words=None):
                      tpp_words=tpp)
 
 
+def packed_ids(*inputs):
+    """The token, position and segment ids of ``inputs``, each packed back
+    to back, as ``embed_text`` takes them."""
+    return (np.concatenate([t.token_ids for t in inputs]),
+            np.concatenate([t.position_ids for t in inputs]),
+            np.concatenate([t.segment_ids for t in inputs]))
+
+
 def vocab_for(words, tokenizer=None):
     tokenizer = tokenizer or tx.WhitespaceTokenizer()
     return tx.Vocab.from_tokens(tokenizer.vocabulary_tokens(words))
@@ -159,12 +167,12 @@ class TestEmbedText:
         z = Tensor(np.zeros((self.vocab.size, self.d)))
         zp = Tensor(np.zeros((32, self.d)))
         zs = Tensor(np.zeros((2, self.d)))
-        out = tx.embed_text([self.tok], z, zp, zs)
+        out = tx.embed_text(*packed_ids(self.tok), z, zp, zs)
         np.testing.assert_array_equal(out.data, np.zeros((self.tok.length, self.d)))
 
     def test_segment_difference_is_embedding_difference(self):
-        out = tx.embed_text([self.tok], self.token_table, self.pos_table,
-                            self.seg_table).data
+        out = tx.embed_text(*packed_ids(self.tok), self.token_table,
+                            self.pos_table, self.seg_table).data
         ids = self.tok.token_ids
         # rebuild a twin where one current-turn token is flipped to segment 0
         twin_seg = self.tok.segment_ids.copy()
@@ -172,8 +180,8 @@ class TestEmbedText:
         twin_seg[pos] = 0
         twin = tx.TokenizedInput(ids, twin_seg, self.tok.position_ids,
                                  self.tok.word_boundaries)
-        out2 = tx.embed_text([twin], self.token_table, self.pos_table,
-                             self.seg_table).data
+        out2 = tx.embed_text(*packed_ids(twin), self.token_table,
+                             self.pos_table, self.seg_table).data
         diff = out[pos] - out2[pos]
         expected = self.seg_table.data[1] - self.seg_table.data[0]
         np.testing.assert_allclose(diff, expected, atol=1e-12)
@@ -184,10 +192,10 @@ class TestEmbedText:
         swapped[[1, 2]] = swapped[[2, 1]]
         twin = tx.TokenizedInput(swapped, self.tok.segment_ids,
                                  self.tok.position_ids, self.tok.word_boundaries)
-        out = tx.embed_text([self.tok], self.token_table, self.pos_table,
-                            self.seg_table).data
-        out2 = tx.embed_text([twin], self.token_table, self.pos_table,
-                             self.seg_table).data
+        out = tx.embed_text(*packed_ids(self.tok), self.token_table,
+                            self.pos_table, self.seg_table).data
+        out2 = tx.embed_text(*packed_ids(twin), self.token_table,
+                             self.pos_table, self.seg_table).data
         tok_contrib = self.token_table.data[ids]
         tok_contrib2 = self.token_table.data[swapped]
         np.testing.assert_allclose(out - tok_contrib, out2 - tok_contrib2,
@@ -198,48 +206,47 @@ class TestEmbedText:
                                    self.vocab)
         assert other.length > self.tok.length
         tables = (self.token_table, self.pos_table, self.seg_table)
-        out = tx.embed_text([self.tok, other], *tables).data
+        out = tx.embed_text(*packed_ids(self.tok, other), *tables).data
         np.testing.assert_array_equal(out, np.concatenate(
-            [tx.embed_text([t], *tables).data for t in (self.tok, other)]))
+            [tx.embed_text(*packed_ids(t), *tables).data
+             for t in (self.tok, other)]))
         with pytest.raises(ValueError,
                            match=f"text length {other.length} exceeds"):
-            tx.embed_text([self.tok, other], *tables,
+            tx.embed_text(*packed_ids(self.tok, other), *tables,
                           max_len=self.tok.length)
 
     def test_over_limit_raises(self):
         with pytest.raises(ValueError, match="exceeds maximum"):
-            tx.embed_text([self.tok], self.token_table, self.pos_table,
-                          self.seg_table, max_len=3)
+            tx.embed_text(*packed_ids(self.tok), self.token_table,
+                          self.pos_table, self.seg_table, max_len=3)
 
 
 class TestMaskTokens:
     def big_tokenized(self, n_tokens=100_000, seed=0):
+        """Packed token ids of ``n_tokens`` tokens, and their vocabulary."""
         rng = np.random.default_rng(seed)
         v = vocab_for([f"w{i}" for i in range(50)])
         ids = rng.integers(4, v.size, size=n_tokens)
         # sprinkle specials to prove they are never selected
         ids[::97] = v.eos_id
         ids[::101] = v.bos_id
-        tok = tx.TokenizedInput(ids.astype(np.int64),
-                                np.zeros(n_tokens, np.int64),
-                                np.arange(n_tokens, dtype=np.int64), [])
-        return tok, v
+        return ids.astype(np.int64), v
 
     def test_p_zero_empty_plan(self):
-        tok, v = self.big_tokenized(1000)
-        plan = tx.mask_tokens(tok, v, np.random.default_rng(0), p=0.0)
+        ids, v = self.big_tokenized(1000)
+        plan = tx.mask_tokens(ids, v, np.random.default_rng(0), p=0.0)
         assert plan.positions.size == 0
 
     def test_masking_fraction_monte_carlo(self):
-        tok, v = self.big_tokenized()
-        plan = tx.mask_tokens(tok, v, np.random.default_rng(1), p=0.15)
-        eligible = (~np.isin(tok.token_ids, v.special_ids)).sum()
+        ids, v = self.big_tokenized()
+        plan = tx.mask_tokens(ids, v, np.random.default_rng(1), p=0.15)
+        eligible = (~np.isin(ids, v.special_ids)).sum()
         frac = len(plan.positions) / eligible
         assert abs(frac - 0.15) < 0.005
 
     def test_corruption_split_monte_carlo(self):
-        tok, v = self.big_tokenized()
-        plan = tx.mask_tokens(tok, v, np.random.default_rng(2), p=0.9)
+        ids, v = self.big_tokenized()
+        plan = tx.mask_tokens(ids, v, np.random.default_rng(2), p=0.9)
         acts = plan.actions
         n = len(acts)
         assert abs((acts == tx.TextMaskPlan.MASK_TOKEN).sum() / n - 0.8) < 0.01
@@ -247,18 +254,18 @@ class TestMaskTokens:
         assert abs((acts == tx.TextMaskPlan.KEEP).sum() / n - 0.1) < 0.01
 
     def test_specials_never_masked(self):
-        tok, v = self.big_tokenized(10_000)
-        plan = tx.mask_tokens(tok, v, np.random.default_rng(3), p=1.0)
-        masked_ids = tok.token_ids[plan.positions]
+        ids, v = self.big_tokenized(10_000)
+        plan = tx.mask_tokens(ids, v, np.random.default_rng(3), p=1.0)
+        masked_ids = ids[plan.positions]
         assert not np.isin(masked_ids, v.special_ids).any()
 
     def test_apply_respects_actions(self):
-        tok, v = self.big_tokenized(2000)
-        plan = tx.mask_tokens(tok, v, np.random.default_rng(4), p=0.5)
-        corrupted = plan.apply(tok.token_ids, v)
+        ids, v = self.big_tokenized(2000)
+        plan = tx.mask_tokens(ids, v, np.random.default_rng(4), p=0.5)
+        corrupted = plan.apply(ids, v)
         for pos, act, rep, label in zip(plan.positions, plan.actions,
                                         plan.replacement_ids, plan.labels):
-            assert tok.token_ids[pos] == label
+            assert ids[pos] == label
             if act == tx.TextMaskPlan.MASK_TOKEN:
                 assert corrupted[pos] == v.mask_id
             elif act == tx.TextMaskPlan.RANDOM_TOKEN:
@@ -267,12 +274,12 @@ class TestMaskTokens:
                 assert corrupted[pos] == label
         untouched = np.setdiff1d(np.arange(2000), plan.positions)
         np.testing.assert_array_equal(corrupted[untouched],
-                                      tok.token_ids[untouched])
+                                      ids[untouched])
 
     def test_plan_deterministic_in_rng(self):
-        tok, v = self.big_tokenized(5000)
-        a = tx.mask_tokens(tok, v, np.random.default_rng(9))
-        b = tx.mask_tokens(tok, v, np.random.default_rng(9))
+        ids, v = self.big_tokenized(5000)
+        a = tx.mask_tokens(ids, v, np.random.default_rng(9))
+        b = tx.mask_tokens(ids, v, np.random.default_rng(9))
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.actions, b.actions)
         np.testing.assert_array_equal(a.replacement_ids, b.replacement_ids)

@@ -275,6 +275,32 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match="version"):
             tr.load_checkpoint(tmp_path / "bad.npz")
 
+    def test_bad_meta_value_is_named(self, tmp_path):
+        result = tr.pretrain(small_config(steps=1), small_corpus(),
+                             out_dir=tmp_path)
+        with np.load(result.checkpoint_path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = json.loads(arrays["meta"].tobytes())
+        count, words = "a non-negative integer", "a list of strings"
+        for key, value, what in (
+                ("step", "2", count), ("step", 2.5, count),
+                ("step", True, count), ("step", -3, count),
+                ("opt_t", [1], count), ("opt_t", -5, count),
+                ("vocab", 5, words), ("vocab", meta["vocab"] + [7], words)):
+            bad = tmp_path / "bad.npz"
+            arrays["meta"] = np.frombuffer(
+                json.dumps({**meta, key: value}).encode(), np.uint8)
+            np.savez(bad, **arrays)
+            with pytest.raises(ValueError) as info:
+                tr.load_checkpoint(bad)
+            assert str(info.value) == \
+                f"checkpoint {bad}: meta key {key!r} is not {what}", value
+        # zero steps taken is a count
+        arrays["meta"] = np.frombuffer(
+            json.dumps({**meta, "step": 0, "opt_t": 0}).encode(), np.uint8)
+        np.savez(tmp_path / "zero.npz", **arrays)
+        assert tr.load_checkpoint(tmp_path / "zero.npz")["step"] == 0
+
     def test_vocab_mismatch_on_resume_rejected(self, tmp_path):
         corpus = small_corpus()
         result = tr.pretrain(small_config(steps=2), corpus, out_dir=tmp_path)
@@ -382,3 +408,13 @@ def test_library_finetune_and_evaluate_check_the_sample_rate():
                                    model.config.d_h, task.num_classes)
     with pytest.raises(ValueError, match=rates):
         tr.evaluate_task(model, vocab, head, task, items)
+
+
+def test_empty_finetune_set_rejected():
+    _, task, vocab = task_items(presets.cross_modal_task_config(
+        num_dialogs=4))
+    model = SpeechTextModel(presets.desk_model_config(vocab_size=vocab.size),
+                            seed=0)
+    with pytest.raises(ValueError, match="cannot fine-tune on an empty "
+                                         "dataset"):
+        tr.finetune(presets.finetune_config(steps=2), model, vocab, task, [])
