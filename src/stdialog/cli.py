@@ -36,8 +36,7 @@ def _cmd_generate(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = write_shards(dialogs, out / "manifest.json",
-                            sample_rate=cfg.frame_rate,
-                            max_turn_seconds=cfg.max_turn_seconds)
+                            sample_rate=cfg.frame_rate)
     Vocab.from_tokens(cfg.vocabulary()).save(out / "vocab.txt")
     n_turns = sum(len(d.turns) for d in dialogs)
     print(f"wrote {len(dialogs)} dialogs / {n_turns} turns to {out}")
@@ -81,11 +80,11 @@ def _cmd_finetune(args):
     from .finetune import TaskSpec
     from .trainer import FinetuneConfig, finetune, model_from_checkpoint
 
+    cfg = _with_flags(FinetuneConfig(), args)
     model, vocab, _ = model_from_checkpoint(args.checkpoint)
     items = _load_task_items(args.task_corpus, args.labels)
     num_classes = max(label for _, label in items) + 1
     task = TaskSpec(kind="classification", num_classes=num_classes)
-    cfg = _with_flags(FinetuneConfig(), args)
     result = finetune(cfg, model, vocab, task, items, out_dir=args.out)
     print(f"fine-tuned {cfg.steps} steps; final loss "
           f"{result.metrics[-1]['loss']:.4f}")

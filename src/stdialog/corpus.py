@@ -18,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 SIGNATURE_SEED_SALT = 0x5EED
+SIGNATURE_PERIOD = 10              # samples per signature cycle
+# the longest turn: generation cuts turns here, validation rejects longer
+# ones, and alignment targets are normalised by it
+MAX_TURN_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -80,16 +84,18 @@ class SyntheticConfig:
     frame_rate: int = 100          # waveform samples per second
     noise_std: float = 0.05
     word_duration: tuple = (0.15, 0.4)
-    gap_duration: tuple = (0.0, 0.05)
-    max_turn_seconds: float = 10.0
-    signature_period: int = 10     # samples per signature cycle
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if self.vocab_size < 8:
             raise ValueError(f"vocab_size must be >= 8, got {self.vocab_size}")
         if self.frame_rate < 10:
             raise ValueError(f"frame_rate must be >= 10, got {self.frame_rate}")
+        for name in ("turns_per_dialog", "words_per_turn", "word_duration"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValueError(f"{name} ({lo}, {hi}): low exceeds high")
+        if not self.noise_std >= 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
 
     def word_text(self, word_id: int) -> str:
         return f"w{word_id:03d}"
@@ -98,29 +104,30 @@ class SyntheticConfig:
         return [self.word_text(v) for v in range(self.vocab_size)]
 
 
-def word_signature(word_id: int, period: int, amplitude: float = 1.0) -> np.ndarray:
-    """Deterministic per-word base pattern, one cycle of ``period`` samples."""
+def word_signature(word_id: int) -> np.ndarray:
+    """Deterministic per-word base pattern, one cycle of
+    ``SIGNATURE_PERIOD`` samples."""
     rng = np.random.default_rng((SIGNATURE_SEED_SALT, word_id))
-    return (amplitude * rng.uniform(-1.0, 1.0, size=period)).astype(np.float32)
+    return rng.uniform(-1.0, 1.0, size=SIGNATURE_PERIOD).astype(np.float32)
 
 
 def render_turn(turn_index: int, cfg: SyntheticConfig,
                 rng: np.random.Generator) -> Turn:
     sr = cfg.frame_rate
-    max_samples = int(round(cfg.max_turn_seconds * sr))
+    max_samples = int(round(MAX_TURN_SECONDS * sr))
     n_words = int(rng.integers(cfg.words_per_turn[0], cfg.words_per_turn[1] + 1))
     pieces = []
     words = []
     cursor = 0
     for _ in range(n_words):
-        gap = int(round(rng.uniform(*cfg.gap_duration) * sr))
-        dur = max(cfg.signature_period,
+        gap = int(round(rng.uniform(0.0, 0.05) * sr))  # 0-50 ms of silence
+        dur = max(SIGNATURE_PERIOD,
                   int(round(rng.uniform(*cfg.word_duration) * sr)))
         if cursor + gap + dur > max_samples and words:
             break  # truncate at a word boundary rather than exceed the cap
         word_id = int(rng.integers(0, cfg.vocab_size))
-        sig = word_signature(word_id, cfg.signature_period, cfg.amplitude)
-        reps = -(-dur // cfg.signature_period)
+        sig = word_signature(word_id)
+        reps = -(-dur // SIGNATURE_PERIOD)
         rendered = np.tile(sig, reps)[:dur]
         if gap:
             pieces.append(np.zeros(gap, dtype=np.float32))
@@ -172,16 +179,16 @@ def validate_alignment(turn: Turn) -> list:
     return violations
 
 
-def validate_dialog(dialog: Dialog, max_turn_seconds: float = 10.0) -> list:
+def validate_dialog(dialog: Dialog) -> list:
     violations = []
     for t in dialog.turns:
         if not t.words:
             violations.append(
                 f"{dialog.dialog_id} turn {t.turn_index}: empty transcript")
-        if t.duration > max_turn_seconds + 1e-9:
+        if t.duration > MAX_TURN_SECONDS + 1e-9:
             violations.append(
                 f"{dialog.dialog_id} turn {t.turn_index}: duration "
-                f"{t.duration:.3f}s exceeds cap {max_turn_seconds}s")
+                f"{t.duration:.3f}s exceeds cap {MAX_TURN_SECONDS}s")
         for v in validate_alignment(t):
             violations.append(f"{dialog.dialog_id} turn {t.turn_index}: {v}")
     rates = sorted({t.sample_rate for t in dialog.turns})

@@ -109,18 +109,18 @@ def evaluate(task: TaskSpec, forward_fn, dataset: list) -> float:
 
 # synthetic cross-modal task ---------------------------------------------
 
+# the word id opening the current turn, by text bit
+TEXT_MARKER_IDS = (0, 1)
+# signature id of the audio-only tone, outside any vocabulary
+TONE_ID = 1000
+
+
 @dataclass
 class CrossModalTaskConfig:
     num_dialogs: int = 64
     vocab_size: int = 24
-    text_marker_ids: tuple = (0, 1)    # word id opening the current turn
-    tone_id_offset: int = 1000         # audio-only signature id namespace
-    tone_seconds: float = 0.3
-    context_words: tuple = (2, 4)
-    body_words: tuple = (2, 4)
     frame_rate: int = 100
     noise_std: float = 0.05
-    word_duration: tuple = (0.15, 0.35)
 
     @property
     def task_spec(self) -> TaskSpec:
@@ -139,31 +139,27 @@ def make_cross_modal_task(cfg: CrossModalTaskConfig, seed: int) -> tuple:
     rng = np.random.default_rng((seed, 0xF1E7))
     base = cp.SyntheticConfig(
         num_dialogs=1, turns_per_dialog=(1, 1), vocab_size=cfg.vocab_size,
-        words_per_turn=cfg.context_words, frame_rate=cfg.frame_rate,
-        noise_std=cfg.noise_std, word_duration=cfg.word_duration)
+        words_per_turn=(2, 4), frame_rate=cfg.frame_rate,
+        noise_std=cfg.noise_std, word_duration=(0.15, 0.35))
     dialogs = []
     labels = {}
-    tone_samples = int(round(cfg.tone_seconds * cfg.frame_rate))
+    tone_samples = int(round(0.3 * cfg.frame_rate))  # 0.3 s of tone or silence
     for i in range(cfg.num_dialogs):
         text_bit = int(rng.integers(0, 2))
         speech_bit = int(rng.integers(0, 2))
         context = cp.render_turn(1, base, rng)
-        body_cfg = replace(base, words_per_turn=cfg.body_words)
-        body = cp.render_turn(2, body_cfg, rng)
-        marker_id = cfg.text_marker_ids[text_bit]
-        marker_dur = int(round(rng.uniform(*cfg.word_duration)
+        body = cp.render_turn(2, base, rng)
+        marker_id = TEXT_MARKER_IDS[text_bit]
+        marker_dur = int(round(rng.uniform(*base.word_duration)
                                * cfg.frame_rate))
-        marker_sig = cp.word_signature(marker_id, base.signature_period)
-        reps = -(-marker_dur // base.signature_period)
-        marker_wave = np.tile(marker_sig, reps)[:marker_dur]
+        reps = -(-marker_dur // cp.SIGNATURE_PERIOD)
+        marker_wave = np.tile(cp.word_signature(marker_id), reps)[:marker_dur]
         if cfg.noise_std > 0:
             marker_wave = marker_wave + rng.normal(
                 0, cfg.noise_std, marker_wave.shape).astype(np.float32)
         if speech_bit:
-            tone_sig = cp.word_signature(cfg.tone_id_offset,
-                                         base.signature_period)
-            prefix = np.tile(tone_sig,
-                             -(-tone_samples // base.signature_period))
+            prefix = np.tile(cp.word_signature(TONE_ID),
+                             -(-tone_samples // cp.SIGNATURE_PERIOD))
             prefix = prefix[:tone_samples].astype(np.float32)
         else:
             prefix = np.zeros(tone_samples, np.float32)

@@ -34,7 +34,6 @@ class ConvLayerSpec:
 class FrontendConfig:
     layers: tuple                  # tuple[ConvLayerSpec, ...]
     sample_rate: int
-    ln_eps: float = 1e-5
 
     def __post_init__(self):
         if not self.layers:
@@ -134,8 +133,7 @@ def extract_features(waveforms: list, config: FrontendConfig,
         z, conv = conv1d_forward(x, w.data, b.data, starts)
         x, dact = gelu_forward(z)
         saved.append((dact, conv))
-    out, ln = layer_norm_forward(x, ln_gain.data, ln_bias.data,
-                                 config.ln_eps)
+    out, ln = layer_norm_forward(x, ln_gain.data, ln_bias.data)
 
     def backward(g):
         dx, dgain, dbias = layer_norm_backward(g, ln_gain.data, ln)

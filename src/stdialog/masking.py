@@ -6,7 +6,7 @@ triggers with ``trigger_prob``; on a trigger, frames [i, i+n) are marked
 masked (clipped at the turn's end) and the scan jumps to i+n, so spans
 never re-trigger inside themselves.  Each masked frame is then zeroed with
 probability 0.8, replaced by a random frame of the same turn with
-probability 0.1, and kept unchanged otherwise (split configurable).
+probability 0.1, and kept unchanged otherwise.
 
 One kernel, ``span_masks``, runs the scan for a batch of sequences at once:
 ``draw_mask_plan`` calls it once for all the speech turns of a training
@@ -25,6 +25,8 @@ import numpy as np
 
 ZERO, REPLACE, KEEP = 0, 1, 2
 UNMASKED = -1
+# the chances that a masked frame is zeroed or replaced; KEEP takes the rest
+P_ZERO, P_REPLACE = 0.8, 0.1
 # Monte Carlo trials per span_masks call: peak memory stays flat in trials
 _MC_CHUNK = 256
 
@@ -33,7 +35,6 @@ _MC_CHUNK = 256
 class AcousticMaskConfig:
     trigger_prob: float = 0.15
     span_range: tuple = (20, 50)
-    corruption: tuple = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
         if not 0.0 <= self.trigger_prob <= 1.0:
@@ -41,8 +42,6 @@ class AcousticMaskConfig:
         lo, hi = self.span_range
         if not (1 <= lo <= hi):
             raise ValueError(f"empty span_range {self.span_range}")
-        if abs(sum(self.corruption) - 1.0) > 1e-9:
-            raise ValueError(f"corruption split {self.corruption} must sum to 1")
 
 
 DEFAULT_SPAN_CONFIG = AcousticMaskConfig()
@@ -126,10 +125,9 @@ def draw_mask_plan(lengths, rng: np.random.Generator,
     masks, _ = span_masks(triggers, n, config.trigger_prob)
     mask = masks[inside]
     masked = np.flatnonzero(mask)
-    p_zero, p_replace, _ = config.corruption
     t = rng.random(masked.size)
-    act = np.where(t < p_zero, ZERO,
-                   np.where(t < p_zero + p_replace, REPLACE, KEEP))
+    act = np.where(t < P_ZERO, ZERO,
+                   np.where(t < P_ZERO + P_REPLACE, REPLACE, KEEP))
     actions = np.full(mask.size, UNMASKED, dtype=np.int64)
     actions[masked] = act
     replaced = masked[act == REPLACE]

@@ -30,9 +30,8 @@ from .encoders import (FusedBatch, encode_speech, encode_text, fuse,
                        init_conv_positional, init_encoder_stack,
                        init_transformer_layer)
 from .masking import AcousticMaskConfig, MaskPlan, draw_mask_plan
-from .objectives import (LossWeights, cmam_loss, cmlm_loss,
-                         crs_logits, crs_loss, init_tpp_head, joint_loss,
-                         tpp_loss, tpp_predictions)
+from .objectives import (cmam_loss, cmlm_loss, crs_logits, crs_loss,
+                         init_tpp_head, joint_loss, tpp_loss, tpp_predictions)
 from .text import (TextMaskPlan, Vocab, embed_text, mask_tokens,
                    tokenize_sample)
 
@@ -48,7 +47,6 @@ class ModelConfig:
     ffn_dim: int = 128
     conv_pos_kernel: int = 7
     conv_pos_groups: int = 4
-    tpp_max_seconds: float = 10.0
     init_scale: float = 0.02
     dtype: str = "float32"
     frontend: fe.FrontendConfig = field(default_factory=fe.desk_config)
@@ -205,8 +203,7 @@ class SpeechTextModel:
             self.params, rng, "fusion.layer", d_h, ffn, dtype, scale)
         self.modality_table = normal("fusion.modality_table", (2, d_h))
         # objective heads
-        self.tpp_head = init_tpp_head(self.params, rng, d_h,
-                                      config.tpp_max_seconds, dtype, scale)
+        self.tpp_head = init_tpp_head(self.params, rng, d_h, dtype, scale)
         self.crs_w = normal("crs.w", (d_h, 4))
         self.crs_b = zeros("crs.b", 4)
         self.lm_w = normal("lm.w", (d_h, config.vocab_size))
@@ -247,11 +244,11 @@ class SpeechTextModel:
                      capture_attention=capture_attention)
         return fused, feats.data
 
-    def compute_losses(self, batch: PreparedBatch,
-                       weights: LossWeights = LossWeights(),
+    def compute_losses(self, batch: PreparedBatch, alpha: float = 1.0,
                        frozen_cmam_targets: np.ndarray | None = None) -> dict:
         """Each loss of the batch, by name, as a [b] tensor of per-sample
-        losses; ``crs`` is None when no sample has a selection label.
+        losses; ``crs`` is None when no sample has a selection label, and
+        ``alpha`` weighs the alignment loss in ``joint``.
 
         Reconstruction targets are stop-gradient constants of the step; pass
         ``frozen_cmam_targets`` (the extractor output a prior ``forward``
@@ -272,7 +269,7 @@ class SpeechTextModel:
         cmam = cmam_loss(fused, keep, features[keep], self.cmam_w,
                          self.cmam_b)
         return {"tpp": tpp, "crs": crs, "cmlm": cmlm, "cmam": cmam,
-                "joint": joint_loss(tpp, crs, cmlm, cmam, weights)}
+                "joint": joint_loss(tpp, crs, cmlm, cmam, alpha)}
 
     # evaluation helpers --------------------------------------------------
 
@@ -299,7 +296,6 @@ def prepare_sample(samples: list, vocab: Vocab, config: ModelConfig, *,
                    rng=None, train: bool = True,
                    crs_labels: list | None = None,
                    text_mask_prob: float = 0.15,
-                   text_corruption: tuple = (0.8, 0.1, 0.1),
                    acoustic_config: AcousticMaskConfig | None = None
                    ) -> PreparedBatch:
     """Tokenize the (possibly corrupted) ``samples`` of a batch and lay
@@ -320,8 +316,7 @@ def prepare_sample(samples: list, vocab: Vocab, config: ModelConfig, *,
     if train:
         if rng is None:
             raise ValueError("training preparation needs an rng")
-        text_plan = mask_tokens(token_ids, vocab, rng, p=text_mask_prob,
-                                corruption=text_corruption)
+        text_plan = mask_tokens(token_ids, vocab, rng, p=text_mask_prob)
         token_ids = text_plan.apply(token_ids, vocab)
         acoustic_plan = draw_mask_plan(turn_frames, rng, acoustic_config
                                        or AcousticMaskConfig())

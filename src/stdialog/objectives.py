@@ -32,7 +32,7 @@ import numpy as np
 
 from .autodiff import (Parameter, Tensor, add, concat, cross_entropy,
                        gather_rows, linear, mae, matmul, mse, register, scale)
-from .corpus import Sample
+from .corpus import MAX_TURN_SECONDS, Sample
 from .encoders import FusedBatch
 from .text import TextMaskPlan
 
@@ -42,39 +42,27 @@ CRS_TEXT_SUBSTITUTED = 2
 CRS_BOTH_SUBSTITUTED = 3
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    alpha: float = 1.0      # weight of the time-alignment term
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-
-
 @dataclass
 class TppHead:
     w_start: Parameter      # [d_h, 1]
     w_end: Parameter        # [d_h, 1]
-    max_seconds: float = 10.0
 
 
 def init_tpp_head(registry: dict, rng: np.random.Generator, d_h: int,
-                  max_seconds: float = 10.0, dtype=np.float32,
-                  scale: float = 0.02) -> TppHead:
+                  dtype=np.float32, scale: float = 0.02) -> TppHead:
     def mk(name):
         return register(registry, name,
                         (scale * rng.standard_normal((d_h, 1))).astype(dtype))
 
-    return TppHead(w_start=mk("tpp.w_start"), w_end=mk("tpp.w_end"),
-                   max_seconds=max_seconds)
+    return TppHead(w_start=mk("tpp.w_start"), w_end=mk("tpp.w_end"))
 
 
 def tpp_predictions(fused: FusedBatch, boundaries: list,
                     head: TppHead) -> tuple:
     """Over the words of the batch (``boundaries[i]`` are sample i's), the
     [2w, 1] predictions read at each word's first token, then at each
-    word's last token; their targets (start, then end, over max_seconds);
-    and each row's sample."""
+    word's last token; their targets (start, then end, over
+    ``MAX_TURN_SECONDS``); and each row's sample."""
     first_rows, sample = fused.text_rows(
         [[b.first_token_index for b in words] for words in boundaries],
         "word boundary")
@@ -82,9 +70,8 @@ def tpp_predictions(fused: FusedBatch, boundaries: list,
         [[b.last_token_index for b in words] for words in boundaries],
         "word boundary")
     words = [b for sample_words in boundaries for b in sample_words]
-    la = head.max_seconds
-    target = np.array([b.start_time / la for b in words]
-                      + [b.end_time / la for b in words],
+    target = np.array([b.start_time / MAX_TURN_SECONDS for b in words]
+                      + [b.end_time / MAX_TURN_SECONDS for b in words],
                       dtype=fused.hidden.dtype).reshape(-1, 1)
     pred = concat([matmul(gather_rows(fused.hidden, first_rows), head.w_start),
                    matmul(gather_rows(fused.hidden, last_rows), head.w_end)])
@@ -198,10 +185,10 @@ def cmam_loss(fused: FusedBatch, keep: np.ndarray, targets: np.ndarray,
 
 
 def joint_loss(tpp: Tensor, crs: Tensor | None, cmlm: Tensor, cmam: Tensor,
-               weights: LossWeights) -> Tensor:
+               alpha: float) -> Tensor:
     """alpha * alignment + selection + mlm + mam (selection optional), per
     sample."""
-    total = scale(tpp, weights.alpha)
+    total = scale(tpp, alpha)
     if crs is not None:
         total = add(total, crs)
     return add(add(total, cmlm), cmam)

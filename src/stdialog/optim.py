@@ -21,13 +21,13 @@ from .autodiff import NonFiniteError
 # elements per chunk of the update: the chunk's slices of the five flat
 # arrays and three scratch arrays stay in a 2 MB L2 at float32
 _CHUNK = 1 << 15
+BETA1 = 0.9     # first-moment decay
+EPS = 1e-8      # added to the second-moment root
 
 
 @dataclass(frozen=True)
 class AdamWConfig:
-    beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     clip_norm: float = 1.0       # 0 disables clipping
 
@@ -122,7 +122,7 @@ class AdamW:
         if cfg.clip_norm > 0 and norm > cfg.clip_norm:
             grad_scale = cfg.clip_norm / norm
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
         # each element takes the ops, in the order and dtype, of
         #   g = grad * scale; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g
@@ -135,8 +135,8 @@ class AdamW:
             a, b = self._a[:x.size], self._b[:x.size]
             if grad_scale != 1.0:
                 g = np.multiply(g, grad_scale, out=self._scaled[:x.size])
-            m *= cfg.beta1
-            m += np.multiply(g, 1.0 - cfg.beta1, out=a)
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=a)
             v *= cfg.beta2
             np.multiply(g, 1.0 - cfg.beta2, out=a)
             a *= g
@@ -144,7 +144,7 @@ class AdamW:
             np.divide(m, bc1, out=a)
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
-            b += cfg.eps
+            b += EPS
             a /= b
             a += np.multiply(x, cfg.weight_decay, out=b)
             a *= lr

@@ -47,9 +47,8 @@ def overfit_train_config(steps: int = 500) -> TrainConfig:
     return TrainConfig(
         seed=OVERFIT_TRAIN_SEED, steps=steps, batch_size=128, peak_lr=5e-3,
         warmup_frac=0.15, schedule="cosine", weight_decay=0.0,
-        clip_norm=10.0, adam_beta2=0.98, k=1, text_mask_prob=0.15,
-        acoustic_trigger_prob=0.06, acoustic_span=(2, 3),
-        model=desk_model_config())
+        clip_norm=10.0, adam_beta2=0.98, k=1, acoustic_trigger_prob=0.06,
+        acoustic_span=(2, 3), model=desk_model_config())
 
 
 def finetune_pretrain_setup() -> tuple:

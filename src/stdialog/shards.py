@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dialog, Turn, WordAlignment, build_samples
+from .corpus import (MAX_TURN_SECONDS, Dialog, Turn, WordAlignment,
+                     build_samples)
 
 MANIFEST_VERSION = 1
 SHARD_NAME = "shard-000.bin"
@@ -45,8 +46,8 @@ class Corpus:
         return out
 
 
-def write_shards(dialogs: list, manifest_path, sample_rate: int | None = None,
-                 max_turn_seconds: float = 10.0) -> dict:
+def write_shards(dialogs: list, manifest_path,
+                 sample_rate: int | None = None) -> dict:
     """Write dialogs next to ``manifest_path``; returns the manifest."""
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
@@ -76,7 +77,7 @@ def write_shards(dialogs: list, manifest_path, sample_rate: int | None = None,
     manifest = {
         "version": MANIFEST_VERSION,
         "sample_rate": int(sample_rate),
-        "max_turn_seconds": float(max_turn_seconds),
+        "max_turn_seconds": MAX_TURN_SECONDS,
         "shard_file": SHARD_NAME,
         "shard_checksum": hashlib.sha256(blob).hexdigest(),
         "shard_samples": offset,

@@ -23,6 +23,9 @@ from .corpus import Sample
 
 BOS, EOS, MASK, PAD = "<s>", "</s>", "<mask>", "<pad>"
 SPECIALS = (BOS, EOS, MASK, PAD)
+# the chances that a selected token becomes <mask> or a random token; the
+# rest are kept
+P_MASK, P_RANDOM = 0.8, 0.1
 
 
 class VocabError(ValueError):
@@ -207,8 +210,7 @@ class TextMaskPlan:
 
 
 def mask_tokens(token_ids: np.ndarray, vocab: Vocab,
-                rng: np.random.Generator, p: float = 0.15,
-                corruption: tuple = (0.8, 0.1, 0.1)) -> TextMaskPlan:
+                rng: np.random.Generator, p: float = 0.15) -> TextMaskPlan:
     """Bernoulli(p) selection of non-special tokens of ``token_ids`` (a
     batch's packed ids) with 80/10/10 corruption.
 
@@ -218,10 +220,9 @@ def mask_tokens(token_ids: np.ndarray, vocab: Vocab,
     special = np.isin(token_ids, vocab.special_ids)
     draws = rng.random(token_ids.size)
     selected = np.flatnonzero((draws < p) & ~special)
-    p_mask, p_rand, _ = corruption
     t = rng.random(selected.size)
-    actions = np.where(t < p_mask, TextMaskPlan.MASK_TOKEN,
-                       np.where(t < p_mask + p_rand,
+    actions = np.where(t < P_MASK, TextMaskPlan.MASK_TOKEN,
+                       np.where(t < P_MASK + P_RANDOM,
                                 TextMaskPlan.RANDOM_TOKEN, TextMaskPlan.KEEP))
     n_regular = vocab.size - len(SPECIALS)
     if n_regular < 1:

@@ -26,12 +26,12 @@ from .frontend import check_sample_rate
 from .masking import AcousticMaskConfig
 from .model import (ModelConfig, SpeechTextModel, config_kwargs,
                     prepare_sample)
-from .objectives import LossWeights, make_crs_sample
+from .objectives import make_crs_sample
 from .optim import AdamW, AdamWConfig, lr_schedule
 from .shards import Corpus
 from .text import Vocab, WhitespaceTokenizer
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass
@@ -44,19 +44,24 @@ class TrainConfig:
     schedule: str = "linear"
     weight_decay: float = 0.01
     clip_norm: float = 1.0
-    adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     k: int = 7
     alpha: float = 1.0
     crs_enabled: bool = True
-    crs_class_probs: tuple = (0.25, 0.25, 0.25, 0.25)
-    text_mask_prob: float = 0.15
-    text_corruption: tuple = (0.8, 0.1, 0.1)
     acoustic_trigger_prob: float = 0.15
     acoustic_span: tuple = (2, 4)     # desk turns hold ~5-20 frames
     corpus_fraction: float = 1.0
     checkpoint_every: int = 0         # 0 = final checkpoint only
     model: ModelConfig = field(default_factory=ModelConfig)
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0 < self.corpus_fraction <= 1:
+            raise ValueError(f"corpus_fraction must be in (0, 1], got "
+                             f"{self.corpus_fraction}")
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
     def acoustic_config(self) -> AcousticMaskConfig:
         return AcousticMaskConfig(trigger_prob=self.acoustic_trigger_prob,
@@ -72,9 +77,8 @@ class TrainConfig:
         d = config_kwargs(cls, d, "train")
         if "model" in d:
             d["model"] = ModelConfig.from_dict(d["model"])
-        for key in ("crs_class_probs", "text_corruption", "acoustic_span"):
-            if key in d:
-                d[key] = tuple(d[key])
+        if "acoustic_span" in d:
+            d["acoustic_span"] = tuple(d["acoustic_span"])
         return cls(**d)
 
     @classmethod
@@ -218,10 +222,9 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
         vocab = build_vocab(corpus)
     model_cfg = replace(cfg.model, vocab_size=vocab.size)
     model = SpeechTextModel(model_cfg, seed=cfg.seed)
-    opt = AdamW(model.parameters(),
-                AdamWConfig(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                            weight_decay=cfg.weight_decay,
-                            clip_norm=cfg.clip_norm))
+    opt = AdamW(model.parameters(), AdamWConfig(
+        beta2=cfg.adam_beta2, weight_decay=cfg.weight_decay,
+        clip_norm=cfg.clip_norm))
     start_step = 0
     if resume_from is not None:
         state = load_checkpoint(resume_from)
@@ -231,20 +234,16 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
         _restore_params(model, state)
         opt.load_state_dict(state["optimizer"])
         start_step = state["step"]
-    weights = LossWeights(alpha=cfg.alpha)
     acfg = cfg.acoustic_config()
 
     def batch_losses(idx, rng):
         batch, labels = [samples[i] for i in idx], None
         if cfg.crs_enabled:
-            batch, labels = zip(*[make_crs_sample(
-                sample, corpus.dialogs, rng, cfg.crs_class_probs)
-                for sample in batch])
+            batch, labels = zip(*[make_crs_sample(sample, corpus.dialogs, rng)
+                                  for sample in batch])
         losses = model.compute_losses(prepare_sample(
             batch, vocab, model.config, rng=rng, crs_labels=labels,
-            text_mask_prob=cfg.text_mask_prob,
-            text_corruption=cfg.text_corruption, acoustic_config=acfg),
-            weights)
+            acoustic_config=acfg), cfg.alpha)
         return losses["joint"], {
             key: 0.0 if losses[key] is None
             else float(losses[key].data.mean(dtype=np.float64))
@@ -293,6 +292,10 @@ class FinetuneConfig:
     weight_decay: float = 0.01
     clip_norm: float = 1.0
     speech_noise_std: float = 0.0   # > 0 runs the text-only control
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
@@ -441,7 +444,6 @@ def load_checkpoint(path) -> dict:
                                  f"missing or not of type {kind.__name__}")
         task = TaskSpec(kind=task["kind"], num_classes=task["num_classes"])
     return {
-        "meta": meta,
         "step": meta["step"],
         "model_config": ModelConfig.from_dict(meta["model_config"]),
         "train_config": (TrainConfig.from_dict(meta["train_config"])

@@ -131,7 +131,7 @@ def composed_extract_features(waveforms, config, conv_params, ln_gain,
         x = ad.Tensor(np.asarray(waveform)[:, None])
         for spec, (w, b) in zip(config.layers, conv_params):
             x = ad.gelu(conv1d(x, w, b, stride=spec.stride, padding="valid"))
-        feats.append(layer_norm(x, ln_gain, ln_bias, eps=config.ln_eps))
+        feats.append(layer_norm(x, ln_gain, ln_bias))
     return ad.concat(feats)
 
 

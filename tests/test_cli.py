@@ -191,6 +191,9 @@ def broken_checkpoints(tmp_path_factory, pretrained, finetuned):
         "no-version": rewrite_checkpoint(pretrained / "checkpoint-final.npz",
                                          out / "no-version.npz",
                                          drop_meta="version"),
+        "version-4": rewrite_checkpoint(pretrained / "checkpoint-final.npz",
+                                        out / "version-4.npz",
+                                        set_meta={"version": 4}),
         "no-head": rewrite_checkpoint(finetuned, out / "no-head.npz",
                                       drop_prefix="param/head."),
         "task-without-classes": rewrite_checkpoint(
@@ -351,6 +354,8 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing-config", "unknown-config-key",
+                                  "removed-train-config-key",
+                                  "removed-model-config-key",
                                   "incomplete-frontend-layer",
                                   "wrong-type-config-value",
                                   "bad-conv-pos-groups", "missing-vocab",
@@ -364,6 +369,7 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
                                   "labels-row-not-json",
                                   "label-not-an-integer", "label-negative",
                                   "meta-without-version",
+                                  "resume-checkpoint-version-4",
                                   "checkpoint-without-head",
                                   "task-meta-without-num-classes",
                                   "task-meta-kind-not-a-string",
@@ -385,6 +391,11 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     missing = tmp_path / "missing"
     unknown_key = tmp_path / "config.json"
     unknown_key.write_text(json.dumps({"steps": 1, "stepz": 2}))
+    removed_train_key = tmp_path / "removed-train.json"
+    removed_train_key.write_text(json.dumps(
+        {"text_corruption": [0.8, 0.1, 0.1]}))
+    removed_model_key = tmp_path / "removed-model.json"
+    removed_model_key.write_text(json.dumps({"model": {"tpp_max_seconds": 5}}))
     incomplete_layer = tmp_path / "layer.json"
     incomplete_layer.write_text(json.dumps(
         {"model": {"frontend": {"layers": [{"channels": 4, "kernel": 5}]}}}))
@@ -429,6 +440,12 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
         "missing-config": ((*pretrain, "--config", missing), str(missing)),
         "unknown-config-key": ((*pretrain, "--config", unknown_key),
                                "unknown train config key(s): stepz"),
+        "removed-train-config-key": (
+            (*pretrain, "--config", removed_train_key),
+            "unknown train config key(s): text_corruption"),
+        "removed-model-config-key": (
+            (*pretrain, "--config", removed_model_key),
+            "unknown model config key(s): tpp_max_seconds"),
         "incomplete-frontend-layer": (
             (*pretrain, "--config", incomplete_layer),
             "missing frontend layer config key(s): stride"),
@@ -480,6 +497,9 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
              corpus_dir / "manifest.json", "--out", tmp_path / "attn"),
             "not a readable stdialog checkpoint: "
             f"{broken_checkpoints['no-version']}"),
+        "resume-checkpoint-version-4": (
+            (*pretrain, "--resume", broken_checkpoints["version-4"]),
+            "checkpoint version 4 not supported"),
         "checkpoint-without-head": (
             ("evaluate", "--checkpoint", broken_checkpoints["no-head"],
              "--task-corpus", task_dir / "manifest.json",
@@ -533,6 +553,44 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     assert message in result.stderr
     assert not (tmp_path / "run").exists() and not (tmp_path / "ft").exists()
     assert not missing.exists() and not list(tmp_path.glob("attn*"))
+
+
+@pytest.mark.parametrize("args, message", [
+    (("generate", "--turns-per-dialog", 3, 1),
+     "turns_per_dialog (3, 1): low exceeds high"),
+    (("generate", "--words-per-turn", 4, 2),
+     "words_per_turn (4, 2): low exceeds high"),
+    (("generate", "--word-duration", 0.4, 0.1),
+     "word_duration (0.4, 0.1): low exceeds high"),
+    (("generate", "--noise-std", -1), "noise_std must be >= 0, got -1.0"),
+    (("pretrain", "--corpus-fraction", 0),
+     "corpus_fraction must be in (0, 1], got 0.0"),
+    (("pretrain", "--corpus-fraction", -1),
+     "corpus_fraction must be in (0, 1], got -1.0"),
+    (("pretrain", "--corpus-fraction", 1.5),
+     "corpus_fraction must be in (0, 1], got 1.5"),
+    (("pretrain", "--batch-size", -2), "batch_size must be >= 1, got -2"),
+    (("pretrain", "--alpha", -1), "alpha must be >= 0, got -1.0"),
+    (("finetune", "--batch-size", 0), "batch_size must be >= 1, got 0"),
+], ids=["turns-per-dialog", "words-per-turn", "word-duration", "noise-std",
+        "corpus-fraction-zero", "corpus-fraction-negative",
+        "corpus-fraction-above-one", "batch-size", "alpha",
+        "finetune-batch-size"])
+def test_out_of_range_flag_fails_in_one_line(args, message, corpus_dir,
+                                             tmp_path):
+    """Checked before any file is read or written; the command functions
+    run in this process, under the same error boundary as ``stdialog``."""
+    from stdialog import cli
+
+    files = {"generate": (),
+             "pretrain": ("--corpus", corpus_dir / "manifest.json"),
+             "finetune": ("--checkpoint", tmp_path / "missing.npz",
+                          "--task-corpus", tmp_path / "missing.json",
+                          "--labels", tmp_path / "missing.jsonl")}[args[0]]
+    with pytest.raises(SystemExit) as info:
+        cli.main([*map(str, (*args, *files, "--out", tmp_path / "out"))])
+    assert info.value.code == message
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unreadable_checkpoint_fails_cleanly(corpus_dir, tmp_path):

@@ -32,31 +32,45 @@ class TestSyntheticGenerator:
                    for ta, tb in zip(da.turns, db.turns))
 
     def test_noiseless_alignment_covers_signature_exactly(self):
-        cfg = small_config(noise_std=0.0, gap_duration=(0.01, 0.05))
+        cfg = small_config(noise_std=0.0)
         dialogs = cp.generate_synthetic(cfg, seed=3)
         turn = dialogs[0].turns[0]
         assert turn.words
         for w in turn.words:
             word_id = int(w.word[1:])
-            sig = cp.word_signature(word_id, cfg.signature_period, cfg.amplitude)
+            sig = cp.word_signature(word_id)
             lo = round(w.start_time * cfg.frame_rate)
             hi = round(w.end_time * cfg.frame_rate)
             dur = hi - lo
-            reps = -(-dur // cfg.signature_period)
+            reps = -(-dur // cp.SIGNATURE_PERIOD)
             expected = np.tile(sig, reps)[:dur]
             np.testing.assert_array_equal(turn.waveform[lo:hi], expected)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("turns_per_dialog", (3, 1), "turns_per_dialog (3, 1): low exceeds "
+                                     "high"),
+        ("words_per_turn", (4, 2), "words_per_turn (4, 2): low exceeds high"),
+        ("word_duration", (0.4, 0.1), "word_duration (0.4, 0.1): low exceeds "
+                                      "high"),
+        ("noise_std", -1.0, "noise_std must be >= 0, got -1.0"),
+    ])
+    def test_out_of_range_config_rejected(self, key, value, message):
+        with pytest.raises(ValueError) as info:
+            small_config(**{key: value})
+        assert str(info.value) == message
 
     def test_generated_dialogs_validate_clean(self):
         for d in cp.generate_synthetic(small_config(), seed=5):
             assert cp.validate_dialog(d) == []
 
     def test_turn_truncated_at_word_boundary(self):
-        cfg = small_config(words_per_turn=(60, 80), word_duration=(0.3, 0.5),
-                           max_turn_seconds=4.0)
+        # 60-80 words of at least 0.3 s run past the cap in every turn
+        cfg = small_config(words_per_turn=(60, 80), word_duration=(0.3, 0.5))
         dialogs = cp.generate_synthetic(cfg, seed=7)
         for d in dialogs:
             for t in d.turns:
-                assert t.duration <= cfg.max_turn_seconds + 1e-9
+                assert t.duration <= cp.MAX_TURN_SECONDS + 1e-9
+                assert t.duration > cp.MAX_TURN_SECONDS - 0.6
                 assert t.words, "truncation must keep at least one word"
                 assert t.words[-1].end_time <= t.duration + 1e-9
 
@@ -73,7 +87,7 @@ class TestSyntheticGenerator:
             for t in d.turns:
                 for w in t.words:
                     lo = round(w.start_time * cfg.frame_rate)
-                    feats.append(t.waveform[lo:lo + cfg.signature_period])
+                    feats.append(t.waveform[lo:lo + cp.SIGNATURE_PERIOD])
                     labels.append(int(w.word[1:]))
         x = np.stack(feats).astype(np.float64)
         y = np.asarray(labels)

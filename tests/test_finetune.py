@@ -170,13 +170,13 @@ class TestCrossModalTask:
     def test_label_encodes_text_and_audio_bits(self):
         cfg = ft.CrossModalTaskConfig(num_dialogs=30, noise_std=0.0)
         dialogs, labels, _ = ft.make_cross_modal_task(cfg, seed=4)
-        tone = cp.word_signature(cfg.tone_id_offset, 10)
+        tone = cp.word_signature(ft.TONE_ID)
         for d in dialogs:
             label = labels[(d.dialog_id, d.turns[-1].turn_index)]
             text_bit, speech_bit = label // 2, label % 2
             current = d.turns[-1]
             first_word = current.words[0].word
-            assert first_word == f"w{cfg.text_marker_ids[text_bit]:03d}"
+            assert first_word == f"w{ft.TEXT_MARKER_IDS[text_bit]:03d}"
             prefix = current.waveform[:10]
             if speech_bit:
                 np.testing.assert_allclose(prefix, tone, atol=1e-6)

@@ -3,7 +3,9 @@ uses, no package module imports a private name of another, every
 top-level function or class of the package has a caller outside tests
 unless ``USED_ONLY_IN_TESTS`` says why it is kept, every method, property
 and dataclass field of the package is read outside tests unless
-``MEMBERS_USED_ONLY_IN_TESTS`` says why it is kept, every function the
+``MEMBERS_USED_ONLY_IN_TESTS`` says why it is kept, every field of a
+config class is set by a caller outside tests unless
+``CONFIG_FIELDS_SET_ONLY_IN_TESTS`` says why it is kept, every function the
 benchmark's tracer wraps exists, and the CLI catches errors in one place."""
 
 import ast
@@ -28,6 +30,18 @@ USED_ONLY_IN_TESTS = {
 # Class members whose only readers are tests, each kept for a reason.
 MEMBERS_USED_ONLY_IN_TESTS = {
     "MetricsLog.read": "reads back the metric rows the resume tests compare",
+}
+
+# Config fields that no caller outside tests sets, each kept for a reason.
+CONFIG_FIELDS_SET_ONLY_IN_TESTS = {
+    "TrainConfig.checkpoint_every": "how often a long run saves; the resume "
+                                    "tests set it",
+    "ModelConfig.conv_pos_kernel": "a size whose full-scale value (128 in "
+                                   "wav2vec 2.0) differs from the desk one",
+    "ModelConfig.conv_pos_groups": "a size whose full-scale value (16 in "
+                                   "wav2vec 2.0) differs from the desk one",
+    "CrossModalTaskConfig.frame_rate": "must match the sample rate of the "
+                                       "pre-trained model's frontend",
 }
 
 
@@ -210,6 +224,103 @@ def test_checker_flags_an_unread_member():
     }
     assert unread_members(modules) == ["a.Box.dead", "a.Box.unused",
                                        "a.Plain.run"]
+
+
+def config_fields(tree) -> list:
+    """``Class.field`` of each field of the top-level dataclasses in
+    ``tree`` whose name ends in ``Config``."""
+    return [f"{node.name}.{item.target.id}" for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+            for item in node.body if isinstance(item, ast.AnnAssign)]
+
+
+def call_name(call) -> str:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", "")
+
+
+def flag_dest(call) -> str:
+    """The attribute that an ``add_argument`` call stores its value in."""
+    for keyword in call.keywords:
+        if keyword.arg == "dest":
+            return keyword.value.value
+    return call.args[0].value.lstrip("-").replace("-", "_")
+
+
+def unset_config_fields(modules: dict, extra_sources=()) -> list:
+    """``Class.field`` of each config field of ``modules`` (module name ->
+    source) that neither they nor ``extra_sources`` pass as a keyword: in a
+    call of the class, in a ``replace`` call (which counts for every config
+    class with that field), or as the ``dest`` of a CLI flag, which counts
+    for the config classes named in the command function that the flag's
+    subparser hands to ``set_defaults(func=...)``."""
+    trees = [ast.parse(source)
+             for source in [*modules.values(), *extra_sources]]
+    fields = [f for tree in trees[:len(modules)] for f in config_fields(tree)]
+    owners = {}
+    for field in fields:
+        owners.setdefault(field.split(".")[1], set()).add(field.split(".")[0])
+    found = set()
+    for tree in trees:
+        named = {node.name: {n.id for n in ast.walk(node)
+                             if isinstance(n, ast.Name)}
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+        calls = sorted((n for n in ast.walk(tree) if isinstance(n, ast.Call)),
+                       key=lambda n: (n.lineno, n.col_offset))
+        flags = []
+        for call in calls:
+            name = call_name(call)
+            keywords = [k.arg for k in call.keywords if k.arg]
+            if name == "replace":
+                found |= {f"{cls}.{k}" for k in keywords
+                          for cls in owners.get(k, ())}
+            elif name == "add_argument":
+                flags.append(flag_dest(call))
+            elif name == "set_defaults" and "func" in keywords:
+                func = call.keywords[keywords.index("func")].value.id
+                found |= {f"{cls}.{dest}" for dest in flags
+                          for cls in named.get(func, ())}
+                flags = []
+            else:
+                found |= {f"{name}.{k}" for k in keywords}
+    return sorted(set(fields) - found)
+
+
+def test_every_config_field_is_set_by_a_caller():
+    modules = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    others = [path.read_text() for folder in ("scripts", "bench")
+              for path in (ROOT / folder).glob("*.py")]
+    assert set(unset_config_fields(modules, others)) == \
+        set(CONFIG_FIELDS_SET_ONLY_IN_TESTS)
+
+
+def test_checker_flags_an_unset_config_field():
+    modules = {
+        "a": ("from dataclasses import dataclass\n\n"
+              "@dataclass\nclass RunConfig:\n    steps: int = 1\n"
+              "    seed: int = 0\n    rate: int = 2\n    depth: int = 3\n"
+              "    width: int = 4\n\n"
+              "@dataclass\nclass Box:\n    size: int = 0\n\n"
+              "def run(cfg=RunConfig(steps=2)):\n    return cfg\n"),
+        "cli": ("from dataclasses import replace\n"
+                "from a import RunConfig, run\n\n"
+                "def cmd_run(args):\n    return run(RunConfig())\n\n"
+                "def cmd_other(args):\n    return args\n\n"
+                "def parser(sub):\n"
+                "    p = sub.add_parser('run')\n"
+                "    p.add_argument('--seed', type=int)\n"
+                "    p.set_defaults(func=cmd_run)\n"
+                "    p = sub.add_parser('other')\n"
+                "    p.add_argument('--rate-hz', dest='rate')\n"
+                "    p.add_argument('--depth')\n"
+                "    p.set_defaults(func=cmd_other)\n"),
+    }
+    # steps by the constructor, seed by the flag of a command that builds
+    # the config; rate and depth only by flags of a command that does not
+    assert unset_config_fields(modules) == [
+        "RunConfig.depth", "RunConfig.rate", "RunConfig.width"]
+    assert unset_config_fields(modules, ["replace(cfg, width=5)\n"]) == [
+        "RunConfig.depth", "RunConfig.rate"]
 
 
 def test_checker_flags_an_unused_import():

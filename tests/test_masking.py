@@ -106,10 +106,9 @@ def oracle_plan(lengths, rng, cfg):
     masked = [i for i, m in enumerate(mask) if m]
     actions = [mk.UNMASKED] * len(mask)
     sources = [-1] * len(mask)
-    p_zero, p_replace, _ = cfg.corruption
     for i, u in zip(masked, rng.random(len(masked)).tolist()):
-        actions[i] = (mk.ZERO if u < p_zero else
-                      mk.REPLACE if u < p_zero + p_replace else mk.KEEP)
+        actions[i] = (mk.ZERO if u < 0.8 else
+                      mk.REPLACE if u < 0.8 + 0.1 else mk.KEEP)
     replaced = [i for i in masked if actions[i] == mk.REPLACE]
     own_lengths = np.array([lengths[turn[i]] for i in replaced], np.int64)
     for i, s in zip(replaced, rng.integers(0, own_lengths).tolist()):

@@ -18,7 +18,8 @@ from stdialog import objectives as ob
 from stdialog.autodiff import ShapeError
 from stdialog.gradcheck import grad_check
 from stdialog.masking import AcousticMaskConfig
-from stdialog.objectives import LossWeights, make_crs_sample
+from stdialog.objectives import make_crs_sample
+from stdialog.shards import load_corpus, write_shards
 from stdialog.text import TextMaskPlan, Vocab
 from stdialog.trainer import TrainConfig
 
@@ -94,6 +95,33 @@ class TestForward:
             m_prev = model.config.frontend.output_length(len(sample.speech_prev))
             m_cur = model.config.frontend.output_length(len(sample.speech_cur))
             assert fused.hidden.shape == (n + m_prev + m_cur + 2, 8)
+
+    def test_long_turns_stop_at_the_cap(self, tmp_path):
+        """``corpus.MAX_TURN_SECONDS`` cuts generated turns, is the cap the
+        shard manifest records and validation applies, and normalises the
+        alignment targets: 40 words of 0.3-0.4 s run past it in every
+        turn."""
+        syn = cp.SyntheticConfig(num_dialogs=2, turns_per_dialog=(2, 3),
+                                 vocab_size=8, words_per_turn=(40, 40),
+                                 word_duration=(0.3, 0.4))
+        dialogs = cp.generate_synthetic(syn, seed=0)
+        for turn in (t for d in dialogs for t in d.turns):
+            assert cp.MAX_TURN_SECONDS - 0.45 < turn.duration \
+                <= cp.MAX_TURN_SECONDS
+        manifest = write_shards(dialogs, tmp_path / "manifest.json")
+        assert manifest["max_turn_seconds"] == cp.MAX_TURN_SECONDS
+        samples = load_corpus(tmp_path / "manifest.json").all_samples(k=1)
+        assert len(samples) == sum(len(d.turns) - 1 for d in dialogs)
+        vocab = Vocab.from_tokens(syn.vocabulary())
+        model = md.SpeechTextModel(md.ModelConfig(
+            d_h=8, vocab_size=vocab.size, max_text_len=128, text_layers=1,
+            speech_layers=1, num_heads=2, ffn_dim=8, conv_pos_kernel=3,
+            conv_pos_groups=2, frontend=fe.desk_config(channels=4)))
+        batch = md.prepare_sample(samples, vocab, model.config, train=False)
+        _, target, _ = ob.tpp_predictions(model.forward(batch)[0],
+                                          batch.word_boundaries,
+                                          model.tpp_head)
+        assert target.min() >= 0.0 and 0.9 < target.max() <= 1.0
 
     def test_eval_forward_deterministic(self):
         model, vocab, _, samples = tiny_setup()
@@ -462,12 +490,12 @@ class TestGradientIntegrity:
         assert (self.batch.acoustic_plan.mask & np.repeat(
             self.batch.scored, self.batch.turn_frames)).any()
 
-    def check(self, key, weights=LossWeights()):
+    def check(self, key):
         _, frozen = self.model.forward(self.batch)
 
         def loss():
-            return self.model.compute_losses(self.batch, weights,
-                                             frozen_cmam_targets=frozen)[key]
+            return self.model.compute_losses(
+                self.batch, frozen_cmam_targets=frozen)[key]
 
         report = grad_check(loss, self.model.parameters(), epsilon=1e-5,
                             coords_per_param=8, seed=0)
@@ -509,11 +537,9 @@ class TestConfigRoundtrip:
         # through JSON, as in a checkpoint: tuples come back as lists
         frontend = fe.FrontendConfig(
             layers=(fe.ConvLayerSpec(6, 4, 2), fe.ConvLayerSpec(5, 3, 3)),
-            sample_rate=50, ln_eps=1e-6)
+            sample_rate=50)
         train = TrainConfig(
-            seed=3, crs_class_probs=(0.4, 0.2, 0.2, 0.2),
-            text_corruption=(0.7, 0.2, 0.1), acoustic_span=(3, 5),
-            checkpoint_every=2,
+            seed=3, acoustic_span=(3, 5), checkpoint_every=2,
             model=md.ModelConfig(d_h=16, vocab_size=20, frontend=frontend))
         again = TrainConfig.from_dict(json.loads(json.dumps(train.to_dict())))
         assert again == train

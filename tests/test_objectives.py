@@ -25,10 +25,10 @@ def make_fused(n_text=6, m_prev=3, m_cur=4, d=8, seed=0):
                       m_cur)
 
 
-def make_head(d=8, seed=1, max_seconds=10.0):
+def make_head(d=8, seed=1):
     rng = np.random.default_rng(seed)
     registry = {}
-    head = ob.init_tpp_head(registry, rng, d, max_seconds, dtype=np.float64)
+    head = ob.init_tpp_head(registry, rng, d, dtype=np.float64)
     return head
 
 
@@ -52,7 +52,7 @@ class TestTppLoss:
         fused = one_sample(hidden, n_text=4, m_prev=0, m_cur=0)
         w_start = Parameter(np.array([[0.30], [0], [0], [0]]), "ws")
         w_end = Parameter(np.array([[0], [0.50], [0], [0]]), "we")
-        head = ob.TppHead(w_start, w_end, max_seconds=10.0)
+        head = ob.TppHead(w_start, w_end)
         boundary = TokenBoundary(1, 2, 2.5, 5.0, 1)
         loss = ob.tpp_loss(fused, [[boundary]], head)
         assert loss.item() == pytest.approx(0.00125, abs=1e-12)
@@ -447,24 +447,20 @@ class TestJointLoss:
 
     def test_unit_alpha_sums(self):
         tpp, crs, cmlm, cmam = self.consts(0.1, 0.2, 0.3, 0.4)
-        total = ob.joint_loss(tpp, crs, cmlm, cmam, ob.LossWeights(alpha=1.0))
+        total = ob.joint_loss(tpp, crs, cmlm, cmam, 1.0)
         assert total.item() == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_zero_excludes_alignment_term(self):
         tpp, crs, cmlm, cmam = self.consts(123.0, 0.2, 0.3, 0.4)
-        total = ob.joint_loss(tpp, crs, cmlm, cmam, ob.LossWeights(alpha=0.0))
+        total = ob.joint_loss(tpp, crs, cmlm, cmam, 0.0)
         assert total.item() == pytest.approx(0.9, abs=1e-12)
 
     def test_alpha_two_doubles_alignment_only(self):
         tpp, crs, cmlm, cmam = self.consts(0.1, 0.2, 0.3, 0.4)
-        total = ob.joint_loss(tpp, crs, cmlm, cmam, ob.LossWeights(alpha=2.0))
+        total = ob.joint_loss(tpp, crs, cmlm, cmam, 2.0)
         assert total.item() == pytest.approx(1.1, abs=1e-12)
 
     def test_crs_disabled(self):
         tpp, _, cmlm, cmam = self.consts(0.1, 0.2, 0.3, 0.4)
-        total = ob.joint_loss(tpp, None, cmlm, cmam, ob.LossWeights())
+        total = ob.joint_loss(tpp, None, cmlm, cmam, 1.0)
         assert total.item() == pytest.approx(0.8, abs=1e-12)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            ob.LossWeights(alpha=-0.5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stdialog.autodiff import NonFiniteError, Parameter
-from stdialog.optim import AdamW, AdamWConfig, lr_schedule
+from stdialog.optim import BETA1, EPS, AdamW, AdamWConfig, lr_schedule
 from stdialog.optim import _CHUNK as CHUNK
 
 from oracles import adamw_oracle, schedule_oracle
@@ -29,8 +29,7 @@ class TestAdamW:
         assert delta == pytest.approx(lr, rel=1e-3)
 
     def test_two_parameter_scalar_oracle(self):
-        cfg = AdamWConfig(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.02,
-                          clip_norm=0.0)
+        cfg = AdamWConfig(beta2=0.999, weight_decay=0.02, clip_norm=0.0)
         a = Parameter(np.array([0.5]), "a")
         b = Parameter(np.array([-1.5]), "b")
         opt = AdamW([a, b], cfg)
@@ -44,7 +43,7 @@ class TestAdamW:
             for name, grad in (("a", ga), ("b", gb)):
                 theta, m, v = state[name]
                 state[name] = adamw_oracle(theta, grad, m, v, step, 0.05,
-                                           cfg.beta1, cfg.beta2, cfg.eps,
+                                           0.9, cfg.beta2, 1e-8,
                                            cfg.weight_decay)
         assert float(a.data[0]) == pytest.approx(state["a"][0], abs=1e-12)
         assert float(b.data[0]) == pytest.approx(state["b"][0], abs=1e-12)
@@ -93,14 +92,14 @@ def per_parameter_step(params, m, v, t, lr, cfg):
     norm = total ** 0.5
     grad_scale = cfg.clip_norm / norm \
         if 0 < cfg.clip_norm < norm else 1.0
-    bc1 = 1.0 - cfg.beta1 ** t
+    bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
     out = []
     for p in params:
         g = p.grad * grad_scale
-        m[p.name] = cfg.beta1 * m[p.name] + (1.0 - cfg.beta1) * g
+        m[p.name] = BETA1 * m[p.name] + (1.0 - BETA1) * g
         v[p.name] = cfg.beta2 * v[p.name] + (1.0 - cfg.beta2) * g * g
-        update = m[p.name] / bc1 / (np.sqrt(v[p.name] / bc2) + cfg.eps) \
+        update = m[p.name] / bc1 / (np.sqrt(v[p.name] / bc2) + EPS) \
             + cfg.weight_decay * p.data
         out.append(p.data - lr * update)
     return out

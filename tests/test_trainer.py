@@ -34,6 +34,26 @@ def small_config(steps=10, **kw):
     return tr.TrainConfig(**defaults)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: tr.TrainConfig(corpus_fraction=0.0),
+     "corpus_fraction must be in (0, 1], got 0.0"),
+    (lambda: tr.TrainConfig(corpus_fraction=-1.0),
+     "corpus_fraction must be in (0, 1], got -1.0"),
+    (lambda: tr.TrainConfig.from_dict({"corpus_fraction": 1.5}),
+     "corpus_fraction must be in (0, 1], got 1.5"),
+    (lambda: tr.TrainConfig(batch_size=-2), "batch_size must be >= 1, got -2"),
+    (lambda: tr.TrainConfig.from_dict({"alpha": -0.5}),
+     "alpha must be >= 0, got -0.5"),
+    (lambda: tr.FinetuneConfig(batch_size=0),
+     "batch_size must be >= 1, got 0"),
+], ids=["fraction-zero", "fraction-negative", "fraction-above-one",
+        "batch-size", "alpha", "finetune-batch-size"])
+def test_out_of_range_config_rejected(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def strip_wall(rows):
     return [{k: v for k, v in r.items() if k != "wall_time"} for r in rows]
 
@@ -269,11 +289,15 @@ class TestCheckpointing:
         with np.load(result.checkpoint_path) as blob:
             arrays = {k: blob[k] for k in blob.files}
         meta = json.loads(bytes(arrays["meta"].tobytes()).decode())
-        meta["version"] = 42
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
-        np.savez(tmp_path / "bad.npz", **arrays)
-        with pytest.raises(ValueError, match="version"):
-            tr.load_checkpoint(tmp_path / "bad.npz")
+        # 4 is the version before the config fields that became constants
+        for version in (4, 42):
+            meta["version"] = version
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
+                                           np.uint8)
+            np.savez(tmp_path / "bad.npz", **arrays)
+            with pytest.raises(ValueError, match=f"checkpoint version "
+                                                 f"{version} not supported"):
+                tr.load_checkpoint(tmp_path / "bad.npz")
 
     def test_bad_meta_value_is_named(self, tmp_path):
         result = tr.pretrain(small_config(steps=1), small_corpus(),
