@@ -14,8 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from stdialog import presets
+from stdialog.model import prepare_sample
 from stdialog.objectives import make_crs_sample
-from stdialog.text import tokenize_sample
 from stdialog.trainer import pretrain
 
 
@@ -43,23 +43,21 @@ def main():
 
     model, vocab = result.model, result.vocab
     samples = corpus.all_samples(k=cfg.k)
-    errs = []
-    for s in samples:
-        fused = model.eval_fused(s, vocab)
-        tok = tokenize_sample(s, vocab)
-        errs.append(model.tpp_absolute_errors(fused, [tok.word_boundaries]))
-    print(f"alignment MAE (normalized times): "
-          f"{float(np.concatenate(errs).mean()):.4f}")
+    batch = prepare_sample(samples, vocab, model.config, train=False)
+    errors = model.tpp_absolute_errors(model.forward(batch)[0], batch)
+    print(f"alignment MAE (normalized times): {float(errors.mean()):.4f}")
 
     rng = np.random.default_rng(123)
     trials = 400
-    hits = 0
+    corrupted, labels = [], []
     for _ in range(trials):
         s = samples[int(rng.integers(len(samples)))]
-        corrupted, label = make_crs_sample(s, corpus.dialogs, rng)
-        hits += int(model.crs_predict(model.eval_fused(corrupted, vocab))[0]
-                    == label)
-    print(f"response-selection accuracy: {hits / trials:.3f}")
+        sample, label = make_crs_sample(s, corpus.dialogs, rng)
+        corrupted.append(sample)
+        labels.append(label)
+    batch = prepare_sample(corrupted, vocab, model.config, train=False)
+    hits = model.crs_predict(model.forward(batch)[0]) == labels
+    print(f"response-selection accuracy: {hits.mean():.3f}")
     print(f"wall time: {elapsed:.0f}s")
 
 

@@ -53,16 +53,6 @@ class Dialog:
     turns: list
 
 
-@dataclass(frozen=True)
-class TppWord:
-    """One word of the last two turns, with times relative to its own turn."""
-    turn_flag: int                # 0 = previous turn, 1 = current turn
-    word_pos: int                 # index within the turn's transcript
-    word: str
-    start_time: float
-    end_time: float
-
-
 @dataclass
 class Sample:
     dialog_id: str
@@ -70,7 +60,9 @@ class Sample:
     text_turns: list              # list[list[str]], oldest history first
     speech_prev: np.ndarray
     speech_cur: np.ndarray
-    tpp_words: list               # list[TppWord]
+    # (prev, cur): each turn's float [words, 2] start and end times,
+    # relative to its own turn; None for a turn without alignment
+    word_times: tuple
     cmam_turns: tuple = (True, True)   # which speech turns feed reconstruction
     sample_rate: int | None = None     # Hz of both speech turns, if known
 
@@ -94,6 +86,14 @@ class SyntheticConfig:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} ({lo}, {hi}): low exceeds high")
+        # validate_dialog rejects an empty turn, and render_turn would
+        # stretch a word of no duration to one signature period
+        if self.words_per_turn[0] < 1:
+            raise ValueError(f"words_per_turn low must be >= 1, got "
+                             f"{self.words_per_turn[0]}")
+        if not self.word_duration[0] > 0:
+            raise ValueError(f"word_duration low must be > 0, got "
+                             f"{self.word_duration[0]}")
         if not self.noise_std >= 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
 
@@ -214,20 +214,18 @@ def build_samples(dialog: Dialog, k: int) -> list:
         raise AlignmentError("; ".join(problems))
     samples = []
     turns = dialog.turns
+    times = [np.array([(w.start_time, w.end_time) for w in t.words])
+             for t in turns]
     for idx in range(1, len(turns)):
         cur, prev = turns[idx], turns[idx - 1]
         history = min(k, idx)  # turn_index is idx+1, so i-1 == idx
         text_turns = [t.transcript for t in turns[idx - history: idx + 1]]
-        tpp = [TppWord(0, j, w.word, w.start_time, w.end_time)
-               for j, w in enumerate(prev.words)]
-        tpp += [TppWord(1, j, w.word, w.start_time, w.end_time)
-                for j, w in enumerate(cur.words)]
         samples.append(Sample(
             dialog_id=dialog.dialog_id,
             target_turn_index=cur.turn_index,
             text_turns=text_turns,
             speech_prev=prev.waveform,
             speech_cur=cur.waveform,
-            tpp_words=tpp,
+            word_times=(times[idx - 1], times[idx]),
             sample_rate=cur.sample_rate))
     return samples

@@ -235,26 +235,11 @@ class FusedBatch:
     def __len__(self) -> int:
         return len(self.start)
 
-    def text_rows(self, positions: list, what: str) -> tuple:
-        """The rows of ``hidden`` at each sample i's text positions
-        ``positions[i]``, counted from its own first row, and each row's
-        sample; a position outside its sample's text span raises
+    def text_rows(self, positions: np.ndarray, what: str) -> tuple:
+        """The rows of ``hidden`` at text positions counted over the
+        batch's packed text (its samples' texts back to back), and each
+        row's sample; a position outside the packed text raises
         ``IndexError`` naming ``what``."""
-        if len(positions) != len(self):
-            raise ValueError(f"{len(positions)} position lists for "
-                             f"{len(self)} samples")
-        sample = np.repeat(np.arange(len(self)), [len(p) for p in positions])
-        pos = np.concatenate(positions).astype(np.intp)
-        outside = (pos < 0) | (pos >= self.n_text[sample])
-        if outside.any():
-            i = sample[outside][0]
-            raise IndexError(f"{what} outside text span [0, {self.n_text[i]})"
-                             f": {min(positions[i])}..{max(positions[i])}")
-        return self.start[sample] + pos, sample
-
-    def packed_text_rows(self, positions: np.ndarray, what: str) -> tuple:
-        """``text_rows`` of positions counted over the batch's packed text
-        (its samples' texts back to back) instead of per sample."""
         ends = np.cumsum(self.n_text)
         pos = np.asarray(positions, dtype=np.intp)
         sample = ends.searchsorted(pos, side="right")

@@ -126,14 +126,16 @@ def config_kwargs(cls, d, what: str, complete: bool = False) -> dict:
 class PreparedBatch:
     """A batch's inputs, packed, with all their randomness drawn: the
     samples' texts back to back (``token_ids`` corrupted by ``text_plan``),
-    and their speech turns, prev then cur of each sample, whose frames,
-    packed in that order, ``acoustic_plan`` masks.  Reconstruction scores
-    the masked frames of the turns ``scored``."""
+    with the token span and times of each aligned word in them, and their
+    speech turns, prev then cur of each sample, whose frames, packed in
+    that order, ``acoustic_plan`` masks.  Reconstruction scores the masked
+    frames of the turns ``scored``."""
     token_ids: np.ndarray
     position_ids: np.ndarray
     segment_ids: np.ndarray
     text_lengths: tuple
-    word_boundaries: list        # each sample's list of TokenBoundary
+    word_tokens: np.ndarray      # int [w, 2]: first, last packed position
+    word_times: np.ndarray       # float [w, 2]: start, end in its own turn
     crs_labels: list             # each sample's label, or None
     waves: list
     turn_frames: np.ndarray      # int [2b]
@@ -258,7 +260,8 @@ class SpeechTextModel:
         fused, features = self.forward(batch)
         if frozen_cmam_targets is not None:
             features = frozen_cmam_targets
-        tpp = tpp_loss(fused, batch.word_boundaries, self.tpp_head)
+        tpp = tpp_loss(fused, batch.word_tokens, batch.word_times,
+                       self.tpp_head)
         crs = None
         if any(label is not None for label in batch.crs_labels):
             crs = crs_loss(fused, batch.crs_labels, self.crs_w, self.crs_b)
@@ -285,10 +288,11 @@ class SpeechTextModel:
         return crs_logits(fused, self.crs_w, self.crs_b).data.argmax(axis=1)
 
     def tpp_absolute_errors(self, fused: FusedBatch,
-                            boundaries: list) -> np.ndarray:
+                            batch: PreparedBatch) -> np.ndarray:
         """|prediction - target| of each word's start, then of each end,
-        over the words of the batch (``boundaries[i]`` are sample i's)."""
-        pred, target, _ = tpp_predictions(fused, boundaries, self.tpp_head)
+        over the aligned words of ``batch``, whose forward gave ``fused``."""
+        pred, target, _ = tpp_predictions(fused, batch.word_tokens,
+                                          batch.word_times, self.tpp_head)
         return np.abs(pred.data - target).ravel()
 
 
@@ -309,6 +313,14 @@ def prepare_sample(samples: list, vocab: Vocab, config: ModelConfig, *,
                  for s in samples]
     token_ids, position_ids, segment_ids = (np.concatenate(ids) for ids in zip(
         *[(t.token_ids, t.position_ids, t.segment_ids) for t in tokenized]))
+    text_lengths = tuple(t.length for t in tokenized)
+    text_firsts = np.cumsum(text_lengths) - text_lengths
+    word_tokens = np.concatenate([t.word_tokens + first for t, first
+                                  in zip(tokenized, text_firsts)])
+    # in the order tokenize_sample lays out the spans
+    word_times = np.concatenate([np.zeros((0, 2))] + [
+        times for s in samples for times in s.word_times
+        if times is not None])
     waves = [w for s in samples for w in (s.speech_prev, s.speech_cur)]
     turn_frames = np.array([config.frontend.output_length(len(w))
                             for w in waves])
@@ -323,8 +335,8 @@ def prepare_sample(samples: list, vocab: Vocab, config: ModelConfig, *,
     return PreparedBatch(
         token_ids=token_ids, position_ids=position_ids,
         segment_ids=segment_ids,
-        text_lengths=tuple(t.length for t in tokenized),
-        word_boundaries=[t.word_boundaries for t in tokenized],
+        text_lengths=text_lengths, word_tokens=word_tokens,
+        word_times=word_times,
         crs_labels=list(crs_labels or [None] * len(samples)),
         waves=waves, turn_frames=turn_frames,
         scored=np.array([s.cmam_turns for s in samples], bool).ravel(),

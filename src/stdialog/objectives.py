@@ -57,31 +57,28 @@ def init_tpp_head(registry: dict, rng: np.random.Generator, d_h: int,
     return TppHead(w_start=mk("tpp.w_start"), w_end=mk("tpp.w_end"))
 
 
-def tpp_predictions(fused: FusedBatch, boundaries: list,
-                    head: TppHead) -> tuple:
-    """Over the words of the batch (``boundaries[i]`` are sample i's), the
-    [2w, 1] predictions read at each word's first token, then at each
-    word's last token; their targets (start, then end, over
-    ``MAX_TURN_SECONDS``); and each row's sample."""
-    first_rows, sample = fused.text_rows(
-        [[b.first_token_index for b in words] for words in boundaries],
-        "word boundary")
-    last_rows, _ = fused.text_rows(
-        [[b.last_token_index for b in words] for words in boundaries],
-        "word boundary")
-    words = [b for sample_words in boundaries for b in sample_words]
-    target = np.array([b.start_time / MAX_TURN_SECONDS for b in words]
-                      + [b.end_time / MAX_TURN_SECONDS for b in words],
-                      dtype=fused.hidden.dtype).reshape(-1, 1)
-    pred = concat([matmul(gather_rows(fused.hidden, first_rows), head.w_start),
-                   matmul(gather_rows(fused.hidden, last_rows), head.w_end)])
-    return pred, target, np.concatenate([sample, sample])
+def tpp_predictions(fused: FusedBatch, word_tokens: np.ndarray,
+                    word_times: np.ndarray, head: TppHead) -> tuple:
+    """Over the batch's aligned words (``word_tokens``, the [w, 2] first
+    and last positions of each in the packed text, and ``word_times``,
+    its start and end time), the [2w, 1] predictions read at each word's
+    first token, then at each word's last token; their targets (start,
+    then end, over ``MAX_TURN_SECONDS``); and each row's sample."""
+    rows, sample = fused.text_rows(word_tokens.T.ravel(), "word boundary")
+    target = (word_times.T / MAX_TURN_SECONDS).astype(
+        fused.hidden.dtype).reshape(-1, 1)
+    w = len(word_tokens)
+    pred = concat([matmul(gather_rows(fused.hidden, rows[:w]), head.w_start),
+                   matmul(gather_rows(fused.hidden, rows[w:]), head.w_end)])
+    return pred, target, sample
 
 
-def tpp_loss(fused: FusedBatch, boundaries: list, head: TppHead) -> Tensor:
+def tpp_loss(fused: FusedBatch, word_tokens: np.ndarray,
+             word_times: np.ndarray, head: TppHead) -> Tensor:
     """Each sample's mean over its words of 0.5 * [(pred_start - s/L)^2 +
     (pred_end - e/L)^2]; 0 for a sample without words."""
-    pred, target, sample = tpp_predictions(fused, boundaries, head)
+    pred, target, sample = tpp_predictions(fused, word_tokens, word_times,
+                                           head)
     return mse(pred, target, sample, len(fused))
 
 
@@ -112,18 +109,18 @@ def make_crs_sample(sample: Sample, dialogs: list, rng: np.random.Generator,
     if label == CRS_POSITIVE:
         return sample, label
 
-    prev_tpp = [w for w in sample.tpp_words if w.turn_flag == 0]
+    prev_aligned = (sample.word_times[0], None)
     if label == CRS_SPEECH_SUBSTITUTED:
         _, turn = _random_turn(dialogs, sample.dialog_id, rng)
         corrupted = replace(
-            sample, speech_cur=turn.waveform, tpp_words=prev_tpp,
+            sample, speech_cur=turn.waveform, word_times=prev_aligned,
             cmam_turns=(True, False))
     elif label == CRS_TEXT_SUBSTITUTED:
         _, turn = _random_turn(dialogs, sample.dialog_id, rng)
         text_turns = [list(t) for t in sample.text_turns]
         text_turns[-1] = turn.transcript
         corrupted = replace(
-            sample, text_turns=text_turns, tpp_words=prev_tpp,
+            sample, text_turns=text_turns, word_times=prev_aligned,
             cmam_turns=(True, True))
     else:  # both substituted; both-substituted samples carry no alignment
         _, text_turn = _random_turn(dialogs, sample.dialog_id, rng)
@@ -132,7 +129,7 @@ def make_crs_sample(sample: Sample, dialogs: list, rng: np.random.Generator,
         text_turns[-1] = text_turn.transcript
         corrupted = replace(
             sample, text_turns=text_turns, speech_cur=speech_turn.waveform,
-            tpp_words=[], cmam_turns=(False, False))
+            word_times=(None, None), cmam_turns=(False, False))
     return corrupted, label
 
 
@@ -159,7 +156,7 @@ def cmlm_loss(fused: FusedBatch, plan: TextMaskPlan | None,
     0 for a sample without any, or for all when ``plan`` is None."""
     positions, labels = ((np.zeros(0, np.intp), []) if plan is None
                          else (plan.positions, plan.labels))
-    rows, sample = fused.packed_text_rows(positions, "masked position")
+    rows, sample = fused.text_rows(positions, "masked position")
     logits = linear(gather_rows(fused.hidden, rows), weight, bias)
     return cross_entropy(logits, labels, sample, len(fused))
 

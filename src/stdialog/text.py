@@ -3,8 +3,9 @@
 The text input for a sample is the temporal concatenation
 ``<s> t_{i-k} </s> t_{i-k+1} </s> ... </s> t_i </s>``; segment id 1 marks
 the tokens of the current turn plus the final ``</s>``, everything else
-gets segment 0.  Word boundaries of the last two turns are tracked through
-tokenization so time-alignment heads can index fused hidden states.
+gets segment 0.  The first and last token of each time-aligned word of the
+last two turns are kept through tokenization so time-alignment heads can
+index fused hidden states.
 
 The tokenizer is pluggable.  The default splits on whitespace (one token
 per word); a chunking tokenizer exists to exercise multi-token words in
@@ -99,22 +100,14 @@ class CharChunkTokenizer:
         return out
 
 
-@dataclass(frozen=True)
-class TokenBoundary:
-    """Token span of one time-aligned word inside the concatenated input."""
-    first_token_index: int
-    last_token_index: int
-    start_time: float
-    end_time: float
-    turn_flag: int          # 0 = previous turn, 1 = current turn
-
-
 @dataclass
 class TokenizedInput:
     token_ids: np.ndarray        # int64 [n]
     segment_ids: np.ndarray      # int64 [n], 1 on current turn + final </s>
     position_ids: np.ndarray     # int64 [n]
-    word_boundaries: list        # list[TokenBoundary] over the last two turns
+    # int64 [w, 2]: the first and last token of each word of the aligned
+    # turns among the last two, prev's words first
+    word_tokens: np.ndarray
 
     @property
     def length(self) -> int:
@@ -123,16 +116,18 @@ class TokenizedInput:
 
 def tokenize_sample(sample: Sample, vocab: Vocab, tokenizer=None,
                     max_len: int | None = None) -> TokenizedInput:
-    """Lay out a sample's text turns with specials, segments and boundaries.
+    """Lay out a sample's text turns with specials, segments and the token
+    spans of its aligned words.
 
     If ``max_len`` is given and the layout is longer, whole oldest history
     turns are dropped (the last two turns are never touched); if it still
-    does not fit, a ValueError is raised.
+    does not fit, a ValueError is raised.  So is an aligned turn whose
+    word times do not match its words one for one.
     """
     tokenizer = tokenizer or WhitespaceTokenizer()
     turns = sample.text_turns
     while True:
-        ids, segments, boundaries = _layout(turns, sample, vocab, tokenizer)
+        ids, segments, spans = _layout(turns, sample, vocab, tokenizer)
         if max_len is None or len(ids) <= max_len:
             break
         if len(turns) <= 2:
@@ -145,17 +140,16 @@ def tokenize_sample(sample: Sample, vocab: Vocab, tokenizer=None,
         token_ids=np.asarray(ids, dtype=np.int64),
         segment_ids=np.asarray(segments, dtype=np.int64),
         position_ids=np.arange(n, dtype=np.int64),
-        word_boundaries=boundaries)
+        word_tokens=np.array(spans, dtype=np.int64).reshape(-1, 2))
 
 
 def _layout(turns, sample, vocab, tokenizer):
     ids = [vocab.bos_id]
     segments = [0]
-    boundaries = []
+    spans = []
     last_two_start = len(turns) - 2
     for ti, words in enumerate(turns):
         current = ti == len(turns) - 1
-        flag = ti - last_two_start  # 0 for prev, 1 for cur, <0 for history
         word_spans = []
         for word in words:
             pieces = tokenizer.tokenize(word)
@@ -166,14 +160,17 @@ def _layout(turns, sample, vocab, tokenizer):
             word_spans.append((first, len(ids) - 1))
         ids.append(vocab.eos_id)
         segments.append(1 if current else 0)
-        if flag >= 0:
-            aligned = [w for w in sample.tpp_words if w.turn_flag == flag]
-            for w in aligned:
-                if w.word_pos < len(word_spans):
-                    first, last = word_spans[w.word_pos]
-                    boundaries.append(TokenBoundary(
-                        first, last, w.start_time, w.end_time, flag))
-    return ids, segments, boundaries
+        if ti >= last_two_start:
+            times = sample.word_times[ti - last_two_start]
+            if times is None:
+                continue
+            if len(times) != len(words):
+                raise ValueError(
+                    f"sample {sample.dialog_id}/{sample.target_turn_index}: "
+                    f"{'cur' if current else 'prev'} turn has {len(words)} "
+                    f"words but {len(times)} word times")
+            spans += word_spans
+    return ids, segments, spans
 
 
 def embed_text(token_ids: np.ndarray, position_ids: np.ndarray,

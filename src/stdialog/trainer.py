@@ -34,6 +34,25 @@ from .text import Vocab, WhitespaceTokenizer
 CHECKPOINT_VERSION = 5
 
 
+def _check_optimization(cfg) -> None:
+    """Reject, by field name, the settings a ``TrainConfig`` and a
+    ``FinetuneConfig`` share that could not train as asked: an empty
+    batch, an unknown schedule (``lr_schedule`` would meet it only after
+    the warmup), a warmup share outside [0, 1], a negative peak learning
+    rate (gradient ascent) or clip norm (clipping silently off)."""
+    if cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
+    if cfg.schedule not in ("linear", "cosine"):
+        raise ValueError(f"schedule must be 'linear' or 'cosine', got "
+                         f"{cfg.schedule!r}")
+    if not 0 <= cfg.warmup_frac <= 1:
+        raise ValueError(f"warmup_frac must be in [0, 1], got "
+                         f"{cfg.warmup_frac}")
+    for name in ("peak_lr", "clip_norm"):
+        if not getattr(cfg, name) >= 0:
+            raise ValueError(f"{name} must be >= 0, got {getattr(cfg, name)}")
+
+
 @dataclass
 class TrainConfig:
     seed: int = 0
@@ -55,13 +74,16 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        _check_optimization(self)
         if not 0 < self.corpus_fraction <= 1:
             raise ValueError(f"corpus_fraction must be in (0, 1], got "
                              f"{self.corpus_fraction}")
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        # a negative interval would checkpoint every step
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got "
+                             f"{self.checkpoint_every}")
 
     def acoustic_config(self) -> AcousticMaskConfig:
         return AcousticMaskConfig(trigger_prob=self.acoustic_trigger_prob,
@@ -294,8 +316,10 @@ class FinetuneConfig:
     speech_noise_std: float = 0.0   # > 0 runs the text-only control
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        _check_optimization(self)
+        if not self.speech_noise_std >= 0:
+            raise ValueError(f"speech_noise_std must be >= 0, got "
+                             f"{self.speech_noise_std}")
 
 
 def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
@@ -348,6 +372,9 @@ EVAL_NOISE_SEED = 99
 def evaluate_task(model: SpeechTextModel, vocab: Vocab, head: PredictionHead,
                   task: TaskSpec, items: list,
                   speech_noise_std: float = 0.0) -> float:
+    if not speech_noise_std >= 0:
+        raise ValueError(f"speech_noise_std must be >= 0, got "
+                         f"{speech_noise_std}")
     check_sample_rate((sample for sample, _ in items), model.config.frontend)
     if speech_noise_std > 0:
         items = replace_speech_with_noise(

@@ -358,7 +358,12 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
                                   "removed-model-config-key",
                                   "incomplete-frontend-layer",
                                   "wrong-type-config-value",
-                                  "bad-conv-pos-groups", "missing-vocab",
+                                  "bad-conv-pos-groups",
+                                  "unknown-schedule",
+                                  "negative-checkpoint-every",
+                                  "negative-clip-norm",
+                                  "evaluate-negative-speech-noise-std",
+                                  "missing-vocab",
                                   "vocab-without-specials", "missing-labels",
                                   "one-class-labels", "small-vocab-size",
                                   "evaluate-unknown-word",
@@ -403,6 +408,13 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     wrong_type.write_text(json.dumps({"model": {"d_h": "64"}}))
     bad_groups = tmp_path / "groups.json"
     bad_groups.write_text(json.dumps({"model": {"conv_pos_groups": 3}}))
+    bad_schedule = tmp_path / "schedule.json"
+    bad_schedule.write_text(json.dumps(
+        {"schedule": "bogus", "warmup_frac": 0.5, "checkpoint_every": 1}))
+    bad_interval = tmp_path / "interval.json"
+    bad_interval.write_text(json.dumps({"checkpoint_every": -1}))
+    bad_clip = tmp_path / "clip.json"
+    bad_clip.write_text(json.dumps({"clip_norm": -1.0}))
     no_specials = tmp_path / "vocab.txt"
     no_specials.write_text("alpha\nbeta\n")
     one_class = tmp_path / "labels.jsonl"
@@ -454,6 +466,18 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
             "model config key d_h must be an integer, got '64'"),
         "bad-conv-pos-groups": ((*pretrain, "--config", bad_groups),
                                 "conv_pos_groups 3 must be >= 1 and divide"),
+        "unknown-schedule": (
+            (*pretrain, "--config", bad_schedule),
+            "schedule must be 'linear' or 'cosine', got 'bogus'"),
+        "negative-checkpoint-every": (
+            (*pretrain, "--config", bad_interval),
+            "checkpoint_every must be >= 0, got -1"),
+        "negative-clip-norm": ((*pretrain, "--config", bad_clip),
+                               "clip_norm must be >= 0, got -1.0"),
+        "evaluate-negative-speech-noise-std": (
+            (*evaluate, "--labels", task_dir / "labels.jsonl",
+             "--speech-noise-std", -1),
+            "speech_noise_std must be >= 0, got -1.0"),
         "missing-vocab": ((*pretrain, "--vocab", missing), str(missing)),
         "vocab-without-specials": ((*pretrain, "--vocab", no_specials),
                                    "vocabulary must start with specials"),
@@ -572,10 +596,19 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     (("pretrain", "--batch-size", -2), "batch_size must be >= 1, got -2"),
     (("pretrain", "--alpha", -1), "alpha must be >= 0, got -1.0"),
     (("finetune", "--batch-size", 0), "batch_size must be >= 1, got 0"),
+    (("generate", "--words-per-turn", 0, 0),
+     "words_per_turn low must be >= 1, got 0"),
+    (("generate", "--word-duration", -1, -1),
+     "word_duration low must be > 0, got -1.0"),
+    (("pretrain", "--peak-lr", -1), "peak_lr must be >= 0, got -1.0"),
+    (("finetune", "--peak-lr", -1), "peak_lr must be >= 0, got -1.0"),
+    (("finetune", "--speech-noise-std", -1),
+     "speech_noise_std must be >= 0, got -1.0"),
 ], ids=["turns-per-dialog", "words-per-turn", "word-duration", "noise-std",
         "corpus-fraction-zero", "corpus-fraction-negative",
         "corpus-fraction-above-one", "batch-size", "alpha",
-        "finetune-batch-size"])
+        "finetune-batch-size", "no-words-per-turn", "negative-word-duration",
+        "peak-lr", "finetune-peak-lr", "finetune-speech-noise-std"])
 def test_out_of_range_flag_fails_in_one_line(args, message, corpus_dir,
                                              tmp_path):
     """Checked before any file is read or written; the command functions

@@ -52,6 +52,9 @@ class TestSyntheticGenerator:
         ("words_per_turn", (4, 2), "words_per_turn (4, 2): low exceeds high"),
         ("word_duration", (0.4, 0.1), "word_duration (0.4, 0.1): low exceeds "
                                       "high"),
+        ("words_per_turn", (0, 3), "words_per_turn low must be >= 1, got 0"),
+        ("word_duration", (0.0, 0.2), "word_duration low must be > 0, got "
+                                      "0.0"),
         ("noise_std", -1.0, "noise_std must be >= 0, got -1.0"),
     ])
     def test_out_of_range_config_rejected(self, key, value, message):
@@ -194,11 +197,8 @@ class TestBuildSamples:
             np.testing.assert_array_equal(s.speech_cur, cur.waveform)
             assert s.text_turns[-2] == prev.transcript
             assert s.text_turns[-1] == cur.transcript
-            # tpp covers exactly the words of turns i-1 and i, per-turn times
-            prev_tpp = [w for w in s.tpp_words if w.turn_flag == 0]
-            cur_tpp = [w for w in s.tpp_words if w.turn_flag == 1]
-            assert [w.word for w in prev_tpp] == prev.transcript
-            assert [w.word for w in cur_tpp] == cur.transcript
-            for w, align in zip(prev_tpp, prev.words):
-                assert w.start_time == align.start_time
-                assert w.end_time == align.end_time
+            # word times cover exactly the words of turns i-1 and i, each
+            # relative to its own turn
+            for times, turn in zip(s.word_times, (prev, cur)):
+                np.testing.assert_array_equal(
+                    times, [(w.start_time, w.end_time) for w in turn.words])

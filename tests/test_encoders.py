@@ -314,7 +314,7 @@ class TestFusion:
         # n=5, m_prev=3, m_cur=4: text 0..4, CLS 5, prev 6..8, SEP 9,
         # cur 10..13
         fused, _ = self.fused()
-        rows, sample = fused.text_rows([[0, 4]], "position")
+        rows, sample = fused.text_rows([0, 4], "position")
         assert rows.tolist() == [0, 4]
         assert sample.tolist() == [0, 0]
         assert fused.frame_rows().tolist() == [6, 7, 8, 10, 11, 12, 13]
@@ -358,38 +358,29 @@ class TestFusion:
                        + [("prev", i, j) for j in range(m_prev)]
                        + [("sep", i)] + [("cur", i, j) for j in range(m_cur)])
         assert fused.hidden.shape == (len(layout), 8)
+        # each sample's own text positions, counted over the packed text
         positions = [data.draw(st.lists(st.integers(0, n - 1), max_size=5))
                      for n in text_lengths]
-        rows, sample = fused.text_rows(positions, "position")
+        firsts = np.cumsum(text_lengths) - text_lengths
+        rows, sample = fused.text_rows(
+            [first + j for first, own in zip(firsts, positions) for j in own],
+            "position")
         assert rows.tolist() == [layout.index(("text", i, j))
                                  for i, own in enumerate(positions)
                                  for j in own]
         assert sample.tolist() == [i for i, own in enumerate(positions)
                                    for _ in own]
-        # the same positions counted over the batch's packed text
-        firsts = np.cumsum(text_lengths) - text_lengths
-        packed_rows, packed_sample = fused.packed_text_rows(
-            [first + j for first, own in zip(firsts, positions) for j in own],
-            "position")
-        assert packed_rows.tolist() == rows.tolist()
-        assert packed_sample.tolist() == sample.tolist()
         # extraction packs each sample's prev frames, then its cur frames
         assert fused.frame_rows().tolist() == [
             layout.index((turn, i, j)) for i, (_, m_prev, m_cur)
             in enumerate(samples)
             for turn, m in (("prev", m_prev), ("cur", m_cur))
             for j in range(m)]
-        k = data.draw(st.integers(0, len(samples) - 1))
-        outside = [[] for _ in samples]
-        outside[k] = [data.draw(st.sampled_from([-1, text_lengths[k]]))]
-        with pytest.raises(IndexError, match=r"position outside text span "
-                                             rf"\[0, {text_lengths[k]}\)"):
-            fused.text_rows(outside, "position")
         end = sum(text_lengths)
         for pos in (-1, end):
             with pytest.raises(IndexError, match=r"position outside packed "
                                                  rf"text \[0, {end}\)"):
-                fused.packed_text_rows([pos], "position")
+                fused.text_rows([pos], "position")
 
     def test_modality_embedding_difference_before_attention(self):
         cfg, _, _, _, fusion, modality = make_stack()

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from composed_speech import (assert_node_matches_reference,
                              composed_assemble_speech_sequences,
@@ -60,6 +62,8 @@ def sample_of(batch, i):
     turns = slice(2 * i, 2 * i + 2)
     frame_end = np.cumsum(batch.turn_frames)[2 * i + 1]
     frame_first = frame_end - batch.turn_frames[turns].sum()
+    first = batch.word_tokens[:, 0]
+    own_words = (text_first <= first) & (first < text_end)
     text_plan = acoustic_plan = None
     if batch.text_plan is not None:
         plan = batch.text_plan
@@ -75,7 +79,8 @@ def sample_of(batch, i):
         position_ids=batch.position_ids[text],
         segment_ids=batch.segment_ids[text],
         text_lengths=batch.text_lengths[i:i + 1],
-        word_boundaries=batch.word_boundaries[i:i + 1],
+        word_tokens=batch.word_tokens[own_words] - text_first,
+        word_times=batch.word_times[own_words],
         crs_labels=batch.crs_labels[i:i + 1], waves=batch.waves[turns],
         turn_frames=batch.turn_frames[turns], scored=batch.scored[turns],
         text_plan=text_plan, acoustic_plan=acoustic_plan)
@@ -119,7 +124,7 @@ class TestForward:
             conv_pos_groups=2, frontend=fe.desk_config(channels=4)))
         batch = md.prepare_sample(samples, vocab, model.config, train=False)
         _, target, _ = ob.tpp_predictions(model.forward(batch)[0],
-                                          batch.word_boundaries,
+                                          batch.word_tokens, batch.word_times,
                                           model.tpp_head)
         assert target.min() >= 0.0 and 0.9 < target.max() <= 1.0
 
@@ -149,14 +154,18 @@ class TestForward:
 
     def test_readouts_match_losses(self):
         model, vocab, _, samples = tiny_setup()
-        sample = samples[0]
-        fused = model.eval_fused(sample, vocab)
-        boundaries = md.tokenize_sample(sample, vocab).word_boundaries
-        errors = model.tpp_absolute_errors(fused, [boundaries])
-        tpp = ob.tpp_loss(fused, [boundaries], model.tpp_head).item()
+        batch = md.prepare_sample(samples[:1], vocab, model.config,
+                                  train=False)
+        fused = model.forward(batch)[0]
+        errors = model.tpp_absolute_errors(fused, batch)
+        tpp = ob.tpp_loss(fused, batch.word_tokens, batch.word_times,
+                          model.tpp_head).item()
         assert tpp == pytest.approx(
-            0.5 * float((errors ** 2).sum()) / len(boundaries), rel=1e-12)
-        assert model.tpp_absolute_errors(fused, [[]]).shape == (0,)
+            0.5 * float((errors ** 2).sum()) / len(batch.word_tokens),
+            rel=1e-12)
+        unaligned = replace(batch, word_tokens=batch.word_tokens[:0],
+                            word_times=batch.word_times[:0])
+        assert model.tpp_absolute_errors(fused, unaligned).shape == (0,)
         crs = [ob.crs_loss(fused, [label], model.crs_w, model.crs_b).item()
                for label in range(4)]
         assert model.crs_predict(fused).tolist() == [int(np.argmin(crs))]
@@ -356,6 +365,48 @@ class TestBatch:
             np.testing.assert_array_equal(losses[key].data, np.zeros(3))
         np.testing.assert_allclose(losses["joint"].data, losses["tpp"].data,
                                    rtol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(1, 7), max_text_len=st.integers(11, 40),
+           seed=st.integers(0, 1000))
+    def test_word_spans_lie_in_their_own_sample(self, k, max_text_len, seed):
+        """Over a batch of response-selection samples whose history is cut
+        to fit ``max_text_len``, each aligned word's packed span reads the
+        word inside its own sample's text, and each alignment target lies
+        in [0, 1]."""
+        syn = cp.SyntheticConfig(num_dialogs=3, turns_per_dialog=(2, 9),
+                                 vocab_size=8, words_per_turn=(1, 4))
+        dialogs = cp.generate_synthetic(syn, seed=seed)
+        rng = np.random.default_rng(seed)
+        samples = [make_crs_sample(s, dialogs, rng)[0] for d in dialogs
+                   for s in cp.build_samples(d, k=k)]
+        vocab = Vocab.from_tokens(syn.vocabulary())
+        model = md.SpeechTextModel(md.ModelConfig(
+            d_h=8, vocab_size=vocab.size, max_text_len=40, text_layers=1,
+            speech_layers=1, num_heads=2, ffn_dim=8, conv_pos_kernel=3,
+            conv_pos_groups=2, frontend=fe.desk_config(channels=4)))
+        batch = md.prepare_sample(
+            samples, vocab, replace(model.config, max_text_len=max_text_len),
+            train=False)
+        assert len(batch.word_times) == len(batch.word_tokens)
+        # each aligned word with its sample and its own turn's times of it
+        words = [(i, word, time) for i, s in enumerate(samples)
+                 for times, turn in zip(s.word_times, s.text_turns[-2:])
+                 if times is not None for word, time in zip(turn, times)]
+        owner = np.array([i for i, _, _ in words], dtype=int)
+        ends = np.cumsum(batch.text_lengths)
+        first, last = batch.word_tokens.T
+        assert ((ends - batch.text_lengths)[owner] <= first).all()
+        assert (first <= last).all() and (last < ends[owner]).all()
+        assert batch.token_ids[first].tolist() == \
+            [vocab.lookup(word) for _, word, _ in words]
+        np.testing.assert_array_equal(
+            batch.word_times, np.reshape([t for _, _, t in words], (-1, 2)))
+        _, target, sample = ob.tpp_predictions(
+            model.forward(batch)[0], batch.word_tokens, batch.word_times,
+            model.tpp_head)
+        assert ((0 <= target) & (target <= 1)).all()
+        assert sample.tolist() == owner.tolist() * 2
 
     def test_empty_batch_rejected(self):
         model, vocab, _, _ = tiny_setup()

@@ -7,7 +7,7 @@ from stdialog import objectives as ob
 from stdialog.autodiff import Parameter, Tensor, reduce_sum
 from stdialog.encoders import FusedBatch
 from stdialog.gradcheck import grad_check
-from stdialog.text import TextMaskPlan, TokenBoundary
+from stdialog.text import TextMaskPlan
 
 from oracles import cmam_oracle, cmlm_oracle, crs_oracle, tpp_oracle
 
@@ -32,15 +32,18 @@ def make_head(d=8, seed=1):
     return head
 
 
+def no_words():
+    """``tpp_loss``'s spans and times of a batch without aligned words."""
+    return np.zeros((0, 2), np.int64), np.zeros((0, 2))
+
+
 class TestTppLoss:
     def test_exact_predictions_zero_loss(self):
         fused = make_fused()
         head = make_head()
-        pred, _, _ = ob.tpp_predictions(
-            fused, [[TokenBoundary(1, 2, 0.0, 0.0, 1)]], head)
-        boundary = TokenBoundary(1, 2, float(pred.data[0, 0] * 10),
-                                 float(pred.data[1, 0] * 10), 1)
-        loss = ob.tpp_loss(fused, [[boundary]], head)
+        tokens = np.array([[1, 2]])
+        pred, _, _ = ob.tpp_predictions(fused, tokens, np.zeros((1, 2)), head)
+        loss = ob.tpp_loss(fused, tokens, pred.data.reshape(1, 2) * 10, head)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_single_word(self):
@@ -53,8 +56,8 @@ class TestTppLoss:
         w_start = Parameter(np.array([[0.30], [0], [0], [0]]), "ws")
         w_end = Parameter(np.array([[0], [0.50], [0], [0]]), "we")
         head = ob.TppHead(w_start, w_end)
-        boundary = TokenBoundary(1, 2, 2.5, 5.0, 1)
-        loss = ob.tpp_loss(fused, [[boundary]], head)
+        loss = ob.tpp_loss(fused, np.array([[1, 2]]), np.array([[2.5, 5.0]]),
+                           head)
         assert loss.item() == pytest.approx(0.00125, abs=1e-12)
 
     def test_scalar_oracle_random_cases(self):
@@ -64,52 +67,54 @@ class TestTppLoss:
             fused = make_fused(n_text=n_text, seed=int(rng.integers(1e6)))
             head = make_head(seed=int(rng.integers(1e6)))
             n_words = int(rng.integers(1, n_text))
-            boundaries = []
+            words = []
             for _ in range(n_words):
                 first = int(rng.integers(0, n_text))
                 last = int(rng.integers(first, n_text))
                 s = float(rng.uniform(0, 5))
-                boundaries.append(TokenBoundary(first, last, s,
-                                                s + float(rng.uniform(0, 3)),
-                                                int(rng.integers(0, 2))))
-            loss = ob.tpp_loss(fused, [boundaries], head).item()
+                words.append((first, last, s, s + float(rng.uniform(0, 3))))
+            spans = np.array([w[:2] for w in words])
+            times = np.array([w[2:] for w in words])
+            loss = ob.tpp_loss(fused, spans, times, head).item()
             oracle = tpp_oracle(
-                fused.hidden.data.tolist(),
-                [(b.first_token_index, b.last_token_index, b.start_time,
-                  b.end_time) for b in boundaries],
+                fused.hidden.data.tolist(), words,
                 head.w_start.data[:, 0].tolist(),
-                head.w_end.data[:, 0].tolist(), 10.0, len(boundaries))
+                head.w_end.data[:, 0].tolist(), 10.0, len(words))
             assert abs(loss - oracle) < 1e-10
 
     def test_duplicating_words_leaves_loss_unchanged(self):
         fused = make_fused(seed=3)
         head = make_head(seed=4)
-        boundaries = [TokenBoundary(0, 1, 0.5, 1.0, 0),
-                      TokenBoundary(2, 3, 1.0, 2.0, 1)]
-        single = ob.tpp_loss(fused, [boundaries], head).item()
-        doubled = ob.tpp_loss(fused, [boundaries * 2], head).item()
+        spans = np.array([[0, 1], [2, 3]])
+        times = np.array([[0.5, 1.0], [1.0, 2.0]])
+        single = ob.tpp_loss(fused, spans, times, head).item()
+        doubled = ob.tpp_loss(fused, np.tile(spans, (2, 1)),
+                              np.tile(times, (2, 1)), head).item()
         assert single == pytest.approx(doubled, abs=1e-12)
 
     def test_empty_boundaries_zero(self):
-        assert ob.tpp_loss(make_fused(), [[]], make_head()).item() == 0.0
+        assert ob.tpp_loss(make_fused(), *no_words(),
+                           make_head()).item() == 0.0
 
     def test_boundary_outside_text_span_raises(self):
         fused = make_fused(n_text=4)
         head = make_head()
-        with pytest.raises(IndexError, match="text span"):
-            ob.tpp_loss(fused, [[TokenBoundary(2, 5, 0.1, 0.2, 1)]], head)
+        with pytest.raises(IndexError, match=r"word boundary outside packed "
+                                             r"text \[0, 4\): 2\.\.5"):
+            ob.tpp_loss(fused, np.array([[2, 5]]), np.array([[0.1, 0.2]]),
+                        head)
 
     def test_gradients_match_finite_differences(self):
         fused_hidden = np.random.default_rng(5).standard_normal((10, 8))
         registry = {}
         head = ob.init_tpp_head(registry, np.random.default_rng(6), 8,
                                 dtype=np.float64)
-        boundaries = [TokenBoundary(1, 2, 0.4, 1.1, 0),
-                      TokenBoundary(3, 3, 1.5, 2.0, 1)]
+        spans = np.array([[1, 2], [3, 3]])
+        times = np.array([[0.4, 1.1], [1.5, 2.0]])
 
         def loss():
             fused = one_sample(fused_hidden, 6, 1, 1)
-            return ob.tpp_loss(fused, [boundaries], head)
+            return ob.tpp_loss(fused, spans, times, head)
 
         report = grad_check(loss, list(registry.values()))
         assert report.max_relative_error < 1e-4
@@ -140,7 +145,7 @@ class TestMakeCrsSample:
         assert label == ob.CRS_BOTH_SUBSTITUTED
         assert out.text_turns[-1] != sample.text_turns[-1] or \
             not np.array_equal(out.speech_cur, sample.speech_cur)
-        assert out.tpp_words == []
+        assert out.word_times == (None, None)
         assert out.cmam_turns == (False, False)
         # history turns and previous speech untouched
         assert out.text_turns[:-1] == sample.text_turns[:-1]
@@ -153,7 +158,8 @@ class TestMakeCrsSample:
                                         np.random.default_rng(2),
                                         class_probs=(0.0, 1.0, 0.0, 0.0))
         assert label == ob.CRS_SPEECH_SUBSTITUTED
-        assert all(w.turn_flag == 0 for w in out.tpp_words)
+        assert out.word_times[0] is sample.word_times[0]
+        assert out.word_times[1] is None
         assert out.cmam_turns == (True, False)
         assert out.text_turns == sample.text_turns
 
@@ -165,6 +171,7 @@ class TestMakeCrsSample:
                                         class_probs=(0.0, 0.0, 1.0, 0.0))
         assert label == ob.CRS_TEXT_SUBSTITUTED
         assert out.cmam_turns == (True, True)
+        assert out.word_times == (sample.word_times[0], None)
         np.testing.assert_array_equal(out.speech_cur, sample.speech_cur)
 
     def test_class_distribution_monte_carlo(self):
@@ -379,6 +386,15 @@ def packed_text_plan(plans, n_text):
            for key in ("actions", "replacement_ids", "labels")})
 
 
+def packed_spans(spans, n_text):
+    """Word spans over a batch's packed text, from each sample's spans
+    over its own text."""
+    firsts = np.cumsum(n_text) - n_text
+    return np.array([(first + a, first + b)
+                     for own, first in zip(spans, firsts) for a, b in own],
+                    np.int64).reshape(-1, 2)
+
+
 class TestBatchLosses:
     """Each objective gives a [b] tensor of per-sample losses from one
     head over the packed rows of the batch."""
@@ -394,9 +410,8 @@ class TestBatchLosses:
     def test_entries_equal_one_sample_calls(self):
         rng = np.random.default_rng(23)
         head = make_head()
-        boundaries = [[TokenBoundary(1, 2, 0.4, 1.1, 0)], [],
-                      [TokenBoundary(0, 0, 0.1, 0.3, 1),
-                       TokenBoundary(2, 4, 0.5, 0.9, 1)]]
+        spans = [[(1, 2)], [], [(0, 0), (2, 4)]]
+        times = [[(0.4, 1.1)], [], [(0.1, 0.3), (0.5, 0.9)]]
         labels = [1, None, 3]
         make_plan = TestCmlmLoss().make_plan
         text_plans = [make_plan([0, 5], [3, 7]), None, make_plan([4], [2])]
@@ -409,7 +424,9 @@ class TestBatchLosses:
                          self.params(5, 26))
         losses = {
             "tpp": lambda f, i: ob.tpp_loss(
-                f, [boundaries[j] for j in i], head),
+                f, packed_spans([spans[j] for j in i], f.n_text),
+                np.array([t for j in i for t in times[j]]).reshape(-1, 2),
+                head),
             "crs": lambda f, i: ob.crs_loss(f, [labels[j] for j in i], *crs),
             "cmlm": lambda f, i: ob.cmlm_loss(
                 f, packed_text_plan([text_plans[j] for j in i], f.n_text),
@@ -430,7 +447,7 @@ class TestBatchLosses:
         w4, b4 = self.params(4, 28)
         empty = TestCmlmLoss().make_plan([], [])
         losses = [
-            ob.tpp_loss(batch, [[], [], []], make_head()),
+            ob.tpp_loss(batch, *no_words(), make_head()),
             ob.crs_loss(batch, [None] * 3, w4, b4),
             ob.cmlm_loss(batch, None, w16, b16),
             ob.cmlm_loss(batch, empty, w16, b16),

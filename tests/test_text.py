@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,20 +10,19 @@ from stdialog import text as tx
 from stdialog.autodiff import Tensor
 
 
-def make_sample(turn_words, tpp_turn_words=None):
-    """Build a Sample from explicit word lists; last two turns get tpp words."""
+def make_sample(turn_words):
+    """Build a Sample from explicit word lists; the last two turns get
+    word times."""
     turns = [list(w) for w in turn_words]
     prev, cur = turns[-2], turns[-1]
-    tpp = []
-    for j, w in enumerate(prev):
-        tpp.append(cp.TppWord(0, j, w, 0.1 * j, 0.1 * j + 0.05))
-    for j, w in enumerate(cur):
-        tpp.append(cp.TppWord(1, j, w, 0.2 * j, 0.2 * j + 0.1))
+    times = tuple(np.array([(step * j, step * j + step / 2)
+                            for j in range(len(words))]).reshape(-1, 2)
+                  for step, words in ((0.1, prev), (0.2, cur)))
     return cp.Sample(dialog_id="d", target_turn_index=len(turns),
                      text_turns=turns,
                      speech_prev=np.zeros(50, np.float32),
                      speech_cur=np.zeros(50, np.float32),
-                     tpp_words=tpp)
+                     word_times=times)
 
 
 def packed_ids(*inputs):
@@ -84,8 +85,7 @@ class TestTokenizeSample:
         sample = make_sample([["x"], ["y"]])
         v = vocab_for("xy")
         tok = tx.tokenize_sample(sample, v)
-        for b in tok.word_boundaries:
-            assert b.first_token_index == b.last_token_index
+        np.testing.assert_array_equal(tok.word_tokens, [[1, 1], [3, 3]])
 
     def test_multi_token_words_span_correctly(self):
         tokenizer = tx.CharChunkTokenizer(2)
@@ -94,21 +94,37 @@ class TestTokenizeSample:
         tok = tx.tokenize_sample(sample, v, tokenizer)
         # layout: <s> ab cd ef </s> gh ij k </s>
         assert tok.length == 9
-        b0, b1, b2 = tok.word_boundaries
-        assert (b0.first_token_index, b0.last_token_index) == (1, 2)
-        assert (b1.first_token_index, b1.last_token_index) == (3, 3)
-        assert (b2.first_token_index, b2.last_token_index) == (5, 7)
-        assert b2.turn_flag == 1
+        np.testing.assert_array_equal(tok.word_tokens,
+                                      [[1, 2], [3, 3], [5, 7]])
 
     def test_boundaries_cover_exactly_tpp_words(self):
         sample = make_sample([["h1", "h2"], ["a", "b"], ["c", "d", "e"]])
         v = vocab_for(["h1", "h2", "a", "b", "c", "d", "e"])
         tok = tx.tokenize_sample(sample, v)
-        assert len(tok.word_boundaries) == 5
-        flags = [b.turn_flag for b in tok.word_boundaries]
-        assert flags == [0, 0, 1, 1, 1]
-        for b in tok.word_boundaries:
-            assert 0 < b.first_token_index <= b.last_token_index < tok.length
+        # <s> h1 h2 </s> a b </s> c d e </s>: prev's words, then cur's
+        np.testing.assert_array_equal(
+            tok.word_tokens, [[4, 4], [5, 5], [7, 7], [8, 8], [9, 9]])
+        for turn in (0, 1):
+            unaligned = replace(sample, word_times=tuple(
+                None if t == turn else times
+                for t, times in enumerate(sample.word_times)))
+            spans = tx.tokenize_sample(unaligned, v).word_tokens
+            np.testing.assert_array_equal(
+                spans, tok.word_tokens[2:] if turn == 0 else
+                tok.word_tokens[:2])
+        none = replace(sample, word_times=(None, None))
+        assert tx.tokenize_sample(none, v).word_tokens.shape == (0, 2)
+
+    @pytest.mark.parametrize("turn", [0, 1])
+    def test_times_not_matching_words_raise(self, turn):
+        sample = make_sample([["h1"], ["a", "b"], ["c", "d", "e"]])
+        times = list(sample.word_times)
+        times[turn] = times[turn][:-1]
+        v = vocab_for(["h1", "a", "b", "c", "d", "e"])
+        name = ("prev turn has 2 words but 1", "cur turn has 3 words but 2")
+        with pytest.raises(ValueError,
+                           match=f"sample d/3: {name[turn]} word times"):
+            tx.tokenize_sample(replace(sample, word_times=tuple(times)), v)
 
     def test_oov_word_raises(self):
         sample = make_sample([["a"], ["zzz"]])
@@ -179,7 +195,7 @@ class TestEmbedText:
         pos = int(np.flatnonzero(twin_seg == 1)[0])
         twin_seg[pos] = 0
         twin = tx.TokenizedInput(ids, twin_seg, self.tok.position_ids,
-                                 self.tok.word_boundaries)
+                                 self.tok.word_tokens)
         out2 = tx.embed_text(*packed_ids(twin), self.token_table,
                              self.pos_table, self.seg_table).data
         diff = out[pos] - out2[pos]
@@ -191,7 +207,7 @@ class TestEmbedText:
         swapped = ids.copy()
         swapped[[1, 2]] = swapped[[2, 1]]
         twin = tx.TokenizedInput(swapped, self.tok.segment_ids,
-                                 self.tok.position_ids, self.tok.word_boundaries)
+                                 self.tok.position_ids, self.tok.word_tokens)
         out = tx.embed_text(*packed_ids(self.tok), self.token_table,
                             self.pos_table, self.seg_table).data
         out2 = tx.embed_text(*packed_ids(twin), self.token_table,

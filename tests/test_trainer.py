@@ -46,8 +46,35 @@ def small_config(steps=10, **kw):
      "alpha must be >= 0, got -0.5"),
     (lambda: tr.FinetuneConfig(batch_size=0),
      "batch_size must be >= 1, got 0"),
+    (lambda: tr.TrainConfig.from_dict({"schedule": "bogus"}),
+     "schedule must be 'linear' or 'cosine', got 'bogus'"),
+    (lambda: tr.FinetuneConfig(schedule="step"),
+     "schedule must be 'linear' or 'cosine', got 'step'"),
+    (lambda: tr.TrainConfig(warmup_frac=1.5),
+     "warmup_frac must be in [0, 1], got 1.5"),
+    (lambda: tr.FinetuneConfig(warmup_frac=-0.1),
+     "warmup_frac must be in [0, 1], got -0.1"),
+    (lambda: tr.TrainConfig(peak_lr=-1.0), "peak_lr must be >= 0, got -1.0"),
+    (lambda: tr.FinetuneConfig(peak_lr=float("nan")),
+     "peak_lr must be >= 0, got nan"),
+    (lambda: tr.TrainConfig(clip_norm=-1.0),
+     "clip_norm must be >= 0, got -1.0"),
+    (lambda: tr.FinetuneConfig(clip_norm=-0.5),
+     "clip_norm must be >= 0, got -0.5"),
+    (lambda: tr.TrainConfig.from_dict({"checkpoint_every": -1}),
+     "checkpoint_every must be >= 0, got -1"),
+    (lambda: tr.FinetuneConfig(speech_noise_std=-1.0),
+     "speech_noise_std must be >= 0, got -1.0"),
+    # checked before the model or the items are read
+    (lambda: tr.evaluate_task(None, None, None, None, [],
+                              speech_noise_std=-1.0),
+     "speech_noise_std must be >= 0, got -1.0"),
 ], ids=["fraction-zero", "fraction-negative", "fraction-above-one",
-        "batch-size", "alpha", "finetune-batch-size"])
+        "batch-size", "alpha", "finetune-batch-size", "schedule",
+        "finetune-schedule", "warmup-above-one", "finetune-warmup-negative",
+        "peak-lr", "finetune-peak-lr-nan", "clip-norm", "finetune-clip-norm",
+        "checkpoint-every", "finetune-speech-noise-std",
+        "evaluate-speech-noise-std"])
 def test_out_of_range_config_rejected(make, message):
     with pytest.raises(ValueError) as info:
         make()
