@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""32-sample overfit run: loss trajectory, alignment MAE, selection accuracy.
+"""32-sample overfit run: loss trajectory, alignment MAE beside that of a
+constant predictor, selection accuracy.
 
 Usage: python scripts/overfit_sanity.py [--steps 500]
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from stdialog import presets
 from stdialog.model import prepare_sample
-from stdialog.objectives import make_crs_sample
+from stdialog.objectives import make_crs_sample, tpp_predictions
 from stdialog.trainer import pretrain
 
 
@@ -44,8 +45,17 @@ def main():
     model, vocab = result.model, result.vocab
     samples = corpus.all_samples(k=cfg.k)
     batch = prepare_sample(samples, vocab, model.config, train=False)
-    errors = model.tpp_absolute_errors(model.forward(batch)[0], batch)
+    fused = model.forward(batch)[0]
+    errors = model.tpp_absolute_errors(fused, batch)
     print(f"alignment MAE (normalized times): {float(errors.mean()):.4f}")
+    # the [2w, 1] targets hold every word's start, then every word's end
+    _, target, _ = tpp_predictions(fused, batch.word_tokens,
+                                   batch.word_times, model.tpp_head)
+    starts, ends = target.reshape(2, -1)
+    constant = np.concatenate([np.abs(starts - np.median(starts)),
+                               np.abs(ends - np.median(ends))])
+    print(f"constant-predictor alignment MAE (median start and end): "
+          f"{float(constant.mean()):.4f}")
 
     rng = np.random.default_rng(123)
     trials = 400

@@ -36,8 +36,8 @@ class AdamW:
     """First/second-moment update with bias correction; weight decay is
     applied directly to parameters, not through the gradient.
 
-    ``m`` and ``v`` map each parameter's name to its view of the flat
-    moment buffers.  All parameters must share one dtype."""
+    ``data``, ``m`` and ``v`` are the flat parameter and moment buffers,
+    in ``params`` order.  All parameters must share one dtype."""
 
     def __init__(self, params: list, config: AdamWConfig = AdamWConfig()):
         self.params = list(params)
@@ -51,23 +51,19 @@ class AdamW:
                              .join(f"{p.name} is {dtype}"
                                    for dtype, p in first.items()))
         dtype = next(iter(first), np.dtype(np.float32))
-        sizes = [p.data.size for p in self.params]
-        self._offsets = np.cumsum([0] + sizes)
+        self._offsets = np.cumsum([0] + [p.data.size for p in self.params])
         n = int(self._offsets[-1])
-        self._data = np.empty(n, dtype)
+        self.data = np.empty(n, dtype)
         self._grad = np.empty(n, dtype)
-        self._m = np.zeros(n, dtype)
-        self._v = np.zeros(n, dtype)
-        self.m, self.v, self._views = {}, {}, []
+        self.m = np.zeros(n, dtype)
+        self.v = np.zeros(n, dtype)
+        self._views = []
         for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:]):
-            shape = p.data.shape
-            data = self._data[lo:hi].reshape(shape)
-            grad = self._grad[lo:hi].reshape(shape)
+            data = self.data[lo:hi].reshape(p.data.shape)
+            grad = self._grad[lo:hi].reshape(p.data.shape)
             data[...] = p.data
             grad[...] = p.grad
             p.data, p.grad = data, grad
-            self.m[p.name] = self._m[lo:hi].reshape(shape)
-            self.v[p.name] = self._v[lo:hi].reshape(shape)
             self._views.append((p, data, grad))
         chunk = min(n, _CHUNK)
         self._scaled = np.empty(chunk, dtype)
@@ -127,11 +123,11 @@ class AdamW:
         # each element takes the ops, in the order and dtype, of
         #   g = grad * scale; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g
         #   x -= lr * (m/bc1 / (sqrt(v/bc2) + eps) + wd*x)
-        for lo in range(0, self._data.size, _CHUNK):
-            x = self._data[lo:lo + _CHUNK]
+        for lo in range(0, self.data.size, _CHUNK):
+            x = self.data[lo:lo + _CHUNK]
             g = self._grad[lo:lo + _CHUNK]
-            m = self._m[lo:lo + _CHUNK]
-            v = self._v[lo:lo + _CHUNK]
+            m = self.m[lo:lo + _CHUNK]
+            v = self.v[lo:lo + _CHUNK]
             a, b = self._a[:x.size], self._b[:x.size]
             if grad_scale != 1.0:
                 g = np.multiply(g, grad_scale, out=self._scaled[:x.size])
@@ -149,18 +145,6 @@ class AdamW:
             a += np.multiply(x, cfg.weight_decay, out=b)
             a *= lr
             x -= a
-
-    def load_state_dict(self, state: dict) -> None:
-        """Write the saved step count and moments into this optimizer; a
-        moment whose shape is not its parameter's raises ``ValueError``."""
-        self.t = int(state["t"])
-        for p in self.params:
-            for moments, saved in ((self.m, state["m"]), (self.v, state["v"])):
-                if np.shape(saved[p.name]) != p.data.shape:
-                    raise ValueError(
-                        f"optimizer state of {p.name} has shape "
-                        f"{np.shape(saved[p.name])}, parameter {p.data.shape}")
-                moments[p.name][...] = saved[p.name]
 
 
 def lr_schedule(step: int, total_steps: int, peak_lr: float,

@@ -10,10 +10,12 @@ exact uninterrupted trajectory.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from .optim import AdamW, AdamWConfig, lr_schedule
 from .shards import Corpus
 from .text import Vocab, WhitespaceTokenizer
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 def _check_optimization(cfg) -> None:
@@ -253,8 +255,7 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
         if state["vocab"].id_to_token != vocab.id_to_token:
             raise ValueError("checkpoint vocabulary does not match corpus")
         _check_resume_config(cfg, state["train_config"])
-        _restore_params(model, state)
-        opt.load_state_dict(state["optimizer"])
+        _restore(opt, state)
         start_step = state["step"]
     acfg = cfg.acoustic_config()
 
@@ -389,7 +390,7 @@ def evaluate_task(model: SpeechTextModel, vocab: Vocab, head: PredictionHead,
 
 # checkpointing ------------------------------------------------------------
 
-# the meta keys ``load_checkpoint`` reads; ``task`` is optional
+# the meta keys ``load_checkpoint`` reads first; ``task`` is optional
 _META_KEYS = {"version", "step", "opt_t", "model_config", "train_config",
               "vocab"}
 
@@ -397,31 +398,27 @@ _META_KEYS = {"version", "step", "opt_t", "model_config", "train_config",
 def save_checkpoint(path, model: SpeechTextModel, vocab: Vocab, opt: AdamW,
                     step: int, train_cfg: TrainConfig | None,
                     extra_meta: dict | None = None) -> None:
+    """Write ``opt``'s flat ``params``, ``m`` and ``v`` and their layout;
+    ``opt`` must own exactly ``model.params``, in order."""
+    for mine, owned in zip_longest(model.parameters(), opt.params):
+        if mine is not owned:
+            raise ValueError(f"optimizer does not own the model's parameters "
+                             f"in order, from {(mine or owned).name}")
+    opt.check_views()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    arrays = {}
-    for name, p in model.params.items():
-        arrays[f"param/{name}"] = p.data
-    for name, m in opt.m.items():
-        arrays[f"opt_m/{name}"] = m
-    for name, v in opt.v.items():
-        arrays[f"opt_v/{name}"] = v
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "step": int(step),
-        "opt_t": int(opt.t),
-        "model_config": model.config.to_dict(),
-        "train_config": train_cfg.to_dict() if train_cfg else None,
-        "vocab": vocab.id_to_token,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    meta = {"version": CHECKPOINT_VERSION, "step": int(step),
+            "opt_t": int(opt.t), "model_config": model.config.to_dict(),
+            "train_config": train_cfg.to_dict() if train_cfg else None,
+            "vocab": vocab.id_to_token,
+            "layout": [[p.name, list(p.data.shape)] for p in opt.params],
+            **(extra_meta or {})}
     # a crash mid-write leaves any earlier checkpoint at ``path`` intact
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+            np.savez(fh, params=opt.data, m=opt.m, v=opt.v,
+                     meta=np.frombuffer(json.dumps(meta).encode(), np.uint8))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -434,20 +431,18 @@ def load_checkpoint(path) -> dict:
     or without ``meta`` or one of its keys) raises ``ValueError`` naming
     the path, chained from the cause.  So does, naming the key too, a
     ``step`` or ``opt_t`` that is not a non-negative int, a ``vocab`` that
-    is not a list of str, or a ``task`` meta without a str ``kind`` and an
-    int ``num_classes``.  ``task`` is the fine-tuned ``TaskSpec``, or None."""
+    is not a list of str, a ``task`` meta without a str ``kind`` and an
+    int ``num_classes``, or a ``layout`` that does not describe the flat
+    ``params``, ``m`` and ``v`` of the model dtype.  ``task`` is the
+    fine-tuned ``TaskSpec``, or None."""
     path = Path(path)
     try:
         with np.load(path) as blob:
             meta = json.loads(bytes(blob["meta"].tobytes()).decode())
             if not (isinstance(meta, dict) and _META_KEYS <= meta.keys()):
                 raise ValueError("checkpoint meta lacks a key")
-            params = {k[len("param/"):]: blob[k] for k in blob.files
-                      if k.startswith("param/")}
-            opt_m = {k[len("opt_m/"):]: blob[k] for k in blob.files
-                     if k.startswith("opt_m/")}
-            opt_v = {k[len("opt_v/"):]: blob[k] for k in blob.files
-                     if k.startswith("opt_v/")}
+            if meta["version"] == CHECKPOINT_VERSION:
+                arrays = {key: blob[key] for key in ("params", "m", "v")}
     except (OSError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile) as exc:
         raise ValueError(
@@ -470,36 +465,56 @@ def load_checkpoint(path) -> dict:
                 raise ValueError(f"checkpoint {path}: task meta key {key!r} "
                                  f"missing or not of type {kind.__name__}")
         task = TaskSpec(kind=task["kind"], num_classes=task["num_classes"])
-    return {
-        "step": meta["step"],
-        "model_config": ModelConfig.from_dict(meta["model_config"]),
-        "train_config": (TrainConfig.from_dict(meta["train_config"])
-                         if meta["train_config"] else None),
-        "vocab": Vocab(meta["vocab"]),
-        "params": params,
-        "optimizer": {"t": meta["opt_t"], "m": opt_m, "v": opt_v},
-        "task": task,
-    }
+    model_config = ModelConfig.from_dict(meta["model_config"])
+    layout = meta.get("layout")
+    if not (isinstance(layout, list) and all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+            and isinstance(e[1], list)
+            and all(type(n) is int and n >= 0 for n in e[1]) for e in layout)
+            and len({e[0] for e in layout}) == len(layout)):
+        raise ValueError(f"checkpoint {path}: meta key 'layout' is not a list "
+                         f"of [name, shape] pairs with distinct names")
+    layout = [(name, tuple(shape)) for name, shape in layout]
+    size = sum(math.prod(shape) for _, shape in layout)
+    for key, array in arrays.items():
+        if array.dtype != model_config.np_dtype or array.shape != (size,):
+            raise ValueError(f"checkpoint {path}: {key} is not the {size} "
+                             f"{model_config.dtype} values its layout lists")
+    return {"step": meta["step"], "opt_t": meta["opt_t"], "layout": layout,
+            "model_config": model_config, "vocab": Vocab(meta["vocab"]),
+            "train_config": (TrainConfig.from_dict(meta["train_config"])
+                             if meta["train_config"] else None),
+            "task": task, **arrays}
 
 
-def _restore_params(model: SpeechTextModel, state: dict) -> None:
-    saved = state["params"]
-    for name, p in model.params.items():
-        if name not in saved:
-            raise ValueError(f"checkpoint is missing parameter {name}")
-        if saved[name].shape != p.data.shape:
+def _restore(opt: AdamW, state: dict) -> None:
+    """Write a checkpoint's parameters, moments and step count into ``opt``,
+    whose parameters its layout must list by name and shape, in order."""
+    saved = dict(state["layout"])
+    for p in opt.params:
+        if p.name not in saved:
+            raise ValueError(f"checkpoint is missing parameter {p.name}")
+        if saved[p.name] != p.data.shape:
             raise ValueError(
-                f"checkpoint parameter {name} has shape {saved[name].shape}, "
+                f"checkpoint parameter {p.name} has shape {saved[p.name]}, "
                 f"model expects {p.data.shape}")
-        p.data[...] = saved[name]
-    for name in saved:
-        if name not in model.params:
-            register(model.params, name, saved[name].copy())
+    if list(saved) != [p.name for p in opt.params]:
+        raise ValueError("checkpoint holds parameters the model does not "
+                         "build, or lists them in another order")
+    opt.data[...] = state["params"]
+    opt.m[...] = state["m"]
+    opt.v[...] = state["v"]
+    opt.t = state["opt_t"]
 
 
 def model_from_checkpoint(path) -> tuple:
-    """(model, vocab, state) with parameters restored, heads included."""
+    """(model, vocab, state): the parameters the model does not build (a
+    head) are registered, then all are restored as on resume."""
     state = load_checkpoint(path)
     model = SpeechTextModel(state["model_config"], seed=0)
-    _restore_params(model, state)
+    for name, shape in state["layout"]:
+        if name not in model.params:
+            register(model.params, name,
+                     np.empty(shape, model.config.np_dtype))
+    _restore(AdamW(model.parameters()), state)
     return model, state["vocab"], state

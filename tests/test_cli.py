@@ -168,17 +168,18 @@ def unknown_words_dir(tmp_path_factory, task_dir):
     return out
 
 
-def rewrite_checkpoint(src, dst, drop_meta=None, drop_prefix=None,
-                       set_meta=None):
-    """``src`` saved as ``dst`` without the meta key ``drop_meta`` and the
-    arrays whose names start with ``drop_prefix``, with the meta entries of
-    ``set_meta`` set."""
+def rewrite_checkpoint(src, dst, drop_meta=None, set_meta=None,
+                       set_arrays=None):
+    """``src`` saved as ``dst`` without the meta key ``drop_meta``, with the
+    meta entries of ``set_meta`` and the arrays of ``set_arrays`` set (an
+    array of None is left out)."""
     with np.load(src) as blob:
-        arrays = {k: blob[k] for k in blob.files
-                  if not (drop_prefix and k.startswith(drop_prefix))}
+        arrays = {k: blob[k] for k in blob.files}
     meta = json.loads(arrays["meta"].tobytes())
     meta.pop(drop_meta, None)
     meta.update(set_meta or {})
+    arrays.update(set_arrays or {})
+    arrays = {k: v for k, v in arrays.items() if v is not None}
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
     np.savez(dst, **arrays)
     return dst
@@ -194,8 +195,15 @@ def broken_checkpoints(tmp_path_factory, pretrained, finetuned):
         "version-4": rewrite_checkpoint(pretrained / "checkpoint-final.npz",
                                         out / "version-4.npz",
                                         set_meta={"version": 4}),
-        "no-head": rewrite_checkpoint(finetuned, out / "no-head.npz",
-                                      drop_prefix="param/head."),
+        # version 5 saved each parameter and moment by name, with no layout
+        "version-5": rewrite_checkpoint(
+            pretrained / "checkpoint-final.npz", out / "version-5.npz",
+            drop_meta="layout", set_meta={"version": 5},
+            set_arrays=dict.fromkeys(("params", "m", "v"))),
+        # a pre-trained model labelled with a task, so without its head
+        "no-head": rewrite_checkpoint(
+            pretrained / "checkpoint-final.npz", out / "no-head.npz",
+            set_meta={"task": {"kind": "classification", "num_classes": 4}}),
         "task-without-classes": rewrite_checkpoint(
             finetuned, out / "task-without-classes.npz",
             set_meta={"task": {"kind": "classification"}}),
@@ -375,6 +383,7 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
                                   "label-not-an-integer", "label-negative",
                                   "meta-without-version",
                                   "resume-checkpoint-version-4",
+                                  "resume-checkpoint-version-5",
                                   "checkpoint-without-head",
                                   "task-meta-without-num-classes",
                                   "task-meta-kind-not-a-string",
@@ -521,9 +530,9 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
              corpus_dir / "manifest.json", "--out", tmp_path / "attn"),
             "not a readable stdialog checkpoint: "
             f"{broken_checkpoints['no-version']}"),
-        "resume-checkpoint-version-4": (
-            (*pretrain, "--resume", broken_checkpoints["version-4"]),
-            "checkpoint version 4 not supported"),
+        **{f"resume-checkpoint-version-{v}": (
+            (*pretrain, "--resume", broken_checkpoints[f"version-{v}"]),
+            f"checkpoint version {v} not supported") for v in (4, 5)},
         "checkpoint-without-head": (
             ("evaluate", "--checkpoint", broken_checkpoints["no-head"],
              "--task-corpus", task_dir / "manifest.json",
@@ -688,10 +697,9 @@ def test_pretrain_resumes_after_kill(corpus_dir, tmp_path):
                  if k != "wall_time"} for line in lines]
 
     def digest(out):
-        params = load_checkpoint(out / "checkpoint-final.npz")["params"]
-        return hashlib.sha256(b"".join(
-            name.encode() + params[name].tobytes()
-            for name in sorted(params))).hexdigest()
+        state = load_checkpoint(out / "checkpoint-final.npz")
+        return hashlib.sha256(json.dumps(state["layout"]).encode()
+                              + state["params"].tobytes()).hexdigest()
 
     points = ("after-row", "in-write")
     runs = {point: launch(point, tmp_path / point)

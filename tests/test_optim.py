@@ -69,18 +69,21 @@ class TestAdamW:
         np.testing.assert_allclose(p.data, q.data, atol=1e-12)
 
     def test_state_roundtrip(self):
+        # the flat buffers and the step count are the whole state: an
+        # optimizer given them continues bit for bit
         p = Parameter(np.array([1.0, 2.0]), "p")
         opt = AdamW([p])
         p.grad[...] = np.array([0.1, -0.2])
         opt.step(0.01)
-        # the optimizer state as ``trainer.load_checkpoint`` returns it
-        state = {"t": opt.t, "m": dict(opt.m), "v": dict(opt.v)}
-        p2 = Parameter(np.array([1.0, 2.0]), "p")
+        p2 = Parameter(np.array([0.0, 0.0]), "p")
         opt2 = AdamW([p2])
-        opt2.load_state_dict(state)
-        assert opt2.t == opt.t
-        np.testing.assert_array_equal(opt2.m["p"], opt.m["p"])
-        np.testing.assert_array_equal(opt2.v["p"], opt.v["p"])
+        opt2.data[...], opt2.m[...], opt2.v[...] = opt.data, opt.m, opt.v
+        opt2.t = opt.t
+        for o, q in ((opt, p), (opt2, p2)):
+            q.grad[...] = np.array([-0.3, 0.5])
+            o.step(0.01)
+        for a, b in ((p.data, p2.data), (opt.m, opt2.m), (opt.v, opt2.v)):
+            assert a.tobytes() == b.tobytes()
 
 
 def per_parameter_step(params, m, v, t, lr, cfg):
@@ -135,8 +138,10 @@ class TestFlatBuffers:
             for p, r in zip(params, ref):
                 assert p.data.dtype == dtype
                 assert p.data.tobytes() == r.data.tobytes(), (t, p.name)
-                assert opt.m[p.name].tobytes() == m[p.name].tobytes()
-                assert opt.v[p.name].tobytes() == v[p.name].tobytes()
+            assert opt.m.tobytes() == b"".join(m[p.name].tobytes()
+                                               for p in ref)
+            assert opt.v.tobytes() == b"".join(v[p.name].tobytes()
+                                               for p in ref)
 
     @pytest.mark.parametrize("field", ["data", "grad"])
     def test_rebound_array_is_named(self, field):
@@ -175,13 +180,6 @@ class TestFlatBuffers:
             with pytest.raises(NonFiniteError, match=f"parameter p{i};"):
                 opt.step(lr=0.1)
             assert opt.t == 0
-
-    def test_moment_of_another_shape_is_named(self):
-        params = self.make(np.float64)
-        opt = AdamW(params)
-        state = {"t": 3, "m": dict(opt.m), "v": {**opt.v, "p4": np.ones(1)}}
-        with pytest.raises(ValueError, match=r"p4 has shape \(1,\)"):
-            opt.load_state_dict(state)
 
     def test_finite_float64_overflow_is_named(self):
         p = Parameter(np.zeros(2), "p")

@@ -33,6 +33,8 @@ def test_script_runs(script, args):
         capture_output=True, text=True,
         env={"PATH": "/usr/bin:/bin"})
     assert result.returncode == 0, result.stderr
+    if script == "overfit_sanity.py":
+        assert "constant-predictor alignment MAE" in result.stdout
 
 
 def drift_gaps(*args) -> dict:

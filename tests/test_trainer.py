@@ -9,11 +9,13 @@ from stdialog import finetune as ft
 from stdialog import frontend as fe
 from stdialog import presets
 from stdialog import trainer as tr
-from stdialog.autodiff import NonFiniteError
+from stdialog.autodiff import NonFiniteError, Parameter
 from stdialog.model import ModelConfig, SpeechTextModel
 from stdialog.optim import AdamW
 from stdialog.shards import Corpus
 from stdialog.text import Vocab
+
+from test_cli import rewrite_checkpoint
 
 
 def small_corpus(seed=0, num_dialogs=4):
@@ -175,6 +177,28 @@ class TestCheckpointing:
             assert model.params[name].data.dtype == p.data.dtype
         assert state["step"] == 4
 
+    def test_finetuned_roundtrip_bitwise(self, tmp_path):
+        # the model does not build the head: loading registers it, then
+        # restores it with every other parameter
+        items, task, vocab = task_items(ft.CrossModalTaskConfig(
+            num_dialogs=4, vocab_size=10))
+        model = SpeechTextModel(
+            replace(small_config().model, vocab_size=vocab.size), seed=0)
+        result = tr.finetune(tr.FinetuneConfig(steps=2, batch_size=2), model,
+                             vocab, task, items, out_dir=tmp_path)
+        loaded, loaded_vocab, state = tr.model_from_checkpoint(
+            result.checkpoint_path)
+        head = ft.head_from_registry(loaded.params)
+        assert list(loaded.params) == list(model.params)
+        assert "head.w1" in model.params
+        for name, p in model.params.items():
+            assert loaded.params[name].data.dtype == p.data.dtype
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), \
+                name
+        assert state["task"] == task and state["step"] == 2
+        assert tr.evaluate_task(loaded, loaded_vocab, head, task, items) == \
+            tr.evaluate_task(model, vocab, result.head, task, items)
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         corpus = small_corpus()
         full = tr.pretrain(small_config(steps=12, checkpoint_every=6), corpus,
@@ -311,20 +335,17 @@ class TestCheckpointing:
     def test_unknown_version_rejected(self, tmp_path):
         corpus = small_corpus()
         result = tr.pretrain(small_config(steps=2), corpus, out_dir=tmp_path)
-        import json
-        import zipfile
-        with np.load(result.checkpoint_path) as blob:
-            arrays = {k: blob[k] for k in blob.files}
-        meta = json.loads(bytes(arrays["meta"].tobytes()).decode())
-        # 4 is the version before the config fields that became constants
-        for version in (4, 42):
-            meta["version"] = version
-            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
-                                           np.uint8)
-            np.savez(tmp_path / "bad.npz", **arrays)
+        # 4 is the version before the config fields that became constants;
+        # 5 saved each parameter and moment as a member of its own, and no
+        # layout: the version is refused before any array is looked for
+        for version in (4, 5, 42):
+            bad = rewrite_checkpoint(
+                result.checkpoint_path, tmp_path / "bad.npz",
+                drop_meta="layout", set_meta={"version": version},
+                set_arrays=dict.fromkeys(("params", "m", "v")))
             with pytest.raises(ValueError, match=f"checkpoint version "
                                                  f"{version} not supported"):
-                tr.load_checkpoint(tmp_path / "bad.npz")
+                tr.load_checkpoint(bad)
 
     def test_bad_meta_value_is_named(self, tmp_path):
         result = tr.pretrain(small_config(steps=1), small_corpus(),
@@ -351,6 +372,108 @@ class TestCheckpointing:
             json.dumps({**meta, "step": 0, "opt_t": 0}).encode(), np.uint8)
         np.savez(tmp_path / "zero.npz", **arrays)
         assert tr.load_checkpoint(tmp_path / "zero.npz")["step"] == 0
+
+    @pytest.mark.parametrize("case, what", [
+        ("layout-missing", "layout"), ("layout-not-a-list", "layout"),
+        ("shape-not-a-list", "layout"), ("negative-size", "layout"),
+        ("float-size", "layout"), ("bool-size", "layout"),
+        ("name-not-a-string", "layout"), ("repeated-name", "layout"),
+        ("sizes-short-of-params", "params"), ("m-shorter", "m"),
+        ("v-longer", "v"), ("params-float64", "params"),
+        ("params-not-flat", "params")])
+    def test_bad_layout_is_named(self, tmp_path, case, what):
+        # load_checkpoint refuses each, so no model is filled from it
+        result = tr.pretrain(small_config(steps=1), small_corpus(),
+                             out_dir=tmp_path)
+        state = tr.load_checkpoint(result.checkpoint_path)
+        layout = [[name, list(shape)] for name, shape in state["layout"]]
+        name, shape = layout[0]
+        first = {"shape-not-a-list": [name, 12],
+                 "negative-size": [name, [-shape[0], *shape[1:]]],
+                 "float-size": [name, [float(n) for n in shape]],
+                 "bool-size": [name, [True] * len(shape)],
+                 "name-not-a-string": [7, shape],
+                 "repeated-name": [layout[1][0], shape]}
+        rewrites = {
+            "layout-missing": {"drop_meta": "layout"},
+            "layout-not-a-list": {"set_meta": {"layout": {name: shape}}},
+            **{key: {"set_meta": {"layout": [entry, *layout[1:]]}}
+               for key, entry in first.items()},
+            "sizes-short-of-params": {"set_meta": {"layout": layout[:-1]}},
+            "m-shorter": {"set_arrays": {"m": state["m"][:-1]}},
+            "v-longer": {"set_arrays": {"v": np.append(state["v"], 1)}},
+            "params-float64": {"set_arrays": {
+                "params": state["params"].astype(np.float64)}},
+            "params-not-flat": {"set_arrays": {
+                "params": state["params"].reshape(1, -1)}}}
+        bad = rewrite_checkpoint(result.checkpoint_path, tmp_path / "bad.npz",
+                                 **rewrites[case])
+        size = state["params"].size
+        if case == "sizes-short-of-params":
+            size -= int(np.prod(layout[-1][1]))
+        if what == "layout":
+            message = "meta key 'layout' is not a list of [name, shape] " \
+                "pairs with distinct names"
+        else:
+            message = f"{what} is not the {size} float32 values its " \
+                "layout lists"
+        with pytest.raises(ValueError) as info:
+            tr.model_from_checkpoint(bad)
+        assert str(info.value) == f"checkpoint {bad}: {message}"
+
+    @pytest.mark.parametrize("entry", ["model_from_checkpoint", "resume"])
+    @pytest.mark.parametrize("case", ["missing", "shape", "order"])
+    def test_layout_other_than_the_model_is_named(self, tmp_path, case,
+                                                  entry):
+        # a well-formed layout that does not list the model's parameters;
+        # loading a model and resuming share the one check
+        corpus = small_corpus()
+        tr.pretrain(small_config(steps=2, checkpoint_every=1), corpus,
+                    out_dir=tmp_path)
+        saved = tmp_path / "checkpoint-000001.npz"
+        layout = [[name, list(shape)]
+                  for name, shape in tr.load_checkpoint(saved)["layout"]]
+        (name, shape), second = layout[0], layout[1]
+        assert len(shape) == 2 and shape[0] != shape[1]
+        if case == "missing":
+            layout[0] = ["renamed", shape]
+            message = f"checkpoint is missing parameter {name}"
+        elif case == "shape":
+            layout[0] = [name, shape[::-1]]
+            message = f"checkpoint parameter {name} has shape " \
+                f"{tuple(shape[::-1])}, model expects {tuple(shape)}"
+        else:
+            layout[:2] = [second, layout[0]]
+            message = "checkpoint holds parameters the model does not " \
+                "build, or lists them in another order"
+        bad = rewrite_checkpoint(saved, tmp_path / "bad.npz",
+                                 set_meta={"layout": layout})
+        with pytest.raises(ValueError) as info:
+            if entry == "resume":
+                tr.pretrain(small_config(steps=2), corpus, resume_from=bad)
+            else:
+                tr.model_from_checkpoint(bad)
+        assert str(info.value) == message
+
+    def test_save_refuses_optimizer_of_other_parameters(self, tmp_path):
+        result = tr.pretrain(small_config(steps=1), small_corpus())
+        params = result.model.parameters()
+        path = tmp_path / "checkpoint.npz"
+        extra = Parameter(np.zeros(1, np.float32), "extra")
+        for owned, first in ((params[:-1], params[-1].name),
+                             (params[1:] + params[:1], params[0].name),
+                             (params + [extra], "extra")):
+            with pytest.raises(ValueError, match="optimizer does not own "
+                               "the model's parameters in order, from "
+                               f"{first}$"):
+                tr.save_checkpoint(path, result.model, result.vocab,
+                                   AdamW(owned), 1, None)
+        # a rebound parameter's value is not in the optimizer's buffer
+        opt = AdamW(params)
+        params[2].data = params[2].data.copy()
+        with pytest.raises(ValueError, match=f"{params[2].name}: .*in place"):
+            tr.save_checkpoint(path, result.model, result.vocab, opt, 1, None)
+        assert not path.exists()
 
     def test_vocab_mismatch_on_resume_rejected(self, tmp_path):
         corpus = small_corpus()
@@ -411,8 +534,8 @@ class TestFlatBufferViews:
         saved = tr.pretrain(small_config(steps=2, seed=3), corpus,
                             out_dir=tmp_path)
         result = tr.pretrain(small_config(steps=2), corpus)
-        tr._restore_params(result.model,
-                           tr.load_checkpoint(saved.checkpoint_path))
+        tr._restore(built_optimizers[-1],
+                    tr.load_checkpoint(saved.checkpoint_path))
         assert_owns_every_parameter(built_optimizers[-1], result.model)
         for name, p in saved.model.params.items():
             assert result.model.params[name].data.tobytes() == \
