@@ -138,13 +138,62 @@ class Parameter(Tensor):
         return f"Parameter({self.name}, shape={self.data.shape})"
 
 
-def register(registry: dict, name: str, array: np.ndarray) -> Parameter:
-    """Create the parameter ``name`` and add it to ``registry``."""
-    if name in registry:
-        raise ValueError(f"duplicate parameter name {name}")
-    p = Parameter(array, name)
-    registry[name] = p
-    return p
+class Init:
+    """Creates each parameter once, in ``registry``: a weight as ``scale *
+    standard_normal(shape)`` drawn from ``rng`` in call order and cast to
+    ``dtype``, a bias or gain as a constant that draws nothing; or, given
+    a ``checkpoint`` (a ``layout`` of (name, shape) pairs over its flat
+    ``params``), each as a view of its name's slice, drawing nothing."""
+
+    def __init__(self, registry: dict, dtype=np.float32, rng=None,
+                 scale: float = 0.02, checkpoint: dict | None = None):
+        self.registry, self.dtype = registry, dtype
+        self.rng, self.scale = rng, scale
+        self._saved = None
+        if checkpoint is not None:
+            layout, params = checkpoint["layout"], checkpoint["params"]
+            ends = np.cumsum([0] + [math.prod(s) for _, s in layout])
+            self._saved = {name: (shape, params[lo:hi]) for (name, shape),
+                           lo, hi in zip(layout, ends, ends[1:])}
+
+    def normal(self, name: str, shape, scale=None) -> Parameter:
+        scale = self.scale if scale is None else scale
+        return self._create(name, shape, lambda s: (
+            scale * self.rng.standard_normal(s)).astype(self.dtype))
+
+    def zeros(self, name: str, shape) -> Parameter:
+        return self._create(name, shape, lambda s: np.zeros(s, self.dtype))
+
+    def ones(self, name: str, shape) -> Parameter:
+        return self._create(name, shape, lambda s: np.ones(s, self.dtype))
+
+    def _create(self, name: str, shape, draw) -> Parameter:
+        if name in self.registry:
+            raise ValueError(f"duplicate parameter name {name}")
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        if self._saved is None:
+            value = draw(shape)
+        elif name not in self._saved:
+            raise ValueError(f"checkpoint is missing parameter {name}")
+        else:
+            saved, flat = self._saved[name]
+            if saved != shape:
+                raise ValueError(f"checkpoint parameter {name} has shape "
+                                 f"{saved}, model expects {shape}")
+            value = flat.reshape(shape)
+        self.registry[name] = Parameter(value, name)
+        return self.registry[name]
+
+    def check_layout(self, load_unbuilt: bool = False) -> None:
+        """Raise unless the checkpoint lists the registry's parameters, and
+        only them, in registry order; with ``load_unbuilt``, first create,
+        in layout order, each one not built yet (a fine-tuned head)."""
+        for name, (shape, _) in self._saved.items():
+            if load_unbuilt and name not in self.registry:
+                self._create(name, shape, None)
+        if list(self._saved) != list(self.registry):
+            raise ValueError("checkpoint holds parameters the model does not "
+                             "build, or lists them in another order")
 
 
 def record(data, parents, backward, op: str) -> Tensor:

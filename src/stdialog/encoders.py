@@ -25,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (Parameter, ShapeError, Tensor, conv1d_backward,
-                       conv1d_forward, gelu_backward, gelu_forward,
-                       layer_norm_backward, layer_norm_forward, record,
-                       register, softmax_backward, softmax_forward)
+from .autodiff import (Init, Parameter, ShapeError, Tensor,
+                       conv1d_backward, conv1d_forward, gelu_backward,
+                       gelu_forward, layer_norm_backward, layer_norm_forward,
+                       record, softmax_backward, softmax_forward)
 
 
 @dataclass
@@ -51,19 +51,16 @@ class TransformerLayerParams:
     ff2_b: Parameter
 
 
-def init_transformer_layer(registry: dict, rng: np.random.Generator,
-                           prefix: str, d_h: int, ffn_dim: int,
-                           dtype=np.float32,
-                           scale: float = 0.02) -> TransformerLayerParams:
+def init_transformer_layer(init: Init, prefix: str, d_h: int,
+                           ffn_dim: int) -> TransformerLayerParams:
     def w(name, shape):
-        return register(registry, f"{prefix}.{name}",
-                        (scale * rng.standard_normal(shape)).astype(dtype))
+        return init.normal(f"{prefix}.{name}", shape)
 
     def zeros(name, shape):
-        return register(registry, f"{prefix}.{name}", np.zeros(shape, dtype))
+        return init.zeros(f"{prefix}.{name}", shape)
 
     def ones(name, shape):
-        return register(registry, f"{prefix}.{name}", np.ones(shape, dtype))
+        return init.ones(f"{prefix}.{name}", shape)
 
     return TransformerLayerParams(
         ln1_gain=ones("ln1.gain", d_h), ln1_bias=zeros("ln1.bias", d_h),
@@ -76,22 +73,16 @@ def init_transformer_layer(registry: dict, rng: np.random.Generator,
         ff2_w=w("ffn.w2", (ffn_dim, d_h)), ff2_b=zeros("ffn.b2", d_h))
 
 
-def init_encoder_stack(registry: dict, rng: np.random.Generator, prefix: str,
-                       num_layers: int, d_h: int, ffn_dim: int,
-                       dtype=np.float32, scale: float = 0.02) -> list:
-    return [init_transformer_layer(registry, rng, f"{prefix}.layer{i}",
-                                   d_h, ffn_dim, dtype, scale)
+def init_encoder_stack(init: Init, prefix: str, num_layers: int, d_h: int,
+                       ffn_dim: int) -> list:
+    return [init_transformer_layer(init, f"{prefix}.layer{i}", d_h, ffn_dim)
             for i in range(num_layers)]
 
 
-def init_conv_positional(registry: dict, rng: np.random.Generator, prefix: str,
-                         d_h: int, kernel: int, groups: int, dtype=np.float32,
-                         scale: float = 0.02) -> tuple:
-    shape = (d_h, d_h // groups, kernel)
-    w = register(registry, f"{prefix}.conv_pos.w",
-                 (scale * rng.standard_normal(shape)).astype(dtype))
-    b = register(registry, f"{prefix}.conv_pos.b", np.zeros(d_h, dtype))
-    return w, b
+def init_conv_positional(init: Init, prefix: str, d_h: int, kernel: int,
+                         groups: int) -> tuple:
+    return (init.normal(f"{prefix}.conv_pos.w", (d_h, d_h // groups, kernel)),
+            init.zeros(f"{prefix}.conv_pos.b", d_h))
 
 
 def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,

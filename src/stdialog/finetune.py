@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus as cp
-from .autodiff import (Parameter, Tensor, cross_entropy, gather_rows,
-                       gelu, linear, mse, register)
+from .autodiff import (Init, Parameter, Tensor, cross_entropy, gather_rows,
+                       gelu, linear, mse)
 from .encoders import FusedBatch
 
 REGRESSION = "regression"
@@ -55,15 +55,10 @@ class PredictionHead:
     b2: Parameter      # [d_o]
 
 
-def init_prediction_head(registry: dict, rng: np.random.Generator, d_h: int,
-                         d_o: int, dtype=np.float32) -> PredictionHead:
+def init_prediction_head(init: Init, d_h: int, d_o: int) -> PredictionHead:
     return PredictionHead(
-        w1=register(registry, "head.w1",
-                    (0.02 * rng.standard_normal((d_h, d_h))).astype(dtype)),
-        b1=register(registry, "head.b1", np.zeros(d_h, dtype)),
-        w2=register(registry, "head.w2",
-                    (0.02 * rng.standard_normal((d_h, d_o))).astype(dtype)),
-        b2=register(registry, "head.b2", np.zeros(d_o, dtype)))
+        w1=init.normal("head.w1", (d_h, d_h)), b1=init.zeros("head.b1", d_h),
+        w2=init.normal("head.w2", (d_h, d_o)), b2=init.zeros("head.b2", d_o))
 
 
 def head_from_registry(registry: dict) -> PredictionHead:

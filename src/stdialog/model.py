@@ -25,7 +25,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import frontend as fe
-from .autodiff import register
+from .autodiff import Init
 from .encoders import (FusedBatch, encode_speech, encode_text, fuse,
                        init_conv_positional, init_encoder_stack,
                        init_transformer_layer)
@@ -145,28 +145,21 @@ class PreparedBatch:
 
 
 class SpeechTextModel:
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0,
+                 init: Init | None = None):
+        """``init`` creates the parameters; by default they are drawn from
+        stream (seed, 0)."""
         if config.vocab_size < 5:
             raise ValueError(
                 f"vocab_size {config.vocab_size} too small; build the "
                 f"vocabulary before the model")
         self.config = config
-        self.params: dict = {}
-        dtype = config.np_dtype
-        rng = np.random.default_rng((seed, 0))
-        d_h = config.d_h
-
-        def normal(name, shape, scale=None):
-            scale = config.init_scale if scale is None else scale
-            return register(self.params, name,
-                            (scale * rng.standard_normal(shape)).astype(dtype))
-
-        def zeros(name, shape):
-            return register(self.params, name, np.zeros(shape, dtype))
-
-        def ones(name, shape):
-            return register(self.params, name, np.ones(shape, dtype))
-
+        if init is None:
+            init = Init({}, config.np_dtype, np.random.default_rng((seed, 0)),
+                        config.init_scale)
+        self.params: dict = init.registry
+        normal, zeros, ones = init.normal, init.zeros, init.ones
+        d_h, ffn = config.d_h, config.ffn_dim
         # text embeddings
         self.token_table = normal("text.token_table",
                                   (config.vocab_size, d_h))
@@ -191,21 +184,18 @@ class SpeechTextModel:
         self.cls_vec = normal("speech.cls", (d_h,))
         self.sep_vec = normal("speech.sep", (d_h,))
         # encoders + fusion
-        scale, ffn = config.init_scale, config.ffn_dim
-        self.text_layers = init_encoder_stack(
-            self.params, rng, "text.enc", config.text_layers, d_h, ffn, dtype,
-            scale)
+        self.text_layers = init_encoder_stack(init, "text.enc",
+                                              config.text_layers, d_h, ffn)
         self.conv_pos = init_conv_positional(
-            self.params, rng, "speech", d_h, config.conv_pos_kernel,
-            config.conv_pos_groups, dtype, scale)
-        self.speech_layers = init_encoder_stack(
-            self.params, rng, "speech.enc", config.speech_layers, d_h, ffn,
-            dtype, scale)
-        self.fusion_layer = init_transformer_layer(
-            self.params, rng, "fusion.layer", d_h, ffn, dtype, scale)
+            init, "speech", d_h, config.conv_pos_kernel,
+            config.conv_pos_groups)
+        self.speech_layers = init_encoder_stack(init, "speech.enc",
+                                                config.speech_layers, d_h, ffn)
+        self.fusion_layer = init_transformer_layer(init, "fusion.layer", d_h,
+                                                   ffn)
         self.modality_table = normal("fusion.modality_table", (2, d_h))
         # objective heads
-        self.tpp_head = init_tpp_head(self.params, rng, d_h, dtype, scale)
+        self.tpp_head = init_tpp_head(init, d_h)
         self.crs_w = normal("crs.w", (d_h, 4))
         self.crs_b = zeros("crs.b", 4)
         self.lm_w = normal("lm.w", (d_h, config.vocab_size))

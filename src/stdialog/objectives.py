@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import (Parameter, Tensor, add, concat, cross_entropy,
-                       gather_rows, linear, mae, matmul, mse, register, scale)
+from .autodiff import (Init, Parameter, Tensor, add, concat, cross_entropy,
+                       gather_rows, linear, mae, matmul, mse, scale)
 from .corpus import MAX_TURN_SECONDS, Sample
 from .encoders import FusedBatch
 from .text import TextMaskPlan
@@ -48,13 +48,9 @@ class TppHead:
     w_end: Parameter        # [d_h, 1]
 
 
-def init_tpp_head(registry: dict, rng: np.random.Generator, d_h: int,
-                  dtype=np.float32, scale: float = 0.02) -> TppHead:
-    def mk(name):
-        return register(registry, name,
-                        (scale * rng.standard_normal((d_h, 1))).astype(dtype))
-
-    return TppHead(w_start=mk("tpp.w_start"), w_end=mk("tpp.w_end"))
+def init_tpp_head(init: Init, d_h: int) -> TppHead:
+    return TppHead(w_start=init.normal("tpp.w_start", (d_h, 1)),
+                   w_end=init.normal("tpp.w_end", (d_h, 1)))
 
 
 def tpp_predictions(fused: FusedBatch, word_tokens: np.ndarray,

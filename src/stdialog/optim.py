@@ -12,7 +12,6 @@ update runs over all parameters at once in L2-sized chunks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,23 +24,19 @@ BETA1 = 0.9     # first-moment decay
 EPS = 1e-8      # added to the second-moment root
 
 
-@dataclass(frozen=True)
-class AdamWConfig:
-    beta2: float = 0.999
-    weight_decay: float = 0.01
-    clip_norm: float = 1.0       # 0 disables clipping
-
-
 class AdamW:
     """First/second-moment update with bias correction; weight decay is
     applied directly to parameters, not through the gradient.
 
     ``data``, ``m`` and ``v`` are the flat parameter and moment buffers,
-    in ``params`` order.  All parameters must share one dtype."""
+    in ``params`` order.  All parameters must share one dtype.  A
+    ``clip_norm`` of 0 disables clipping."""
 
-    def __init__(self, params: list, config: AdamWConfig = AdamWConfig()):
+    def __init__(self, params: list, *, beta2: float = 0.999,
+                 weight_decay: float = 0.01, clip_norm: float = 1.0):
         self.params = list(params)
-        self.config = config
+        self.beta2, self.weight_decay = beta2, weight_decay
+        self.clip_norm = clip_norm
         self.t = 0
         first = {}
         for p in self.params:
@@ -110,16 +105,15 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         self.check_views()
-        cfg = self.config
         norm = self.global_grad_norm()
         if not math.isfinite(norm):
             raise self._non_finite_error()
         grad_scale = 1.0
-        if cfg.clip_norm > 0 and norm > cfg.clip_norm:
-            grad_scale = cfg.clip_norm / norm
+        if self.clip_norm > 0 and norm > self.clip_norm:
+            grad_scale = self.clip_norm / norm
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
         # each element takes the ops, in the order and dtype, of
         #   g = grad * scale; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g
         #   x -= lr * (m/bc1 / (sqrt(v/bc2) + eps) + wd*x)
@@ -133,8 +127,8 @@ class AdamW:
                 g = np.multiply(g, grad_scale, out=self._scaled[:x.size])
             m *= BETA1
             m += np.multiply(g, 1.0 - BETA1, out=a)
-            v *= cfg.beta2
-            np.multiply(g, 1.0 - cfg.beta2, out=a)
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=a)
             a *= g
             v += a
             np.divide(m, bc1, out=a)
@@ -142,7 +136,7 @@ class AdamW:
             np.sqrt(b, out=b)
             b += EPS
             a /= b
-            a += np.multiply(x, cfg.weight_decay, out=b)
+            a += np.multiply(x, self.weight_decay, out=b)
             a *= lr
             x -= a
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import NonFiniteError, reduce_sum, register, scale
+from .autodiff import Init, NonFiniteError, reduce_sum, scale
 from .finetune import (PredictionHead, TaskSpec, evaluate,
                        head_from_registry, init_prediction_head, predict,
                        replace_speech_with_noise, task_loss)
@@ -29,7 +29,7 @@ from .masking import AcousticMaskConfig
 from .model import (ModelConfig, SpeechTextModel, config_kwargs,
                     prepare_sample)
 from .objectives import make_crs_sample
-from .optim import AdamW, AdamWConfig, lr_schedule
+from .optim import AdamW, lr_schedule
 from .shards import Corpus
 from .text import Vocab, WhitespaceTokenizer
 
@@ -40,8 +40,8 @@ def _check_optimization(cfg) -> None:
     """Reject, by field name, the settings a ``TrainConfig`` and a
     ``FinetuneConfig`` share that could not train as asked: an empty
     batch, an unknown schedule (``lr_schedule`` would meet it only after
-    the warmup), a warmup share outside [0, 1], a negative peak learning
-    rate (gradient ascent) or clip norm (clipping silently off)."""
+    the warmup), a warmup share outside [0, 1], a negative or NaN peak
+    rate (ascent), clip norm (clipping off) or weight decay (growth)."""
     if cfg.batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if cfg.schedule not in ("linear", "cosine"):
@@ -50,7 +50,7 @@ def _check_optimization(cfg) -> None:
     if not 0 <= cfg.warmup_frac <= 1:
         raise ValueError(f"warmup_frac must be in [0, 1], got "
                          f"{cfg.warmup_frac}")
-    for name in ("peak_lr", "clip_norm"):
+    for name in ("peak_lr", "clip_norm", "weight_decay"):
         if not getattr(cfg, name) >= 0:
             raise ValueError(f"{name} must be >= 0, got {getattr(cfg, name)}")
 
@@ -82,6 +82,10 @@ class TrainConfig:
                              f"{self.corpus_fraction}")
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        # 1 divides by a zero bias correction; outside, no Adam second moment
+        if not 0 <= self.adam_beta2 < 1:
+            raise ValueError(f"adam_beta2 must be in [0, 1), got "
+                             f"{self.adam_beta2}")
         # a negative interval would checkpoint every step
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got "
@@ -245,17 +249,20 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
     if vocab is None:
         vocab = build_vocab(corpus)
     model_cfg = replace(cfg.model, vocab_size=vocab.size)
-    model = SpeechTextModel(model_cfg, seed=cfg.seed)
-    opt = AdamW(model.parameters(), AdamWConfig(
-        beta2=cfg.adam_beta2, weight_decay=cfg.weight_decay,
-        clip_norm=cfg.clip_norm))
-    start_step = 0
+    init = state = None
     if resume_from is not None:
         state = load_checkpoint(resume_from)
         if state["vocab"].id_to_token != vocab.id_to_token:
             raise ValueError("checkpoint vocabulary does not match corpus")
         _check_resume_config(cfg, state["train_config"])
-        _restore(opt, state)
+        init = Init({}, checkpoint=state)
+    model = SpeechTextModel(model_cfg, seed=cfg.seed, init=init)
+    opt = AdamW(model.parameters(), beta2=cfg.adam_beta2,
+                weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
+    start_step = 0
+    if state is not None:
+        init.check_layout()
+        opt.m[...], opt.v[...], opt.t = state["m"], state["v"], state["opt_t"]
         start_step = state["step"]
     acfg = cfg.acoustic_config()
 
@@ -331,19 +338,19 @@ def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
     check_sample_rate((sample for sample, _ in train_items),
                       model.config.frontend)
     out_dir = Path(out_dir) if out_dir else None
-    rng_init = np.random.default_rng((cfg.seed, 2))
     if "head.w1" in model.params:
         head = head_from_registry(model.params)
     else:
-        head = init_prediction_head(model.params, rng_init, model.config.d_h,
-                                    task.num_classes, model.config.np_dtype)
+        head = init_prediction_head(
+            Init(model.params, model.config.np_dtype,
+                 np.random.default_rng((cfg.seed, 2))),
+            model.config.d_h, task.num_classes)
     if cfg.speech_noise_std > 0:
         train_items = replace_speech_with_noise(
             train_items, np.random.default_rng((cfg.seed, 3)),
             cfg.speech_noise_std)
-    opt = AdamW(model.parameters(),
-                AdamWConfig(weight_decay=cfg.weight_decay,
-                            clip_norm=cfg.clip_norm))
+    opt = AdamW(model.parameters(), weight_decay=cfg.weight_decay,
+                clip_norm=cfg.clip_norm)
 
     def batch_losses(idx, rng):
         items = [train_items[i] for i in idx]
@@ -487,34 +494,11 @@ def load_checkpoint(path) -> dict:
             "task": task, **arrays}
 
 
-def _restore(opt: AdamW, state: dict) -> None:
-    """Write a checkpoint's parameters, moments and step count into ``opt``,
-    whose parameters its layout must list by name and shape, in order."""
-    saved = dict(state["layout"])
-    for p in opt.params:
-        if p.name not in saved:
-            raise ValueError(f"checkpoint is missing parameter {p.name}")
-        if saved[p.name] != p.data.shape:
-            raise ValueError(
-                f"checkpoint parameter {p.name} has shape {saved[p.name]}, "
-                f"model expects {p.data.shape}")
-    if list(saved) != [p.name for p in opt.params]:
-        raise ValueError("checkpoint holds parameters the model does not "
-                         "build, or lists them in another order")
-    opt.data[...] = state["params"]
-    opt.m[...] = state["m"]
-    opt.v[...] = state["v"]
-    opt.t = state["opt_t"]
-
-
 def model_from_checkpoint(path) -> tuple:
-    """(model, vocab, state): the parameters the model does not build (a
-    head) are registered, then all are restored as on resume."""
+    """(model, vocab, state): the model built from views of the saved
+    parameters, then those it does not build (a head), in layout order."""
     state = load_checkpoint(path)
-    model = SpeechTextModel(state["model_config"], seed=0)
-    for name, shape in state["layout"]:
-        if name not in model.params:
-            register(model.params, name,
-                     np.empty(shape, model.config.np_dtype))
-    _restore(AdamW(model.parameters()), state)
+    init = Init({}, checkpoint=state)
+    model = SpeechTextModel(state["model_config"], init=init)
+    init.check_layout(load_unbuilt=True)
     return model, state["vocab"], state

@@ -20,12 +20,11 @@ def make_stack(num_layers=2, d_h=16, heads=4, ffn=32, seed=0, dtype=np.float64):
                           conv_pos_groups=2)
     registry = {}
     rng = np.random.default_rng(seed)
-    layers = enc.init_encoder_stack(registry, rng, "enc", num_layers, d_h, ffn,
-                                    dtype)
-    conv_pos = enc.init_conv_positional(registry, rng, "enc", d_h,
-                                        cfg.conv_pos_kernel,
-                                        cfg.conv_pos_groups, dtype)
-    fusion = enc.init_transformer_layer(registry, rng, "fuse", d_h, ffn, dtype)
+    init = ad.Init(registry, dtype, rng)
+    layers = enc.init_encoder_stack(init, "enc", num_layers, d_h, ffn)
+    conv_pos = enc.init_conv_positional(init, "enc", d_h, cfg.conv_pos_kernel,
+                                        cfg.conv_pos_groups)
+    fusion = enc.init_transformer_layer(init, "fuse", d_h, ffn)
     modality = enc.Parameter(
         (0.02 * rng.standard_normal((2, d_h))).astype(dtype), "fuse.modality")
     registry["fuse.modality"] = modality
@@ -244,10 +243,9 @@ class TestSpeechEncoder:
 
 
 def conv_position_case(lengths, groups, seed, d_h=8, kernel=5):
-    registry = {}
     rng = np.random.default_rng(seed)
-    w, b = enc.init_conv_positional(registry, rng, "enc", d_h, kernel, groups,
-                                    np.float64, scale=0.3)
+    w, b = enc.init_conv_positional(ad.Init({}, np.float64, rng, scale=0.3),
+                                    "enc", d_h, kernel, groups)
     b.data += 0.3 * rng.standard_normal(d_h)
     x = Parameter(rng.standard_normal((sum(lengths), d_h)), "x")
     return x, w, b

@@ -3,7 +3,7 @@ import pytest
 
 from stdialog import corpus as cp
 from stdialog import finetune as ft
-from stdialog.autodiff import Tensor
+from stdialog.autodiff import Init, Tensor
 from stdialog.encoders import FusedBatch
 from stdialog.gradcheck import grad_check
 
@@ -25,8 +25,9 @@ def make_fused(d=8, seed=0):
 
 def make_head(d=8, d_o=4, seed=1, dtype=np.float64):
     registry = {}
-    return ft.init_prediction_head(registry, np.random.default_rng(seed), d,
-                                   d_o, dtype), registry
+    return ft.init_prediction_head(Init(registry, dtype,
+                                        np.random.default_rng(seed)),
+                                   d, d_o), registry
 
 
 class TestTaskSpec:
@@ -120,7 +121,8 @@ class TestPredict:
     def test_second_head_on_one_registry_rejected(self):
         _, registry = make_head()
         with pytest.raises(ValueError, match="duplicate parameter name"):
-            ft.init_prediction_head(registry, np.random.default_rng(2), 8, 4)
+            ft.init_prediction_head(
+                Init(registry, rng=np.random.default_rng(2)), 8, 4)
 
 
 class TestEvaluate:

@@ -4,7 +4,7 @@ import pytest
 
 from stdialog import corpus as cp
 from stdialog import objectives as ob
-from stdialog.autodiff import Parameter, Tensor, reduce_sum
+from stdialog.autodiff import Init, Parameter, Tensor, reduce_sum
 from stdialog.encoders import FusedBatch
 from stdialog.gradcheck import grad_check
 from stdialog.text import TextMaskPlan
@@ -26,10 +26,8 @@ def make_fused(n_text=6, m_prev=3, m_cur=4, d=8, seed=0):
 
 
 def make_head(d=8, seed=1):
-    rng = np.random.default_rng(seed)
-    registry = {}
-    head = ob.init_tpp_head(registry, rng, d, dtype=np.float64)
-    return head
+    return ob.init_tpp_head(Init({}, np.float64, np.random.default_rng(seed)),
+                            d)
 
 
 def no_words():
@@ -107,8 +105,8 @@ class TestTppLoss:
     def test_gradients_match_finite_differences(self):
         fused_hidden = np.random.default_rng(5).standard_normal((10, 8))
         registry = {}
-        head = ob.init_tpp_head(registry, np.random.default_rng(6), 8,
-                                dtype=np.float64)
+        head = ob.init_tpp_head(
+            Init(registry, np.float64, np.random.default_rng(6)), 8)
         spans = np.array([[1, 2], [3, 3]])
         times = np.array([[0.4, 1.1], [1.5, 2.0]])
 

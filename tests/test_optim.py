@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from stdialog.autodiff import NonFiniteError, Parameter
-from stdialog.optim import BETA1, EPS, AdamW, AdamWConfig, lr_schedule
+from stdialog.optim import BETA1, EPS, AdamW, lr_schedule
 from stdialog.optim import _CHUNK as CHUNK
 
 from oracles import adamw_oracle, schedule_oracle
@@ -11,14 +13,14 @@ from oracles import adamw_oracle, schedule_oracle
 class TestAdamW:
     def test_zero_grad_zero_decay_leaves_params(self):
         p = Parameter(np.array([1.0, -2.0]), "p")
-        opt = AdamW([p], AdamWConfig(weight_decay=0.0, clip_norm=0.0))
+        opt = AdamW([p], weight_decay=0.0, clip_norm=0.0)
         before = p.data.copy()
         opt.step(lr=0.1)
         np.testing.assert_array_equal(p.data, before)
 
     def test_constant_gradient_update_magnitude_approaches_lr(self):
         p = Parameter(np.array([0.0]), "p")
-        opt = AdamW([p], AdamWConfig(weight_decay=0.0, clip_norm=0.0))
+        opt = AdamW([p], weight_decay=0.0, clip_norm=0.0)
         lr = 0.01
         prev = p.data.copy()
         for _ in range(300):
@@ -29,10 +31,9 @@ class TestAdamW:
         assert delta == pytest.approx(lr, rel=1e-3)
 
     def test_two_parameter_scalar_oracle(self):
-        cfg = AdamWConfig(beta2=0.999, weight_decay=0.02, clip_norm=0.0)
         a = Parameter(np.array([0.5]), "a")
         b = Parameter(np.array([-1.5]), "b")
-        opt = AdamW([a, b], cfg)
+        opt = AdamW([a, b], beta2=0.999, weight_decay=0.02, clip_norm=0.0)
         state = {"a": (0.5, 0.0, 0.0), "b": (-1.5, 0.0, 0.0)}
         rng = np.random.default_rng(0)
         for step in range(1, 6):
@@ -43,8 +44,7 @@ class TestAdamW:
             for name, grad in (("a", ga), ("b", gb)):
                 theta, m, v = state[name]
                 state[name] = adamw_oracle(theta, grad, m, v, step, 0.05,
-                                           0.9, cfg.beta2, 1e-8,
-                                           cfg.weight_decay)
+                                           0.9, 0.999, 1e-8, 0.02)
         assert float(a.data[0]) == pytest.approx(state["a"][0], abs=1e-12)
         assert float(b.data[0]) == pytest.approx(state["b"][0], abs=1e-12)
 
@@ -57,12 +57,12 @@ class TestAdamW:
 
     def test_clipping_bounds_update(self):
         p = Parameter(np.zeros(4), "p")
-        opt = AdamW([p], AdamWConfig(weight_decay=0.0, clip_norm=1.0))
+        opt = AdamW([p], weight_decay=0.0, clip_norm=1.0)
         p.grad[...] = np.full(4, 100.0)
         assert opt.global_grad_norm() == pytest.approx(200.0)
         opt.step(lr=0.1)
-        opt2 = AdamW([Parameter(np.zeros(4), "q")],
-                     AdamWConfig(weight_decay=0.0, clip_norm=0.0))
+        opt2 = AdamW([Parameter(np.zeros(4), "q")], weight_decay=0.0,
+                     clip_norm=0.0)
         q = opt2.params[0]
         q.grad[...] = np.full(4, 0.5)  # the clipped gradient
         opt2.step(lr=0.1)
@@ -120,10 +120,11 @@ class TestFlatBuffers:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_per_parameter_reference(self, dtype, clip_norm):
         # chunks straddle parameter boundaries; 50 clips every step
-        cfg = AdamWConfig(beta2=0.98, weight_decay=0.02, clip_norm=clip_norm)
+        cfg = SimpleNamespace(beta2=0.98, weight_decay=0.02,
+                              clip_norm=clip_norm)
         params = self.make(dtype)
         ref = self.make(dtype)
-        opt = AdamW(params, cfg)
+        opt = AdamW(params, **vars(cfg))
         m = {p.name: np.zeros_like(p.data) for p in ref}
         v = {p.name: np.zeros_like(p.data) for p in ref}
         rng = np.random.default_rng(1)
@@ -154,7 +155,7 @@ class TestFlatBuffers:
 
     def test_in_place_writes_reach_the_update(self):
         params = self.make(np.float64)
-        opt = AdamW(params, AdamWConfig(weight_decay=0.0, clip_norm=0.0))
+        opt = AdamW(params, weight_decay=0.0, clip_norm=0.0)
         params[1].data[...] = 2.0
         params[1].grad += 1.0
         opt.step(lr=0.5)

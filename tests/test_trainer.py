@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from stdialog import finetune as ft
 from stdialog import frontend as fe
 from stdialog import presets
 from stdialog import trainer as tr
-from stdialog.autodiff import NonFiniteError, Parameter
+from stdialog.autodiff import Init, NonFiniteError, Parameter
 from stdialog.model import ModelConfig, SpeechTextModel
 from stdialog.optim import AdamW
 from stdialog.shards import Corpus
@@ -67,6 +68,18 @@ def small_config(steps=10, **kw):
      "checkpoint_every must be >= 0, got -1"),
     (lambda: tr.FinetuneConfig(speech_noise_std=-1.0),
      "speech_noise_std must be >= 0, got -1.0"),
+    (lambda: tr.TrainConfig(adam_beta2=1.0),
+     "adam_beta2 must be in [0, 1), got 1.0"),
+    (lambda: tr.TrainConfig.from_dict({"adam_beta2": -0.5}),
+     "adam_beta2 must be in [0, 1), got -0.5"),
+    (lambda: tr.TrainConfig(adam_beta2=1.5),
+     "adam_beta2 must be in [0, 1), got 1.5"),
+    (lambda: tr.TrainConfig.from_dict({"adam_beta2": float("nan")}),
+     "adam_beta2 must be in [0, 1), got nan"),
+    (lambda: tr.TrainConfig.from_dict({"weight_decay": float("nan")}),
+     "weight_decay must be >= 0, got nan"),
+    (lambda: tr.FinetuneConfig(weight_decay=-0.01),
+     "weight_decay must be >= 0, got -0.01"),
     # checked before the model or the items are read
     (lambda: tr.evaluate_task(None, None, None, None, [],
                               speech_noise_std=-1.0),
@@ -76,6 +89,8 @@ def small_config(steps=10, **kw):
         "finetune-schedule", "warmup-above-one", "finetune-warmup-negative",
         "peak-lr", "finetune-peak-lr-nan", "clip-norm", "finetune-clip-norm",
         "checkpoint-every", "finetune-speech-noise-std",
+        "adam-beta2-one", "adam-beta2-negative", "adam-beta2-above-one",
+        "adam-beta2-nan", "weight-decay-nan", "finetune-weight-decay",
         "evaluate-speech-noise-std"])
 def test_out_of_range_config_rejected(make, message):
     with pytest.raises(ValueError) as info:
@@ -177,17 +192,19 @@ class TestCheckpointing:
             assert model.params[name].data.dtype == p.data.dtype
         assert state["step"] == 4
 
-    def test_finetuned_roundtrip_bitwise(self, tmp_path):
-        # the model does not build the head: loading registers it, then
-        # restores it with every other parameter
+    def test_finetuned_roundtrip_bitwise(self, tmp_path, built_optimizers):
+        # the model does not build the head: loading takes it from its own
+        # slices after the model's parameters, and builds no optimizer
         items, task, vocab = task_items(ft.CrossModalTaskConfig(
             num_dialogs=4, vocab_size=10))
         model = SpeechTextModel(
             replace(small_config().model, vocab_size=vocab.size), seed=0)
         result = tr.finetune(tr.FinetuneConfig(steps=2, batch_size=2), model,
                              vocab, task, items, out_dir=tmp_path)
+        built_optimizers.clear()
         loaded, loaded_vocab, state = tr.model_from_checkpoint(
             result.checkpoint_path)
+        assert built_optimizers == []
         head = ft.head_from_registry(loaded.params)
         assert list(loaded.params) == list(model.params)
         assert "head.w1" in model.params
@@ -529,25 +546,17 @@ class TestFlatBufferViews:
         result = tr.pretrain(small_config(steps=2), small_corpus())
         assert_owns_every_parameter(built_optimizers[-1], result.model)
 
-    def test_after_restore_params(self, tmp_path, built_optimizers):
-        corpus = small_corpus()
-        saved = tr.pretrain(small_config(steps=2, seed=3), corpus,
-                            out_dir=tmp_path)
-        result = tr.pretrain(small_config(steps=2), corpus)
-        tr._restore(built_optimizers[-1],
-                    tr.load_checkpoint(saved.checkpoint_path))
-        assert_owns_every_parameter(built_optimizers[-1], result.model)
-        for name, p in saved.model.params.items():
-            assert result.model.params[name].data.tobytes() == \
-                p.data.tobytes(), name
-
     def test_after_resume(self, tmp_path, built_optimizers):
+        # the model is built from the checkpoint; its one optimizer takes
+        # over the loaded parameters
         corpus = small_corpus()
         tr.pretrain(small_config(steps=4, checkpoint_every=2), corpus,
                     out_dir=tmp_path)
+        built_optimizers.clear()
         resumed = tr.pretrain(small_config(steps=4), corpus,
                               resume_from=tmp_path / "checkpoint-000002.npz")
-        assert_owns_every_parameter(built_optimizers[-1], resumed.model)
+        assert len(built_optimizers) == 1
+        assert_owns_every_parameter(built_optimizers[0], resumed.model)
 
     def test_finetune_of_loaded_model_owns_its_head(self, tmp_path,
                                                     built_optimizers):
@@ -559,6 +568,7 @@ class TestFlatBufferViews:
         tr.save_checkpoint(path, model, vocab, AdamW(model.parameters()), 0,
                            None)
         model, vocab, _ = tr.model_from_checkpoint(path)
+        assert built_optimizers == []
         result = tr.finetune(tr.FinetuneConfig(steps=2, batch_size=2), model,
                              vocab, task, items)
         opt = built_optimizers[-1]
@@ -566,6 +576,29 @@ class TestFlatBufferViews:
         assert {"head.w1", "head.b1", "head.w2", "head.b2"} <= \
             {p.name for p in opt.params}
         assert result.head.w1 is model.params["head.w1"]
+
+
+def params_sha256(params) -> str:
+    h = hashlib.sha256()
+    for p in params:
+        h.update(f"{p.name}:{p.data.dtype.str}:{p.data.shape}".encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+def test_init_draws_are_pinned():
+    # the model's init from stream (0, 0) and the head that finetune draws
+    # from (seed, 2); a step at learning rate 0 leaves every value as drawn
+    model = SpeechTextModel(presets.desk_model_config(vocab_size=16), seed=0)
+    assert params_sha256(model.parameters()) == \
+        "518651da9d149f29187d07576f4ba54d9dfd9f8a6d0c15bccfb046a111d7d7ba"
+    items, task, vocab = task_items(presets.cross_modal_task_config(
+        num_dialogs=2))
+    assert vocab.size == 16
+    head = tr.finetune(tr.FinetuneConfig(steps=1, batch_size=1, peak_lr=0.0),
+                       model, vocab, task, items).head
+    assert params_sha256([head.w1, head.b1, head.w2, head.b2]) == \
+        "a62cdfb01bffb5425efa8f92a520d0769f40a8c98481d11aa68895581932ea1e"
 
 
 def test_library_finetune_and_evaluate_check_the_sample_rate():
@@ -578,8 +611,9 @@ def test_library_finetune_and_evaluate_check_the_sample_rate():
     with pytest.raises(ValueError, match=rates):
         tr.finetune(presets.finetune_config(steps=2), model, vocab, task,
                     items)
-    head = ft.init_prediction_head(model.params, np.random.default_rng(0),
-                                   model.config.d_h, task.num_classes)
+    head = ft.init_prediction_head(
+        Init(model.params, rng=np.random.default_rng(0)), model.config.d_h,
+        task.num_classes)
     with pytest.raises(ValueError, match=rates):
         tr.evaluate_task(model, vocab, head, task, items)
 
