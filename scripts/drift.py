@@ -9,6 +9,15 @@ relative gap between the two runs over all steps, |a - b| / max(|a|, |b|),
 and the step where it occurs; the last line is the gaps as one JSON
 object.  A kernel that loses float32 accuracy shows as a larger gap.
 
+Those gaps grow along the trajectory, as training amplifies rounding,
+so they depend on the seed.  ``--local SEED ...`` measures the error of
+one step instead, along the float32 run of the preset with each train
+seed (``TrainConfig.seed``): before each update it copies the float32
+parameters into a float64 model, runs the step's prepared batch through
+both, and takes the relative gap of the joint loss and the relative L2
+gap of the full gradient.  It prints each seed's largest gaps over the
+steps; the last line is {seed: {"joint": gap, "grad": gap}} as JSON.
+
 ``--against OTHER/src`` compares with the float32 run of the stdialog
 package under another checkout's source tree instead, run in a child
 interpreter: a change that keeps float32 training bit for bit prints
@@ -18,7 +27,7 @@ float64 gap.  ``--curves`` prints the float32 run's losses as JSON and
 nothing else; ``--against`` reads them that way.
 
 Usage: python scripts/drift.py [--steps 30] [--batch 32] [--src SRC]
-                               [--against OTHER_SRC]
+                               [--against OTHER_SRC | --local SEED ...]
 """
 
 import argparse
@@ -27,6 +36,8 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 LOSSES = ("joint", "tpp", "crs", "cmlm", "cmam")
 
@@ -62,19 +73,86 @@ def max_relative_gaps(curves: dict, reference: dict) -> dict:
     return out
 
 
+def one_step_gaps(seed: int, steps: int, batch: int) -> dict:
+    """{"joint": largest relative gap, "grad": largest relative L2 gap}
+    between float32 and float64 over the steps of the float32 run of the
+    overfit preset with train seed ``seed``, each step's float64 model
+    holding that step's float32 parameters."""
+    from stdialog import presets
+    from stdialog.autodiff import reduce_sum, scale
+    from stdialog.model import SpeechTextModel, prepare_sample
+    from stdialog.objectives import make_crs_sample
+    from stdialog.optim import AdamW, lr_schedule
+    from stdialog.trainer import build_vocab
+
+    cfg = replace(presets.overfit_train_config(steps=steps), seed=seed,
+                  batch_size=batch)
+    corpus = presets.overfit_corpus()
+    samples, vocab = corpus.all_samples(k=cfg.k), build_vocab(corpus)
+    model_cfg = replace(cfg.model, vocab_size=vocab.size)
+    model = SpeechTextModel(model_cfg, seed=seed)
+    exact = SpeechTextModel(replace(model_cfg, dtype="float64"), seed=seed)
+    opt = AdamW(model.parameters(), beta2=cfg.adam_beta2,
+                weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
+    worst = {"joint": 0.0, "grad": 0.0}
+    for step in range(1, steps + 1):
+        rng = np.random.default_rng((seed, 1, step))
+        drawn = [make_crs_sample(samples[i], corpus.dialogs, rng) for i in
+                 rng.choice(len(samples), size=batch, replace=False)]
+        prepared = prepare_sample(
+            [sample for sample, _ in drawn], vocab, model_cfg, rng=rng,
+            crs_labels=[label for _, label in drawn],
+            acoustic_config=cfg.acoustic_config())
+        for p, p32 in zip(exact.parameters(), model.parameters(),
+                          strict=True):
+            p.data[...] = p32.data
+        joint, grad = [], []
+        for m in (model, exact):
+            params = m.parameters()
+            for p in params:
+                p.zero_grad()
+            loss = scale(reduce_sum(m.compute_losses(prepared, cfg.alpha)
+                                    ["joint"]), 1.0 / batch)
+            loss.backward()
+            joint.append(float(loss.data))
+            grad.append(np.concatenate([p.grad.ravel() for p in params])
+                        .astype(np.float64))
+        gaps = {"joint": abs(joint[0] - joint[1]) / abs(joint[1]),
+                "grad": float(np.linalg.norm(grad[0] - grad[1])
+                              / np.linalg.norm(grad[1]))}
+        worst = {key: max(worst[key], gaps[key]) for key in worst}
+        opt.step(lr_schedule(step, steps, cfg.peak_lr, cfg.warmup_frac,
+                             cfg.schedule))
+    return worst
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--steps", type=int, default=30)
     parser.add_argument("--batch", type=int, default=32)
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src")
-    parser.add_argument("--against", type=Path,
-                        help="another checkout's src/ to compare float32 with")
+    against = parser.add_mutually_exclusive_group()
+    against.add_argument("--against", type=Path,
+                         help="another checkout's src/ to compare float32 with")
+    against.add_argument("--local", type=int, nargs="+", metavar="SEED",
+                         help="one-step float32 error along each train seed")
     parser.add_argument("--curves", action="store_true",
                         help="print the float32 losses as JSON and exit")
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
 
+    if args.local:
+        print(f"one-step float32 against float64 ({args.src}): overfit "
+              f"preset, {args.steps} steps at batch {args.batch}")
+        print("seed   max joint gap  max grad gap")
+        gaps = {}
+        for seed in args.local:
+            gaps[seed] = one_step_gaps(seed, args.steps, args.batch)
+            print(f"{seed:<6} {gaps[seed]['joint']:13.2e}  "
+                  f"{gaps[seed]['grad']:12.2e}")
+        print(json.dumps(gaps))
+        return
     curves = loss_curves("float32", args.steps, args.batch)
     if args.curves:
         print(json.dumps(curves))

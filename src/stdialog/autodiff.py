@@ -10,12 +10,13 @@ of equal shape only, with no implicit broadcast.  The loss ops take the
 rows of a whole batch and give each sample's mean loss over its own rows.
 
 Layers that run as one node keep their arithmetic in plain-array
-``*_forward``/``*_backward`` helpers: layer norm and softmax for the
-transformer layer in ``encoders``; the im2col convolution for the conv
-frontend in ``frontend`` and the convolutional position embedding in
-``encoders``; GELU for all of these and for the ``gelu`` op.  Layer
-norm, softmax and conv1d have no op here: the float64 references that
-the tests compose those layers from define them.
+``*_forward``/``*_backward`` helpers: layer norm for the transformer
+layer in ``encoders`` (whose attention softmax is written out inline);
+the im2col convolution for the conv frontend in ``frontend`` and the
+convolutional position embedding in ``encoders``; GELU for all of these
+and for the ``gelu`` op.  Layer norm, softmax and conv1d have no op
+here: the float64 references that the tests compose those layers from
+define them.
 
 GELU's forward returns its derivative with its output, so its backward
 is one multiply.  A float32 input runs a float32 kernel built from
@@ -268,18 +269,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         return (buf,)
 
     return record(out_data, (a,), backward, "gather_rows")
-
-
-def softmax_forward(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a plain array."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
-
-
-def softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Input gradient of softmax output ``y`` for output gradient ``g``."""
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

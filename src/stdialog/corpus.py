@@ -96,6 +96,9 @@ class SyntheticConfig:
                              f"{self.word_duration[0]}")
         if not self.noise_std >= 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        # infinite noise would write waveforms no model can read
+        if self.noise_std == float("inf"):
+            raise ValueError("noise_std must be finite, got inf")
 
     def word_text(self, word_id: int) -> str:
         return f"w{word_id:03d}"

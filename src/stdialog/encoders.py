@@ -5,7 +5,8 @@ sequences are packed: their rows are stacked back to back, with a tuple
 of sequence lengths saying where each ends.  Both encoders are pre-norm
 transformer stacks (zero layers = identity) whose layers each run as one
 autodiff node over all packed rows; attention inside a layer runs per
-sequence, so no sequence attends to another.  The speech encoder first
+sequence, so no sequence attends to another, and keeps its softmax as
+unnormalised exps and their row sums.  The speech encoder first
 adds a convolutional relative position embedding to each sequence on its
 own: a grouped same-padding 1-d conv over the sequence, GELU, residual
 add, also as one node over all sequences.  Fusion interleaves each
@@ -28,7 +29,7 @@ import numpy as np
 from .autodiff import (Init, Parameter, ShapeError, Tensor,
                        conv1d_backward, conv1d_forward, gelu_backward,
                        gelu_forward, layer_norm_backward, layer_norm_forward,
-                       record, softmax_backward, softmax_forward)
+                       record)
 
 
 @dataclass
@@ -93,7 +94,13 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
     i-th of ``lengths[i]`` rows.  LN1, q/k/v, ``wo``, the residuals, LN2
     and the GELU FFN run once over all rows; multi-head softmax attention
     runs per sequence, on its own rows only, so no sequence sees another.
-    The backward is written out by hand.  When ``capture`` is a list, each
+
+    ``q`` carries the scores' 1/sqrt(dk).  Each sequence keeps its
+    [H, n, n] unnormalised exps, exp(s - row max), and writes their row
+    sums into one packed [H, n, 1] array; the context is divided by the
+    sums once over all rows.  The backward is written out by hand; its
+    softmax row term rowsum(dP * P) is taken as rowsum(dctx * ctx), a sum
+    over dk, not over the keys.  When ``capture`` is a list, each
     sequence's [H, n, n] attention weights are appended to it.
     """
     n, d = x.shape
@@ -111,16 +118,21 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
     # [n, 3d] -> [3, H, n, dk]: q, k, v split into heads
     q, k, v = (a @ w_qkv + b_qkv).reshape(n, 3, num_heads, dk) \
         .transpose(1, 2, 0, 3)
-    attns = []
+    q *= scale
+    exps = []
+    rowsum = np.empty((num_heads, n, 1), dtype=a.dtype)
     merged = np.empty((n, num_heads, dk), dtype=a.dtype)
     ctx = merged.transpose(1, 0, 2)   # [H, n, dk] view of the heads' rows
     for rows in segments:
-        attn = softmax_forward((q[:, rows] @ k[:, rows].transpose(0, 2, 1))
-                               * scale)
-        np.matmul(attn, v[:, rows], out=ctx[:, rows])
-        attns.append(attn)
+        e = q[:, rows] @ k[:, rows].transpose(0, 2, 1)
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e.sum(axis=-1, keepdims=True, out=rowsum[:, rows])
+        np.matmul(e, v[:, rows], out=ctx[:, rows])
+        exps.append(e)
+    ctx /= rowsum
     if capture is not None:
-        capture.extend(attn.copy() for attn in attns)
+        capture.extend(e / rowsum[:, rows] for rows, e in zip(segments, exps))
     merged = merged.reshape(n, d)
     h = x.data + (merged @ p.wo.data + p.bo.data)
     c, ln2 = layer_norm_forward(h, p.ln2_gain.data, p.ln2_bias.data)
@@ -137,13 +149,17 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
             .transpose(1, 0, 2)
         dqkv = np.empty((n, 3, num_heads, dk), dtype=dctx.dtype)
         dq, dkey, dv = dqkv.transpose(1, 2, 0, 3)
-        for rows, attn in zip(segments, attns):
-            dctx_s, q_s, k_s = dctx[:, rows], q[:, rows], k[:, rows]
-            dscores = softmax_backward(
-                dctx_s @ v[:, rows].transpose(0, 2, 1), attn) * scale
-            dq[:, rows] = dscores @ k_s
-            dkey[:, rows] = dscores.transpose(0, 2, 1) @ q_s
-            dv[:, rows] = attn.transpose(0, 2, 1) @ dctx_s
+        dr = dctx / rowsum   # the gradient of the unnormalised context
+        dot = (dr * ctx).sum(axis=-1, keepdims=True)
+        for rows, e in zip(segments, exps):
+            dr_s = dr[:, rows]
+            ds = dr_s @ v[:, rows].transpose(0, 2, 1)
+            ds -= dot[:, rows]
+            ds *= e
+            np.matmul(ds, k[:, rows], out=dq[:, rows])
+            np.matmul(ds.transpose(0, 2, 1), q[:, rows], out=dkey[:, rows])
+            np.matmul(e.transpose(0, 2, 1), dr_s, out=dv[:, rows])
+        dq *= scale
         dqkv = dqkv.reshape(n, 3 * d)
         dx_ln, dln1_gain, dln1_bias = layer_norm_backward(
             dqkv @ w_qkv.T, p.ln1_gain.data, ln1)

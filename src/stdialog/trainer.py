@@ -41,7 +41,9 @@ def _check_optimization(cfg) -> None:
     ``FinetuneConfig`` share that could not train as asked: an empty
     batch, an unknown schedule (``lr_schedule`` would meet it only after
     the warmup), a warmup share outside [0, 1], a negative or NaN peak
-    rate (ascent), clip norm (clipping off) or weight decay (growth)."""
+    rate (ascent), clip norm (clipping off) or weight decay (growth), and
+    an infinite peak rate or weight decay, whose first update writes
+    non-finite parameters; an infinite clip norm means clipping off."""
     if cfg.batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if cfg.schedule not in ("linear", "cosine"):
@@ -51,8 +53,11 @@ def _check_optimization(cfg) -> None:
         raise ValueError(f"warmup_frac must be in [0, 1], got "
                          f"{cfg.warmup_frac}")
     for name in ("peak_lr", "clip_norm", "weight_decay"):
-        if not getattr(cfg, name) >= 0:
-            raise ValueError(f"{name} must be >= 0, got {getattr(cfg, name)}")
+        value = getattr(cfg, name)
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+        if value == math.inf and name != "clip_norm":
+            raise ValueError(f"{name} must be finite, got inf")
 
 
 @dataclass

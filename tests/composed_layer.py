@@ -2,8 +2,11 @@
 
 This is the reference that ``encoders.transformer_layer``, which runs the
 whole layer as one autodiff node with a hand-written backward, is checked
-against: same parameters, same arithmetic, but every step is its own op
-and every gradient comes from the primitives' backward rules.  The ops
+against: same parameters and the same function, but every step is its
+own op and every gradient comes from the primitives' backward rules.
+Its softmax normalises the exps before the context matmul and takes the
+backward's row term over the keys, so it shares no arithmetic with the
+fused layer's unnormalised exps and ``dctx . ctx`` row term.  The ops
 that the library runs only inside such nodes (``reshape``, ``transpose``,
 ``softmax``, ``layer_norm``) are defined here as standalone autodiff ops.
 """
@@ -27,12 +30,24 @@ def transpose(a, axes):
                      lambda g: (g.transpose(inv),), "transpose")
 
 
+def softmax_forward(z):
+    """Softmax over the last axis of a plain array, normalised exps."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def softmax_backward(g, y):
+    """Input gradient of softmax output ``y`` for output gradient ``g``,
+    through the row term ``(g * y).sum(-1)`` over the keys."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax(x):
     """Softmax over the last axis as an autodiff op (the library runs it
-    only inside the fused layer)."""
-    y = ad.softmax_forward(x.data)
-    return ad.record(y, (x,), lambda g: (ad.softmax_backward(g, y),),
-                     "softmax")
+    only inside the fused layer, on unnormalised exps)."""
+    y = softmax_forward(x.data)
+    return ad.record(y, (x,), lambda g: (softmax_backward(g, y),), "softmax")
 
 
 def layer_norm(x, gain, bias, eps=1e-5):

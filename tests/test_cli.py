@@ -611,13 +611,15 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
      "word_duration low must be > 0, got -1.0"),
     (("pretrain", "--peak-lr", -1), "peak_lr must be >= 0, got -1.0"),
     (("finetune", "--peak-lr", -1), "peak_lr must be >= 0, got -1.0"),
+    (("pretrain", "--peak-lr", "inf"), "peak_lr must be finite, got inf"),
     (("finetune", "--speech-noise-std", -1),
      "speech_noise_std must be >= 0, got -1.0"),
 ], ids=["turns-per-dialog", "words-per-turn", "word-duration", "noise-std",
         "corpus-fraction-zero", "corpus-fraction-negative",
         "corpus-fraction-above-one", "batch-size", "alpha",
         "finetune-batch-size", "no-words-per-turn", "negative-word-duration",
-        "peak-lr", "finetune-peak-lr", "finetune-speech-noise-std"])
+        "peak-lr", "finetune-peak-lr", "peak-lr-inf",
+        "finetune-speech-noise-std"])
 def test_out_of_range_flag_fails_in_one_line(args, message, corpus_dir,
                                              tmp_path):
     """Checked before any file is read or written; the command functions

@@ -56,6 +56,7 @@ class TestSyntheticGenerator:
         ("word_duration", (0.0, 0.2), "word_duration low must be > 0, got "
                                       "0.0"),
         ("noise_std", -1.0, "noise_std must be >= 0, got -1.0"),
+        ("noise_std", float("inf"), "noise_std must be finite, got inf"),
     ])
     def test_out_of_range_config_rejected(self, key, value, message):
         with pytest.raises(ValueError) as info:

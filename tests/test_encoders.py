@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composed_layer import composed_transformer_layer
+from composed_layer import composed_transformer_layer, softmax_forward
 from composed_speech import (assert_node_matches_reference,
                              composed_conv_position_embedding, mul)
 from stdialog import autodiff as ad
@@ -51,8 +51,33 @@ def layer_output_and_grads(layer_fn, n, seed=21):
                               for name, param in vars(p).items()}
 
 
+def packed_and_per_sequence(p, x, proj, lengths, heads) -> tuple:
+    """Output, input gradient and the 16 parameter gradients of one
+    ``transformer_layer`` call over the packed ``x``, then of one
+    reference call per sequence, each under the projection ``proj``."""
+    def run(layer_fn, parts):
+        for param in vars(p).values():
+            param.zero_grad()
+        outs, dxs = [], []
+        for part in parts:
+            xt = Tensor(x[part], requires_grad=True)
+            out = layer_fn(xt)
+            ad.reduce_sum(mul(out, Tensor(proj[part]))).backward()
+            outs.append(out.data)
+            dxs.append(xt.grad)
+        return np.concatenate(outs), np.concatenate(dxs), \
+            {name: param.grad.copy() for name, param in vars(p).items()}
+
+    ends = np.cumsum(lengths)
+    return (run(lambda xt: enc.transformer_layer(xt, p, heads, lengths),
+                [slice(None)]),
+            run(lambda xt: composed_transformer_layer(xt, p, heads),
+                [slice(end - n, end) for n, end in zip(lengths, ends)]))
+
+
 class TestTransformerLayer:
-    @pytest.mark.parametrize("n", [1, 7, 20])
+    # 150 and 212 rows: speech and fusion sequences of pretrain-long
+    @pytest.mark.parametrize("n", [1, 7, 20, 150, 212])
     def test_matches_composed_reference(self, n):
         out, dx, grads = layer_output_and_grads(
             lambda x, p, heads: enc.transformer_layer(x, p, heads,
@@ -65,6 +90,40 @@ class TestTransformerLayer:
         for name, grad in grads.items():
             np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-10,
                                        atol=1e-14, err_msg=name)
+
+    def test_large_scores_match_reference(self):
+        """Scores up to about +-60: the exps of a row span 50 decades."""
+        lengths = (30, 61)
+        _, _, layers, _, _, _ = make_stack(num_layers=1, seed=41)
+        p = layers[0]
+        p.wq.data *= 40
+        p.wk.data *= 40
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((sum(lengths), 16))
+        a = ad.layer_norm_forward(x, p.ln1_gain.data, p.ln1_bias.data)[0]
+        q, k = ((a @ w.data).reshape(-1, 4, 4).transpose(1, 0, 2)
+                for w in (p.wq, p.wk))
+        ends = np.cumsum(lengths)
+        scores = [q[:, end - n:end] @ k[:, end - n:end].transpose(0, 2, 1) / 2
+                  for n, end in zip(lengths, ends)]
+        assert 50 < max(np.abs(s).max() for s in scores) < 70
+
+        captured = []
+        enc.transformer_layer(Tensor(x), p, 4, lengths, capture=captured)
+        for weights, s in zip(captured, scores, strict=True):
+            np.testing.assert_allclose(weights, softmax_forward(s),
+                                       rtol=1e-10, atol=1e-300)
+            np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-12)
+
+        (out, dx, grads), (ref_out, ref_dx, ref_grads) = \
+            packed_and_per_sequence(p, x, rng.standard_normal(x.shape),
+                                    lengths, 4)
+        for name, got, want in [("out", out, ref_out), ("x", dx, ref_dx),
+                                *((name, grads[name], ref_grads[name])
+                                  for name in grads)]:
+            assert np.isfinite(got).all(), name
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13,
+                                       err_msg=name)
 
     def test_grad_check(self):
         _, _, layers, _, _, _ = make_stack(num_layers=1, d_h=8, heads=2,
@@ -121,29 +180,10 @@ class TestPackedLayer:
         self.proj = rng.standard_normal((n, 16))
         self.cuts = np.cumsum(self.LENGTHS)[:-1]
 
-    def run(self, layer_fn, rows):
-        """Output, input gradient and the 16 parameter gradients, summed
-        over the calls of ``layer_fn`` on each row range in ``rows``."""
-        for param in vars(self.p).values():
-            param.zero_grad()
-        outs, dxs = [], []
-        for part in rows:
-            x = Tensor(self.x[part], requires_grad=True)
-            out = layer_fn(x)
-            ad.reduce_sum(mul(out, Tensor(self.proj[part]))).backward()
-            outs.append(out.data)
-            dxs.append(x.grad)
-        return np.concatenate(outs), np.concatenate(dxs), \
-            {name: param.grad.copy() for name, param in vars(self.p).items()}
-
     def test_one_call_equals_one_reference_call_per_sequence(self):
-        out, dx, grads = self.run(
-            lambda x: enc.transformer_layer(x, self.p, 4, self.LENGTHS),
-            [slice(None)])
-        ends = np.cumsum(self.LENGTHS)
-        ref_out, ref_dx, ref_grads = self.run(
-            lambda x: composed_transformer_layer(x, self.p, 4),
-            [slice(end - n, end) for n, end in zip(self.LENGTHS, ends)])
+        (out, dx, grads), (ref_out, ref_dx, ref_grads) = \
+            packed_and_per_sequence(self.p, self.x, self.proj, self.LENGTHS,
+                                    4)
         np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=0)
         np.testing.assert_allclose(dx, ref_dx, rtol=1e-10, atol=0)
         assert len(grads) == 16

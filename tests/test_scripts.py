@@ -2,6 +2,7 @@
 float32 training must stay near float64."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,14 @@ ROOT = Path(__file__).resolve().parent.parent
 # and one missing its top polynomial term 1.8e-5.
 FLOAT64_GAP_BOUNDS = {"joint": 4e-6, "tpp": 5e-5, "crs": 6e-6,
                       "cmlm": 3e-6, "cmam": 2.5e-5}
+
+# The error of one float32 step against float64 from the same parameters
+# and batch (``drift.py --local``), largest over 10 overfit steps at batch
+# 8, train seeds 1-7, measured joint 1.2e-7 to 2.0e-7 and gradient 3.6e-7
+# to 6.0e-7.  A float32 Phi off by 1e-6 relative reads joint 1.1e-6 to
+# 1.4e-6 and gradient 1.4e-6 to 2.0e-6 on every one of these seeds.
+ONE_STEP_GAP_BOUNDS = {"joint": 5e-7, "grad": 1e-6}
+TRAIN_SEEDS = range(1, 8)
 
 
 @pytest.mark.parametrize("script, args", [
@@ -56,3 +65,37 @@ def test_drift_against_the_same_tree_is_zero():
     gaps = drift_gaps("--steps", "2", "--batch", "4",
                       "--against", str(ROOT / "src"))
     assert set(gaps.values()) == {0.0}
+
+
+def one_step_gaps(src) -> dict:
+    """{train seed: {"joint": gap, "grad": gap}} of ``drift.py --local``
+    over 10 steps at batch 8 with the stdialog package under ``src``."""
+    gaps = drift_gaps("--steps", "10", "--batch", "8", "--src", str(src),
+                      "--local", *map(str, TRAIN_SEEDS))
+    assert list(gaps) == [str(seed) for seed in TRAIN_SEEDS]
+    return gaps
+
+
+def within_bounds(gaps: dict) -> bool:
+    assert gaps.keys() == ONE_STEP_GAP_BOUNDS.keys()
+    return all(gaps[k] <= ONE_STEP_GAP_BOUNDS[k] for k in gaps)
+
+
+def test_one_float32_step_stays_near_float64_on_every_seed():
+    gaps = one_step_gaps(ROOT / "src")
+    assert all(within_bounds(seed) for seed in gaps.values()), gaps
+
+
+def test_one_step_check_fails_a_planted_phi_error(tmp_path):
+    """A float32 Phi off by 1e-6 relative, in a copy of the package."""
+    shutil.copytree(ROOT / "src" / "stdialog", tmp_path / "stdialog",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "stdialog" / "autodiff.py"
+    source = path.read_text()
+    tail = "    out += 0.5\n    return out\n"   # the end of _normal_cdf_f32
+    assert source.count(tail) == 1
+    path.write_text(source.replace(
+        tail, "    out += 0.5\n    out *= np.float32(1 + 1e-6)\n"
+              "    return out\n"))
+    gaps = one_step_gaps(tmp_path)
+    assert not any(within_bounds(seed) for seed in gaps.values()), gaps

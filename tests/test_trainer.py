@@ -80,6 +80,14 @@ def small_config(steps=10, **kw):
      "weight_decay must be >= 0, got nan"),
     (lambda: tr.FinetuneConfig(weight_decay=-0.01),
      "weight_decay must be >= 0, got -0.01"),
+    (lambda: tr.TrainConfig(peak_lr=float("inf")),
+     "peak_lr must be finite, got inf"),
+    (lambda: tr.FinetuneConfig(peak_lr=float("inf")),
+     "peak_lr must be finite, got inf"),
+    (lambda: tr.TrainConfig.from_dict({"weight_decay": float("inf")}),
+     "weight_decay must be finite, got inf"),
+    (lambda: tr.FinetuneConfig(weight_decay=float("inf")),
+     "weight_decay must be finite, got inf"),
     # checked before the model or the items are read
     (lambda: tr.evaluate_task(None, None, None, None, [],
                               speech_noise_std=-1.0),
@@ -91,11 +99,17 @@ def small_config(steps=10, **kw):
         "checkpoint-every", "finetune-speech-noise-std",
         "adam-beta2-one", "adam-beta2-negative", "adam-beta2-above-one",
         "adam-beta2-nan", "weight-decay-nan", "finetune-weight-decay",
-        "evaluate-speech-noise-std"])
+        "peak-lr-inf", "finetune-peak-lr-inf", "weight-decay-inf",
+        "finetune-weight-decay-inf", "evaluate-speech-noise-std"])
 def test_out_of_range_config_rejected(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_infinite_clip_norm_is_accepted():
+    assert tr.TrainConfig(clip_norm=float("inf")).clip_norm == float("inf")
+    assert tr.FinetuneConfig(clip_norm=float("inf")).clip_norm == float("inf")
 
 
 def strip_wall(rows):
