@@ -83,7 +83,7 @@ def one_step_gaps(seed: int, steps: int, batch: int) -> dict:
     from stdialog.model import SpeechTextModel, prepare_sample
     from stdialog.objectives import make_crs_sample
     from stdialog.optim import AdamW, lr_schedule
-    from stdialog.trainer import build_vocab
+    from stdialog.trainer import batch_indices, build_vocab
 
     cfg = replace(presets.overfit_train_config(steps=steps), seed=seed,
                   batch_size=batch)
@@ -96,13 +96,16 @@ def one_step_gaps(seed: int, steps: int, batch: int) -> dict:
                 weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
     worst = {"joint": 0.0, "grad": 0.0}
     for step in range(1, steps + 1):
+        # the trainer's own draws of the step, in its order
         rng = np.random.default_rng((seed, 1, step))
-        drawn = [make_crs_sample(samples[i], corpus.dialogs, rng) for i in
-                 rng.choice(len(samples), size=batch, replace=False)]
-        prepared = prepare_sample(
-            [sample for sample, _ in drawn], vocab, model_cfg, rng=rng,
-            crs_labels=[label for _, label in drawn],
-            acoustic_config=cfg.acoustic_config())
+        drawn = [samples[i] for i in batch_indices(rng, len(samples), batch)]
+        labels = None
+        if cfg.crs_enabled:
+            drawn, labels = zip(*[make_crs_sample(sample, corpus.dialogs, rng)
+                                  for sample in drawn])
+        prepared = prepare_sample(drawn, vocab, model_cfg, rng=rng,
+                                  crs_labels=labels,
+                                  acoustic_config=cfg.acoustic_config())
         for p, p32 in zip(exact.parameters(), model.parameters(),
                           strict=True):
             p.data[...] = p32.data

@@ -185,13 +185,9 @@ class Init:
         self.registry[name] = Parameter(value, name)
         return self.registry[name]
 
-    def check_layout(self, load_unbuilt: bool = False) -> None:
+    def check_layout(self) -> None:
         """Raise unless the checkpoint lists the registry's parameters, and
-        only them, in registry order; with ``load_unbuilt``, first create,
-        in layout order, each one not built yet (a fine-tuned head)."""
-        for name, (shape, _) in self._saved.items():
-            if load_unbuilt and name not in self.registry:
-                self._create(name, shape, None)
+        only them, in registry order."""
         if list(self._saved) != list(self.registry):
             raise ValueError("checkpoint holds parameters the model does not "
                              "build, or lists them in another order")

@@ -93,16 +93,14 @@ def _cmd_finetune(args):
 
 
 def _cmd_evaluate(args):
-    from .finetune import head_from_registry
     from .trainer import evaluate_task, model_from_checkpoint
 
     model, vocab, state = model_from_checkpoint(args.checkpoint)
     task = state["task"]
     if task is None:
         raise SystemExit("checkpoint carries no fine-tuned task head")
-    head = head_from_registry(model.params)
     items = _load_task_items(args.task_corpus, args.labels)
-    acc = evaluate_task(model, vocab, head, task, items,
+    acc = evaluate_task(model, vocab, model.head, task, items,
                         speech_noise_std=args.speech_noise_std)
     print(f"{task.metric}: {acc:.4f} over {len(items)} samples")
     return 0

@@ -54,20 +54,16 @@ class PredictionHead:
     w2: Parameter      # [d_h, d_o]
     b2: Parameter      # [d_o]
 
+    @property
+    def task(self) -> TaskSpec:   # one output regresses, more classify
+        d_o = self.b2.data.size
+        return TaskSpec(REGRESSION if d_o == 1 else CLASSIFICATION, d_o)
+
 
 def init_prediction_head(init: Init, d_h: int, d_o: int) -> PredictionHead:
     return PredictionHead(
         w1=init.normal("head.w1", (d_h, d_h)), b1=init.zeros("head.b1", d_h),
         w2=init.normal("head.w2", (d_h, d_o)), b2=init.zeros("head.b2", d_o))
-
-
-def head_from_registry(registry: dict) -> PredictionHead:
-    try:
-        return PredictionHead(registry["head.w1"], registry["head.b1"],
-                              registry["head.w2"], registry["head.b2"])
-    except KeyError:
-        raise ValueError(
-            "checkpoint has no fine-tuning head parameters") from None
 
 
 def predict(fused: FusedBatch, head: PredictionHead) -> Tensor:

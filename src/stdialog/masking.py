@@ -39,9 +39,15 @@ class AcousticMaskConfig:
     def __post_init__(self):
         if not 0.0 <= self.trigger_prob <= 1.0:
             raise ValueError(f"trigger_prob {self.trigger_prob} not in [0,1]")
+        # a float span would be drawn as the integers below it
+        if len(self.span_range) != 2 or not all(
+                isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                for n in self.span_range):
+            raise ValueError(f"span_range {self.span_range} is not two "
+                             f"integers")
         lo, hi = self.span_range
         if not (1 <= lo <= hi):
-            raise ValueError(f"empty span_range {self.span_range}")
+            raise ValueError(f"span_range {self.span_range} is empty")
 
 
 DEFAULT_SPAN_CONFIG = AcousticMaskConfig()

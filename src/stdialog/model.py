@@ -2,7 +2,8 @@
 
 One instance owns every learnable: text embedding tables, the conv
 frontend, projection, CLS/SEP rows, both transformer stacks, the fusion
-layer with modality embeddings, and the four objective heads.
+layer with modality embeddings, the four objective heads, and once
+fine-tuned the task's ``finetune.PredictionHead`` as ``head``.
 ``prepare_sample`` lays out a batch as one ``PreparedBatch``: the packed
 text and speech of all its samples, with one text and one acoustic mask
 drawn over them; the forward pass is deterministic.  Forward runs the
@@ -202,6 +203,7 @@ class SpeechTextModel:
         self.lm_b = zeros("lm.b", config.vocab_size)
         self.cmam_w = normal("cmam.w", (d_h, feat))
         self.cmam_b = zeros("cmam.b", feat)
+        self.head = None    # built by fine-tuning or a fine-tuned checkpoint
 
     def parameters(self) -> list:
         return list(self.params.values())

@@ -125,6 +125,7 @@ def load_corpus(manifest_path) -> Corpus:
             f"shard {shard_path.name} checksum mismatch: {checksum} != "
             f"{raw['shard_checksum']}")
     flat = np.frombuffer(blob, dtype="<f4")
+    finite = np.isfinite(flat).all()   # per turn only to name a bad one
     sr = field(raw, "sample_rate", int)
     dialogs = []
     for rec in field(raw, "dialogs", list):
@@ -138,6 +139,10 @@ def load_corpus(manifest_path) -> Corpus:
                     f"dialog {dialog_id} turn {index}: "
                     f"offset {lo}+{n} outside shard of {flat.size} samples")
             wav = flat[lo:lo + n].copy()
+            if not finite and not np.isfinite(wav).all():
+                raise CorpusFormatError(
+                    f"dialog {dialog_id} turn {index}: non-finite waveform "
+                    f"samples in shard {shard_path}")
             entries = field(tr, "words", list)
             try:
                 words = [WordAlignment(w, float(s), float(e))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Init, NonFiniteError, reduce_sum, scale
 from .finetune import (PredictionHead, TaskSpec, evaluate,
-                       head_from_registry, init_prediction_head, predict,
+                       init_prediction_head, predict,
                        replace_speech_with_noise, task_loss)
 from .frontend import check_sample_rate
 from .masking import AcousticMaskConfig
@@ -87,6 +87,8 @@ class TrainConfig:
                              f"{self.corpus_fraction}")
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if self.alpha == math.inf:   # the joint loss would be inf
+            raise ValueError("alpha must be finite, got inf")
         # 1 divides by a zero bias correction; outside, no Adam second moment
         if not 0 <= self.adam_beta2 < 1:
             raise ValueError(f"adam_beta2 must be in [0, 1), got "
@@ -95,6 +97,11 @@ class TrainConfig:
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got "
                              f"{self.checkpoint_every}")
+        try:    # refused when built, not after the run directory is made
+            self.acoustic_config()
+        except ValueError as exc:   # named as this config names the field
+            raise ValueError("acoustic_" + str(exc).replace(
+                "span_range", "span")) from None
 
     def acoustic_config(self) -> AcousticMaskConfig:
         return AcousticMaskConfig(trigger_prob=self.acoustic_trigger_prob,
@@ -176,8 +183,8 @@ def build_vocab(corpus: Corpus) -> Vocab:
         corpus.vocabulary_words()))
 
 
-def _batch_indices(rng: np.random.Generator, n_samples: int,
-                   batch_size: int) -> np.ndarray:
+def batch_indices(rng: np.random.Generator, n_samples: int,
+                  batch_size: int) -> np.ndarray:
     """Without replacement; a batch larger than the pool takes whole
     permutations, i.e. several differently-masked passes per sample."""
     if batch_size <= n_samples:
@@ -220,7 +227,7 @@ def _train(cfg, opt: AdamW, start_step: int, stream: int, n_samples: int,
     metrics = MetricsLog(metrics_path, start_step)
     for step in range(start_step + 1, cfg.steps + 1):
         rng = np.random.default_rng((cfg.seed, stream, step))
-        idx = _batch_indices(rng, n_samples, batch_size)
+        idx = batch_indices(rng, n_samples, batch_size)
         opt.zero_grad()
         t0 = time.monotonic()
         lr = lr_schedule(step, cfg.steps, cfg.peak_lr, cfg.warmup_frac,
@@ -253,20 +260,19 @@ def pretrain(cfg: TrainConfig, corpus: Corpus, out_dir=None,
     out_dir = Path(out_dir) if out_dir else None
     if vocab is None:
         vocab = build_vocab(corpus)
-    model_cfg = replace(cfg.model, vocab_size=vocab.size)
-    init = state = None
-    if resume_from is not None:
-        state = load_checkpoint(resume_from)
-        if state["vocab"].id_to_token != vocab.id_to_token:
+    state = None
+    if resume_from is None:
+        model = SpeechTextModel(replace(cfg.model, vocab_size=vocab.size),
+                                seed=cfg.seed)
+    else:
+        model, saved_vocab, state = model_from_checkpoint(resume_from)
+        if saved_vocab.id_to_token != vocab.id_to_token:
             raise ValueError("checkpoint vocabulary does not match corpus")
         _check_resume_config(cfg, state["train_config"])
-        init = Init({}, checkpoint=state)
-    model = SpeechTextModel(model_cfg, seed=cfg.seed, init=init)
     opt = AdamW(model.parameters(), beta2=cfg.adam_beta2,
                 weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
     start_step = 0
     if state is not None:
-        init.check_layout()
         opt.m[...], opt.v[...], opt.t = state["m"], state["v"], state["opt_t"]
         start_step = state["step"]
     acfg = cfg.acoustic_config()
@@ -337,19 +343,21 @@ class FinetuneConfig:
 
 def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
              task: TaskSpec, train_items: list, out_dir=None) -> TrainResult:
-    """Supervised fine-tuning of the whole model plus a fresh head."""
+    """Supervised fine-tuning of the whole model and ``model.head``, drawn
+    fresh if it is None; a head of another size than ``task`` raises."""
     if not train_items:
         raise ValueError("cannot fine-tune on an empty dataset")
     check_sample_rate((sample for sample, _ in train_items),
                       model.config.frontend)
     out_dir = Path(out_dir) if out_dir else None
-    if "head.w1" in model.params:
-        head = head_from_registry(model.params)
-    else:
-        head = init_prediction_head(
+    if model.head is None:
+        model.head = init_prediction_head(
             Init(model.params, model.config.np_dtype,
                  np.random.default_rng((cfg.seed, 2))),
             model.config.d_h, task.num_classes)
+    elif model.head.task.num_classes != task.num_classes:
+        raise ValueError(f"the model's head has {model.head.task.num_classes}"
+                         f" outputs, the task {task.num_classes}")
     if cfg.speech_noise_std > 0:
         train_items = replace_speech_with_noise(
             train_items, np.random.default_rng((cfg.seed, 3)),
@@ -362,7 +370,7 @@ def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
         fused, _ = model.forward(prepare_sample(
             [sample for sample, _ in items], vocab, model.config,
             train=False))
-        return task_loss(predict(fused, head),
+        return task_loss(predict(fused, model.head),
                          [label for _, label in items], task), {}
 
     rows = _train(cfg, opt, 0, 4, len(train_items),
@@ -371,11 +379,9 @@ def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
     path = None
     if out_dir:
         path = out_dir / "checkpoint-finetuned.npz"
-        save_checkpoint(path, model, vocab, opt, cfg.steps, None,
-                        extra_meta={"task": {"kind": task.kind,
-                                             "num_classes": task.num_classes}})
+        save_checkpoint(path, model, vocab, opt, cfg.steps, None)
     return TrainResult(model=model, vocab=vocab, metrics=rows,
-                       checkpoint_path=path, head=head)
+                       checkpoint_path=path, head=model.head)
 
 
 # the noise that replaces eval speech is the same for every checkpoint
@@ -408,10 +414,10 @@ _META_KEYS = {"version", "step", "opt_t", "model_config", "train_config",
 
 
 def save_checkpoint(path, model: SpeechTextModel, vocab: Vocab, opt: AdamW,
-                    step: int, train_cfg: TrainConfig | None,
-                    extra_meta: dict | None = None) -> None:
-    """Write ``opt``'s flat ``params``, ``m`` and ``v`` and their layout;
-    ``opt`` must own exactly ``model.params``, in order."""
+                    step: int, train_cfg: TrainConfig | None) -> None:
+    """Write ``opt``'s flat ``params``, ``m`` and ``v`` and their layout,
+    and the task of ``model.head`` if it has one; ``opt`` must own exactly
+    ``model.params``, in order."""
     for mine, owned in zip_longest(model.parameters(), opt.params):
         if mine is not owned:
             raise ValueError(f"optimizer does not own the model's parameters "
@@ -423,8 +429,9 @@ def save_checkpoint(path, model: SpeechTextModel, vocab: Vocab, opt: AdamW,
             "opt_t": int(opt.t), "model_config": model.config.to_dict(),
             "train_config": train_cfg.to_dict() if train_cfg else None,
             "vocab": vocab.id_to_token,
-            "layout": [[p.name, list(p.data.shape)] for p in opt.params],
-            **(extra_meta or {})}
+            "layout": [[p.name, list(p.data.shape)] for p in opt.params]}
+    if model.head is not None:
+        meta["task"] = asdict(model.head.task)
     # a crash mid-write leaves any earlier checkpoint at ``path`` intact
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -500,10 +507,14 @@ def load_checkpoint(path) -> dict:
 
 
 def model_from_checkpoint(path) -> tuple:
-    """(model, vocab, state): the model built from views of the saved
-    parameters, then those it does not build (a head), in layout order."""
+    """(model, vocab, state): the model, and the head of the checkpoint's
+    task if it has one, built from views of the saved parameters, which
+    must list these and only these, in build order."""
     state = load_checkpoint(path)
     init = Init({}, checkpoint=state)
     model = SpeechTextModel(state["model_config"], init=init)
-    init.check_layout(load_unbuilt=True)
+    if state["task"] is not None:
+        model.head = init_prediction_head(init, model.config.d_h,
+                                          state["task"].num_classes)
+    init.check_layout()
     return model, state["vocab"], state

@@ -168,6 +168,19 @@ def unknown_words_dir(tmp_path_factory, task_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def nan_corpus_dir(tmp_path_factory, corpus_dir):
+    """The corpus with one NaN sample in the second turn of its last
+    dialog."""
+    from stdialog.shards import load_corpus, write_shards
+
+    corpus = load_corpus(corpus_dir / "manifest.json")
+    corpus.dialogs[-1].turns[1].waveform[3] = np.nan
+    out = tmp_path_factory.mktemp("nan")
+    write_shards(corpus.dialogs, out / "manifest.json")
+    return out, corpus.dialogs[-1].dialog_id
+
+
 def rewrite_checkpoint(src, dst, drop_meta=None, set_meta=None,
                        set_arrays=None):
     """``src`` saved as ``dst`` without the meta key ``drop_meta``, with the
@@ -385,6 +398,7 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
                                   "resume-checkpoint-version-4",
                                   "resume-checkpoint-version-5",
                                   "checkpoint-without-head",
+                                  "refinetune-head-of-another-size",
                                   "task-meta-without-num-classes",
                                   "task-meta-kind-not-a-string",
                                   "resume-step-not-an-integer",
@@ -396,12 +410,15 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
                                   "pretrain-corpus-at-200hz",
                                   "finetune-corpus-at-200hz",
                                   "evaluate-corpus-at-200hz",
-                                  "export-corpus-at-200hz"])
+                                  "export-corpus-at-200hz",
+                                  "pretrain-corpus-with-nan",
+                                  "acoustic-span-not-integers"])
 def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
                                           task_dir, finetuned,
                                           unknown_words_dir,
                                           broken_checkpoints,
-                                          rate_200hz_dirs, tmp_path):
+                                          rate_200hz_dirs, nan_corpus_dir,
+                                          tmp_path):
     missing = tmp_path / "missing"
     unknown_key = tmp_path / "config.json"
     unknown_key.write_text(json.dumps({"steps": 1, "stepz": 2}))
@@ -424,12 +441,20 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     bad_interval.write_text(json.dumps({"checkpoint_every": -1}))
     bad_clip = tmp_path / "clip.json"
     bad_clip.write_text(json.dumps({"clip_norm": -1.0}))
+    bad_span = tmp_path / "span.json"
+    bad_span.write_text(json.dumps({"acoustic_span": [2, float("inf")]}))
     no_specials = tmp_path / "vocab.txt"
     no_specials.write_text("alpha\nbeta\n")
+    rows = [json.loads(line) for line in
+            (task_dir / "labels.jsonl").read_text().splitlines()]
     one_class = tmp_path / "labels.jsonl"
     one_class.write_text("".join(
-        json.dumps({**json.loads(line), "label": 0}) + "\n"
-        for line in (task_dir / "labels.jsonl").read_text().splitlines()))
+        json.dumps({**row, "label": 0}) + "\n" for row in rows))
+    two_class = tmp_path / "two-class.jsonl"
+    two_class.write_text("".join(
+        json.dumps({**row, "label": row["label"] % 2}) + "\n"
+        for row in rows))
+    finetuned_classes = max(row["label"] for row in rows) + 1
     no_shard_file = tmp_path / "manifest.json"
     no_shard_file.write_text(json.dumps({"version": 1}))
     no_label = tmp_path / "no-label.jsonl"
@@ -537,7 +562,12 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
             ("evaluate", "--checkpoint", broken_checkpoints["no-head"],
              "--task-corpus", task_dir / "manifest.json",
              "--labels", task_dir / "labels.jsonl"),
-            "checkpoint has no fine-tuning head parameters"),
+            "checkpoint is missing parameter head.w1"),
+        "refinetune-head-of-another-size": (
+            ("finetune", "--checkpoint", finetuned, "--task-corpus",
+             task_dir / "manifest.json", "--labels", two_class,
+             "--out", tmp_path / "ft"),
+            f"the model's head has {finetuned_classes} outputs, the task 2"),
         "task-meta-without-num-classes": (
             ("evaluate", "--checkpoint",
              broken_checkpoints["task-without-classes"],
@@ -578,6 +608,14 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
         "export-corpus-at-200hz": (
             (*export, "--corpus", corpus_200hz / "manifest.json",
              "--out", tmp_path / "attn"), rates),
+        "pretrain-corpus-with-nan": (
+            ("pretrain", "--corpus", nan_corpus_dir[0] / "manifest.json",
+             "--out", tmp_path / "run"),
+            f"dialog {nan_corpus_dir[1]} turn 2: non-finite waveform "
+            f"samples in shard {nan_corpus_dir[0] / 'shard-000.bin'}"),
+        "acoustic-span-not-integers": (
+            (*pretrain, "--config", bad_span),
+            "acoustic_span (2, inf) is not two integers"),
     }[case]
     result = run_cli(*args, check=False)
     assert result.returncode == 1

@@ -282,3 +282,12 @@ class TestRates:
         # one-frame spans at trigger p on a long sequence approach p
         cfg = mk.AcousticMaskConfig(trigger_prob=0.2, span_range=(1, 1))
         assert abs(mk.expected_mask_rate(cfg, 500) - 0.2) < 1e-9
+
+
+def test_span_range_must_be_two_integers():
+    # a float span would be drawn as the integers below it
+    assert mk.AcousticMaskConfig(span_range=(np.int64(2), 3)).span_range[0] == 2
+    for span in ((2.0, 3), (2, 3.5), (True, 3), (2,), (1, 2, 3)):
+        with pytest.raises(ValueError) as info:
+            mk.AcousticMaskConfig(span_range=span)
+        assert str(info.value) == f"span_range {span} is not two integers"

@@ -86,6 +86,13 @@ def test_one_float32_step_stays_near_float64_on_every_seed():
     assert all(within_bounds(seed) for seed in gaps.values()), gaps
 
 
+def test_one_step_gaps_draw_the_trainer_s_batch():
+    # 40 of the preset's 32 samples: the trainer's draw takes a whole
+    # permutation and 8 more, where a draw without replacement fails
+    gaps = drift_gaps("--steps", "1", "--batch", "40", "--local", "1")
+    assert list(gaps) == ["1"] and within_bounds(gaps["1"]), gaps
+
+
 def test_one_step_check_fails_a_planted_phi_error(tmp_path):
     """A float32 Phi off by 1e-6 relative, in a copy of the package."""
     shutil.copytree(ROOT / "src" / "stdialog", tmp_path / "stdialog",

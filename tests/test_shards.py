@@ -100,3 +100,17 @@ def test_turn_outside_shard_is_rejected(tmp_path, dialogs, key, value):
     turn = record["turns"][0]["turn_index"]
     assert str(info.value).startswith(
         f"dialog {record['dialog_id']} turn {turn}: offset ")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_is_named(tmp_path, dialogs, value):
+    # the shard's checksum covers the bad sample, so only this check sees it
+    turn = dialogs[2].turns[1]
+    turn.waveform[len(turn.waveform) // 2] = value
+    manifest_path = tmp_path / "manifest.json"
+    sh.write_shards(dialogs, manifest_path)
+    with pytest.raises(sh.CorpusFormatError) as info:
+        sh.load_corpus(manifest_path)
+    assert str(info.value) == (
+        f"dialog {dialogs[2].dialog_id} turn {turn.turn_index}: non-finite "
+        f"waveform samples in shard {tmp_path / sh.SHARD_NAME}")

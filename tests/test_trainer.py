@@ -47,6 +47,20 @@ def small_config(steps=10, **kw):
     (lambda: tr.TrainConfig(batch_size=-2), "batch_size must be >= 1, got -2"),
     (lambda: tr.TrainConfig.from_dict({"alpha": -0.5}),
      "alpha must be >= 0, got -0.5"),
+    (lambda: tr.TrainConfig(alpha=float("inf")),
+     "alpha must be finite, got inf"),
+    (lambda: tr.TrainConfig.from_dict({"acoustic_span": [1.5, 2.5]}),
+     "acoustic_span (1.5, 2.5) is not two integers"),
+    (lambda: tr.TrainConfig.from_dict({"acoustic_span": [2, float("inf")]}),
+     "acoustic_span (2, inf) is not two integers"),
+    (lambda: tr.TrainConfig(acoustic_span=(True, 2)),
+     "acoustic_span (True, 2) is not two integers"),
+    (lambda: tr.TrainConfig.from_dict({"acoustic_span": [2, 3, 4]}),
+     "acoustic_span (2, 3, 4) is not two integers"),
+    (lambda: tr.TrainConfig(acoustic_span=(4, 2)),
+     "acoustic_span (4, 2) is empty"),
+    (lambda: tr.TrainConfig(acoustic_trigger_prob=1.5),
+     "acoustic_trigger_prob 1.5 not in [0,1]"),
     (lambda: tr.FinetuneConfig(batch_size=0),
      "batch_size must be >= 1, got 0"),
     (lambda: tr.TrainConfig.from_dict({"schedule": "bogus"}),
@@ -93,7 +107,10 @@ def small_config(steps=10, **kw):
                               speech_noise_std=-1.0),
      "speech_noise_std must be >= 0, got -1.0"),
 ], ids=["fraction-zero", "fraction-negative", "fraction-above-one",
-        "batch-size", "alpha", "finetune-batch-size", "schedule",
+        "batch-size", "alpha", "alpha-inf", "acoustic-span-floats",
+        "acoustic-span-inf", "acoustic-span-bool", "acoustic-span-three",
+        "acoustic-span-empty", "acoustic-trigger-prob",
+        "finetune-batch-size", "schedule",
         "finetune-schedule", "warmup-above-one", "finetune-warmup-negative",
         "peak-lr", "finetune-peak-lr-nan", "clip-norm", "finetune-clip-norm",
         "checkpoint-every", "finetune-speech-noise-std",
@@ -207,8 +224,8 @@ class TestCheckpointing:
         assert state["step"] == 4
 
     def test_finetuned_roundtrip_bitwise(self, tmp_path, built_optimizers):
-        # the model does not build the head: loading takes it from its own
-        # slices after the model's parameters, and builds no optimizer
+        # loading builds the head of the checkpoint's task after the
+        # model's parameters, from their slices, and builds no optimizer
         items, task, vocab = task_items(ft.CrossModalTaskConfig(
             num_dialogs=4, vocab_size=10))
         model = SpeechTextModel(
@@ -219,7 +236,6 @@ class TestCheckpointing:
         loaded, loaded_vocab, state = tr.model_from_checkpoint(
             result.checkpoint_path)
         assert built_optimizers == []
-        head = ft.head_from_registry(loaded.params)
         assert list(loaded.params) == list(model.params)
         assert "head.w1" in model.params
         for name, p in model.params.items():
@@ -227,7 +243,8 @@ class TestCheckpointing:
             assert loaded.params[name].data.tobytes() == p.data.tobytes(), \
                 name
         assert state["task"] == task and state["step"] == 2
-        assert tr.evaluate_task(loaded, loaded_vocab, head, task, items) == \
+        assert tr.evaluate_task(loaded, loaded_vocab, loaded.head, task,
+                                items) == \
             tr.evaluate_task(model, vocab, result.head, task, items)
 
     def test_resume_matches_uninterrupted(self, tmp_path):
@@ -553,6 +570,81 @@ def task_items(task_config, seed=0):
     vocab = Vocab.from_tokens(cp.SyntheticConfig(
         vocab_size=task_config.vocab_size).vocabulary())
     return ft.task_samples(dialogs, labels), task, vocab
+
+
+def finetuned_checkpoint(tmp_path):
+    """A small model fine-tuned 2 steps on the 4-class cross-modal task,
+    saved: (checkpoint path, items, task, vocab)."""
+    items, task, vocab = task_items(ft.CrossModalTaskConfig(
+        num_dialogs=4, vocab_size=10))
+    model = SpeechTextModel(
+        replace(small_config().model, vocab_size=vocab.size), seed=0)
+    result = tr.finetune(tr.FinetuneConfig(steps=2, batch_size=2), model,
+                         vocab, task, items, out_dir=tmp_path / "ft")
+    return result.checkpoint_path, items, task, vocab
+
+
+class TestTaskHead:
+    @pytest.mark.parametrize("entry", ["model_from_checkpoint", "resume"])
+    def test_stray_parameter_is_refused(self, tmp_path, entry):
+        # a parameter after the model's own, and no task whose head it is
+        corpus = small_corpus()
+        tr.pretrain(small_config(steps=2, checkpoint_every=1), corpus,
+                    out_dir=tmp_path)
+        saved = tmp_path / "checkpoint-000001.npz"
+        state = tr.load_checkpoint(saved)
+        layout = [[name, list(shape)] for name, shape in state["layout"]]
+        bad = rewrite_checkpoint(
+            saved, tmp_path / "bad.npz",
+            set_meta={"layout": layout + [["stray.w", [3]]]},
+            set_arrays={key: np.append(state[key], np.ones(3, np.float32))
+                        for key in ("params", "m", "v")})
+        assert tr.load_checkpoint(bad)["layout"][-1] == ("stray.w", (3,))
+        with pytest.raises(ValueError) as info:
+            if entry == "resume":
+                tr.pretrain(small_config(steps=2), corpus, resume_from=bad)
+            else:
+                tr.model_from_checkpoint(bad)
+        assert str(info.value) == "checkpoint holds parameters the model " \
+            "does not build, or lists them in another order"
+
+    def test_task_of_another_class_count_is_refused(self, tmp_path):
+        path, _, _, _ = finetuned_checkpoint(tmp_path)
+        bad = rewrite_checkpoint(path, tmp_path / "bad.npz", set_meta={
+            "task": {"kind": "classification", "num_classes": 3}})
+        with pytest.raises(ValueError) as info:
+            tr.model_from_checkpoint(bad)
+        assert str(info.value) == "checkpoint parameter head.w2 has shape " \
+            "(16, 4), model expects (16, 3)"
+
+    def test_checkpoint_task_is_the_head_s(self, tmp_path):
+        path, _, task, _ = finetuned_checkpoint(tmp_path)
+        model, _, state = tr.model_from_checkpoint(path)
+        assert state["task"] == task == model.head.task
+        assert [p.name for p in vars(model.head).values()] == \
+            list(model.params)[-4:]
+
+    def test_finetune_on_head_of_another_size_writes_nothing(
+            self, tmp_path, built_optimizers):
+        path, items, _, _ = finetuned_checkpoint(tmp_path)
+        model, vocab, _ = tr.model_from_checkpoint(path)
+        built_optimizers.clear()
+        two_way = ft.TaskSpec(kind=ft.CLASSIFICATION, num_classes=2)
+        with pytest.raises(ValueError) as info:
+            tr.finetune(tr.FinetuneConfig(steps=2, batch_size=2), model,
+                        vocab, two_way, items, out_dir=tmp_path / "again")
+        assert str(info.value) == "the model's head has 4 outputs, the task 2"
+        assert built_optimizers == [] and not (tmp_path / "again").exists()
+        assert model.head.task.num_classes == 4
+
+    def test_refinetune_keeps_the_loaded_head(self, tmp_path):
+        path, items, task, _ = finetuned_checkpoint(tmp_path)
+        model, vocab, _ = tr.model_from_checkpoint(path)
+        head = model.head
+        result = tr.finetune(tr.FinetuneConfig(steps=1, batch_size=2), model,
+                             vocab, task, items, out_dir=tmp_path / "again")
+        assert result.head is model.head is head
+        assert tr.load_checkpoint(result.checkpoint_path)["task"] == task
 
 
 class TestFlatBufferViews:
