@@ -81,10 +81,15 @@ def _cmd_finetune(args):
     from .trainer import FinetuneConfig, finetune, model_from_checkpoint
 
     cfg = _with_flags(FinetuneConfig(), args)
-    model, vocab, _ = model_from_checkpoint(args.checkpoint)
+    model, vocab, state = model_from_checkpoint(args.checkpoint)
     items = _load_task_items(args.task_corpus, args.labels)
-    num_classes = max(label for _, label in items) + 1
-    task = TaskSpec(kind="classification", num_classes=num_classes)
+    top = max(label for _, label in items)
+    # a fine-tuned checkpoint keeps its head, whatever labels occur here
+    task = state["task"] or TaskSpec(kind="classification",
+                                     num_classes=top + 1)
+    if task.kind == "classification" and top >= task.num_classes:
+        raise SystemExit(f"{args.labels}: label {top} is not below the "
+                         f"checkpoint's {task.num_classes} classes")
     result = finetune(cfg, model, vocab, task, items, out_dir=args.out)
     print(f"fine-tuned {cfg.steps} steps; final loss "
           f"{result.metrics[-1]['loss']:.4f}")

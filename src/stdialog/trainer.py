@@ -60,6 +60,15 @@ def _check_optimization(cfg) -> None:
             raise ValueError(f"{name} must be finite, got inf")
 
 
+def _check_speech_noise_std(value) -> None:
+    """Reject a negative or NaN noise std, and an infinite one, whose noise
+    the frontend would turn into non-finite features."""
+    if not value >= 0:
+        raise ValueError(f"speech_noise_std must be >= 0, got {value}")
+    if value == math.inf:
+        raise ValueError("speech_noise_std must be finite, got inf")
+
+
 @dataclass
 class TrainConfig:
     seed: int = 0
@@ -336,9 +345,7 @@ class FinetuneConfig:
 
     def __post_init__(self):
         _check_optimization(self)
-        if not self.speech_noise_std >= 0:
-            raise ValueError(f"speech_noise_std must be >= 0, got "
-                             f"{self.speech_noise_std}")
+        _check_speech_noise_std(self.speech_noise_std)
 
 
 def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
@@ -391,9 +398,7 @@ EVAL_NOISE_SEED = 99
 def evaluate_task(model: SpeechTextModel, vocab: Vocab, head: PredictionHead,
                   task: TaskSpec, items: list,
                   speech_noise_std: float = 0.0) -> float:
-    if not speech_noise_std >= 0:
-        raise ValueError(f"speech_noise_std must be >= 0, got "
-                         f"{speech_noise_std}")
+    _check_speech_noise_std(speech_noise_std)
     check_sample_rate((sample for sample, _ in items), model.config.frontend)
     if speech_noise_std > 0:
         items = replace_speech_with_noise(

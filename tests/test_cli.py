@@ -247,6 +247,26 @@ def test_finetune_and_evaluate_cycle(pretrained, task_dir, tmp_path):
     assert "accuracy" in result.stdout
 
 
+def test_refinetune_keeps_the_checkpoint_class_count(finetuned, task_dir,
+                                                     tmp_path):
+    """A 4-class checkpoint fine-tuned on labels in which class 3 does not
+    occur keeps its 4-way head."""
+    from stdialog.trainer import load_checkpoint
+    rows = [json.loads(line) for line in
+            (task_dir / "labels.jsonl").read_text().splitlines()]
+    assert load_checkpoint(finetuned)["task"].num_classes == 4
+    without_3 = tmp_path / "without-3.jsonl"
+    without_3.write_text("".join(json.dumps(row) + "\n" for row in rows
+                                 if row["label"] != 3))
+    out = tmp_path / "ft"
+    run_cli("finetune", "--checkpoint", finetuned,
+            "--task-corpus", task_dir / "manifest.json",
+            "--labels", without_3, "--out", out, "--steps", 1,
+            "--batch-size", 4)
+    state = load_checkpoint(out / "checkpoint-finetuned.npz")
+    assert state["task"].num_classes == 4
+
+
 def snapshot(directory):
     return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
             for p in directory.iterdir()}
@@ -398,7 +418,7 @@ def test_missing_corpus_fails_cleanly(pretrained, task_dir, tmp_path):
                                   "resume-checkpoint-version-4",
                                   "resume-checkpoint-version-5",
                                   "checkpoint-without-head",
-                                  "refinetune-head-of-another-size",
+                                  "refinetune-label-beyond-head",
                                   "task-meta-without-num-classes",
                                   "task-meta-kind-not-a-string",
                                   "resume-step-not-an-integer",
@@ -450,11 +470,10 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     one_class = tmp_path / "labels.jsonl"
     one_class.write_text("".join(
         json.dumps({**row, "label": 0}) + "\n" for row in rows))
-    two_class = tmp_path / "two-class.jsonl"
-    two_class.write_text("".join(
-        json.dumps({**row, "label": row["label"] % 2}) + "\n"
-        for row in rows))
     finetuned_classes = max(row["label"] for row in rows) + 1
+    beyond_head = tmp_path / "beyond-head.jsonl"
+    beyond_head.write_text(json.dumps(
+        {**rows[0], "label": finetuned_classes}) + "\n")
     no_shard_file = tmp_path / "manifest.json"
     no_shard_file.write_text(json.dumps({"version": 1}))
     no_label = tmp_path / "no-label.jsonl"
@@ -563,11 +582,12 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
              "--task-corpus", task_dir / "manifest.json",
              "--labels", task_dir / "labels.jsonl"),
             "checkpoint is missing parameter head.w1"),
-        "refinetune-head-of-another-size": (
+        "refinetune-label-beyond-head": (
             ("finetune", "--checkpoint", finetuned, "--task-corpus",
-             task_dir / "manifest.json", "--labels", two_class,
+             task_dir / "manifest.json", "--labels", beyond_head,
              "--out", tmp_path / "ft"),
-            f"the model's head has {finetuned_classes} outputs, the task 2"),
+            f"{beyond_head}: label {finetuned_classes} is not below the "
+            f"checkpoint's {finetuned_classes} classes"),
         "task-meta-without-num-classes": (
             ("evaluate", "--checkpoint",
              broken_checkpoints["task-without-classes"],
@@ -652,12 +672,14 @@ def test_bad_input_file_fails_in_one_line(case, corpus_dir, pretrained,
     (("pretrain", "--peak-lr", "inf"), "peak_lr must be finite, got inf"),
     (("finetune", "--speech-noise-std", -1),
      "speech_noise_std must be >= 0, got -1.0"),
+    (("finetune", "--speech-noise-std", "inf"),
+     "speech_noise_std must be finite, got inf"),
 ], ids=["turns-per-dialog", "words-per-turn", "word-duration", "noise-std",
         "corpus-fraction-zero", "corpus-fraction-negative",
         "corpus-fraction-above-one", "batch-size", "alpha",
         "finetune-batch-size", "no-words-per-turn", "negative-word-duration",
         "peak-lr", "finetune-peak-lr", "peak-lr-inf",
-        "finetune-speech-noise-std"])
+        "finetune-speech-noise-std", "finetune-speech-noise-std-inf"])
 def test_out_of_range_flag_fails_in_one_line(args, message, corpus_dir,
                                              tmp_path):
     """Checked before any file is read or written; the command functions

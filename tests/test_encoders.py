@@ -222,6 +222,151 @@ class TestPackedLayer:
             enc.transformer_layer(Tensor(self.x), self.p, 4, lengths=(1, 7))
 
 
+def score_bounds(p, x, lengths, heads=4):
+    """Each sequence's score bound max_i |q_i| * max_j |k_j| over its rows,
+    the largest over heads, and its largest |score|, both in float64."""
+    p64 = {name: param.data.astype(np.float64)
+           for name, param in vars(p).items()}
+    a = ad.layer_norm_forward(np.asarray(x, np.float64), p64["ln1_gain"],
+                              p64["ln1_bias"])[0]
+    dk = a.shape[1] // heads
+    q, k = ((a @ p64[w] + p64[b]).reshape(-1, heads, dk).transpose(1, 0, 2)
+            for w, b in (("wq", "bq"), ("wk", "bk")))
+    q /= np.sqrt(dk)
+    bounds, peaks = [], []
+    for end, n in zip(np.cumsum(lengths), lengths):
+        qs, ks = q[:, end - n:end], k[:, end - n:end]
+        bounds.append((np.linalg.norm(qs, axis=-1).max(axis=1)
+                       * np.linalg.norm(ks, axis=-1).max(axis=1)).max())
+        peaks.append(np.abs(qs @ ks.transpose(0, 2, 1)).max())
+    return np.array(bounds), np.array(peaks)
+
+
+def aligned_layer(lengths, aligned, bound, dtype, seed=51):
+    """A layer of ``dtype`` and packed rows in which the scores of each
+    sequence flagged in ``aligned`` come near +-its bound, the largest of
+    which is ``bound``: its rows are +-u plus noise, and wq and wk map u
+    onto one direction per head.  The other sequences' rows are
+    orthogonal to u and to the ones vector, so LN1 keeps them orthogonal
+    to u and only the 0.02-scale init weights reach their scores.  Also
+    returns the layer's float64 twin, of the same rounded values."""
+    _, _, (p,), _, _, _ = make_stack(num_layers=1, seed=seed, dtype=dtype)
+    _, _, (p64,), _, _, _ = make_stack(num_layers=1, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    u = rng.standard_normal(16)
+    u -= u.mean()
+    u /= np.linalg.norm(u)
+    parts = []
+    for n, on in zip(lengths, aligned):
+        noise = rng.standard_normal((n, 16))
+        if on:
+            parts.append(5 * rng.choice([-1.0, 1.0], (n, 1)) * u + 0.3 * noise)
+        else:
+            noise -= noise.mean(axis=1, keepdims=True)
+            parts.append(noise - np.outer(noise @ u, u))
+    x = np.concatenate(parts)
+    direction = np.outer(u, rng.standard_normal(16))
+    p64.wq.data += direction
+    p64.wk.data += direction
+    grow = np.sqrt(bound / score_bounds(p64, x, lengths)[0].max())
+    p64.wq.data *= grow
+    p64.wk.data *= grow
+    for name, param in vars(p).items():
+        param.data[...] = getattr(p64, name).data
+        getattr(p64, name).data[...] = param.data
+    return p, p64, x.astype(dtype).astype(np.float64)
+
+
+def output_and_grads(p, x, proj, lengths):
+    """Output, input gradient and the 16 parameter gradients of one
+    ``transformer_layer`` call in the dtype of ``p``, under the
+    projection ``proj``."""
+    for param in vars(p).values():
+        param.zero_grad()
+    dtype = p.wq.data.dtype
+    xt = Tensor(x.astype(dtype), requires_grad=True)
+    out = enc.transformer_layer(xt, p, 4, lengths)
+    ad.reduce_sum(mul(out, Tensor(proj.astype(dtype)))).backward()
+    return [("out", out.data), ("x", xt.grad),
+            *((name, param.grad.copy()) for name, param in vars(p).items())]
+
+
+class TestScoreBound:
+    """``transformer_layer`` takes a sequence's exps unshifted when its
+    score bound is at most ``SCORE_BOUND`` and shifts by the row max
+    otherwise; ``test_large_scores_match_reference`` covers the shift path
+    too."""
+
+    def test_one_call_mixes_unshifted_and_shifted_sequences(self):
+        lengths = (20, 30)
+        p, _, x = aligned_layer(lengths, (False, True), 1000.0, np.float64)
+        bounds, peaks = score_bounds(p, x, lengths)
+        # unshifted, the second sequence's exps would overflow float64
+        assert bounds[0] < 1 and 710 < peaks[1] <= bounds[1]
+        captured = []
+        enc.transformer_layer(Tensor(x), p, 4, lengths, capture=captured)
+        for weights in captured:
+            np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-12)
+
+        (out, dx, grads), (ref_out, ref_dx, ref_grads) = \
+            packed_and_per_sequence(
+                p, x, np.random.default_rng(53).standard_normal(x.shape),
+                lengths, 4)
+        for name, got, want in [("out", out, ref_out), ("x", dx, ref_dx),
+                                *((name, grads[name], ref_grads[name])
+                                   for name in grads)]:
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13,
+                                       err_msg=name)
+
+    # 0.99 C takes the unshifted path; 2.5 C = 100 shifts, and its
+    # unshifted exps would overflow float32 (largest finite e^88.7)
+    @pytest.mark.parametrize("share", [0.99, 2.5])
+    def test_float32_near_the_bound_matches_float64(self, share):
+        """Scores of about +-bound in every row: the exps of a row span
+        both ends of [e^-C, e^C].  Output and input gradient are within
+        1e-6 of their largest float64 magnitude, each parameter gradient
+        within 2e-3 (about 5 times the worst of 3 seeds, where float32
+        rounding of the scores meets near-one-hot rows).  bk's exact
+        gradient is 0, since softmax ignores a constant added to a row, so
+        bk is measured against wk's largest gradient."""
+        lengths = (12, 25)
+        p, p64, x = aligned_layer(lengths, (True, True),
+                                  share * enc.SCORE_BOUND, np.float32)
+        bounds, peaks = score_bounds(p, x, lengths)
+        assert abs(bounds.max() / enc.SCORE_BOUND - share) < 1e-6
+        assert peaks.max() > 0.9 * bounds.max()
+        proj = np.random.default_rng(54).standard_normal(x.shape)
+        got = output_and_grads(p, x, proj, lengths)
+        _, (out, dx, grads) = packed_and_per_sequence(p64, x, proj, lengths,
+                                                      4)
+        want = [("out", out), ("x", dx), *grads.items()]
+        largest = {name: np.abs(w).max() for name, w in want}
+        largest["bk"] = largest["wk"]
+        for (name, g), (_, w) in zip(got, want, strict=True):
+            assert g.dtype == np.float32, name
+            tol = 1e-6 if name in ("out", "x") else 2e-3
+            np.testing.assert_allclose(g, w, rtol=0, atol=tol * largest[name],
+                                       err_msg=name)
+
+    def test_tiny_output_gradient_scales_exactly(self):
+        """An output gradient scaled by 2^-40 (about 1e-12) at a bound just
+        under C: every float32 gradient is the unscaled one times 2^-40,
+        bit for bit, so nothing in the backward, dctx / rowsum first,
+        fell below the normal range."""
+        lengths = (12, 25)
+        p, _, x = aligned_layer(lengths, (True, True),
+                                0.99 * enc.SCORE_BOUND, np.float32)
+        proj = np.random.default_rng(55).standard_normal(x.shape)
+
+        def grads(scale):
+            return output_and_grads(p, x, proj * scale, lengths)[1:]
+
+        for (name, tiny), (_, unit) in zip(grads(2.0 ** -40), grads(1.0),
+                                           strict=True):
+            np.testing.assert_array_equal(tiny, unit * 2.0 ** -40,
+                                          err_msg=name)
+
+
 class TestTextEncoder:
     def test_zero_layers_is_identity(self):
         cfg, _, _, _, _, _ = make_stack(num_layers=0)

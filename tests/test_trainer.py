@@ -82,6 +82,8 @@ def small_config(steps=10, **kw):
      "checkpoint_every must be >= 0, got -1"),
     (lambda: tr.FinetuneConfig(speech_noise_std=-1.0),
      "speech_noise_std must be >= 0, got -1.0"),
+    (lambda: tr.FinetuneConfig(speech_noise_std=float("inf")),
+     "speech_noise_std must be finite, got inf"),
     (lambda: tr.TrainConfig(adam_beta2=1.0),
      "adam_beta2 must be in [0, 1), got 1.0"),
     (lambda: tr.TrainConfig.from_dict({"adam_beta2": -0.5}),
@@ -106,6 +108,9 @@ def small_config(steps=10, **kw):
     (lambda: tr.evaluate_task(None, None, None, None, [],
                               speech_noise_std=-1.0),
      "speech_noise_std must be >= 0, got -1.0"),
+    (lambda: tr.evaluate_task(None, None, None, None, [],
+                              speech_noise_std=float("inf")),
+     "speech_noise_std must be finite, got inf"),
 ], ids=["fraction-zero", "fraction-negative", "fraction-above-one",
         "batch-size", "alpha", "alpha-inf", "acoustic-span-floats",
         "acoustic-span-inf", "acoustic-span-bool", "acoustic-span-three",
@@ -114,10 +119,12 @@ def small_config(steps=10, **kw):
         "finetune-schedule", "warmup-above-one", "finetune-warmup-negative",
         "peak-lr", "finetune-peak-lr-nan", "clip-norm", "finetune-clip-norm",
         "checkpoint-every", "finetune-speech-noise-std",
+        "finetune-speech-noise-std-inf",
         "adam-beta2-one", "adam-beta2-negative", "adam-beta2-above-one",
         "adam-beta2-nan", "weight-decay-nan", "finetune-weight-decay",
         "peak-lr-inf", "finetune-peak-lr-inf", "weight-decay-inf",
-        "finetune-weight-decay-inf", "evaluate-speech-noise-std"])
+        "finetune-weight-decay-inf", "evaluate-speech-noise-std",
+        "evaluate-speech-noise-std-inf"])
 def test_out_of_range_config_rejected(make, message):
     with pytest.raises(ValueError) as info:
         make()
