@@ -3,11 +3,12 @@ simulate-masking / export-attention."""
 
 import os
 
+# STDIALOG_NUM_THREADS overrides the BLAS variables, exported or not
 _threads = os.environ.get("STDIALOG_NUM_THREADS")
 if _threads:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, _threads)
+        os.environ[var] = _threads
 
 import argparse
 import json

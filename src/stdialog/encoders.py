@@ -6,15 +6,18 @@ of sequence lengths saying where each ends.  Both encoders are pre-norm
 transformer stacks (zero layers = identity) whose layers each run as one
 autodiff node over all packed rows; attention inside a layer runs per
 sequence, so no sequence attends to another, and keeps its softmax as
-unnormalised exps and their row sums.  Each sequence's [H, L, L] scores
-are passed over 3 times forward (scores matmul, exp, context matmul) and
-5 times backward: a sequence whose scores are bounded by ``SCORE_BOUND``
-= 40 skips the row max, and the row sums ride the context matmul.  The
-speech encoder first adds a convolutional relative position embedding to
-each sequence on its own: a grouped same-padding 1-d conv over the
-sequence, GELU, residual add, also as one node over all sequences.
-Fusion interleaves each sample's text rows and speech rows, adds
-learnable modality embeddings, and applies one transformer layer
+unnormalised exps and their row sums.  The scores are in base 2, so the
+exps are ``np.exp2``.  Each sequence's [H, L, L] scores are passed over
+3 times forward (scores matmul, exp2, context matmul) and 5 times
+backward: a sequence whose scores are bounded by ``SCORE_BOUND`` = 40
+(in natural units) skips the row max, and the row sums ride the context
+matmul.  Around that core, the row and column sums are BLAS matvecs
+against constant vectors, and the bias and residual adds run in place.
+The speech encoder first adds a convolutional relative position
+embedding to each sequence on its own: a grouped same-padding 1-d conv
+over the sequence, GELU, residual add, also as one node over all
+sequences.  Fusion interleaves each sample's text rows and speech rows,
+adds learnable modality embeddings, and applies one transformer layer
 attending across both modalities of a sample.  Its output is one
 ``FusedBatch``: the packed hidden states and their layout, [text, CLS,
 prev, SEP, cur] per sample, which maps the text positions and speech
@@ -33,7 +36,7 @@ import numpy as np
 from .autodiff import (Init, Parameter, ShapeError, Tensor,
                        conv1d_backward, conv1d_forward, gelu_backward,
                        gelu_forward, layer_norm_backward, layer_norm_forward,
-                       record)
+                       record, sum_rows)
 
 
 @dataclass
@@ -99,8 +102,11 @@ def _with_ones(v: np.ndarray) -> np.ndarray:
 
 
 # The largest per-sequence score bound (see ``transformer_layer``) whose
-# exps are taken unshifted.  float32 holds normal numbers from 1.2e-38
-# (about e^-87.3) to 3.4e38 (about e^88.7).  With every |s| <= C, each exp
+# exps are taken unshifted, in natural units: the layer takes each exp as
+# 2^s' of the base-2 score s' = s log2(e) and holds its base-2 bound to
+# C log2(e), so its exps are the e^s this derivation is about.  float32
+# holds normal numbers from 1.2e-38 (about e^-87.3) to 3.4e38 (about
+# e^88.7).  With every |s| <= C, each exp
 # lies in [e^-C, e^C] and a row sum of L of them is normal and finite for
 # L < e^(88.7 - C).  The backward divides by that row sum,
 # dr = dctx / rowsum, and rowsum can reach L e^C; dr stays normal while
@@ -110,6 +116,8 @@ def _with_ones(v: np.ndarray) -> np.ndarray:
 # at batch 32 the largest bound was 39.9, so none of its 80,000 sequences
 # shifted; the bench's short episodes from a fresh init stay under 8.
 SCORE_BOUND = 40.0
+LOG2_E = float(np.log2(np.e))
+LN_2 = float(np.log(2.0))
 
 
 def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
@@ -121,42 +129,52 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
     and the GELU FFN run once over all rows; multi-head softmax attention
     runs per sequence, on its own rows only, so no sequence sees another.
 
-    ``q`` carries the scores' 1/sqrt(dk).  Each sequence keeps its
+    ``q`` carries the scores' 1/sqrt(dk) and log2(e), folded into the q
+    block of the concatenated q/k/v weight and bias, so its scores s' are
+    in base 2 and each exp is 2^s' = e^s.  Each sequence keeps its
     [H, n, n] unnormalised exps, and each [H, n, n] array is passed over
-    3 times forward (scores matmul, exp, context matmul) and 5 times
+    3 times forward (scores matmul, exp2, context matmul) and 5 times
     backward.  A sequence's scores are bounded by
     max_i |q_i| * max_j |k_j| over its rows and heads; when that bound is
-    at most ``SCORE_BOUND``, exp(s) is taken unshifted, and only a
+    at most ``SCORE_BOUND`` log2(e), 2^s' is taken unshifted, and only a
     sequence over it subtracts its row max first.  ``v`` carries a ones
     column, so the context matmul also yields the row sums, and the
     context is divided by them once over all rows.  The backward is
     written out by hand; its softmax row term rowsum(dP * P) is taken as
     rowsum(dctx * ctx), a sum over dk, and rides the ds matmul as
-    [dr, -dot] @ [v, 1]^T = dr v^T - dot.  When ``capture`` is a list, each
-    sequence's [H, n, n] attention weights are appended to it.
+    [dr, -dot] @ [v, 1]^T = dr v^T - dot.  It multiplies the q and k
+    gradients by ln 2 once, and the wq and bq gradients by the folded
+    constant.  Row sums are matvecs against a constant vector, the bias
+    gradients are ``ones @ M`` (``autodiff.sum_rows``), and the bias,
+    residual and GELU-gradient products run in place.  When ``capture``
+    is a list, each sequence's [H, n, n] attention weights are appended
+    to it.
     """
     n, d = x.shape
     if sum(lengths) != n:
         raise ShapeError(f"sequence lengths {tuple(lengths)} do not sum to "
                          f"the {n} packed rows")
     dk = d // num_heads
-    scale = float(1.0 / np.sqrt(dk))
+    # q's block of w_qkv and b_qkv carries 1/sqrt(dk) and log2(e)
+    q_scale = float(LOG2_E / np.sqrt(dk))
     segments = [slice(end - length, end)
                 for end, length in zip(accumulate(lengths), lengths)]
     w_qkv = np.concatenate([p.wq.data, p.wk.data, p.wv.data], axis=1)
     b_qkv = np.concatenate([p.bq.data, p.bk.data, p.bv.data])
+    w_qkv[:, :d] *= q_scale
+    b_qkv[:d] *= q_scale
 
     a, ln1 = layer_norm_forward(x.data, p.ln1_gain.data, p.ln1_bias.data)
+    qkv = a @ w_qkv
+    qkv += b_qkv
     # [n, 3d] -> [3, H, n, dk]: q, k, v split into heads
-    qkv = (a @ w_qkv + b_qkv).reshape(n, 3, num_heads, dk) \
-        .transpose(1, 2, 0, 3)
+    qkv = qkv.reshape(n, 3, num_heads, dk).transpose(1, 2, 0, 3)
     q, k, v = qkv
-    q *= scale
     # each sequence's largest squared |q_i| and |k_j| over its rows
     peak = np.maximum.reduceat(
         np.einsum("thnd,thnd->thn", qkv[:2], qkv[:2]),
         np.array([rows.start for rows in segments], dtype=np.intp), axis=2)
-    shifted = (peak[0] * peak[1]).max(axis=0) > SCORE_BOUND ** 2
+    shifted = (peak[0] * peak[1]).max(axis=0) > (SCORE_BOUND * LOG2_E) ** 2
     v1 = _with_ones(v)
     ctx1 = np.empty_like(v1)   # [context, row sum] of the unnormalised exps
     exps = []
@@ -164,7 +182,7 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
         e = q[:, rows] @ k[:, rows].transpose(0, 2, 1)
         if shift:
             e -= e.max(axis=-1, keepdims=True)
-        np.exp(e, out=e)
+        np.exp2(e, out=e)
         np.matmul(e, v1[:, rows], out=ctx1[:, rows])
         exps.append(e)
     rowsum = ctx1[..., dk:].copy()
@@ -175,17 +193,23 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
     if capture is not None:
         capture.extend(e / rowsum[:, rows] for rows, e in zip(segments, exps))
     merged = merged.reshape(n, d)
-    h = x.data + (merged @ p.wo.data + p.bo.data)
+    h = merged @ p.wo.data
+    h += p.bo.data
+    h += x.data
     c, ln2 = layer_norm_forward(h, p.ln2_gain.data, p.ln2_bias.data)
-    f1 = c @ p.ff1_w.data + p.ff1_b.data
+    f1 = c @ p.ff1_w.data
+    f1 += p.ff1_b.data
     f, dact = gelu_forward(f1)
-    out = h + (f @ p.ff2_w.data + p.ff2_b.data)
+    out = f @ p.ff2_w.data
+    out += p.ff2_b.data
+    out += h
 
     def backward(g):
-        df1 = gelu_backward(g @ p.ff2_w.data.T, dact)
-        dh_ln, dln2_gain, dln2_bias = layer_norm_backward(
+        df1 = g @ p.ff2_w.data.T
+        df1 *= dact
+        dh, dln2_gain, dln2_bias = layer_norm_backward(
             df1 @ p.ff1_w.data.T, p.ln2_gain.data, ln2)
-        dh = g + dh_ln
+        dh += g
         dctx = (dh @ p.wo.data.T).reshape(n, num_heads, dk) \
             .transpose(1, 0, 2)
         dqkv = np.empty((n, 3, num_heads, dk), dtype=dctx.dtype)
@@ -193,7 +217,7 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
         # [dr, -dot]: dr the gradient of the unnormalised context
         dr1 = np.empty((num_heads, n, dk + 1), dtype=dctx.dtype)
         dr = np.divide(dctx, rowsum, out=dr1[..., :dk])
-        dr1[..., dk] = -(dr * ctx).sum(axis=-1)
+        dr1[..., dk] = (dr * ctx) @ np.full(dk, -1.0, dr.dtype)
         v1 = _with_ones(v)   # rebuilt, so that the node holds only v
         for rows, e in zip(segments, exps):
             ds = dr1[:, rows] @ v1[:, rows].transpose(0, 2, 1)
@@ -201,18 +225,22 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
             np.matmul(ds, k[:, rows], out=dq[:, rows])
             np.matmul(ds.transpose(0, 2, 1), q[:, rows], out=dkey[:, rows])
             np.matmul(e.transpose(0, 2, 1), dr[:, rows], out=dv[:, rows])
-        dq *= scale
         dqkv = dqkv.reshape(n, 3 * d)
-        dx_ln, dln1_gain, dln1_bias = layer_norm_backward(
+        # the scores' gradient in base 2 is ln 2 times that in base e
+        dqkv[:, :2 * d] *= LN_2
+        dx, dln1_gain, dln1_bias = layer_norm_backward(
             dqkv @ w_qkv.T, p.ln1_gain.data, ln1)
+        dx += dh
         dw_qkv = a.T @ dqkv
-        db_qkv = dqkv.sum(axis=0)
+        db_qkv = sum_rows(dqkv)
+        dw_qkv[:, :d] *= q_scale
+        db_qkv[:d] *= q_scale
         # x, then the parameters in TransformerLayerParams field order
-        return (dh + dx_ln, dln1_gain, dln1_bias,
+        return (dx, dln1_gain, dln1_bias,
                 dw_qkv[:, :d], db_qkv[:d], dw_qkv[:, d:2 * d],
                 db_qkv[d:2 * d], dw_qkv[:, 2 * d:], db_qkv[2 * d:],
-                merged.T @ dh, dh.sum(axis=0), dln2_gain, dln2_bias,
-                c.T @ df1, df1.sum(axis=0), f.T @ g, g.sum(axis=0))
+                merged.T @ dh, sum_rows(dh), dln2_gain, dln2_bias,
+                c.T @ df1, sum_rows(df1), f.T @ g, sum_rows(g))
 
     return record(out, (x, *vars(p).values()), backward, "transformer_layer")
 

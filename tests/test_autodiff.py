@@ -135,6 +135,58 @@ class TestFloat32Gelu:
         np.testing.assert_allclose(deriv, 0.5, atol=1e-7)
 
 
+def layer_norm_and_grads(x, gain, bias, g, dtype):
+    """Layer norm's output and its three gradients, all in ``dtype``."""
+    out, saved = ad.layer_norm_forward(x.astype(dtype), gain.astype(dtype),
+                                       bias.astype(dtype))
+    return (out, *ad.layer_norm_backward(g.astype(dtype), gain.astype(dtype),
+                                         saved))
+
+
+class TestLayerNormHelpers:
+    # 1696 rows of 64: a pretrain-long fusion layer's rows at batch 8
+    @pytest.mark.parametrize("mean, std", [(0.0, 1.0), (1e3, 1e-2)])
+    def test_float32_matches_float64(self, mean, std):
+        """float32 against float64 on the same float32 rows.  Its row mean
+        is off by a few eps |mean|, which moves xhat by that over std, so
+        the output and dx are held within 4 eps (1 + |mean| / std) of
+        their largest float64 magnitude, and dgain and dbias, sums over
+        the 1696 rows, within 32 eps (1 + |mean| / std).  The worst of 20
+        seeds: 1.8 eps (output and dx) and 6.4 eps (the sums) on unit rows,
+        0.27 and 0.4 eps |mean| / std with the offset."""
+        rng = np.random.default_rng(61)
+        x = (mean + std * rng.standard_normal((1696, 64))) \
+            .astype(np.float32).astype(np.float64)
+        gain = 1 + 0.1 * rng.standard_normal(64)
+        bias = 0.1 * rng.standard_normal(64)
+        g = rng.standard_normal(x.shape)
+        unit = np.finfo(np.float32).eps * (1 + abs(mean) / std)
+        got = layer_norm_and_grads(x, gain, bias, g, np.float32)
+        want = layer_norm_and_grads(x, gain, bias, g, np.float64)
+        for name, tol, a, b in zip(("out", "dx", "dgain", "dbias"),
+                                   (4, 4, 32, 32), got, want, strict=True):
+            assert a.dtype == np.float32, name
+            np.testing.assert_allclose(a, b, rtol=0,
+                                       atol=tol * unit * np.abs(b).max(),
+                                       err_msg=name)
+
+    def test_rows_of_any_leading_shape(self):
+        """A [2, 3, 8] input gives what its six rows give as [6, 8], with
+        dgain and dbias summed over both leading axes, up to rounding: the
+        BLAS row sums may add a row's terms in another order by its place
+        among the rows."""
+        rng = np.random.default_rng(62)
+        x, g = rng.standard_normal((2, 2, 3, 8))
+        gain, bias = rng.standard_normal((2, 8))
+        for got, want in zip(
+                layer_norm_and_grads(x, gain, bias, g, np.float64),
+                layer_norm_and_grads(x.reshape(6, 8), gain, bias,
+                                     g.reshape(6, 8), np.float64),
+                strict=True):
+            np.testing.assert_allclose(got.reshape(want.shape), want,
+                                       rtol=1e-14, atol=1e-14)
+
+
 class TestShapeAndFiniteErrors:
     def test_matmul_shape_error_names_both(self):
         with pytest.raises(ShapeError) as exc:

@@ -370,6 +370,16 @@ def test_finetune_without_steps_writes_nothing(pretrained, task_dir,
     assert not out.exists()
 
 
+def test_stdialog_thread_count_overrides_exported_blas_threads():
+    result = subprocess.run(
+        [sys.executable, "-c", "import os, stdialog.cli; "
+         "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin",
+             "OPENBLAS_NUM_THREADS": "2", "STDIALOG_NUM_THREADS": "1"})
+    assert result.stdout.strip() == "1"
+
+
 def test_bad_subcommand_fails():
     result = run_cli("frobnicate", check=False)
     assert result.returncode != 0
