@@ -16,7 +16,8 @@ import numpy as np
 
 from stdialog import presets
 from stdialog.model import prepare_sample
-from stdialog.objectives import make_crs_sample, tpp_predictions
+from stdialog.objectives import (crs_rows, make_crs_sample, tpp_predictions,
+                                 tpp_rows)
 from stdialog.trainer import pretrain
 
 
@@ -45,7 +46,9 @@ def main():
     model, vocab = result.model, result.vocab
     samples = corpus.all_samples(k=cfg.k)
     batch = prepare_sample(samples, vocab, model.config, train=False)
-    fused = model.forward(batch)[0]
+    # the fusion layer computes only the word-boundary rows read here
+    fused = model.forward(batch, rows=lambda layout: tpp_rows(
+        layout, batch.word_tokens)[0])[0]
     errors = model.tpp_absolute_errors(fused, batch)
     print(f"alignment MAE (normalized times): {float(errors.mean()):.4f}")
     # the [2w, 1] targets hold every word's start, then every word's end
@@ -66,7 +69,9 @@ def main():
         corrupted.append(sample)
         labels.append(label)
     batch = prepare_sample(corrupted, vocab, model.config, train=False)
-    hits = model.crs_predict(model.forward(batch)[0]) == labels
+    fused = model.forward(batch, rows=lambda layout: crs_rows(
+        layout, labels)[0])[0]
+    hits = model.crs_predict(fused) == labels
     print(f"response-selection accuracy: {hits.mean():.3f}")
     print(f"wall time: {elapsed:.0f}s")
 

@@ -16,9 +16,10 @@ the im2col convolution for the conv frontend in ``frontend`` and the
 convolutional position embedding in ``encoders``; GELU for all of these
 and for the ``gelu`` op.  Layer norm, softmax and conv1d have no op
 here: the float64 references that the tests compose those layers from
-define them.  Layer norm's row means and its gain and bias gradients
-(``sum_rows``) are BLAS matvecs against constant vectors, which cost a
-fraction of numpy's ``sum`` over a short axis.
+define them.  Layer norm's row means, and every bias or gain gradient
+that sums a gradient's rows (``sum_rows``), are BLAS matvecs against
+constant vectors, which cost a fraction of numpy's ``sum`` over a short
+axis.
 
 GELU's forward returns its derivative with its output, so its backward
 is one multiply.  A float32 input runs a float32 kernel built from
@@ -241,7 +242,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear bias {b.data.shape} != ({w.data.shape[1]},)")
     return record(x.data @ w.data + b.data, (x, w, b),
-                  lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)),
+                  lambda g: (g @ w.data.T, x.data.T @ g, sum_rows(g)),
                   "linear")
 
 
@@ -316,8 +317,9 @@ _PHI_POLY = (1.7561730958348676e-09, -1.3226342332472996e-07,
              -3.259496588725597e-05, 0.03633308410644531,
              0.7978849411010742)
 _PHI_CLAMP_SQ = 5.6 * 5.6
-# elements per pass: a chunk's float32 buffers stay in L2
-_CHUNK = 1 << 15
+# elements per pass: a chunk's four float32 buffers (256 KB each) stay in
+# a 2 MB L2
+_CHUNK = 1 << 16
 
 
 def _normal_cdf_f32(x: np.ndarray, x2: np.ndarray,
@@ -429,7 +431,7 @@ def conv1d_backward(g: np.ndarray, saved: tuple,
     dw = (cols.transpose(0, 2, 1) @ gg) \
         .reshape(groups, kernel, c_in_g, -1).transpose(0, 3, 2, 1) \
         .reshape(w_shape)
-    db = g.sum(axis=0)
+    db = sum_rows(g)
     if not input_grad:
         return None, dw, db
     # [K, T_out, G, C_in/G]: tap k's share of every window

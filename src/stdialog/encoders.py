@@ -13,30 +13,36 @@ backward: a sequence whose scores are bounded by ``SCORE_BOUND`` = 40
 (in natural units) skips the row max, and the row sums ride the context
 matmul.  Around that core, the row and column sums are BLAS matvecs
 against constant vectors, and the bias and residual adds run in place.
+A layer may compute some of its rows only: keys and values still come
+from every row, and the rest runs over the rows it computes.
 The speech encoder first adds a convolutional relative position
 embedding to each sequence on its own: a grouped same-padding 1-d conv
 over the sequence, GELU, residual add, also as one node over all
 sequences.  Fusion interleaves each sample's text rows and speech rows,
 adds learnable modality embeddings, and applies one transformer layer
-attending across both modalities of a sample.  Its output is one
-``FusedBatch``: the packed hidden states and their layout, [text, CLS,
+attending across both modalities of a sample.  That layer computes only
+the rows its readers read: ``fuse``'s caller names them by a function of
+the batch's layout (``model.compute_losses`` the union of the four
+objectives' rows, fine-tuning and task evaluation each sample's <s>
+row), and with none it computes every row.  Its output is one
+``FusedBatch``: the computed hidden states and their layout, [text, CLS,
 prev, SEP, cur] per sample, which maps the text positions and speech
-frames of all samples to their rows at once.
+frames of all samples to their layout rows at once, and those to rows
+of the hidden states, refusing a row that was not computed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import (Init, Parameter, ShapeError, Tensor,
-                       conv1d_backward, conv1d_forward, gelu_backward,
-                       gelu_forward, layer_norm_backward, layer_norm_forward,
-                       record, sum_rows)
+                       conv1d_backward, conv1d_forward, gather_rows,
+                       gelu_backward, gelu_forward, layer_norm_backward,
+                       layer_norm_forward, record, sum_rows)
 
 
 @dataclass
@@ -121,22 +127,28 @@ LN_2 = float(np.log(2.0))
 
 
 def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
-                      lengths: tuple, capture: list | None = None) -> Tensor:
+                      lengths: tuple, capture: list | None = None,
+                      rows: np.ndarray | None = None) -> Tensor:
     """One pre-norm layer over packed sequences, as a single autodiff node.
 
     ``x`` holds the rows of ``len(lengths)`` sequences back to back, the
-    i-th of ``lengths[i]`` rows.  LN1, q/k/v, ``wo``, the residuals, LN2
-    and the GELU FFN run once over all rows; multi-head softmax attention
-    runs per sequence, on its own rows only, so no sequence sees another.
+    i-th of ``lengths[i]`` rows.  The output holds the layer's rows
+    ``rows`` (sorted, distinct indices into ``x``), or all of them when
+    ``rows`` is None.  LN1, k and v run over all rows; q, ``wo``, the
+    residuals, LN2 and the GELU FFN run over the output rows only.
+    Multi-head softmax attention runs per sequence, from its output rows
+    to all its rows, so no sequence sees another, and a sequence with no
+    output row has empty [H, 0, n] scores: its attention does no
+    arithmetic.
 
-    ``q`` carries the scores' 1/sqrt(dk) and log2(e), folded into the q
-    block of the concatenated q/k/v weight and bias, so its scores s' are
-    in base 2 and each exp is 2^s' = e^s.  Each sequence keeps its
-    [H, n, n] unnormalised exps, and each [H, n, n] array is passed over
-    3 times forward (scores matmul, exp2, context matmul) and 5 times
-    backward.  A sequence's scores are bounded by
-    max_i |q_i| * max_j |k_j| over its rows and heads; when that bound is
-    at most ``SCORE_BOUND`` log2(e), 2^s' is taken unshifted, and only a
+    ``q`` carries the scores' 1/sqrt(dk) and log2(e), folded into its
+    weight and bias, so its scores s' are in base 2 and each exp is
+    2^s' = e^s.  Each sequence keeps its [H, r, n] unnormalised exps (r
+    its output rows), and each such array is passed over 3 times forward
+    (scores matmul, exp2, context matmul) and 5 times backward.  A
+    sequence's scores are bounded by max_i |q_i| * max_j |k_j| over its
+    output rows i, all its rows j and the heads; when that bound is at
+    most ``SCORE_BOUND`` log2(e), 2^s' is taken unshifted, and only a
     sequence over it subtracts its row max first.  ``v`` carries a ones
     column, so the context matmul also yields the row sums, and the
     context is divided by them once over all rows.  The backward is
@@ -147,55 +159,79 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
     constant.  Row sums are matvecs against a constant vector, the bias
     gradients are ``ones @ M`` (``autodiff.sum_rows``), and the bias,
     residual and GELU-gradient products run in place.  When ``capture``
-    is a list, each sequence's [H, n, n] attention weights are appended
+    is a list, each sequence's [H, r, n] attention weights are appended
     to it.
     """
     n, d = x.shape
     if sum(lengths) != n:
         raise ShapeError(f"sequence lengths {tuple(lengths)} do not sum to "
                          f"the {n} packed rows")
+    ends = np.cumsum(lengths, dtype=np.intp)
+    starts = ends - lengths
+    segments = [slice(lo, hi)
+                for lo, hi in zip(starts.tolist(), ends.tolist())]
+    if rows is None:
+        out_rows, q_segments, r = slice(None), segments, n
+    else:
+        out_rows = np.asarray(rows, dtype=np.intp)
+        r = out_rows.size
+        if r and (out_rows[0] < 0 or out_rows[-1] >= n
+                  or (np.diff(out_rows) <= 0).any()):
+            raise ShapeError(f"output rows must be sorted, distinct rows of "
+                             f"the {n} packed rows")
+        # sequence i's output rows are out_rows[q_ends[i-1]:q_ends[i]]
+        q_ends = out_rows.searchsorted(ends).tolist()
+        q_segments = [slice(lo, hi) for lo, hi in zip([0] + q_ends, q_ends)]
     dk = d // num_heads
-    # q's block of w_qkv and b_qkv carries 1/sqrt(dk) and log2(e)
+    # q's weight and bias carry 1/sqrt(dk) and log2(e)
     q_scale = float(LOG2_E / np.sqrt(dk))
-    segments = [slice(end - length, end)
-                for end, length in zip(accumulate(lengths), lengths)]
-    w_qkv = np.concatenate([p.wq.data, p.wk.data, p.wv.data], axis=1)
-    b_qkv = np.concatenate([p.bq.data, p.bk.data, p.bv.data])
-    w_qkv[:, :d] *= q_scale
-    b_qkv[:d] *= q_scale
+    w_q, b_q = p.wq.data * q_scale, p.bq.data * q_scale
+    w_kv = np.concatenate([p.wk.data, p.wv.data], axis=1)
+    b_kv = np.concatenate([p.bk.data, p.bv.data])
 
     a, ln1 = layer_norm_forward(x.data, p.ln1_gain.data, p.ln1_bias.data)
-    qkv = a @ w_qkv
-    qkv += b_qkv
-    # [n, 3d] -> [3, H, n, dk]: q, k, v split into heads
-    qkv = qkv.reshape(n, 3, num_heads, dk).transpose(1, 2, 0, 3)
-    q, k, v = qkv
-    # each sequence's largest squared |q_i| and |k_j| over its rows
-    peak = np.maximum.reduceat(
-        np.einsum("thnd,thnd->thn", qkv[:2], qkv[:2]),
-        np.array([rows.start for rows in segments], dtype=np.intp), axis=2)
-    shifted = (peak[0] * peak[1]).max(axis=0) > (SCORE_BOUND * LOG2_E) ** 2
+    a_q = a[out_rows]
+    q = a_q @ w_q
+    q += b_q
+    kv = a @ w_kv
+    kv += b_kv
+    # [r, d] -> [H, r, dk] and [n, 2d] -> [2, H, n, dk]: split into heads
+    q = q.reshape(r, num_heads, dk).transpose(1, 0, 2)
+    k, v = kv.reshape(n, 2, num_heads, dk).transpose(1, 2, 0, 3)
+    # each sequence's largest squared |q_i| and |k_j|; a sequence with no
+    # output row takes no part
+    live = [i for i, queries in enumerate(q_segments)
+            if queries.start < queries.stop]
+    q_peak = np.maximum.reduceat(
+        np.einsum("hnd,hnd->hn", q, q),
+        np.array([q_segments[i].start for i in live], dtype=np.intp), axis=1)
+    k_peak = np.maximum.reduceat(np.einsum("hnd,hnd->hn", k, k), starts,
+                                 axis=1)[:, live]
+    shifted = np.zeros(len(lengths), dtype=bool)
+    shifted[live] = (q_peak * k_peak).max(axis=0) \
+        > (SCORE_BOUND * LOG2_E) ** 2
     v1 = _with_ones(v)
-    ctx1 = np.empty_like(v1)   # [context, row sum] of the unnormalised exps
-    exps = []
-    for rows, shift in zip(segments, shifted):
-        e = q[:, rows] @ k[:, rows].transpose(0, 2, 1)
+    ctx1 = np.empty((num_heads, r, dk + 1), dtype=a.dtype)
+    exps = []   # each sequence's [H, r, n] unnormalised exps
+    for keys, queries, shift in zip(segments, q_segments, shifted):
+        e = q[:, queries] @ k[:, keys].transpose(0, 2, 1)
         if shift:
             e -= e.max(axis=-1, keepdims=True)
         np.exp2(e, out=e)
-        np.matmul(e, v1[:, rows], out=ctx1[:, rows])
+        np.matmul(e, v1[:, keys], out=ctx1[:, queries])
         exps.append(e)
     rowsum = ctx1[..., dk:].copy()
-    merged = np.empty((n, num_heads, dk), dtype=a.dtype)
-    ctx = merged.transpose(1, 0, 2)   # [H, n, dk] view of the heads' rows
+    merged = np.empty((r, num_heads, dk), dtype=a.dtype)
+    ctx = merged.transpose(1, 0, 2)   # [H, r, dk] view of the heads' rows
     np.divide(ctx1[..., :dk], rowsum, out=ctx)
     del ctx1, v1   # before the FFN: a step's memory peaks in the last layer
     if capture is not None:
-        capture.extend(e / rowsum[:, rows] for rows, e in zip(segments, exps))
-    merged = merged.reshape(n, d)
+        capture.extend(e / rowsum[:, queries]
+                       for queries, e in zip(q_segments, exps))
+    merged = merged.reshape(r, d)
     h = merged @ p.wo.data
     h += p.bo.data
-    h += x.data
+    h += x.data[out_rows]
     c, ln2 = layer_norm_forward(h, p.ln2_gain.data, p.ln2_bias.data)
     f1 = c @ p.ff1_w.data
     f1 += p.ff1_b.data
@@ -210,35 +246,43 @@ def transformer_layer(x: Tensor, p: TransformerLayerParams, num_heads: int,
         dh, dln2_gain, dln2_bias = layer_norm_backward(
             df1 @ p.ff1_w.data.T, p.ln2_gain.data, ln2)
         dh += g
-        dctx = (dh @ p.wo.data.T).reshape(n, num_heads, dk) \
+        dctx = (dh @ p.wo.data.T).reshape(r, num_heads, dk) \
             .transpose(1, 0, 2)
-        dqkv = np.empty((n, 3, num_heads, dk), dtype=dctx.dtype)
-        dq, dkey, dv = dqkv.transpose(1, 2, 0, 3)
+        dq_rows = np.empty((r, num_heads, dk), dtype=dctx.dtype)
+        dq = dq_rows.transpose(1, 0, 2)
+        dkv = np.empty((n, 2, num_heads, dk), dtype=dctx.dtype)
+        dkey, dv = dkv.transpose(1, 2, 0, 3)
         # [dr, -dot]: dr the gradient of the unnormalised context
-        dr1 = np.empty((num_heads, n, dk + 1), dtype=dctx.dtype)
+        dr1 = np.empty((num_heads, r, dk + 1), dtype=dctx.dtype)
         dr = np.divide(dctx, rowsum, out=dr1[..., :dk])
         dr1[..., dk] = (dr * ctx) @ np.full(dk, -1.0, dr.dtype)
         v1 = _with_ones(v)   # rebuilt, so that the node holds only v
-        for rows, e in zip(segments, exps):
-            ds = dr1[:, rows] @ v1[:, rows].transpose(0, 2, 1)
+        for keys, queries, e in zip(segments, q_segments, exps):
+            ds = dr1[:, queries] @ v1[:, keys].transpose(0, 2, 1)
             ds *= e
-            np.matmul(ds, k[:, rows], out=dq[:, rows])
-            np.matmul(ds.transpose(0, 2, 1), q[:, rows], out=dkey[:, rows])
-            np.matmul(e.transpose(0, 2, 1), dr[:, rows], out=dv[:, rows])
-        dqkv = dqkv.reshape(n, 3 * d)
+            np.matmul(ds, k[:, keys], out=dq[:, queries])
+            # zero for a sequence without output rows: ds and e are empty
+            np.matmul(ds.transpose(0, 2, 1), q[:, queries], out=dkey[:, keys])
+            np.matmul(e.transpose(0, 2, 1), dr[:, queries], out=dv[:, keys])
+        dq_rows = dq_rows.reshape(r, d)
+        dkv = dkv.reshape(n, 2 * d)
         # the scores' gradient in base 2 is ln 2 times that in base e
-        dqkv[:, :2 * d] *= LN_2
-        dx, dln1_gain, dln1_bias = layer_norm_backward(
-            dqkv @ w_qkv.T, p.ln1_gain.data, ln1)
-        dx += dh
-        dw_qkv = a.T @ dqkv
-        db_qkv = sum_rows(dqkv)
-        dw_qkv[:, :d] *= q_scale
-        db_qkv[:d] *= q_scale
+        dq_rows *= LN_2
+        dkv[:, :d] *= LN_2
+        da = dkv @ w_kv.T
+        da[out_rows] += dq_rows @ w_q.T
+        dx, dln1_gain, dln1_bias = layer_norm_backward(da, p.ln1_gain.data,
+                                                       ln1)
+        dx[out_rows] += dh
+        dw_q = a_q.T @ dq_rows
+        dw_q *= q_scale
+        db_q = sum_rows(dq_rows)
+        db_q *= q_scale
+        dw_kv = a.T @ dkv
+        db_kv = sum_rows(dkv)
         # x, then the parameters in TransformerLayerParams field order
-        return (dx, dln1_gain, dln1_bias,
-                dw_qkv[:, :d], db_qkv[:d], dw_qkv[:, d:2 * d],
-                db_qkv[d:2 * d], dw_qkv[:, 2 * d:], db_qkv[2 * d:],
+        return (dx, dln1_gain, dln1_bias, dw_q, db_q, dw_kv[:, :d],
+                db_kv[:d], dw_kv[:, d:], db_kv[d:],
                 merged.T @ dh, sum_rows(dh), dln2_gain, dln2_bias,
                 c.T @ df1, sum_rows(df1), f.T @ g, sum_rows(g))
 
@@ -297,23 +341,45 @@ def encode_speech(x: Tensor, lengths: tuple, conv_pos: tuple, layers: list,
 class FusedBatch:
     """A batch's fused hidden states and their packed layout.
 
-    Sample i's rows start at row ``start[i]`` of ``hidden``: its text span
-    [0, n_text[i]), then CLS, its m_prev[i] prev frames, SEP and its
-    m_cur[i] cur frames.  The int arrays are [b]; ``attention`` holds each
-    sample's [num_heads, L, L] fusion attention when captured.
+    Sample i's rows of the layout start at row ``start[i]``: its text
+    span [0, n_text[i]), then CLS, its m_prev[i] prev frames, SEP and its
+    m_cur[i] cur frames.  The int arrays are [b].  The fusion layer
+    computes the layout rows ``kept`` only (sorted; None: all of them),
+    and ``hidden`` holds those in order, so readers take hidden states
+    through ``gather``, which maps layout rows to rows of ``hidden``.
+    ``fuse`` hands the layout, with no ``hidden`` yet, to the function
+    that chooses ``kept``.  ``attention`` holds each sample's
+    [num_heads, r, L] fusion attention of its r kept rows when captured.
     """
-    hidden: Tensor
+    hidden: Tensor | None
     n_text: np.ndarray
     m_prev: np.ndarray
     m_cur: np.ndarray
     start: np.ndarray
     attention: list | None = None
+    kept: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.start)
 
+    def gather(self, rows, what: str) -> Tensor:
+        """The hidden states at layout rows ``rows``, as one node; a row
+        that the fusion layer did not compute raises ``IndexError`` naming
+        ``what``."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if self.kept is not None:
+            at = self.kept.searchsorted(rows)
+            # -1 past the end: no row reads it
+            missing = np.append(self.kept, -1)[at] != rows
+            if missing.any():
+                raise IndexError(
+                    f"{what} reads fused rows {rows[missing].tolist()} that "
+                    f"the fusion layer did not compute")
+            rows = at
+        return gather_rows(self.hidden, rows)
+
     def text_rows(self, positions: np.ndarray, what: str) -> tuple:
-        """The rows of ``hidden`` at text positions counted over the
+        """The layout rows at text positions counted over the
         batch's packed text (its samples' texts back to back), and each
         row's sample; a position outside the packed text raises
         ``IndexError`` naming ``what``."""
@@ -326,7 +392,7 @@ class FusedBatch:
         return self.start[sample] + pos - (ends - self.n_text)[sample], sample
 
     def frame_rows(self) -> np.ndarray:
-        """The row of ``hidden`` of every speech frame, in the order
+        """The layout row of every speech frame, in the order
         ``frontend.extract_features`` packs them: each sample's prev
         frames, then its cur frames."""
         turns = np.stack([self.m_prev, self.m_cur], axis=1).ravel()
@@ -355,8 +421,8 @@ def fusion_input(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
 
     def backward(g):
         g_text, g_speech = g[text_rows], g[speech_rows]
-        return g_text, g_speech, np.stack([g_text.sum(axis=0),
-                                           g_speech.sum(axis=0)])
+        return g_text, g_speech, np.stack([sum_rows(g_text),
+                                           sum_rows(g_speech)])
 
     return record(data, (h_text, h_speech, modality_table), backward,
                   "fusion_input")
@@ -365,11 +431,14 @@ def fusion_input(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
 def fuse(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
          speech_frames: list, modality_table: Parameter,
          layer: TransformerLayerParams, num_heads: int,
-         capture_attention: bool = False) -> FusedBatch:
+         capture_attention: bool = False, rows=None) -> FusedBatch:
     """The batch's fused representation, from packed text rows of
     ``text_lengths`` and packed speech rows of the (m_prev, m_cur) turns
     in ``speech_frames``: one layer attending across both modalities of
-    a sample."""
+    a sample.  ``rows``, a function of the batch's layout (a
+    ``FusedBatch`` without ``hidden``), names the layout rows that the
+    batch's readers take; the layer computes only those, as
+    ``FusedBatch.kept``.  None computes every row."""
     n_text = np.asarray(text_lengths, dtype=np.intp)
     m_prev, m_cur = np.asarray(speech_frames, dtype=np.intp).reshape(-1, 2).T
     speech_lengths = tuple(m_prev + m_cur + 2)
@@ -381,11 +450,14 @@ def fuse(h_text: Tensor, h_speech: Tensor, text_lengths: tuple,
     x = fusion_input(h_text, h_speech, text_lengths, speech_lengths,
                      modality_table)
     lengths = n_text + m_prev + m_cur + 2
+    layout = FusedBatch(None, n_text, m_prev, m_cur,
+                        np.cumsum(lengths) - lengths)
+    kept = None if rows is None else np.unique(
+        np.asarray(rows(layout), dtype=np.intp))
     captured: list | None = [] if capture_attention else None
     h = transformer_layer(x, layer, num_heads, tuple(lengths.tolist()),
-                          capture=captured)
-    return FusedBatch(h, n_text, m_prev, m_cur, np.cumsum(lengths) - lengths,
-                      captured)
+                          capture=captured, rows=kept)
+    return replace(layout, hidden=h, attention=captured, kept=kept)
 
 
 class AttentionNotCaptured(RuntimeError):

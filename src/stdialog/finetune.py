@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus as cp
-from .autodiff import (Init, Parameter, Tensor, cross_entropy, gather_rows,
-                       gelu, linear, mse)
+from .autodiff import (Init, Parameter, Tensor, cross_entropy, gelu, linear,
+                       mse)
 from .encoders import FusedBatch
 
 REGRESSION = "regression"
@@ -66,10 +66,15 @@ def init_prediction_head(init: Init, d_h: int, d_o: int) -> PredictionHead:
         w2=init.normal("head.w2", (d_h, d_o)), b2=init.zeros("head.b2", d_o))
 
 
+def predict_rows(fused: FusedBatch) -> np.ndarray:
+    """The fused layout rows ``predict`` reads: each sample's <s> row."""
+    return fused.start
+
+
 def predict(fused: FusedBatch, head: PredictionHead) -> Tensor:
     """W2 gelu(W1 h + b1) + b2 on each sample's fused <s> state; output
     [b, d_o]."""
-    h0 = gather_rows(fused.hidden, fused.start)
+    h0 = fused.gather(predict_rows(fused), "prediction head")
     return linear(gelu(linear(h0, head.w1, head.b1)), head.w2, head.b2)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import (ShapeError, Tensor, conv1d_backward, conv1d_forward,
                        gelu_backward, gelu_forward, layer_norm_backward,
-                       layer_norm_forward, record)
+                       layer_norm_forward, record, sum_rows)
 from .masking import REPLACE, ZERO, MaskPlan
 
 
@@ -188,7 +188,7 @@ def project_features(features: Tensor, ln_gain, ln_bias, weight, bias,
             np.add.at(donors, sources, dx[replaced])
             dx[dropped] = 0.0
             dx += donors
-        return dx, dgain, dbias, normed.T @ g, g.sum(axis=0)
+        return dx, dgain, dbias, normed.T @ g, sum_rows(g)
 
     return record(out, (features, ln_gain, ln_bias, weight, bias), backward,
                   "project_features")
@@ -216,8 +216,7 @@ def assemble_speech_sequences(projected: Tensor, speech_frames: list,
     data[sep_rows] = sep_vec.data
 
     def backward(g):
-        return (g[frame_rows], g[cls_rows].sum(axis=0),
-                g[sep_rows].sum(axis=0))
+        return g[frame_rows], sum_rows(g[cls_rows]), sum_rows(g[sep_rows])
 
     return record(data, (projected, cls_vec, sep_vec), backward,
                   "assemble_speech_sequences")

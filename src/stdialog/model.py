@@ -15,6 +15,8 @@ or sequence and attention within each sample.  The fused output is one
 ``encoders.FusedBatch``, which owns the packed layout; each objective
 maps the rows of all samples through it at once and gives a [b] tensor of
 per-sample losses; the trainer minimizes the batch mean of the joint one.
+``compute_losses`` has the fusion layer compute only the rows that the
+four objectives read.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from .encoders import (FusedBatch, encode_speech, encode_text, fuse,
                        init_conv_positional, init_encoder_stack,
                        init_transformer_layer)
 from .masking import AcousticMaskConfig, MaskPlan, draw_mask_plan
-from .objectives import (cmam_loss, cmlm_loss, crs_logits, crs_loss,
-                         init_tpp_head, joint_loss, tpp_loss, tpp_predictions)
+from .objectives import (cmam_loss, cmam_rows, cmlm_loss, cmlm_rows,
+                         crs_logits, crs_loss, crs_rows, init_tpp_head,
+                         joint_loss, tpp_loss, tpp_predictions, tpp_rows)
 from .text import (TextMaskPlan, Vocab, embed_text, mask_tokens,
                    tokenize_sample)
 
@@ -144,6 +147,12 @@ class PreparedBatch:
     text_plan: TextMaskPlan | None = None
     acoustic_plan: MaskPlan | None = None
 
+    def scored_frames(self) -> np.ndarray:
+        """Bool over the packed frames, true at each one reconstruction
+        scores: the masked frames of the turns ``scored``."""
+        return np.repeat(self.scored, self.turn_frames) & (
+            self.acoustic_plan is not None and self.acoustic_plan.mask)
+
 
 class SpeechTextModel:
     def __init__(self, config: ModelConfig, seed: int = 0,
@@ -210,13 +219,15 @@ class SpeechTextModel:
 
     # forward -----------------------------------------------------------
 
-    def forward(self, batch: PreparedBatch,
-                capture_attention: bool = False) -> tuple:
+    def forward(self, batch: PreparedBatch, capture_attention: bool = False,
+                rows=None) -> tuple:
         """The batch's fused representation, from one pass of each speech
         input stage, encoder layer and the fusion layer over the packed
         rows of all its samples, and the pre-mask extractor output of
         their packed frames as a plain array: the reconstruction
-        targets."""
+        targets.  ``rows`` is None, for every fused row, or a function of
+        the fused layout naming the rows the caller reads (see
+        ``encoders.fuse``)."""
         heads = self.config.num_heads
         h_text = encode_text(embed_text(
             batch.token_ids, batch.position_ids, batch.segment_ids,
@@ -235,7 +246,7 @@ class SpeechTextModel:
             self.speech_layers, heads, self.config.conv_pos_groups)
         fused = fuse(h_text, h_speech, batch.text_lengths, frames,
                      self.modality_table, self.fusion_layer, heads,
-                     capture_attention=capture_attention)
+                     capture_attention=capture_attention, rows=rows)
         return fused, feats.data
 
     def compute_losses(self, batch: PreparedBatch, alpha: float = 1.0,
@@ -249,18 +260,25 @@ class SpeechTextModel:
         of the same batch returned) when re-evaluating the same step's
         objective, e.g. under finite differences.
         """
-        fused, features = self.forward(batch)
+        # the rows the four losses read; called inside the forward, after
+        # project_features has checked the acoustic plan against the frames
+        def rows(layout):
+            return np.concatenate([
+                tpp_rows(layout, batch.word_tokens)[0],
+                crs_rows(layout, batch.crs_labels)[0],
+                cmlm_rows(layout, batch.text_plan)[0],
+                cmam_rows(layout, batch.scored_frames())[0]])
+
+        fused, features = self.forward(batch, rows=rows)
         if frozen_cmam_targets is not None:
             features = frozen_cmam_targets
+        keep = batch.scored_frames()
         tpp = tpp_loss(fused, batch.word_tokens, batch.word_times,
                        self.tpp_head)
         crs = None
         if any(label is not None for label in batch.crs_labels):
             crs = crs_loss(fused, batch.crs_labels, self.crs_w, self.crs_b)
         cmlm = cmlm_loss(fused, batch.text_plan, self.lm_w, self.lm_b)
-        # the masked frames of the scored turns
-        keep = np.repeat(batch.scored, batch.turn_frames) & (
-            batch.acoustic_plan is not None and batch.acoustic_plan.mask)
         cmam = cmam_loss(fused, keep, features[keep], self.cmam_w,
                          self.cmam_b)
         return {"tpp": tpp, "crs": crs, "cmlm": cmlm, "cmam": cmam,
@@ -268,12 +286,13 @@ class SpeechTextModel:
 
     # evaluation helpers --------------------------------------------------
 
-    def eval_fused(self, sample, vocab: Vocab,
-                   capture_attention: bool = False) -> FusedBatch:
+    def eval_fused(self, sample, vocab: Vocab, capture_attention: bool = False,
+                   rows=None) -> FusedBatch:
         """Clean forward of one sample (no corruption, no masking), as a
-        batch of one."""
+        batch of one; ``rows`` as in ``forward``."""
         batch = prepare_sample([sample], vocab, self.config, train=False)
-        return self.forward(batch, capture_attention=capture_attention)[0]
+        return self.forward(batch, capture_attention=capture_attention,
+                            rows=rows)[0]
 
     def crs_predict(self, fused: FusedBatch) -> np.ndarray:
         """Each sample's response-selection class, [b]."""

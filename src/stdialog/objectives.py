@@ -21,7 +21,9 @@ Each objective takes the batch's ``encoders.FusedBatch``, maps the rows
 it needs from all samples through the batch's packed layout at once
 (``text_rows`` or ``frame_rows``), runs its head once and ends in one loss
 node: a [b] tensor of each sample's mean loss over its own rows, 0 for a
-sample with none.
+sample with none.  Each objective's ``*_rows`` function names its layout
+rows; the loss reads through it, and ``model.compute_losses`` asks the
+fusion layer for the union of the four before the forward.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import (Init, Parameter, Tensor, add, concat, cross_entropy,
-                       gather_rows, linear, mae, matmul, mse, scale)
+                       linear, mae, matmul, mse, scale)
 from .corpus import MAX_TURN_SECONDS, Sample
 from .encoders import FusedBatch
 from .text import TextMaskPlan
@@ -53,6 +55,13 @@ def init_tpp_head(init: Init, d_h: int) -> TppHead:
                    w_end=init.normal("tpp.w_end", (d_h, 1)))
 
 
+def tpp_rows(fused: FusedBatch, word_tokens: np.ndarray) -> tuple:
+    """The layout rows of each aligned word's first token, then of each
+    word's last token (``word_tokens``, [w, 2] positions in the packed
+    text), and each row's sample."""
+    return fused.text_rows(word_tokens.T.ravel(), "word boundary")
+
+
 def tpp_predictions(fused: FusedBatch, word_tokens: np.ndarray,
                     word_times: np.ndarray, head: TppHead) -> tuple:
     """Over the batch's aligned words (``word_tokens``, the [w, 2] first
@@ -60,12 +69,13 @@ def tpp_predictions(fused: FusedBatch, word_tokens: np.ndarray,
     its start and end time), the [2w, 1] predictions read at each word's
     first token, then at each word's last token; their targets (start,
     then end, over ``MAX_TURN_SECONDS``); and each row's sample."""
-    rows, sample = fused.text_rows(word_tokens.T.ravel(), "word boundary")
+    rows, sample = tpp_rows(fused, word_tokens)
     target = (word_times.T / MAX_TURN_SECONDS).astype(
         fused.hidden.dtype).reshape(-1, 1)
     w = len(word_tokens)
-    pred = concat([matmul(gather_rows(fused.hidden, rows[:w]), head.w_start),
-                   matmul(gather_rows(fused.hidden, rows[w:]), head.w_end)])
+    pred = concat([
+        matmul(fused.gather(rows[:w], "word boundary"), head.w_start),
+        matmul(fused.gather(rows[w:], "word boundary"), head.w_end)])
     return pred, target, sample
 
 
@@ -132,17 +142,33 @@ def make_crs_sample(sample: Sample, dialogs: list, rng: np.random.Generator,
 def crs_logits(fused: FusedBatch, weight: Parameter,
                bias: Parameter) -> Tensor:
     """[b, 4] logits of a linear classifier on each fused <s> state."""
-    return linear(gather_rows(fused.hidden, fused.start), weight, bias)
+    return linear(fused.gather(fused.start, "response selection"), weight,
+                  bias)
+
+
+def crs_rows(fused: FusedBatch, labels: list) -> tuple:
+    """The <s> layout rows of the samples whose selection label is not
+    None, and those samples."""
+    sample = np.array([i for i, label in enumerate(labels)
+                       if label is not None], dtype=np.intp)
+    return fused.start[sample], sample
 
 
 def crs_loss(fused: FusedBatch, labels: list, weight: Parameter,
              bias: Parameter) -> Tensor:
     """Each sample's cross-entropy of the 4-way response-selection logits
     against its label; 0 for a sample whose label is None."""
-    sample = [i for i, label in enumerate(labels) if label is not None]
-    states = gather_rows(fused.hidden, fused.start[sample])
+    rows, sample = crs_rows(fused, labels)
+    states = fused.gather(rows, "response selection")
     return cross_entropy(linear(states, weight, bias),
                          [labels[i] for i in sample], sample, len(fused))
+
+
+def cmlm_rows(fused: FusedBatch, plan: TextMaskPlan | None) -> tuple:
+    """The layout rows of the masked text positions of ``plan`` (none
+    when it is None), and each row's sample."""
+    positions = np.zeros(0, np.intp) if plan is None else plan.positions
+    return fused.text_rows(positions, "masked position")
 
 
 def cmlm_loss(fused: FusedBatch, plan: TextMaskPlan | None,
@@ -150,11 +176,23 @@ def cmlm_loss(fused: FusedBatch, plan: TextMaskPlan | None,
     """Each sample's mean cross-entropy of the vocabulary head on its
     masked text positions, of the batch's ``plan`` over its packed text;
     0 for a sample without any, or for all when ``plan`` is None."""
-    positions, labels = ((np.zeros(0, np.intp), []) if plan is None
-                         else (plan.positions, plan.labels))
-    rows, sample = fused.text_rows(positions, "masked position")
-    logits = linear(gather_rows(fused.hidden, rows), weight, bias)
-    return cross_entropy(logits, labels, sample, len(fused))
+    rows, sample = cmlm_rows(fused, plan)
+    logits = linear(fused.gather(rows, "masked position"), weight, bias)
+    return cross_entropy(logits, [] if plan is None else plan.labels,
+                         sample, len(fused))
+
+
+def cmam_rows(fused: FusedBatch, keep: np.ndarray) -> tuple:
+    """The layout rows of the speech frames flagged in ``keep``, a bool
+    over the batch's frames in ``FusedBatch.frame_rows`` order, and each
+    row's sample; a ``keep`` of another length than the batch's frames
+    raises ``IndexError``."""
+    rows = fused.frame_rows()
+    if keep.shape != rows.shape:
+        raise IndexError(f"keep covers {keep.size} frames but the fused "
+                         f"batch holds {rows.size}")
+    sample = np.repeat(np.arange(len(fused)), fused.m_prev + fused.m_cur)
+    return rows[keep], sample[keep]
 
 
 def cmam_loss(fused: FusedBatch, keep: np.ndarray, targets: np.ndarray,
@@ -168,13 +206,9 @@ def cmam_loss(fused: FusedBatch, keep: np.ndarray, targets: np.ndarray,
     as a plain array (constants).  A ``keep`` of another length than the
     batch's frames raises ``IndexError``.
     """
-    rows = fused.frame_rows()
-    if keep.shape != rows.shape:
-        raise IndexError(f"keep covers {keep.size} frames but the fused "
-                         f"batch holds {rows.size}")
-    sample = np.repeat(np.arange(len(fused)), fused.m_prev + fused.m_cur)
-    preds = linear(gather_rows(fused.hidden, rows[keep]), weight, bias)
-    return mae(preds, targets, sample[keep], len(fused))
+    rows, sample = cmam_rows(fused, keep)
+    preds = linear(fused.gather(rows, "masked frame"), weight, bias)
+    return mae(preds, targets, sample, len(fused))
 
 
 def joint_loss(tpp: Tensor, crs: Tensor | None, cmlm: Tensor, cmam: Tensor,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Init, NonFiniteError, reduce_sum, scale
 from .finetune import (PredictionHead, TaskSpec, evaluate,
-                       init_prediction_head, predict,
+                       init_prediction_head, predict, predict_rows,
                        replace_speech_with_noise, task_loss)
 from .frontend import check_sample_rate
 from .masking import AcousticMaskConfig
@@ -376,7 +376,7 @@ def finetune(cfg: FinetuneConfig, model: SpeechTextModel, vocab: Vocab,
         items = [train_items[i] for i in idx]
         fused, _ = model.forward(prepare_sample(
             [sample for sample, _ in items], vocab, model.config,
-            train=False))
+            train=False), rows=predict_rows)
         return task_loss(predict(fused, model.head),
                          [label for _, label in items], task), {}
 
@@ -406,7 +406,8 @@ def evaluate_task(model: SpeechTextModel, vocab: Vocab, head: PredictionHead,
             speech_noise_std)
 
     def forward_fn(sample):
-        return predict(model.eval_fused(sample, vocab), head).data[0]
+        return predict(model.eval_fused(sample, vocab, rows=predict_rows),
+                       head).data[0]
 
     return evaluate(task, forward_fn, items)
 

@@ -103,6 +103,10 @@ def test_export_attention_writes_files(pretrained, corpus_dir, tmp_path):
     meta = json.loads((tmp_path / "attn_meta.json").read_text())
     mean = np.loadtxt(tmp_path / "attn_mean.csv", delimiter=",")
     assert mean.shape == (meta["length"], meta["length"])
+    # every row of the fusion layer, in every head
+    for h in range(meta["num_heads"]):
+        head = np.loadtxt(tmp_path / f"attn_head{h}.csv", delimiter=",")
+        assert head.shape == (meta["length"], meta["length"])
 
 
 @pytest.fixture(scope="module")

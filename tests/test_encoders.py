@@ -222,9 +222,11 @@ class TestPackedLayer:
             enc.transformer_layer(Tensor(self.x), self.p, 4, lengths=(1, 7))
 
 
-def score_bounds(p, x, lengths, heads=4):
+def score_bounds(p, x, lengths, heads=4, rows=None):
     """Each sequence's score bound max_i |q_i| * max_j |k_j| over its rows,
-    the largest over heads, and its largest |score|, both in float64."""
+    the largest over heads, and its largest |score|, both in float64; with
+    ``rows``, i runs over the sequence's rows among them only (0 and 0
+    for a sequence with none)."""
     p64 = {name: param.data.astype(np.float64)
            for name, param in vars(p).items()}
     a = ad.layer_norm_forward(np.asarray(x, np.float64), p64["ln1_gain"],
@@ -234,8 +236,14 @@ def score_bounds(p, x, lengths, heads=4):
             for w, b in (("wq", "bq"), ("wk", "bk")))
     q /= np.sqrt(dk)
     bounds, peaks = [], []
+    kept = np.arange(len(a)) if rows is None else np.asarray(rows)
     for end, n in zip(np.cumsum(lengths), lengths):
-        qs, ks = q[:, end - n:end], k[:, end - n:end]
+        own = kept[(end - n <= kept) & (kept < end)]
+        if not own.size:
+            bounds.append(0.0)
+            peaks.append(0.0)
+            continue
+        qs, ks = q[:, own], k[:, end - n:end]
         bounds.append((np.linalg.norm(qs, axis=-1).max(axis=1)
                        * np.linalg.norm(ks, axis=-1).max(axis=1)).max())
         peaks.append(np.abs(qs @ ks.transpose(0, 2, 1)).max())
@@ -244,9 +252,10 @@ def score_bounds(p, x, lengths, heads=4):
 
 def aligned_layer(lengths, aligned, bound, dtype, seed=51):
     """A layer of ``dtype`` and packed rows in which the scores of each
-    sequence flagged in ``aligned`` come near +-its bound, the largest of
-    which is ``bound``: its rows are +-u plus noise, and wq and wk map u
-    onto one direction per head.  The other sequences' rows are
+    sequence with a nonzero weight in ``aligned`` come near +-its bound,
+    the largest of which is ``bound``: its rows are +-weight * u plus
+    noise, and wq and wk map u onto one direction per head, so a smaller
+    weight gives a smaller bound.  The other sequences' rows are
     orthogonal to u and to the ones vector, so LN1 keeps them orthogonal
     to u and only the 0.02-scale init weights reach their scores.  Also
     returns the layer's float64 twin, of the same rounded values."""
@@ -260,7 +269,8 @@ def aligned_layer(lengths, aligned, bound, dtype, seed=51):
     for n, on in zip(lengths, aligned):
         noise = rng.standard_normal((n, 16))
         if on:
-            parts.append(5 * rng.choice([-1.0, 1.0], (n, 1)) * u + 0.3 * noise)
+            parts.append(5 * on * rng.choice([-1.0, 1.0], (n, 1)) * u
+                         + 0.3 * noise)
         else:
             noise -= noise.mean(axis=1, keepdims=True)
             parts.append(noise - np.outer(noise @ u, u))
@@ -365,6 +375,106 @@ class TestScoreBound:
                                            strict=True):
             np.testing.assert_array_equal(tiny, unit * 2.0 ** -40,
                                           err_msg=name)
+
+    # the rows of (12, 25) kept in the second case: some of each sequence
+    @pytest.mark.parametrize("rows", [None, np.r_[0:12:2, 12:37:3]])
+    def test_only_a_sequence_over_the_bound_shifts(self, monkeypatch, rows):
+        """Bounds of 0.9 C and 1.1 C (over the kept query rows) in one
+        call: only the second sequence subtracts its row max, so only its
+        inputs to ``np.exp2`` are all <= 0, where the first's unshifted
+        scores reach up to near +0.9 C.  A threshold off by a factor of
+        log2(e) either way, shifting from 27.7 or from 57.7, fails."""
+        lengths = (12, 25)
+        p, _, x = aligned_layer(lengths, (0.315, 1), 1.1 * enc.SCORE_BOUND,
+                                np.float64)
+        bounds, peaks = score_bounds(p, x, lengths, rows=rows)
+        assert 0.85 < bounds[0] / enc.SCORE_BOUND < 0.95
+        assert 1.05 < bounds[1] / enc.SCORE_BOUND < 1.15
+        assert peaks[0] > 0.8 * enc.SCORE_BOUND
+        exp2, inputs = np.exp2, []
+
+        def spy(e, *args, **kwargs):
+            inputs.append(e.copy())
+            return exp2(e, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp2", spy)
+        enc.transformer_layer(Tensor(x), p, 4, lengths, rows=rows)
+        assert [e.max() <= 0 for e in inputs] == [False, True]
+
+
+def kept_and_all_rows(p, x, proj, lengths, rows, heads=4) -> tuple:
+    """Output, input gradient and the 16 parameter gradients of one
+    ``transformer_layer`` call that computes only ``rows``, then of the
+    all-rows call with its output cut to ``rows``, each under the
+    projection ``proj`` of those rows."""
+    def run(layer_fn):
+        for param in vars(p).values():
+            param.zero_grad()
+        xt = Tensor(x, requires_grad=True)
+        out = layer_fn(xt)
+        ad.reduce_sum(mul(out, Tensor(proj))).backward()
+        return out.data, xt.grad, \
+            {name: param.grad.copy() for name, param in vars(p).items()}
+
+    return (run(lambda xt: enc.transformer_layer(xt, p, heads, lengths,
+                                                 rows=rows)),
+            run(lambda xt: ad.gather_rows(
+                enc.transformer_layer(xt, p, heads, lengths), rows)))
+
+
+class TestKeptRows:
+    """A layer that computes some of its rows against the all-rows layer
+    cut to them, in float64: the first sequence keeps none of its rows,
+    the second all, the third some."""
+
+    def check(self, p, x, lengths, rows, seed):
+        proj = np.random.default_rng(seed).standard_normal((len(rows), 16))
+        (out, dx, grads), (ref_out, ref_dx, ref_grads) = \
+            kept_and_all_rows(p, x, proj, lengths, rows)
+        assert out.shape == (len(rows), 16)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-10, atol=0)
+        # no output row of the first sequence: no gradient reaches its rows
+        assert not dx[:lengths[0]].any()
+        assert len(grads) == 16
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-10,
+                                       atol=1e-14, err_msg=name)
+
+    def test_matches_all_rows_layer(self):
+        lengths = (6, 7, 20)
+        _, _, (p,), _, _, _ = make_stack(num_layers=1, seed=61)
+        rng = np.random.default_rng(62)
+        for param in vars(p).values():
+            param.data += 0.1 * rng.standard_normal(param.shape)
+        x = rng.standard_normal((sum(lengths), 16))
+        self.check(p, x, lengths, np.r_[6:13, 13, 17, 18, 30, 32], seed=63)
+
+    def test_large_scores_match_all_rows_layer(self):
+        """The scores of ``test_large_scores_match_reference``, about
+        +-60, and a third sequence."""
+        lengths = (30, 61, 12)
+        _, _, (p,), _, _, _ = make_stack(num_layers=1, seed=41)
+        p.wq.data *= 40
+        p.wk.data *= 40
+        x = np.random.default_rng(42).standard_normal((sum(lengths), 16))
+        rows = np.r_[30:91, 91, 95, 102]
+        assert 50 < score_bounds(p, x, lengths, rows=rows)[1].max() < 70
+        self.check(p, x, lengths, rows, seed=64)
+
+    def test_no_rows_gives_an_empty_output(self):
+        _, _, (p,), _, _, _ = make_stack(num_layers=1, seed=65)
+        x = rand_x(9, seed=66)
+        out = enc.transformer_layer(x, p, 4, (4, 5), rows=np.zeros(0, int))
+        assert out.shape == (0, 16)
+
+    @pytest.mark.parametrize("rows", [[3, 1], [2, 2], [-1, 2], [0, 9]])
+    def test_rows_must_be_sorted_distinct_rows(self, rows):
+        _, _, (p,), _, _, _ = make_stack(num_layers=1, seed=67)
+        with pytest.raises(ad.ShapeError, match="sorted, distinct rows of "
+                                                "the 9 packed rows"):
+            enc.transformer_layer(rand_x(9, seed=68), p, 4, (4, 5),
+                                  rows=np.array(rows))
 
 
 class TestTextEncoder:

@@ -17,7 +17,7 @@ from stdialog import frontend as fe
 from stdialog import masking as mk
 from stdialog import model as md
 from stdialog import objectives as ob
-from stdialog.autodiff import ShapeError
+from stdialog.autodiff import ShapeError, reduce_sum
 from stdialog.gradcheck import grad_check
 from stdialog.masking import AcousticMaskConfig
 from stdialog.objectives import make_crs_sample
@@ -342,8 +342,8 @@ class TestBatch:
         model, vocab, _, samples = tiny_setup()
         forward, hidden = model.forward, []
 
-        def spy(batch):
-            fused, targets = forward(batch)
+        def spy(batch, **kwargs):
+            fused, targets = forward(batch, **kwargs)
             hidden.append(fused.hidden)
             return fused, targets
 
@@ -525,6 +525,90 @@ class TestBatch:
                                              f"frames for {frames.sum() - 1} "
                                              f"feature rows"):
             model.compute_losses(replace(batch, acoustic_plan=wrong))
+
+
+class TestFusionRows:
+    """``compute_losses`` has the fusion layer compute only the rows its
+    four losses read: in float64, its losses and gradients equal those of
+    the all-rows layer."""
+
+    def setup_method(self):
+        self.model, self.vocab, dialogs, samples = tiny_setup(dtype="float64")
+        rng = np.random.default_rng(7)
+        picked, self.labels = [], []
+        for label in range(4):   # each response-selection class
+            sample, got = make_crs_sample(samples[label % len(samples)],
+                                          dialogs, rng,
+                                          class_probs=np.eye(4)[label])
+            picked.append(sample)
+            self.labels.append(got)
+        self.batch = prepare(self.model, self.vocab, picked, self.labels,
+                             seed=8, mask_prob=0.4, trigger=0.5)
+        assert self.labels == [0, 1, 2, 3]
+        assert self.batch.text_plan.positions.size > 0
+        assert self.batch.scored_frames().any()
+        assert len(self.batch.word_tokens) > 0
+
+    def losses_and_grads(self, monkeypatch, all_rows: bool) -> tuple:
+        """The batch's losses, the gradients of its summed joint loss, and
+        the fused batch of its forward."""
+        forward, fused = self.model.forward, []
+
+        def spy(batch, rows=None):
+            out = forward(batch, rows=None if all_rows else rows)
+            fused.append(out[0])
+            return out
+
+        monkeypatch.setattr(self.model, "forward", spy)
+        for param in self.model.parameters():
+            param.zero_grad()
+        losses = self.model.compute_losses(self.batch)
+        reduce_sum(losses["joint"]).backward()
+        monkeypatch.undo()
+        return ({key: loss.data for key, loss in losses.items()},
+                {name: param.grad.copy()
+                 for name, param in self.model.params.items()}, fused[0])
+
+    def test_kept_rows_match_all_rows(self, monkeypatch):
+        losses, grads, fused = self.losses_and_grads(monkeypatch, False)
+        ref_losses, ref_grads, ref_fused = self.losses_and_grads(monkeypatch,
+                                                                 True)
+        assert ref_fused.kept is None
+        assert 0 < len(fused.kept) < ref_fused.hidden.shape[0]
+        assert fused.hidden.shape[0] == len(fused.kept)
+        for key, loss in losses.items():
+            np.testing.assert_allclose(loss, ref_losses[key], rtol=1e-12,
+                                       atol=0, err_msg=key)
+        for name, grad in grads.items():
+            # the exact gradient of a key bias is 0: softmax ignores a
+            # constant added to a row, so bk is held to wk's scale
+            scale = np.abs(ref_grads[name.replace("attn.bk", "attn.wk")]).max()
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=0,
+                                       atol=1e-12 * scale, err_msg=name)
+
+    def test_reading_a_row_not_computed_names_the_reader(self):
+        def selection_rows(layout):
+            return ob.crs_rows(layout, self.labels)[0]
+
+        fused, _ = self.model.forward(self.batch, rows=selection_rows)
+        assert fused.kept.tolist() == fused.start.tolist()
+        assert ob.crs_loss(fused, self.labels, self.model.crs_w,
+                           self.model.crs_b).shape == (4,)
+        m = self.model
+        for what, read in (
+                ("word boundary", lambda: ob.tpp_loss(
+                    fused, self.batch.word_tokens, self.batch.word_times,
+                    m.tpp_head)),
+                ("masked position", lambda: ob.cmlm_loss(
+                    fused, self.batch.text_plan, m.lm_w, m.lm_b)),
+                ("masked frame", lambda: ob.cmam_loss(
+                    fused, self.batch.scored_frames(),
+                    np.zeros((self.batch.scored_frames().sum(), 4)),
+                    m.cmam_w, m.cmam_b))):
+            with pytest.raises(IndexError, match=f"{what} reads fused rows "
+                                                 f".* that the fusion layer "
+                                                 f"did not compute"):
+                read()
 
 
 class TestGradientIntegrity:
