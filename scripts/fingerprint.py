@@ -8,7 +8,9 @@ a fresh model on the cross-modal task at batch 8 and at a batch larger
 than the item count, each followed by the fine-tuned model's eval
 accuracy.  ``mask_plans`` digests the acoustic masker on its own: the
 mask, actions and replacement sources of a one-turn ``draw_mask_plan``
-for lengths 1-120 and seeds 0-9 under the span and the baseline configs.
+for lengths 1-120 and seeds 0-9, then of a packed plan over the turns of
+``PACKED_LENGTHS`` for seeds 0-9, which pins how packed turns share the
+draws, under the span and the baseline configs.
 Two checkouts that print the same object train bit for bit alike.
 
 Usage: python scripts/fingerprint.py
@@ -36,6 +38,7 @@ from stdialog.trainer import evaluate_task, finetune, pretrain
 STEPS = 4
 BATCH = 8
 TASK_DIALOGS = 16
+PACKED_LENGTHS = (99, 1, 40, 120, 57, 99, 3, 76)
 
 
 def rows_digest(rows: list) -> str:
@@ -61,9 +64,10 @@ def digests(result) -> dict:
 def mask_plans_digest() -> str:
     h = hashlib.sha256()
     for config in (DEFAULT_SPAN_CONFIG, DEFAULT_BASELINE_CONFIG):
-        for length in range(1, 121):
+        turns = [[length] for length in range(1, 121)] + [PACKED_LENGTHS]
+        for lengths in turns:
             for seed in range(10):
-                plan = draw_mask_plan([length], np.random.default_rng(seed),
+                plan = draw_mask_plan(lengths, np.random.default_rng(seed),
                                       config)
                 for data in (plan.mask, plan.actions,
                              plan.replacement_sources):

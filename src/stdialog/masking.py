@@ -8,9 +8,11 @@ never re-trigger inside themselves.  Each masked frame is then zeroed with
 probability 0.8, replaced by a random frame of the same turn with
 probability 0.1, and kept unchanged otherwise.
 
-One kernel, ``span_masks``, runs the scan for a batch of sequences at once:
-``draw_mask_plan`` calls it once for all the speech turns of a training
-batch, and ``estimate_mask_rate`` once per chunk of Monte Carlo trials.
+One kernel, ``draw_spans``, draws the scan's spans directly, one geometric
+gap per span rather than one trigger per frame, for a batch of sequences
+at once: ``draw_mask_plan`` calls it once for all the speech turns of a
+training batch, and ``estimate_mask_rate`` once per chunk of Monte Carlo
+trials.
 
 ``frontend.project_features`` applies a plan's corruption to extractor
 output, before the projection.
@@ -27,8 +29,9 @@ ZERO, REPLACE, KEEP = 0, 1, 2
 UNMASKED = -1
 # the chances that a masked frame is zeroed or replaced; KEEP takes the rest
 P_ZERO, P_REPLACE = 0.8, 0.1
-# Monte Carlo trials per span_masks call: peak memory stays flat in trials
-_MC_CHUNK = 256
+# Monte Carlo trials per draw_spans call: memory grows with the spans, a
+# few per trial, and the per-call cost is a few numpy calls per round
+_MC_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,58 +69,51 @@ class MaskPlan:
     replacement_sources: np.ndarray  # int [frames]; source frame, else -1
 
 
-def span_masks(triggers: np.ndarray, n: np.ndarray, p: float) -> tuple:
-    """Run the span scan on each row of ``triggers`` [T, L] at once.
+def draw_spans(begin: np.ndarray, end: np.ndarray, n: np.ndarray, p: float,
+               rng: np.random.Generator) -> tuple:
+    """Draw the span scan of each sequence [begin[s], end[s]) at once.
 
-    Row r fires at index i when ``triggers[r, i] < p``; the scan takes the
-    first firing index as a span start, masks ``n[r]`` frames from it
-    (clipped at L) and resumes after the span.  Returns (mask, starts),
-    both bool [T, L]; ``starts`` marks the span starts.
-
-    The firing indices of all rows, flattened with one always-firing
-    sentinel column per row, are sorted, so one ``searchsorted`` finds every
-    row's next firing index at or after its query, and the sentinel keeps
-    the answer inside the row.  The scan jumps from span start to span
-    start, all rows per step, until every row has reached its sentinel:
-    one step more than the most spans in any row, at most
-    ceil(L / min(n)) + 1 steps.  Spans are marked by a +1 at each start
-    and a -1 at each end summed along the row; an end can fall on the next
-    span's start, so the ends are subtracted after all starts are set.
+    The scan tests each index at most once and each test fires with
+    probability ``p`` independently, so the count of indices it tests from
+    where it resumes up to its next firing one is geometric(p): drawing
+    that count gives the same law of spans as one trigger per index.  In
+    each round, every sequence still scanning draws its gap
+    ``rng.geometric(p) - 1``, in sequence order.  A start at or past its end
+    ends its scan; else sequence s masks ``n[s]`` frames from it (cut at its
+    end) and scans on from after them while that is before its end.  ``p``
+    0 draws nothing.  Returns (seq, start, stop), int [spans] in round
+    order: sequence ``seq`` masks [start, stop).
     """
-    # method calls and few temporaries: at a training batch's few short
-    # turns the cost is per numpy call, not per element
-    t, length = triggers.shape
-    width = length + 1
-    fires = np.empty((t, width), dtype=bool)
-    fires[:, length] = True
-    np.less(triggers, p, out=fires[:, :length])
-    fired = fires.ravel().nonzero()[0]
-    row_end = np.arange(length, t * width, width)  # each row's sentinel
-    pos = fired[fired.searchsorted(row_end - length)]
-    found = [pos]
-    while (pos < row_end).any():
-        pos = fired[fired.searchsorted(np.minimum(pos + n, row_end))]
-        found.append(pos)
-    found = np.array(found)  # [jumps, T] flat indices; row_end once done
-    starts = np.zeros((t, width), dtype=bool)
-    starts.ravel()[found] = True
-    edges = starts.view(np.int8).copy()
-    edges.ravel()[np.minimum(found + n, row_end)] -= 1
-    mask = np.add.accumulate(edges, axis=1, dtype=np.int8)
-    return mask[:, :length].view(bool), starts[:, :length]
+    seq = np.arange(begin.size)
+    room = end - begin  # frames from each scan's resume point to its end
+    found, rooms = [seq[:0]], [room[:0]]
+    while p > 0 and seq.size:
+        # a gap of steps - 1 starts a span inside iff steps <= room;
+        # compared before adding, since steps can be 2^63 - 1 for tiny p
+        steps = rng.geometric(p, size=seq.size)
+        hit = steps <= room
+        seq = seq[hit]
+        room = room[hit] - steps[hit] + 1  # frames from the span start
+        found.append(seq)
+        rooms.append(room)
+        room = room - n[seq]
+        more = room > 0
+        seq, room = seq[more], room[more]
+    seq = np.concatenate(found)
+    room = np.concatenate(rooms)
+    start = end[seq] - room
+    return seq, start, start + np.minimum(n[seq], room)
 
 
 def draw_mask_plan(lengths, rng: np.random.Generator,
                    config: AcousticMaskConfig = DEFAULT_SPAN_CONFIG) -> MaskPlan:
     """One mask plan over the packed frames of turns of ``lengths`` frames.
 
-    Draws, in this order: one span length per turn; the triggers [turns,
-    longest turn], one uniform per frame (the scan reads entries only at
-    tested indices, so the induced plan distribution is identical to
-    drawing at each step), set to 1.0 past a turn's end so they never
-    fire; one uniform per masked frame, in packed order, for its
-    corruption; one source frame per replaced frame, within its own turn.
-    One ``span_masks`` call scans all turns; spans are cut at turn ends.
+    Draws, in this order: one span length per turn; the gaps of
+    ``draw_spans`` over all turns at once; one uniform per masked frame,
+    in packed order, for its corruption; one source frame per replaced
+    frame, within its own turn.  The mask is a +1 at each span start and
+    a -1 at each span end, summed along the packed frames.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
@@ -125,11 +121,14 @@ def draw_mask_plan(lengths, rng: np.random.Generator,
                          f"{lengths.tolist()}")
     lo, hi = config.span_range
     n = rng.integers(lo, hi + 1, size=lengths.size)
-    inside = np.arange(lengths.max()) < lengths[:, None]
-    triggers = rng.random(inside.shape)
-    triggers[~inside] = 1.0
-    masks, _ = span_masks(triggers, n, config.trigger_prob)
-    mask = masks[inside]
+    ends = np.cumsum(lengths)
+    firsts = ends - lengths
+    _, start, stop = draw_spans(firsts, ends, n, config.trigger_prob, rng)
+    # starts are distinct and so are stops; a stop can fall on a start
+    edges = np.zeros(ends[-1] + 1, dtype=np.int8)
+    edges[start] = 1
+    edges[stop] -= 1
+    mask = np.add.accumulate(edges[:-1], dtype=np.int8).view(bool)
     masked = np.flatnonzero(mask)
     t = rng.random(masked.size)
     act = np.where(t < P_ZERO, ZERO,
@@ -139,8 +138,7 @@ def draw_mask_plan(lengths, rng: np.random.Generator,
     replaced = masked[act == REPLACE]
     turn = np.repeat(np.arange(lengths.size), lengths)[replaced]
     sources = np.full(mask.size, -1, dtype=np.int64)
-    sources[replaced] = (np.cumsum(lengths) - lengths)[turn] \
-        + rng.integers(0, lengths[turn])
+    sources[replaced] = firsts[turn] + rng.integers(0, lengths[turn])
     return MaskPlan(mask=mask, actions=actions, replacement_sources=sources)
 
 
@@ -149,13 +147,12 @@ def estimate_mask_rate(config: AcousticMaskConfig, length: int, trials: int,
     """Monte Carlo mean masked fraction over ``trials`` plans, with stderr.
 
     Trials run in chunks of ``_MC_CHUNK`` (the last one shorter); each
-    chunk draws its span lengths ``n`` [T], then its triggers [T, length],
-    and runs ``span_masks``, the scan that training plans use, so the
-    estimate measures the masker as implemented.  It keeps its own draws
-    rather than ``draw_mask_plan``'s: its trials share one length and need
-    no corruption draws.  Masked-frame counts are summed as integers, so
-    the result depends only on the draws.
-    ``expected_mask_rate`` is the independent check.
+    chunk draws its span lengths ``n`` [T], then runs ``draw_spans``, the
+    kernel that training plans use, so the estimate measures the masker as
+    implemented.  It keeps its own draws rather than ``draw_mask_plan``'s:
+    its trials share one length and need no corruption draws.  Each
+    trial's ``stop - start`` are summed as integers, so the result depends
+    only on the draws.  ``expected_mask_rate`` is the independent check.
     """
     if trials < 10_000:
         raise ValueError(f"need at least 10^4 trials, got {trials}")
@@ -167,9 +164,11 @@ def estimate_mask_rate(config: AcousticMaskConfig, length: int, trials: int,
     for done in range(0, trials, _MC_CHUNK):
         t = min(_MC_CHUNK, trials - done)
         n = rng.integers(lo, hi + 1, size=t)
-        mask, _ = span_masks(rng.random((t, length)), n,
-                             config.trigger_prob)
-        counts = np.count_nonzero(mask, axis=1)
+        seq, start, stop = draw_spans(np.zeros(t, np.intp),
+                                      np.full(t, length), n,
+                                      config.trigger_prob, rng)
+        counts = np.zeros(t, dtype=np.int64)
+        np.add.at(counts, seq, stop - start)
         total += int(counts.sum())
         total_sq += int((counts * counts).sum())
     mean = total / (trials * length)

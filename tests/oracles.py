@@ -1,5 +1,5 @@
-"""Loop-based scalar recomputation of every loss and of the span-mask scan,
-no numpy tensor ops.
+"""Loop-based scalar recomputation of every loss and of the span-mask scan
+and its law, no numpy tensor ops.
 
 These are deliberately naive: python floats, explicit loops, math.* only.
 They exist so the tensor implementations can be checked against a fully
@@ -116,3 +116,26 @@ def span_scan_oracle(triggers, n, p):
         else:
             i += 1
     return mask, starts
+
+
+def mask_position_oracle(p, span_range, length):
+    """The exact chance that the span scan masks each frame of a sequence
+    of ``length`` frames, averaged over the span lengths of ``span_range``.
+
+    For span length n, a_j is the chance that the scan tests index j:
+    a_0 = 1, and a tested index j passes its share on to j + 1 when it
+    does not fire (1 - p) and to j + n when it does (p).  Frame i is
+    masked by a span that starts at some j in (i - n, i], each start
+    exclusive of the others, so its chance is the sum of p * a_j there."""
+    lo, hi = span_range
+    rates = [0.0] * length
+    for n in range(lo, hi + 1):
+        tested = [0.0] * (length + n)
+        tested[0] = 1.0
+        for j in range(length):
+            tested[j + 1] += (1 - p) * tested[j]
+            tested[j + n] += p * tested[j]
+        for i in range(length):
+            rates[i] += sum(p * tested[j]
+                            for j in range(max(0, i - n + 1), i + 1))
+    return [r / (hi - lo + 1) for r in rates]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composed_speech import apply_mask_plan
-from oracles import span_scan_oracle
+from oracles import mask_position_oracle, span_scan_oracle
 from stdialog.autodiff import Tensor
 from stdialog import masking as mk
 
@@ -25,8 +25,14 @@ class TestPlanDrawing:
         assert not plan.mask.any()
         np.testing.assert_array_equal(masked.data, feats.data)
 
+    def test_tiny_trigger_gaps_do_not_wrap(self):
+        # geometric(5e-324) is 2^63 - 1, which wraps when added to a start
+        cfg = mk.AcousticMaskConfig(trigger_prob=5e-324)
+        plan = mk.draw_mask_plan([99, 40, 7], np.random.default_rng(0), cfg)
+        assert not plan.mask.any()
+
     def test_clipping_at_sequence_end(self):
-        # force a trigger exactly at index 90 with span 35: frames 90..98 masked
+        # force a first gap of 90 with span 35: frames 90..98 masked
         cfg = mk.AcousticMaskConfig(trigger_prob=0.15, span_range=(35, 35))
 
         class ForcedRng:
@@ -38,12 +44,12 @@ class TestPlanDrawing:
                 return self.inner.integers(lo, hi, size=size)
 
             def random(self, size=None):
-                if self.first:  # the triggers: fire only at index 90
-                    self.first = False
-                    r = np.ones(size)
-                    r[:, 90] = 0.0
-                    return r
                 return self.inner.random(size)
+
+            def geometric(self, p, size=None):
+                assert self.first, "the span reaches the end: no more gaps"
+                self.first = False
+                return np.full(size, 91)
 
         plan = mk.draw_mask_plan([99], ForcedRng(), cfg)
         expected = np.zeros(99, dtype=bool)
@@ -71,6 +77,21 @@ class TestPlanDrawing:
                                match="at least one frame per turn"):
                 mk.draw_mask_plan(lengths, np.random.default_rng(0))
 
+    def test_full_trigger_lays_spans_back_to_back(self):
+        cfg = mk.AcousticMaskConfig(trigger_prob=1.0, span_range=(3, 9))
+        lengths = np.array([99, 1, 20, 7, 30, 8])
+        plan = mk.draw_mask_plan(lengths, np.random.default_rng(3), cfg)
+        assert plan.mask.all()
+        # the kernel over the plan's own draws: each turn's spans tile it
+        rng = np.random.default_rng(3)
+        n = rng.integers(3, 10, size=lengths.size)
+        ends = np.cumsum(lengths)
+        seq, start, stop = mk.draw_spans(ends - lengths, ends, n, 1.0, rng)
+        spans = sorted(zip(seq.tolist(), start.tolist(), stop.tolist()))
+        assert spans == [(s, i, min(i + n[s], end))
+                         for s, end in enumerate(ends.tolist())
+                         for i in range(end - lengths[s], end, n[s])]
+
     @settings(max_examples=60, deadline=None)
     @given(l=st.integers(1, 200), seed=st.integers(0, 10_000),
            trig=st.floats(0.0, 1.0), lo=st.integers(1, 30),
@@ -84,10 +105,34 @@ class TestPlanDrawing:
         assert np.all((plan.actions != mk.UNMASKED) == plan.mask)
         # masked region is the clipped union of the spans that the scalar
         # scan, which never re-triggers inside a span, finds in the draws
-        ref = np.random.default_rng(seed)
-        n = int(ref.integers(lo, lo + extra + 1))
-        mask, _ = span_scan_oracle(ref.random(l).tolist(), n, trig)
+        mask, _, _, _ = oracle_plan([l], np.random.default_rng(seed), cfg)
         assert plan.mask.tolist() == mask
+
+
+def oracle_gaps(lengths, spans, p, rng):
+    """``draw_spans``'s rounds in plain Python, each sequence scanning from
+    0: one gap per sequence still scanning, in sequence order.  Returns,
+    per sequence, the triggers that the scalar scan reads: one firing
+    index at each span start and none at the other indices it tests."""
+    resume = [0] * len(lengths)
+    starts = [[] for _ in lengths]
+    scanning = list(range(len(lengths))) if p > 0 else []
+    while scanning:
+        gaps = (rng.geometric(p, size=len(scanning)) - 1).tolist()
+        still = []
+        for s, gap in zip(scanning, gaps):
+            start = resume[s] + gap
+            if start < lengths[s]:
+                starts[s].append(start)
+                resume[s] = start + spans[s]
+                if resume[s] < lengths[s]:
+                    still.append(s)
+        scanning = still
+    triggers = [[1.0] * length for length in lengths]
+    for row, first in zip(triggers, starts):
+        for i in first:
+            row[i] = 0.0
+    return triggers
 
 
 def oracle_plan(lengths, rng, cfg):
@@ -95,14 +140,15 @@ def oracle_plan(lengths, rng, cfg):
     scan of its own triggers and span length, cut at its own end."""
     lo, hi = cfg.span_range
     spans = rng.integers(lo, hi + 1, size=len(lengths)).tolist()
-    rows = rng.random((len(lengths), max(lengths))).tolist()
+    rows = oracle_gaps(lengths, spans, cfg.trigger_prob, rng)
     mask, starts, turn = [], [], []
-    for t, (length, n, row) in enumerate(zip(lengths, spans, rows)):
-        turn_mask, turn_starts = span_scan_oracle(row[:length], n,
-                                                  cfg.trigger_prob)
+    for t, (n, row) in enumerate(zip(spans, rows)):
+        turn_mask, turn_starts = span_scan_oracle(row, n, cfg.trigger_prob)
+        # the scan tests every start the gaps put a trigger at
+        assert turn_starts == [i for i, u in enumerate(row) if u == 0.0]
         mask += turn_mask
         starts.append(turn_starts)
-        turn += [t] * length
+        turn += [t] * len(row)
     masked = [i for i, m in enumerate(mask) if m]
     actions = [mk.UNMASKED] * len(mask)
     sources = [-1] * len(mask)
@@ -140,11 +186,10 @@ class TestScanKernel:
                 # the kernel's span starts over the plan's own draws
                 rng = np.random.default_rng(seed)
                 n = rng.integers(cfg.span_range[0], cfg.span_range[1] + 1)
-                _, kernel_starts = mk.span_masks(rng.random((1, length)),
-                                                 np.array([n]),
-                                                 cfg.trigger_prob)
-                assert kernel_starts[0].nonzero()[0].tolist() == starts[0], \
-                    (length, seed)
+                _, kernel_starts, _ = mk.draw_spans(
+                    np.array([0]), np.array([length]), np.array([n]),
+                    cfg.trigger_prob, rng)
+                assert kernel_starts.tolist() == starts[0], (length, seed)
                 assert plan.actions.tolist() == actions, (length, seed)
                 assert plan.replacement_sources.tolist() == sources, \
                     (length, seed)
@@ -171,15 +216,17 @@ class TestScanKernel:
             assert (src < ends[turn]).all()
 
     def test_estimate_equals_scalar_scan_over_same_draws(self):
-        # 10_001 trials: whole chunks plus a remainder chunk
-        cfg, length, trials, seed = mk.DEFAULT_SPAN_CONFIG, 99, 10_001, 4
+        # a whole chunk plus a remainder chunk
+        cfg, length, seed = mk.DEFAULT_SPAN_CONFIG, 99, 4
+        trials = mk._MC_CHUNK + 1001
         rng = np.random.default_rng(seed)
         lo, hi = cfg.span_range
         counts = []
         for done in range(0, trials, mk._MC_CHUNK):
             t = min(mk._MC_CHUNK, trials - done)
             spans = rng.integers(lo, hi + 1, size=t).tolist()
-            for row, n in zip(rng.random((t, length)).tolist(), spans):
+            rows = oracle_gaps([length] * t, spans, cfg.trigger_prob, rng)
+            for row, n in zip(rows, spans):
                 mask, _ = span_scan_oracle(row, n, cfg.trigger_prob)
                 counts.append(sum(mask))
         assert len(counts) == trials
@@ -241,6 +288,49 @@ class TestRates:
         with pytest.raises(ValueError, match="at least one frame"):
             mk.estimate_mask_rate(mk.DEFAULT_SPAN_CONFIG, 0, 10_000)
 
+    def test_estimate_at_zero_trigger_draws_no_gaps(self, monkeypatch):
+        class NoGaps:
+            def __init__(self, seed):
+                self.inner = default_rng(seed)
+
+            def integers(self, lo, hi, size=None):
+                return self.inner.integers(lo, hi, size=size)
+
+            def geometric(self, p, size=None):
+                raise AssertionError(f"gap drawn at trigger_prob {p}")
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", NoGaps)
+        cfg = mk.AcousticMaskConfig(trigger_prob=0.0)
+        assert mk.estimate_mask_rate(cfg, 99, 10_000) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("span", [1, 7, 99, 150])
+    def test_estimate_at_full_trigger_masks_everything(self, span):
+        cfg = mk.AcousticMaskConfig(trigger_prob=1.0, span_range=(span, span))
+        assert mk.estimate_mask_rate(cfg, 99, 10_000) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("cfg", [mk.DEFAULT_SPAN_CONFIG,
+                                     mk.DEFAULT_BASELINE_CONFIG],
+                             ids=["span", "baseline"])
+    def test_position_law_mean_is_exact_recursion(self, cfg):
+        rates = mask_position_oracle(cfg.trigger_prob, cfg.span_range, 99)
+        assert abs(sum(rates) / 99 - mk.expected_mask_rate(cfg, 99)) < 1e-12
+
+    def test_packed_plans_match_position_law(self):
+        # 2 x 10^5 packed turns of 99 frames: every frame position within
+        # 4.5 stderr of its exact masking chance
+        cfg, length, turns, calls = mk.DEFAULT_SPAN_CONFIG, 99, 10_000, 20
+        exact = np.array(mask_position_oracle(cfg.trigger_prob,
+                                              cfg.span_range, length))
+        rng = np.random.default_rng(8)
+        hits = np.zeros(length, dtype=np.int64)
+        for _ in range(calls):
+            plan = mk.draw_mask_plan(np.full(turns, length), rng, cfg)
+            hits += plan.mask.reshape(turns, length).sum(axis=0)
+        n = turns * calls
+        z = (hits / n - exact) / np.sqrt(exact * (1 - exact) / n)
+        assert np.abs(z).max() < 4.5
+
     def test_monte_carlo_matches_exact_recursion_span(self):
         mean, se = mk.estimate_mask_rate(mk.DEFAULT_SPAN_CONFIG, 99, 20_000,
                                          seed=2)
@@ -264,8 +354,8 @@ class TestRates:
 
     def test_estimate_pinned(self):
         assert mk.estimate_mask_rate(mk.DEFAULT_SPAN_CONFIG, 99, 10_000,
-                                     seed=0) == (0.8357858585858586,
-                                                 0.0009395614500372405)
+                                     seed=0) == (0.8356121212121213,
+                                                 0.000939188120387493)
 
     def test_monte_carlo_matches_exact_recursion_baseline(self):
         mean, se = mk.estimate_mask_rate(mk.DEFAULT_BASELINE_CONFIG, 99,

@@ -216,16 +216,19 @@ class TestForward:
 def speech_batch(model, vocab, samples, seed=4):
     """A training batch of three samples whose waveforms differ in length:
     the second one's prev turn is cut to exactly the receptive field (one
-    frame, zeroed by the plan)."""
+    frame, zeroed by the plan), and the first frame of its cur turn is left
+    unmasked, so its input depends on its waveform whatever the draws."""
     a, b, c = samples[:3]
     rf = model.config.frontend.receptive_field
     short_b = replace(b, speech_prev=b.speech_prev[:rf])
     batch = prepare(model, vocab, [a, short_b, c], seed=seed, trigger=0.6)
-    one_frame = turn_firsts(batch)[2]
+    one_frame, cur_first = turn_firsts(batch)[2:4]
     plan = batch.acoustic_plan
     plan.mask[one_frame] = True
     plan.actions[one_frame] = mk.ZERO
-    plan.replacement_sources[one_frame] = -1
+    plan.mask[cur_first] = False
+    plan.actions[cur_first] = mk.UNMASKED
+    plan.replacement_sources[[one_frame, cur_first]] = -1
     return batch
 
 
